@@ -1,10 +1,10 @@
-"""B2 — naive vs semi-naive fixpoint evaluation.
+"""B2 — semi-naive fixpoint evaluation.
 
-Transitive closure on chains and grids: semi-naive differentiation should
-win by an increasing factor as the number of iterations grows (chains are
-the worst case for naive evaluation).  Also includes a set-heavy workload
-(quantified rules), where the engine falls back to change-detection
-re-evaluation — the honest cost of quantifiers under semi-naive.
+Transitive closure on chains and grids: many rounds of delta-pinned joins
+(chains are the worst case for re-firing whole rules every round).  Also
+includes a set-heavy workload (quantified rules), where the engine falls
+back to change-detection re-evaluation — the honest cost of quantifiers
+under semi-naive.
 """
 
 import pytest
@@ -28,22 +28,16 @@ def graph_db(edges):
 
 
 @pytest.mark.parametrize("n", [16, 32, 64])
-@pytest.mark.parametrize("mode", ["seminaive", "naive"])
-def test_chain_closure(benchmark, evaluate, n, mode):
+def test_chain_closure(benchmark, evaluate, n):
     db = graph_db(chain_graph(n))
-    result = benchmark(
-        lambda: evaluate(TC, db, semi_naive=(mode == "seminaive"))
-    )
+    result = benchmark(lambda: evaluate(TC, db))
     assert len(result.relation("t")) == n * (n + 1) // 2
 
 
 @pytest.mark.parametrize("side", [4, 6])
-@pytest.mark.parametrize("mode", ["seminaive", "naive"])
-def test_grid_closure(benchmark, evaluate, side, mode):
+def test_grid_closure(benchmark, evaluate, side):
     db = graph_db(grid_graph(side, side))
-    result = benchmark(
-        lambda: evaluate(TC, db, semi_naive=(mode == "seminaive"))
-    )
+    result = benchmark(lambda: evaluate(TC, db))
     assert result.relation("t")
 
 
@@ -53,10 +47,7 @@ chainable(X, Z) :- disj(X, Y), disj(Y, Z).
 """)
 
 
-@pytest.mark.parametrize("mode", ["seminaive", "naive"])
-def test_quantified_workload(benchmark, evaluate, mode):
+def test_quantified_workload(benchmark, evaluate):
     db = set_database("s", 14, universe=18, max_size=4, seed=9)
-    result = benchmark(
-        lambda: evaluate(SETS, db, semi_naive=(mode == "seminaive"))
-    )
+    result = benchmark(lambda: evaluate(SETS, db))
     assert result.relation("chainable")

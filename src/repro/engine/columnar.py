@@ -32,13 +32,11 @@ Capability is static per node (:func:`columnar_capable`): ``Unit``,
 variable or ground.  Everything else — and every *dynamic* type
 misprediction, exactly as in the row executor — falls back, ultimately to
 :class:`~repro.engine.executor.PlanInapplicable` and the tuple solver, so
-the bit-identity invariant of ``tests/test_index_vs_scan.py`` extends
-across the full ``columnar × compile_plans × use_indexes × plan_joins``
-grid.
+the computed model is the same whichever kernel ran a node
+(``tests/test_pipeline_vs_oracle.py`` runs the suite with numpy masked).
 
 numpy is the only soft dependency: without it :func:`make_executor`
-silently hands back the row executor, so ``EvalOptions.columnar`` is
-safe to leave on everywhere.
+hands back the row executor.
 """
 
 from __future__ import annotations
@@ -347,9 +345,7 @@ class ColumnarExecutor(Executor):
                     # index bucket, so that bucket — not the relation —
                     # is the input to beat (same policy + estimate the
                     # join planner uses).
-                    rows = self.interp.estimate_for_pattern(
-                        a.pred, a.args, self.use_indexes
-                    )
+                    rows = self.interp.estimate_for_pattern(a.pred, a.args)
                 if rows < floor:
                     worth = False
                     break
@@ -426,9 +422,7 @@ class ColumnarExecutor(Executor):
                     n_out = int(mask.sum())
                 self.stats.note(node.op, n, n_out)
                 return n_out, out
-            facts = self.interp.candidates_for_pattern(
-                a.pred, a.args, use_indexes=self.use_indexes
-            )
+            facts = self.interp.candidates_for_pattern(a.pred, a.args)
         else:
             facts = self.delta.get(a.pred, ()) if self.delta is not None else ()
         # Delta scans and uncacheable relations: encode while matching.
@@ -478,7 +472,7 @@ class ColumnarExecutor(Executor):
         if meta is None:
             meta = node._meta = self._join_meta(node)
         lkey, rkey, rtake, probe = meta
-        if ln and probe is not None and self.use_indexes:
+        if ln and probe is not None:
             probed = self._probe_join_cols(node, ln, lcols, lkey, probe)
             if probed is not None:
                 return probed
@@ -732,19 +726,8 @@ _COL_DISPATCH = {
 
 
 def make_executor(
-    interp: Interpretation,
-    builtins,
-    delta=None,
-    use_indexes: bool = True,
-    stats=None,
-    columnar: bool = True,
+    interp: Interpretation, builtins, delta=None, stats=None
 ) -> Executor:
-    """The executor the options ask for: columnar (default) or row.
-
-    Falls back to the row executor when numpy is unavailable, so the
-    ``columnar`` option is safe to leave on in every environment.
-    """
-    cls = ColumnarExecutor if (columnar and _np is not None) else Executor
-    return cls(
-        interp, builtins, delta=delta, use_indexes=use_indexes, stats=stats
-    )
+    """The columnar executor, or the row executor when numpy is absent."""
+    cls = ColumnarExecutor if _np is not None else Executor
+    return cls(interp, builtins, delta=delta, stats=stats)

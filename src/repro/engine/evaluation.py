@@ -23,16 +23,19 @@ Design highlights (see DESIGN.md):
 * **Stratified evaluation.**  Strata come from ``repro.engine.stratify``;
   negative literals and LDL grouping clauses only see fully computed lower
   strata, per Section 4.2 / Section 6 of the paper.
-* **Semi-naive option.**  Plain conjunctive rules are differentiated on
+* **Semi-naive rounds.**  Plain conjunctive rules are differentiated on
   their recursive body atoms; rules with quantifiers or disjunction are
   re-evaluated only when a predicate they depend on (or the active domain)
   changed.
+* **One pipeline.**  A rule application goes through
+  ``_CompiledRule.heads`` / ``bindings``: the compiled plan when the body
+  has one and it applies to the actual values, else the formula solver
+  (see DESIGN.md, "Execution pipeline").
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -208,9 +211,6 @@ class Solver:
         allow_fallback: bool = True,
         fallback_limit: Optional[int] = DEFAULT_FALLBACK_LIMIT,
         stats: Optional[SolverStats] = None,
-        delta: Optional[Mapping[str, frozenset[Atom]]] = None,
-        use_indexes: bool = True,
-        plan_joins: bool = True,
     ) -> None:
         self.interp = interp
         self.domain = domain
@@ -218,9 +218,6 @@ class Solver:
         self.allow_fallback = allow_fallback
         self.fallback_limit = fallback_limit
         self.stats = stats if stats is not None else SolverStats()
-        self.delta = delta
-        self.use_indexes = use_indexes
-        self.plan_joins = plan_joins
         # Memoized restricted-quantifier unfoldings, keyed by (formula,
         # ground range set): the expansion is the same for every candidate
         # binding, so re-substituting per solver step is pure waste.
@@ -295,8 +292,7 @@ class Solver:
         cardinality** taken from the argument indexes (the exact size of the
         index bucket the join step would scan), so conjunctions are joined
         smallest-relation-first instead of most-bound-first.  This is the
-        boundness-driven join planner of DESIGN.md; disable with
-        ``plan_joins=False`` to fall back to the bound-argument heuristic.
+        boundness-driven join planner of DESIGN.md.
         """
         if fv is None:
             fv = f.free_vars()
@@ -333,9 +329,10 @@ class Solver:
                 i for i, t in enumerate(args)
                 if not isinstance(t, SetExpr) and t.is_ground()
             )
-            if not self.plan_joins:
-                return (4, 0, -len(bound_pos), unbound)
-            est = self._estimate(a.pred, args, bound_pos)
+            if bound_pos:
+                est = self.interp.estimate_for_pattern(a.pred, args)
+            else:
+                est = len(self.interp.facts_of(a.pred))
             return (4, est, -len(bound_pos), unbound)
         if isinstance(f, ExistsIn):
             if isinstance(env.apply(f.source), SetValue):
@@ -348,17 +345,6 @@ class Solver:
                 return (7, unbound)
             return None
         return None
-
-    def _estimate(
-        self, pred: str, args: Sequence[Term], bound_pos: tuple[int, ...]
-    ) -> int:
-        """Candidate-count estimate for a relational conjunct under ``env``
-        (the size of the index bucket :meth:`_candidates` would scan)."""
-        if self.delta is not None and pred in self.delta:
-            return len(self.delta[pred])
-        if not bound_pos:
-            return len(self.interp.facts_of(pred))
-        return self.interp.estimate_for_pattern(pred, args, self.use_indexes)
 
     # -- dispatch ---------------------------------------------------------------
 
@@ -428,14 +414,14 @@ class Solver:
 
     def _match_facts(self, a: Atom, env: Subst) -> Iterator[Subst]:
         pattern = a.substitute(env)
-        facts: Iterable[Atom]
-        if self.delta is not None and a.pred in self.delta:
-            facts = self.delta[a.pred]
-        else:
-            facts = self._candidates(pattern)
         stats = self.stats
         arity = pattern.arity
-        for f in facts:
+        # Candidates come from the interpretation's incremental argument
+        # indexes (shared between rounds, rules and solver instances); with
+        # several bound positions the shared policy reads the most
+        # selective single-position bucket — see
+        # :meth:`Interpretation.candidates_for_pattern`.
+        for f in self.interp.candidates_for_pattern(pattern.pred, pattern.args):
             stats.matches += 1
             if f.arity != arity:
                 continue
@@ -446,21 +432,6 @@ class Solver:
                 yield from match_atom(pattern, f, env)
             else:
                 yield out
-
-    def _candidates(self, pattern: Atom) -> Iterable[Atom]:
-        """Fact candidates via the interpretation's incremental indexes.
-
-        The index is owned by the :class:`Interpretation` and maintained as
-        facts are added, so it is shared between rounds, rules and solver
-        instances instead of being rebuilt whenever the relation grows.
-        With several bound positions the shared policy picks the **most
-        selective** single bound position (comparing bucket sizes) rather
-        than committing to a per-signature composite index — see
-        :meth:`Interpretation.candidates_for_pattern`.
-        """
-        return self.interp.candidates_for_pattern(
-            pattern.pred, pattern.args, self.use_indexes
-        )
 
     def _solve_by_fallback(self, f: Formula, env: Subst) -> Iterator[Subst]:
         """Enumerate one unbound variable and retry (used when stuck)."""
@@ -592,46 +563,18 @@ class Solver:
 # The evaluator
 # ---------------------------------------------------------------------------
 
-def _default_columnar() -> bool:
-    """Columnar mode defaults on; ``REPRO_COLUMNAR=0`` (or false/no/off)
-    turns it off process-wide — the row-executor escape hatch for tests,
-    benchmarking baselines, and bisecting."""
-    return os.environ.get("REPRO_COLUMNAR", "1").strip().lower() not in (
-        "0", "false", "no", "off"
-    )
-
-
 @dataclass
 class EvalOptions:
     """Evaluator knobs.
 
-    ``semi_naive``      — differentiate plain conjunctive rules on deltas.
     ``allow_fallback``  — permit active-domain enumeration for unconstrained
                           variables (the paper's semantics needs it; turn off
                           to enforce Datalog-style range restriction).
     ``fallback_limit``  — abort if fallback enumerations exceed this many
                           candidate bindings (per run).
     ``max_rounds``      — abort runaway fixpoints.
-    ``use_indexes``     — consult the interpretation's incremental argument
-                          indexes when matching facts (off = linear scans;
-                          semantics-identical, for testing and measurement).
-    ``plan_joins``      — order conjuncts by estimated selectivity from the
-                          indexes (off = bound-argument-count heuristic).
-    ``compile_plans``   — compile plain conjunctive rule bodies to
-                          relational-algebra plans executed set-at-a-time
-                          (see DESIGN.md, "Plan IR and executor"); bodies
-                          the planner cannot schedule — and any rule
-                          application whose static predictions fail on
-                          real values — run on the tuple-at-a-time solver,
-                          so the model is bit-identical either way.
-    ``columnar``        — run capable plan operators on dense term-ID
-                          columns instead of term-object rows (see
-                          DESIGN.md, "Columnar execution"); per-node
-                          fallback keeps type-sensitive operators on the
-                          row executor, so results stay bit-identical.
-                          Default from ``REPRO_COLUMNAR`` (on unless the
-                          env var is ``0``/``false``/``no``/``off``).
-                          Only meaningful with ``compile_plans``.
+    ``track_provenance``— record one derivation per atom for
+                          ``Model.explain`` (runs every rule on the solver).
     ``shards``          — evaluate recursive conjunctive strata across this
                           many worker processes (see DESIGN.md, "Sharded
                           parallel evaluation"); ``<= 1`` or any stratum
@@ -640,16 +583,50 @@ class EvalOptions:
                           bit-identical at every shard count.
     """
 
-    semi_naive: bool = True
     allow_fallback: bool = True
     fallback_limit: Optional[int] = DEFAULT_FALLBACK_LIMIT
     max_rounds: int = DEFAULT_MAX_ROUNDS
     track_provenance: bool = False
-    use_indexes: bool = True
-    plan_joins: bool = True
-    compile_plans: bool = True
-    columnar: bool = field(default_factory=lambda: _default_columnar())
     shards: int = 1
+
+
+class _Engines:
+    """The two body engines for one batch of rule applications over one
+    interpretation: the plan executor and the formula solver that rules
+    fall back to (:meth:`_CompiledRule.heads` / ``bindings``).
+
+    ``delta`` maps predicate names to the facts a pinned occurrence ranges
+    over.  Provenance needs the solver's per-derivation environments, so
+    under ``track_provenance`` there is no executor.  Without a ``domain``
+    (queries against a finished model) nothing may be enumerated from the
+    active domain, whatever the options say.
+    """
+
+    __slots__ = ("solver", "executor", "delta")
+
+    def __init__(
+        self,
+        interp: Interpretation,
+        builtins: Mapping[str, Builtin],
+        stats: SolverStats,
+        exec_stats: ExecStats,
+        delta: Optional[Mapping[str, Iterable[Atom]]] = None,
+        domain: Optional[ActiveDomain] = None,
+        options: Optional[EvalOptions] = None,
+    ) -> None:
+        options = options or EvalOptions()
+        self.delta = delta
+        self.solver = Solver(
+            interp,
+            domain if domain is not None else ActiveDomain(),
+            builtins,
+            allow_fallback=domain is not None and options.allow_fallback,
+            fallback_limit=options.fallback_limit,
+            stats=stats,
+        )
+        self.executor = None if options.track_provenance else make_executor(
+            interp, builtins, delta=delta, stats=exec_stats
+        )
 
 
 @dataclass
@@ -745,7 +722,7 @@ class Model:
 
 
 class Evaluator:
-    """Stratified bottom-up evaluator (naive or semi-naive)."""
+    """Stratified bottom-up evaluator (semi-naive)."""
 
     def __init__(
         self,
@@ -763,8 +740,8 @@ class Evaluator:
         self.stratification: Stratification = stratify(
             program, ignore=set(builtins)
         )
-        #: grouping clause -> compiled body plan (keyed with plan_joins).
-        self._grouping_plans: dict[tuple, CompiledPlan] = {}
+        #: grouping clause -> compiled body plan.
+        self._grouping_plans: dict[GroupingClause, CompiledPlan] = {}
         #: lazy ShardCoordinator (options.shards > 1 only); once sharding
         #: proves unavailable for this evaluator it stays off.
         self._coordinator = None
@@ -792,7 +769,7 @@ class Evaluator:
                 return None
             return self._coordinator
         o = self.options
-        if o.shards <= 1 or o.track_provenance or not o.semi_naive:
+        if o.shards <= 1 or o.track_provenance:
             self._sharding_unavailable = True
             return None
         from ..parallel import ShardCoordinator, builtin_profile
@@ -945,21 +922,17 @@ class Evaluator:
             return added
 
         compiled = [_CompiledRule(c, self.builtins) for c in proper]
-        recursive_preds = {c.head.pred for c in proper}
         changed_preds: Optional[set[str]] = None  # None = first round
         deltas: dict[str, frozenset[Atom]] = {}
         if seed_deltas is not None:
-            # Seeded predicates may be lower-stratum inputs, so the pinnable
-            # set must cover them, not just this stratum's own heads.
+            # Seeded predicates may be lower-stratum inputs as well as this
+            # stratum's own heads; any occurrence with a delta is pinnable.
             deltas = {p: frozenset(s) for p, s in seed_deltas.items() if s}
             changed_preds = set(deltas)
-            recursive_preds = recursive_preds | changed_preds
             if not deltas:
                 return added
         round_no = 0
         prev_version = -1
-        use_plans = self.options.compile_plans and provenance is None
-        pj = self.options.plan_joins
 
         while True:
             round_no += 1
@@ -971,63 +944,32 @@ class Evaluator:
             domain_grew = domain.version != prev_version
             prev_version = domain.version
             new_atoms: set[Atom] = set()
-            solver = Solver(
-                interp,
-                domain,
-                self.builtins,
-                allow_fallback=self.options.allow_fallback,
-                fallback_limit=self.options.fallback_limit,
-                stats=report.stats,
-                use_indexes=self.options.use_indexes,
-                plan_joins=self.options.plan_joins,
+            engines = _Engines(
+                interp, self.builtins, report.stats, report.exec,
+                delta=deltas, domain=domain, options=self.options,
             )
-            executor = None
-            if use_plans:
-                executor = make_executor(
-                    interp,
-                    self.builtins,
-                    delta=deltas,
-                    use_indexes=self.options.use_indexes,
-                    stats=report.exec,
-                    columnar=self.options.columnar,
-                )
             for rule in compiled:
                 if not rule.affected(changed_preds, domain_grew):
                     continue
                 report.rule_applications += 1
-                exportable = shard is not None and shard.exportable(rule.deps)
-                use_delta = (
-                    self.options.semi_naive
-                    and provenance is None
-                    and changed_preds is not None
-                    and rule.delta_capable
-                )
-                if use_delta:
-                    derived = rule.derive_delta(
-                        solver, deltas, recursive_preds,
-                        executor=executor, plan_joins=pj,
-                    )
-                    for head in derived:
-                        if head not in interp and head not in new_atoms:
-                            if shard is None or shard.admit(head, exportable):
-                                new_atoms.add(head)
-                elif provenance is not None:
-                    for head, env in rule.derive_with_env(solver):
-                        if head not in interp and head not in new_atoms:
+                if provenance is not None:
+                    for env in rule.bindings(engines):
+                        head = rule.head.substitute(env)
+                        if head not in interp:
                             new_atoms.add(head)
                         provenance.note_derived(
                             head, rule.clause, env,
                             rule.ground_premises(env, self.builtins),
                         )
-                else:
-                    derived = None
-                    if executor is not None:
-                        derived = rule.derive_via_plan(executor, pj)
-                        if derived is not None:
-                            solver.stats.derivations += len(derived)
-                    if derived is None:
-                        derived = rule.derive(solver)
-                    for head in derived:
+                    continue
+                exportable = shard is not None and shard.exportable(rule.deps)
+                # After the first round a delta-capable rule fires once per
+                # body occurrence that has a delta, that occurrence pinned.
+                pins: Iterable[Optional[int]] = (None,)
+                if changed_preds is not None and rule.delta_capable:
+                    pins = rule.pins(deltas)
+                for pin in pins:
+                    for head in rule.heads(engines, pin):
                         if head not in interp and head not in new_atoms:
                             if shard is None or shard.admit(head, exportable):
                                 new_atoms.add(head)
@@ -1062,27 +1004,19 @@ class Evaluator:
         Stratification guarantees the body's predicates are fully computed.
         Returns the head atoms actually added (consumed by maintenance).
         """
-        groups: Optional[dict[tuple[Term, ...], set[Term]]] = None
         premises: dict[tuple[Term, ...], list[Atom]] = {}
-        if self.options.compile_plans and provenance is None:
-            groups = self._plan_grouping(g, interp, report)
+        engines = _Engines(
+            interp, self.builtins, report.stats, report.exec,
+            domain=domain, options=self.options,
+        )
+        groups = self._plan_grouping(g, engines.executor)
         if groups is None:
             body = conj(*(
                 AtomF(l.atom) if l.positive else NotF(AtomF(l.atom))
                 for l in g.body
             ))
-            solver = Solver(
-                interp,
-                domain,
-                self.builtins,
-                allow_fallback=self.options.allow_fallback,
-                fallback_limit=self.options.fallback_limit,
-                stats=report.stats,
-                use_indexes=self.options.use_indexes,
-                plan_joins=self.options.plan_joins,
-            )
             groups = {}
-            for env in solver.solve(body):
+            for env in engines.solver.solve(body):
                 key = tuple(env.apply(t) for t in g.head_args)
                 gval = env.apply(g.group_var)
                 if not gval.is_ground():
@@ -1113,25 +1047,17 @@ class Evaluator:
         return added
 
     def _plan_grouping(
-        self, g: GroupingClause, interp: Interpretation, report: EvalReport
+        self, g: GroupingClause, executor: Optional[Executor]
     ) -> Optional[dict[tuple[Term, ...], set[Term]]]:
         """Set-at-a-time grouping: execute the compiled body plan and
         collect the groups; ``None`` falls back to the tuple path."""
-        key = (g, self.options.plan_joins)
-        cp = self._grouping_plans.get(key)
+        if executor is None:
+            return None
+        cp = self._grouping_plans.get(g)
         if cp is None:
-            cp = self._grouping_plans[key] = compile_grouping(
-                g, self.builtins, self.options.plan_joins
-            )
+            cp = self._grouping_plans[g] = compile_grouping(g, self.builtins)
         if not cp.is_set:
             return None
-        executor = make_executor(
-            interp,
-            self.builtins,
-            use_indexes=self.options.use_indexes,
-            stats=report.exec,
-            columnar=self.options.columnar,
-        )
         try:
             root = cp.root
             if isinstance(root, GroupBy):
@@ -1154,21 +1080,23 @@ class Evaluator:
 
 
 class _CompiledRule:
-    """Per-rule compilation: body formula, dependencies, delta capability."""
+    """Per-rule compilation: body formula, dependencies, delta capability,
+    and the one place a rule application picks its engine
+    (:meth:`heads`, :meth:`bindings`)."""
 
     def __init__(self, clause: LPSClause, builtins: Mapping[str, Builtin]) -> None:
         self.clause = clause
         self.builtins = builtins
         self.head = clause.head
         self.head_vars = clause.head.free_vars()
+        self.all_vars = frozenset(clause.free_vars())
         self.body = clause.body_formula()
         self._delta_rest_cache: dict[int, tuple[Formula, frozenset]] = {}
-        # Plan IR compilation, keyed by (delta occurrence, plan_joins);
-        # compiled lazily — rules that never reach a plan consumer (e.g.
-        # under provenance tracking) pay nothing.
-        self._plan_cache: dict[tuple, CompiledPlan] = {}
-        self._head_plan_cache: dict[tuple, Optional[PlanNode]] = {}
-        self._head_shape_cache: dict[tuple, Optional[tuple[int, ...]]] = {}
+        # Plan IR compilation, keyed by pinned occurrence (``None`` = the
+        # base plan); compiled lazily — rules that never reach a plan
+        # consumer (e.g. under provenance tracking) pay nothing.
+        self._plan_cache: dict[Optional[int], CompiledPlan] = {}
+        self._head_plan_cache: dict[Optional[int], tuple] = {}
         self.deps = {
             a.pred
             for l in clause.body
@@ -1205,87 +1133,150 @@ class _CompiledRule:
             return True
         return self.domain_sensitive and domain_grew
 
-    def derive(self, solver: Solver) -> Iterator[Atom]:
-        for head, _env in self.derive_with_env(solver):
-            yield head
+    # -- the execution pipeline ---------------------------------------------------
 
-    # -- plan-IR execution (set-at-a-time path) ---------------------------------
-
-    def plan(
-        self, delta_index: Optional[int] = None, plan_joins: bool = True
-    ) -> CompiledPlan:
-        """The compiled body plan (full-width rows), cached per variant."""
-        key = (delta_index, plan_joins)
-        cp = self._plan_cache.get(key)
+    def plan(self, pin: Optional[int] = None) -> CompiledPlan:
+        """The compiled body plan (full-width rows); with ``pin`` the
+        delta variant whose ``pin``-th relational Scan reads the delta."""
+        cp = self._plan_cache.get(pin)
         if cp is None:
-            cp = self._plan_cache[key] = compile_rule(
-                self.clause, self.builtins, delta_index, plan_joins
+            cp = self._plan_cache[pin] = compile_rule(
+                self.clause, self.builtins, pin
             )
         return cp
 
-    def head_node(
-        self, delta_index: Optional[int] = None, plan_joins: bool = True
-    ) -> Optional[PlanNode]:
-        """The plan projected to head variables and deduplicated, or
-        ``None`` when the body compiles to tuple mode."""
-        key = (delta_index, plan_joins)
-        if key not in self._head_plan_cache:
-            self._head_plan_cache[key] = head_plan(
-                self.plan(delta_index, plan_joins)
-            )
-        return self._head_plan_cache[key]
-
-    def _head_shape(
-        self, node: PlanNode, key: tuple
-    ) -> Optional[tuple[int, ...]]:
-        """Column extraction for Datalog-shaped heads (args all variables):
-        head atoms then come straight from row cells, no substitution."""
-        if key not in self._head_shape_cache:
-            shape: Optional[tuple[int, ...]] = None
-            if all(t.__class__ is Var for t in self.head.args):
+    def _head_plan(self, pin: Optional[int]) -> tuple:
+        """``(node, shape)``: the plan projected to head variables and
+        deduplicated (``None`` in tuple mode), and for Datalog-shaped
+        heads (args all variables) the columns to read head atoms from
+        straight off the row cells, no substitution."""
+        cached = self._head_plan_cache.get(pin)
+        if cached is None:
+            node = head_plan(self.plan(pin))
+            shape = None
+            if node is not None and all(
+                t.__class__ is Var for t in self.head.args
+            ):
                 out = node.out_vars
                 shape = tuple(out.index(t) for t in self.head.args)
-            self._head_shape_cache[key] = shape
-        return self._head_shape_cache[key]
+            cached = self._head_plan_cache[pin] = (node, shape)
+        return cached
 
-    def _plan_heads(
-        self, executor: "Executor", pin: Optional[int], plan_joins: bool
-    ) -> Optional[list[Atom]]:
-        node = self.head_node(pin, plan_joins)
-        if node is None:
-            return None
-        shape = self._head_shape(node, (pin, plan_joins))
-        try:
-            # Head atoms land in a set; duplicate rows only cost decode
-            # and substitution time, so let the executor collapse them —
-            # for Datalog-shaped heads, after projecting to the head
-            # columns so rows differing only elsewhere collapse too.
-            if shape is not None:
-                rows = executor.shaped_batch(node, shape)
-                return [Atom(self.head.pred, r) for r in rows]
-            rows = executor.distinct_batch(node)
-        except PlanInapplicable:
-            return None
-        head, vars_ = self.head, node.out_vars
-        if not vars_:
-            return [head] if rows else []
+    def pins(self, delta: Mapping[str, Iterable[Atom]]) -> list[int]:
+        """The relational occurrences whose predicate has delta facts —
+        the ``pin`` values a differentiated application ranges over."""
         return [
-            head.substitute(Subst._make(dict(zip(vars_, r)))) for r in rows
+            i for i, a in enumerate(self.relational) if delta.get(a.pred)
         ]
 
-    def derive_via_plan(
-        self, executor: "Executor", plan_joins: bool = True
-    ) -> Optional[list[Atom]]:
-        """Head atoms via set-at-a-time execution; ``None`` means the rule
-        (or this application of it) must use the tuple path instead."""
-        return self._plan_heads(executor, None, plan_joins)
+    def heads(self, engines: _Engines, pin: Optional[int] = None) -> list[Atom]:
+        """The distinct head atoms one application of this rule derives.
 
-    def derive_delta_via_plan(
-        self, executor: "Executor", pin: int, plan_joins: bool = True
-    ) -> Optional[list[Atom]]:
-        """Heads of the differentiated rule with occurrence ``pin`` read
-        from the executor's delta relation."""
-        return self._plan_heads(executor, pin, plan_joins)
+        With ``pin`` the ``pin``-th relational occurrence ranges over
+        ``engines.delta`` only (semi-naive differentiation, maintenance
+        and subscription deltas); every other occurrence reads the full
+        interpretation.  The compiled plan runs when the body has one;
+        a tuple-mode body, no executor, or a static prediction failing on
+        real values (:class:`PlanInapplicable`) runs the solver instead.
+        """
+        executor = engines.executor
+        node, shape = (
+            self._head_plan(pin) if executor is not None else (None, None)
+        )
+        out: Optional[list[Atom]] = None
+        if node is not None:
+            try:
+                # Head atoms land in a set; duplicate rows only cost decode
+                # and substitution time, so let the executor collapse them —
+                # for Datalog-shaped heads, after projecting to the head
+                # columns so rows differing only elsewhere collapse too.
+                if shape is not None:
+                    pred = self.head.pred
+                    out = [
+                        Atom(pred, r)
+                        for r in executor.shaped_batch(node, shape)
+                    ]
+                else:
+                    rows = executor.distinct_batch(node)
+                    head, vars_ = self.head, node.out_vars
+                    if not vars_:
+                        out = [head] if rows else []
+                    else:
+                        out = [
+                            head.substitute(Subst._make(dict(zip(vars_, r))))
+                            for r in rows
+                        ]
+            except PlanInapplicable:
+                out = None
+        if out is None:
+            head = self.head
+            out = list(dict.fromkeys(
+                head.substitute(env) for env in self._solve(engines, pin)
+            ))
+        engines.solver.stats.derivations += len(out)
+        return out
+
+    def bindings(
+        self, engines: _Engines, pin: Optional[int] = None
+    ) -> Iterator[Subst]:
+        """The distinct derivations of one application, as substitutions
+        binding exactly the clause's free variables (``pin`` and engine
+        choice as in :meth:`heads`)."""
+        executor = engines.executor
+        cp = self.plan(pin) if executor is not None else None
+        if cp is not None and cp.is_set:
+            try:
+                rows = executor.distinct_batch(cp.root)
+            except PlanInapplicable:
+                pass
+            else:
+                # A set-mode plan binds every body variable and those cover
+                # the head's, so full-width rows are whole derivations.
+                vars_ = cp.root.out_vars
+                for row in rows:
+                    yield Subst._make(dict(zip(vars_, row)))
+                return
+        seen: set[Subst] = set()
+        free = self.all_vars
+        for env in self._solve(engines, pin):
+            key = env.restrict(free)
+            if key not in seen:
+                seen.add(key)
+                yield key
+
+    def derives(self, engines: _Engines, h: Atom) -> bool:
+        """Whether one application of this rule over the engines'
+        interpretation yields the ground atom ``h`` (a point probe: the
+        head match binds the body, so this is solver work)."""
+        for env0 in match_atom(self.head, h):
+            for _env in engines.solver.solve(self.body, env0):
+                return True
+        return False
+
+    def _solve(self, engines: _Engines, pin: Optional[int]) -> Iterator[Subst]:
+        """The tuple path: solver environments with every body and head
+        variable bound."""
+        solver = engines.solver
+        if pin is None:
+            envs = solver.solve(self.body)
+        else:
+            # Seed the solver with each delta fact for the pinned conjunct,
+            # then solve the remaining body under that binding.
+            target = self.relational[pin]
+            rest, rest_fv = self._delta_rest(pin)
+            envs = (
+                env
+                for f in engines.delta.get(target.pred, ())
+                for env0 in match_atom(target, f)
+                for env in solver.solve(rest, env0, fv=rest_fv)
+            )
+        body, head_vars = self.body, self.head_vars
+        for env in envs:
+            if all(v in env for v in head_vars):
+                yield env
+            else:
+                # Head variables absent from the body range over the domain.
+                yield from solver._complete_fv(body, head_vars, env)
 
     def _delta_rest(self, i: int) -> tuple[Formula, frozenset]:
         """The body minus the pinned conjunct, with its free variables.
@@ -1308,40 +1299,13 @@ class _CompiledRule:
             self._delta_rest_cache[i] = cached
         return cached
 
-    def _extend_env(
-        self, solver: Solver, env: Subst, head_vars
-    ) -> Iterator[Subst]:
-        """Bind head variables the body left free from the active domain."""
-        missing = [v for v in head_vars if v not in env]
-        solver._require_fallback(missing, self.body)
-        carriers = [solver.domain.carrier(v.sort) for v in missing]
-        total = 1
-        for c in carriers:
-            total *= max(len(c), 1)
-        solver._charge_fallback(total)
-        for combo in itertools.product(*carriers):
-            yield env.extend(dict(zip(missing, combo)))
-
-    def derive_with_env(self, solver: Solver) -> Iterator[tuple[Atom, Subst]]:
-        head_vars = self.head_vars
-        for env in solver.solve(self.body):
-            if all(v in env for v in head_vars):
-                solver.stats.derivations += 1
-                yield self.head.substitute(env), env
-            else:
-                # Head variables absent from the body range over the domain.
-                for env2 in self._extend_env(solver, env, head_vars):
-                    yield self.head.substitute(env2), env2
-
     def ground_premises(
         self, env: Subst, builtins: Mapping[str, Builtin]
     ) -> tuple[Atom, ...]:
         """The ground positive IDB/EDB body atoms of this application —
         quantifiers unfolded per Lemma 4 (empty ranges give no premises)."""
-        free = self.clause.free_vars()
-        theta = env.restrict(free)
         try:
-            ground = self.clause.ground_instances(theta)
+            ground = self.clause.ground_instances(env.restrict(self.all_vars))
         except Exception:
             return ()
         return tuple(dict.fromkeys(
@@ -1350,82 +1314,6 @@ class _CompiledRule:
             if l.positive and not l.atom.is_special()
             and l.atom.pred not in builtins
         ))
-
-    def derive_delta(
-        self,
-        solver: Solver,
-        deltas: Mapping[str, frozenset[Atom]],
-        recursive_preds: set[str],
-        executor: Optional["Executor"] = None,
-        plan_joins: bool = True,
-    ) -> Iterator[Atom]:
-        """Semi-naive differentiation: one recursive atom pinned to its delta.
-
-        With an ``executor`` each pinned occurrence is evaluated through
-        its compiled delta-variant plan (the pinned Scan reading the
-        executor's delta relation, everything else the full
-        interpretation); occurrences whose plan is tuple-mode — or whose
-        execution proves inapplicable — fall back to the solver path
-        below, per occurrence.
-        """
-        pinned = [
-            i for i, a in enumerate(self.relational)
-            if a.pred in recursive_preds and a.pred in deltas
-        ]
-        if not pinned:
-            return
-        seen: set[Atom] = set()
-        for i in pinned:
-            if executor is not None:
-                heads = self.derive_delta_via_plan(executor, i, plan_joins)
-                if heads is not None:
-                    for head in heads:
-                        if head not in seen:
-                            seen.add(head)
-                            solver.stats.derivations += 1
-                            yield head
-                    continue
-            target = self.relational[i]
-            delta_solver = Solver(
-                solver.interp,
-                solver.domain,
-                solver.builtins,
-                allow_fallback=solver.allow_fallback,
-                fallback_limit=solver.fallback_limit,
-                stats=solver.stats,
-                use_indexes=solver.use_indexes,
-                plan_joins=solver.plan_joins,
-            )
-            # Seed the solver with each delta fact for the pinned conjunct,
-            # then solve the remaining body under that binding.  The rest
-            # formula and its free variables are compiled once per rule.
-            rest, rest_fv = self._delta_rest(i)
-            head_vars = self.head_vars
-            for f in deltas[target.pred]:
-                for env0 in match_atom(target, f):
-                    for env in delta_solver.solve(rest, env0, fv=rest_fv):
-                        if all(v in env for v in head_vars):
-                            head = self.head.substitute(env)
-                            if head not in seen:
-                                seen.add(head)
-                                solver.stats.derivations += 1
-                                yield head
-                        else:
-                            for h in self._complete_head(delta_solver, env):
-                                if h not in seen:
-                                    seen.add(h)
-                                    yield h
-
-    def _complete_head(self, solver: Solver, env: Subst) -> Iterator[Atom]:
-        missing = [v for v in self.head_vars if v not in env]
-        solver._require_fallback(missing, self.body)
-        carriers = [solver.domain.carrier(v.sort) for v in missing]
-        total = 1
-        for c in carriers:
-            total *= max(len(c), 1)
-        solver._charge_fallback(total)
-        for combo in itertools.product(*carriers):
-            yield self.head.substitute(env.extend(dict(zip(missing, combo))))
 
 
 def solve(

@@ -17,9 +17,8 @@ executor re-checks every type-sensitive prediction on real values
 ``u`` variable, equality with neither side ground) and raises
 :class:`PlanInapplicable` when the prediction fails.  Callers catch it
 and re-run that one rule application through the tuple-at-a-time solver,
-so the computed model is bit-identical with plans on or off — the
-invariant ``tests/test_index_vs_scan.py`` enforces across the whole
-``compile_plans × use_indexes × plan_joins`` grid.
+so the computed model is the one the solver alone would compute — the
+invariant ``tests/test_pipeline_vs_oracle.py`` checks against ``T_P``.
 """
 
 from __future__ import annotations
@@ -73,13 +72,11 @@ class Executor:
         interp: Interpretation,
         builtins: Mapping[str, Builtin] = DEFAULT_BUILTINS,
         delta: Optional[Mapping[str, Iterable[Atom]]] = None,
-        use_indexes: bool = True,
         stats: Optional[ExecStats] = None,
     ) -> None:
         self.interp = interp
         self.builtins = builtins
         self.delta = delta
-        self.use_indexes = use_indexes
         self.stats = stats if stats is not None else ExecStats()
 
     # -- entry points ------------------------------------------------------------
@@ -139,9 +136,7 @@ class Executor:
                 self.delta.get(a.pred, ()) if self.delta is not None else ()
             )
         else:
-            facts = self.interp.candidates_for_pattern(
-                a.pred, a.args, use_indexes=self.use_indexes
-            )
+            facts = self.interp.candidates_for_pattern(a.pred, a.args)
         shape = node._shape
         if shape is None:
             shape = node._shape = _scan_shape(a, node.out_vars)
@@ -229,7 +224,7 @@ class Executor:
         if meta is None:
             meta = node._meta = self._join_meta(node)
         lkey, rkey, rtake, probe = meta
-        if lrows and probe is not None and self.use_indexes:
+        if lrows and probe is not None:
             probed = self._probe_join(node, lrows, lkey, probe)
             if probed is not None:
                 return probed

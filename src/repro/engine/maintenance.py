@@ -50,7 +50,6 @@ from ..core.clauses import GroupingClause, LPSClause
 from ..core.errors import EvaluationError, SafetyError
 from ..core.program import Program
 from ..core.substitution import Subst
-from ..core.terms import Var
 from ..core.unify import match_atom
 from ..semantics.interpretation import Interpretation
 from .builtins import DEFAULT_BUILTINS, Builtin
@@ -61,12 +60,10 @@ from .evaluation import (
     EvalReport,
     Evaluator,
     Model,
-    Solver,
     SolverStats,
     _CompiledRule,
+    _Engines,
 )
-from .columnar import make_executor
-from .executor import PlanInapplicable
 from .ir import ExecStats
 from .provenance import SupportCounts
 from .stratify import PLAN_COUNTING, PLAN_DRED, PLAN_RECOMPUTE, StratumRules
@@ -260,7 +257,7 @@ class MaterializedModel:
             # state (base supports come from the database's EDB facts).
             try:
                 self._init_counts()
-            except _AbortIncremental:
+            except SafetyError:
                 self._incremental_ok = False
         added, removed = self.database.apply_delta(add_atoms, del_atoms)
         report = MaintenanceReport(
@@ -341,42 +338,14 @@ class MaterializedModel:
 
         Must run against the pre-batch interpretation *and* database.
         """
-        stats = SolverStats()
-        solver = self._solver(stats)
+        engines = self._engines(SolverStats())
         self._counts = {}
         for g in self._groups:
             if g.plan != PLAN_COUNTING:
                 continue
             counts = SupportCounts()
             for rule in self._compiled[g.index]:
-                fv = frozenset(rule.clause.free_vars())
-                head_vars = rule.head_vars
-                planned = self._plan_rows(rule, None, None)
-                if planned is not None:
-                    # Set-at-a-time: the plan's full-width rows are the
-                    # rule's derivations (head groundedness is guaranteed
-                    # by compilation); dedup on the free-variable key.
-                    vars_, rows = planned
-                    fv_idx = tuple(
-                        i for i, v in enumerate(vars_) if v in fv
-                    )
-                    seen_keys: set[tuple] = set()
-                    for row in rows:
-                        key = tuple(row[i] for i in fv_idx)
-                        if key in seen_keys:
-                            continue
-                        seen_keys.add(key)
-                        counts.add(rule.head.substitute(
-                            Subst._make(dict(zip(vars_, row)))
-                        ))
-                    continue
-                seen: set[Subst] = set()
-                for env in solver.solve(rule.body):
-                    self._require_head_ground(rule, env, head_vars)
-                    key = env.restrict(fv)
-                    if key in seen:
-                        continue
-                    seen.add(key)
+                for env in rule.bindings(engines):
                     counts.add(rule.head.substitute(env))
             for p in g.head_preds:
                 for a in self.database.facts_of(p):
@@ -385,77 +354,22 @@ class MaterializedModel:
                 if h.pred in g.head_preds:
                     counts.add(h)
             self._counts[g.index] = counts
-        if stats.fallbacks:
-            raise _AbortIncremental("derivation enumeration fell back")
 
-    def _solver(self, stats: SolverStats) -> Solver:
-        return Solver(
-            self._interp,
-            self._domain,
-            self.builtins,
-            allow_fallback=self.options.allow_fallback,
-            fallback_limit=self.options.fallback_limit,
-            stats=stats,
-            use_indexes=self.options.use_indexes,
-            plan_joins=self.options.plan_joins,
-        )
-
-    def _plan_rows(
+    def _engines(
         self,
-        rule: _CompiledRule,
-        pin: Optional[int],
-        delta_facts: Optional[Iterable[Atom]],
-    ) -> Optional[tuple[tuple[Var, ...], list[tuple]]]:
-        """Full-width body rows of a rule through its compiled plan.
-
-        ``pin`` selects the delta-variant (that occurrence's Scan reads
-        ``delta_facts``); ``None`` executes the base plan.  Returns
-        ``(schema, rows)`` or ``None`` when the rule compiles to tuple
-        mode, plans are disabled, or execution proves inapplicable — the
-        callers then use the solver path, so maintenance **reuses the same
-        plans as the fixpoint loop** instead of re-deriving join order per
-        batch, with the tuple path as the unconditional fallback.
+        stats: SolverStats,
+        delta: Optional[Mapping[str, Iterable[Atom]]] = None,
+    ) -> _Engines:
+        """Engines over the maintained state; ``delta`` holds the facts
+        pinned occurrences range over.  Maintenance thereby **reuses the
+        same plans as the fixpoint loop** instead of re-deriving join
+        order per batch.  They get no active domain: a join that would
+        consult it raises :class:`SafetyError`, which abandons the
+        incremental attempt (the soundness gate of the module docstring).
         """
-        if not self.options.compile_plans:
-            return None
-        cp = rule.plan(pin, self.options.plan_joins)
-        if not cp.is_set:
-            return None
-        delta = None
-        if pin is not None:
-            delta = {rule.relational[pin].pred: delta_facts}
-        executor = make_executor(
-            self._interp,
-            self.builtins,
-            delta=delta,
-            use_indexes=self.options.use_indexes,
-            stats=self.exec_stats,
-            columnar=self.options.columnar,
+        return _Engines(
+            self._interp, self.builtins, stats, self.exec_stats, delta
         )
-        try:
-            # Callers key rows on (a projection of) the full schema, so
-            # duplicate full-width rows are always redundant — dedup in
-            # the executor, where the columnar path does it on IDs.
-            return cp.root.out_vars, executor.distinct_batch(cp.root)
-        except PlanInapplicable:
-            return None
-
-    @staticmethod
-    def _fv_order(rule: _CompiledRule) -> tuple[Var, ...]:
-        """Deterministic derivation-key order for a rule's free variables."""
-        return tuple(sorted(
-            rule.clause.free_vars(), key=lambda v: (v.var_sort, v.name)
-        ))
-
-    @staticmethod
-    def _require_head_ground(
-        rule: _CompiledRule, env: Subst, head_vars: Iterable[Var]
-    ) -> None:
-        if any(v not in env for v in head_vars):
-            raise _AbortIncremental(
-                f"rule {rule.clause} leaves head variables to the active "
-                "domain; not incrementally maintainable"
-            )
 
     # -- the maintenance sweep ---------------------------------------------------
 
@@ -555,21 +469,21 @@ class MaterializedModel:
                 a for s in dep_lost.values() for a in s
                 if self._interp.add(a)
             ]
+            engines = self._engines(stats, dep_lost)
             try:
                 for rule in rules:
                     lost_derivs.extend(self._rule_delta(
-                        rule, dep_lost, dep_gained, dep_lost, stats,
-                        deleting=True,
+                        rule, engines, dep_gained, dep_lost, deleting=True
                     ))
             finally:
                 for a in readded:
                     self._interp.remove(a)
         # Insertion half-step over the new state (gained inputs are present).
         if dep_gained:
+            engines = self._engines(stats, dep_gained)
             for rule in rules:
                 gained_derivs.extend(self._rule_delta(
-                    rule, dep_gained, dep_gained, dep_lost, stats,
-                    deleting=False,
+                    rule, engines, dep_gained, dep_lost, deleting=False
                 ))
 
         lost_derivs.extend(edb_minus)       # base supports: −1 each
@@ -596,61 +510,31 @@ class MaterializedModel:
     def _rule_delta(
         self,
         rule: _CompiledRule,
-        pin_delta: Mapping[str, set[Atom]],
+        engines: _Engines,
         dep_gained: Mapping[str, set[Atom]],
         dep_lost: Mapping[str, set[Atom]],
-        stats: SolverStats,
         deleting: bool,
     ) -> list[Atom]:
         """Changed derivations of one rule, one head atom per derivation.
 
         Implements the position-pinned delta rule: the pinned conjunct
-        ranges over the delta, earlier conjuncts over the updated state,
-        later conjuncts over the pre-batch state, so each changed
-        derivation is enumerated exactly once.  Membership in the two
-        states is decided per ground body instance against the delta sets
-        (the solver joins over the superset of both states).
+        ranges over the delta (``engines.delta``), earlier conjuncts over
+        the updated state, later conjuncts over the pre-batch state, so
+        each changed derivation is enumerated exactly once.  Membership in
+        the two states is decided per ground body instance against the
+        delta sets (the join runs over the superset of both states).
         """
         rel = rule.relational
-        fv_order = self._fv_order(rule)
-        head_vars = rule.head_vars
-        solver = self._solver(stats)
-        seen: set[tuple] = set()
+        seen: set[Subst] = set()
         out: list[Atom] = []
-        for i, pin_atom in enumerate(rel):
-            delta_facts = pin_delta.get(pin_atom.pred)
-            if not delta_facts:
-                continue
-            planned = self._plan_rows(rule, i, delta_facts)
-            if planned is not None:
-                vars_, rows = planned
-                fv_idx = tuple(vars_.index(v) for v in fv_order)
-                for row in rows:
-                    env = Subst._make(dict(zip(vars_, row)))
-                    if not self._delta_positions_ok(
-                        rel, i, env, dep_gained, dep_lost, deleting
-                    ):
-                        continue
-                    key = tuple(row[j] for j in fv_idx)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    out.append(rule.head.substitute(env))
-                continue
-            rest, rest_fv = rule._delta_rest(i)
-            for f in delta_facts:
-                for env0 in match_atom(pin_atom, f):
-                    for env in solver.solve(rest, env0, fv=rest_fv):
-                        if not self._delta_positions_ok(
-                            rel, i, env, dep_gained, dep_lost, deleting
-                        ):
-                            continue
-                        self._require_head_ground(rule, env, head_vars)
-                        key = tuple(env.apply(v) for v in fv_order)
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        out.append(rule.head.substitute(env))
+        for i in rule.pins(engines.delta):
+            for env in rule.bindings(engines, i):
+                if env in seen or not self._delta_positions_ok(
+                    rel, i, env, dep_gained, dep_lost, deleting
+                ):
+                    continue
+                seen.add(env)
+                out.append(rule.head.substitute(env))
         return out
 
     @staticmethod
@@ -720,14 +604,14 @@ class MaterializedModel:
                 a for s in dep_lost.values() for a in s
                 if self._interp.add(a)
             ]
-            solver = self._solver(stats)
             try:
                 while frontier:
                     next_frontier: dict[str, set[Atom]] = {}
+                    engines = self._engines(stats, frontier)
                     for rule in rules:
                         self._overdelete_rule(
-                            rule, frontier, next_frontier, overdeleted,
-                            dep_gained, solver,
+                            rule, engines, next_frontier, overdeleted,
+                            dep_gained,
                         )
                     frontier = next_frontier
             finally:
@@ -741,13 +625,13 @@ class MaterializedModel:
 
         # --- phase 2: re-derive overdeleted atoms with surviving support ---
         if overdeleted:
-            solver = self._solver(stats)
+            engines = self._engines(stats)
             by_head: dict[str, list[_CompiledRule]] = {}
             for rule in rules:
                 by_head.setdefault(rule.head.pred, []).append(rule)
             rederived: dict[str, set[Atom]] = {}
             for h in overdeleted:
-                if self._one_step_derivable(h, by_head.get(h.pred, ()), solver):
+                if any(r.derives(engines, h) for r in by_head.get(h.pred, ())):
                     self._interp.add(h)
                     rederived.setdefault(h.pred, set()).add(h)
                     add_events.setdefault(h.pred, set()).add(h)
@@ -778,73 +662,33 @@ class MaterializedModel:
     def _overdelete_rule(
         self,
         rule: _CompiledRule,
-        frontier: Mapping[str, set[Atom]],
+        engines: _Engines,
         next_frontier: dict[str, set[Atom]],
         overdeleted: set[Atom],
         dep_gained: Mapping[str, set[Atom]],
-        solver: Solver,
     ) -> None:
+        """One overdeletion step: heads derivable through a frontier
+        (``engines.delta``) fact at some occurrence join the next one."""
         rel = rule.relational
-        head_vars = rule.head_vars
-        for i, pin_atom in enumerate(rel):
-            facts = frontier.get(pin_atom.pred)
-            if not facts:
-                continue
-            planned = self._plan_rows(rule, i, facts)
-            if planned is not None:
-                vars_, rows = planned
-                for row in rows:
-                    env = Subst._make(dict(zip(vars_, row)))
-                    # Overdeletion runs over the pre-batch state: facts
-                    # gained below this stratum are not part of it.
-                    if any(
-                        dep_gained.get(a.pred)
-                        and a.substitute(env) in dep_gained[a.pred]
-                        for j, a in enumerate(rel) if j != i
-                    ):
-                        continue
-                    h = rule.head.substitute(env)
-                    if (
-                        h in overdeleted
-                        or h not in self._interp
-                        or self._protected(h)
-                    ):
-                        continue
-                    overdeleted.add(h)
-                    next_frontier.setdefault(h.pred, set()).add(h)
-                continue
-            rest, rest_fv = rule._delta_rest(i)
-            for f in facts:
-                for env0 in match_atom(pin_atom, f):
-                    for env in solver.solve(rest, env0, fv=rest_fv):
-                        if any(
-                            dep_gained.get(a.pred)
-                            and a.substitute(env) in dep_gained[a.pred]
-                            for j, a in enumerate(rel) if j != i
-                        ):
-                            continue
-                        self._require_head_ground(rule, env, head_vars)
-                        h = rule.head.substitute(env)
-                        if (
-                            h in overdeleted
-                            or h not in self._interp
-                            or self._protected(h)
-                        ):
-                            continue
-                        overdeleted.add(h)
-                        next_frontier.setdefault(h.pred, set()).add(h)
-
-    def _one_step_derivable(
-        self,
-        h: Atom,
-        rules: Iterable[_CompiledRule],
-        solver: Solver,
-    ) -> bool:
-        for rule in rules:
-            for env0 in match_atom(rule.head, h):
-                for _env in solver.solve(rule.body, env0):
-                    return True
-        return False
+        for i in rule.pins(engines.delta):
+            for env in rule.bindings(engines, i):
+                # Overdeletion runs over the pre-batch state: facts
+                # gained below this stratum are not part of it.
+                if any(
+                    dep_gained.get(a.pred)
+                    and a.substitute(env) in dep_gained[a.pred]
+                    for j, a in enumerate(rel) if j != i
+                ):
+                    continue
+                h = rule.head.substitute(env)
+                if (
+                    h in overdeleted
+                    or h not in self._interp
+                    or self._protected(h)
+                ):
+                    continue
+                overdeleted.add(h)
+                next_frontier.setdefault(h.pred, set()).add(h)
 
     def _protected(self, a: Atom) -> bool:
         """Base-supported atoms survive overdeletion unconditionally."""

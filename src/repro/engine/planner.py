@@ -176,21 +176,17 @@ def _ready(c: _Conjunct, bound: set[Var], builtins: Mapping[str, Builtin]):
     return 4  # relational atoms are always scannable
 
 
-def _scan_order_key(c: _Conjunct, bound: set[Var], pin: Optional[int],
-                    plan_joins: bool):
+def _scan_order_key(c: _Conjunct, bound: set[Var], pin: Optional[int]):
     """Static join-order preference among schedulable relational atoms.
 
     The pinned delta occurrence always goes first (semi-naive
-    differentiation).  With ``plan_joins`` the planner then prefers scans
-    connected to already-bound variables (avoids cross products) with the
-    most constrained argument positions — the static residue of the
-    tuple path's index-cardinality estimates, whose dynamic half now
-    lives in the executor's build-side selection.  Without ``plan_joins``
-    scans keep body order, mirroring the bound-count heuristic mode.
+    differentiation).  The planner then prefers scans connected to
+    already-bound variables (avoids cross products) with the most
+    constrained argument positions — the static residue of the tuple
+    path's index-cardinality estimates, whose dynamic half lives in the
+    executor's build-side selection.
     """
     pinned = 0 if (pin is not None and c.rel_index == pin) else 1
-    if not plan_joins:
-        return (pinned, c.src)
     a = c.lit.atom
     connected = 0
     constrained = 0
@@ -210,7 +206,6 @@ def compile_body(
     body: Sequence[Literal],
     builtins: Mapping[str, Builtin],
     delta_index: Optional[int] = None,
-    plan_joins: bool = True,
 ) -> tuple[Optional[PlanNode], set[Var], Optional[str]]:
     """Schedule a literal conjunction into a plan.
 
@@ -235,8 +230,7 @@ def compile_body(
         tied = [c for t, c in ready if t == tier]
         if tier == 4:
             chosen = min(
-                tied,
-                key=lambda c: _scan_order_key(c, bound, delta_index, plan_joins),
+                tied, key=lambda c: _scan_order_key(c, bound, delta_index)
             )
         else:
             chosen = min(tied, key=lambda c: c.src)
@@ -280,7 +274,6 @@ def compile_rule(
     clause: LPSClause,
     builtins: Mapping[str, Builtin],
     delta_index: Optional[int] = None,
-    plan_joins: bool = True,
 ) -> CompiledPlan:
     """Compile one LPS clause body to a plan producing full-width rows.
 
@@ -293,9 +286,7 @@ def compile_rule(
         return _tuple_plan(clause, "restricted quantifiers")
     if not clause.body:
         return _tuple_plan(clause, "empty body (active-domain rule)")
-    root, bound, reason = compile_body(
-        clause.body, builtins, delta_index, plan_joins
-    )
+    root, bound, reason = compile_body(clause.body, builtins, delta_index)
     if reason is not None:
         return _tuple_plan(clause, reason)
     head_fv = clause.head.free_vars()
@@ -319,9 +310,7 @@ def head_plan(compiled: CompiledPlan) -> Optional[PlanNode]:
 
 
 def compile_grouping(
-    g: GroupingClause,
-    builtins: Mapping[str, Builtin],
-    plan_joins: bool = True,
+    g: GroupingClause, builtins: Mapping[str, Builtin]
 ) -> CompiledPlan:
     """Compile an LDL grouping body; SET mode requires the grouped variable
     and every head-argument variable bound by the body.
@@ -331,7 +320,7 @@ def compile_grouping(
     keep the full-width row plan and group on resolved argument values in
     the evaluator (same semantics, no dedicated operator).
     """
-    root, bound, reason = compile_body(g.body, builtins, None, plan_joins)
+    root, bound, reason = compile_body(g.body, builtins)
     if reason is not None:
         return _tuple_plan(g, reason)
     needed = set(g.free_vars()) | {g.group_var}

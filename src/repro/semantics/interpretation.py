@@ -368,14 +368,14 @@ class Interpretation:
         ]
 
     def _bucket_for_pattern(
-        self, pred: str, args: Sequence[Term], use_indexes: bool
+        self, pred: str, args: Sequence[Term]
     ) -> Optional[tuple[tuple[int, ...], tuple]]:
         """The (positions, key) bucket a pattern's scan should read.
 
         The single shared selection policy behind both
         :meth:`candidates_for_pattern` and :meth:`estimate_for_pattern`:
-        ``None`` means scan the whole relation (indexes off, relation
-        below ``INDEX_MIN_FACTS``, or no bound position); a single bound
+        ``None`` means scan the whole relation (relation below
+        ``INDEX_MIN_FACTS``, or no bound position); a single bound
         position uses its (incrementally maintained) index; with several
         bound positions an already-built composite index is used exactly,
         and otherwise the **most selective single bound position** is
@@ -384,8 +384,6 @@ class Interpretation:
         per-signature composite indexes would each pay an O(relation)
         build.
         """
-        if not use_indexes:
-            return None
         if len(self._by_pred.get(pred, _EMPTY_FACTS)) < INDEX_MIN_FACTS:
             return None
         bound = self._bound_positions(args)
@@ -405,7 +403,7 @@ class Interpretation:
         return (best_i,), (best_t,)
 
     def candidates_for_pattern(
-        self, pred: str, args: Sequence[Term], use_indexes: bool = True
+        self, pred: str, args: Sequence[Term]
     ) -> Iterable[Atom]:
         """Candidate facts for a pattern atom's bound argument positions.
 
@@ -414,19 +412,19 @@ class Interpretation:
         be a superset of the matching facts (callers re-match
         candidates), but is never larger than the chosen bucket.
         """
-        bucket = self._bucket_for_pattern(pred, args, use_indexes)
+        bucket = self._bucket_for_pattern(pred, args)
         if bucket is None:
             return self._by_pred.get(pred, _EMPTY_FACTS)
         return self.candidates(pred, *bucket)
 
     def estimate_for_pattern(
-        self, pred: str, args: Sequence[Term], use_indexes: bool = True
+        self, pred: str, args: Sequence[Term]
     ) -> int:
         """Candidate-count estimate matching :meth:`candidates_for_pattern`
         exactly — both consult :meth:`_bucket_for_pattern`, so the join
         planner's cost estimate is the size of the very bucket the scan
         would read (an upper bound on the true join fan-out)."""
-        bucket = self._bucket_for_pattern(pred, args, use_indexes)
+        bucket = self._bucket_for_pattern(pred, args)
         if bucket is None:
             return len(self._by_pred.get(pred, _EMPTY_FACTS))
         return self.candidate_count(pred, *bucket)

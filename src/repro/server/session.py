@@ -45,13 +45,8 @@ from ..core.clauses import GroupingClause, LPSClause
 from ..core.errors import EvaluationError, LPSError, SafetyError
 from ..core.substitution import Subst
 from ..core.terms import Term, Var, order_key
-from ..engine.evaluation import (
-    ActiveDomain,
-    SolverStats,
-    _CompiledRule,
-)
-from ..engine.columnar import annotated_pretty, make_executor
-from ..engine.executor import PlanInapplicable
+from ..engine.evaluation import SolverStats, _CompiledRule, _Engines
+from ..engine.columnar import annotated_pretty
 from ..engine.ir import ExecStats
 from ..engine.maintenance import (
     MaintenanceReport,
@@ -62,6 +57,9 @@ from ..engine.maintenance import (
 from ..engine.planner import compile_grouping, compile_rule
 from ..lang import parse_atom, parse_program
 from .subscriptions import render_rows
+
+#: Compiled queries each session keeps (least recently asked evicted).
+QUERY_CACHE_SIZE = 512
 
 #: Structured error codes (stable protocol surface; tests key on these).
 E_PARSE = "parse_error"
@@ -204,8 +202,9 @@ class Session:
         self._read_version: Optional[int] = None
         self._pinned: list[int] = []
         self.stats = SessionStats()
-        #: Per-rule compilation cache for repeated query shapes.
-        self._query_cache: dict[tuple, _CompiledRule] = {}
+        #: Query text -> compiled rule, least recently asked first; holds
+        #: at most :data:`QUERY_CACHE_SIZE` entries.
+        self._query_cache: dict[str, _CompiledRule] = {}
         #: Queued subscription push frames (drained by ``:diffs`` or the
         #: protocol's async push path); bounded — an undrained session's
         #: subscriptions are dropped rather than growing the server.
@@ -273,10 +272,11 @@ class Session:
         answer head collects the body's free variables in a deterministic
         order, so answers are full bindings exactly like rule derivation.
         """
-        key = (text, self._model.options.plan_joins)
-        cached = self._query_cache.get(key)
-        if cached is not None:
-            return cached
+        with self._lock:
+            cached = self._query_cache.pop(text, None)
+            if cached is not None:
+                self._query_cache[text] = cached    # now most recent
+                return cached
         program = parse_program(f"{QUERY_PRED} :- {text}.")
         clauses = [c for c in program.clauses if isinstance(c, LPSClause)]
         if len(clauses) != 1 or any(
@@ -297,7 +297,10 @@ class Session:
             ),
             self._model.builtins,
         )
-        self._query_cache[key] = rule
+        with self._lock:
+            self._query_cache[text] = rule
+            if len(self._query_cache) > QUERY_CACHE_SIZE:
+                del self._query_cache[next(iter(self._query_cache))]
         return rule
 
     def query(self, text: str) -> QueryResult:
@@ -327,41 +330,14 @@ class Session:
     def _execute_rule(
         self, rule: _CompiledRule, snap: ModelSnapshot, stats: SessionStats
     ) -> list[tuple[Term, ...]]:
-        """Plan → execute: set-at-a-time when the compiled plan applies,
-        else the tuple solver with fallback disabled (range-restricted
-        queries only — a query must not enumerate the active domain)."""
-        options = self._model.options
-        interp = snap.interpretation
-        rows: Optional[list[tuple[Term, ...]]] = None
-        if options.compile_plans:
-            executor = make_executor(
-                interp,
-                self._model.builtins,
-                use_indexes=options.use_indexes,
-                stats=stats.execs,
-                columnar=options.columnar,
-            )
-            heads = rule.derive_via_plan(executor, options.plan_joins)
-            if heads is not None:
-                rows = [h.args for h in dict.fromkeys(heads)]
-        if rows is None:
-            from ..engine.evaluation import Solver
-
-            solver = Solver(
-                interp,
-                ActiveDomain(),
-                self._model.builtins,
-                allow_fallback=False,
-                stats=stats.solver,
-                use_indexes=options.use_indexes,
-                plan_joins=options.plan_joins,
-            )
-            head_vars = rule.head.args
-            seen: dict[tuple[Term, ...], None] = {}
-            for env in solver.solve(rule.body):
-                seen.setdefault(tuple(env.apply(v) for v in head_vars))
-            rows = list(seen)
-        return rows
+        """The rule's answer rows over a snapshot.  The engines get no
+        active domain: a query must be range-restricted, it may not
+        enumerate the domain."""
+        engines = _Engines(
+            snap.interpretation, self._model.builtins,
+            stats.solver, stats.execs,
+        )
+        return [h.args for h in rule.heads(engines)]
 
     # -- writes ------------------------------------------------------------------
 
@@ -834,12 +810,10 @@ class Session:
             header = f"-- {c}"
             if not cp.is_set:
                 chunks.append(f"{header}\ntuple-mode: {cp.reason}")
-            elif self._model.options.columnar:
+            else:
                 # Tag each operator with the execution mode the columnar
                 # executor would choose, so ``:plan`` shows vectorization.
                 chunks.append(f"{header}\n{annotated_pretty(cp.root, builtins)}")
-            else:
-                chunks.append(f"{header}\n{cp.root.pretty()}")
         return "\n\n".join(chunks)
 
     # -- stats -------------------------------------------------------------------

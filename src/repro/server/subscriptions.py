@@ -17,7 +17,7 @@ computed by delta-plan evaluation, never by re-running the query:
   delta-capable goal (a plain conjunction of positive literals) the
   dispatcher substitutes those sets into the goal's delta-variant plans —
   occurrence ``i`` pinned to the delta, the rest of the body joined
-  against a full snapshot (`_CompiledRule.derive_delta_via_plan`, the
+  against a full snapshot (`_CompiledRule.heads` with a ``pin``, the
   same machinery semi-naive evaluation and counting maintenance use,
   columnar where the executor applies):
 
@@ -43,7 +43,7 @@ computed by delta-plan evaluation, never by re-running the query:
   hub: shed the slow consumer, never grow the server without limit.
 * **One dispatcher, no polling.**  A single daemon thread parks on the
   manager's condition variable, woken by the version listener at every
-  publication; per commit it builds at most two delta executors (adds
+  publication; per commit it builds two sets of delta engines (adds
   over the new snapshot, dels over the old) shared by *all* standing
   queries, which is what makes thousands of subscriptions cheap (see
   ``benchmarks/test_bench_subscribe.py``).
@@ -63,16 +63,9 @@ import threading
 import time
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from ..core.substitution import Subst
+from ..core.atoms import Atom
 from ..core.terms import Term, order_key
-from ..core.unify import match_atom
-from ..engine.columnar import make_executor
-from ..engine.evaluation import (
-    ActiveDomain,
-    Solver,
-    SolverStats,
-    _CompiledRule,
-)
+from ..engine.evaluation import SolverStats, _CompiledRule, _Engines
 from ..engine.ir import ExecStats
 from ..engine.maintenance import ModelChanges, ModelSnapshot, VersionedModel
 
@@ -124,46 +117,6 @@ class StandingQuery:
         self.start_version = start_version
         self.rows: Optional[set[tuple[Term, ...]]] = None
         self.dropped = False
-
-
-class _CommitContext:
-    """Per-commit shared state: the two delta executors.
-
-    All standing queries of one dispatch share one adds-executor (delta
-    relations = the commit's added atoms, base relations = the new
-    snapshot) and one dels-executor (deleted atoms over the old
-    snapshot); each query's pinned Scan reads only its own predicate from
-    the delta side.
-    """
-
-    def __init__(
-        self, mgr: "SubscriptionManager", prev: ModelSnapshot,
-        snap: ModelSnapshot, changes: ModelChanges,
-    ) -> None:
-        self._mgr = mgr
-        self.prev = prev
-        self.snap = snap
-        self.changes = changes
-        self._adds_exec: Optional[object] = None
-        self._dels_exec: Optional[object] = None
-        self._built_adds = False
-        self._built_dels = False
-
-    def adds_executor(self):
-        if not self._built_adds:
-            self._built_adds = True
-            self._adds_exec = self._mgr._delta_executor(
-                self.snap, self.changes.adds
-            )
-        return self._adds_exec
-
-    def dels_executor(self):
-        if not self._built_dels:
-            self._built_dels = True
-            self._dels_exec = self._mgr._delta_executor(
-                self.prev, self.changes.dels
-            )
-        return self._dels_exec
 
 
 class SubscriptionManager:
@@ -360,12 +313,7 @@ class SubscriptionManager:
         snap: ModelSnapshot,
         subs: list[StandingQuery],
     ) -> None:
-        report = snap.report
-        changes = report.changes if report is not None else None
-        ctx = (
-            _CommitContext(self, prev, snap, changes)
-            if changes is not None else None
-        )
+        changes, ctx = self._commit_context(prev, snap)
         for sq in subs:
             if sq.dropped or snap.version <= sq.start_version:
                 continue
@@ -388,14 +336,26 @@ class SubscriptionManager:
     ) -> tuple[set[tuple[Term, ...]], set[tuple[Term, ...]]]:
         """The exact answer-set diff of one standing query between two
         snapshots (synchronous; the benchmark calls this directly)."""
-        report = snap.report
-        changes = report.changes if report is not None else None
-        ctx = (
-            _CommitContext(self, prev, snap, changes)
-            if changes is not None else None
-        )
+        changes, ctx = self._commit_context(prev, snap)
         out = self._diff(sq, prev, snap, changes, ctx)
         return out if out is not None else (set(), set())
+
+    def _commit_context(
+        self, prev: ModelSnapshot, snap: ModelSnapshot
+    ) -> tuple[Optional[ModelChanges], Optional[tuple[_Engines, _Engines]]]:
+        """The commit's model changes and the two sets of engines every
+        standing query of one dispatch shares: the commit's added atoms
+        as delta over the new snapshot, its deleted atoms over the old
+        one.  Each query's pinned occurrence reads only its own predicate
+        from the delta side."""
+        report = snap.report
+        changes = report.changes if report is not None else None
+        if changes is None:
+            return None, None
+        return changes, (
+            self._engines(snap, changes.adds),
+            self._engines(prev, changes.dels),
+        )
 
     def _diff(
         self,
@@ -403,7 +363,7 @@ class SubscriptionManager:
         prev: ModelSnapshot,
         snap: ModelSnapshot,
         changes: Optional[ModelChanges],
-        ctx: Optional[_CommitContext],
+        ctx: Optional[tuple[_Engines, _Engines]],
     ) -> Optional[tuple[set, set]]:
         if changes is not None:
             if not changes.touches(sq.preds):
@@ -435,117 +395,33 @@ class SubscriptionManager:
         prev: ModelSnapshot,
         snap: ModelSnapshot,
         changes: ModelChanges,
-        ctx: _CommitContext,
+        ctx: tuple[_Engines, _Engines],
     ) -> tuple[set, set]:
         rule = sq.rule
-        new_interp = snap.interpretation
-        old_interp = prev.interpretation
-        cand_add: set[tuple[Term, ...]] = set()
-        cand_del: set[tuple[Term, ...]] = set()
-        for i, pin_atom in enumerate(rule.relational):
-            added = changes.adds.get(pin_atom.pred)
-            if added:
-                cand_add |= self._pinned_rows(
-                    rule, i, ctx.adds_executor(), new_interp, added
-                )
-            deleted = changes.dels.get(pin_atom.pred)
-            if deleted:
-                cand_del |= self._pinned_rows(
-                    rule, i, ctx.dels_executor(), old_interp, deleted
-                )
+        new, old = ctx
+        cand_add: set[Atom] = set()
+        cand_del: set[Atom] = set()
+        for i in rule.pins(changes.adds):
+            cand_add.update(rule.heads(new, i))
+        for i in rule.pins(changes.dels):
+            cand_del.update(rule.heads(old, i))
         # Exactness probes: alternative derivations on the opposite side
         # disqualify a candidate (it was already — or still is — an answer).
-        adds = {
-            r for r in cand_add if not self._derivable(rule, r, old_interp)
-        }
-        dels = {
-            r for r in cand_del if not self._derivable(rule, r, new_interp)
-        }
+        adds = {h.args for h in cand_add if not rule.derives(old, h)}
+        dels = {h.args for h in cand_del if not rule.derives(new, h)}
         return adds, dels
-
-    def _pinned_rows(
-        self,
-        rule: _CompiledRule,
-        pin: int,
-        executor,
-        interp,
-        facts,
-    ) -> set[tuple[Term, ...]]:
-        """Answers of the delta variant with occurrence ``pin`` restricted
-        to ``facts``: plan path when it applies, tuple solver otherwise."""
-        options = self._model.options
-        if executor is not None:
-            heads = rule.derive_delta_via_plan(
-                executor, pin, options.plan_joins
-            )
-            if heads is not None:
-                return {h.args for h in heads}
-        pin_atom = rule.relational[pin]
-        rest, rest_fv = rule._delta_rest(pin)
-        solver = self._solver(interp)
-        head_vars = rule.head.args
-        out: set[tuple[Term, ...]] = set()
-        for f in facts:
-            for env0 in match_atom(pin_atom, f):
-                for env in solver.solve(rest, env0, fv=rest_fv):
-                    out.add(tuple(env.apply(v) for v in head_vars))
-        return out
-
-    def _derivable(
-        self, rule: _CompiledRule, row: tuple[Term, ...], interp
-    ) -> bool:
-        solver = self._solver(interp)
-        env0 = Subst._make(dict(zip(rule.head.args, row)))
-        for _ in solver.solve(rule.body, env0):
-            return True
-        return False
-
-    def _delta_executor(self, snap: ModelSnapshot, delta):
-        options = self._model.options
-        if not options.compile_plans or not delta:
-            return None
-        return make_executor(
-            snap.interpretation,
-            self._model.builtins,
-            delta=dict(delta),
-            use_indexes=options.use_indexes,
-            stats=self._exec_stats,
-            columnar=options.columnar,
-        )
 
     def _eval_rows(
         self, rule: _CompiledRule, snap: ModelSnapshot
     ) -> set[tuple[Term, ...]]:
-        options = self._model.options
-        interp = snap.interpretation
-        if options.compile_plans:
-            executor = make_executor(
-                interp,
-                self._model.builtins,
-                use_indexes=options.use_indexes,
-                stats=self._exec_stats,
-                columnar=options.columnar,
-            )
-            heads = rule.derive_via_plan(executor, options.plan_joins)
-            if heads is not None:
-                return {h.args for h in heads}
-        solver = self._solver(interp)
-        head_vars = rule.head.args
-        return {
-            tuple(env.apply(v) for v in head_vars)
-            for env in solver.solve(rule.body)
-        }
+        return {h.args for h in rule.heads(self._engines(snap))}
 
-    def _solver(self, interp) -> Solver:
-        options = self._model.options
-        return Solver(
-            interp,
-            ActiveDomain(),
-            self._model.builtins,
-            allow_fallback=False,
-            stats=self._solver_stats,
-            use_indexes=options.use_indexes,
-            plan_joins=options.plan_joins,
+    def _engines(self, snap: ModelSnapshot, delta=None) -> _Engines:
+        """Engines over a snapshot; like ad-hoc queries they get no
+        active domain to enumerate."""
+        return _Engines(
+            snap.interpretation, self._model.builtins,
+            self._solver_stats, self._exec_stats, delta,
         )
 
     # -- internals: delivery -----------------------------------------------------

@@ -13,9 +13,8 @@ Covers the pieces DESIGN.md "Columnar execution" names:
   relation and the pinned delta);
 * **counters** — ``ExecStats`` observes columnar vs row-fallback node
   executions and the encode/decode row flow;
-* **gating** — ``make_executor`` hands back the row executor when
-  columnar is off or numpy is missing, and ``EvalOptions.columnar``
-  honours ``REPRO_COLUMNAR``.
+* **gating** — ``make_executor`` hands back the row executor when numpy
+  is missing, and the size gate keeps tiny batches on the row kernels.
 """
 
 import pytest
@@ -34,7 +33,6 @@ from repro.engine.columnar import (
     make_executor,
     plan_mode_counts,
 )
-from repro.engine.evaluation import EvalOptions, _default_columnar
 from repro.engine.executor import Executor
 from repro.engine.ir import ExecStats
 from repro.engine.planner import compile_rule, head_plan
@@ -242,9 +240,7 @@ class TestCounters:
         db = Database()
         for i in range(100):   # above the size gate's _MIN_VECTOR_ROWS
             db.add("e", f"v{i}", f"v{i + 1}")
-        model = Evaluator(
-            TC, db, options=EvalOptions(columnar=True)
-        ).run()
+        model = Evaluator(TC, db).run()
         stats = model.report.exec
         assert stats.col_nodes > 0
         assert stats.rows_decoded > 0
@@ -257,10 +253,7 @@ class TestCounters:
         db = Database()
         db.add("has", "alice", frozenset({"a", "b"}))
         p = parse_program("elem(E) :- has(X, S), E in S.")
-        model = Evaluator(
-            p, db, builtins=with_set_builtins(),
-            options=EvalOptions(columnar=True),
-        ).run()
+        model = Evaluator(p, db, builtins=with_set_builtins()).run()
         assert model.report.exec.row_nodes > 0  # Unnest is row-only
 
     def test_plan_annotation_tags_every_node(self):
@@ -278,30 +271,12 @@ class TestCounters:
 
 
 class TestGating:
-    def test_make_executor_respects_the_flag(self):
-        interp = Interpretation()
-        assert isinstance(
-            make_executor(interp, {}, columnar=True), ColumnarExecutor
-        )
-        ex = make_executor(interp, {}, columnar=False)
-        assert type(ex) is Executor
-
     def test_make_executor_degrades_without_numpy(self, monkeypatch):
         import repro.engine.columnar as columnar
 
+        assert type(make_executor(Interpretation(), {})) is ColumnarExecutor
         monkeypatch.setattr(columnar, "_np", None)
-        ex = columnar.make_executor(Interpretation(), {}, columnar=True)
-        assert type(ex) is Executor
-
-    def test_eval_options_honour_environment(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COLUMNAR", raising=False)
-        assert _default_columnar() is True
-        assert EvalOptions().columnar is True
-        for off in ("0", "false", "No", "OFF"):
-            monkeypatch.setenv("REPRO_COLUMNAR", off)
-            assert EvalOptions().columnar is False
-        monkeypatch.setenv("REPRO_COLUMNAR", "1")
-        assert EvalOptions().columnar is True
+        assert type(make_executor(Interpretation(), {})) is Executor
 
     def test_small_inputs_stay_on_the_row_path(self):
         """The size gate: a plan fed by a tiny scan leaf runs entirely

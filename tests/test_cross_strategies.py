@@ -1,13 +1,15 @@
-"""Three-way agreement on random programs: naive bottom-up, semi-naive
-bottom-up, and the top-down prover must answer ground queries identically
-whenever the prover's search terminates (its loop check makes it sound and
-complete on these function-free programs)."""
+"""Three-way agreement on random programs: the brute-force ``T_P`` least
+fixpoint, the bottom-up engine (on every forced path of ``tests/paths.py``)
+and the top-down prover must answer ground queries identically whenever
+the prover's search terminates (its loop check makes it sound and complete
+on these function-free programs)."""
 
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
+from paths import same_on_every_path, tp_model
 from repro.core import (
     Atom,
     Program,
@@ -52,6 +54,15 @@ def horn_programs(draw):
     return Program.of(*clauses)
 
 
+def engine_model(program):
+    """The engine's model: the same on every path, and equal to T_P's."""
+    interp = same_on_every_path(
+        lambda options: Evaluator(program, options=options).run().interpretation
+    )
+    assert interp == tp_model(program), program.pretty()
+    return interp
+
+
 def ground_queries(program):
     """Ground goals over the program's own constants.
 
@@ -66,15 +77,17 @@ def ground_queries(program):
             yield atom(p, t)
 
 
+# Pinned draws: the derandomized profile (conftest.py) seeds from the test's
+# source, and most seeds draw a program the prover's SLD search is
+# exponential on (4 of seeds 0-5 ran past 30 s).
+@seed(0)
 @settings(max_examples=40, deadline=None)
 @given(program=horn_programs())
 def test_three_way_agreement(program):
-    m_naive = Evaluator(program, options=EvalOptions(semi_naive=False)).run()
-    m_semi = Evaluator(program, options=EvalOptions(semi_naive=True)).run()
-    assert m_naive.interpretation == m_semi.interpretation
+    model = engine_model(program)
     prover = TopDownProver(program, max_depth=200)
     for goal in ground_queries(program):
-        assert prover.holds(goal) == m_naive.holds(goal), (
+        assert prover.holds(goal) == model.holds(goal), (
             f"{goal} on\n{program.pretty()}"
         )
 
@@ -96,16 +109,14 @@ def set_programs(draw):
 @settings(max_examples=40, deadline=None)
 @given(program=set_programs())
 def test_set_program_agreement(program):
-    m_naive = Evaluator(program, options=EvalOptions(semi_naive=False)).run()
-    m_semi = Evaluator(program, options=EvalOptions(semi_naive=True)).run()
-    assert m_naive.interpretation == m_semi.interpretation
+    model = engine_model(program)
     prover = TopDownProver(program, max_depth=200)
     for s in SETS:
         goal = atom("allp", s)
         # The top-down prover proves the quantified goal for ground sets;
         # but the bottom-up rule also requires s(X), which the prover
         # checks identically.
-        assert prover.holds(goal) == m_naive.holds(goal), (
+        assert prover.holds(goal) == model.holds(goal), (
             f"{goal} on\n{program.pretty()}"
         )
 

@@ -1,6 +1,7 @@
 """Cross-validation: the optimised engine against the brute-force ``T_P``.
 
-The engine (joins, indexes, semi-naive, vacuous-branch handling) and the
+The engine (joins, indexes, semi-naive, vacuous-branch handling — on every
+forced path of ``tests/paths.py``) and the
 reference operator (literal Lemma-4 grounding over an explicit finite
 universe) are independent implementations of the same semantics.  On random
 programs whose active domain we pin to a fixed universe, they must agree
@@ -12,6 +13,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paths import same_on_every_path
 from repro.core import (
     Atom,
     Program,
@@ -29,7 +31,6 @@ from repro.core import (
 )
 from repro.engine import Evaluator
 from repro.engine.builtins import default_builtins
-from repro.engine.evaluation import EvalOptions
 from repro.semantics import Universe, least_fixpoint
 
 x, y = var_a("x"), var_a("y")
@@ -52,17 +53,17 @@ DOMAIN_FACTS = [fact(atom("dom", s)) for s in ALL_SETS] + [
 def agree(program: Program):
     program = program.with_clauses(DOMAIN_FACTS)
     ref = least_fixpoint(program, UNIVERSE, max_rounds=80).interpretation
-    for semi in (True, False):
-        engine = Evaluator(
-            program, builtins=default_builtins(),
-            options=EvalOptions(semi_naive=semi),
-        ).run()
-        assert engine.interpretation == ref, (
-            f"engine (semi_naive={semi}) disagrees with reference on:\n"
-            f"{program.pretty()}\n"
-            f"engine-only: {sorted(map(str, set(engine.interpretation.atoms()) - set(ref.atoms())))}\n"
-            f"ref-only: {sorted(map(str, set(ref.atoms()) - set(engine.interpretation.atoms())))}"
-        )
+    engine = same_on_every_path(
+        lambda options: Evaluator(
+            program, builtins=default_builtins(), options=options
+        ).run().interpretation
+    )
+    assert engine == ref, (
+        f"engine disagrees with reference on:\n"
+        f"{program.pretty()}\n"
+        f"engine-only: {sorted(map(str, set(engine.atoms()) - set(ref.atoms())))}\n"
+        f"ref-only: {sorted(map(str, set(ref.atoms()) - set(engine.atoms())))}"
+    )
 
 
 class TestHandPicked:

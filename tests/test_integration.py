@@ -115,11 +115,6 @@ class TestSocialGroups:
         assert not m.holds_str("proper_subgroup(g1, g2)")
         assert not m.holds_str("proper_subgroup(g1, g1)")
 
-    def test_naive_and_seminaive_agree(self):
-        m1 = run(self.SOURCE, semi_naive=True)
-        m2 = run(self.SOURCE, semi_naive=False)
-        assert m1.interpretation == m2.interpretation
-
 
 class TestInventoryRollup:
     """Example 6 at integration level: parts + prices from a Database, the

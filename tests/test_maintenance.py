@@ -3,9 +3,10 @@
 The contract under test: after any stream of insert/delete batches,
 ``MaterializedModel.apply_delta`` leaves the interpretation **identical**
 to a from-scratch ``Evaluator.run()`` over the final database — for every
-program the engine accepts, and across all ``EvalOptions`` index/planner
-combinations.  Incrementality (counting / DRed / per-stratum recompute)
-is a pure optimisation; these tests are the oracle for that claim.
+program the engine accepts, and on every forced path of the execution
+pipeline (``tests/paths.py``).  Incrementality (counting / DRed /
+per-stratum recompute) is a pure optimisation; these tests are the oracle
+for that claim.
 
 The regression classes target the classic maintenance traps:
 
@@ -21,6 +22,7 @@ The regression classes target the classic maintenance traps:
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paths import MODEL_PATHS, forced
 from repro import parse_program
 from repro.core import Program, atom, const, fact, var_a
 from repro.core.atoms import pos
@@ -36,38 +38,25 @@ from repro.workloads import (
     parts_world,
 )
 
-MODES = [
-    {"use_indexes": True, "plan_joins": True},
-    {"use_indexes": True, "plan_joins": False},
-    {"use_indexes": False, "plan_joins": True},
-    {"use_indexes": False, "plan_joins": False},
-    # Legacy tuple-at-a-time maintenance (plans are on by default above).
-    {"use_indexes": True, "plan_joins": True, "compile_plans": False},
-    {"use_indexes": False, "plan_joins": False, "compile_plans": False},
-]
-
-
-def fresh_eval(program, facts, **mode):
+def fresh_eval(program, facts):
     db = Database()
     for spec in facts:
         db.add(spec[0], *spec[1:])
-    options = EvalOptions(**mode)
-    return Evaluator(program, db, builtins=with_set_builtins(),
-                     options=options).run()
+    return Evaluator(program, db, builtins=with_set_builtins()).run()
 
 
-def assert_matches_scratch(materialized, program, facts, **mode):
-    fresh = fresh_eval(program, facts, **mode)
+def assert_matches_scratch(materialized, program, facts):
+    fresh = fresh_eval(program, facts)
     assert (materialized.interpretation.sorted_atoms()
             == fresh.interpretation.sorted_atoms())
 
 
-def materialize(program, facts=(), **mode):
+def materialize(program, facts=(), options=None):
     db = Database()
     for spec in facts:
         db.add(spec[0], *spec[1:])
     return MaterializedModel(program, db, builtins=with_set_builtins(),
-                             options=EvalOptions(**mode))
+                             options=options)
 
 
 # ---------------------------------------------------------------------------
@@ -115,15 +104,22 @@ def test_apply_delta_equals_recompute(rule_idx, initial, batches):
     program = parse_program(
         "\n".join(RULE_POOL[i] for i in sorted(rule_idx))
     )
-    for mode in MODES:
-        m = materialize(program, sorted(initial), **mode)
-        facts = set(initial)
-        for batch in batches:
-            adds = [spec for is_add, spec in batch if is_add]
-            dels = [spec for is_add, spec in batch if not is_add]
-            facts = (facts - set(dels)) | set(adds)
-            m.apply_delta(adds=adds, dels=dels)
-            assert_matches_scratch(m, program, sorted(facts), **mode)
+    # The oracle: the shipped engine, from scratch, after every batch.
+    stream, expected, facts = [], [], set(initial)
+    for batch in batches:
+        adds = [spec for is_add, spec in batch if is_add]
+        dels = [spec for is_add, spec in batch if not is_add]
+        facts = (facts - set(dels)) | set(adds)
+        stream.append((adds, dels))
+        expected.append(
+            fresh_eval(program, sorted(facts)).interpretation.sorted_atoms()
+        )
+    for path in MODEL_PATHS:
+        with forced(path) as options:
+            m = materialize(program, sorted(initial), options)
+            for (adds, dels), want in zip(stream, expected):
+                m.apply_delta(adds=adds, dels=dels)
+                assert m.interpretation.sorted_atoms() == want, path
 
 
 @settings(max_examples=10, deadline=None)
@@ -341,7 +337,8 @@ def test_domain_dependent_program_falls_back_to_recompute():
 
 
 def test_provenance_tracking_recomputes_and_stays_explainable():
-    m = materialize(TC, [("e", "a", "b")], track_provenance=True)
+    m = materialize(TC, [("e", "a", "b")],
+                    EvalOptions(track_provenance=True))
     report = m.apply_delta(adds=[("e", "b", "c")])
     assert report.strategy == "recompute"
     tree = m.model.explain_str("t(a, c)")

@@ -1,29 +1,27 @@
-"""Index, planner and plan-IR correctness: the optimised paths change nothing.
+"""The one execution pipeline against the paper's ``T_P`` — on every path.
 
-The engine's argument indexes (`Interpretation.candidates`), the
-selectivity-driven join planner (`Solver._priority`) and the compiled
-set-at-a-time plan pipeline (`EvalOptions.compile_plans`, see DESIGN.md
-"Plan IR and executor") are pure optimisations: for every program and
-database they must yield exactly the same model as a forced unindexed
-scan with the left-to-right-ish bound-count heuristic on the
-tuple-at-a-time solver.  This file checks that across the workload
-generators in ``repro.workloads.generators`` and across random set
-programs, over the full on/off grid of
-``columnar`` × ``compile_plans`` × ``use_indexes`` × ``plan_joins``
-(the columnar executor rides on compiled plans, so half the grid
-exercises its numpy kernels and per-node row fallbacks bit-for-bit
-against the others).
+The engine's argument indexes, the selectivity-driven join planner, the
+compiled set-at-a-time plans and their columnar kernels are pure
+optimisations of Kuper's semantics.  For the workload generators in
+``repro.workloads.generators`` and for random set programs this file
+checks the computed model against the brute-force
+``semantics.fixpoint.least_fixpoint`` wherever ``T_P`` is defined
+(positive clauses without built-ins; ``disj`` uses ``!=`` and is checked
+against plain Python sets, the parts explosion against the generator's
+analytic costs) — once per forced path of ``tests/paths.py``.
 """
 
-from itertools import product
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paths import EVAL_PATHS, forced, same_on_every_path, tp_model
 from repro import parse_program
 from repro.core import atom, const, setvalue, fact, Program
 from repro.engine import Database, Evaluator
-from repro.engine.evaluation import EvalOptions
+from repro.engine.columnar import HAS_NUMPY
+from repro.engine.database import from_term
 from repro.engine.setops import with_set_builtins
 from repro.workloads import (
     chain_graph,
@@ -36,27 +34,23 @@ from repro.workloads import (
     set_database,
 )
 
-MODES = [
-    {"columnar": co, "compile_plans": cp, "use_indexes": ui, "plan_joins": pj}
-    for co, cp, ui, pj in product((True, False), repeat=4)
-]
+
+def model_atoms(program, db=None, path=None):
+    """The model's sorted atoms on one forced path — or, without one,
+    on every path, asserted all the same."""
+    def run(options):
+        return Evaluator(
+            program, db, builtins=with_set_builtins(), options=options
+        ).run().interpretation.sorted_atoms()
+
+    if path is None:
+        return same_on_every_path(run)
+    with forced(path) as options:
+        return run(options)
 
 
-def models_for(program, db=None, **extra):
-    """The model's sorted atoms under every index/planner combination."""
-    out = []
-    for mode in MODES:
-        options = EvalOptions(**mode, **extra)
-        model = Evaluator(program, db, builtins=with_set_builtins(),
-                          options=options).run()
-        out.append(model.interpretation.sorted_atoms())
-    return out
-
-
-def assert_all_agree(program, db=None, **extra):
-    indexed, *others = models_for(program, db, **extra)
-    for other in others:
-        assert other == indexed
+def tp_atoms(program, db=None):
+    return tp_model(program, db).sorted_atoms()
 
 
 TC = parse_program("""
@@ -72,17 +66,47 @@ def graph_db(edges):
     return db
 
 
-@pytest.mark.parametrize("edges", [
-    chain_graph(24),
-    cycle_graph(12),
-    grid_graph(4, 4),
-    random_graph(16, 40, seed=3),
-    random_graph(10, 25, seed=7),
-])
-def test_transitive_closure_workloads(edges):
-    db = graph_db(edges)
-    for semi_naive in (True, False):
-        assert_all_agree(TC, db, semi_naive=semi_naive)
+GRAPHS = {
+    "chain": chain_graph(12),     # T_P is cubic in the nodes per round
+    "cycle": cycle_graph(12),
+    "grid": grid_graph(4, 4),
+    "random16": random_graph(16, 40, seed=3),
+    "random10": random_graph(10, 25, seed=7),
+}
+
+
+@lru_cache(maxsize=None)
+def closure_oracle(graph):
+    return tp_atoms(TC, graph_db(GRAPHS[graph]))
+
+
+@pytest.mark.parametrize("path", EVAL_PATHS)
+@pytest.mark.parametrize("graph", GRAPHS)
+def test_transitive_closure_workloads(graph, path):
+    db = graph_db(GRAPHS[graph])
+    assert model_atoms(TC, db, path) == closure_oracle(graph)
+
+
+def test_every_arm_forces_its_path():
+    """The arms of ``tests/paths.py`` reach the paths they name."""
+    db = graph_db(chain_graph(6))
+    reports = {}
+    for path in EVAL_PATHS + ("solver",):
+        with forced(path) as options:
+            reports[path] = Evaluator(TC, db, options=options).run().report
+    if HAS_NUMPY:
+        # Six edges are below the size gate: the shipped run stays on rows.
+        assert reports["default"].exec.col_nodes == 0
+        assert reports["default"].exec.row_nodes > 0
+        assert reports["vector"].exec.col_nodes > 0
+    # Without numpy the row executor never counts a node either way.
+    assert reports["no-numpy"].exec.batches > 0
+    assert reports["no-numpy"].exec.col_nodes == 0
+    assert reports["no-numpy"].exec.row_nodes == 0
+    for path in ("provenance", "solver"):
+        assert reports[path].exec.batches == 0
+        assert reports[path].stats.matches > 0
+    assert reports["default"].stats.matches == 0
 
 
 SETPREDS = parse_program("""
@@ -90,12 +114,31 @@ disj(X, Y) :- s(X), s(Y), forall A in X (forall B in Y (A != B)).
 subset(X, Y) :- s(X), s(Y), forall A in X (A in Y).
 over(X, Y) :- s(X), s(Y), A in X, A in Y.
 """)
+#: The part of it in ``T_P``'s fragment (``disj`` needs ``!=``).
+POSITIVE_SETPREDS = parse_program("""
+subset(X, Y) :- s(X), s(Y), forall A in X (A in Y).
+over(X, Y) :- s(X), s(Y), A in X, A in Y.
+""")
 
 
+def check_set_predicates(facts: Program, path=None):
+    """``facts`` holds ``s({...})`` unit clauses only."""
+    got = model_atoms(Program.of(*facts.clauses, *SETPREDS.clauses), path=path)
+    oracle = tp_atoms(Program.of(*facts.clauses, *POSITIVE_SETPREDS.clauses))
+    for pred in ("subset", "over"):
+        assert [a for a in got if a.pred == pred] \
+            == [a for a in oracle if a.pred == pred]
+    sets = [c.head.args[0] for c in facts.clauses]
+    assert {a.args for a in got if a.pred == "disj"} == {
+        (x, y) for x in sets for y in sets if not (x.elems & y.elems)
+    }
+
+
+@pytest.mark.parametrize("path", EVAL_PATHS)
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_set_predicate_workloads(seed):
+def test_set_predicate_workloads(seed, path):
     db = set_database("s", 10, universe=12, max_size=4, seed=seed)
-    assert_all_agree(SETPREDS, db)
+    check_set_predicates(Program.of(*(fact(a) for a in db.facts())), path)
 
 
 PARTS = parse_program("""
@@ -110,14 +153,17 @@ obj_cost(P, C) :- parts(P, S), sum_costs(S, C).
 """)
 
 
+@pytest.mark.parametrize("path", EVAL_PATHS)
 @pytest.mark.parametrize("depth,fanout", [(2, 2), (3, 2)])
-def test_parts_workload(depth, fanout):
+def test_parts_workload(depth, fanout, path):
     world = parts_world(depth=depth, fanout=fanout, seed=5)
     db = parts_database(world)
-    assert_all_agree(PARTS, db)
-    # And the model is actually right, not just self-consistent.
-    model = Evaluator(PARTS, db, builtins=with_set_builtins()).run()
-    derived = dict(model.relation("obj_cost"))
+    # Built-ins and arithmetic are outside T_P: the oracle is the
+    # generator's analytic cost of every object.
+    derived = {
+        from_term(a.args[0]): from_term(a.args[1])
+        for a in model_atoms(PARTS, db, path) if a.pred == "obj_cost"
+    }
     for obj, expected in world.expected.items():
         if obj in world.parts:
             assert derived[obj] == expected
@@ -131,9 +177,9 @@ def test_parts_workload(depth, fanout):
 )
 def test_random_set_databases(n_sets, universe, seed):
     sets = random_sets(n_sets, universe, max_size=4, seed=seed)
-    clauses = [fact(atom("s", setvalue([const(e) for e in s]))) for s in sets]
-    program = Program.of(*clauses, *SETPREDS.clauses)
-    assert_all_agree(program)
+    check_set_predicates(Program.of(*(
+        fact(atom("s", setvalue([const(e) for e in s]))) for s in sets
+    )))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +235,6 @@ def _assert_indexes_match_scan(interp):
 # position's index bucket is far smaller).
 # ---------------------------------------------------------------------------
 
-from repro.engine.evaluation import ActiveDomain, Solver
 from repro.semantics.interpretation import Interpretation as _Interp
 
 
@@ -207,15 +252,14 @@ def _skewed_interpretation(n=200):
 
 def test_candidates_choose_most_selective_bound_position():
     interp = _skewed_interpretation()
-    solver = Solver(interp, ActiveDomain())
     pattern = atom("r", const("hub"), const("probe"))
-    candidates = list(solver._candidates(pattern))
+    candidates = list(interp.candidates_for_pattern("r", pattern.args))
     # Position 0 ("hub") matches 201 facts; position 1 ("probe") matches 4.
     # A first-bound-position choice would scan the 201-row bucket.
     assert len(candidates) <= 4
     assert atom("r", const("hub"), const("probe")) in candidates
     # The estimate the join planner sees agrees with the chosen bucket.
-    assert solver._estimate("r", pattern.args, (0, 1)) <= 4
+    assert interp.estimate_for_pattern("r", pattern.args) <= 4
 
 
 def test_skewed_pattern_models_agree():
@@ -227,7 +271,7 @@ def test_skewed_pattern_models_agree():
     program = parse_program("""
     hit(X) :- r(hub, Y), r(X, probe), r(X, Y).
     """)
-    assert_all_agree(program, db)
+    assert model_atoms(program, db) == tp_atoms(program, db)
 
 
 @settings(max_examples=30)

@@ -107,25 +107,41 @@ class TestSessionQueries:
         assert not s.query("t(b, a)").truth
         svc.shutdown()
 
-    def test_plan_and_tuple_paths_agree(self):
-        facts = [("e", f"v{i}", f"v{i+1}") for i in range(12)]
-        answers = []
-        for compile_plans in (True, False):
-            from repro.engine.evaluation import EvalOptions
 
-            svc = QueryService(
-                TC_SOURCE,
-                options=EvalOptions(compile_plans=compile_plans),
-            )
-            s = svc.open_session()
-            for spec in facts:
-                s.assert_fact(f"{spec[0]}({spec[1]}, {spec[2]})")
-            answers.append([
-                tuple(str(t) for t in r)
-                for r in s.query("t(v0, X)").rows
-            ])
-            svc.shutdown()
-        assert answers[0] == answers[1]
+class TestQueryCache:
+    def test_plan_cache_is_a_bounded_lru(self, monkeypatch):
+        """``QUERY_CACHE_SIZE`` + 1 distinct texts leave the cache at its
+        cap, and a text re-asked in between stays a hit (is not compiled
+        a second time) while the least recently asked one is evicted."""
+        import repro.server.session as session_mod
+
+        compiled = []
+        real = session_mod._CompiledRule
+
+        def counting(clause, builtins):
+            compiled.append(str(clause))
+            return real(clause, builtins)
+
+        monkeypatch.setattr(session_mod, "_CompiledRule", counting)
+        cap = session_mod.QUERY_CACHE_SIZE
+        assert cap >= 256
+        svc = service()
+        s = svc.open_session()
+        s.assert_fact("e(a, b)")
+        texts = [f"t(a, X{i})" for i in range(cap + 1)]
+        for text in texts[:cap]:
+            s.query(text)
+        assert len(s._query_cache) == cap and len(compiled) == cap
+        assert s.query(texts[0]).rows     # re-asked: now the most recent
+        assert len(compiled) == cap
+        s.query(texts[cap])               # one over: evicts texts[1]
+        assert len(s._query_cache) == cap
+        assert texts[0] in s._query_cache and texts[1] not in s._query_cache
+        s.query(texts[0])
+        assert len(compiled) == cap + 1
+        s.query(texts[1])
+        assert len(compiled) == cap + 2
+        svc.shutdown()
 
 
 class TestWriteBatches:

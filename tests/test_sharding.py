@@ -8,13 +8,15 @@ runs sharded (linear recursion) or falls back to the coordinator
 (negation, grouping, nonlinear recursion, domain-sensitive rules).
 
 The rule pool deliberately mixes both kinds so random programs exercise
-the fallback matrix, and the modes axis covers the columnar ×
-compile_plans executor grid like ``test_maintenance.py`` does.
+the fallback matrix, and the path axis forces each path of the execution
+pipeline (``tests/paths.py``; workers are forked inside the forced block,
+so they run the same path) like ``test_maintenance.py`` does.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paths import MODEL_PATHS, forced
 from repro import parse_program
 from repro.engine import Database, Evaluator, MaterializedModel
 from repro.engine.builtins import DEFAULT_BUILTINS
@@ -28,12 +30,6 @@ from repro.parallel import (
 )
 from repro.parallel.partition import stable_hash
 from repro.workloads import edge_churn, random_graph
-
-MODES = [
-    {"compile_plans": True, "columnar": True},
-    {"compile_plans": True, "columnar": False},
-    {"compile_plans": False, "columnar": False},
-]
 
 #: Shardable linear recursion, unshardable nonlinear recursion, negation
 #: strata, and builtins — any subset stratifies over ``e/2`` and ``n/1``.
@@ -63,15 +59,16 @@ def _database(facts):
     return db
 
 
-def _run(program, facts, shards=1, **mode):
-    ev = Evaluator(
-        program, _database(facts), builtins=with_set_builtins(),
-        options=EvalOptions(shards=shards, **mode),
-    )
-    try:
-        return ev.run().interpretation.sorted_atoms()
-    finally:
-        ev.close()
+def _run(program, facts, shards=1, path="default"):
+    with forced(path, shards=shards) as options:
+        ev = Evaluator(
+            program, _database(facts), builtins=with_set_builtins(),
+            options=options,
+        )
+        try:
+            return ev.run().interpretation.sorted_atoms()
+        finally:
+            ev.close()
 
 
 # ---------------------------------------------------------------------------
@@ -84,15 +81,15 @@ def _run(program, facts, shards=1, **mode):
         st.integers(0, len(RULE_POOL) - 1), min_size=1, max_size=5
     ),
     facts=st.sets(st.sampled_from(FACT_SPACE), max_size=10),
-    mode=st.sampled_from(MODES),
+    path=st.sampled_from(MODEL_PATHS),
 )
-def test_evaluation_is_shard_count_invariant(rule_idx, facts, mode):
+def test_evaluation_is_shard_count_invariant(rule_idx, facts, path):
     program = parse_program(
         "\n".join(RULE_POOL[i] for i in sorted(rule_idx))
     )
-    baseline = _run(program, sorted(facts), shards=1, **mode)
+    baseline = _run(program, sorted(facts), shards=1)
     for n in (2, 4):
-        assert _run(program, sorted(facts), shards=n, **mode) == baseline
+        assert _run(program, sorted(facts), shards=n, path=path) == baseline
 
 
 @settings(max_examples=6, deadline=None)
@@ -108,33 +105,34 @@ def test_evaluation_is_shard_count_invariant(rule_idx, facts, mode):
         ),
         min_size=1, max_size=3,
     ),
-    mode=st.sampled_from(MODES),
+    path=st.sampled_from(MODEL_PATHS),
 )
 def test_apply_delta_is_shard_count_invariant(rule_idx, initial, batches,
-                                              mode):
+                                              path):
     program = parse_program(
         "\n".join(RULE_POOL[i] for i in sorted(rule_idx))
     )
-    models = {
-        n: MaterializedModel(
-            program, _database(sorted(initial)),
-            builtins=with_set_builtins(),
-            options=EvalOptions(shards=n, **mode),
-        )
-        for n in (1, 2, 4)
-    }
-    try:
-        for batch in batches:
-            adds = [spec for is_add, spec in batch if is_add]
-            dels = [spec for is_add, spec in batch if not is_add]
+    with forced(path):
+        models = {
+            n: MaterializedModel(
+                program, _database(sorted(initial)),
+                builtins=with_set_builtins(),
+                options=EvalOptions(shards=n),
+            )
+            for n in (1, 2, 4)
+        }
+        try:
+            for batch in batches:
+                adds = [spec for is_add, spec in batch if is_add]
+                dels = [spec for is_add, spec in batch if not is_add]
+                for m in models.values():
+                    m.apply_delta(adds=adds, dels=dels)
+                baseline = models[1].interpretation.sorted_atoms()
+                for n in (2, 4):
+                    assert models[n].interpretation.sorted_atoms() == baseline
+        finally:
             for m in models.values():
-                m.apply_delta(adds=adds, dels=dels)
-            baseline = models[1].interpretation.sorted_atoms()
-            for n in (2, 4):
-                assert models[n].interpretation.sorted_atoms() == baseline
-    finally:
-        for m in models.values():
-            m._evaluator.close()
+                m._evaluator.close()
 
 
 def test_churn_stream_is_shard_count_invariant():

@@ -6,8 +6,8 @@ pushed diffs is **bit-identical to a from-scratch evaluation at every
 version** — diffs are exact (no echoed unchanged rows, no misses), gap
 free (every committed version after the baseline is covered exactly
 once), and computed from the commit's per-predicate delta, not by
-re-running the query.  The property must hold across the
-``columnar × compile_plans`` engine grid, for delta-capable goals and for
+re-running the query.  The property must hold on every forced path of
+the execution pipeline (``tests/paths.py``), for delta-capable goals and for
 goals the delta path cannot serve (negation), through unsubscribes
 mid-churn, batched writes, session teardown, and on followers applying a
 replicated stream.
@@ -25,23 +25,11 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paths import MODEL_PATHS, forced
 from repro.engine import Database
-from repro.engine.evaluation import EvalOptions
 from repro.server import E_NOT_YET, LineClient, QueryService, run_in_thread
 from repro.server.subscriptions import FRAME_DIFF, FRAME_DROPPED, REASON_SLOW
 from repro.workloads import subscriber_plan
-
-#: The grid the acceptance criteria name for the equivalence property.
-SUB_MODES = [
-    {"columnar": c, "compile_plans": p}
-    for c in (True, False)
-    for p in (True, False)
-]
-
-
-def mode_id(mode):
-    return "-".join(f"{k.split('_')[0]}{int(v)}" for k, v in mode.items())
-
 
 TC = """
 t(X, Y) :- e(X, Y).
@@ -70,14 +58,12 @@ FACTS = [
 ]
 
 
-def scratch_rows(mode, facts, goal, program=PROGRAM):
+def scratch_rows(facts, goal, program=PROGRAM):
     """From-scratch oracle: a brand-new service over the same facts."""
     db = Database()
     for spec in sorted(facts):
         db.add(*spec)
-    with QueryService(
-        program, database=db, options=EvalOptions(**mode)
-    ) as svc:
+    with QueryService(program, database=db) as svc:
         result = svc.open_session().query(goal)
         return {tuple(str(t) for t in row) for row in result.rows}
 
@@ -121,11 +107,11 @@ def register(session, subs, goal):
 
 
 class TestDiffEquivalence:
-    @pytest.mark.parametrize("mode", SUB_MODES, ids=mode_id)
+    @pytest.mark.parametrize("path", MODEL_PATHS)
     @settings(max_examples=8, deadline=None)
     @given(data=st.data())
     def test_initial_rows_plus_diffs_replay_scratch_evaluation(
-        self, mode, data
+        self, path, data
     ):
         """baseline ∪ accumulated diffs ≡ from-scratch, at every version."""
         goal_picks = data.draw(st.lists(
@@ -135,29 +121,36 @@ class TestDiffEquivalence:
         ops = data.draw(st.lists(
             st.sampled_from(range(len(FACTS))), min_size=1, max_size=8,
         ))
-        svc = QueryService(PROGRAM, options=EvalOptions(**mode))
-        try:
-            session = svc.open_session()
-            subs: dict[int, dict] = {}
-            for gi in goal_picks:
-                register(session, subs, GOALS[gi])
-            live: set[tuple] = set()
-            for fi in ops:
-                fact = FACTS[fi]
-                if fact in live:
-                    live.discard(fact)
-                    svc.apply_delta(dels=[fact])
-                else:
-                    live.add(fact)
-                    svc.apply_delta(adds=[fact])
-                assert svc.subscriptions.wait_caught_up(svc.model.version)
-                drain(session, subs)
-                for entry in subs.values():
-                    assert entry["state"] == scratch_rows(
-                        mode, live, entry["goal"]
-                    ), (entry["goal"], sorted(live))
-        finally:
-            svc.shutdown()
+        replayed = []   # (goal, facts, replayed answer set) per version
+        with forced(path) as options:
+            svc = QueryService(PROGRAM, options=options)
+            try:
+                session = svc.open_session()
+                subs: dict[int, dict] = {}
+                for gi in goal_picks:
+                    register(session, subs, GOALS[gi])
+                live: set[tuple] = set()
+                for fi in ops:
+                    fact = FACTS[fi]
+                    if fact in live:
+                        live.discard(fact)
+                        svc.apply_delta(dels=[fact])
+                    else:
+                        live.add(fact)
+                        svc.apply_delta(adds=[fact])
+                    assert svc.subscriptions.wait_caught_up(
+                        svc.model.version
+                    )
+                    drain(session, subs)
+                    replayed += [
+                        (e["goal"], frozenset(live), set(e["state"]))
+                        for e in subs.values()
+                    ]
+            finally:
+                svc.shutdown()
+        # The oracle is the shipped engine, outside the forced block.
+        for goal, facts, state in replayed:
+            assert state == scratch_rows(facts, goal), (goal, sorted(facts))
 
     def test_subscriber_plan_replay(self):
         """The workload generator end to end: staggered subscribes and
@@ -188,7 +181,7 @@ class TestDiffEquivalence:
             }
             for k, sub_id in by_goal.items():
                 assert subs[sub_id]["state"] == scratch_rows(
-                    {}, facts, plan.goals[k], program=plan.program
+                    facts, plan.goals[k], program=plan.program
                 )
         finally:
             svc.shutdown()
