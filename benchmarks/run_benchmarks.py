@@ -20,7 +20,7 @@ Usage::
     python benchmarks/run_benchmarks.py --label after
     python benchmarks/run_benchmarks.py --files test_bench_seminaive.py
     python benchmarks/run_benchmarks.py --compare before after
-    python benchmarks/run_benchmarks.py --check-regressions maintenance --quick
+    python benchmarks/run_benchmarks.py --check-regressions plans --quick
 
 ``--quick`` caps rounds/time per benchmark for CI-sized runs;
 ``--check-regressions`` re-times stored labels against the committed

@@ -27,38 +27,16 @@ Record results under the ``columnar`` label::
 """
 
 import random
-import time
 
 import pytest
 
-from paths import forced
 from repro import parse_program
 from repro.engine import Database, Evaluator
 from repro.engine.columnar import HAS_NUMPY
 from repro.engine.setops import with_set_builtins
 
-#: Arm -> the ``tests/paths.py`` path that forces it.
+#: Arm -> the ``tests/paths.py`` path that forces it (``conftest.py``).
 MODES = {"columnar": "default", "row": "no-numpy"}
-
-
-@pytest.fixture
-def timed_run(request):
-    """Skips unless pytest-benchmark timing is on, which is how
-    ``benchmarks/run_benchmarks.py`` and the ``benchmarks`` CI job run the
-    suite; tier-1 runs it with timing off, as correctness tests."""
-    config = request.config
-    if config.getoption("benchmark_disable") \
-            and not config.getoption("benchmark_enable"):
-        pytest.skip("times the row-executor baseline: timed runs only")
-
-
-@pytest.fixture(params=MODES)
-def mode(request):
-    """Runs the test under each arm; ``row`` in timed runs only."""
-    if request.param == "row":
-        request.getfixturevalue("timed_run")
-    with forced(MODES[request.param]):
-        yield request.param
 
 JOIN_SELECT = parse_program("q(X) :- r(X, Y), s(Y, Z).")
 JOIN_WIDE = parse_program("q(X, Z) :- r(X, Y), s(Y, Z).")
@@ -157,32 +135,15 @@ def test_server_queries(benchmark, mode):
 
 
 @pytest.mark.skipif(not HAS_NUMPY, reason="columnar kernels need numpy")
-def test_columnar_speedup_floor(timed_run):
-    """Acceptance floor: ≥2× over the row executor on ≥2 workloads;
-    min-of-3 on both sides so scheduler noise cancels."""
+def test_columnar_speedup_floor(speedups):
+    """Acceptance floor: ≥2× over the row executor on ≥2 workloads."""
     join, graph = join_db(20000, 2000), rand_graph_db(350, 1200)
-    workloads = {
+    measured = speedups({
         "join-select": lambda: run(JOIN_SELECT, join),
         "multi-query": lambda: run(MULTI, join),
         "tc-random": lambda: run(TC, graph),
-    }
-
-    def best_of(fn):
-        best = float("inf")
-        for _ in range(3):
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    times = {}
-    for arm, path in MODES.items():
-        with forced(path):
-            times[arm] = {n: best_of(fn) for n, fn in workloads.items()}
-    speedups = {
-        n: round(times["row"][n] / t, 2) for n, t in times["columnar"].items()
-    }
-    assert sum(s >= 2.0 for s in speedups.values()) >= 2, (
+    })
+    assert sum(s >= 2.0 for s in measured.values()) >= 2, (
         "columnar executor beat the row executor 2x on fewer than two "
-        f"workloads: {speedups}"
+        f"workloads: {measured}"
     )

@@ -184,6 +184,9 @@ class SolverStats:
     matches: int = 0
     fallbacks: int = 0
     fallback_bindings: int = 0
+    #: Results of rule applications, whichever engine ran them: distinct
+    #: head atoms (``_CompiledRule.heads``) or distinct bindings
+    #: (``_CompiledRule.bindings``), per application.
     derivations: int = 0
 
     def merge(self, other: "SolverStats") -> None:
@@ -590,6 +593,13 @@ class EvalOptions:
     shards: int = 1
 
 
+#: What :class:`_Engines` built without a domain or options use (one per
+#: query on the read path).  The domain is never consulted — fallback is
+#: off for such engines — and nothing grows it.
+_NO_DOMAIN = ActiveDomain()
+_DEFAULT_OPTIONS = EvalOptions()
+
+
 class _Engines:
     """The two body engines for one batch of rule applications over one
     interpretation: the plan executor and the formula solver that rules
@@ -614,11 +624,11 @@ class _Engines:
         domain: Optional[ActiveDomain] = None,
         options: Optional[EvalOptions] = None,
     ) -> None:
-        options = options or EvalOptions()
+        options = options or _DEFAULT_OPTIONS
         self.delta = delta
         self.solver = Solver(
             interp,
-            domain if domain is not None else ActiveDomain(),
+            domain if domain is not None else _NO_DOMAIN,
             builtins,
             allow_fallback=domain is not None and options.allow_fallback,
             fallback_limit=options.fallback_limit,
@@ -1223,6 +1233,7 @@ class _CompiledRule:
         binding exactly the clause's free variables (``pin`` and engine
         choice as in :meth:`heads`)."""
         executor = engines.executor
+        stats = engines.solver.stats
         cp = self.plan(pin) if executor is not None else None
         if cp is not None and cp.is_set:
             try:
@@ -1233,6 +1244,7 @@ class _CompiledRule:
                 # A set-mode plan binds every body variable and those cover
                 # the head's, so full-width rows are whole derivations.
                 vars_ = cp.root.out_vars
+                stats.derivations += len(rows)
                 for row in rows:
                     yield Subst._make(dict(zip(vars_, row)))
                 return
@@ -1242,6 +1254,7 @@ class _CompiledRule:
             key = env.restrict(free)
             if key not in seen:
                 seen.add(key)
+                stats.derivations += 1
                 yield key
 
     def derives(self, engines: _Engines, h: Atom) -> bool:

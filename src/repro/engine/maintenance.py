@@ -29,10 +29,12 @@ Soundness gate.  The engine's active-domain semantics lets rules consult
 the domain carriers (unconstrained variables, non-ground quantifier
 ranges); such rules can change their output when the *domain* shrinks or
 grows even though no predicate they read changed.  Every carrier
-consultation goes through the solver's fallback machinery and is counted
-in ``SolverStats.fallbacks``, so the gate is dynamic and exact: if the
-initial evaluation fell back, or any maintenance join falls back, the
-incremental result is abandoned and the model is recomputed from scratch.
+consultation goes through ``Solver._require_fallback``, so the gate is
+dynamic and exact: the initial evaluation and per-stratum recomputation
+count consultations in ``SolverStats.fallbacks``; the delta joins run on
+engines without a domain, where the first consultation raises
+``SafetyError``.  Either way the incremental result is abandoned and the
+model is recomputed from scratch.
 The maintained model is therefore *always* identical to a from-scratch
 ``Evaluator.run()`` over the updated database (see
 ``tests/test_maintenance.py``), and incrementality is a pure optimisation.
@@ -274,7 +276,12 @@ class MaterializedModel:
             return report
         try:
             self._maintain(added, removed, report)
-        except (_AbortIncremental, EvaluationError, SafetyError) as exc:
+        except SafetyError:
+            # A delta join consulted the active domain (see _engines).
+            self._full_recompute(
+                report, "maintenance join needs the active domain"
+            )
+        except (_AbortIncremental, EvaluationError) as exc:
             # Unsound or resource-limited incremental attempt: discard the
             # partially-maintained state and recompute (a genuine error will
             # re-raise from the from-scratch evaluation).
@@ -427,7 +434,7 @@ class MaterializedModel:
             plans.append((group.index, plan))
             _merge_net_changes(gained, lost, *events)
 
-        if stats.fallbacks:
+        if stats.fallbacks:      # counted by _recompute_stratum only
             raise _AbortIncremental(
                 "active-domain fallback during maintenance"
             )

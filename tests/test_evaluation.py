@@ -260,6 +260,20 @@ class TestSemiNaive:
         assert m.report.exec.rows_in == 0
         assert m.report.stats.matches <= 2 * n_t
 
+    def test_derivations_are_counted_on_every_path(self):
+        """On a chain every ``t`` fact has exactly one derivation, so the
+        counter reads the size of the closure on the plan executor and on
+        the solver alike.  The provenance loop re-fires whole rules every
+        round to record each derivation, and counts every one it records."""
+        p = self.chain(12)
+        for path in ("default", "solver"):
+            with forced(path) as options:
+                m = Evaluator(p, options=options).run()
+            assert m.report.stats.derivations == len(m.relation("t")), path
+        with forced("provenance") as options:
+            m = Evaluator(p, options=options).run()
+        assert m.report.stats.derivations >= len(m.relation("t"))
+
 
 class TestSafetyControls:
     def test_fallback_disabled_raises(self):

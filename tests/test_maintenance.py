@@ -336,6 +336,18 @@ def test_domain_dependent_program_falls_back_to_recompute():
     assert_matches_scratch(m, program, facts + [("c", "z2")])
 
 
+def test_domain_consultation_during_maintenance_recomputes():
+    """With no ``flag`` fact the initial run never reaches the domain; the
+    delta join on the new ``flag`` fact does, and says so in its own words
+    (not as a disabled ``allow_fallback``, which the caller left on)."""
+    program = parse_program("all(X) :- flag(Y).")
+    m = materialize(program, [("c", "z1")])
+    report = m.apply_delta(adds=[("flag", "on")])
+    assert report.strategy == "recompute"
+    assert report.fallback_reason == "maintenance join needs the active domain"
+    assert_matches_scratch(m, program, [("c", "z1"), ("flag", "on")])
+
+
 def test_provenance_tracking_recomputes_and_stays_explainable():
     m = materialize(TC, [("e", "a", "b")],
                     EvalOptions(track_provenance=True))
