@@ -11,6 +11,16 @@ actual numbers in BENCH_results.json.
 Deltas here are *churn pairs* (delete + re-insert of the same fact), so
 every benchmark round starts and ends on the same model and rounds are
 comparable; one reported round therefore times **two** maintenance calls.
+
+The ``serving-program`` arm churns one edge of the program every server
+benchmark serves (closure + a negation stratum + a grouping stratum,
+behind per-commit snapshots) as shipped — those strata re-derive their
+candidates — and, in timed runs only, with the size gate forced to zero
+so they are recomputed per commit; ``test_serving_program_speedup_floor``
+holds the ratio at ≥ 3×.  Record under the ``maintenance`` label::
+
+    python benchmarks/run_benchmarks.py --label maintenance \\
+        --files test_bench_maintenance.py
 """
 
 import os
@@ -20,8 +30,10 @@ import pytest
 
 from repro import parse_program
 from repro.engine import Database, Evaluator, MaterializedModel
+from repro.engine.maintenance import VersionedModel
 from repro.engine.setops import with_set_builtins
 from repro.workloads import (
+    CRASH_RECOVERY_PROGRAM,
     chain_graph,
     cost_churn,
     edge_churn,
@@ -29,6 +41,9 @@ from repro.workloads import (
     parts_world,
     random_graph,
 )
+
+#: Arm -> the ``tests/paths.py`` path that forces it (``conftest.py``).
+MODES = {"rederive": "default", "recompute": "recompute"}
 
 TC = parse_program("""
 t(X, Y) :- e(X, Y).
@@ -128,6 +143,52 @@ def test_parts_cost_churn(benchmark):
 
     benchmark(reprice)
     assert m.relation("obj_cost")
+
+
+def serving_churn(n_nodes=600, n_edges=360):
+    """One-edge churn over the serving program, behind snapshots: returns
+    ``(model, churn)`` where ``churn()`` inserts and deletes one absent
+    edge (two commits, two published versions)."""
+    db = graph_db(random_graph(n_nodes, n_edges, seed=1))
+    for i in range(0, n_nodes, 3):
+        db.add("n", f"v{i}")
+    vm = VersionedModel(
+        parse_program(CRASH_RECOVERY_PROGRAM), db,
+        builtins=with_set_builtins(),
+    )
+    edge = ("e", "v1", f"v{n_nodes - 1}")
+    assert edge[1:] not in vm.current.relation("e")
+
+    def churn():
+        vm.apply_delta(adds=[edge])
+        vm.apply_delta(dels=[edge])
+
+    churn()     # builds the index signatures the joins probe, once
+    return vm, churn
+
+
+def test_serving_program_churn(benchmark, mode):
+    vm, churn = serving_churn()
+    benchmark(churn)
+    assert vm.last_report.stratum_plans[-1].plan == mode
+    assert vm.current.relation("succ") and vm.current.relation("dead")
+
+
+@pytest.mark.skipif(
+    os.environ.get("SKIP_TIMING_ASSERTS") == "1",
+    reason="wall-clock assertion disabled (coverage-instrumented CI job; "
+           "the dedicated benchmarks job still enforces it)",
+)
+def test_serving_program_speedup_floor(speedups):
+    """Re-deriving the negation and grouping strata from a one-edge delta
+    is ≥ 3× faster than recomputing them (committed ``maintenance``
+    label: see DESIGN.md, "Measured effect")."""
+    _, small = serving_churn(600, 360)
+    _, large = serving_churn(2000, 1200)
+    measured = speedups({"fanout-sized": small, "mixed-sized": large})
+    assert all(s >= 3.0 for s in measured.values()), (
+        f"rederive under 3x over per-commit recompute: {measured}"
+    )
 
 
 @pytest.mark.skipif(

@@ -752,6 +752,9 @@ class Evaluator:
         )
         #: grouping clause -> compiled body plan.
         self._grouping_plans: dict[GroupingClause, CompiledPlan] = {}
+        #: clause -> compiled rule (with its lazily compiled plans), shared
+        #: by every fixpoint call and by the maintenance layer on top.
+        self._rules: dict[LPSClause, _CompiledRule] = {}
         #: lazy ShardCoordinator (options.shards > 1 only); once sharding
         #: proves unavailable for this evaluator it stays off.
         self._coordinator = None
@@ -764,6 +767,13 @@ class Evaluator:
                 raise EvaluationError(
                     f"clause head uses builtin predicate {head_pred!r}"
                 )
+
+    def compiled_rule(self, clause: LPSClause) -> "_CompiledRule":
+        """The clause's :class:`_CompiledRule`, compiled once per evaluator."""
+        rule = self._rules.get(clause)
+        if rule is None:
+            rule = self._rules[clause] = _CompiledRule(clause, self.builtins)
+        return rule
 
     # -- sharding ----------------------------------------------------------------
 
@@ -931,7 +941,7 @@ class Evaluator:
         if not proper:
             return added
 
-        compiled = [_CompiledRule(c, self.builtins) for c in proper]
+        compiled = [self.compiled_rule(c) for c in proper]
         changed_preds: Optional[set[str]] = None  # None = first round
         deltas: dict[str, frozenset[Atom]] = {}
         if seed_deltas is not None:
@@ -1257,13 +1267,17 @@ class _CompiledRule:
                 stats.derivations += 1
                 yield key
 
-    def derives(self, engines: _Engines, h: Atom) -> bool:
-        """Whether one application of this rule over the engines'
-        interpretation yields the ground atom ``h`` (a point probe: the
-        head match binds the body, so this is solver work)."""
+    def solutions(self, engines: _Engines, h: Atom) -> Iterator[Subst]:
+        """The body solutions over the engines' interpretation whose head
+        instance is the ground atom ``h`` (a point probe: the head match
+        binds the body, so this is solver work)."""
         for env0 in match_atom(self.head, h):
-            for _env in engines.solver.solve(self.body, env0):
-                return True
+            yield from engines.solver.solve(self.body, env0)
+
+    def derives(self, engines: _Engines, h: Atom) -> bool:
+        """Whether one application of this rule yields ``h``."""
+        for _env in self.solutions(engines, h):
+            return True
         return False
 
     def _solve(self, engines: _Engines, pin: Optional[int]) -> Iterator[Subst]:

@@ -224,7 +224,12 @@ class Executor:
         if meta is None:
             meta = node._meta = self._join_meta(node)
         lkey, rkey, rtake, probe = meta
-        if lrows and probe is not None:
+        if not lrows:
+            # Nothing to join with (typically a pinned delta scan that
+            # matched no fact): do not evaluate the other side at all.
+            self.stats.note(node.op, 0, 0)
+            return []
+        if probe is not None:
             probed = self._probe_join(node, lrows, lkey, probe)
             if probed is not None:
                 return probed

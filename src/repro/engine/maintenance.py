@@ -19,11 +19,20 @@ implements the classical maintenance discipline:
   surviving alternative derivations by seeding the existing semi-naive
   machinery (``Evaluator._fixpoint(seed_deltas=…)``) from the rescued
   atoms; insertions are a plain delta-seeded semi-naive closure.
-* **Per-stratum recomputation** for strata with negation, grouping or
-  restricted quantifiers, whose derivations are not fact-linear: the
-  stratum is cleared and re-evaluated against the maintained lower strata
-  — which is exactly the "re-derive, don't over-delete" semantics
-  stratified negation requires.
+* **Candidate re-derivation** (``rederive``) for nonrecursive strata with
+  negation and/or grouping, whose derivations are not fact-linear but
+  whose body predicates are all maintained below: every head (for a
+  grouping clause, every group key) the input delta can move is found
+  by pinning each changed body occurrence — a negated one through a
+  *flipped* variant that joins the delta instead of anti-joining the
+  relation — and each candidate is then decided in the new state by a
+  point probe.  Deletions below can *grow* such a stratum; a probe
+  decides that exactly where a count could not.
+* **Per-stratum recomputation** for what is left — restricted
+  quantifiers, negation or grouping inside a recursive stratum, and
+  rederive strata whose input delta is not small against their input
+  relations (bulk load): the stratum is cleared and re-evaluated
+  set-at-a-time against the maintained lower strata.
 
 Soundness gate.  The engine's active-domain semantics lets rules consult
 the domain carriers (unconstrained variables, non-ground quantifier
@@ -44,14 +53,23 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
+from dataclasses import dataclass, field, replace
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Optional,
+)
 
-from ..core.atoms import Atom
+from ..core.atoms import Atom, pos
 from ..core.clauses import GroupingClause, LPSClause
 from ..core.errors import EvaluationError, SafetyError
-from ..core.program import Program
+from ..core.program import AnyClause, Program
 from ..core.substitution import Subst
+from ..core.terms import SetValue, Term, setvalue
 from ..core.unify import match_atom
 from ..semantics.interpretation import Interpretation
 from .builtins import DEFAULT_BUILTINS, Builtin
@@ -68,7 +86,13 @@ from .evaluation import (
 )
 from .ir import ExecStats
 from .provenance import SupportCounts
-from .stratify import PLAN_COUNTING, PLAN_DRED, PLAN_RECOMPUTE, StratumRules
+from .stratify import (
+    PLAN_COUNTING,
+    PLAN_DRED,
+    PLAN_RECOMPUTE,
+    PLAN_REDERIVE,
+    StratumRules,
+)
 
 _EMPTY: frozenset = frozenset()
 
@@ -76,6 +100,18 @@ _EMPTY: frozenset = frozenset()
 STRATEGY_NOOP = "noop"
 STRATEGY_INCREMENTAL = "incremental"
 STRATEGY_RECOMPUTE = "recompute"
+
+
+#: The size gate of the ``rederive`` plan.  Re-derivation pays a point
+#: probe per candidate head, recomputation a set-at-a-time pass over the
+#: stratum's input relations; a probe costs roughly this many times a
+#: row of that pass, so a batch whose input delta reaches
+#: ``|input relations| / REDERIVE_INPUT_RATIO`` atoms (bulk load, the
+#: first batch of a recovery) recomputes the stratum instead.  Deltas
+#: below ``REDERIVE_MIN_GATE`` atoms always re-derive: against relations
+#: that small either plan costs microseconds.
+REDERIVE_INPUT_RATIO = 8
+REDERIVE_MIN_GATE = 16
 
 
 class _AbortIncremental(Exception):
@@ -140,6 +176,15 @@ def _group_by_pred(atoms: Iterable[Atom]) -> dict[str, frozenset[Atom]]:
     return {p: frozenset(s) for p, s in by_pred.items()}
 
 
+class StratumPlan(NamedTuple):
+    """The plan one touched stratum was maintained with, and — when that
+    was ``recompute`` — why no delta-proportional plan ran."""
+
+    index: int
+    plan: str
+    reason: Optional[str] = None
+
+
 @dataclass
 class MaintenanceReport:
     """What one :meth:`MaterializedModel.apply_delta` call did."""
@@ -149,11 +194,83 @@ class MaintenanceReport:
     net_removed: int = 0        # net EDB facts removed from the database
     atoms_added: int = 0        # model atoms that appeared (EDB + derived)
     atoms_removed: int = 0      # model atoms that disappeared
-    stratum_plans: tuple[tuple[int, str], ...] = ()
+    stratum_plans: tuple[StratumPlan, ...] = ()
     fallback_reason: Optional[str] = None
     #: Per-predicate atom sets behind the two counters above (``None`` only
     #: for no-op batches, which publish nothing).
     changes: Optional[ModelChanges] = None
+
+
+@dataclass(frozen=True)
+class _Rederivable:
+    """One clause of a ``rederive`` stratum, as the two questions
+    maintenance asks of it.
+
+    *Which heads can this delta move?*  ``variants`` are positive
+    conjunctive clauses with the clause's head: the body with its negated
+    literals dropped (any occurrence with a delta is pinned), and one per
+    negated relational literal with that atom appended **positively** (the
+    flipped variant: only that last occurrence is pinned, so the
+    anti-join against the relation becomes a join on its delta).  Their
+    pinned heads over Δ⁺ ∪ Δ⁻, joined against old ∪ new state, are a
+    superset of the heads whose truth changed.
+
+    *Does this head hold now?*  ``probe`` is the clause itself, asked
+    through :meth:`_CompiledRule.solutions`.  For a grouping clause
+    ``p(x̄, <y>) :- B`` it is the key rule ``p<key>(x̄) :- B`` — its heads
+    are group keys, and its solutions under one key collect the group.
+    """
+
+    probe: _CompiledRule
+    variants: tuple[tuple[_CompiledRule, Optional[int]], ...]
+    grouping: Optional[GroupingClause] = None
+
+    def candidates(self, engines: _Engines) -> list[Atom]:
+        """Heads (group keys) reachable from ``engines.delta``."""
+        return [
+            h
+            for variant, only in self.variants
+            for pin in variant.pins(engines.delta)
+            if only is None or pin == only
+            for h in variant.heads(engines, pin)
+        ]
+
+    def group(self, engines: _Engines, key: Atom) -> set[Term]:
+        """The grouped values under one key (grouping clauses only)."""
+        group_var = self.grouping.group_var
+        values: set[Term] = set()
+        for env in self.probe.solutions(engines, key):
+            value = env.apply(group_var)
+            if not value.is_ground():
+                raise SafetyError(
+                    f"grouping variable {group_var} not bound by body of "
+                    f"{self.grouping}"
+                )
+            values.add(value)
+        return values
+
+    def key_of(self, h: Atom) -> Atom:
+        """The key atom of a grouped head atom."""
+        pos_ = self.grouping.group_pos
+        return Atom(self.probe.head.pred, h.args[:pos_] + h.args[pos_ + 1:])
+
+    def grouped(self, key: Atom, values: Iterable[Term]) -> Atom:
+        """The head atom a key's group stands for."""
+        g = self.grouping
+        args = list(key.args)
+        args.insert(g.group_pos, setvalue(values))
+        return Atom(g.pred, tuple(args))
+
+    def derives(self, engines: _Engines, h: Atom) -> bool:
+        """Whether this clause yields the ground atom ``h`` right now."""
+        if self.grouping is None:
+            return self.probe.derives(engines, h)
+        if len(h.args) != len(self.probe.head.args) + 1:
+            return False
+        collected = h.args[self.grouping.group_pos]
+        if not isinstance(collected, SetValue) or not collected.elems:
+            return False
+        return self.group(engines, self.key_of(h)) == collected.elems
 
 
 class MaterializedModel:
@@ -191,16 +308,27 @@ class MaterializedModel:
             c.head for c in program.lps_clauses()
             if c.is_fact and c.head.is_ground()
         )
-        #: Compiled proper rules per stratum (counting + DRed strata).
+        #: Compiled proper rules per stratum (counting + DRed strata) and,
+        #: per rederive stratum, its clauses by head predicate.  All share
+        #: the evaluator's rule cache, so a plan is compiled once however
+        #: many commits, seeded fixpoints and recomputations use it.
         self._compiled: dict[int, list[_CompiledRule]] = {}
+        self._rederive: dict[int, dict[str, list[_Rederivable]]] = {}
+        compiled = self._evaluator.compiled_rule
         for g in self._groups:
+            proper = [
+                c for c in g.clauses
+                if not (isinstance(c, LPSClause)
+                        and c.is_fact and c.head.is_ground())
+            ]
             if g.plan in (PLAN_COUNTING, PLAN_DRED):
-                self._compiled[g.index] = [
-                    _CompiledRule(c, builtins)
-                    for c in g.clauses
-                    if isinstance(c, LPSClause)
-                    and not (c.is_fact and c.head.is_ground())
-                ]
+                self._compiled[g.index] = [compiled(c) for c in proper]
+            elif g.plan == PLAN_REDERIVE:
+                by_pred = self._rederive[g.index] = {}
+                for c in proper:
+                    by_pred.setdefault(program.head_pred(c), []).append(
+                        self._rederivable(c)
+                    )
         self.last_report: Optional[MaintenanceReport] = None
         #: Aggregated set-at-a-time executor counters across the initial
         #: evaluation, every rebuild and every maintenance sweep (the REPL's
@@ -279,13 +407,16 @@ class MaterializedModel:
         except SafetyError:
             # A delta join consulted the active domain (see _engines).
             self._full_recompute(
-                report, "maintenance join needs the active domain"
+                report, "maintenance join needs the active domain",
+                abandoned=(added, removed),
             )
         except (_AbortIncremental, EvaluationError) as exc:
             # Unsound or resource-limited incremental attempt: discard the
             # partially-maintained state and recompute (a genuine error will
             # re-raise from the from-scratch evaluation).
-            self._full_recompute(report, str(exc))
+            self._full_recompute(
+                report, str(exc), abandoned=(added, removed)
+            )
         self.last_report = report
         return report
 
@@ -325,9 +456,33 @@ class MaterializedModel:
         self._counts: Optional[dict[int, SupportCounts]] = None
 
     def _full_recompute(
-        self, report: MaintenanceReport, reason: str
+        self,
+        report: MaintenanceReport,
+        reason: str,
+        abandoned: Optional[tuple[frozenset[Atom], frozenset[Atom]]] = None,
     ) -> None:
-        before = set(self._interp.atoms())
+        """Recompute from scratch and report the exact model changes.
+
+        ``abandoned`` is the batch's net ``(added, removed)`` EDB facts
+        when an incremental sweep was given up half-way: the
+        interpretation then no longer is the pre-batch model, which is
+        re-evaluated from the pre-batch database instead (a rare path
+        that already pays one full evaluation).
+        """
+        if abandoned is None:
+            before = set(self._interp.atoms())
+        else:
+            added, removed = abandoned
+            old = Database()
+            for a in self.database.facts():
+                if a not in added:
+                    old.add_atom(a)
+            for a in removed:
+                old.add_atom(a)
+            before = set(Evaluator(
+                self.program, old, self.builtins,
+                replace(self.options, shards=1),
+            ).run().interpretation.atoms())
         self._rebuild()
         after = set(self._interp.atoms())
         report.strategy = STRATEGY_RECOMPUTE
@@ -410,7 +565,7 @@ class MaterializedModel:
             else:
                 edb_minus.setdefault(g, set()).add(a)
 
-        plans: list[tuple[int, str]] = []
+        plans: list[StratumPlan] = []
         for group in self._groups:
             plus = edb_plus.get(group.index, set())
             minus = edb_minus.get(group.index, set())
@@ -420,7 +575,21 @@ class MaterializedModel:
             }
             if not touched and not plus and not minus:
                 continue
-            plan = group.plan
+            plan, reason = group.plan, group.recompute_reason
+            if plan == PLAN_REDERIVE:
+                # The size gate (see REDERIVE_INPUT_RATIO): a delta that
+                # is not small against the stratum's input relations is
+                # cheaper to absorb set-at-a-time.
+                n_delta = len(plus) + len(minus) + sum(
+                    len(gained.get(p, ())) + len(lost.get(p, ()))
+                    for p in touched
+                )
+                gate = max(REDERIVE_MIN_GATE, sum(
+                    len(self._interp.facts_of(p)) for p in group.body_preds
+                ) // REDERIVE_INPUT_RATIO)
+                if n_delta >= gate:
+                    plan = PLAN_RECOMPUTE
+                    reason = f"delta {n_delta} ≥ gate {gate}"
             if plan == PLAN_COUNTING:
                 events = self._maintain_counting(
                     group, gained, lost, plus, minus, stats
@@ -429,9 +598,13 @@ class MaterializedModel:
                 events = self._maintain_dred(
                     group, gained, lost, plus, minus, stats
                 )
+            elif plan == PLAN_REDERIVE:
+                events = self._maintain_rederive(
+                    group, gained, lost, plus, minus, stats
+                )
             else:
                 events = self._recompute_stratum(group, stats)
-            plans.append((group.index, plan))
+            plans.append(StratumPlan(group.index, plan, reason))
             _merge_net_changes(gained, lost, *events)
 
         if stats.fallbacks:      # counted by _recompute_stratum only
@@ -737,6 +910,118 @@ class MaterializedModel:
             report,
             seed_deltas={p: frozenset(s) for p, s in seed.items()},
         )
+
+    # -- rederive strata ---------------------------------------------------------
+
+    def _rederivable(self, c: AnyClause) -> _Rederivable:
+        """Analyse one clause of a rederive stratum (see `_Rederivable`)."""
+        compiled = self._evaluator.compiled_rule
+        grouping = c if isinstance(c, GroupingClause) else None
+        probe = c if grouping is None else LPSClause(
+            head=Atom(f"{c.pred}<key>", c.head_args), body=c.body
+        )
+        positive = tuple(l for l in probe.body if l.positive)
+        base = compiled(
+            probe if len(positive) == len(probe.body)
+            else LPSClause(head=probe.head, body=positive)
+        )
+        variants: list[tuple[_CompiledRule, Optional[int]]] = [(base, None)]
+        for l in probe.body:
+            a = l.atom
+            if not l.positive and not a.is_special() \
+                    and a.pred not in self.builtins:
+                flipped = LPSClause(head=probe.head, body=positive + (pos(a),))
+                variants.append((compiled(flipped), len(base.relational)))
+        return _Rederivable(compiled(probe), tuple(variants), grouping)
+
+    def _maintain_rederive(
+        self,
+        group: StratumRules,
+        gained: Mapping[str, set[Atom]],
+        lost: Mapping[str, set[Atom]],
+        edb_plus: set[Atom],
+        edb_minus: set[Atom],
+        stats: SolverStats,
+    ) -> Events:
+        """Find the heads the input delta can move, decide each by a probe.
+
+        A head changes truth only through a derivation that holds in one
+        of the two states and uses a changed fact: positively (a fact of
+        Δ⁺ or Δ⁻) or under negation (an atom of Δ⁻ or Δ⁺).  So the pinned
+        variants run over Δ⁺ ∪ Δ⁻ against old ∪ new state — the deleted
+        inputs are re-added for the join, as in the counting plan — and
+        whatever they reach is decided against the new state alone.  The
+        stratum reads nothing it writes, so decisions are independent.
+        """
+        by_pred = self._rederive[group.index]
+        dep_lost = {p: lost[p] for p in group.body_preds if lost.get(p)}
+        delta = {
+            p: gained.get(p, _EMPTY) | lost.get(p, _EMPTY)
+            for p in group.body_preds if gained.get(p) or lost.get(p)
+        }
+        found: list[tuple[_Rederivable, list[Atom]]] = []
+        if delta:
+            readded = [
+                a for s in dep_lost.values() for a in s
+                if self._interp.add(a)
+            ]
+            try:
+                engines = self._engines(stats, delta)
+                for rules in by_pred.values():
+                    for r in rules:
+                        found.append((r, r.candidates(engines)))
+            finally:
+                for a in readded:
+                    self._interp.remove(a)
+
+        engines = self._engines(stats)
+        # Insertion-ordered, so the interpretation's fact order does not
+        # depend on the process hash seed.
+        todo: dict[Atom, None] = dict.fromkeys(edb_minus)
+        todo.update(dict.fromkeys(edb_plus))
+        decided: dict[Atom, bool] = {}
+        for r, heads in found:
+            if r.grouping is None:
+                todo.update(dict.fromkeys(heads))
+                continue
+            for key in dict.fromkeys(heads):
+                # Whatever the predicate holds under this key is stale
+                # unless something still supports it; the key's new group,
+                # when there is one, is supported by construction.
+                todo.update(dict.fromkeys(self._held_under(r, key)))
+                values = r.group(engines, key)
+                if values:
+                    h = r.grouped(key, values)
+                    decided[h] = True
+                    todo[h] = None
+
+        add_events: dict[str, set[Atom]] = {}
+        rem_events: dict[str, set[Atom]] = {}
+        for h in todo:
+            holds = decided.get(h)
+            if holds is None:
+                holds = self._protected(h) or any(
+                    r.derives(engines, h) for r in by_pred.get(h.pred, ())
+                )
+            if holds:
+                if self._interp.add(h):
+                    self._domain.note_atom(h)
+                    add_events.setdefault(h.pred, set()).add(h)
+            elif self._interp.remove(h):
+                rem_events.setdefault(h.pred, set()).add(h)
+        return add_events, rem_events
+
+    def _held_under(self, r: _Rederivable, key: Atom) -> list[Atom]:
+        """The model's atoms of a grouping predicate under one group key."""
+        g = r.grouping
+        at = g.group_pos
+        before, after = key.args[:at], key.args[at:]
+        pattern = before + (g.group_var,) + after
+        return [
+            f for f in self._interp.candidates_for_pattern(g.pred, pattern)
+            if len(f.args) == len(pattern)
+            and f.args[:at] == before and f.args[at + 1:] == after
+        ]
 
     # -- recompute strata --------------------------------------------------------
 

@@ -21,7 +21,7 @@ components in topological order with minimal stratum numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from ..core.clauses import GroupingClause, LPSClause
 from ..core.errors import StratificationError
@@ -30,11 +30,13 @@ from ..core.program import AnyClause, Program
 
 #: Maintenance strategies a stratum can be planned for (see
 #: ``repro.engine.maintenance``): counting maintenance for nonrecursive
-#: conjunctive strata, delete–rederive for recursive ones, and full
-#: per-stratum recomputation for anything with negation, grouping or
-#: restricted quantifiers (whose derivations are not fact-linear).
+#: conjunctive strata, delete–rederive for recursive ones, candidate
+#: re-derivation for nonrecursive strata with negation or grouping, and
+#: full per-stratum recomputation for what is left (restricted
+#: quantifiers, negation or grouping inside a recursive stratum).
 PLAN_COUNTING = "counting"
 PLAN_DRED = "dred"
+PLAN_REDERIVE = "rederive"
 PLAN_RECOMPUTE = "recompute"
 
 
@@ -60,15 +62,31 @@ class StratumRules:
 
         Counting needs every derivation to consume exactly one fact per
         body conjunct (plain positive conjunctive rules) and no recursion;
-        DRed additionally tolerates recursion; anything else — negation,
-        grouping, quantifiers — is re-evaluated wholesale from the
-        maintained lower strata.
+        DRed additionally tolerates recursion.  Negation and grouping are
+        not fact-linear, but when every body predicate is maintained
+        *below* the stratum (no recursion) the heads a delta can move are
+        enumerable from the delta and each is decidable by a point probe:
+        ``rederive``.  Anything else is re-evaluated wholesale from the
+        maintained lower strata, and :attr:`recompute_reason` says why.
         """
-        if self.has_negation or self.has_grouping or self.has_quantifiers:
+        if self.recompute_reason is not None:
             return PLAN_RECOMPUTE
+        if self.has_negation or self.has_grouping:
+            return PLAN_REDERIVE
         if self.recursive:
             return PLAN_DRED
         return PLAN_COUNTING
+
+    @property
+    def recompute_reason(self) -> Optional[str]:
+        """Why no delta-proportional plan applies (``None`` when one does)."""
+        if self.has_quantifiers:
+            return "restricted quantifier"
+        if self.recursive and self.has_negation:
+            return "recursive negation"
+        if self.recursive and self.has_grouping:
+            return "recursive grouping"
+        return None
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,12 @@ from .pretty import (
     pretty_program,
     pretty_term,
 )
-from .sortinfer import BUILTIN_SORTS, SortInference, infer_sorts
+from .sortinfer import (
+    BUILTIN_SORTS,
+    SortInference,
+    infer_sorts,
+    predicate_sorts,
+)
 
 __all__ = [
     "tokenize",
@@ -26,4 +31,5 @@ __all__ = [
     "BUILTIN_SORTS",
     "SortInference",
     "infer_sorts",
+    "predicate_sorts",
 ]

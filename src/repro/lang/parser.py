@@ -451,12 +451,15 @@ def parse_program(
     source: str,
     mode: Optional[str] = None,
     faithful: bool = False,
+    signatures: Optional[dict] = None,
 ) -> Program:
     """Parse a program text into a :class:`~repro.core.program.Program`.
 
     ``mode`` overrides the ``#lps`` / ``#elps`` directive (default LPS).
     Sort inference runs in LPS mode; rule bodies not already in Definition 5
-    prefix form are compiled away per Theorem 6.
+    prefix form are compiled away per Theorem 6.  ``signatures`` are the
+    predicate sorts of a program this text is parsed against (see
+    :func:`~repro.lang.sortinfer.predicate_sorts`).
     """
     parser = Parser(source)
     statements = parser.parse_statements()
@@ -468,7 +471,7 @@ def parse_program(
     if mode == MODE_LPS:
         from .sortinfer import infer_sorts
 
-        statements = infer_sorts(statements)
+        statements = infer_sorts(statements, signatures)
     return _assemble(statements, mode, faithful)
 
 

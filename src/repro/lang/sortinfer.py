@@ -38,7 +38,7 @@ from ..core.formulas import (
     TrueF,
 )
 from ..core.sorts import EQUALS, MEMBER, SORT_A, SORT_S, SORT_U
-from ..core.terms import App, Const, SetExpr, SetValue, Term, Var
+from ..core.terms import App, Const, SetExpr, SetValue, Term, Var, setvalue
 
 #: Fixed signatures of the engine builtins (``None`` = unconstrained).
 BUILTIN_SORTS: dict[str, tuple[Optional[str], ...]] = {
@@ -100,6 +100,10 @@ class _UnionFind:
 
     def sort_of(self, node) -> Optional[str]:
         return self._sort.get(self.find(node))
+
+    def known(self, node) -> bool:
+        """Whether any constraint has mentioned the node."""
+        return node in self._parent
 
 
 class SortInference:
@@ -277,8 +281,50 @@ def _collect_var_names(f: Formula, out: set[str]) -> None:
             out |= {v.name for v in free_vars(sub.source)}
 
 
-def infer_sorts(statements: Sequence) -> list:
-    """Infer sorts for a list of parsed statements and retype them."""
+def predicate_sorts(program) -> dict[tuple[str, int], str]:
+    """``(predicate, argument position) -> sort`` as a typed program's
+    clauses fix it — the signatures text parsed *against* that program
+    (a query goal, a standing query) must agree with.
+
+    Only the two LPS sorts are reported: an ELPS program is untyped and
+    constrains nothing.
+    """
+    from ..core.clauses import GroupingClause
+
+    sorts: dict[tuple[str, int], str] = {}
+
+    def note(pred: str, args: Sequence[Term]) -> None:
+        if pred in BUILTIN_SORTS:
+            return
+        for i, t in enumerate(args):
+            if t.sort in (SORT_A, SORT_S):
+                sorts.setdefault((pred, i), t.sort)
+
+    for c in program.clauses:
+        if isinstance(c, GroupingClause):
+            # The full head: the grouped slot holds a set.
+            head = list(c.head_args)
+            head.insert(c.group_pos, setvalue(()))
+            note(c.pred, head)
+        else:
+            note(c.head.pred, c.head.args)
+        for lit in c.body:
+            if not lit.atom.is_special():
+                note(lit.atom.pred, lit.atom.args)
+    return sorts
+
+
+def infer_sorts(
+    statements: Sequence,
+    signatures: Optional[dict[tuple[str, int], str]] = None,
+) -> list:
+    """Infer sorts for a list of parsed statements and retype them.
+
+    ``signatures`` (see :func:`predicate_sorts`) pins predicate argument
+    positions beforehand, so a fragment mentioning a predicate only in a
+    position the fragment itself does not constrain (``succ(a, S)``)
+    still gets the sort the defining program gave it.
+    """
     from .parser import ParsedGrouping, ParsedRule
 
     inf = SortInference()
@@ -296,6 +342,10 @@ def infer_sorts(statements: Sequence) -> list:
                 inf.constrain_term(t, ci, inf.pnode(s.pred, pos), context)
             inf.uf.pin(inf.pnode(s.pred, s.group_pos), SORT_S, context)
             inf.constrain_formula(s.body, ci, context)
+    for (pred, i), sort in (signatures or {}).items():
+        node = inf.pnode(pred, i)
+        if inf.uf.known(node):      # only what the statements mention
+            inf.uf.pin(node, sort, f"the signature of {pred!r}")
 
     out: list = []
     for ci, s in enumerate(statements):

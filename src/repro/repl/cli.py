@@ -209,6 +209,11 @@ class Session:
                 f"+{last['atoms_added']}/-{last['atoms_removed']} "
                 "model atoms"
             ]
+            if last["fallback_reason"]:
+                lines.append(f"  recomputed: {last['fallback_reason']}")
+            for sp in last["strata"]:
+                why = f" ({sp['reason']})" if sp["reason"] else ""
+                lines.append(f"  stratum {sp['stratum']}: {sp['plan']}{why}")
         lines.append(
             f"session: {data['queries']} queries, {data['answers']} "
             f"answers, {data['writes']} writes, {data['errors']} errors"

@@ -46,7 +46,8 @@ _NO_COLUMNS = object()
 
 
 def _index_insert(
-    index: dict, positions: tuple[int, ...], a: Atom
+    index: dict, positions: tuple[int, ...], a: Atom,
+    base: Optional[dict] = None,
 ) -> None:
     """Insert one fact into a positions-index (shared by lazy build and
     incremental maintenance — the two must never diverge).
@@ -54,6 +55,11 @@ def _index_insert(
     Buckets are insertion-ordered dicts (value always ``None``), like the
     per-predicate fact sets: deterministic enumeration order plus O(1)
     removal (bulk retraction would be quadratic on list buckets).
+
+    ``base`` is the snapshot-side index this one was shallow-copied from
+    (see :meth:`Interpretation._mutable_bucket`): a bucket that is still
+    the very object ``base`` holds is shared with frozen snapshots and is
+    copied before its first mutation.
     """
     args = a.args
     if positions and positions[-1] >= len(args):
@@ -62,23 +68,31 @@ def _index_insert(
     bucket = index.get(key)
     if bucket is None:
         index[key] = {a: None}
-    else:
-        bucket[a] = None
+        return
+    if base is not None and base.get(key) is bucket:
+        bucket = index[key] = dict(bucket)
+    bucket[a] = None
 
 
 def _index_remove(
-    index: dict, positions: tuple[int, ...], a: Atom
+    index: dict, positions: tuple[int, ...], a: Atom,
+    base: Optional[dict] = None,
 ) -> None:
-    """Remove one fact from a positions-index (inverse of `_index_insert`)."""
+    """Remove one fact from a positions-index (inverse of `_index_insert`,
+    with the same copy-before-first-mutation rule for shared buckets)."""
     args = a.args
     if positions and positions[-1] >= len(args):
         return  # arity mismatch: was never inserted
     key = tuple(args[i] for i in positions)
     bucket = index.get(key)
-    if bucket is not None:
-        bucket.pop(a, None)
-        if not bucket:
-            del index[key]
+    if bucket is None or a not in bucket:
+        return
+    if len(bucket) == 1:
+        del index[key]      # the writer's map only; the bucket is untouched
+        return
+    if base is not None and base.get(key) is bucket:
+        bucket = index[key] = dict(bucket)
+    del bucket[a]
 
 
 class Interpretation:
@@ -98,16 +112,20 @@ class Interpretation:
     per-predicate fact dicts and their indexes with this interpretation —
     O(#predicates), not O(#facts).  The writable original switches to
     copy-on-write: the first mutation of a predicate after a snapshot
-    copies that predicate's fact dict (and drops its now-shared indexes,
-    which rebuild lazily), so every published snapshot stays bit-identical
-    to the model at its version forever.  Frozen snapshots refuse all
+    copies that predicate's fact dict and takes a *shallow* copy of each
+    of its built indexes — the key → bucket maps are the writer's own, the
+    buckets stay shared with the snapshot and are copied one by one, each
+    before its first mutation — so every published snapshot stays
+    bit-identical to the model at its version forever while the writer
+    keeps its indexes across publications.  Frozen snapshots refuse all
     mutation; their lazy index builds are pure caches over immutable
     buckets and are safe to race between CPython reader threads (see
     DESIGN.md, "Service layer").
     """
 
     __slots__ = (
-        "_by_pred", "_indexes", "_size", "_frozen", "_shared", "_columns"
+        "_by_pred", "_indexes", "_bases", "_size", "_frozen", "_shared",
+        "_columns",
     )
 
     def __init__(self, atoms: Iterable[Atom] = ()) -> None:
@@ -122,6 +140,9 @@ class Interpretation:
         self._indexes: dict[
             str, dict[tuple[int, ...], dict[tuple, dict[Atom, None]]]
         ] = {}
+        #: pred -> positions -> the snapshot-side index the writer's was
+        #: shallow-copied from; tells shared buckets from the writer's own.
+        self._bases: dict[str, dict[tuple[int, ...], dict]] = {}
         self._size = 0
         self._frozen = False
         #: Predicates whose bucket/indexes are shared with a snapshot.
@@ -154,6 +175,7 @@ class Interpretation:
         # Per-predicate signature maps are copied (either side may lazily
         # add new signatures); the index dicts themselves are shared.
         snap._indexes = {p: dict(per) for p, per in self._indexes.items()}
+        snap._bases = {}
         snap._size = self._size
         snap._frozen = True
         snap._shared = set()
@@ -163,7 +185,10 @@ class Interpretation:
         # snapshot keeps the prefix it captured.
         snap._columns = dict(self._columns)
         if not self._frozen:
+            # Every index — buckets the writer un-shared since the last
+            # snapshot included — now belongs to this snapshot too.
             self._shared = set(self._by_pred)
+            self._bases.clear()
         return snap
 
     def _mutable_bucket(self, pred: str) -> Optional[dict[Atom, None]]:
@@ -178,8 +203,14 @@ class Interpretation:
             bucket = self._by_pred.get(pred)
             if bucket is not None:
                 bucket = self._by_pred[pred] = dict(bucket)
-            # The shared indexes now belong to the snapshot; rebuild lazily.
-            self._indexes.pop(pred, None)
+            per = self._indexes.get(pred)
+            if per:
+                # The index maps the snapshot holds stay as they are; the
+                # writer continues on shallow copies whose buckets are
+                # un-shared only when touched (``_index_insert``).
+                self._bases[pred] = dict(per)
+                for positions, index in per.items():
+                    per[positions] = dict(index)
             return bucket
         return self._by_pred.get(pred)
 
@@ -204,8 +235,9 @@ class Interpretation:
         self._size += 1
         per = self._indexes.get(a.pred)
         if per:
+            bases = self._bases.get(a.pred, _EMPTY_FACTS)
             for positions, index in per.items():
-                _index_insert(index, positions, a)
+                _index_insert(index, positions, a, bases.get(positions))
         return True
 
     def update(self, atoms: Iterable[Atom]) -> int:
@@ -232,8 +264,9 @@ class Interpretation:
         self._columns.pop(a.pred, None)
         per = self._indexes.get(a.pred)
         if per:
+            bases = self._bases.get(a.pred, _EMPTY_FACTS)
             for positions, index in per.items():
-                _index_remove(index, positions, a)
+                _index_remove(index, positions, a, bases.get(positions))
         return True
 
     def discard(self, atoms: Iterable[Atom]) -> int:

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import asyncio
 import random
+import select
 import socket
 import threading
 import time
@@ -459,7 +460,11 @@ class LineClient:
         #: so a closing client never sits out a full ``next_delay()``.
         self._closed = threading.Event()
         self._sock: Optional[socket.socket] = None
-        self._file = None
+        #: Bytes received past the last line handed out.  The client does
+        #: its own line buffering: a buffered socket *file* refuses every
+        #: read after one timed-out read, which made ``recv_push(timeout)``
+        #: single-use.
+        self._rbuf = bytearray()
         #: Asynchronous ``diff``/``sub_dropped`` frames read while waiting
         #: for a reply; drain via :meth:`take_pushes` / :meth:`recv_push`.
         self.pushes: list[Response] = []
@@ -476,7 +481,6 @@ class LineClient:
                 self._sock = socket.create_connection(
                     (self.host, self.port), timeout=self.timeout
                 )
-                self._file = self._sock.makefile("rwb")
                 self._backoff.reset()
                 return
             except OSError as exc:
@@ -499,12 +503,7 @@ class LineClient:
             raise ConnectionError("client closed during reconnect")
 
     def _teardown(self) -> None:
-        if self._file is not None:
-            try:
-                self._file.close()
-            except OSError:
-                pass
-            self._file = None
+        self._rbuf.clear()
         if self._sock is not None:
             try:
                 self._sock.close()
@@ -515,7 +514,7 @@ class LineClient:
     def send(self, line: str) -> Response:
         last_exc: Optional[Exception] = None
         for attempt in range(self.max_attempts):
-            if self._file is None:
+            if self._sock is None:
                 try:
                     self._connect()
                 except ConnectionError as exc:
@@ -534,8 +533,7 @@ class LineClient:
         )
 
     def _send_once(self, line: str) -> Response:
-        self._file.write(line.encode() + b"\n")
-        self._file.flush()
+        self._sock.sendall(line.encode() + b"\n")
         while True:
             response = self._read_response()
             if response.kind in PUSH_KINDS:
@@ -545,10 +543,36 @@ class LineClient:
                 continue
             return response
 
-    def _read_response(self) -> Response:
-        raw = self._file.readline()
-        if not raw:
-            raise ConnectionError("server closed the connection")
+    def _read_line(self, timeout: Optional[float] = None) -> Optional[bytes]:
+        """The next protocol line.  Without ``timeout`` the socket's own
+        timeout bounds each receive; with one, ``None`` is returned once
+        it passes with no complete line buffered — the wait is a
+        ``select``, so it leaves nothing behind and can be repeated."""
+        buf, sock = self._rbuf, self._sock
+        deadline = None if timeout is None else time.monotonic() + timeout
+        searched = 0
+        while True:
+            end = buf.find(b"\n", searched)
+            if end >= 0:
+                line = bytes(buf[:end + 1])
+                del buf[:end + 1]
+                return line
+            if deadline is not None:
+                remaining = max(0.0, deadline - time.monotonic())
+                if not select.select([sock], [], [], remaining)[0]:
+                    return None
+            chunk = sock.recv(65536)
+            if not chunk:
+                raise ConnectionError("server closed the connection")
+            searched = len(buf)
+            buf += chunk
+
+    def _read_response(
+        self, timeout: Optional[float] = None
+    ) -> Optional[Response]:
+        raw = self._read_line(timeout)
+        if raw is None:
+            return None
         response = Response.from_json(raw.decode())
         if response.code == E_CLOSING:
             # A graceful-shutdown notice, possibly buffered before our
@@ -572,16 +596,11 @@ class LineClient:
         """
         if self.pushes:
             return self.pushes.pop(0)
-        if self._sock is None or self._file is None:
+        if self._sock is None:
             raise ConnectionError("not connected")
-        self._sock.settimeout(timeout if timeout is not None else self.timeout)
-        try:
-            response = self._read_response()
-        except (socket.timeout, TimeoutError):
-            return None
-        finally:
-            self._sock.settimeout(self.timeout)
-        return response
+        return self._read_response(
+            timeout if timeout is not None else self.timeout
+        )
 
     def query(self, goal: str) -> Response:
         return self.send(f"?- {goal.rstrip('.')}.")

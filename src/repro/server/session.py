@@ -55,7 +55,7 @@ from ..engine.maintenance import (
     VersionedModel,
 )
 from ..engine.planner import compile_grouping, compile_rule
-from ..lang import parse_atom, parse_program
+from ..lang import parse_atom, parse_program, predicate_sorts
 from .subscriptions import render_rows
 
 #: Compiled queries each session keeps (least recently asked evicted).
@@ -205,6 +205,9 @@ class Session:
         #: Query text -> compiled rule, least recently asked first; holds
         #: at most :data:`QUERY_CACHE_SIZE` entries.
         self._query_cache: dict[str, _CompiledRule] = {}
+        #: The served program goals are sort-inferred against, with its
+        #: predicate sorts (see :meth:`_compiled_query`).
+        self._typed_against: tuple[Any, dict] = (None, {})
         #: Queued subscription push frames (drained by ``:diffs`` or the
         #: protocol's async push path); bounded — an undrained session's
         #: subscriptions are dropped rather than growing the server.
@@ -271,13 +274,24 @@ class Session:
         The text is wrapped as the body of a ``__query__`` clause; the
         answer head collects the body's free variables in a deterministic
         order, so answers are full bindings exactly like rule derivation.
+        The goal is sort-inferred against the served program's predicate
+        sorts: ``succ(a, S)`` alone does not say that ``S`` is a set, the
+        program's ``succ(X, <Y>) :- …`` does.
         """
+        served = self._model.program
         with self._lock:
+            if self._typed_against[0] is not served:
+                # A program change retypes every goal.
+                self._typed_against = (served, predicate_sorts(served))
+                self._query_cache.clear()
+            signatures = self._typed_against[1]
             cached = self._query_cache.pop(text, None)
             if cached is not None:
                 self._query_cache[text] = cached    # now most recent
                 return cached
-        program = parse_program(f"{QUERY_PRED} :- {text}.")
+        program = parse_program(
+            f"{QUERY_PRED} :- {text}.", signatures=signatures
+        )
         clauses = [c for c in program.clauses if isinstance(c, LPSClause)]
         if len(clauses) != 1 or any(
             isinstance(c, GroupingClause) for c in program.clauses
@@ -848,8 +862,10 @@ def _is_parse_error(exc: Exception) -> bool:
 
 
 def stats_payload(model: VersionedModel, merged: SessionStats) -> dict:
-    """The ``:stats`` payload: last-delta summary, session totals and the
-    combined executor counters (writer maintenance + reader queries)."""
+    """The ``:stats`` payload: last-delta summary (with the plan each
+    touched stratum took and why a recomputed one was), session totals
+    and the combined executor counters (writer maintenance + reader
+    queries)."""
     report = model.last_report
     last = None
     if report is not None:
@@ -857,6 +873,11 @@ def stats_payload(model: VersionedModel, merged: SessionStats) -> dict:
             "strategy": report.strategy,
             "atoms_added": report.atoms_added,
             "atoms_removed": report.atoms_removed,
+            "fallback_reason": report.fallback_reason,
+            "strata": [
+                {"stratum": sp.index, "plan": sp.plan, "reason": sp.reason}
+                for sp in report.stratum_plans
+            ],
         }
     exec_all = ExecStats()
     exec_all.merge(model.exec_stats)

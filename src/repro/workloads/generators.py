@@ -354,10 +354,11 @@ def mixed_traffic(
     return TrafficPlan(reader_streams=readers, writer_batches=batches)
 
 
-#: The program every crash-recovery plan runs: transitive closure plus a
-#: stratified-negation stratum, a grouping stratum and a set-membership
-#: rule — one rule per maintenance plan class (DRed / recompute /
-#: counting), so recovery replay exercises all of them.
+#: The program every crash-recovery plan runs: transitive closure, a
+#: set-membership rule, a stratified-negation rule and a grouping rule —
+#: a recursive stratum (DRed) under a nonrecursive one with negation and
+#: grouping (rederive; recompute for batches over the size gate), so
+#: recovery replay exercises all of them.
 CRASH_RECOVERY_PROGRAM = """\
 t(X, Y) :- e(X, Y).
 t(X, Z) :- e(X, Y), t(Y, Z).

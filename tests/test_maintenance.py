@@ -5,8 +5,8 @@ The contract under test: after any stream of insert/delete batches,
 to a from-scratch ``Evaluator.run()`` over the final database — for every
 program the engine accepts, and on every forced path of the execution
 pipeline (``tests/paths.py``).  Incrementality (counting / DRed /
-per-stratum recompute) is a pure optimisation; these tests are the oracle
-for that claim.
+rederive / per-stratum recompute) is a pure optimisation; these tests are
+the oracle for that claim.
 
 The regression classes target the classic maintenance traps:
 
@@ -16,26 +16,39 @@ The regression classes target the classic maintenance traps:
   through surviving paths;
 * stratified negation and set construction (grouping, ``union``, the
   Theorem-8 ``setof`` compilation): deletions can *grow* higher strata and
-  must regroup rather than over-delete.
+  must regroup rather than over-delete;
+* rederive: the candidate set must reach every head a mixed batch can
+  move (through positive *and* negated occurrences), a group must be
+  replaced or dropped whole, base support must survive, and the work must
+  be bounded by the change, not by the model.
 """
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paths import MODEL_PATHS, forced
+import repro.engine.evaluation as evaluation
+import repro.engine.maintenance as maintenance
+import repro.semantics.interpretation as interpretation
+from paths import MODEL_PATHS, forced, same_on_every_path
 from repro import parse_program
 from repro.core import Program, atom, const, fact, var_a
 from repro.core.atoms import pos
 from repro.core.clauses import GroupingClause
 from repro.engine import Database, Evaluator, MaterializedModel
 from repro.engine.evaluation import EvalOptions
+from repro.engine.maintenance import VersionedModel
+from repro.engine.stratify import stratify
 from repro.engine.setops import with_set_builtins
 from repro.workloads import (
+    CRASH_RECOVERY_PROGRAM,
     chain_graph,
     cost_churn,
     edge_churn,
     parts_database,
     parts_world,
+    random_graph,
 )
 
 def fresh_eval(program, facts):
@@ -203,8 +216,7 @@ def test_counting_keeps_alternative_derivations():
     m = materialize(program, facts)
     report = m.apply_delta(dels=[("e", "c", "d")])
     assert report.strategy == "incremental"
-    assert dict(report.stratum_plans)[
-        max(dict(report.stratum_plans))] == "counting"
+    assert max(report.stratum_plans).plan == "counting"   # highest stratum
     assert m.model.holds_str("out(c)")      # survives via e(c, e)
     report = m.apply_delta(dels=[("e", "b", "d")])
     assert not m.model.holds_str("out(b)")  # last derivation gone
@@ -320,6 +332,366 @@ def test_deletion_under_setof_compilation():
 
 
 # ---------------------------------------------------------------------------
+# The rederive plan: nonrecursive negation and grouping strata.
+# ---------------------------------------------------------------------------
+
+def assert_changes_are_the_diff(report, before, after):
+    """The emitted ``ModelChanges`` are exactly the snapshot diff."""
+    adds = {a for s in report.changes.adds.values() for a in s}
+    dels = {a for s in report.changes.dels.values() for a in s}
+    assert adds == after - before and dels == before - after
+
+
+def maintained_on_every_path(program, facts, batches, plan="rederive"):
+    """Run ``batches`` of ``(adds, dels)`` through a maintained model on
+    every arm.  After each batch the model must equal from-scratch
+    evaluation, the reported changes must equal the snapshot diff, and a
+    stratum must have taken ``plan``; returns the models, batch by batch."""
+    def run(options):
+        m = materialize(program, facts, options)
+        live, models = set(facts), []
+        for adds, dels in batches:
+            before = set(m.interpretation.atoms())
+            report = m.apply_delta(adds=adds, dels=dels)
+            live = (live - set(dels)) | set(adds)
+            assert report.strategy == "incremental"
+            assert plan in [sp.plan for sp in report.stratum_plans]
+            assert_matches_scratch(m, program, list(live))
+            assert_changes_are_the_diff(
+                report, before, set(m.interpretation.atoms())
+            )
+            models.append([str(a) for a in m.interpretation.sorted_atoms()])
+        return models
+    return same_on_every_path(run, MODEL_PATHS)
+
+
+DEAD = parse_program("""
+t(X, Y) :- e(X, Y).
+t(X, Z) :- e(X, Y), t(Y, Z).
+dead(X) :- n(X), not t(X, X).
+""")
+
+SUCC = parse_program("succ(X, <Y>) :- e(X, Y).")
+
+SINK = parse_program("sink(X) :- n(X), not bad(X).")
+
+
+def test_rederive_deletion_below_grows_the_stratum():
+    facts = [("e", "a", "b"), ("e", "b", "a"), ("n", "a"), ("n", "c")]
+    (model,) = maintained_on_every_path(
+        DEAD, facts, [([], [("e", "b", "a")])]
+    )
+    # The cycle through a is gone: t(a, a) left, so dead(a) *appeared*.
+    assert "dead(a)" in model and "dead(c)" in model
+    assert "t(a, a)" not in model
+
+
+def test_rederive_group_that_empties_disappears():
+    facts = [("e", "a", "b"), ("e", "a", "c"), ("e", "b", "c")]
+    (model,) = maintained_on_every_path(
+        SUCC, facts, [([], [("e", "b", "c")])]
+    )
+    assert "succ(a, {b, c})" in model
+    assert not any(a.startswith("succ(b") for a in model)
+
+
+def test_rederive_add_and_delete_into_one_group_in_one_batch():
+    facts = [("e", "a", "b"), ("e", "a", "c")]
+    (model,) = maintained_on_every_path(
+        SUCC, facts, [([("e", "a", "d")], [("e", "a", "b")])]
+    )
+    # One set atom replaced by one set atom; the stale one is gone.
+    assert [a for a in model if a.startswith("succ")] == ["succ(a, {c, d})"]
+
+
+def test_rederive_negated_atom_gained_and_lost_in_one_batch():
+    program = parse_program("""
+    out(X) :- e(X, Y).
+    sink(X) :- n(X), not out(X).
+    """)
+    facts = [("e", "c", "d"), ("n", "c"), ("n", "d")]
+    # out(c) loses its only derivation and gains another: net zero below,
+    # while n(z) makes sure the negation stratum is maintained at all.
+    first, second = maintained_on_every_path(
+        program, facts,
+        [([("e", "c", "e"), ("n", "z")], [("e", "c", "d")]),
+         ([("n", "y")], [])],
+    )
+    assert "sink(c)" not in first and "sink(z)" in first
+    assert "sink(y)" in second
+
+
+def test_rederive_positive_and_negated_deltas_hit_one_rule():
+    facts = [("n", "a"), ("bad", "a"), ("n", "b")]
+    one, two, three = maintained_on_every_path(
+        SINK, facts,
+        [
+            # Both occurrences gain the same constant: no sink(c).
+            ([("n", "c"), ("bad", "c")], []),
+            # One candidate through each occurrence: n(d)+ and bad(a)-.
+            ([("n", "d")], [("bad", "a")]),
+            # Both occurrences lose b / gain it: sink(b) must go.
+            ([("bad", "b")], [("n", "a")]),
+        ],
+    )
+    assert [a for a in one if a.startswith("sink")] == ["sink(b)"]
+    assert [a for a in two if a.startswith("sink")] == \
+        ["sink(a)", "sink(b)", "sink(d)"]
+    assert [a for a in three if a.startswith("sink")] == ["sink(d)"]
+
+
+def test_rederive_base_support_survives():
+    """An atom that is both derived and an asserted EDB fact stays until
+    both supports are gone — for plain heads and for grouped sets."""
+    facts = [("n", "a"), ("sink", "a")]
+    one, two = maintained_on_every_path(
+        SINK, facts,
+        [([("bad", "a")], []), ([], [("sink", "a")])],
+    )
+    assert "sink(a)" in one and "sink(a)" not in two
+
+    b, z = frozenset({"b"}), frozenset({"z"})
+    facts = [("e", "a", "b"), ("succ", "a", b), ("succ", "a", z)]
+    one, two, three = maintained_on_every_path(
+        SUCC, facts,
+        [
+            ([], [("e", "a", "b")]),            # the group empties
+            ([("e", "a", "c")], []),            # and comes back different
+            ([], [("succ", "a", b), ("succ", "a", z)]),
+        ],
+    )
+    assert [a for a in one if a.startswith("succ")] == \
+        ["succ(a, {b})", "succ(a, {z})"]
+    assert [a for a in two if a.startswith("succ")] == \
+        ["succ(a, {b})", "succ(a, {c})", "succ(a, {z})"]
+    assert [a for a in three if a.startswith("succ")] == ["succ(a, {c})"]
+
+
+def test_rederive_grouping_beside_a_plain_rule_for_the_same_predicate():
+    program = parse_program("""
+    succ(X, <Y>) :- e(X, Y).
+    succ(X, S) :- fixed(X, S).
+    """)
+    b = frozenset({"b"})
+    facts = [("e", "a", "b"), ("fixed", "a", b)]
+    one, two = maintained_on_every_path(
+        program, facts,
+        [([], [("e", "a", "b")]), ([], [("fixed", "a", b)])],
+    )
+    assert "succ(a, {b})" in one
+    assert not any(a.startswith("succ") for a in two)
+
+
+def test_rederive_grouping_with_negation_and_structured_keys():
+    program = parse_program("""
+    t(X, Y) :- e(X, Y).
+    t(X, Z) :- e(X, Y), t(Y, Z).
+    far(p(X), <Y>) :- t(X, Y), not e(X, Y).
+    none(<X>) :- n(X), not t(X, X).
+    """)
+    facts = [("e", "a", "b"), ("e", "b", "c"), ("e", "c", "a"),
+             ("n", "a"), ("n", "d")]
+    one, two = maintained_on_every_path(
+        program, facts,
+        [([], [("e", "c", "a")]), ([("e", "a", "c")], [])],
+    )
+    assert "far(p(a), {c})" in one and "none({a, d})" in one
+    assert not any(a.startswith("far") for a in two)
+
+
+#: Rules with negation or grouping over the strata below them, which on
+#: top of the closure rules make ``rederive`` strata — and two positive
+#: readers of a grouped predicate, which stratification puts *into* that
+#: predicate's stratum (minimal numbering), so the stratum counts as
+#: recursive and must fall back to recomputation, exactly.
+REDERIVE_POOL = [
+    "s(X) :- n(X), not t(X, X).",
+    "u(X, Y) :- t(X, Y), not e(X, Y).",
+    "w(X) :- n(X), not s(X), not p(X).",
+    "g(X, <Y>) :- e(X, Y).",
+    "h(X, <Y>) :- t(X, Y), not e(Y, X).",
+    "k(<X>) :- n(X), e(X, Y).",
+    "p(X) :- e(X, X).",
+    "c(X) :- g(X, S), Y in S, n(Y).",
+    "d(X, S) :- g(X, S), not h(X, S).",
+]
+_READERS = {7, 8}
+_CLOSURE = "t(X, Y) :- e(X, Y).\nt(X, Z) :- e(X, Y), t(Y, Z).\n"
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    rule_idx=st.sets(
+        st.integers(0, len(REDERIVE_POOL) - 1), min_size=1, max_size=5
+    ),
+    initial=st.sets(st.sampled_from(FACT_SPACE), max_size=10),
+    batches=st.lists(
+        st.lists(
+            st.tuples(st.booleans(), st.sampled_from(FACT_SPACE)),
+            min_size=1, max_size=5,
+        ),
+        min_size=1, max_size=4,
+    ),
+)
+def test_rederive_strata_equal_recompute_under_mixed_batches(
+    rule_idx, initial, batches
+):
+    program = parse_program(
+        _CLOSURE + "\n".join(REDERIVE_POOL[i] for i in sorted(rule_idx))
+    )
+    groups = stratify(program).rule_groups()
+    if not rule_idx & _READERS and rule_idx != {6}:
+        assert any(g.plan == "rederive" for g in groups)
+    stream, expected, facts = [], [], set(initial)
+    for batch in batches:
+        adds = [spec for is_add, spec in batch if is_add]
+        dels = [spec for is_add, spec in batch if not is_add]
+        facts = (facts - set(dels)) | set(adds)
+        stream.append((adds, dels))
+        expected.append(
+            fresh_eval(program, sorted(facts)).interpretation.sorted_atoms()
+        )
+    for path in MODEL_PATHS:
+        with forced(path) as options:
+            m = materialize(program, sorted(initial), options)
+            for (adds, dels), want in zip(stream, expected):
+                before = set(m.interpretation.atoms())
+                report = m.apply_delta(adds=adds, dels=dels)
+                assert m.interpretation.sorted_atoms() == want, path
+                if report.changes is not None:
+                    assert_changes_are_the_diff(
+                        report, before, set(want)
+                    )
+                # Small inputs never reach the size gate.
+                assert not any(
+                    sp.reason and sp.reason.startswith("delta")
+                    for sp in report.stratum_plans
+                ), path
+
+
+def serving_model(n_nodes, n_edges, seed=3):
+    """``CRASH_RECOVERY_PROGRAM`` over a random graph, behind snapshots."""
+    db = Database()
+    for u, v in random_graph(n_nodes, n_edges, seed=seed):
+        db.add("e", u, v)
+    for i in range(0, n_nodes, 3):
+        db.add("n", f"v{i}")
+    return VersionedModel(
+        parse_program(CRASH_RECOVERY_PROGRAM), db,
+        builtins=with_set_builtins(),
+    )
+
+
+def counted(owner, name):
+    """Patch ``owner.name`` with a call-counting pass-through."""
+    return mock.patch.object(
+        owner, name, autospec=True, side_effect=getattr(owner, name)
+    )
+
+
+def one_edge_commit_costs(n_nodes, n_edges):
+    """Per commit: (atoms changed, index insertions, point probes)."""
+    vm = serving_model(n_nodes, n_edges)
+    edges = [(f"v{i}", f"v{(i * 7 + 1) % n_nodes}") for i in range(12)]
+    # The first insertion and the first deletion build, once, the index
+    # signatures their joins probe; the writer keeps them from then on.
+    vm.add("e", "v0", "warm")
+    vm.retract("e", "v0", "warm")
+    costs = []
+    for k, (u, v) in enumerate(edges * 2):
+        write = vm.add if k < len(edges) else vm.retract
+        with counted(interpretation, "_index_insert") as inserts, \
+                counted(evaluation._CompiledRule, "solutions") as probes:
+            snap = write("e", u, v)
+        report = snap.report
+        if report is None or snap is not vm.current:
+            continue        # the edge was already there: a no-op commit
+        assert report.strategy == "incremental"
+        assert [sp.plan for sp in report.stratum_plans] == \
+            ["dred", "rederive"]
+        costs.append((report.atoms_added + report.atoms_removed,
+                      inserts.call_count, probes.call_count))
+    assert len(costs) >= 12
+    return costs
+
+
+def test_one_edge_commit_costs_its_delta_not_the_model():
+    """No clocks: index insertions and point probes per one-edge commit
+    are bounded by a small multiple of the atoms the commit changed, at
+    either graph size — the copy-on-write hand-over keeps the writer's
+    indexes, and rederive probes candidates only."""
+    for n_nodes, n_edges in [(500, 300), (2000, 1200)]:
+        for changed, inserts, probes in one_edge_commit_costs(
+            n_nodes, n_edges
+        ):
+            assert inserts <= 3 * changed + 8, (n_nodes, changed, inserts)
+            assert probes <= 3 * changed + 8, (n_nodes, changed, probes)
+
+
+def test_size_gate_picks_recompute_above_and_rederive_below():
+    vm = serving_model(200, 120)
+    m = vm._materialized
+    inputs = sum(
+        len(m.interpretation.facts_of(p)) for p in ("n", "t", "e")
+    )
+    gate = max(maintenance.REDERIVE_MIN_GATE,
+               inputs // maintenance.REDERIVE_INPUT_RATIO)
+    small = [("e", "v1", "v199")]
+    report = vm.apply_delta(adds=small).report
+    assert report.stratum_plans[-1] == (1, "rederive", None)
+    # A batch of new markers alone: the delta is exactly its size (and
+    # it grows the inputs, hence the gate, by an eighth of itself).
+    big = [("n", f"m{i}") for i in range(2 * gate)]
+    report = vm.apply_delta(adds=big).report
+    index, plan, reason = report.stratum_plans[-1]
+    assert plan == "recompute"
+    assert reason.startswith(f"delta {len(big)} ≥ gate ")
+    report = vm.apply_delta(dels=big[:3]).report
+    assert report.stratum_plans[-1].plan == "rederive"
+    fresh = Evaluator(
+        parse_program(CRASH_RECOVERY_PROGRAM), m.database,
+        builtins=with_set_builtins(),
+    ).run()
+    assert (m.interpretation.sorted_atoms()
+            == fresh.interpretation.sorted_atoms())
+
+
+def test_recompute_reasons_are_reported():
+    m = materialize(
+        parse_program("p(X) :- n(X), not q(X).\nr(X) :- p(X)."),
+        [("n", "a"), ("q", "a")],
+    )
+    report = m.apply_delta(dels=[("q", "a")])
+    assert report.stratum_plans == ((1, "recompute", "recursive negation"),)
+    m = materialize(
+        parse_program("allok(z) :- forall A in {a, b} (ok(A))."),
+        [("ok", "a")],
+    )
+    report = m.apply_delta(adds=[("ok", "b")])
+    assert report.stratum_plans == \
+        ((0, "recompute", "restricted quantifier"),)
+    assert m.model.holds_str("allok(z)")
+
+
+def test_steady_state_commits_compile_nothing():
+    """The evaluator keeps one compiled rule per clause and maintenance
+    shares it: after warm-up, commits never reach the planner."""
+    vm = serving_model(60, 90)
+    edges = [(f"v{i}", f"v{(i * 11 + 5) % 60}") for i in range(33)]
+    for u, v in edges[:5]:
+        vm.add("e", u, v)
+        vm.retract("e", u, v)
+    with counted(evaluation, "compile_rule") as rules, \
+            counted(evaluation, "compile_grouping") as groupings:
+        commits = 0
+        for u, v in edges[5:]:
+            commits += vm.add("e", u, v).report is not None
+            commits += vm.retract("e", u, v).report is not None
+        assert commits >= 50
+    assert rules.call_count == 0 and groupings.call_count == 0
+
+
+# ---------------------------------------------------------------------------
 # Gate behaviour and API surface.
 # ---------------------------------------------------------------------------
 
@@ -346,6 +718,21 @@ def test_domain_consultation_during_maintenance_recomputes():
     assert report.strategy == "recompute"
     assert report.fallback_reason == "maintenance join needs the active domain"
     assert_matches_scratch(m, program, [("c", "z1"), ("flag", "on")])
+
+
+def test_abandoned_sweep_reports_changes_against_the_pre_batch_model():
+    """The sweep has already added ``flag(on)`` when the delta join gives
+    up; the reported changes must still be the whole diff, or a standing
+    query on ``flag`` would never hear of it."""
+    program = parse_program("all(X) :- flag(Y).")
+    m = materialize(program, [("c", "z1")])
+    before = set(m.interpretation.atoms())
+    report = m.apply_delta(adds=[("flag", "on")])
+    assert report.strategy == "recompute"
+    assert_changes_are_the_diff(
+        report, before, set(m.interpretation.atoms())
+    )
+    assert {str(a) for a in report.changes.adds["flag"]} == {"flag(on)"}
 
 
 def test_provenance_tracking_recomputes_and_stays_explainable():

@@ -108,6 +108,39 @@ class TestSessionQueries:
         svc.shutdown()
 
 
+class TestSetValuedGoals:
+    """A goal is sort-inferred against the served program: ``S`` in
+    ``succ(a, S)`` is a set because the program's grouping clause says
+    so, not because the goal happens to mention ``M in S``."""
+
+    SOURCE = TC_SOURCE + "succ(X, <Y>) :- e(X, Y).\n"
+
+    def test_grouped_predicate_answers_with_its_sets(self):
+        svc = service(self.SOURCE)
+        s = svc.open_session()
+        for fact in ("e(a, b)", "e(a, c)", "e(b, c)"):
+            s.assert_fact(fact)
+        bound = s.execute("?- succ(a, S).")
+        assert bound.ok and bound.data["rows"] == [{"S": "{b, c}"}]
+        free = s.execute("?- succ(X, S).")
+        assert free.data["rows"] == [
+            {"S": "{b, c}", "X": "a"}, {"S": "{c}", "X": "b"},
+        ]
+        # The same sets the goal that mentions membership always got.
+        members = s.execute("?- succ(a, S), M in S.")
+        assert {r["S"] for r in members.data["rows"]} == {"{b, c}"}
+        svc.shutdown()
+
+    def test_goals_are_retyped_when_the_program_changes(self):
+        svc = service(TC_SOURCE)
+        s = svc.open_session()
+        s.assert_fact("e(a, b)")
+        assert s.execute("?- succ(a, S).").data["rows"] == []
+        s.execute("succ(X, <Y>) :- e(X, Y).")
+        assert s.execute("?- succ(a, S).").data["rows"] == [{"S": "{b}"}]
+        svc.shutdown()
+
+
 class TestQueryCache:
     def test_plan_cache_is_a_bounded_lru(self, monkeypatch):
         """``QUERY_CACHE_SIZE`` + 1 distinct texts leave the cache at its
@@ -394,6 +427,22 @@ class TestServiceFrontEnd:
         svc.shutdown()
         assert svc.session_count() == 0
 
+    def test_stats_name_each_stratum_plan_and_why_it_recomputed(self):
+        svc = service(
+            STRAT_SOURCE + "p(X) :- n(X), not q(X).\nr(X) :- p(X).\n"
+        )
+        s = svc.open_session()
+        s.execute("+e(a, a).")
+        last = s.execute(":stats").data["last_delta"]
+        assert last["strategy"] == "incremental"
+        assert last["fallback_reason"] is None
+        assert last["strata"] == [
+            {"stratum": 0, "plan": "dred", "reason": None},
+            {"stratum": 1, "plan": "recompute",
+             "reason": "recursive negation"},
+        ]
+        svc.shutdown()
+
     def test_stats_include_closed_sessions(self):
         svc = service()
         s = svc.open_session()
@@ -448,6 +497,24 @@ class TestProtocol:
     def test_response_json_round_trip(self):
         r = Response(ok=True, kind="answers", data={"x": 1}, version=3)
         assert Response.from_json(r.to_json()) == r
+
+    def test_recv_push_can_be_polled(self):
+        """A ``recv_push`` that timed out must leave the connection as it
+        found it: poll twice with nothing to receive, then receive a real
+        push frame, then keep using the connection for requests."""
+        svc = service()
+        with run_in_thread(svc) as h, \
+                LineClient(h.host, h.port, timeout=10.0) as sub, \
+                LineClient(h.host, h.port, timeout=10.0) as writer:
+            assert sub.send(":subscribe t(a, X).").ok
+            assert sub.recv_push(timeout=0.05) is None
+            assert sub.recv_push(timeout=0.05) is None
+            assert writer.send("+e(a, b).").ok
+            push = sub.recv_push(timeout=10.0)
+            assert push is not None and push.data["adds"] == [["b"]]
+            assert sub.recv_push(timeout=0.05) is None
+            assert sub.query("t(a, X)").data["rows"] == [{"X": "b"}]
+        svc.shutdown()
 
 
 class TestClientReconnect:

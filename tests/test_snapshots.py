@@ -8,6 +8,8 @@ through the incrementally-maintained argument indexes, which are shared
 until the first post-snapshot mutation of each predicate.
 """
 
+from unittest import mock
+
 import pytest
 
 from repro import parse_program
@@ -65,6 +67,57 @@ class TestInterpretationSnapshot:
             for f in interp.candidates("e", (0,), (const("v3"),))
         }
         assert writer_now == {"v9"}
+
+    def test_index_handover_keeps_both_sides_exact(self):
+        """COW conformance for the bucket-level index hand-over: across a
+        chain of snapshots and mutations, every built signature — on
+        every snapshot and on the writer — answers exactly what a fresh
+        linear scan of that side's facts answers, and the writer never
+        rebuilds a signature it had (``_index_insert`` is the single
+        insertion path, so counting it counts rebuilds)."""
+        import repro.semantics.interpretation as module
+
+        def scan(interp, positions):
+            index = {}
+            for f in interp.facts_of("e"):
+                key = tuple(f.args[i] for i in positions)
+                index.setdefault(key, []).append(f)
+            return index
+
+        def assert_exact(interp):
+            built = interp._indexes.get("e", {})
+            assert set(built) >= {(0,), (1,)}
+            for positions, index in built.items():
+                want = scan(interp, positions)
+                assert {k: list(b) for k, b in index.items()} == want
+                for key, facts in want.items():
+                    assert list(interp.candidates("e", positions, key)) \
+                        == facts
+
+        interp = Interpretation(
+            [a("e", f"v{i % 5}", f"v{i}") for i in range(40)]
+        )
+        interp.candidates("e", (0,), (const("v1"),))
+        interp.candidates("e", (1,), (const("v7"),))
+        frozen = []
+        with mock.patch.object(
+            module, "_index_insert", autospec=True,
+            side_effect=module._index_insert,
+        ) as inserts:
+            for round_no in range(4):
+                frozen.append((interp.snapshot(), interp.sorted_atoms()))
+                interp.remove(a("e", f"v{round_no}", f"v{round_no}"))
+                interp.add(a("e", f"v{round_no}", f"new{round_no}"))
+                interp.add(a("e", "fresh", f"v{round_no}"))
+                # A bucket that empties and comes back within one round.
+                interp.remove(a("e", "fresh", f"v{round_no}"))
+                interp.add(a("e", "fresh", f"v{round_no}"))
+                assert_exact(interp)
+                for snap, atoms in frozen:
+                    assert snap.sorted_atoms() == atoms
+                    assert_exact(snap)
+        # 3 insertions x 2 signatures per round, and not one rebuild.
+        assert inserts.call_count == 4 * 3 * 2
 
     def test_lazy_index_on_snapshot_matches_scan(self):
         interp = Interpretation(

@@ -297,6 +297,26 @@ class TestTransport:
                 assert sub.send(":unsubscribe 1").ok
         svc.shutdown()
 
+    def test_subscription_on_a_grouped_predicate(self):
+        """``:subscribe`` types its goal against the program like ``?-``
+        does: a standing query on a grouped predicate starts from the
+        sets and is pushed each regrouping as one row out, one row in."""
+        svc = QueryService(TC + "succ(X, <Y>) :- e(X, Y).\n")
+        with run_in_thread(svc) as handle:
+            with LineClient(handle.host, handle.port, timeout=10.0) as sub, \
+                    LineClient(handle.host, handle.port,
+                               timeout=10.0) as writer:
+                writer.send("+e(a, b).")
+                response = sub.send(":subscribe succ(X, S).")
+                assert response.ok
+                assert response.data["rows"] == [["a", "{b}"]]
+                writer.send("+e(a, c).")
+                push = sub.recv_push(timeout=10.0)
+                assert push is not None and push.kind == FRAME_DIFF
+                assert push.data["adds"] == [["a", "{b, c}"]]
+                assert push.data["dels"] == [["a", "{b}"]]
+        svc.shutdown()
+
     def test_follower_serves_subscriptions_at_applied_version(self, tmp_path):
         from repro.replication import FollowerService, ReplicationHub
 
