@@ -12,18 +12,24 @@ sets are identical.
 
 Encode/decode boundaries (see DESIGN.md, "Columnar execution"):
 
-* **encode** — non-delta ``Scan`` nodes read the interpretation's cached
-  relation columns
+* **encode** — ``Scan`` nodes read the interpretation's cached relation
+  columns
   (:meth:`~repro.semantics.interpretation.Interpretation.id_columns`,
   built incrementally like its argument indexes) and filter them with
-  vector masks; delta scans and results of row-fallback operators are
-  encoded on (re-)entry to a columnar parent.
+  vector masks: the whole relation, or — for a delta that is the row
+  range a bulk insert appended
+  (:class:`~repro.semantics.interpretation.FactSlice`) — that range.
+  Deltas given as atom sets (seeds, maintenance and subscription deltas)
+  and results of row-fallback operators are encoded on (re-)entry to a
+  columnar parent.
 * **decode** — ``batch()`` (the executor's public entry point) decodes the
-  final columns back to term rows for head materialization, and any
-  operator that must see real values (``Compute``, ``Unnest``, builtin
-  ``Select`` — plus generic-shape scans) runs the inherited row kernel
-  over its decoded input.  The per-node fallback keeps the plan running
-  columnar around type-sensitive islands.
+  final columns back to term rows for head materialization —
+  ``shaped_batch()`` keeps the columns beside the rows
+  (:class:`~repro.engine.ir.IdRows`) so storing them needs no encode —
+  and any operator that must see real values (``Compute``, ``Unnest``,
+  builtin ``Select`` — plus generic-shape scans) runs the inherited row
+  kernel over its decoded input.  The per-node fallback keeps the plan
+  running columnar around type-sensitive islands.
 
 Capability is static per node (:func:`columnar_capable`): ``Unit``,
 ``Join``, ``Project``, ``Distinct`` and ``GroupBy`` always qualify;
@@ -59,6 +65,7 @@ from .ir import (
     AntiJoin,
     Distinct,
     GroupBy,
+    IdRows,
     Join,
     PlanNode,
     Project,
@@ -304,7 +311,7 @@ class ColumnarExecutor(Executor):
             return super().shaped_batch(node, take)
         n, cols = self.cols(node)
         n, cols = _distinct_cols_of(n, [cols[i] for i in take])
-        return self._decode(n, cols)
+        return IdRows(self._decode(n, cols), cols)
 
     def _vector_worthwhile(self, node: PlanNode) -> bool:
         """Whether every scan leaf feeds at least ``min_vector_rows``
@@ -325,32 +332,32 @@ class ColumnarExecutor(Executor):
         hit = cache.get(node)
         if hit is not None:
             return hit
+        # The delta scans this plan contains decide first — their sizes
+        # are dict lookups, and semi-naive/maintenance deltas are usually
+        # tiny; another predicate's delta says nothing about this plan —
+        # then the other leaves, whose estimate may touch an index.
         delta = self.delta
-        if delta and min(map(len, delta.values())) < floor:
-            # Delta-pinned plan: the pinned scan reads exactly these
-            # facts, and semi-naive/maintenance deltas are usually tiny —
-            # answered from the dict sizes, no plan walk needed.
-            cache[node] = False
-            return False
         worth = True
+        full: list = []
         stack = [node]
         while stack:
             n = stack.pop()
-            if n.__class__ is Scan:
-                a = n.atom
-                if n.delta:
-                    rows = len(delta.get(a.pred, ())) if delta else 0
-                else:
-                    # For constant-bound scans the row executor reads an
-                    # index bucket, so that bucket — not the relation —
-                    # is the input to beat (same policy + estimate the
-                    # join planner uses).
-                    rows = self.interp.estimate_for_pattern(a.pred, a.args)
-                if rows < floor:
+            if n.__class__ is not Scan:
+                stack.extend(n.children())
+            elif not n.delta:
+                full.append(n.atom)
+            elif len(delta.get(n.atom.pred, ()) if delta else ()) < floor:
+                worth = False
+                break
+        if worth:
+            # For constant-bound scans the row executor reads an index
+            # bucket, so that bucket — not the relation — is the input
+            # to beat (same policy + estimate the join planner uses).
+            estimate = self.interp.estimate_for_pattern
+            for a in full:
+                if estimate(a.pred, a.args) < floor:
                     worth = False
                     break
-            else:
-                stack.extend(n.children())
         cache[node] = worth
         return worth
 
@@ -396,35 +403,46 @@ class ColumnarExecutor(Executor):
     def _scan_cols(self, node: Scan) -> tuple:
         a = node.atom
         var_pos, const_checks, dup_checks, var_sorts = node._shape
-        if not node.delta:
-            entry = self.interp.id_columns(a.pred)
-            if entry is not None:
-                arity, n, bufs = entry
-                if arity != a.arity:
-                    self.stats.note(node.op, n, 0)
-                    return 0, _empty_cols(len(var_pos))
-                cols = [_np.frombuffer(b, dtype=_np.int64) for b in bufs]
-                mask = None
-                for i, t in const_checks:
-                    m = cols[i] == _ID_OF(t)
-                    mask = m if mask is None else (mask & m)
-                for i, j in dup_checks:
-                    m = cols[i] == cols[j]
-                    mask = m if mask is None else (mask & m)
-                for p, s in var_sorts:
-                    m = _sort_mask(s)[cols[p]]
-                    mask = m if mask is None else (mask & m)
-                if mask is None:
-                    out = [cols[p] for p in var_pos]
-                    n_out = n
-                else:
-                    out = [cols[p][mask] for p in var_pos]
-                    n_out = int(mask.sum())
-                self.stats.note(node.op, n, n_out)
-                return n_out, out
-            facts = self.interp.candidates_for_pattern(a.pred, a.args)
-        else:
+        # The rows to read are a range of the relation's cached columns:
+        # all of it, or — for a delta the last bulk insert appended
+        # (``FactSlice``) — that insert's row range.
+        if node.delta:
             facts = self.delta.get(a.pred, ()) if self.delta is not None else ()
+            lo = getattr(facts, "start", None)
+        else:
+            facts, lo = None, 0
+        entry = self.interp.id_columns(a.pred) if lo is not None else None
+        if entry is not None:
+            arity, n, bufs = entry
+            if facts is not None:
+                n = len(facts)
+            if arity != a.arity:
+                self.stats.note(node.op, n, 0)
+                return 0, _empty_cols(len(var_pos))
+            cols = [
+                _np.frombuffer(b, dtype=_np.int64, count=n, offset=8 * lo)
+                for b in bufs
+            ]
+            mask = None
+            for i, t in const_checks:
+                m = cols[i] == _ID_OF(t)
+                mask = m if mask is None else (mask & m)
+            for i, j in dup_checks:
+                m = cols[i] == cols[j]
+                mask = m if mask is None else (mask & m)
+            for p, s in var_sorts:
+                m = _sort_mask(s)[cols[p]]
+                mask = m if mask is None else (mask & m)
+            if mask is None:
+                out = [cols[p] for p in var_pos]
+                n_out = n
+            else:
+                out = [cols[p][mask] for p in var_pos]
+                n_out = int(mask.sum())
+            self.stats.note(node.op, n, n_out)
+            return n_out, out
+        if facts is None:
+            facts = self.interp.candidates_for_pattern(a.pred, a.args)
         # Delta scans and uncacheable relations: encode while matching.
         arity = a.arity
         matched: list = []
@@ -625,27 +643,75 @@ class ColumnarExecutor(Executor):
         n, cols = self.cols(node.input)
         metas = node._cmeta
         pred = node.atom.pred
-        holds = self.interp.holds
-        if not metas:  # zero-arity negated atom: one oracle call decides
-            if holds(Atom(pred, ())):
-                self.stats.note(node.op, n, 0)
-                return 0, _empty_cols(len(cols))
+        facts = self.interp.facts_of(pred)
+        keep = None                         # ``None`` keeps every row
+        if not n or not facts:
+            pass
+        elif not metas:                     # zero-arity atom: one probe
+            if Atom(pred, ()) in facts:
+                keep = _np.zeros(n, dtype=bool)
+        elif (entry := self.interp.id_columns(pred)) is not None:
+            keep = self._absent_mask(n, cols, metas, entry)
+        else:
+            # Mixed-arity relation, no column cache: decide each row on
+            # real values, like the row kernel.
+            term = _TERMS.__getitem__
+            seqs = [
+                map(term, cols[v].tolist()) if k == "col" else repeat(v, n)
+                for k, v in metas
+            ]
+            keep = _np.fromiter(
+                (Atom(pred, args) not in facts for args in zip(*seqs)),
+                bool, count=n,
+            )
+        if keep is None:
             self.stats.note(node.op, n, n)
             return n, cols
-        term = _TERMS.__getitem__
-        seqs = [
-            map(term, cols[v].tolist()) if k == "col" else repeat(v, n)
-            for k, v in metas
-        ]
-        keep: list = []
-        ka = keep.append
-        for i, args in enumerate(zip(*seqs)):
-            if not holds(Atom(pred, args)):
-                ka(i)
-        idx = _np.asarray(keep, dtype=_np.int64)
-        out = _take(cols, idx)
-        self.stats.note(node.op, n, len(keep))
-        return len(keep), out
+        n_out = int(keep.sum())
+        self.stats.note(node.op, n, n_out)
+        return n_out, [c[keep] for c in cols]
+
+    @staticmethod
+    def _absent_mask(n: int, cols: list, metas: tuple, entry: tuple):
+        """Which of the ``n`` input rows have no fact of the relation
+        (``entry`` = its ``id_columns``) as their instance of the atom:
+        the relation is cut down to the facts matching the atom's
+        constants and repeated variables, then both sides meet on one
+        packed key column."""
+        arity, rn, bufs = entry
+        if arity != len(metas):
+            return None
+        rcols = [_np.frombuffer(b, dtype=_np.int64) for b in bufs]
+        rmask = None
+        first: dict = {}                    # input column -> relation position
+        for j, (kind, v) in enumerate(metas):
+            if kind == "term":
+                m = rcols[j] == _ID_OF(v)
+            elif v in first:
+                m = rcols[j] == rcols[first[v]]
+            else:
+                first[v] = j
+                continue
+            rmask = m if rmask is None else (rmask & m)
+        if not first:                       # ground atom: one answer for all
+            return None if not rmask.any() else _np.zeros(n, dtype=bool)
+        rkeys = [rcols[j] for j in first.values()]
+        if rmask is not None:
+            rkeys = [c[rmask] for c in rkeys]
+        if not rkeys[0].size:
+            return None
+        if len(rkeys) == 1:
+            lk, rk = cols[next(iter(first))], rkeys[0]
+        else:
+            packed = _pack([
+                _np.concatenate([cols[i], r]) for i, r in zip(first, rkeys)
+            ])
+            lk, rk = packed[:n], packed[n:]
+        # Sort the relation's keys once and binary-search every row's.
+        rs = _np.sort(rk)
+        at = _np.searchsorted(rs, lk)
+        at[at == rs.size] = 0               # beyond the last key: no match
+        return rs[at] != lk
 
     # -- schema operators ---------------------------------------------------------
 

@@ -37,7 +37,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import (
+    Any, Collection, Iterable, Iterator, Mapping, Optional, Sequence,
+)
 
 from ..core.atoms import Atom, Literal
 from ..core.clauses import GroupingClause, LPSClause
@@ -58,6 +60,7 @@ from ..core.program import Program
 from ..core.sorts import EQUALS, MEMBER, SORT_A, SORT_S, SORT_U, sorts_compatible
 from ..core.substitution import Subst
 from ..core.terms import (
+    TERM_DICT,
     App,
     Const,
     SetExpr,
@@ -81,7 +84,7 @@ from .builtins import DEFAULT_BUILTINS, Builtin
 from .database import Database, from_term
 from .columnar import make_executor
 from .executor import Executor, PlanInapplicable
-from .ir import ExecStats, GroupBy, PlanNode
+from .ir import ExecStats, GroupBy, PlanNode, Row
 from .planner import CompiledPlan, compile_grouping, compile_rule, head_plan
 from .stratify import Stratification, stratify
 
@@ -130,6 +133,22 @@ class ActiveDomain:
 
     def note_atom(self, a: Atom) -> None:
         for t in a.args:
+            self.note_term(t)
+
+    def note_rows(self, rows: Sequence[Sequence[Term]]) -> None:
+        """Note every cell of a batch of ground rows, each distinct term
+        once — found on the rows' ID columns when they kept them
+        (:class:`~repro.engine.ir.IdRows`), where telling terms apart is
+        integer work."""
+        cols = getattr(rows, "cols", None)
+        if cols is not None:
+            terms: Iterable[Term] = map(
+                TERM_DICT.terms.__getitem__,
+                set().union(*(c.tolist() for c in cols)),
+            )
+        else:
+            terms = set(itertools.chain.from_iterable(rows))
+        for t in terms:
             self.note_term(t)
 
     def carrier(self, sort: str) -> list[Term]:
@@ -836,13 +855,16 @@ class Evaluator:
         report = EvalReport(stats=SolverStats())
         for t in self.program.all_terms():
             domain.note_term(t)
+        edb: list[Atom] = []
         if self.database is not None:
-            for a in self.database.facts():
-                if a.pred in self.builtins:
-                    raise EvaluationError(
-                        f"database fact uses builtin predicate {a.pred!r}"
-                    )
-                domain.note_atom(a)
+            edb = list(self.database.facts())
+            builtin = {a.pred for a in edb} & self.builtins.keys()
+            if builtin:
+                raise EvaluationError(
+                    "database fact uses builtin predicate "
+                    f"{min(builtin)!r}"
+                )
+            domain.note_rows([a.args for a in edb])
 
         report.strata = self.stratification.depth
         passes = 0
@@ -860,11 +882,10 @@ class Evaluator:
                 from .provenance import ProvenanceStore
 
                 provenance = ProvenanceStore()
-            if self.database is not None:
-                for a in self.database.facts():
-                    interp.add(a)
-                    if provenance is not None:
-                        provenance.note_given(a)
+            interp.update(edb)
+            if provenance is not None:
+                for a in edb:
+                    provenance.note_given(a)
             groups = self.stratification.rule_groups()
             for gi, stratum in enumerate(self.stratification.strata):
                 grouping = [c for c in stratum if isinstance(c, GroupingClause)]
@@ -923,27 +944,31 @@ class Evaluator:
         # Non-ground unit clauses (e.g. the ∅ base cases produced by the
         # Theorem 10 translation) are rules over the active domain, not
         # facts.
-        facts = [c for c in rules if c.is_fact and c.head.is_ground()]
+        facts = [c.head for c in rules if c.is_fact and c.head.is_ground()]
         proper = [c for c in rules if not (c.is_fact and c.head.is_ground())]
-        for c in facts:
+        if shard is not None:
             # Under sharding every worker sees the full program; a ground
             # fact clause belongs only to its owner (nothing is shipped —
             # the owner derives its own copy from the same clause).
-            if shard is not None and not shard.admit(c.head, False):
-                continue
-            if interp.add(c.head):
-                domain.note_atom(c.head)
-                report.derived += 1
-                added.setdefault(c.head.pred, set()).add(c.head)
-            if provenance is not None:
-                provenance.note_given(c.head)
+            facts = [h for h in facts if shard.admit(h, False)]
+        given = interp.update(facts)
+        domain.note_rows([h.args for h in given])
+        report.derived += len(given)
+        for h in given:
+            added.setdefault(h.pred, set()).add(h)
+        if provenance is not None:
+            for h in facts:
+                provenance.note_given(h)
 
         if not proper:
             return added
 
         compiled = [self.compiled_rule(c) for c in proper]
         changed_preds: Optional[set[str]] = None  # None = first round
-        deltas: dict[str, frozenset[Atom]] = {}
+        #: What each predicate gained last round.  From the second round
+        #: on these are the row ranges the round's bulk insert appended
+        #: (``FactSlice``); seeds are plain atom sets.
+        deltas: Mapping[str, Collection[Atom]] = {}
         if seed_deltas is not None:
             # Seeded predicates may be lower-stratum inputs as well as this
             # stratum's own heads; any occurrence with a delta is pinnable.
@@ -963,7 +988,9 @@ class Evaluator:
                 )
             domain_grew = domain.version != prev_version
             prev_version = domain.version
-            new_atoms: set[Atom] = set()
+            #: head predicate -> the batches of new head rows this round's
+            #: rule applications derived (each batch distinct, none held).
+            fresh: dict[str, list[list[Row]]] = {}
             engines = _Engines(
                 interp, self.builtins, report.stats, report.exec,
                 delta=deltas, domain=domain, options=self.options,
@@ -972,15 +999,19 @@ class Evaluator:
                 if not rule.affected(changed_preds, domain_grew):
                     continue
                 report.rule_applications += 1
+                pred = rule.head.pred
                 if provenance is not None:
+                    rows: dict[Row, None] = {}
                     for env in rule.bindings(engines):
                         head = rule.head.substitute(env)
                         if head not in interp:
-                            new_atoms.add(head)
+                            rows[head.args] = None
                         provenance.note_derived(
                             head, rule.clause, env,
                             rule.ground_premises(env, self.builtins),
                         )
+                    if rows:
+                        fresh.setdefault(pred, []).append(list(rows))
                     continue
                 exportable = shard is not None and shard.exportable(rule.deps)
                 # After the first round a delta-capable rule fires once per
@@ -989,22 +1020,28 @@ class Evaluator:
                 if changed_preds is not None and rule.delta_capable:
                     pins = rule.pins(deltas)
                 for pin in pins:
-                    for head in rule.heads(engines, pin):
-                        if head not in interp and head not in new_atoms:
-                            if shard is None or shard.admit(head, exportable):
-                                new_atoms.add(head)
-            if not new_atoms:
+                    batch = rule.rows(engines, pin, fresh=True)
+                    if shard is not None:
+                        batch = [
+                            r for r in batch
+                            if shard.admit(Atom(pred, r), exportable)
+                        ]
+                    if batch:
+                        fresh.setdefault(pred, []).append(batch)
+            if not fresh:
                 break
-            delta_map: dict[str, set[Atom]] = {}
-            for a in new_atoms:
-                interp.add(a)
-                domain.note_atom(a)
-                delta_map.setdefault(a.pred, set()).add(a)
-                report.derived += 1
-            for p, s in delta_map.items():
-                added.setdefault(p, set()).update(s)
-            deltas = {p: frozenset(s) for p, s in delta_map.items()}
-            changed_preds = set(delta_map)
+            deltas = {}
+            for pred, batches in fresh.items():
+                # Two applications may reach the same new head; one batch
+                # is distinct as it stands (and keeps its ID columns).
+                new = batches[0] if len(batches) == 1 else list(
+                    dict.fromkeys(itertools.chain.from_iterable(batches))
+                )
+                gained = deltas[pred] = interp.extend(pred, new)
+                domain.note_rows(new)
+                report.derived += len(gained)
+                added.setdefault(pred, set()).update(gained)
+            changed_preds = set(deltas)
         return added
 
     # -- grouping ---------------------------------------------------------------
@@ -1051,20 +1088,20 @@ class Evaluator:
                         if l.positive and not l.atom.is_special()
                         and l.atom.pred not in self.builtins
                     )
-        added: set[Atom] = set()
+        heads: list[Atom] = []
         for key, values in groups.items():
             args = list(key)
             args.insert(g.group_pos, setvalue(values))
             head = Atom(g.pred, tuple(args))
-            if interp.add(head):
-                domain.note_atom(head)
-                report.derived += 1
-                added.add(head)
+            heads.append(head)
             if provenance is not None:
                 provenance.note_grouped(
                     head, g, tuple(dict.fromkeys(premises.get(key, ())))
                 )
-        return added
+        added = interp.update(heads)
+        domain.note_rows([h.args for h in added])
+        report.derived += len(added)
+        return set(added)
 
     def _plan_grouping(
         self, g: GroupingClause, executor: Optional[Executor]
@@ -1116,7 +1153,7 @@ class _CompiledRule:
         # base plan); compiled lazily — rules that never reach a plan
         # consumer (e.g. under provenance tracking) pay nothing.
         self._plan_cache: dict[Optional[int], CompiledPlan] = {}
-        self._head_plan_cache: dict[Optional[int], tuple] = {}
+        self._head_plan_cache: dict[tuple[Optional[int], bool], tuple] = {}
         self.deps = {
             a.pred
             for l in clause.body
@@ -1165,21 +1202,27 @@ class _CompiledRule:
             )
         return cp
 
-    def _head_plan(self, pin: Optional[int]) -> tuple:
+    def _head_plan(self, pin: Optional[int], fresh: bool = False) -> tuple:
         """``(node, shape)``: the plan projected to head variables and
         deduplicated (``None`` in tuple mode), and for Datalog-shaped
-        heads (args all variables) the columns to read head atoms from
-        straight off the row cells, no substitution."""
-        cached = self._head_plan_cache.get(pin)
+        heads (args all variables) the columns to read head rows from
+        straight off the row cells, no substitution.  With ``fresh`` a
+        Datalog-shaped head's plan also subtracts the head relation
+        (:func:`~repro.engine.planner.head_plan`); other heads are
+        filtered atom by atom in :meth:`rows`."""
+        cached = self._head_plan_cache.get((pin, fresh))
         if cached is None:
-            node = head_plan(self.plan(pin))
+            cp = self.plan(pin)
+            node = head_plan(cp)
             shape = None
             if node is not None and all(
                 t.__class__ is Var for t in self.head.args
             ):
                 out = node.out_vars
                 shape = tuple(out.index(t) for t in self.head.args)
-            cached = self._head_plan_cache[pin] = (node, shape)
+                if fresh:
+                    node = head_plan(cp, subtract_head=True)
+            cached = self._head_plan_cache[pin, fresh] = (node, shape)
         return cached
 
     def pins(self, delta: Mapping[str, Iterable[Atom]]) -> list[int]:
@@ -1189,8 +1232,13 @@ class _CompiledRule:
             i for i, a in enumerate(self.relational) if delta.get(a.pred)
         ]
 
-    def heads(self, engines: _Engines, pin: Optional[int] = None) -> list[Atom]:
-        """The distinct head atoms one application of this rule derives.
+    def rows(
+        self, engines: _Engines, pin: Optional[int] = None,
+        fresh: bool = False,
+    ) -> list[Row]:
+        """The distinct head atoms one application of this rule derives,
+        as their argument rows; with ``fresh`` only those the engines'
+        interpretation does not hold.
 
         With ``pin`` the ``pin``-th relational occurrence ranges over
         ``engines.delta`` only (semi-naive differentiation, maintenance
@@ -1201,40 +1249,50 @@ class _CompiledRule:
         """
         executor = engines.executor
         node, shape = (
-            self._head_plan(pin) if executor is not None else (None, None)
+            self._head_plan(pin, fresh) if executor is not None
+            else (None, None)
         )
-        out: Optional[list[Atom]] = None
+        stats = engines.solver.stats
+        head = self.head
+        heads: Optional[Iterable[Atom]] = None
         if node is not None:
             try:
-                # Head atoms land in a set; duplicate rows only cost decode
-                # and substitution time, so let the executor collapse them —
-                # for Datalog-shaped heads, after projecting to the head
-                # columns so rows differing only elsewhere collapse too.
                 if shape is not None:
-                    pred = self.head.pred
-                    out = [
-                        Atom(pred, r)
-                        for r in executor.shaped_batch(node, shape)
-                    ]
+                    # Rows off the head columns are the head's arguments:
+                    # no atom is built, and a ``fresh`` plan has already
+                    # subtracted the head relation.
+                    out = executor.shaped_batch(node, shape)
+                    stats.derivations += len(out)
+                    return out
+                # Duplicate rows only cost decode and substitution time,
+                # so let the executor collapse them.
+                batch = executor.distinct_batch(node)
+                vars_ = node.out_vars
+                if not vars_:
+                    heads = [head] if batch else []
                 else:
-                    rows = executor.distinct_batch(node)
-                    head, vars_ = self.head, node.out_vars
-                    if not vars_:
-                        out = [head] if rows else []
-                    else:
-                        out = [
-                            head.substitute(Subst._make(dict(zip(vars_, r))))
-                            for r in rows
-                        ]
+                    heads = [
+                        head.substitute(Subst._make(dict(zip(vars_, r))))
+                        for r in batch
+                    ]
             except PlanInapplicable:
-                out = None
-        if out is None:
-            head = self.head
-            out = list(dict.fromkeys(
-                head.substitute(env) for env in self._solve(engines, pin)
-            ))
-        engines.solver.stats.derivations += len(out)
+                heads = None
+        if heads is None:
+            heads = (head.substitute(env) for env in self._solve(engines, pin))
+        # Distinct bindings can substitute to one head (set arguments).
+        heads = dict.fromkeys(heads)
+        if fresh:
+            held = engines.solver.interp.facts_of(head.pred)
+            out = [h.args for h in heads if h not in held]
+        else:
+            out = [h.args for h in heads]
+        stats.derivations += len(out)
         return out
+
+    def heads(self, engines: _Engines, pin: Optional[int] = None) -> list[Atom]:
+        """:meth:`rows` as atoms."""
+        pred = self.head.pred
+        return [Atom(pred, r) for r in self.rows(engines, pin)]
 
     def bindings(
         self, engines: _Engines, pin: Optional[int] = None

@@ -430,11 +430,16 @@ class Executor:
                 self._resolver(t, node.input.out_vars) for t in a.args
             )
         pred = a.pred
-        out: list[Row] = []
-        for r in rows:
-            ground = Atom(pred, tuple(f(r) for f in res))
-            if not evaluate_ground_atom(ground, self._oracle):
-                out.append(r)
+        if a.is_special() or pred in self.builtins:
+            def holds(ground: Atom) -> bool:
+                return evaluate_ground_atom(ground, self._oracle)
+        else:
+            # A stored relation: cells are ground, membership decides.
+            holds = self.interp.facts_of(pred).__contains__
+        out = [
+            r for r in rows
+            if not holds(Atom(pred, tuple(f(r) for f in res)))
+        ]
         self.stats.note(node.op, len(rows), len(out))
         return out
 

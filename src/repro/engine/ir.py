@@ -307,11 +307,14 @@ class Unnest(PlanNode):
 
 
 class AntiJoin(PlanNode):
-    """Stratified negation: drop rows whose (ground) negated atom holds.
+    """Drop rows whose (ground) instance of ``atom`` holds.
 
-    The negated predicate lives in a strictly lower stratum, so the check
-    runs against the full interpretation — never against a delta — exactly
-    like the tuple path's closed-formula oracle.
+    Stratified negation: the negated predicate lives in a strictly lower
+    stratum, so the check runs against the full interpretation — never
+    against a delta — exactly like the tuple path's closed-formula oracle.
+    The fixpoint's head plans end in one over the head atom
+    (:func:`~repro.engine.planner.head_plan`), which subtracts what the
+    head relation held when the round began.
     """
 
     __slots__ = ("input", "atom", "_meta")
@@ -415,6 +418,20 @@ def walk_plan(node: PlanNode) -> Iterable[PlanNode]:
 # ---------------------------------------------------------------------------
 
 Row = tuple
+
+
+class IdRows(list):
+    """Rows the columnar executor decoded, with the ID columns they came
+    from kept beside them (``cols``: one int64 vector per row position,
+    aligned with the list as long as it is not reordered).  Whoever
+    stores the rows back — ``Interpretation.extend``, ``ActiveDomain`` —
+    takes the IDs instead of encoding each cell again."""
+
+    __slots__ = ("cols",)
+
+    def __init__(self, rows: Iterable[Row], cols: Sequence) -> None:
+        super().__init__(rows)
+        self.cols = cols
 
 
 def join_rows(

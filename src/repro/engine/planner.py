@@ -298,15 +298,24 @@ def compile_rule(
     return CompiledPlan(MODE_SET, root, clause, bound_vars=frozenset(bound))
 
 
-def head_plan(compiled: CompiledPlan) -> Optional[PlanNode]:
+def head_plan(
+    compiled: CompiledPlan, subtract_head: bool = False
+) -> Optional[PlanNode]:
     """Wrap a rule plan for head derivation: project to the head variables
-    and deduplicate (tuple-path head dedup lifted to a plan operator)."""
+    and deduplicate (tuple-path head dedup lifted to a plan operator).
+
+    With ``subtract_head`` the plan ends in an anti-join on the head atom,
+    ``Distinct(Project(body)) ▷ head``: the rows left are the head
+    instances the interpretation does not hold yet."""
     if compiled.root is None:
         return None
-    head_vars = _sorted_vars(compiled.clause.head.free_vars())
-    if not head_vars:
-        return Distinct(compiled.root)
-    return Distinct(Project(compiled.root, head_vars))
+    head = compiled.clause.head
+    head_vars = _sorted_vars(head.free_vars())
+    node = compiled.root
+    if head_vars:
+        node = Project(node, head_vars)
+    node = Distinct(node)
+    return AntiJoin(node, head) if subtract_head else node
 
 
 def compile_grouping(

@@ -95,6 +95,20 @@ def _index_remove(
     del bucket[a]
 
 
+class FactSlice(list):
+    """The atoms one bulk insert appended to a predicate, in bucket order.
+
+    ``start`` is the bucket offset of the first, so the atoms are rows
+    ``[start, start + len)`` of the relation — and of its
+    :meth:`Interpretation.id_columns` — until something is removed from
+    the predicate.  The semi-naive loop hands these to the next round as
+    its deltas: consumers that want atoms iterate the list, the columnar
+    delta scan reads the row range.
+    """
+
+    __slots__ = ("start",)
+
+
 class Interpretation:
     """A mutable set of ground non-special atoms with a predicate index.
 
@@ -153,8 +167,7 @@ class Interpretation:
         self._columns: dict[
             str, Optional[tuple[int, int, tuple[bytes, ...]]]
         ] = {}
-        for a in atoms:
-            self.add(a)
+        self.update(atoms)
 
     # -- snapshots / copy-on-write ------------------------------------------------
 
@@ -216,8 +229,8 @@ class Interpretation:
 
     # -- mutation ----------------------------------------------------------------
 
-    def add(self, a: Atom) -> bool:
-        """Insert a ground atom; returns ``True`` if it was new."""
+    @staticmethod
+    def _check_assertable(a: Atom) -> None:
         if a.is_special():
             raise EvaluationError(
                 f"special atom {a} cannot be asserted; its interpretation is "
@@ -225,6 +238,10 @@ class Interpretation:
             )
         if not a.is_ground():
             raise EvaluationError(f"cannot assert non-ground atom {a}")
+
+    def add(self, a: Atom) -> bool:
+        """Insert a ground atom; returns ``True`` if it was new."""
+        self._check_assertable(a)
         bucket = self._by_pred.get(a.pred)
         if bucket is not None and a in bucket:
             return False
@@ -240,9 +257,77 @@ class Interpretation:
                 _index_insert(index, positions, a, bases.get(positions))
         return True
 
-    def update(self, atoms: Iterable[Atom]) -> int:
-        """Insert many atoms; returns the number actually added."""
-        return sum(1 for a in atoms if self.add(a))
+    def update(self, atoms: Iterable[Atom]) -> list[Atom]:
+        """Insert many atoms; returns the ones actually added, in order.
+
+        Validates like :meth:`add` (same errors) but in one pass before
+        anything is inserted, then extends each predicate once."""
+        fresh: dict[str, dict[Atom, None]] = {}
+        for a in atoms:
+            self._check_assertable(a)
+            held = self._by_pred.get(a.pred)
+            if held is None or a not in held:
+                fresh.setdefault(a.pred, {})[a] = None
+        added: list[Atom] = []
+        for pred, new in fresh.items():
+            added += self._append(pred, FactSlice(new))
+        return added
+
+    def extend(self, pred: str, rows: Sequence[tuple]) -> FactSlice:
+        """Bulk-insert the atoms ``pred(*row)``; returns them as the
+        relation's new row range.
+
+        The caller guarantees what a head plan that ends in an anti-join
+        against this relation yields: ground canonical cells, rows pairwise
+        distinct, none held yet, ``pred`` not special.  When ``rows``
+        remembers the ID columns it was decoded from
+        (:class:`~repro.engine.ir.IdRows`), a column cache that covers the
+        whole relation is extended with those IDs as they are — its prefix
+        stays valid and no cell is re-encoded."""
+        return self._append(
+            pred,
+            FactSlice(map(Atom, itertools.repeat(pred), rows)),
+            getattr(rows, "cols", None),
+        )
+
+    def _append(
+        self, pred: str, new: FactSlice, cols: Optional[Sequence] = None
+    ) -> FactSlice:
+        """The one bulk insertion path: the bucket, every built argument
+        index and the column cache grow by ``new`` in one pass."""
+        new.start = n_old = len(self._by_pred.get(pred, _EMPTY_FACTS))
+        if not new:
+            return new
+        bucket = self._mutable_bucket(pred)
+        if bucket is None:
+            bucket = self._by_pred[pred] = {}
+        bucket.update(dict.fromkeys(new))
+        if len(bucket) != n_old + len(new):
+            raise EvaluationError(
+                f"bulk insert into {pred!r}: atoms repeated or already held"
+            )
+        self._size += len(new)
+        per = self._indexes.get(pred)
+        if per:
+            bases = self._bases.get(pred, _EMPTY_FACTS)
+            for positions, index in per.items():
+                base = bases.get(positions)
+                for a in new:
+                    _index_insert(index, positions, a, base)
+        if cols is not None:
+            # A missing, stale, uncacheable or other-arity entry is left
+            # for the next ``id_columns`` call to (re)build from the bucket.
+            entry = (
+                self._columns.get(pred) if n_old
+                else (len(cols), 0, (b"",) * len(cols))
+            )
+            if entry and entry[0] == len(cols) and entry[1] == n_old:
+                self._columns[pred] = (
+                    entry[0],
+                    n_old + len(new),
+                    tuple(o + c.tobytes() for o, c in zip(entry[2], cols)),
+                )
+        return new
 
     def remove(self, a: Atom) -> bool:
         """Retract a ground atom; returns ``True`` if it was present.

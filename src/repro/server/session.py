@@ -351,7 +351,7 @@ class Session:
             snap.interpretation, self._model.builtins,
             stats.solver, stats.execs,
         )
-        return [h.args for h in rule.heads(engines)]
+        return rule.rows(engines)
 
     # -- writes ------------------------------------------------------------------
 

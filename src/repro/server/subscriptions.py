@@ -414,7 +414,7 @@ class SubscriptionManager:
     def _eval_rows(
         self, rule: _CompiledRule, snap: ModelSnapshot
     ) -> set[tuple[Term, ...]]:
-        return {h.args for h in rule.heads(self._engines(snap))}
+        return set(rule.rows(self._engines(snap)))
 
     def _engines(self, snap: ModelSnapshot, delta=None) -> _Engines:
         """Engines over a snapshot; like ad-hoc queries they get no

@@ -185,6 +185,10 @@ def _assert_same_rows(interp, delta=None, delta_index=None):
     shape = tuple(range(len(node.out_vars)))[:1]
     assert (sorted(map(_row_key, col_exec.shaped_batch(node, shape)))
             == sorted(map(_row_key, row_exec.shaped_batch(node, shape))))
+    # The fixpoint's plan: the same rows minus the head relation.
+    fresh = head_plan(cp, subtract_head=True)
+    assert (sorted(map(_row_key, col_exec.batch(fresh)))
+            == sorted(map(_row_key, row_exec.batch(fresh))))
 
 
 class TestKernelEquivalence:
@@ -202,6 +206,27 @@ class TestKernelEquivalence:
         )
         delta = {"t": frozenset({atom("t", const("n2"), const("n3"))})}
         _assert_same_rows(interp, delta=delta, delta_index=1)
+
+    @pytest.mark.parametrize("negated", [
+        "t(X, Y)", "t(Y, X)", "t(X, X)", "t(X, n2)", "t(n1, n2)",
+        "t(n0, n0)", "e(Y, Y)",
+    ])
+    def test_anti_join_shapes(self, negated):
+        """Variables, a repeated variable, constants and a ground atom:
+        the packed-key anti-join keeps the rows the row kernel keeps."""
+        interp = _graph_interp(
+            [(0, 1), (1, 2), (2, 3), (3, 3)],
+            closure=[(1, 2), (2, 3), (1, 3), (3, 3), (2, 1)],
+        )
+        rule = parse_program(
+            f"u(X, Y) :- e(X, Y), not {negated}."
+        ).clauses[0]
+        node = head_plan(compile_rule(rule, {}))
+        col_exec = ColumnarExecutor(interp)
+        col_exec.min_vector_rows = 0
+        got = sorted(map(_row_key, col_exec.batch(node)))
+        assert got == sorted(map(_row_key, Executor(interp).batch(node)))
+        assert col_exec.stats.row_nodes == 0
 
     @settings(max_examples=40, deadline=None)
     @given(

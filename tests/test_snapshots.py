@@ -8,6 +8,7 @@ through the incrementally-maintained argument indexes, which are shared
 until the first post-snapshot mutation of each predicate.
 """
 
+from array import array
 from unittest import mock
 
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from repro import parse_program
 from repro.core import atom, const
 from repro.core.errors import EvaluationError
+from repro.core.terms import term_id
 from repro.engine import Database
 from repro.engine.maintenance import (
     MaterializedModel,
@@ -22,6 +24,7 @@ from repro.engine.maintenance import (
     RetiredVersionError,
     VersionedModel,
 )
+from repro.engine.ir import IdRows
 from repro.semantics.interpretation import Interpretation
 
 
@@ -93,6 +96,10 @@ class TestInterpretationSnapshot:
                 for key, facts in want.items():
                     assert list(interp.candidates("e", positions, key)) \
                         == facts
+            # ... and the ID columns are the side's facts, in order.
+            assert interp.id_columns("e") == Interpretation(
+                interp.facts_of("e")
+            ).id_columns("e")
 
         interp = Interpretation(
             [a("e", f"v{i % 5}", f"v{i}") for i in range(40)]
@@ -112,12 +119,26 @@ class TestInterpretationSnapshot:
                 # A bucket that empties and comes back within one round.
                 interp.remove(a("e", "fresh", f"v{round_no}"))
                 interp.add(a("e", "fresh", f"v{round_no}"))
+                # The bulk paths hand over like ``add``: one held atom is
+                # skipped, two rows arrive with their ID columns.
+                assert interp.update(
+                    [a("e", "v4", "v4"), a("e", "bulk", f"u{round_no}")]
+                ) == [a("e", "bulk", f"u{round_no}")]
+                interp.id_columns("e")
+                rows = [
+                    (const(f"bulk{round_no}"), const(f"v{i}")) for i in (1, 2)
+                ]
+                rows = IdRows(rows, [
+                    array("q", map(term_id, col)) for col in zip(*rows)
+                ])
+                assert interp.extend("e", rows).start == 42 + 4 * round_no
+                assert interp._columns["e"][1] == 44 + 4 * round_no
                 assert_exact(interp)
                 for snap, atoms in frozen:
                     assert snap.sorted_atoms() == atoms
                     assert_exact(snap)
-        # 3 insertions x 2 signatures per round, and not one rebuild.
-        assert inserts.call_count == 4 * 3 * 2
+        # 6 insertions x 2 signatures per round, and not one rebuild.
+        assert inserts.call_count == 4 * 6 * 2
 
     def test_lazy_index_on_snapshot_matches_scan(self):
         interp = Interpretation(
