@@ -10,8 +10,13 @@ shipped and with numpy masked (``make_executor`` then hands out the row
   output before any decode),
 * a multi-query program (four selective rules over the same two
   relations — the relation columns are encoded once and reused),
-* transitive closure of a dense random digraph (many semi-naive rounds
-  of delta-pinned joins),
+* transitive closure of a dense random digraph (a few semi-naive rounds
+  of delta-pinned joins, each delta a large share of the relation: the
+  rounds stay on sorted ID columns),
+* transitive closure of a 300-edge chain (301 rounds whose deltas clear
+  the vector gate but shrink to 1/150 of the growing relation: the other
+  side of the anti-join's kernel choice, where a round must cost its
+  delta and the columnar arm can only match per-atom rounds),
 * a wide-output join (``q(X, Z)``) where decode cost bounds the win —
   kept as coverage that output-heavy plans do not regress,
 * repeated session queries against a warm query-service model (the
@@ -34,6 +39,7 @@ from repro import parse_program
 from repro.engine import Database, Evaluator
 from repro.engine.columnar import HAS_NUMPY
 from repro.engine.setops import with_set_builtins
+from repro.workloads import chain_graph
 
 #: Arm -> the ``tests/paths.py`` path that forces it (``conftest.py``).
 MODES = {"columnar": "default", "row": "no-numpy"}
@@ -121,6 +127,14 @@ def test_tc_random(benchmark, mode):
     db = rand_graph_db(350, 1200)
     result = benchmark(lambda: run(TC, db))
     assert result.relation("t")
+
+
+def test_tc_chain(benchmark, mode):
+    db = Database()
+    for u, v in chain_graph(300):
+        db.add("e", u, v)
+    result = benchmark(lambda: run(TC, db))
+    assert len(result.relation("t")) == 300 * 301 // 2
 
 
 def test_server_queries(benchmark, mode):

@@ -16,20 +16,18 @@ Encode/decode boundaries (see DESIGN.md, "Columnar execution"):
   columns
   (:meth:`~repro.semantics.interpretation.Interpretation.id_columns`,
   built incrementally like its argument indexes) and filter them with
-  vector masks: the whole relation, or — for a delta that is the row
-  range a bulk insert appended
-  (:class:`~repro.semantics.interpretation.FactSlice`) — that range.
-  Deltas given as atom sets (seeds, maintenance and subscription deltas)
-  and results of row-fallback operators are encoded on (re-)entry to a
-  columnar parent.
+  vector masks; a delta that is the row range a bulk insert appended
+  (:class:`~repro.semantics.interpretation.FactSlice`) is read from the
+  ID columns the slice was stored with.  Deltas given as atom sets
+  (seeds, maintenance and subscription deltas) and results of
+  row-fallback operators are encoded on (re-)entry to a columnar parent.
 * **decode** — ``batch()`` (the executor's public entry point) decodes the
   final columns back to term rows for head materialization —
-  ``shaped_batch()`` keeps the columns beside the rows
-  (:class:`~repro.engine.ir.IdRows`) so storing them needs no encode —
-  and any operator that must see real values (``Compute``, ``Unnest``,
-  builtin ``Select`` — plus generic-shape scans) runs the inherited row
-  kernel over its decoded input.  The per-node fallback keeps the plan
-  running columnar around type-sensitive islands.
+  ``shaped_batch()`` returns the columns beside the rows so storing them
+  needs no encode — and any operator that must see real values
+  (``Compute``, ``Unnest``, builtin ``Select`` — plus generic-shape scans)
+  runs the inherited row kernel over its decoded input.  The per-node
+  fallback keeps the plan running columnar around type-sensitive islands.
 
 Capability is static per node (:func:`columnar_capable`): ``Unit``,
 ``Join``, ``Project``, ``Distinct`` and ``GroupBy`` always qualify;
@@ -48,7 +46,7 @@ hands back the row executor.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 try:  # gate, don't require: the row executor is the degraded mode
     import numpy as _np
@@ -58,14 +56,17 @@ except ImportError:  # pragma: no cover - image always has numpy
 from ..core.atoms import Atom
 from ..core.terms import TERM_DICT, SetValue, Term, Var, canonicalize, setvalue
 from ..core.sorts import sorts_compatible
-from ..semantics.interpretation import INDEX_MIN_FACTS, Interpretation
+from ..semantics.interpretation import (
+    INDEX_MIN_FACTS,
+    FactSlice,
+    Interpretation,
+)
 from .builtins import Builtin
 from .executor import _GENERIC, Executor, PlanInapplicable, _DISPATCH, _scan_shape
 from .ir import (
     AntiJoin,
     Distinct,
     GroupBy,
-    IdRows,
     Join,
     PlanNode,
     Project,
@@ -253,6 +254,14 @@ def _distinct_cols_of(n: int, cols: list) -> tuple:
     return int(first.size), _take(cols, first)
 
 
+def distinct_terms(id_cols: Sequence) -> Iterable[Term]:
+    """Every term a batch of ID columns mentions, once each — told apart
+    as integers, no ``Term.__hash__`` per cell."""
+    return map(
+        _TERMS.__getitem__, set().union(*(c.tolist() for c in id_cols))
+    )
+
+
 def _empty_cols(n: int) -> list:
     return [_np.empty(0, dtype=_np.int64) for _ in range(n)]
 
@@ -265,6 +274,15 @@ def _empty_cols(n: int) -> list:
 #: the maintenance-churn crossover; bulk loads and warm queries are
 #: unaffected because every leaf is a full relation.
 _MIN_VECTOR_ROWS = 64
+
+#: Kernel choice inside a columnar node that meets a stored relation (the
+#: probe join, the anti-join): sorting the relation costs C-speed work
+#: linear-log in *its* size, probing it costs a Python step per *input*
+#: row, and the two meet where the relation is about this many times the
+#: input (measured: 12–20×).  Deep recursions live on the probe side —
+#: hundreds of rounds of a few hundred rows each against a relation that
+#: keeps growing — and must cost their deltas, not rounds × relation.
+_PROBE_RATIO = 16
 
 
 class ColumnarExecutor(Executor):
@@ -305,13 +323,15 @@ class ColumnarExecutor(Executor):
         n, cols = _distinct_cols_of(n, cols)
         return self._decode(n, cols)
 
-    def shaped_batch(self, node: PlanNode, take: tuple[int, ...]) -> list[Row]:
+    def shaped_batch(
+        self, node: PlanNode, take: tuple[int, ...]
+    ) -> tuple[list[Row], Optional[list]]:
         if not columnar_capable(node, self.builtins) \
                 or not self._vector_worthwhile(node):
             return super().shaped_batch(node, take)
         n, cols = self.cols(node)
         n, cols = _distinct_cols_of(n, [cols[i] for i in take])
-        return IdRows(self._decode(n, cols), cols)
+        return self._decode(n, cols), cols
 
     def _vector_worthwhile(self, node: PlanNode) -> bool:
         """Whether every scan leaf feeds at least ``min_vector_rows``
@@ -403,19 +423,30 @@ class ColumnarExecutor(Executor):
     def _scan_cols(self, node: Scan) -> tuple:
         a = node.atom
         var_pos, const_checks, dup_checks, var_sorts = node._shape
-        # The rows to read are a range of the relation's cached columns:
-        # all of it, or — for a delta the last bulk insert appended
-        # (``FactSlice``) — that insert's row range.
-        if node.delta:
-            facts = self.delta.get(a.pred, ()) if self.delta is not None else ()
-            lo = getattr(facts, "start", None)
+        # Where the rows' IDs come from, as (arity, rows, column bytes,
+        # first row): the relation's cached columns for a full scan; for
+        # a delta that is the row range a bulk insert appended
+        # (``FactSlice``) the slice's own columns, or — when it was
+        # stored without them — that range of the relation's, unless the
+        # relation so outgrew the slice that bringing its cache up to
+        # date would cost more than encoding the slice (``_PROBE_RATIO``).
+        facts = source = None
+        if not node.delta:
+            entry = self.interp.id_columns(a.pred)
+            if entry is not None:
+                source = (*entry, 0)
         else:
-            facts, lo = None, 0
-        entry = self.interp.id_columns(a.pred) if lo is not None else None
-        if entry is not None:
-            arity, n, bufs = entry
-            if facts is not None:
+            facts = self.delta.get(a.pred, ()) if self.delta is not None else ()
+            if isinstance(facts, FactSlice):
                 n = len(facts)
+                if facts.id_cols is not None:
+                    source = (len(facts.id_cols), n, facts.id_cols, 0)
+                elif n * _PROBE_RATIO >= len(self.interp.facts_of(a.pred)):
+                    entry = self.interp.id_columns(a.pred)
+                    if entry is not None:
+                        source = (entry[0], n, entry[2], facts.start)
+        if source is not None:
+            arity, n, bufs, lo = source
             if arity != a.arity:
                 self.stats.note(node.op, n, 0)
                 return 0, _empty_cols(len(var_pos))
@@ -541,7 +572,7 @@ class ColumnarExecutor(Executor):
         # (sort+diff: cheaper than np.unique's hash table on int64).
         sk = _np.sort(_key_col(lcols, lkey, ln))
         nkeys = 1 + int((sk[1:] != sk[:-1]).sum())
-        if nkeys * 16 >= len(facts):
+        if nkeys * _PROBE_RATIO >= len(facts):
             return None
         lkeys = list(zip(*[lcols[i].tolist() for i in lkey]))
         by_key: dict = {}
@@ -645,16 +676,22 @@ class ColumnarExecutor(Executor):
         pred = node.atom.pred
         facts = self.interp.facts_of(pred)
         keep = None                         # ``None`` keeps every row
+        n_in = n                            # rows the kernel reads
         if not n or not facts:
             pass
         elif not metas:                     # zero-arity atom: one probe
             if Atom(pred, ()) in facts:
                 keep = _np.zeros(n, dtype=bool)
-        elif (entry := self.interp.id_columns(pred)) is not None:
+        elif n * _PROBE_RATIO >= len(facts) and (
+            entry := self.interp.id_columns(pred)
+        ) is not None:
+            n_in += entry[1]
             keep = self._absent_mask(n, cols, metas, entry)
         else:
-            # Mixed-arity relation, no column cache: decide each row on
-            # real values, like the row kernel.
+            # Few rows against a large relation (sorting it would cost
+            # more than the rows — see ``_PROBE_RATIO``), or a mixed-arity
+            # relation without a column cache: decide each row on real
+            # values, like the row kernel.
             term = _TERMS.__getitem__
             seqs = [
                 map(term, cols[v].tolist()) if k == "col" else repeat(v, n)
@@ -665,10 +702,10 @@ class ColumnarExecutor(Executor):
                 bool, count=n,
             )
         if keep is None:
-            self.stats.note(node.op, n, n)
+            self.stats.note(node.op, n_in, n)
             return n, cols
         n_out = int(keep.sum())
-        self.stats.note(node.op, n, n_out)
+        self.stats.note(node.op, n_in, n_out)
         return n_out, [c[keep] for c in cols]
 
     @staticmethod

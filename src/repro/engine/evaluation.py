@@ -60,7 +60,6 @@ from ..core.program import Program
 from ..core.sorts import EQUALS, MEMBER, SORT_A, SORT_S, SORT_U, sorts_compatible
 from ..core.substitution import Subst
 from ..core.terms import (
-    TERM_DICT,
     App,
     Const,
     SetExpr,
@@ -82,7 +81,7 @@ from ..core.unify import (
 from ..semantics.interpretation import Interpretation
 from .builtins import DEFAULT_BUILTINS, Builtin
 from .database import Database, from_term
-from .columnar import make_executor
+from .columnar import distinct_terms, make_executor
 from .executor import Executor, PlanInapplicable
 from .ir import ExecStats, GroupBy, PlanNode, Row
 from .planner import CompiledPlan, compile_grouping, compile_rule, head_plan
@@ -135,21 +134,14 @@ class ActiveDomain:
         for t in a.args:
             self.note_term(t)
 
-    def note_rows(self, rows: Sequence[Sequence[Term]]) -> None:
-        """Note every cell of a batch of ground rows, each distinct term
-        once — found on the rows' ID columns when they kept them
-        (:class:`~repro.engine.ir.IdRows`), where telling terms apart is
-        integer work."""
-        cols = getattr(rows, "cols", None)
-        if cols is not None:
-            terms: Iterable[Term] = map(
-                TERM_DICT.terms.__getitem__,
-                set().union(*(c.tolist() for c in cols)),
-            )
-        else:
-            terms = set(itertools.chain.from_iterable(rows))
+    def note_terms(self, terms: Iterable[Term]) -> None:
         for t in terms:
             self.note_term(t)
+
+    def note_rows(self, rows: Iterable[Sequence[Term]]) -> None:
+        """Note every cell of a batch of ground rows, each distinct term
+        once."""
+        self.note_terms(set(itertools.chain.from_iterable(rows)))
 
     def carrier(self, sort: str) -> list[Term]:
         """The carrier list of a sort, cached per domain version.
@@ -989,8 +981,9 @@ class Evaluator:
             domain_grew = domain.version != prev_version
             prev_version = domain.version
             #: head predicate -> the batches of new head rows this round's
-            #: rule applications derived (each batch distinct, none held).
-            fresh: dict[str, list[list[Row]]] = {}
+            #: rule applications derived (each batch distinct, none held),
+            #: each with its ID columns or ``None``.
+            fresh: dict[str, list[tuple[list[Row], Optional[list]]]] = {}
             engines = _Engines(
                 interp, self.builtins, report.stats, report.exec,
                 delta=deltas, domain=domain, options=self.options,
@@ -1011,7 +1004,7 @@ class Evaluator:
                             rule.ground_premises(env, self.builtins),
                         )
                     if rows:
-                        fresh.setdefault(pred, []).append(list(rows))
+                        fresh.setdefault(pred, []).append((list(rows), None))
                     continue
                 exportable = shard is not None and shard.exportable(rule.deps)
                 # After the first round a delta-capable rule fires once per
@@ -1020,25 +1013,31 @@ class Evaluator:
                 if changed_preds is not None and rule.delta_capable:
                     pins = rule.pins(deltas)
                 for pin in pins:
-                    batch = rule.rows(engines, pin, fresh=True)
+                    batch, id_cols = rule.fresh_rows(engines, pin)
                     if shard is not None:
-                        batch = [
+                        batch, id_cols = [
                             r for r in batch
                             if shard.admit(Atom(pred, r), exportable)
-                        ]
+                        ], None
                     if batch:
-                        fresh.setdefault(pred, []).append(batch)
+                        fresh.setdefault(pred, []).append((batch, id_cols))
             if not fresh:
                 break
             deltas = {}
             for pred, batches in fresh.items():
                 # Two applications may reach the same new head; one batch
                 # is distinct as it stands (and keeps its ID columns).
-                new = batches[0] if len(batches) == 1 else list(
-                    dict.fromkeys(itertools.chain.from_iterable(batches))
+                new, id_cols = batches[0] if len(batches) == 1 else (
+                    list(dict.fromkeys(itertools.chain.from_iterable(
+                        rows for rows, _ in batches
+                    ))),
+                    None,
                 )
-                gained = deltas[pred] = interp.extend(pred, new)
-                domain.note_rows(new)
+                gained = deltas[pred] = interp.extend(pred, new, id_cols)
+                if id_cols is not None:
+                    domain.note_terms(distinct_terms(id_cols))
+                else:
+                    domain.note_rows(new)
                 report.derived += len(gained)
                 added.setdefault(pred, set()).update(gained)
             changed_preds = set(deltas)
@@ -1209,7 +1208,7 @@ class _CompiledRule:
         straight off the row cells, no substitution.  With ``fresh`` a
         Datalog-shaped head's plan also subtracts the head relation
         (:func:`~repro.engine.planner.head_plan`); other heads are
-        filtered atom by atom in :meth:`rows`."""
+        filtered atom by atom in :meth:`_apply`."""
         cached = self._head_plan_cache.get((pin, fresh))
         if cached is None:
             cp = self.plan(pin)
@@ -1232,13 +1231,9 @@ class _CompiledRule:
             i for i, a in enumerate(self.relational) if delta.get(a.pred)
         ]
 
-    def rows(
-        self, engines: _Engines, pin: Optional[int] = None,
-        fresh: bool = False,
-    ) -> list[Row]:
+    def rows(self, engines: _Engines, pin: Optional[int] = None) -> list[Row]:
         """The distinct head atoms one application of this rule derives,
-        as their argument rows; with ``fresh`` only those the engines'
-        interpretation does not hold.
+        as their argument rows.
 
         With ``pin`` the ``pin``-th relational occurrence ranges over
         ``engines.delta`` only (semi-naive differentiation, maintenance
@@ -1247,6 +1242,20 @@ class _CompiledRule:
         a tuple-mode body, no executor, or a static prediction failing on
         real values (:class:`PlanInapplicable`) runs the solver instead.
         """
+        return self._apply(engines, pin, False)[0]
+
+    def fresh_rows(
+        self, engines: _Engines, pin: Optional[int] = None
+    ) -> tuple[list[Row], Optional[list]]:
+        """:meth:`rows` less the atoms the engines' interpretation holds
+        — what one application adds — and the ID columns those rows were
+        decoded from when the columnar path produced them (else ``None``),
+        for :meth:`Interpretation.extend` to store as they are."""
+        return self._apply(engines, pin, True)
+
+    def _apply(
+        self, engines: _Engines, pin: Optional[int], fresh: bool
+    ) -> tuple[list[Row], Optional[list]]:
         executor = engines.executor
         node, shape = (
             self._head_plan(pin, fresh) if executor is not None
@@ -1261,9 +1270,9 @@ class _CompiledRule:
                     # Rows off the head columns are the head's arguments:
                     # no atom is built, and a ``fresh`` plan has already
                     # subtracted the head relation.
-                    out = executor.shaped_batch(node, shape)
+                    out, id_cols = executor.shaped_batch(node, shape)
                     stats.derivations += len(out)
-                    return out
+                    return out, id_cols
                 # Duplicate rows only cost decode and substitution time,
                 # so let the executor collapse them.
                 batch = executor.distinct_batch(node)
@@ -1287,7 +1296,7 @@ class _CompiledRule:
         else:
             out = [h.args for h in heads]
         stats.derivations += len(out)
-        return out
+        return out, None
 
     def heads(self, engines: _Engines, pin: Optional[int] = None) -> list[Atom]:
         """:meth:`rows` as atoms."""

@@ -100,17 +100,23 @@ class Executor:
         """
         return distinct_rows(self.batch(node))
 
-    def shaped_batch(self, node: PlanNode, take: tuple[int, ...]) -> list[Row]:
-        """Distinct rows projected to the ``take`` column indices.
+    def shaped_batch(
+        self, node: PlanNode, take: tuple[int, ...]
+    ) -> tuple[list[Row], Optional[list]]:
+        """Distinct rows projected to the ``take`` column indices, and the
+        ID columns they were decoded from — ``None`` here, one int64
+        vector per row position in the columnar subclass.
 
         The head-materialization fast path for Datalog-shaped heads: the
         caller builds one atom per returned row, so projecting and
         deduplicating first — on ID columns in the columnar subclass —
         skips decoding and substituting rows that only differ in
-        projected-away columns.
+        projected-away columns, and whoever stores the rows back
+        (``Interpretation.extend``) takes the IDs instead of encoding
+        each cell again.
         """
         rows = self.batch(node)
-        return distinct_rows([tuple(r[i] for i in take) for r in rows])
+        return distinct_rows([tuple(r[i] for i in take) for r in rows]), None
 
     def heads(self, node: PlanNode, head: Atom) -> list[Atom]:
         """Execute a (projected, distinct) plan and substitute the head."""

@@ -420,20 +420,6 @@ def walk_plan(node: PlanNode) -> Iterable[PlanNode]:
 Row = tuple
 
 
-class IdRows(list):
-    """Rows the columnar executor decoded, with the ID columns they came
-    from kept beside them (``cols``: one int64 vector per row position,
-    aligned with the list as long as it is not reordered).  Whoever
-    stores the rows back — ``Interpretation.extend``, ``ActiveDomain`` —
-    takes the IDs instead of encoding each cell again."""
-
-    __slots__ = ("cols",)
-
-    def __init__(self, rows: Iterable[Row], cols: Sequence) -> None:
-        super().__init__(rows)
-        self.cols = cols
-
-
 def join_rows(
     lrows: Sequence[Row],
     rrows: Sequence[Row],

@@ -101,12 +101,24 @@ class FactSlice(list):
     ``start`` is the bucket offset of the first, so the atoms are rows
     ``[start, start + len)`` of the relation — and of its
     :meth:`Interpretation.id_columns` — until something is removed from
-    the predicate.  The semi-naive loop hands these to the next round as
-    its deltas: consumers that want atoms iterate the list, the columnar
-    delta scan reads the row range.
+    the predicate.  ``id_cols`` holds the slice's own ID columns (native
+    int64 bytes per argument position, the ``id_columns`` format) when the
+    insert was given them, else ``None``.  The semi-naive loop hands these
+    to the next round as its deltas: consumers that want atoms iterate the
+    list, the columnar delta scan reads the IDs.
     """
 
-    __slots__ = ("start",)
+    __slots__ = ("start", "id_cols")
+
+
+#: A bulk insert extends a relation's cached ID columns in place of the
+#: next ``id_columns`` call only when it adds at least this fraction⁻¹ of
+#: the relation: the cache is immutable bytes, so extending it copies the
+#: relation, and a deep recursion (hundreds of rounds, each adding a few
+#: hundred rows to a relation that keeps growing) must not copy it every
+#: round.  Above the ratio the copies sum to a constant times the rows
+#: inserted; below it the cache falls behind and catches up when asked.
+COLUMN_EXTEND_RATIO = 16
 
 
 class Interpretation:
@@ -273,36 +285,47 @@ class Interpretation:
             added += self._append(pred, FactSlice(new))
         return added
 
-    def extend(self, pred: str, rows: Sequence[tuple]) -> FactSlice:
+    def extend(
+        self, pred: str, rows: Sequence[tuple],
+        id_cols: Optional[Sequence] = None,
+    ) -> FactSlice:
         """Bulk-insert the atoms ``pred(*row)``; returns them as the
         relation's new row range.
 
         The caller guarantees what a head plan that ends in an anti-join
         against this relation yields: ground canonical cells, rows pairwise
-        distinct, none held yet, ``pred`` not special.  When ``rows``
-        remembers the ID columns it was decoded from
-        (:class:`~repro.engine.ir.IdRows`), a column cache that covers the
-        whole relation is extended with those IDs as they are — its prefix
-        stays valid and no cell is re-encoded."""
+        distinct, none held yet, ``pred`` not special (repeated or held
+        rows raise and leave the interpretation as it was).  ``id_cols``
+        are the rows' term-dictionary IDs — one int64 vector per argument
+        position, aligned with ``rows`` — when the caller decoded the rows
+        from them: the returned slice keeps them for the next round's
+        delta scan, and a column cache that covers the whole relation is
+        extended with them as they are — its prefix stays valid and no
+        cell is re-encoded."""
         return self._append(
-            pred,
-            FactSlice(map(Atom, itertools.repeat(pred), rows)),
-            getattr(rows, "cols", None),
+            pred, FactSlice(map(Atom, itertools.repeat(pred), rows)), id_cols
         )
 
     def _append(
-        self, pred: str, new: FactSlice, cols: Optional[Sequence] = None
+        self, pred: str, new: FactSlice, id_cols: Optional[Sequence] = None
     ) -> FactSlice:
         """The one bulk insertion path: the bucket, every built argument
         index and the column cache grow by ``new`` in one pass."""
         new.start = n_old = len(self._by_pred.get(pred, _EMPTY_FACTS))
+        new.id_cols = None
         if not new:
             return new
+        if id_cols is not None:
+            new.id_cols = self._checked_id_bytes(pred, new, id_cols)
         bucket = self._mutable_bucket(pred)
         if bucket is None:
             bucket = self._by_pred[pred] = {}
         bucket.update(dict.fromkeys(new))
         if len(bucket) != n_old + len(new):
+            # Held atoms kept their place, so what the update appended is
+            # everything past the old end: take it out again.
+            for a in list(itertools.islice(bucket, n_old, None)):
+                del bucket[a]
             raise EvaluationError(
                 f"bulk insert into {pred!r}: atoms repeated or already held"
             )
@@ -314,20 +337,49 @@ class Interpretation:
                 base = bases.get(positions)
                 for a in new:
                     _index_insert(index, positions, a, base)
-        if cols is not None:
+        ids = new.id_cols
+        if ids is not None and len(new) * COLUMN_EXTEND_RATIO >= n_old:
             # A missing, stale, uncacheable or other-arity entry is left
             # for the next ``id_columns`` call to (re)build from the bucket.
             entry = (
                 self._columns.get(pred) if n_old
-                else (len(cols), 0, (b"",) * len(cols))
+                else (len(ids), 0, (b"",) * len(ids))
             )
-            if entry and entry[0] == len(cols) and entry[1] == n_old:
+            if entry and entry[0] == len(ids) and entry[1] == n_old:
                 self._columns[pred] = (
                     entry[0],
                     n_old + len(new),
-                    tuple(o + c.tobytes() for o, c in zip(entry[2], cols)),
+                    tuple(o + c for o, c in zip(entry[2], ids)),
                 )
         return new
+
+    @staticmethod
+    def _checked_id_bytes(
+        pred: str, new: FactSlice, id_cols: Sequence
+    ) -> tuple[bytes, ...]:
+        """``id_cols`` as column bytes, after checking that they can be
+        the IDs of ``new``: one int64 vector per argument position, as
+        long as the batch, naming the first and the last atom's terms (a
+        batch that was sorted, filtered or sliced after its columns were
+        taken fails here instead of poisoning every later columnar scan)."""
+        from ..core.terms import TERM_DICT
+
+        n = len(new)
+        ends = (new[0].args, new[-1].args)
+        views = [memoryview(c) for c in id_cols]
+        id_of = TERM_DICT.id_of
+        if not all(
+            len(args) == len(views) for args in ends
+        ) or not all(
+            v.ndim == 1 and v.itemsize == 8 and v.format in ("q", "l")
+            and v.shape[0] == n
+            and v[0] == id_of(ends[0][j]) and v[-1] == id_of(ends[1][j])
+            for j, v in enumerate(views)
+        ):
+            raise EvaluationError(
+                f"bulk insert into {pred!r}: ID columns do not match the rows"
+            )
+        return tuple(v.tobytes() for v in views)
 
     def remove(self, a: Atom) -> bool:
         """Retract a ground atom; returns ``True`` if it was present.

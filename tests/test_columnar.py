@@ -183,8 +183,14 @@ def _assert_same_rows(interp, delta=None, delta_index=None):
     assert (sorted(map(_row_key, col_exec.distinct_batch(node)))
             == sorted(map(_row_key, row_exec.distinct_batch(node))))
     shape = tuple(range(len(node.out_vars)))[:1]
-    assert (sorted(map(_row_key, col_exec.shaped_batch(node, shape)))
-            == sorted(map(_row_key, row_exec.shaped_batch(node, shape))))
+    col_rows, col_ids = col_exec.shaped_batch(node, shape)
+    row_rows, row_ids = row_exec.shaped_batch(node, shape)
+    assert (sorted(map(_row_key, col_rows))
+            == sorted(map(_row_key, row_rows)))
+    # The columnar rows come with the ID columns they were decoded from.
+    assert row_ids is None
+    assert [tuple(TERM_DICT.terms[i] for i in ids)
+            for ids in zip(*(c.tolist() for c in col_ids))] == col_rows
     # The fixpoint's plan: the same rows minus the head relation.
     fresh = head_plan(cp, subtract_head=True)
     assert (sorted(map(_row_key, col_exec.batch(fresh)))
@@ -227,6 +233,38 @@ class TestKernelEquivalence:
         got = sorted(map(_row_key, col_exec.batch(node)))
         assert got == sorted(map(_row_key, Executor(interp).batch(node)))
         assert col_exec.stats.row_nodes == 0
+
+    @pytest.mark.parametrize("negated", ["t(X, Y)", "t(Y, X)", "t(X, n3)"])
+    def test_anti_join_probes_a_relation_that_dwarfs_its_input(self, negated):
+        """100 rows against 2 500: sorting the relation would cost more
+        than the rows, so each row is probed — same rows kept, and the
+        node reads its input, not the relation."""
+        interp = _graph_interp(
+            [(i, i + 1) for i in range(100)],
+            closure=[(i, j) for i in range(50) for j in range(50)],
+        )
+        rule = parse_program(
+            f"u(X, Y) :- e(X, Y), not {negated}."
+        ).clauses[0]
+        node = head_plan(compile_rule(rule, {}))
+        col_exec = ColumnarExecutor(interp)
+        got = sorted(map(_row_key, col_exec.batch(node)))
+        assert got == sorted(map(_row_key, Executor(interp).batch(node)))
+        assert 0 < len(got) < 100
+        assert col_exec.stats.row_nodes == 0
+        assert col_exec.stats.per_op["AntiJoin"][1] == 100
+        # Against a relation its own size the packed-key kernel runs and
+        # reads both sides.
+        for u in range(50, 99):
+            interp.remove(atom("e", const(f"n{u}"), const(f"n{u + 1}")))
+        small = Interpretation(
+            list(interp.facts_of("e")) + list(interp.facts_of("t"))[:500]
+        )
+        col_exec = ColumnarExecutor(small)
+        col_exec.min_vector_rows = 0
+        assert (sorted(map(_row_key, col_exec.batch(node)))
+                == sorted(map(_row_key, Executor(small).batch(node))))
+        assert col_exec.stats.per_op["AntiJoin"][1] == 51 + 500
 
     @settings(max_examples=40, deadline=None)
     @given(

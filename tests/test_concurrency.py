@@ -22,6 +22,7 @@ right — under a parallel thread pool.
 """
 
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -229,6 +230,15 @@ def test_dred_counting_stress_under_threads(n_readers):
     for t in threads:
         t.start()
 
+    def wait_until(seen):
+        """The writer's twelve tiny batches can finish inside one thread
+        switch interval; hold it until the readers are demonstrably
+        running beside it (bounded: a dead reader fails below)."""
+        deadline = time.monotonic() + 30
+        while not seen() and time.monotonic() < deadline:
+            time.sleep(0.001)
+
+    wait_until(lambda: all(observations))
     facts = {("e", u, v) for u, v in edges}
     states = {base_version: frozenset(facts)}
     for batch in edge_churn(edges, n_batches=12, batch_size=2,
@@ -236,6 +246,9 @@ def test_dred_counting_stress_under_threads(n_readers):
         facts = (facts - set(batch.dels)) | set(batch.adds)
         snap = svc.apply_delta(adds=batch.adds, dels=batch.dels)
         states[snap.version] = frozenset(facts)
+    wait_until(lambda: errors or any(
+        out[-1][0] > base_version for out in observations
+    ))
     stop.set()
     for t in threads:
         t.join(timeout=120)

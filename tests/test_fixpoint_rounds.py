@@ -18,12 +18,14 @@ test, no clocks:
 """
 
 import sys
+from array import array
 
 import pytest
 
 from paths import MODEL_PATHS, forced, same_on_every_path, tp_model
 from repro import parse_program
 from repro.core import atom, const
+from repro.core.terms import term_id
 from repro.engine import Database, Evaluator, MaterializedModel
 from repro.engine.columnar import HAS_NUMPY, make_executor
 from repro.engine.planner import compile_rule, head_plan
@@ -110,6 +112,26 @@ def test_tc_rounds_decode_only_new_rows(monkeypatch):
 
 
 @needs_numpy
+def test_deep_recursion_rounds_cost_their_deltas():
+    """The other side of the closure above: 201 rounds whose deltas clear
+    the vector gate for 136 of them while ``t`` grows to a hundred times
+    a delta.  A round must cost its delta — the head anti-join probes the
+    relation row by row once sorting it would cost more than the rows,
+    and the delta scan reads the IDs its slice was stored with — not the
+    relation: sorting ``t`` every round would read 1.2 M relation rows
+    here instead of the 23 k below."""
+    edges = chain_graph(200)
+    model = Evaluator(TC, database(edge_facts(edges))).run()
+    report = model.report
+    assert report.rounds == 201 and report.derived == 200 * 201 // 2
+    assert report.exec.col_nodes > 4 * 136     # the vector path did run
+    _batches, rows_in, rows_out = report.exec.per_op["AntiJoin"]
+    assert rows_out == report.derived
+    assert rows_in <= 3 * report.derived
+    assert report.exec.rows_encoded <= len(edges)
+
+
+@needs_numpy
 def test_size_gate_reads_the_plans_own_delta():
     """One large and one small delta in a round: the plan pinned on the
     large one vectorizes, whatever the other predicate gained."""
@@ -125,14 +147,16 @@ def test_size_gate_reads_the_plans_own_delta():
     }
     node = head_plan(compile_rule(TC.clauses[1], {}, 1))
     ex = make_executor(interp, {}, delta=delta)
-    rows = ex.shaped_batch(node, (0, 1))
+    rows, _ids = ex.shaped_batch(node, (0, 1))
     assert len(rows) == 100
     assert ex.stats.col_nodes > 0
     # ... and the plan that reads the small delta stays on the row path.
     reader = parse_program("r(X, Y) :- small(X), e(X, Y).").clauses[0]
     ex = make_executor(interp, {}, delta=delta)
-    assert len(ex.shaped_batch(head_plan(compile_rule(reader, {}, 0)),
-                               (0, 1))) == 1
+    rows, _ids = ex.shaped_batch(
+        head_plan(compile_rule(reader, {}, 0)), (0, 1)
+    )
+    assert len(rows) == 1
     assert ex.stats.col_nodes == 0
 
 
@@ -159,6 +183,33 @@ def test_two_rules_reach_the_same_new_head_in_one_round():
     big = edge_facts(DENSE) + [("f", u, v) for u, v in DENSE[20:]]
     got = model_on_every_path(program, big)
     assert len(got) == len(big) + len(closure(DENSE))
+
+
+def test_merged_batches_in_a_deep_recursion():
+    """Two linear rules feed ``t`` every round of a 201-round closure, so
+    every delta is a slice stored without IDs; once ``t`` has outgrown a
+    slice 16-fold the delta scan encodes the slice instead of bringing
+    the whole relation's column cache up to date."""
+    program = parse_program("""
+    t(X, Y) :- e(X, Y).
+    t(X, Y) :- f(X, Y).
+    t(X, Z) :- e(X, Y), t(Y, Z).
+    t(X, Z) :- f(X, Y), t(Y, Z).
+    """)
+    facts = [("ef"[i % 2], u, v) for i, (u, v) in enumerate(chain_graph(200))]
+    # The plan arms; provenance (solver only) takes a minute here and
+    # never sees a slice.
+    got = model_on_every_path(
+        program, facts, ("default", "vector", "no-numpy")
+    )
+    t = {(a.args[0].value, a.args[1].value) for a in got if a.pred == "t"}
+    assert t == {(f"v{i}", f"v{j}")
+                 for i in range(201) for j in range(i + 1, 201)}
+    if HAS_NUMPY:
+        report = Evaluator(program, database(facts)).run().report
+        assert report.rounds == 201
+        assert 0 < report.exec.rows_encoded <= 2 * report.derived
+        assert report.exec.per_op["AntiJoin"][1] <= 3 * report.derived
 
 
 def test_non_datalog_heads_beside_a_datalog_shaped_one():
@@ -296,8 +347,40 @@ def test_bulk_insert_equals_a_loop_of_add():
             k: list(b) for k, b in bulk._indexes["e"][positions].items()
         }
     assert bulk.id_columns("e") == looped.id_columns("e")
-    with pytest.raises(Exception, match="repeated or already held"):
-        bulk.extend("e", [atoms(0, 1)[0].args])
+    # A rejected batch leaves everything as it was: rows already held or
+    # repeated, ID columns that are not the rows' (shifted, short, floats).
+    before = (list(bulk.facts_of("e")), len(bulk), bulk.id_columns("e"))
+    fresh = [a.args for a in atoms(70, 74)]
+    ids = [array("q", map(term_id, col)) for col in zip(*fresh)]
+    for rows, id_cols, message in [
+        ([atoms(0, 1)[0].args], None, "repeated or already held"),
+        (fresh + [atoms(5, 6)[0].args], None, "repeated or already held"),
+        (fresh + fresh[:1], None, "repeated or already held"),
+        (fresh[::-1], ids, "ID columns do not match"),
+        (fresh, [c[:3] for c in ids], "ID columns do not match"),
+        (fresh, ids[:1], "ID columns do not match"),
+        (fresh, [array("d", c) for c in ids], "ID columns do not match"),
+    ]:
+        with pytest.raises(Exception, match=message):
+            bulk.extend("e", rows, id_cols)
+        assert (list(bulk.facts_of("e")), len(bulk),
+                bulk.id_columns("e")) == before
+        for positions, index in looped._indexes["e"].items():
+            assert {k: list(b) for k, b in index.items()} == {
+                k: list(b)
+                for k, b in bulk._indexes["e"][positions].items()
+            }
+    # A batch that is small beside the relation keeps its own IDs but
+    # does not copy the relation's column cache to extend it: the cache
+    # falls behind and catches up, exactly, when it is asked for.
+    gained = bulk.extend("e", fresh, ids)
+    assert gained.start == 70
+    assert gained.id_cols == tuple(c.tobytes() for c in ids)
+    assert bulk._columns["e"][1] == 70
+    for a in atoms(70, 74):
+        looped.add(a)
+    assert bulk.id_columns("e") == looped.id_columns("e")
+    assert bulk._columns["e"][1] == 74
     for bad in (atom("=", const("a"), const("a")),
                 parse_program("p(X) :- q(X).").clauses[0].head):
         with pytest.raises(Exception) as one:

@@ -24,7 +24,6 @@ from repro.engine.maintenance import (
     RetiredVersionError,
     VersionedModel,
 )
-from repro.engine.ir import IdRows
 from repro.semantics.interpretation import Interpretation
 
 
@@ -120,25 +119,27 @@ class TestInterpretationSnapshot:
                 interp.remove(a("e", "fresh", f"v{round_no}"))
                 interp.add(a("e", "fresh", f"v{round_no}"))
                 # The bulk paths hand over like ``add``: one held atom is
-                # skipped, two rows arrive with their ID columns.
+                # skipped, four rows arrive with their ID columns (enough
+                # of them for the column cache to be extended in place).
                 assert interp.update(
                     [a("e", "v4", "v4"), a("e", "bulk", f"u{round_no}")]
                 ) == [a("e", "bulk", f"u{round_no}")]
                 interp.id_columns("e")
                 rows = [
-                    (const(f"bulk{round_no}"), const(f"v{i}")) for i in (1, 2)
+                    (const(f"bulk{round_no}"), const(f"v{i}"))
+                    for i in range(1, 5)
                 ]
-                rows = IdRows(rows, [
-                    array("q", map(term_id, col)) for col in zip(*rows)
-                ])
-                assert interp.extend("e", rows).start == 42 + 4 * round_no
-                assert interp._columns["e"][1] == 44 + 4 * round_no
+                ids = [array("q", map(term_id, col)) for col in zip(*rows)]
+                gained = interp.extend("e", rows, ids)
+                assert gained.start == 42 + 6 * round_no
+                assert gained.id_cols == tuple(c.tobytes() for c in ids)
+                assert interp._columns["e"][1] == 46 + 6 * round_no
                 assert_exact(interp)
                 for snap, atoms in frozen:
                     assert snap.sorted_atoms() == atoms
                     assert_exact(snap)
-        # 6 insertions x 2 signatures per round, and not one rebuild.
-        assert inserts.call_count == 4 * 6 * 2
+        # 8 insertions x 2 signatures per round, and not one rebuild.
+        assert inserts.call_count == 4 * 8 * 2
 
     def test_lazy_index_on_snapshot_matches_scan(self):
         interp = Interpretation(
