@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import SortError
 from .sorts import EQUALS, MEMBER, SORT_A, SORT_S, is_special_predicate, sorts_compatible
 from .substitution import Subst
-from .terms import Term, Var, _collect_vars, order_key
+from .terms import Term, Var, _collect_vars, cached_order_key
 
 
 class Atom:
@@ -124,7 +124,7 @@ def atom_order_key(a: Atom):
     Deterministic without stringifying, unlike ``key=str`` — use this for
     stable fact orderings in query results and pretty-printing.
     """
-    return (a.pred, len(a.args), tuple(order_key(t) for t in a.args))
+    return (a.pred, len(a.args), tuple(map(cached_order_key, a.args)))
 
 
 def equals(left: Term, right: Term) -> Atom:

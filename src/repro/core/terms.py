@@ -52,7 +52,9 @@ dataclasses for hand-written classes with three properties:
   makes IDs stable across model snapshots, WAL-replay recovery and
   replication re-seeds, all of which re-intern the same terms in-process.
   IDs are *never* persisted: the WAL and checkpoints store terms
-  textually, and every recovery re-encodes from scratch.
+  textually, and every recovery re-encodes from scratch.  Beside the
+  terms the dictionary caches, per ID, what printing needs — the
+  :func:`order_key` and the JSON string literal — filled on first use.
 
 Terms remain immutable by contract: no code in the repository mutates a
 constructed node, and the caches above depend on that.  (The ``_tid``
@@ -61,8 +63,10 @@ slot is a cache of the node's :data:`TERM_DICT` ID, not term state.)
 
 from __future__ import annotations
 
+import json
+import threading
 import weakref
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import SortError
 from .sorts import SORT_A, SORT_S, SORT_U, check_sort
@@ -403,7 +407,7 @@ class SetValue(Term):
         """
         s = self._sorted
         if s is None:
-            s = sorted(self.elems, key=order_key)
+            s = sorted(self.elems, key=cached_order_key)
             self._sorted = s
         return s
 
@@ -553,11 +557,28 @@ class TermDict:
     * **Process-local** — IDs are never written to the WAL, checkpoints
       or the replication stream; recovery and re-seeding re-encode.
 
+    Beside ``terms`` live two per-ID caches of what printing a term
+    needs — its :func:`order_key` (``keys``) and its JSON string literal
+    (``literals``) — so a term is keyed and rendered once however many
+    answer cells hold it (:meth:`keys_of`, :meth:`literals_of`).  Both
+    are filled lazily, hold ``None`` for an ID not asked for yet and may
+    be shorter than ``terms``; neither depends on the order IDs were
+    assigned in.
+
+    **Threads.**  Pool, dispatcher and writer threads all intern and
+    read.  Assigning an ID and growing a cache are check-then-act and
+    take ``_lock``; everything else is a single list or dict operation,
+    atomic under the interpreter lock.  A term is appended to ``terms``
+    before its ID is published in ``ids``, so an ID read without the lock
+    always has its term; a cache is grown to ``len(terms)`` under the
+    lock, so it then covers every ID handed out before; two threads that
+    fill one entry store equal values.
+
     One process-wide instance (:data:`TERM_DICT`) exists; hot loops bind
     ``ids``/``terms`` directly.
     """
 
-    __slots__ = ("ids", "terms")
+    __slots__ = ("ids", "terms", "keys", "literals", "_lock")
 
     def __init__(self) -> None:
         #: term -> ID (structural equality, so non-interned but equal
@@ -565,6 +586,11 @@ class TermDict:
         self.ids: dict[Term, int] = {}
         #: ID -> term, densely indexed (the decode side).
         self.terms: list[Term] = []
+        #: ID -> ``order_key(term)``, or ``None`` until first asked for.
+        self.keys: list = []
+        #: ID -> ``json.dumps(str(term))``, likewise.
+        self.literals: list[Optional[str]] = []
+        self._lock = threading.Lock()
 
     def id_of(self, term: Term) -> int:
         """The term's dense ID, assigned on first sight."""
@@ -573,9 +599,12 @@ class TermDict:
             return i
         i = self.ids.get(term)
         if i is None:
-            i = len(self.terms)
-            self.ids[term] = i
-            self.terms.append(term)
+            with self._lock:
+                i = self.ids.get(term)
+                if i is None:
+                    i = len(self.terms)
+                    self.terms.append(term)
+                    self.ids[term] = i
         term._tid = i
         return i
 
@@ -583,8 +612,36 @@ class TermDict:
         """The term behind a dense ID (inverse of :meth:`id_of`)."""
         return self.terms[tid]
 
+    def keys_of(self, tids: Sequence[int]) -> list:
+        """``order_key`` of each ID's term, computed once per ID."""
+        return self._cached(self.keys, order_key, tids)
+
+    def literals_of(self, tids: Sequence[int]) -> list[str]:
+        """Each ID's term as a JSON string literal — ``str(term)`` through
+        ``json.dumps``, so escaping is the encoder's own — rendered once
+        per ID."""
+        return self._cached(self.literals, _json_literal, tids)
+
+    def _cached(self, cache: list, make, tids: Sequence[int]) -> list:
+        try:
+            out = list(map(cache.__getitem__, tids))
+        except IndexError:
+            with self._lock:
+                cache.extend([None] * (len(self.terms) - len(cache)))
+            out = list(map(cache.__getitem__, tids))
+        if None in out:
+            terms = self.terms
+            for i, tid in enumerate(tids):
+                if out[i] is None:
+                    out[i] = cache[tid] = make(terms[tid])
+        return out
+
     def __len__(self) -> int:
         return len(self.terms)
+
+
+def _json_literal(term: Term) -> str:
+    return json.dumps(str(term))
 
 
 #: The process-wide term dictionary (see :class:`TermDict`).
@@ -599,6 +656,24 @@ def term_id(term: Term) -> int:
 def term_of(tid: int) -> Term:
     """Module-level convenience for :meth:`TermDict.term_of`."""
     return TERM_DICT.terms[tid]
+
+
+_KEYS = TERM_DICT.keys
+
+
+def cached_order_key(term: Term):
+    """:func:`order_key`, from the dictionary's cache when the term has
+    an ID (a term without one is keyed afresh: sorting assigns no IDs)."""
+    tid = term._tid
+    if tid < 0:
+        return order_key(term)
+    try:
+        key = _KEYS[tid]
+    except IndexError:
+        key = None
+    if key is None:
+        key = TERM_DICT.keys_of((tid,))[0]
+    return key
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,10 @@ Encode/decode boundaries (see DESIGN.md, "Columnar execution"):
   row-fallback operators are encoded on (re-)entry to a columnar parent.
 * **decode** — ``batch()`` (the executor's public entry point) decodes the
   final columns back to term rows for head materialization —
-  ``shaped_batch()`` returns the columns beside the rows so storing them
-  needs no encode — and any operator that must see real values
+  ``shaped_batch()`` returns the columns beside the rows, so storing them
+  needs no encode, and decodes the rows only when they are read, so a
+  query answer that keeps the columns (``engine.answers``) builds none —
+  and any operator that must see real values
   (``Compute``, ``Unnest``, builtin ``Select`` — plus generic-shape scans)
   runs the inherited row kernel over its decoded input.  The per-node
   fallback keeps the plan running columnar around type-sensitive islands.
@@ -46,7 +48,8 @@ hands back the row executor.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Iterable, Mapping, Optional, Sequence
+from collections.abc import Sequence
+from typing import Iterable, Mapping, Optional
 
 try:  # gate, don't require: the row executor is the degraded mode
     import numpy as _np
@@ -285,6 +288,38 @@ _MIN_VECTOR_ROWS = 64
 _PROBE_RATIO = 16
 
 
+class _Undecoded(Sequence):
+    """The term rows of ``n`` ID rows, decoded (and counted) when first
+    read: a consumer that keeps the ID columns — a query answer on its
+    way to the wire — never pays for them."""
+
+    __slots__ = ("_executor", "_n", "_cols", "_rows")
+
+    def __init__(self, executor: "ColumnarExecutor", n: int, cols: list) -> None:
+        self._executor = executor
+        self._n = n
+        self._cols = cols
+        self._rows: Optional[list[Row]] = None
+
+    def _decoded(self) -> list[Row]:
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = self._executor._decode(self._n, self._cols)
+        return rows
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        return self._decoded()[i]
+
+    def __iter__(self):
+        return iter(self._decoded())
+
+    def __eq__(self, other: object) -> bool:
+        return self._decoded() == other
+
+
 class ColumnarExecutor(Executor):
     """Executes plans columnar where capable, row-at-a-time elsewhere.
 
@@ -331,7 +366,7 @@ class ColumnarExecutor(Executor):
             return super().shaped_batch(node, take)
         n, cols = self.cols(node)
         n, cols = _distinct_cols_of(n, [cols[i] for i in take])
-        return self._decode(n, cols), cols
+        return _Undecoded(self, n, cols), cols
 
     def _vector_worthwhile(self, node: PlanNode) -> bool:
         """Whether every scan leaf feeds at least ``min_vector_rows``

@@ -1246,16 +1246,25 @@ class _CompiledRule:
 
     def fresh_rows(
         self, engines: _Engines, pin: Optional[int] = None
-    ) -> tuple[list[Row], Optional[list]]:
+    ) -> tuple[Sequence[Row], Optional[list]]:
         """:meth:`rows` less the atoms the engines' interpretation holds
-        — what one application adds — and the ID columns those rows were
-        decoded from when the columnar path produced them (else ``None``),
+        — what one application adds — and the ID columns those rows
+        decode from when the columnar path produced them (else ``None``),
         for :meth:`Interpretation.extend` to store as they are."""
         return self._apply(engines, pin, True)
 
+    def id_rows(
+        self, engines: _Engines
+    ) -> tuple[Sequence[Row], Optional[list]]:
+        """:meth:`rows` with their ID columns, as :meth:`fresh_rows` has
+        them.  Rows that come with columns are decoded only if read, so
+        an answer that stays in ID space (``engine.answers``) builds no
+        term row."""
+        return self._apply(engines, None, False)
+
     def _apply(
         self, engines: _Engines, pin: Optional[int], fresh: bool
-    ) -> tuple[list[Row], Optional[list]]:
+    ) -> tuple[Sequence[Row], Optional[list]]:
         executor = engines.executor
         node, shape = (
             self._head_plan(pin, fresh) if executor is not None

@@ -103,9 +103,10 @@ class Executor:
     def shaped_batch(
         self, node: PlanNode, take: tuple[int, ...]
     ) -> tuple[list[Row], Optional[list]]:
-        """Distinct rows projected to the ``take`` column indices, and the
-        ID columns they were decoded from — ``None`` here, one int64
-        vector per row position in the columnar subclass.
+        """Distinct rows projected to the ``take`` column indices, and
+        their ID columns — ``None`` here; in the columnar subclass one
+        int64 vector per row position, the rows decoded from them when
+        first read.
 
         The head-materialization fast path for Datalog-shaped heads: the
         caller builds one atom per returned row, so projecting and

@@ -150,6 +150,11 @@ async def _send_closing(writer: asyncio.StreamWriter) -> None:
         pass
 
 
+def _reply_bytes(session, line: str) -> bytes:
+    """One request served down to its wire bytes (pool thread)."""
+    return session.execute(line).to_json().encode() + b"\n"
+
+
 def _push_payload(frame: dict) -> Response:
     return Response(
         ok=True,
@@ -269,10 +274,11 @@ async def handle_connection(
             # evaluation are CPU-bound and must not block the event loop.
             # Blocking waits (:sync) go to the dedicated waiter pool so
             # parked clients never pin query workers.
-            response = await loop.run_in_executor(
-                service.executor_for(line), session.execute, line
-            )
-            writer.write(response.to_json().encode() + b"\n")
+            # The reply is serialized there too: the loop only writes bytes,
+            # so a large answer never stalls the other connections.
+            writer.write(await loop.run_in_executor(
+                service.executor_for(line), _reply_bytes, session, line
+            ))
             await writer.drain()
     except ConnectionError:
         pass                               # mid-session disconnect

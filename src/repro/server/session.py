@@ -38,13 +38,15 @@ import json
 import threading
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Iterable, Optional
 
 from ..core.atoms import Atom
 from ..core.clauses import GroupingClause, LPSClause
 from ..core.errors import EvaluationError, LPSError, SafetyError
 from ..core.substitution import Subst
-from ..core.terms import Term, Var, order_key
+from ..core.terms import Term, Var
+from ..engine.answers import Answers
 from ..engine.evaluation import SolverStats, _CompiledRule, _Engines
 from ..engine.columnar import annotated_pretty
 from ..engine.ir import ExecStats
@@ -56,7 +58,6 @@ from ..engine.maintenance import (
 )
 from ..engine.planner import compile_grouping, compile_rule
 from ..lang import parse_atom, parse_program, predicate_sorts
-from .subscriptions import render_rows
 
 #: Compiled queries each session keeps (least recently asked evicted).
 QUERY_CACHE_SIZE = 512
@@ -81,7 +82,14 @@ E_CLOSING = "server_closing"               # graceful shutdown in progress
 QUERY_PRED = "query__"
 
 
-@dataclass
+#: What ``json.dumps(..., sort_keys=True)`` builds per call, built once.
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
+
+#: Stands in for ``data["rows"]`` of a reply that holds its answers in ID
+#: space until someone reads ``data`` (never handed out, never mutated).
+_UNBUILT: list = []
+
+
 class Response:
     """One structured reply: what a request did, or why it could not.
 
@@ -91,27 +99,77 @@ class Response:
     ``version`` is
     the snapshot version the request observed or produced, when there is
     one.  Serialization is a single JSON line, the protocol's wire format.
+
+    A reply that carries answer rows (:meth:`with_rows`) holds them in ID
+    space: :meth:`to_json` splices the line from the cached cell literals
+    and ``data["rows"]`` is built only when ``data`` is read — the same
+    bytes and the same value as building the rows first would give.
     """
 
-    ok: bool
-    kind: str
-    data: Any = None
-    version: Optional[int] = None
-    error: Optional[str] = None
-    code: Optional[str] = None
+    __slots__ = ("ok", "kind", "version", "error", "code", "_data", "_rows")
+
+    def __init__(
+        self,
+        ok: bool,
+        kind: str,
+        data: Any = None,
+        version: Optional[int] = None,
+        error: Optional[str] = None,
+        code: Optional[str] = None,
+    ) -> None:
+        self.ok = ok
+        self.kind = kind
+        self.version = version
+        self.error = error
+        self.code = code
+        self._data = data
+        #: ``(answers, names)`` while ``data["rows"]`` is :data:`_UNBUILT`.
+        self._rows: Optional[tuple[Answers, Optional[tuple[str, ...]]]] = None
+
+    @classmethod
+    def with_rows(
+        cls,
+        kind: str,
+        data: dict,
+        version: int,
+        answers: Answers,
+        names: Optional[tuple[str, ...]] = None,
+    ) -> "Response":
+        """An ``ok`` reply whose ``data`` is ``data`` plus ``rows``: one
+        ``{name: text}`` dict per answer under ``names``, else one list
+        of texts."""
+        data["rows"] = _UNBUILT
+        self = cls(ok=True, kind=kind, data=data, version=version)
+        self._rows = (answers, names)
+        return self
+
+    @property
+    def data(self) -> Any:
+        pending = self._rows
+        if pending is not None:
+            answers, names = pending
+            self._rows = None
+            self._data["rows"] = answers.texts(names)
+        return self._data
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "ok": self.ok,
-                "kind": self.kind,
-                "data": self.data,
-                "version": self.version,
-                "error": self.error,
-                "code": self.code,
-            },
-            sort_keys=True,
-        )
+        line = _ENCODE({
+            "ok": self.ok,
+            "kind": self.kind,
+            "data": self._data,
+            "version": self.version,
+            "error": self.error,
+            "code": self.code,
+        })
+        pending = self._rows
+        if pending is None:
+            return line
+        # The encoder printed the envelope around the empty placeholder;
+        # the rows go between its brackets.  (A quote inside a string
+        # value is escaped, so the first match is the key itself.)
+        answers, names = pending
+        head, _, tail = line.partition('"rows": []')
+        return f'{head}"rows": [{answers.json(names)}]{tail}'
 
     @staticmethod
     def from_json(line: str) -> "Response":
@@ -131,25 +189,43 @@ class Response:
             ok=False, kind="error", error=message, code=code
         )
 
+    def _fields(self) -> tuple:
+        return (
+            self.ok, self.kind, self.data, self.version, self.error, self.code
+        )
 
-@dataclass
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Response:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return (
+            "Response(ok={!r}, kind={!r}, data={!r}, version={!r}, "
+            "error={!r}, code={!r})".format(*self._fields())
+        )
+
+
 class QueryResult:
-    """Term-level query answers: a variable schema plus sorted rows."""
+    """Query answers at one version: a variable schema over rows held in
+    ID space, in print order; ``rows`` are the term tuples, built when
+    first read."""
 
-    vars: tuple[str, ...]
-    rows: list[tuple[Term, ...]]
-    version: int
+    def __init__(
+        self, vars: tuple[str, ...], answers: Answers, version: int
+    ) -> None:
+        self.vars = vars
+        self.answers = answers
+        self.version = version
+
+    @cached_property
+    def rows(self) -> list[tuple[Term, ...]]:
+        return self.answers.terms()
 
     @property
     def truth(self) -> bool:
         """For ground queries: whether any answer exists."""
-        return bool(self.rows)
-
-    def bindings(self) -> list[dict[str, str]]:
-        """JSON-safe answers: one ``{var: rendered term}`` dict per row."""
-        return [
-            {v: str(t) for v, t in zip(self.vars, row)} for row in self.rows
-        ]
+        return bool(self.answers.n)
 
 
 @dataclass
@@ -328,30 +404,27 @@ class Session:
             self.flush()
         rule = self._compiled_query(text)
         snap = self.snapshot()
-        stats = SessionStats()
-        rows = self._execute_rule(rule, snap, stats)
-        rows.sort(key=lambda row: tuple(order_key(t) for t in row))
-        stats.queries += 1
-        stats.answers += len(rows)
-        with self._lock:
-            self.stats.merge(stats)
         return QueryResult(
             vars=tuple(v.name for v in rule.head.args),
-            rows=rows,
+            answers=self._answers(rule, snap),
             version=snap.version,
         )
 
-    def _execute_rule(
-        self, rule: _CompiledRule, snap: ModelSnapshot, stats: SessionStats
-    ) -> list[tuple[Term, ...]]:
-        """The rule's answer rows over a snapshot.  The engines get no
-        active domain: a query must be range-restricted, it may not
-        enumerate the domain."""
+    def _answers(self, rule: _CompiledRule, snap: ModelSnapshot) -> Answers:
+        """The rule's answers over a snapshot, counted as one query.  The
+        engines get no active domain: a query must be range-restricted,
+        it may not enumerate the domain."""
+        stats = SessionStats()
         engines = _Engines(
             snap.interpretation, self._model.builtins,
             stats.solver, stats.execs,
         )
-        return rule.rows(engines)
+        answers = Answers(*rule.id_rows(engines))
+        stats.queries += 1
+        stats.answers += answers.n
+        with self._lock:
+            self.stats.merge(stats)
+        return answers
 
     # -- writes ------------------------------------------------------------------
 
@@ -502,26 +575,20 @@ class Session:
         rule = self._compiled_query(text.strip().rstrip("."))
         sub_id, snap = manager.subscribe(self, rule)
         try:
-            stats = SessionStats()
-            rows = self._execute_rule(rule, snap, stats)
-            stats.queries += 1
-            stats.answers += len(rows)
-            with self._lock:
-                self.stats.merge(stats)
+            answers = self._answers(rule, snap)
         except Exception:
             # Never leave a half-registered standing query behind a
             # failed initial evaluation (e.g. an unsafe goal).
             manager.unsubscribe(self, sub_id)
             raise
-        return Response(
-            ok=True, kind="subscribed",
-            data={
+        return Response.with_rows(
+            "subscribed",
+            {
                 "sub": sub_id,
                 "vars": [v.name for v in rule.head.args],
-                "rows": render_rows(rows),
-                "truth": bool(rows),
+                "truth": bool(answers.n),
             },
-            version=snap.version,
+            snap.version, answers,
         )
 
     def unsubscribe(self, sub_id: int) -> Response:
@@ -631,14 +698,10 @@ class Session:
             return Response.failure(E_CLOSED, "session is closed")
         if line.startswith("?-"):
             result = self.query(line[2:].strip().rstrip("."))
-            return Response(
-                ok=True, kind="answers",
-                data={
-                    "vars": list(result.vars),
-                    "rows": result.bindings(),
-                    "truth": result.truth,
-                },
-                version=result.version,
+            return Response.with_rows(
+                "answers",
+                {"vars": list(result.vars), "truth": result.truth},
+                result.version, result.answers, result.vars,
             )
         if line.startswith("+"):
             return self.assert_fact(line[1:])

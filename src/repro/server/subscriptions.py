@@ -64,7 +64,8 @@ import time
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..core.atoms import Atom
-from ..core.terms import Term, order_key
+from ..core.terms import Term
+from ..engine.answers import Answers
 from ..engine.evaluation import SolverStats, _CompiledRule, _Engines
 from ..engine.ir import ExecStats
 from ..engine.maintenance import ModelChanges, ModelSnapshot, VersionedModel
@@ -83,8 +84,7 @@ REASON_SLOW = "slow_consumer"
 
 def render_rows(rows: Iterable[tuple[Term, ...]]) -> list[list[str]]:
     """Deterministic JSON-safe rows: sorted by term order, rendered."""
-    ordered = sorted(rows, key=lambda r: tuple(order_key(t) for t in r))
-    return [[str(t) for t in r] for r in ordered]
+    return Answers(list(rows)).texts()
 
 
 class StandingQuery:
