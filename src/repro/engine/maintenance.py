@@ -52,11 +52,9 @@ The maintained model is therefore *always* identical to a from-scratch
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field, replace
 from typing import (
     Any,
-    Callable,
     Iterable,
     Iterator,
     Mapping,
@@ -73,6 +71,7 @@ from ..core.terms import SetValue, Term, setvalue
 from ..core.unify import match_atom
 from ..semantics.interpretation import Interpretation
 from .builtins import DEFAULT_BUILTINS, Builtin
+from .commits import Commit, CommitStream
 from .database import Database, as_fact
 from .evaluation import (
     ActiveDomain,
@@ -1151,16 +1150,6 @@ class VersionedModel:
         if base_version < 0:
             raise ValueError("base_version must be >= 0")
         self._lock = threading.RLock()
-        #: Notified (under the write lock) every time a new version is
-        #: published — the commit-wakeup primitive behind
-        #: :meth:`wait_version` and the subscription dispatcher.
-        self._version_cond = threading.Condition(self._lock)
-        #: ``fn(snapshot)`` callbacks invoked under the write lock at every
-        #: publication, in registration order.  Listeners must be cheap and
-        #: non-blocking (enqueue-and-return); registering under
-        #: :attr:`lock` makes the handoff gap-free: every version published
-        #: after registration is observed exactly once.
-        self._version_listeners: list[Callable[[ModelSnapshot], None]] = []
         self._keep = keep_versions
         self._materialized = MaterializedModel(
             program, database, builtins=builtins, options=options
@@ -1172,6 +1161,9 @@ class VersionedModel:
         # (the version the recovered checkpoint was taken at), so version
         # numbers stay monotone across restarts.
         self._version = base_version
+        #: Every commit, in order, for whoever follows this model (see
+        #: :mod:`repro.engine.commits`).
+        self.commits = CommitStream(base_version)
         self.current: ModelSnapshot = self._publish(None)
 
     # -- read side ---------------------------------------------------------------
@@ -1223,45 +1215,11 @@ class VersionedModel:
         """Block until the published version reaches ``version``.
 
         Returns the latest published version — ``>= version`` on success,
-        smaller if the timeout expired first.  The wait parks on a
-        condition variable notified at publication; no polling.
+        smaller if the timeout expired first.  The wait parks on the
+        commit stream's condition, never on the write lock: a writer in
+        the middle of a long batch does not hold up a satisfied wait.
         """
-        with self._version_cond:
-            if timeout is None:
-                while self.current.version < version:
-                    self._version_cond.wait()
-            else:
-                deadline = time.monotonic() + max(0.0, timeout)
-                while self.current.version < version:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._version_cond.wait(remaining)
-            return self.current.version
-
-    def add_version_listener(
-        self, fn: Callable[[ModelSnapshot], None]
-    ) -> None:
-        """Register ``fn(snapshot)``, called at every publication.
-
-        The callback runs on the writer thread under the write lock, so it
-        must only hand the snapshot off (append to a queue, set an event)
-        and return.  Acquire :attr:`lock` around ``add_version_listener``
-        plus a read of :attr:`current` for a gap-free subscription: every
-        later version is delivered exactly once, in order.
-        """
-        with self._lock:
-            if fn not in self._version_listeners:
-                self._version_listeners.append(fn)
-
-    def remove_version_listener(
-        self, fn: Callable[[ModelSnapshot], None]
-    ) -> None:
-        with self._lock:
-            try:
-                self._version_listeners.remove(fn)
-            except ValueError:
-                pass
+        return self.commits.wait(version, timeout)
 
     def pin(self, version: Optional[int] = None) -> ModelSnapshot:
         """Resolve and pin a version so it survives retirement."""
@@ -1343,15 +1301,12 @@ class VersionedModel:
             self._snapshots[snap.version] = snap
             self.current = snap  # atomic publication point
             self._retire()
-            for fn in tuple(self._version_listeners):
-                # A broken listener must not poison the writer; the
-                # subscription layer reports its own failures per-query.
-                try:
-                    fn(snap)
-                except Exception:
-                    pass
-            self._version_cond.notify_all()
+            self._announce(snap)
             return snap
+
+    def _announce(self, snap: ModelSnapshot) -> None:
+        """Put a publication on the commit stream (write lock held)."""
+        self.commits.append(Commit(snap.version))
 
     def _retire(self) -> None:
         horizon = self._version - self._keep + 1

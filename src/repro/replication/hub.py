@@ -14,23 +14,14 @@ connection then becomes a dedicated replication stream:
   durable here".  Acks drive :meth:`ReplicationHub.wait_replicated`, the
   ``ack_replicas`` write-acknowledgement gate.
 
-**Gap freedom.**  The handoff from history to live tailing is atomic:
-:meth:`DurableModel.subscribe_replication` reads the WAL tail and
-registers the commit listener under the model's write lock, so no commit
-can fall between "what the file held" and "what the listener sees".  The
-listener itself runs on the writer's thread under that lock, so it only
-does ``loop.call_soon_threadsafe(queue.put_nowait, …)`` — the socket work
-happens on the server's event loop.
-
-A slow or dead follower never blocks the leader's writers: records queue
-per subscriber — **bounded** by ``max_queue``.  A follower that stops
-reading fills its queue (the serve loop is parked in ``drain()`` on the
-stalled socket) and is then cut off: the overflow handler aborts the
-transport, the stream unwinds, and the follower reconnects from its
-applied version through the ordinary snapshot/history handoff (duplicate
-suppression on the follower makes redelivery harmless).  Leader memory
-per subscriber therefore stays O(``max_queue``) no matter how long a
-connected-but-stalled follower lingers.
+**Gap freedom.**  :meth:`DurableModel.subscribe_replication` reads the
+WAL tail and opens a cursor on the model's commit stream
+(:mod:`repro.engine.commits`) under the write lock, so no commit falls
+between "what the file held" and "what the cursor reads".  Live commits
+go out as the line the WAL wrote.  A follower that stops reading never
+blocks the leader's writers: once its cursor's lag passes ``max_queue``
+the transport is aborted, and it reconnects from its applied version
+through the same handoff (DESIGN.md, "Commit stream").
 """
 
 from __future__ import annotations
@@ -41,6 +32,7 @@ import threading
 import time
 from typing import Optional
 
+from ..engine import commits
 from ..storage.codec import (
     KIND_REPL_HELLO,
     KIND_REPL_SNAPSHOT,
@@ -67,10 +59,11 @@ def _frame(kind: str, data: dict) -> bytes:
     return encode_record(kind, data).encode("ascii") + b"\n"
 
 
-#: Default per-subscriber queue bound: enough to ride out transient
-#: stalls (GC pauses, a slow fsync on the follower) without letting a
-#: wedged-but-connected follower grow leader memory under write churn.
-DEFAULT_MAX_QUEUE = 1024
+#: Default bound on a subscriber's lag: all the commit stream retains,
+#: which is also the most ``max_queue`` can mean (larger values are
+#: clamped: the stream cuts a cursor loose at ``commits.RETAIN`` whatever
+#: the hub would have tolerated).
+DEFAULT_MAX_QUEUE = commits.RETAIN
 
 
 class ReplicationHub:
@@ -81,7 +74,7 @@ class ReplicationHub:
             raise ValueError("max_queue must be >= 1")
         self.service = service
         self.model = service.model
-        self.max_queue = max_queue
+        self.max_queue = min(max_queue, commits.RETAIN)
         if not hasattr(self.model, "subscribe_replication"):
             raise StorageError(
                 "replication requires a durable model (data_dir); an "
@@ -177,39 +170,35 @@ class ReplicationHub:
             await writer.drain()
             return
         loop = asyncio.get_running_loop()
-        queue: asyncio.Queue = asyncio.Queue(maxsize=self.max_queue)
+        wake = asyncio.Event()
+        cursor = None
 
-        def enqueue(item: tuple) -> None:
-            # Event loop thread.  A full queue means the serve loop below
-            # has been parked in drain() on a stalled socket for max_queue
-            # commits: cut the subscriber off rather than buffer without
-            # bound.  abort() (not close()) tears the transport down
-            # immediately so the blocked drain() raises and the stream
-            # unwinds; the follower reconnects from its applied version
-            # through the snapshot/history handoff.
-            try:
-                queue.put_nowait(item)
-            except asyncio.QueueFull:
+        def on_commit() -> None:
+            # Event loop thread, once per commit.  A lag past the bound
+            # means the serve loop below has been parked in drain() on a
+            # stalled socket for max_queue commits: cut the subscriber off
+            # rather than retain without bound.  abort() (not close())
+            # tears the transport down immediately so the blocked drain()
+            # raises and the stream unwinds; the follower reconnects from
+            # its applied version through the snapshot/history handoff.
+            if cursor is not None and cursor.lag > self.max_queue:
                 logger.warning(
-                    "replication subscriber overflowed its %d-record "
-                    "queue (stalled consumer); dropping the stream",
-                    self.max_queue,
+                    "%s is more than %d commits behind (stalled "
+                    "consumer); dropping the stream",
+                    cursor.consumer, self.max_queue,
                 )
-                transport = writer.transport
-                if transport is not None:
-                    transport.abort()
-
-        def on_commit(kind: str, data: dict) -> None:
-            # Writer's thread, under the model write lock: hand off only.
-            loop.call_soon_threadsafe(enqueue, (kind, data))
+                writer.transport.abort()
+            wake.set()
 
         # Subscription takes the model write lock (it may wait behind a
         # maintenance sweep): keep it off the event loop.
-        history, snapshot, version, epoch = await loop.run_in_executor(
+        history, snapshot, version, epoch, cursor = await loop.run_in_executor(
             self.service._pool,
-            self.model.subscribe_replication, on_commit, from_version,
+            self.model.subscribe_replication, from_version,
+            lambda: loop.call_soon_threadsafe(on_commit),
         )
         sub_id = self._register(from_version)
+        cursor.consumer = f"replica {sub_id}"
         logger.info(
             "replica %d subscribed from version %d (leader at %d, "
             "epoch %d, %s)", sub_id, from_version, version, epoch,
@@ -217,6 +206,10 @@ class ReplicationHub:
             else f"{len(history)} backlog records",
         )
         ack_task = asyncio.ensure_future(self._read_acks(reader, sub_id))
+        # The follower dying and shutdown end the stream: both wake it too.
+        ending = [ack_task] if shutdown is None else [ack_task, shutdown]
+        for fut in ending:
+            fut.add_done_callback(lambda _: wake.set())
         try:
             writer.write(_frame(KIND_REPL_HELLO, {
                 "version": version, "epoch": epoch, "from": from_version,
@@ -225,32 +218,18 @@ class ReplicationHub:
                 writer.write(_frame(KIND_REPL_SNAPSHOT, snapshot))
             for kind, data in history:
                 writer.write(_frame(kind, data))
-            await writer.drain()
-            while True:
-                get_task = asyncio.ensure_future(queue.get())
-                waits = {get_task, ack_task}
-                if shutdown is not None:
-                    waits.add(shutdown)
-                done, _ = await asyncio.wait(
-                    waits, return_when=asyncio.FIRST_COMPLETED
-                )
-                if get_task not in done:
-                    get_task.cancel()
-                    try:
-                        await get_task
-                    except (asyncio.CancelledError, Exception):
-                        pass
-                    break                  # follower died or shutdown
-                kind, data = get_task.result()
-                writer.write(_frame(kind, data))
-                while not queue.empty():   # opportunistic batching
-                    kind, data = queue.get_nowait()
-                    writer.write(_frame(kind, data))
+            while not any(fut.done() for fut in ending):
                 await writer.drain()
+                await wake.wait()
+                wake.clear()
+                for commit in cursor.read():
+                    writer.write(commit.line)
         except (ConnectionError, OSError):
             pass
+        except commits.FellBehind as exc:
+            logger.warning("%s; dropping the stream", exc)
         finally:
-            self.model.unsubscribe_replication(on_commit)
+            cursor.close()
             ack_task.cancel()
             try:
                 await ack_task

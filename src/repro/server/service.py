@@ -188,7 +188,7 @@ class QueryService:
     def executor_for(self, line: str) -> ThreadPoolExecutor:
         """The pool a request line should run on.
 
-        ``:sync`` parks on the model's version condition for up to its
+        ``:sync`` parks on the model's commit stream for up to its
         timeout; routing it to a separate waiter pool keeps the query
         pool's workers available no matter how many clients are waiting
         (regression-tested in ``tests/test_subscribe.py``).
@@ -247,6 +247,7 @@ class QueryService:
         }
         if self.hub is not None:
             info["replication"] = self.hub.replica_info()
+            info["commit_stream"] = self.model.commits.info()
         follower = self.follower
         if follower is not None:
             info.update(follower.role_info())

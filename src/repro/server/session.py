@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import logging
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -59,6 +60,8 @@ from ..engine.maintenance import (
 from ..engine.planner import compile_grouping, compile_rule
 from ..lang import parse_atom, parse_program, predicate_sorts
 
+logger = logging.getLogger("repro.server")
+
 #: Compiled queries each session keeps (least recently asked evicted).
 QUERY_CACHE_SIZE = 512
 
@@ -80,6 +83,53 @@ E_CLOSING = "server_closing"               # graceful shutdown in progress
 #: Head predicate for compiled query clauses (identifiers must start
 #: lower-case; the atom never enters any model, so collisions are inert).
 QUERY_PRED = "query__"
+
+
+# -- the ``:command`` table ----------------------------------------------------
+#
+# An argument parser takes the text after the command name and returns the
+# handler's arguments; ``ValueError``/``IndexError`` from it is the
+# command's usage error.
+
+def _ignored(arg: str) -> tuple:
+    return ()
+
+
+def _text(arg: str) -> tuple:
+    return (arg,)
+
+
+def _int(arg: str) -> tuple:
+    return (int(arg.rstrip(".")),)
+
+
+def _optional_int(arg: str) -> tuple:
+    arg = arg.rstrip(".").strip()
+    return (int(arg) if arg else None,)
+
+
+def _sync_args(arg: str) -> tuple:
+    parts = arg.rstrip(".").split()
+    version = int(parts[0])
+    timeout = float(parts[1]) if len(parts) > 1 else 30.0
+    # What a condition wait accepts; false for nan as well.
+    if not 0 <= timeout <= threading.TIMEOUT_MAX:
+        raise ValueError(timeout)
+    return version, timeout
+
+
+#: ``:command`` -> (usage of its argument, argument parser, handler method
+#: name).  Handlers are looked up by name on the session, so a subclass
+#: overrides one by overriding the method.
+COMMANDS: dict[str, tuple[str, Callable[[str], tuple], str]] = {}
+
+
+def _on(name: str, usage: str = "", parse: Callable[[str], tuple] = _ignored):
+    """Register the decorated :class:`Session` method as ``name``."""
+    def register(method):
+        COMMANDS[name] = (usage, parse, method.__name__)
+        return method
+    return register
 
 
 #: What ``json.dumps(..., sort_keys=True)`` builds per call, built once.
@@ -470,6 +520,7 @@ class Session:
             data={"applied": net}, version=snap.version,
         )
 
+    @_on(":begin")
     def begin(self) -> Response:
         """Open an explicit write batch (``:begin``)."""
         self._check_open()
@@ -480,6 +531,7 @@ class Session:
                 ok=True, kind="ok", data={"batch": len(self._pending)}
             )
 
+    @_on(":commit")
     def commit(self) -> Response:
         """Apply the pending batch as one atomic delta (``:commit``)."""
         self._check_open()
@@ -511,6 +563,7 @@ class Session:
             data={"applied": applied}, version=snap.version,
         )
 
+    @_on(":abort")
     def abort(self) -> Response:
         """Discard the pending batch (``:abort``)."""
         self._check_open()
@@ -553,6 +606,7 @@ class Session:
 
     # -- live subscriptions ------------------------------------------------------
 
+    @_on(":subscribe", "GOAL", _text)
     def subscribe(self, text: str) -> Response:
         """``:subscribe goal.`` — register a standing query.
 
@@ -591,6 +645,7 @@ class Session:
             snap.version, answers,
         )
 
+    @_on(":unsubscribe", "N", _int)
     def unsubscribe(self, sub_id: int) -> Response:
         """``:unsubscribe N`` — cancel one of this session's standing
         queries; frames already queued stay drainable via ``:diffs``."""
@@ -605,18 +660,10 @@ class Session:
             data={"sub": sub_id, "active": manager.session_subs(self)},
         )
 
-    def diffs(self, arg: str = "") -> Response:
+    @_on(":diffs", "[MAX]", _optional_int)
+    def diffs(self, limit: Optional[int] = None) -> Response:
         """``:diffs [N]`` — drain (up to N of) the queued push frames."""
         self._check_open()
-        limit: Optional[int] = None
-        arg = arg.rstrip(".").strip()
-        if arg:
-            try:
-                limit = int(arg)
-            except ValueError:
-                return Response.failure(
-                    E_COMMAND, f"usage: :diffs [MAX] (got {arg!r})"
-                )
         frames = self.take_push_frames(limit)
         return Response(
             ok=True, kind="diffs",
@@ -685,6 +732,11 @@ class Session:
             if not isinstance(code, str):
                 code = E_PARSE if _is_parse_error(exc) else E_EVAL
             return self._error(code, exc)
+        except Exception as exc:
+            # A bug, not a bad request — but the client still gets an
+            # answer and keeps its connection.
+            logger.exception("unexpected error serving %r", line)
+            return self._error(E_EVAL, exc)
 
     def _error(self, code: str, exc: Exception) -> Response:
         with self._lock:
@@ -719,96 +771,81 @@ class Session:
     def _command(self, line: str) -> Response:
         cmd, _, arg = line.partition(" ")
         arg = arg.strip()
-        if cmd == ":begin":
-            return self.begin()
-        if cmd == ":commit":
-            return self.commit()
-        if cmd == ":abort":
-            return self.abort()
-        if cmd == ":version":
-            snap = self.snapshot()
-            return Response(
-                ok=True, kind="version",
-                data={
-                    "latest": self._model.version,
-                    "reading": snap.version,
-                    "pinned": self._read_version is not None,
-                },
-                version=snap.version,
+        entry = COMMANDS.get(cmd)
+        if entry is None:
+            return Response.failure(E_COMMAND, f"unknown command {cmd!r}")
+        usage, parse, handler = entry
+        try:
+            args = parse(arg)
+        except (ValueError, IndexError):
+            return Response.failure(
+                E_COMMAND, f"usage: {cmd} {usage} (got {arg!r})"
             )
-        if cmd == ":at":
-            try:
-                version = int(arg.rstrip("."))
-            except ValueError:
-                return Response.failure(
-                    E_COMMAND, f"usage: :at VERSION (got {arg!r})"
-                )
-            latest = self._model.version
-            if version > latest:
-                # Never published here.  On a leader that version simply
-                # does not exist; on a follower it may exist upstream and
-                # merely not be applied yet (see FollowerSession).
-                return self._future_version(version, latest)
-            # Pin the version so it cannot retire out from under the
-            # session while it is reading there (released by :latest).
-            self.unpin()
-            snap = self.pin(version)         # raises RetiredVersionError
-            return Response(ok=True, kind="ok", version=snap.version)
-        if cmd == ":latest":
-            self.unpin()
-            return Response(
-                ok=True, kind="ok", version=self._model.version
-            )
-        if cmd == ":model":
-            snap = self.snapshot()
-            return Response(
-                ok=True, kind="model", data=snap.pretty(),
-                version=snap.version,
-            )
-        if cmd == ":plan":
-            return Response(ok=True, kind="plan", data=self.plan_text(arg))
-        if cmd == ":stats":
-            return Response(
-                ok=True, kind="stats", data=self.stats_data(),
-                version=self._model.version,
-            )
-        if cmd == ":sync":
-            parts = arg.rstrip(".").split()
-            try:
-                version = int(parts[0])
-                timeout = float(parts[1]) if len(parts) > 1 else 30.0
-            except (IndexError, ValueError):
-                return Response.failure(
-                    E_COMMAND, f"usage: :sync VERSION [TIMEOUT] (got {arg!r})"
-                )
-            return self._sync(version, timeout)
-        if cmd == ":subscribe":
-            return self.subscribe(arg)
-        if cmd == ":unsubscribe":
-            try:
-                sub_id = int(arg.rstrip("."))
-            except ValueError:
-                return Response.failure(
-                    E_COMMAND, f"usage: :unsubscribe N (got {arg!r})"
-                )
-            return self.unsubscribe(sub_id)
-        if cmd == ":diffs":
-            return self.diffs(arg)
-        if cmd == ":role":
-            if self._service is not None:
-                data = self._service.role_info()
-            else:
-                data = {
-                    "role": "standalone",
-                    "version": self._model.version,
-                    "epoch": getattr(self._model, "epoch", 0),
-                }
-            return Response(
-                ok=True, kind="role", data=data, version=self._model.version
-            )
-        if cmd == ":promote":
-            return self._promote()
-        return Response.failure(E_COMMAND, f"unknown command {cmd!r}")
+        return getattr(self, handler)(*args)
+
+    @_on(":version")
+    def _version_info(self) -> Response:
+        snap = self.snapshot()
+        return Response(
+            ok=True, kind="version",
+            data={
+                "latest": self._model.version,
+                "reading": snap.version,
+                "pinned": self._read_version is not None,
+            },
+            version=snap.version,
+        )
+
+    @_on(":at", "VERSION", _int)
+    def _at(self, version: int) -> Response:
+        latest = self._model.version
+        if version > latest:
+            # Never published here.  On a leader that version simply
+            # does not exist; on a follower it may exist upstream and
+            # merely not be applied yet (see FollowerSession).
+            return self._future_version(version, latest)
+        # Pin the version so it cannot retire out from under the
+        # session while it is reading there (released by :latest).
+        self.unpin()
+        snap = self.pin(version)         # raises RetiredVersionError
+        return Response(ok=True, kind="ok", version=snap.version)
+
+    @_on(":latest")
+    def _latest(self) -> Response:
+        self.unpin()
+        return Response(ok=True, kind="ok", version=self._model.version)
+
+    @_on(":model")
+    def _model_text(self) -> Response:
+        snap = self.snapshot()
+        return Response(
+            ok=True, kind="model", data=snap.pretty(), version=snap.version
+        )
+
+    @_on(":plan", "RULE", _text)
+    def _plan(self, text: str) -> Response:
+        return Response(ok=True, kind="plan", data=self.plan_text(text))
+
+    @_on(":stats")
+    def _stats(self) -> Response:
+        return Response(
+            ok=True, kind="stats", data=self.stats_data(),
+            version=self._model.version,
+        )
+
+    @_on(":role")
+    def _role(self) -> Response:
+        if self._service is not None:
+            data = self._service.role_info()
+        else:
+            data = {
+                "role": "standalone",
+                "version": self._model.version,
+                "epoch": getattr(self._model, "epoch", 0),
+            }
+        return Response(
+            ok=True, kind="role", data=data, version=self._model.version
+        )
 
     # -- replication hooks (overridden by FollowerSession) -----------------------
 
@@ -824,6 +861,7 @@ class Session:
             data={"latest": latest},
         )
 
+    @_on(":sync", "VERSION [TIMEOUT]", _sync_args)
     def _sync(self, version: int, timeout: float) -> Response:
         """``:sync N`` — block until the model reaches version ``N``.
 
@@ -849,6 +887,7 @@ class Session:
             data={"retryable": True, "latest": latest},
         )
 
+    @_on(":promote")
     def _promote(self) -> Response:
         return Response.failure(
             E_NOT_FOLLOWER,
@@ -926,9 +965,10 @@ def _is_parse_error(exc: Exception) -> bool:
 
 def stats_payload(model: VersionedModel, merged: SessionStats) -> dict:
     """The ``:stats`` payload: last-delta summary (with the plan each
-    touched stratum took and why a recomputed one was), session totals
-    and the combined executor counters (writer maintenance + reader
-    queries)."""
+    touched stratum took and why a recomputed one was), session totals,
+    the combined executor counters (writer maintenance + reader queries)
+    and the commit stream's head, retained entries and per-consumer
+    lag."""
     report = model.last_report
     last = None
     if report is not None:
@@ -955,4 +995,5 @@ def stats_payload(model: VersionedModel, merged: SessionStats) -> dict:
         "matches": merged.solver.matches,
         "executor": exec_all.pretty(),
         "columnar": exec_all.columnar_summary(),
+        "commit_stream": model.commits.info(),
     }

@@ -8,9 +8,9 @@ computed by delta-plan evaluation, never by re-running the query:
 
 * **Registration is gap-free.**  The manager registers the standing query
   under the model's write lock, recording the then-current version as its
-  baseline, and :class:`~repro.engine.maintenance.VersionedModel` invokes
-  its version listener under the same lock — so every version published
-  after the baseline is observed exactly once, in order.
+  baseline; the dispatcher reads a cursor on the model's commit stream
+  (:mod:`repro.engine.commits`), opened under the same lock — so every
+  version published after the baseline is observed exactly once, in order.
 * **Diffs come from the maintenance deltas.**  Each published snapshot
   carries :class:`~repro.engine.maintenance.ModelChanges`: the exact
   per-predicate model atoms the commit added and removed.  For a
@@ -41,19 +41,21 @@ computed by delta-plan evaluation, never by re-running the query:
   A subscriber that stops draining is dropped with a final
   ``sub_dropped`` frame — same back-pressure policy as the replication
   hub: shed the slow consumer, never grow the server without limit.
-* **One dispatcher, no polling.**  A single daemon thread parks on the
-  manager's condition variable, woken by the version listener at every
-  publication; per commit it builds two sets of delta engines (adds
-  over the new snapshot, dels over the old) shared by *all* standing
-  queries, which is what makes thousands of subscriptions cheap (see
-  ``benchmarks/test_bench_subscribe.py``).
+* **One dispatcher, no polling.**  A single daemon thread blocks in
+  :meth:`Cursor.read <repro.engine.commits.Cursor.read>`; per commit it
+  builds two sets of delta engines (adds over the new snapshot, dels over
+  the old) shared by *all* standing queries, which is what makes
+  thousands of subscriptions cheap (see
+  ``benchmarks/test_bench_subscribe.py``).  A dispatcher that falls
+  behind ``keep_versions`` (the stream carries versions, not snapshots)
+  catches up with one evaluate-and-diff spanning what it skipped.
 
 Followers run the same manager: replayed records publish versions through
 the same `VersionedModel` machinery, so subscriptions served from a
 follower push diffs at the follower's applied version.  When a lagging
 follower re-seeds from a shipped snapshot (a new model object), the
-service retargets the manager and subscribers receive one catch-up diff
-spanning the jump.
+manager opens a cursor on the new model and subscribers receive one
+catch-up diff spanning the jump.
 """
 
 from __future__ import annotations
@@ -61,14 +63,21 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..core.atoms import Atom
 from ..core.terms import Term
 from ..engine.answers import Answers
+from ..engine.commits import Cursor, FellBehind
 from ..engine.evaluation import SolverStats, _CompiledRule, _Engines
 from ..engine.ir import ExecStats
-from ..engine.maintenance import ModelChanges, ModelSnapshot, VersionedModel
+from ..engine.maintenance import (
+    ModelChanges,
+    ModelSnapshot,
+    RetiredVersionError,
+    VersionedModel,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .service import QueryService
@@ -80,6 +89,9 @@ FRAME_DROPPED = "sub_dropped"
 
 #: Dropped-subscription reasons.
 REASON_SLOW = "slow_consumer"
+
+#: The dispatcher's name on the commit stream (``:stats``).
+CONSUMER = "subscriptions"
 
 
 def render_rows(rows: Iterable[tuple[Term, ...]]) -> list[list[str]]:
@@ -126,17 +138,20 @@ class SubscriptionManager:
         self.service = service
         self._model: VersionedModel = service.model
         self._cond = threading.Condition(threading.Lock())
-        self._queue: list[ModelSnapshot] = []
         self._subs: dict[int, StandingQuery] = {}
         self._by_session: dict[int, set[int]] = {}
         self._ids = itertools.count(1)
-        self._attached = False
+        #: The dispatcher's cursor on the followed model's commit stream,
+        #: opened by the first subscription.
+        self._cursor: Optional[Cursor] = None
         self._thread: Optional[threading.Thread] = None
         self._stop = False
         #: Last version the dispatcher finished (tests/benchmarks barrier).
         self._processed = 0
-        #: Dispatcher-only: the previous snapshot (the diff baseline).
+        #: Dispatcher-only: the previous snapshot (the diff baseline) and
+        #: the cursor it was read from.
         self._prev: Optional[ModelSnapshot] = None
+        self._reading: Optional[Cursor] = None
         #: Dispatcher-thread counters (never shared with session stats).
         self._solver_stats = SolverStats()
         self._exec_stats = ExecStats()
@@ -158,9 +173,17 @@ class SubscriptionManager:
             with model.lock:
                 if model is not self._model:
                     continue  # retargeted mid-subscribe (follower re-seed)
-                self._attach_locked(model)
                 snap = model.current
                 with self._cond:
+                    if self._cursor is None:
+                        self._cursor = model.commits.open(CONSUMER)
+                        self._prev, self._reading = snap, self._cursor
+                        # The baseline is processed by definition (there
+                        # is nothing to dispatch at or before it): callers
+                        # of wait_caught_up must not block when no commit
+                        # has happened yet.
+                        self._processed = max(self._processed, snap.version)
+                        self._cond.notify_all()
                     sub_id = next(self._ids)
                     sq = StandingQuery(sub_id, session, rule, snap.version)
                     self._subs[sub_id] = sq
@@ -205,37 +228,27 @@ class SubscriptionManager:
     # -- lifecycle ---------------------------------------------------------------
 
     def retarget(self, model: VersionedModel) -> None:
-        """Follow a replacement model (follower snapshot re-seed).
+        """Follow a replacement model (follower snapshot re-seed): open a
+        cursor on it.
 
-        Listeners move to the new model and its current snapshot is
-        force-enqueued: subscribers get one catch-up diff spanning the
-        jump from their last observed version to the re-seeded state
-        (computed by the evaluate-and-diff path — both snapshots remain
-        valid objects even though they come from different models).
+        Subscribers get one catch-up diff spanning the jump from their
+        last observed version to the re-seeded state (computed by the
+        evaluate-and-diff path — both snapshots remain valid objects even
+        though they come from different models).
         """
-        with self._cond:
-            old = self._model if self._attached else None
-            attached = self._attached
-        if old is not None and old is not model:
-            old.remove_version_listener(self._on_publish)
         with model.lock:
-            if attached and old is not model:
-                model.add_version_listener(self._on_publish)
-            snap = model.current
             with self._cond:
                 self._model = model
-                if attached:
-                    self._queue.append(snap)
-                    self._cond.notify_all()
+                if self._cursor is not None and not self._stop:
+                    self._cursor.close()
+                    self._cursor = model.commits.open(CONSUMER)
 
     def stop(self) -> None:
         with self._cond:
             self._stop = True
+            if self._cursor is not None:
+                self._cursor.close()
             self._cond.notify_all()
-            attached, model = self._attached, self._model
-            self._attached = False
-        if attached:
-            model.remove_version_listener(self._on_publish)
         thread = self._thread
         if thread is not None:
             thread.join(timeout=5.0)
@@ -254,29 +267,7 @@ class SubscriptionManager:
                 self._cond.wait(remaining)
             return True
 
-    # -- internals: registration plumbing ----------------------------------------
-
-    def _attach_locked(self, model: VersionedModel) -> None:
-        """Caller holds ``model.lock``."""
-        if self._attached:
-            return
-        model.add_version_listener(self._on_publish)
-        with self._cond:
-            self._attached = True
-            self._prev = model.current
-            # The baseline is processed by definition (there is nothing
-            # to dispatch at or before it): callers of wait_caught_up
-            # must not block when no commit has happened yet.
-            if self._prev.version > self._processed:
-                self._processed = self._prev.version
-                self._cond.notify_all()
-
-    def _on_publish(self, snap: ModelSnapshot) -> None:
-        # Runs on the writer thread under the model's write lock: hand the
-        # immutable snapshot to the dispatcher and return immediately.
-        with self._cond:
-            self._queue.append(snap)
-            self._cond.notify_all()
+    # -- internals: the dispatcher -----------------------------------------------
 
     def _ensure_thread(self) -> None:
         with self._cond:
@@ -287,25 +278,57 @@ class SubscriptionManager:
             )
             self._thread.start()
 
-    # -- internals: the dispatcher -----------------------------------------------
-
     def _run(self) -> None:
         while True:
             with self._cond:
-                while not self._queue and not self._stop:
-                    self._cond.wait()
                 if self._stop:
                     return
-                snap = self._queue.pop(0)
-                subs = list(self._subs.values())
-            prev = self._prev
-            if prev is not None and snap.version > prev.version:
-                self._dispatch(prev, snap, subs)
-            self._prev = snap
+                moved = self._reading is not self._cursor
+                cursor = self._reading = self._cursor
+                model = self._model
+            unread = []
+            if not moved:
+                try:
+                    unread = cursor.read(wait=True)
+                except FellBehind:
+                    moved = True
+            if moved:
+                self._advance(model)
+            for commit in unread:
+                if self._stop:
+                    return
+                # Fencing bumps publish nothing; a catch-up overtakes the
+                # entries behind it.
+                if commit.version > self._prev.version:
+                    self._advance(model, commit.version)
+
+    def _advance(
+        self, model: VersionedModel, version: Optional[int] = None
+    ) -> None:
+        """Dispatch ``version`` of ``model`` against the baseline and make
+        it the baseline.  No version — another model's stream (re-seed),
+        or commits skipped — and one the model has retired
+        (``keep_versions``) take one evaluate-and-diff up to the model's
+        current snapshot instead, stripped of its own delta, which is
+        against a predecessor the dispatcher never saw."""
+        snap = None
+        if version is not None:
+            try:
+                snap = model.at(version)
+            except RetiredVersionError:
+                pass
+        if snap is None:
+            snap = replace(model.current, report=None)
+        prev = self._prev
+        if snap.version > prev.version:
             with self._cond:
-                if snap.version > self._processed:
-                    self._processed = snap.version
-                self._cond.notify_all()
+                subs = list(self._subs.values())
+            self._dispatch(prev, snap, subs)
+        self._prev = snap
+        with self._cond:
+            if snap.version > self._processed:
+                self._processed = snap.version
+            self._cond.notify_all()
 
     def _dispatch(
         self,

@@ -40,10 +40,11 @@ from __future__ import annotations
 
 import logging
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional
+from typing import Any, Callable, Iterable, Mapping, Optional
 
 from ..core.program import Program
 from ..engine.builtins import DEFAULT_BUILTINS, Builtin
+from ..engine.commits import Commit, Cursor
 from ..engine.database import Database
 from ..engine.evaluation import EvalOptions
 from ..engine.maintenance import ModelSnapshot, VersionedModel
@@ -166,12 +167,12 @@ class DurableModel(VersionedModel):
         self._keep_checkpoints = keep_checkpoints
         self._records_since_checkpoint = 0
         self._replaying = False
+        #: The WAL line of a logged operation, from its log write until
+        #: :meth:`_notify_commit` puts it on the commit stream (or
+        #: :meth:`_abort_logged` drops it); the operation's own
+        #: publication stays off the stream meanwhile.
+        self._logged: Optional[bytes] = None
         self._closed = False
-        #: Commit listeners: ``fn(kind, data)`` called under the write
-        #: lock after every successfully applied *logged* operation, in
-        #: commit order, with exactly the data dict the WAL recorded —
-        #: the leader-side replication hub subscribes here.
-        self._commit_listeners: list = []
         self._wal = WriteAheadLog(
             self.data_dir, fsync=fsync, segment_max_bytes=segment_max_bytes
         )
@@ -298,7 +299,7 @@ class DurableModel(VersionedModel):
                 # True no-op: publishes nothing, so nothing to log.
                 return super().apply_delta(adds=add_atoms, dels=del_atoms)
             target = self._version + 1
-            logged = self._wal.append_delta(
+            logged = self._logged = self._wal.append_delta(
                 target, add_atoms, del_atoms, epoch=self.epoch
             )
             try:
@@ -316,8 +317,8 @@ class DurableModel(VersionedModel):
                     f"logged version {target}; refusing to continue with a "
                     "log that diverges from the state"
                 )
-            self._note_record()
             self._notify_commit(KIND_DELTA, logged)
+            self._note_record()
             return snap
 
     def replace_program(self, program: Program) -> ModelSnapshot:
@@ -327,7 +328,7 @@ class DurableModel(VersionedModel):
                 return super().replace_program(program)
             source = encode_program(program)  # verified round trip
             target = self._version + 1
-            logged = self._wal.append_program(
+            logged = self._logged = self._wal.append_program(
                 target, source, epoch=self.epoch
             )
             try:
@@ -341,8 +342,8 @@ class DurableModel(VersionedModel):
                     f"program replacement published {snap.version}, "
                     f"logged {target}"
                 )
-            self._note_record()
             self._notify_commit(KIND_PROGRAM, logged)
+            self._note_record()
             return snap
 
     def bump_epoch(self, epoch: int) -> None:
@@ -363,28 +364,23 @@ class DurableModel(VersionedModel):
                 )
             logged = self._wal.append_epoch(self._version, epoch)
             self.epoch = epoch
-            self._note_record()
             self._notify_commit(KIND_EPOCH, logged)
-
-    def add_commit_listener(self, fn) -> None:
-        """Register ``fn(kind, data)`` to observe logged commits in order
-        (called under the write lock — keep it non-blocking)."""
-        with self._lock:
-            self._commit_listeners.append(fn)
+            self._note_record()
 
     def subscribe_replication(
-        self, listener, from_version: int = 0
-    ) -> tuple[list, Optional[dict], int, int]:
+        self, from_version: int = 0, wake: Optional[Callable[[], None]] = None
+    ) -> tuple[list, Optional[dict], int, int, Cursor]:
         """Gap-free subscription handoff for WAL shipping.
 
         Atomically — under the write lock, so no commit can slip between
-        the history read and the registration — read the committed WAL
-        tail after ``from_version`` and register ``listener`` for every
-        subsequent commit.  Returns ``(history, snapshot, version,
-        epoch)``; ``snapshot`` is a bootstrap payload (and ``history``
-        restarts after it) when the WAL no longer covers ``from_version``
-        — which is always the case for a brand-new follower, because a
-        fresh store's initial version lives only in its base checkpoint.
+        the history read and the cursor — read the committed WAL tail
+        after ``from_version`` and open a cursor on the commit stream for
+        every subsequent commit.  Returns ``(history, snapshot, version,
+        epoch, cursor)``; ``snapshot`` is a bootstrap payload (and
+        ``history`` restarts after it) when the WAL no longer covers
+        ``from_version`` — which is always the case for a brand-new
+        follower, because a fresh store's initial version lives only in
+        its base checkpoint.
         """
         with self._lock:
             history = self._wal.records_from(from_version)
@@ -397,15 +393,8 @@ class DurableModel(VersionedModel):
                 if not published or published[0] != from_version + 1:
                     snapshot = self.replication_snapshot()
                     history = []
-            self._commit_listeners.append(listener)
-            return history, snapshot, self._version, self.epoch
-
-    def unsubscribe_replication(self, listener) -> None:
-        with self._lock:
-            try:
-                self._commit_listeners.remove(listener)
-            except ValueError:
-                pass
+            cursor = self.commits.open("replica", wake)
+            return history, snapshot, self._version, self.epoch, cursor
 
     def replication_snapshot(self) -> dict:
         """Bootstrap payload for a follower behind the WAL floor: the
@@ -455,14 +444,19 @@ class DurableModel(VersionedModel):
         if self._closed:
             raise StorageError("durable model is closed")
 
-    def _notify_commit(self, kind: str, data: dict) -> None:
-        for fn in self._commit_listeners:
-            try:
-                fn(kind, data)
-            except Exception:  # pragma: no cover - listener bug
-                logger.exception("commit listener failed for %s", kind)
+    def _announce(self, snap: ModelSnapshot) -> None:
+        # A logged operation's publication reaches the stream from
+        # _notify_commit, with its line; any other goes as it is.
+        if self._logged is None:
+            super()._announce(snap)
+
+    def _notify_commit(self, kind: str, line: bytes) -> None:
+        """Put one logged, applied operation on the commit stream."""
+        self._logged = None
+        self.commits.append(Commit(self._version, line))
 
     def _abort_logged(self, version: int) -> None:
+        self._logged = None
         try:
             self._wal.append_abort(version)
         except Exception:  # pragma: no cover - disk gone mid-failure

@@ -122,7 +122,7 @@ class WriteAheadLog:
         adds: Iterable[Atom],
         dels: Iterable[Atom],
         epoch: int = 0,
-    ) -> dict:
+    ) -> bytes:
         """Log one committed batch; returns once it is durable."""
         return self._append(KIND_DELTA, version, {
             "version": version,
@@ -133,32 +133,32 @@ class WriteAheadLog:
 
     def append_program(
         self, version: int, source: str, epoch: int = 0
-    ) -> dict:
+    ) -> bytes:
         """Log a program replacement publishing ``version``."""
         return self._append(KIND_PROGRAM, version, {
             "version": version, "epoch": epoch, "source": source,
         })
 
-    def append_abort(self, version: int) -> dict:
+    def append_abort(self, version: int) -> bytes:
         """Tombstone: the record logged for ``version`` was never applied."""
         return self._append(KIND_ABORT, version, {"version": version})
 
-    def append_epoch(self, version: int, epoch: int) -> dict:
+    def append_epoch(self, version: int, epoch: int) -> bytes:
         """Log a fencing bump to ``epoch`` at the store's ``version``."""
         return self._append(KIND_EPOCH, version, {
             "version": version, "epoch": epoch,
         })
 
-    def _append(self, kind: str, version: int, data: dict) -> dict:
-        """Write one record durably; returns the exact data dict written
-        (callers forward it verbatim, e.g. to replication subscribers)."""
+    def _append(self, kind: str, version: int, data: dict) -> bytes:
+        """Write one record durably; returns the line as written (newline
+        included), which replication ships verbatim."""
         line = encode_record(kind, data) + "\n"
         f = self._handle(version, len(line))
         f.write(line)
         f.flush()
         if self.fsync == FSYNC_ALWAYS:
             os.fsync(f.fileno())
-        return data
+        return line.encode("ascii")
 
     def _handle(self, version: int, incoming: int):
         """The active segment's append handle, rotating when full."""

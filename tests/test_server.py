@@ -27,6 +27,7 @@ from repro.server import (
     E_CLOSED,
     E_CLOSING,
     E_COMMAND,
+    E_EVAL,
     E_NOT_YET,
     E_PARSE,
     E_RETIRED,
@@ -408,6 +409,36 @@ class TestErrorPaths:
         assert s.execute("?- p(a).").data["truth"]
         svc.shutdown()
 
+    @pytest.mark.parametrize("timeout", ["inf", "nan", "-1", "1e400"])
+    def test_sync_rejects_timeouts_no_wait_accepts(self, timeout):
+        svc = service()
+        s = svc.open_session()
+        r = s.execute(f":sync 99 {timeout}")
+        assert not r.ok and r.code == E_COMMAND
+        assert r.error.startswith("usage: :sync VERSION [TIMEOUT]")
+        assert s.execute(":sync 1 0").ok
+        svc.shutdown()
+
+    def test_unexpected_exception_is_a_response_not_a_raise(
+        self, monkeypatch, caplog
+    ):
+        """``execute`` never raises: a bug behind a request is logged and
+        answered, and the session keeps working."""
+        svc = service()
+        s = svc.open_session()
+
+        def boom(version, timeout=None):
+            raise OverflowError("timestamp too large")
+
+        monkeypatch.setattr(svc.model, "wait_version", boom)
+        with caplog.at_level("ERROR", logger="repro.server"):
+            r = s.execute(":sync 99 5")
+        assert not r.ok and r.code == E_EVAL
+        assert "timestamp too large" in r.error
+        assert "unexpected error serving ':sync 99 5'" in caplog.text
+        assert s.execute(":version").ok
+        svc.shutdown()
+
 
 class TestServiceFrontEnd:
     def test_submit_runs_on_pool(self):
@@ -492,6 +523,15 @@ class TestProtocol:
             finally:
                 for c in clients:
                     c.close()
+        svc.shutdown()
+
+    @pytest.mark.parametrize("timeout", ["inf", "nan", "-1"])
+    def test_bad_sync_timeout_leaves_the_connection_usable(self, timeout):
+        svc = service()
+        with run_in_thread(svc) as h, LineClient(h.host, h.port) as c:
+            r = c.send(f":sync 99 {timeout}")
+            assert not r.ok and r.code == E_COMMAND
+            assert c.send(":version").data["latest"] == 1
         svc.shutdown()
 
     def test_response_json_round_trip(self):
