@@ -34,12 +34,18 @@ served behaviour cannot drift apart.
   prints once, then every commit that moves it prints an exact
   ``[sub N vV] +row -row`` diff (computed from the commit's delta, not
   by re-running the query).  ``:unsubscribe N`` cancels, ``:diffs``
-  drains queued frames explicitly.
+  drains queued frames explicitly,
+* every other ``:command`` the server knows (``:version``, ``:at N``,
+  ``:latest``, ``:begin`` / ``:commit`` / ``:abort``, ``:role``,
+  ``:sync N``) goes to the session's command table and prints ``ok.``,
+  the reply's data or the error; only ``:quit``, ``:save``, ``:open``
+  and the rendering of ``:stats`` are the REPL's own.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import Optional
 
@@ -95,9 +101,8 @@ def cmd_query(path: str, query: str) -> int:
 class Session:
     """The REPL's client state: one service, one session.
 
-    A thin facade over :class:`~repro.server.session.Session` keeping the
-    REPL's historical surface (``add_clause`` / ``assert_fact`` /
-    ``retract_fact`` / ``plan_text`` / ``stats_text``); everything
+    A thin facade over :class:`~repro.server.session.Session`: what the
+    REPL adds is ``:save`` / ``:open`` and its renderings; everything
     semantic happens in the service layer.
     """
 
@@ -114,24 +119,8 @@ class Session:
     def service(self) -> QueryService:
         return self._service
 
-    @property
-    def model(self):
-        """The current published snapshot (supports query/pretty)."""
-        return self._session.snapshot()
-
     def add_clause(self, line: str) -> None:
         self._session.add_clause(line)
-
-    def assert_fact(self, text: str):
-        self._session.assert_fact(text)
-        return self._service.model.last_report
-
-    def retract_fact(self, text: str):
-        self._session.retract_fact(text)
-        return self._service.model.last_report
-
-    def plan_text(self, text: str) -> str:
-        return self._session.plan_text(text)
 
     def print_answers(self, goal: str) -> None:
         """Answer a (possibly conjunctive) goal through the session's
@@ -178,8 +167,8 @@ class Session:
         return replacement
 
     def command(self, line: str) -> "object":
-        """Run one protocol line through the service session — used for
-        the subscription commands, whose grammar lives server-side."""
+        """Run one protocol line through the service session, whose
+        command table (``server.session.COMMANDS``) is the grammar."""
         return self._session.execute(line)
 
     def take_diffs(self) -> list[dict]:
@@ -235,28 +224,32 @@ def _print_push_frame(frame: dict) -> None:
     print(f"[sub {sub} v{version}] " + " ".join(changes))
 
 
-def _print_subscription_response(response) -> None:
+def _print_response(response, done: Optional[str] = None) -> None:
+    """A session reply: ``ok.``, its data, or ``error: …``; for a
+    ``+fact.`` / ``-fact.`` line, ``done`` is the word for its effect."""
+    data = response.data
     if not response.ok:
         print(f"error: {response.error}", file=sys.stderr)
-        return
-    if response.kind == "subscribed":
-        data = response.data
+    elif done is not None:
+        print("staged." if "staged" in data
+              else done if data["applied"] else "no change.")
+    elif response.kind == "subscribed":
         head = ", ".join(data["vars"])
         print(f"sub {data['sub']} on ({head}) at version "
               f"{response.version}: {len(data['rows'])} row(s)")
         for row in data["rows"]:
             print("  " + (", ".join(row) if row else "true"))
     elif response.kind == "diffs":
-        for frame in response.data["frames"]:
+        for frame in data["frames"]:
             _print_push_frame(frame)
-        if response.data["pending"]:
-            print(f"({response.data['pending']} more pending)")
-    else:
+        if data["pending"]:
+            print(f"({data['pending']} more pending)")
+    elif response.kind == "ok":
         print("ok.")
-
-
-#: Colon commands the REPL forwards verbatim to the service session.
-_SUBSCRIPTION_COMMANDS = (":subscribe", ":unsubscribe", ":diffs")
+    else:
+        print(data if isinstance(data, str) else json.dumps(
+            data, sort_keys=True
+        ))
 
 
 def cmd_repl(path: Optional[str], data_dir: Optional[str] = None) -> int:
@@ -281,12 +274,8 @@ def cmd_repl(path: Optional[str], data_dir: Optional[str] = None) -> int:
         if line in (":quit", ":q"):
             return 0
         try:
-            if line == ":model":
-                print(session.model.pretty())
-            elif line == ":stats":
+            if line == ":stats":
                 print(session.stats_text())
-            elif line.startswith(":plan"):
-                print(session.plan_text(line[len(":plan"):].strip()))
             elif line.startswith(":save"):
                 target = line[len(":save"):].strip() or session.data_dir
                 if not target:
@@ -301,14 +290,12 @@ def cmd_repl(path: Optional[str], data_dir: Optional[str] = None) -> int:
                     session = session.open(target)
                     print(f"opened {target} at version "
                           f"{session.service.model.version}")
-            elif line.split(None, 1)[0] in _SUBSCRIPTION_COMMANDS:
-                _print_subscription_response(session.command(line))
+            elif line.startswith(":"):
+                _print_response(session.command(line))
             elif line.startswith("+"):
-                report = session.assert_fact(line[1:])
-                print("added." if report.net_added else "no change.")
+                _print_response(session.command(line), "added.")
             elif line.startswith("-"):
-                report = session.retract_fact(line[1:])
-                print("removed." if report.net_removed else "no change.")
+                _print_response(session.command(line), "removed.")
             elif line.startswith("?-"):
                 session.print_answers(line[2:].strip().rstrip("."))
             else:

@@ -3,17 +3,18 @@
 A :class:`FollowerService` owns three things:
 
 * a **DurableModel of its own** — every shipped record is re-logged into
-  the follower's data directory before its version is published locally,
-  so a follower crash recovers exactly like a leader crash (same code
-  path), and a recovered follower resumes the stream from its durable
-  applied version, not from zero;
+  the follower's data directory, as the line it arrived as, before its
+  version is published locally, so a follower crash recovers exactly
+  like a leader crash (same code path), and a recovered follower resumes
+  the stream from its durable applied version, not from zero;
 * the **tail loop** — a daemon thread that connects to the leader, sends
-  ``:repl from <applied>``, replays each frame through
-  ``MaterializedModel.apply_delta`` (the maintenance engine, not a second
-  evaluation path), acks every applied version, and reconnects with
-  exponential backoff + jitter when the stream drops.  Redelivered
-  records (``version <= applied``) are skipped, so a torn stream plus
-  reconnect is idempotent;
+  ``:repl from <applied>``, hands each record frame to
+  :meth:`~repro.storage.durable.DurableModel.apply_record` (the one
+  place that decides what a record may do to a store, recovery's too),
+  acks every applied version, and reconnects with exponential backoff +
+  jitter when the stream drops or a frame is refused.  Redelivered
+  records (``version <= applied``) are skipped there, so a torn stream
+  plus reconnect is idempotent;
 * a read-only :class:`~repro.server.service.QueryService` — sessions are
   :class:`FollowerSession`: writes come back ``read_only`` with the
   leader's address, and ``:at N`` beyond the applied high-water mark is
@@ -37,7 +38,7 @@ import socket
 import threading
 import time
 from pathlib import Path
-from typing import Optional, Union
+from typing import Any, Optional, Union
 
 from ..engine.database import Database
 from ..engine.evaluation import EvalOptions
@@ -46,14 +47,10 @@ from ..server.protocol import Backoff
 from ..server.service import QueryService
 from ..server.session import E_NOT_YET, E_READ_ONLY, Response, Session
 from ..storage.codec import (
-    KIND_DELTA,
-    KIND_EPOCH,
-    KIND_PROGRAM,
     KIND_REPL_HELLO,
     KIND_REPL_SNAPSHOT,
     CodecError,
     StorageError,
-    decode_atom,
     decode_atoms,
     decode_program,
     decode_record,
@@ -269,6 +266,7 @@ class FollowerService:
             "connected": self._connected,
             "fenced": self._fenced,
             "leader_epoch": self._leader_epoch,
+            "last_error": self._last_error,
         }
 
     def promote(self) -> dict:
@@ -309,7 +307,7 @@ class FollowerService:
         the new address from the follower's applied version.  The new
         leader's higher epoch arrives as an ordinary epoch record and is
         adopted durably — while any straggling frame still carrying the
-        old leader's epoch is rejected by the stale-epoch check.
+        old leader's epoch is refused as a fenced leader's write.
         """
         host, port = _parse_addr(leader)
         if (host, port) == (self.leader_host, self.leader_port):
@@ -347,13 +345,13 @@ class FollowerService:
             except FencingError as exc:
                 with self._cond:
                     self._fenced = True
-                    self._last_error = str(exc)
+                    self._last_error = f"{type(exc).__name__}: {exc}"
                     self._cond.notify_all()
                 logger.error("follower fenced, tailing stops: %s", exc)
                 return
             except (OSError, ConnectionError, StorageError) as exc:
                 with self._cond:
-                    self._last_error = str(exc)
+                    self._last_error = f"{type(exc).__name__}: {exc}"
                 if not self._stop.is_set():
                     logger.warning(
                         "replication stream to %s:%d dropped (%s); "
@@ -383,9 +381,9 @@ class FollowerService:
             while not self._stop.is_set():
                 while b"\n" in buf:
                     raw, buf = buf.split(b"\n", 1)
-                    line = raw.decode("ascii", errors="replace").strip()
-                    if line:
-                        self._handle_line(line, sock)
+                    raw = raw.strip()
+                    if raw:
+                        self._handle_line(raw, sock)
                 try:
                     ready, _, _ = select.select(
                         [sock], [], [], self.read_timeout
@@ -415,11 +413,11 @@ class FollowerService:
             except OSError:
                 pass
 
-    def _handle_line(self, line: str, sock: socket.socket) -> None:
+    def _handle_line(self, raw: bytes, sock: socket.socket) -> None:
         try:
-            kind, data = decode_record(line)
-        except CodecError as exc:
-            resp = _maybe_response(line)
+            kind, data = decode_record(raw.decode("ascii"))
+        except (CodecError, UnicodeDecodeError) as exc:
+            resp = _maybe_response(raw)
             if resp is not None:
                 raise ReplicationError(
                     f"leader refused replication: {resp.error} "
@@ -428,13 +426,17 @@ class FollowerService:
             raise ReplicationError(
                 f"undecodable replication frame: {exc}"
             ) from exc
-        self._apply_record(kind, data, sock)
+        self._apply_record(kind, data, sock, raw + b"\n")
 
     def _apply_record(
-        self, kind: str, data: dict, sock: socket.socket
+        self, kind: str, data: Any, sock: socket.socket, line: bytes
     ) -> None:
+        """One verified frame: the greeting and the bootstrap are
+        replication's own; every other kind is a WAL record, which the
+        store judges, logs as ``line`` and applies
+        (:meth:`DurableModel.apply_record`)."""
         if kind == KIND_REPL_HELLO:
-            epoch = data.get("epoch", 0)
+            epoch = _frame_epoch(kind, data)
             if self.model is not None and epoch < self.model.epoch:
                 raise FencingError(
                     f"leader announces epoch {epoch} but this follower "
@@ -444,78 +446,29 @@ class FollowerService:
             self._leader_epoch = max(self._leader_epoch, epoch)
             return
         if kind == KIND_REPL_SNAPSHOT:
-            self._bootstrap(data)
-            self._ack(sock)
-            return
-        if self.model is None:
+            self._bootstrap(data, _frame_epoch(kind, data))
+        elif self.model is None:
             raise ReplicationError(
                 f"{kind!r} record arrived before any snapshot or local "
                 "state"
             )
-        if kind == KIND_EPOCH:
-            epoch = data.get("epoch")
-            if not isinstance(epoch, int):
-                raise ReplicationError(
-                    "epoch record without an epoch number"
-                )
-            if epoch < self.model.epoch:
-                raise FencingError(
-                    f"epoch regression on the stream: {epoch} after "
-                    f"{self.model.epoch}"
-                )
-            if epoch > self.model.epoch:
-                self.model.bump_epoch(epoch)   # durably, via our own WAL
+        else:
+            self.model.apply_record(kind, data, line=line)
             self._note_applied()
-            self._ack(sock)
-            return
-        if kind in (KIND_DELTA, KIND_PROGRAM):
-            version = data.get("version")
-            if not isinstance(version, int):
-                raise ReplicationError(f"{kind!r} record without a version")
-            if version <= self.model.version:
-                return                     # redelivery after reconnect
-            if version != self.model.version + 1:
-                raise ReplicationError(
-                    f"gap in the replication stream: applied "
-                    f"{self.model.version}, received {version}"
-                )
-            rec_epoch = data.get("epoch", 0)
-            if rec_epoch < self.model.epoch:
-                raise FencingError(
-                    f"stale-epoch record for version {version}: epoch "
-                    f"{rec_epoch} after {self.model.epoch} — a fenced "
-                    "leader's write, rejected"
-                )
-            if rec_epoch > self.model.epoch:
-                raise ReplicationError(
-                    f"record for version {version} claims epoch "
-                    f"{rec_epoch} which no epoch record announced"
-                )
-            if kind == KIND_DELTA:
-                snap = self.model.apply_delta(
-                    adds=decode_atoms(data.get("adds", ())),
-                    dels=decode_atoms(data.get("dels", ())),
-                )
-            else:
-                snap = self.model.replace_program(
-                    decode_program(data.get("source"))
-                )
-            if snap.version != version:
-                raise ReplicationError(
-                    f"replaying version {version} published "
-                    f"{snap.version}; this follower diverges from the "
-                    "leader"
-                )
-            self._note_applied()
-            self._ack(sock)
-            return
-        raise ReplicationError(f"unknown replication frame kind {kind!r}")
+        self._ack(sock)
 
-    def _bootstrap(self, data: dict) -> None:
-        version = data.get("version")
-        epoch = data.get("epoch", 0)
+    def _bootstrap(self, data: dict, epoch: int) -> None:
+        version, facts = data.get("version"), data.get("facts", [])
+        if (
+            not isinstance(version, int)
+            or version < 1
+            or not isinstance(facts, list)
+        ):
+            raise ReplicationError(
+                "snapshot without a valid version and fact list"
+            )
         if self.model is not None:
-            if isinstance(version, int) and version <= self.model.version:
+            if version <= self.model.version:
                 return                     # we already cover it
             if epoch < self.model.epoch:
                 raise FencingError(
@@ -523,23 +476,22 @@ class FollowerService:
                     f"durably saw epoch {self.model.epoch}; that leader "
                     "was fenced"
                 )
+        program = decode_program(data.get("program"))
+        db = Database()
+        for a in decode_atoms(facts):
+            db.add_atom(a)
+        if self.model is not None:
             # The leader only offers a *newer* snapshot when it can no
             # longer replay the gap from its WAL (this follower fell
             # behind the checkpoint-truncated floor).  Local state is a
-            # strict-past prefix of the snapshot, so discard it and fall
-            # through to the fresh-seed path instead of erroring out.
+            # strict-past prefix of the snapshot, so — now that the
+            # snapshot has decoded whole — discard it and seed afresh.
             logger.warning(
                 "behind the leader's WAL floor (local version %d, "
                 "snapshot at %d): discarding local state and re-seeding",
                 self.model.version, version,
             )
             self._discard_local_state()
-        if not isinstance(version, int) or version < 1:
-            raise ReplicationError("snapshot without a valid version")
-        program = decode_program(data.get("program"))
-        db = Database()
-        for s in data.get("facts", ()):
-            db.add_atom(decode_atom(s))
         model = DurableModel(
             program,
             self.data_dir,
@@ -565,7 +517,7 @@ class FollowerService:
             self.service.subscriptions.retarget(model)
         logger.info(
             "bootstrapped from leader snapshot at version %d epoch %d "
-            "(%d facts)", version, epoch, len(data.get("facts", ())),
+            "(%d facts)", version, epoch, len(facts),
         )
 
     def _discard_local_state(self) -> None:
@@ -596,8 +548,16 @@ class FollowerService:
             self._cond.notify_all()
 
 
-def _maybe_response(line: str) -> Optional[Response]:
+def _frame_epoch(kind: str, data: Any) -> int:
+    """The epoch a greeting or bootstrap frame announces (none is 0)."""
+    epoch = data.get("epoch", 0) if isinstance(data, dict) else None
+    if not isinstance(epoch, int):
+        raise ReplicationError(f"{kind!r} frame carries no usable epoch")
+    return epoch
+
+
+def _maybe_response(line: bytes) -> Optional[Response]:
     try:
         return Response.from_json(line)
-    except (ValueError, KeyError):
+    except (ValueError, KeyError, TypeError):
         return None

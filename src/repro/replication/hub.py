@@ -5,11 +5,12 @@ A follower opens an ordinary protocol connection and sends
 connection then becomes a dedicated replication stream:
 
 * **downstream** (leader → follower): :mod:`repro.storage.codec` record
-  frames, one per line, CRC-checked exactly like the WAL file they came
-  from.  First a ``repl-hello`` (the leader's epoch and latest version),
-  then — if the leader's WAL no longer covers ``N`` — one
-  ``repl-snapshot`` carrying the full program + EDB, then the committed
-  history after ``N``, then live commits as they happen.
+  frames, one per line.  First a ``repl-hello`` (the leader's epoch and
+  latest version), then — if the leader's WAL no longer covers ``N`` —
+  one ``repl-snapshot`` carrying the full program + EDB, then the
+  committed history after ``N``, then live commits as they happen.
+  Only the first two are encoded here; history and live commits are the
+  WAL's own lines.
 * **upstream** (follower → leader): ``:ack V`` lines, "version V is
   durable here".  Acks drive :meth:`ReplicationHub.wait_replicated`, the
   ``ack_replicas`` write-acknowledgement gate.
@@ -17,11 +18,11 @@ connection then becomes a dedicated replication stream:
 **Gap freedom.**  :meth:`DurableModel.subscribe_replication` reads the
 WAL tail and opens a cursor on the model's commit stream
 (:mod:`repro.engine.commits`) under the write lock, so no commit falls
-between "what the file held" and "what the cursor reads".  Live commits
-go out as the line the WAL wrote.  A follower that stops reading never
-blocks the leader's writers: once its cursor's lag passes ``max_queue``
-the transport is aborted, and it reconnects from its applied version
-through the same handoff (DESIGN.md, "Commit stream").
+between "what the file held" and "what the cursor reads".  A follower
+that stops reading never blocks the leader's writers: once its cursor's
+lag passes ``max_queue`` the transport is aborted, and it reconnects
+from its applied version through the same handoff (DESIGN.md, "Commit
+stream").
 """
 
 from __future__ import annotations
@@ -216,8 +217,8 @@ class ReplicationHub:
             }))
             if snapshot is not None:
                 writer.write(_frame(KIND_REPL_SNAPSHOT, snapshot))
-            for kind, data in history:
-                writer.write(_frame(kind, data))
+            for line in history:
+                writer.write(line)
             while not any(fut.done() for fut in ending):
                 await writer.drain()
                 await wake.wait()

@@ -14,7 +14,9 @@ The durability discipline is **log-before-publish**:
 So *acknowledged ⇒ logged*, and recovery replays the log through the same
 ``MaterializedModel.apply_delta`` engine that produced the live state —
 durability reuses the maintenance discipline (``apply_delta ≡ recompute``)
-instead of introducing a second evaluation path.
+instead of introducing a second evaluation path.  A logged record is
+applied in one place, :meth:`DurableModel.apply_record`, by recovery and
+by a follower tailing a leader alike.
 
 :meth:`recover` reconstructs a model from a data directory:
 
@@ -23,8 +25,8 @@ instead of introducing a second evaluation path.
   checkpoint falls back to its predecessor, whose WAL suffix is retained
   exactly for this);
 * replay the WAL records *after* the checkpoint's version, in order,
-  skipping abort tombstones and enforcing gap-free version continuity —
-  any divergence between log and replayed state is a
+  without the abort tombstones and what they cancel — a gap, or any
+  divergence between log and replayed state, is a
   :class:`~repro.storage.codec.RecoveryError`, never a silently wrong
   model;
 * a torn final record (the crash signature) is quarantined and ignored:
@@ -39,9 +41,11 @@ last acknowledged version.
 from __future__ import annotations
 
 import logging
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Optional
 
+from ..core.errors import EvaluationError
 from ..core.program import Program
 from ..engine.builtins import DEFAULT_BUILTINS, Builtin
 from ..engine.commits import Commit, Cursor
@@ -49,7 +53,6 @@ from ..engine.database import Database
 from ..engine.evaluation import EvalOptions
 from ..engine.maintenance import ModelSnapshot, VersionedModel
 from .codec import (
-    KIND_ABORT,
     KIND_DELTA,
     KIND_EPOCH,
     KIND_PROGRAM,
@@ -68,7 +71,7 @@ from .checkpoint import (
     load_checkpoint,
     write_checkpoint,
 )
-from .wal import FSYNC_ALWAYS, WriteAheadLog
+from .wal import FSYNC_ALWAYS, WriteAheadLog, committed_records
 
 logger = logging.getLogger("repro.storage")
 
@@ -166,7 +169,6 @@ class DurableModel(VersionedModel):
         self._checkpoint_every = checkpoint_every
         self._keep_checkpoints = keep_checkpoints
         self._records_since_checkpoint = 0
-        self._replaying = False
         #: The WAL line of a logged operation, from its log write until
         #: :meth:`_notify_commit` puts it on the commit stream (or
         #: :meth:`_abort_logged` drops it); the operation's own
@@ -288,8 +290,7 @@ class DurableModel(VersionedModel):
             mm = self._materialized
             add_atoms = [mm._check_fact(s) for s in adds]
             del_atoms = [mm._check_fact(s) for s in dels]
-            if self._replaying:
-                return super().apply_delta(adds=add_atoms, dels=del_atoms)
+            apply = partial(super().apply_delta, add_atoms, del_atoms)
             # Predict the net effect with the same set algebra
             # Database.apply_delta uses: deletions first, then additions.
             db = mm.database
@@ -297,61 +298,122 @@ class DurableModel(VersionedModel):
             added = {a for a in add_atoms if a not in db or a in removed}
             if not (added - removed) and not (removed - added):
                 # True no-op: publishes nothing, so nothing to log.
-                return super().apply_delta(adds=add_atoms, dels=del_atoms)
+                return apply()
             target = self._version + 1
-            logged = self._logged = self._wal.append_delta(
+            logged = self._wal.append_delta(
                 target, add_atoms, del_atoms, epoch=self.epoch
             )
-            try:
-                snap = super().apply_delta(adds=add_atoms, dels=del_atoms)
-            except Exception:
-                # Applied nothing (resource limit mid-recompute): tombstone
-                # the logged record so replay skips it, then surface the
-                # error exactly like the in-memory model would.
-                self._abort_logged(target)
-                raise
-            if snap.version != target:
-                self._abort_logged(target)
-                raise StorageError(
-                    f"published version {snap.version} does not match the "
-                    f"logged version {target}; refusing to continue with a "
-                    "log that diverges from the state"
-                )
-            self._notify_commit(KIND_DELTA, logged)
-            self._note_record()
-            return snap
+            return self._publish_logged(KIND_DELTA, target, logged, apply)
 
     def replace_program(self, program: Program) -> ModelSnapshot:
         with self._lock:
             self._check_writable()
-            if self._replaying:
-                return super().replace_program(program)
             source = encode_program(program)  # verified round trip
             target = self._version + 1
-            logged = self._logged = self._wal.append_program(
-                target, source, epoch=self.epoch
+            logged = self._wal.append_program(target, source, epoch=self.epoch)
+            return self._publish_logged(
+                KIND_PROGRAM, target, logged,
+                partial(super().replace_program, program),
             )
-            try:
-                snap = super().replace_program(program)
-            except Exception:
-                self._abort_logged(target)
-                raise
-            if snap.version != target:  # pragma: no cover - defensive
-                self._abort_logged(target)
-                raise StorageError(
-                    f"program replacement published {snap.version}, "
-                    f"logged {target}"
+
+    def apply_record(
+        self, kind: str, data: Any, line: Optional[bytes] = None
+    ) -> None:
+        """Apply one logged ``delta`` / ``program`` / ``epoch`` record.
+
+        The one rule for what a record may do to a store, whoever brings
+        it.  Recovery replays the local WAL through here with no ``line``:
+        the record is on disk already, so nothing is logged.  A follower
+        hands over each frame of the leader's stream with the ``line`` it
+        arrived as: those bytes are appended to the local WAL before the
+        record is applied, and go on the commit stream after.
+
+        A record at or below the applied version is skipped (redelivery
+        after a reconnect, history a checkpoint covers), as is an epoch
+        already adopted.  Refused, with model and WAL untouched: a lower
+        epoch than the store has seen (:class:`FencingError` — a fenced
+        leader's write), and with :class:`RecoveryError` a malformed
+        record, a version gap, an epoch that was never announced, an
+        unknown kind, an undecodable or ill-formed payload.
+        """
+        with self._lock:
+            self._check_writable()
+            if not isinstance(data, dict) or not isinstance(
+                data.get("version"), int
+            ):
+                raise RecoveryError(
+                    f"{kind!r} record carries no version number"
                 )
-            self._notify_commit(KIND_PROGRAM, logged)
-            self._note_record()
-            return snap
+            version = data["version"]
+            # Records from before replication carry no epoch: read as 0.
+            epoch = data.get("epoch", None if kind == KIND_EPOCH else 0)
+            if not isinstance(epoch, int):
+                raise RecoveryError(
+                    f"{kind!r} record at version {version} carries no "
+                    "epoch number"
+                )
+            if kind == KIND_EPOCH:
+                # Fencing bumps are recorded *at* a version, publishing
+                # nothing; a regression in the stream is an old leader's
+                # lineage spliced after a promotion.
+                if epoch < self.epoch:
+                    raise FencingError(
+                        f"epoch regression: record announces epoch {epoch} "
+                        f"after {self.epoch} was already established; "
+                        "refusing a fenced lineage"
+                    )
+                if epoch > self.epoch:
+                    self._adopt_epoch(epoch, self._relog(self._version, line))
+                return
+            if version <= self._version:
+                return
+            if version != self._version + 1:
+                raise RecoveryError(
+                    f"WAL gap: expected version {self._version + 1}, "
+                    f"found {version}; refusing to apply past a missing "
+                    "record"
+                )
+            if epoch < self.epoch:
+                raise FencingError(
+                    f"stale-epoch append: record for version {version} "
+                    f"carries epoch {epoch} but the store has seen epoch "
+                    f"{self.epoch}; rejecting a fenced leader's write"
+                )
+            if epoch > self.epoch:
+                raise RecoveryError(
+                    f"record for version {version} claims epoch {epoch} "
+                    f"which no epoch record announced (current "
+                    f"{self.epoch}); the log is corrupt"
+                )
+            check = self._materialized._check_fact
+            try:
+                if kind == KIND_DELTA:
+                    apply = partial(
+                        super().apply_delta,
+                        [check(a) for a in decode_atoms(data.get("adds", ()))],
+                        [check(a) for a in decode_atoms(data.get("dels", ()))],
+                    )
+                elif kind == KIND_PROGRAM:
+                    apply = partial(
+                        super().replace_program,
+                        decode_program(data.get("source")),
+                    )
+                else:
+                    raise RecoveryError(f"unknown WAL record kind {kind!r}")
+            except (CodecError, EvaluationError, TypeError) as exc:
+                raise RecoveryError(
+                    f"record for version {version} is undecodable: {exc}"
+                ) from exc
+            self._publish_logged(
+                kind, version, self._relog(version, line), apply
+            )
 
     def bump_epoch(self, epoch: int) -> None:
         """Raise the fencing epoch (promotion): durable before effective.
 
         The bump is WAL-logged at the store's current version — epoch
         records publish no model version of their own — and every later
-        record carries the new epoch.  Replay (and followers) reject any
+        record carries the new epoch.  :meth:`apply_record` rejects any
         record whose epoch is lower than one already seen, which is what
         fences a deposed leader out of the promoted lineage.
         """
@@ -362,10 +424,9 @@ class DurableModel(VersionedModel):
                     f"cannot move the epoch backwards or in place: "
                     f"current {self.epoch}, requested {epoch}"
                 )
-            logged = self._wal.append_epoch(self._version, epoch)
-            self.epoch = epoch
-            self._notify_commit(KIND_EPOCH, logged)
-            self._note_record()
+            self._adopt_epoch(
+                epoch, self._wal.append_epoch(self._version, epoch)
+            )
 
     def subscribe_replication(
         self, from_version: int = 0, wake: Optional[Callable[[], None]] = None
@@ -387,14 +448,15 @@ class DurableModel(VersionedModel):
             snapshot = None
             if from_version < self._version:
                 published = [
-                    d["version"] for k, d in history
+                    d["version"] for k, d, _ in history
                     if k in (KIND_DELTA, KIND_PROGRAM)
                 ]
                 if not published or published[0] != from_version + 1:
                     snapshot = self.replication_snapshot()
                     history = []
             cursor = self.commits.open("replica", wake)
-            return history, snapshot, self._version, self.epoch, cursor
+            lines = [line for _, _, line in history]
+            return lines, snapshot, self._version, self.epoch, cursor
 
     def replication_snapshot(self) -> dict:
         """Bootstrap payload for a follower behind the WAL floor: the
@@ -455,7 +517,51 @@ class DurableModel(VersionedModel):
         self._logged = None
         self.commits.append(Commit(self._version, line))
 
+    def _publish_logged(
+        self,
+        kind: str,
+        version: int,
+        logged: Optional[bytes],
+        apply: Callable[[], ModelSnapshot],
+    ) -> ModelSnapshot:
+        """The second half of log-before-publish, for every writer: run
+        ``apply`` for the record ``logged`` holds (``None`` when replay
+        reads it back from the WAL), insist that it published exactly
+        ``version``, and only then let the line onto the commit stream."""
+        self._logged = logged
+        try:
+            snap = apply()
+        except Exception:
+            # Applied nothing (resource limit mid-recompute): tombstone
+            # the logged record so replay skips it, then surface the
+            # error exactly like the in-memory model would.
+            self._abort_logged(version)
+            raise
+        if snap.version != version:
+            self._abort_logged(version)
+            raise RecoveryError(
+                f"applying the record for version {version} published "
+                f"{snap.version}; refusing to continue with a log that "
+                "diverges from the state"
+            )
+        if logged is not None:
+            self._notify_commit(kind, logged)
+            self._note_record()
+        return snap
+
+    def _relog(self, version: int, line: Optional[bytes]) -> Optional[bytes]:
+        """Log a record as the line it arrived as; replay brings none."""
+        return None if line is None else self._wal.append_line(version, line)
+
+    def _adopt_epoch(self, epoch: int, logged: Optional[bytes]) -> None:
+        self.epoch = epoch
+        if logged is not None:
+            self._notify_commit(KIND_EPOCH, logged)
+            self._note_record()
+
     def _abort_logged(self, version: int) -> None:
+        if self._logged is None:
+            return
         self._logged = None
         try:
             self._wal.append_abort(version)
@@ -482,105 +588,12 @@ class DurableModel(VersionedModel):
         that pinned one gets ``retired_version`` rather than a registry
         whose contents depend on how much WAL happened to be replayed.
         """
-        self._replaying = True
         keep, self._keep = self._keep, 1
-        applied = 0
+        start = self._version
         try:
-            i = 0
-            while i < len(records):
-                kind, data = records[i]
-                if not isinstance(data, dict) or not isinstance(
-                    data.get("version"), int
-                ):
-                    raise RecoveryError(
-                        f"WAL record {i} carries no version number"
-                    )
-                version = data["version"]
-                if kind == KIND_EPOCH:
-                    # Fencing bumps are recorded *at* a version, publishing
-                    # nothing; a regression in the stream is an old
-                    # leader's lineage spliced after a promotion.
-                    epoch = data.get("epoch")
-                    if not isinstance(epoch, int):
-                        raise RecoveryError(
-                            f"epoch record at version {version} carries no "
-                            "epoch number"
-                        )
-                    if epoch < self.epoch:
-                        raise FencingError(
-                            f"epoch regression in the WAL: record announces "
-                            f"epoch {epoch} after {self.epoch} was already "
-                            "established; refusing a fenced lineage"
-                        )
-                    self.epoch = epoch
-                    i += 1
-                    continue
-                if kind == KIND_ABORT or version <= self._version:
-                    # A stray tombstone, or a record the checkpoint already
-                    # covers (retained for older-checkpoint fallback).
-                    i += 1
-                    continue
-                nxt = records[i + 1] if i + 1 < len(records) else None
-                if (
-                    nxt is not None
-                    and nxt[0] == KIND_ABORT
-                    and isinstance(nxt[1], dict)
-                    and nxt[1].get("version") == version
-                ):
-                    # Logged but never applied/acknowledged: skip the pair.
-                    i += 2
-                    continue
-                if version != self._version + 1:
-                    raise RecoveryError(
-                        f"WAL gap: expected version {self._version + 1}, "
-                        f"found {version}; refusing a partial recovery"
-                    )
-                rec_epoch = data.get("epoch", 0)
-                if not isinstance(rec_epoch, int):
-                    raise RecoveryError(
-                        f"WAL record for version {version} carries a "
-                        "malformed epoch"
-                    )
-                if rec_epoch < self.epoch:
-                    raise FencingError(
-                        f"stale-epoch append: record for version {version} "
-                        f"carries epoch {rec_epoch} but the store has seen "
-                        f"epoch {self.epoch}; rejecting a fenced leader's "
-                        "write"
-                    )
-                if rec_epoch > self.epoch:
-                    raise RecoveryError(
-                        f"record for version {version} claims epoch "
-                        f"{rec_epoch} which no epoch record announced "
-                        f"(current {self.epoch}); the log is corrupt"
-                    )
-                try:
-                    if kind == KIND_DELTA:
-                        snap = self.apply_delta(
-                            adds=decode_atoms(data.get("adds", ())),
-                            dels=decode_atoms(data.get("dels", ())),
-                        )
-                    elif kind == KIND_PROGRAM:
-                        snap = self.replace_program(
-                            decode_program(data.get("source"))
-                        )
-                    else:
-                        raise RecoveryError(
-                            f"unknown WAL record kind {kind!r}"
-                        )
-                except CodecError as exc:
-                    raise RecoveryError(
-                        f"WAL record for version {version} is "
-                        f"undecodable: {exc}"
-                    ) from exc
-                if snap.version != version:
-                    raise RecoveryError(
-                        f"replaying version {version} published "
-                        f"{snap.version}; the log diverges from the state"
-                    )
-                applied += 1
-                i += 1
+            for kind, data in committed_records(records, start):
+                self.apply_record(kind, data)
         finally:
-            self._replaying = False
             self._keep = keep
-        self._records_since_checkpoint = applied
+        # Each applied record published exactly the next version.
+        self._records_since_checkpoint = self._version - start

@@ -150,15 +150,20 @@ class WriteAheadLog:
         })
 
     def _append(self, kind: str, version: int, data: dict) -> bytes:
-        """Write one record durably; returns the line as written (newline
-        included), which replication ships verbatim."""
-        line = encode_record(kind, data) + "\n"
+        """Encode one record — the only time it ever is — and log it."""
+        line = encode_record(kind, data).encode("ascii") + b"\n"
+        return self.append_line(version, line)
+
+    def append_line(self, version: int, line: bytes) -> bytes:
+        """Write one encoded record (newline included) durably; returns
+        it.  A follower logs the leader's line through here as it came, and
+        every reader downstream (recovery, shipping) gets these bytes."""
         f = self._handle(version, len(line))
         f.write(line)
         f.flush()
         if self.fsync == FSYNC_ALWAYS:
             os.fsync(f.fileno())
-        return line.encode("ascii")
+        return line
 
     def _handle(self, version: int, incoming: int):
         """The active segment's append handle, rotating when full."""
@@ -168,21 +173,15 @@ class WriteAheadLog:
                 self._active = existing[-1]
             else:
                 self._active = self.directory / _segment_name(version)
-            self._file = self._reopen_text(self._active)
+            self._file = open(self._active, "ab")
         if (
             self._file.tell() > 0
             and self._file.tell() + incoming > self.segment_max_bytes
         ):
             self.close()
             self._active = self.directory / _segment_name(version)
-            self._file = self._reopen_text(self._active)
+            self._file = open(self._active, "ab")
         return self._file
-
-    @staticmethod
-    def _reopen_text(path: Path):
-        f = open(path, "a", encoding="ascii", newline="\n")
-        f.seek(0, os.SEEK_END)
-        return f
 
     def close(self) -> None:
         if self._file is not None:
@@ -211,9 +210,10 @@ class WriteAheadLog:
                     return data["version"]
         return None
 
-    def records_from(self, version: int) -> list[tuple[str, Any]]:
+    def records_from(self, version: int) -> list[tuple[str, Any, bytes]]:
         """Committed records with ``version > version`` — the tail a
-        follower at ``version`` must replay to catch up.
+        follower at ``version`` must replay to catch up — each as
+        ``(kind, data, line)``, the line being what is shipped.
 
         Abort tombstones and the failed appends they cancel are dropped
         (the shipping stream only ever carries published history); epoch
@@ -222,19 +222,24 @@ class WriteAheadLog:
         of a live leader's WAL is only read under the model write lock,
         where a torn final record cannot be observed.
         """
-        return committed_records(self.records(), from_version=version)
+        return committed_records(self._decoded(), from_version=version)
 
     def records(self) -> list[tuple[str, Any]]:
         """Decode every record, strict: any undecodable line raises."""
-        out: list[tuple[str, Any]] = []
+        return [(kind, data) for kind, data, _ in self._decoded()]
+
+    def _decoded(self) -> list[tuple[str, Any, bytes]]:
+        out: list[tuple[str, Any, bytes]] = []
         for seg in self.segments():
             for i, line in enumerate(self._lines(seg)):
                 try:
-                    out.append(decode_record(line))
+                    kind, data = decode_record(line)
                 except CodecError as exc:
                     raise RecoveryError(
                         f"corrupt WAL record {seg.name}:{i + 1}: {exc}"
                     ) from exc
+                raw = line.encode("ascii", errors="surrogateescape")
+                out.append((kind, data, raw + b"\n"))
         return out
 
     def recover_records(self) -> list[tuple[str, Any]]:
@@ -335,40 +340,34 @@ class WriteAheadLog:
         return removed
 
 
-def committed_records(
-    records: list[tuple[str, Any]], from_version: int = 0
-) -> list[tuple[str, Any]]:
-    """The published suffix of a record list: versions ``> from_version``,
-    with abort tombstones and the appends they cancel removed.
+def committed_records(records: list[tuple], from_version: int = 0) -> list:
+    """The published suffix of a list of ``(kind, data, ...)`` records:
+    versions ``> from_version``, with abort tombstones and the appends
+    they cancel removed.  Records pass through whole and unjudged — one
+    without a version number included, for the applier to refuse.
 
     This is the shared filter between recovery replay and WAL shipping: a
     ``(record, abort)`` pair for the same version documents a logged batch
     that was never applied or acknowledged, so neither a recovering store
     nor a follower must ever see it.
     """
-    out: list[tuple[str, Any]] = []
-    i = 0
-    while i < len(records):
-        kind, data = records[i]
+    out = []
+    for rec, nxt in zip(records, [*records[1:], None]):
+        kind, data = rec[0], rec[1]
         version = data.get("version") if isinstance(data, dict) else None
         if kind == KIND_ABORT:
-            i += 1
             continue
-        nxt = records[i + 1] if i + 1 < len(records) else None
         if (
             nxt is not None
             and nxt[0] == KIND_ABORT
             and isinstance(nxt[1], dict)
             and nxt[1].get("version") == version
         ):
-            i += 2
             continue
         # Epoch bumps publish no version of their own (they are recorded
         # *at* the store's current version), so a follower sitting exactly
         # on the bump version still needs them; application is idempotent.
-        if isinstance(version, int):
-            floor = from_version - 1 if kind == KIND_EPOCH else from_version
-            if version > floor:
-                out.append((kind, data))
-        i += 1
+        floor = from_version - 1 if kind == KIND_EPOCH else from_version
+        if not isinstance(version, int) or version > floor:
+            out.append(rec)
     return out

@@ -182,6 +182,61 @@ class TestReplServiceParity:
         assert "2 queries" in out
 
 
+class TestReplCommandTable:
+    """Any ``:command`` of ``server.session.COMMANDS`` works at ``lps>``
+    (they used to be parse errors: the REPL forwarded three by name)."""
+
+    @staticmethod
+    def run(monkeypatch, capsys, *typed):
+        lines = iter([
+            "t(X, Y) :- e(X, Y).", "+e(a, b).", *typed, ":quit",
+        ])
+        monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
+        assert main(["repl"]) == 0
+        return capsys.readouterr()
+
+    def test_versions_and_time_travel(self, monkeypatch, capsys):
+        captured = self.run(
+            monkeypatch, capsys,
+            ":version", "+e(b, c).", ":at 3", "?- t(b, c).", ":version",
+            ":latest", "?- t(b, c).", ":at 99",
+        )
+        out = captured.out.splitlines()
+        assert '{"latest": 3, "pinned": false, "reading": 3}' in out
+        assert '{"latest": 4, "pinned": true, "reading": 3}' in out
+        assert out.count("ok.") == 2                # :at 3, :latest
+        assert out.index("false") < out.index("true")
+        assert "version 99 has never been published" in captured.err
+        assert "parse" not in captured.err.lower()
+
+    def test_explicit_batches(self, monkeypatch, capsys):
+        captured = self.run(
+            monkeypatch, capsys,
+            ":begin", "+e(b, c).", "-e(a, b).", ":commit", "?- t(X, Y).",
+            ":begin", "+e(c, d).", ":abort", "?- t(c, d).",
+        )
+        out = captured.out
+        assert out.count("staged.") == 3
+        assert '{"applied": 2}' in out
+        assert "X = b, Y = c" in out and "X = a" not in out
+        assert out.rstrip().endswith("false")
+        assert captured.err == ""
+
+    def test_role_and_sync(self, monkeypatch, capsys):
+        captured = self.run(
+            monkeypatch, capsys, ":role", ":sync 3", ":sync 9 0.01", ":sync",
+        )
+        assert '"role": "leader"' in captured.out
+        assert '{"latest": 3}' in captured.out
+        assert "version 9 not applied within" in captured.err
+        assert "usage: :sync VERSION [TIMEOUT]" in captured.err
+
+    def test_unknown_command_comes_from_the_table(self, monkeypatch, capsys):
+        captured = self.run(monkeypatch, capsys, ":frobnicate now")
+        assert "unknown command ':frobnicate'" in captured.err
+        assert "parse" not in captured.err.lower()
+
+
 class TestReplDurability:
     """The REPL's :save/:open commands and the --data-dir flag."""
 
