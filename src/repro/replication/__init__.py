@@ -16,8 +16,9 @@ epoch, so acknowledged history can never fork silently.
   stream under the write lock (gap-free), fans records out to followers,
   collects ``:ack N`` confirmations, and gates write acknowledgement on
   ``ack_replicas``.
-* :class:`FollowerService` — follower side: bootstrap (snapshot or local
-  recovery), tail/replay/ack loop with reconnect backoff, read-only
+* :class:`FollowerService` — follower side: bootstrap (the leader's
+  checkpoint lines, or local recovery), tail/replay/ack loop with
+  reconnect backoff, read-only
   sessions, :meth:`FollowerService.promote`.
 * :class:`ReplicaClient` — client side: writes to the leader, reads
   fanned out across followers, read-your-writes via version tokens.

@@ -6,7 +6,13 @@ A :class:`FollowerService` owns three things:
   the follower's data directory, as the line it arrived as, before its
   version is published locally, so a follower crash recovers exactly
   like a leader crash (same code path), and a recovered follower resumes
-  the stream from its durable applied version, not from zero;
+  the stream from its durable applied version, not from zero.  A
+  follower the leader's WAL cannot catch up (a fresh one, or one behind
+  the checkpoint-truncated floor) receives the leader's **state image**
+  instead: the lines of a checkpoint file, verified whole
+  (:func:`~repro.storage.checkpoint.parse_image`) before any local state
+  is touched, written to disk as received, and opened the way recovery
+  opens a checkpoint (:meth:`DurableModel.from_image`);
 * the **tail loop** — a daemon thread that connects to the leader, sends
   ``:repl from <applied>``, hands each record frame to
   :meth:`~repro.storage.durable.DurableModel.apply_record` (the one
@@ -40,22 +46,21 @@ import time
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from ..engine.database import Database
 from ..engine.evaluation import EvalOptions
 from ..engine.setops import with_set_builtins
 from ..server.protocol import Backoff
 from ..server.service import QueryService
 from ..server.session import E_NOT_YET, E_READ_ONLY, Response, Session
 from ..storage.codec import (
+    KIND_CKPT_FACT,
+    KIND_CKPT_FOOTER,
+    KIND_CKPT_HEADER,
     KIND_REPL_HELLO,
-    KIND_REPL_SNAPSHOT,
     CodecError,
     StorageError,
-    decode_atoms,
-    decode_program,
     decode_record,
 )
-from ..storage.checkpoint import list_checkpoints
+from ..storage.checkpoint import list_checkpoints, parse_image, write_image
 from ..storage.durable import DurableModel, FencingError, has_state
 from ..storage.wal import FSYNC_ALWAYS, WriteAheadLog
 
@@ -136,13 +141,15 @@ class FollowerService:
     ) -> None:
         self.leader_host, self.leader_port = _parse_addr(leader)
         self.data_dir = Path(data_dir)
-        self._builtins = (
-            builtins if builtins is not None else with_set_builtins()
+        #: What this follower's store is opened with, by restart and
+        #: bootstrap alike (both end in :meth:`DurableModel.from_image`).
+        self._store = dict(
+            builtins=builtins if builtins is not None else with_set_builtins(),
+            options=options,
+            keep_versions=keep_versions,
+            fsync=fsync,
+            checkpoint_every=checkpoint_every,
         )
-        self._options = options
-        self._keep_versions = keep_versions
-        self._fsync = fsync
-        self._checkpoint_every = checkpoint_every
         self._max_workers = max_workers
         self._max_batch = max_batch
         self.connect_timeout = connect_timeout
@@ -160,6 +167,8 @@ class FollowerService:
         self._leader_epoch = 0
         self._last_error: Optional[str] = None
         self._promote_lock = threading.Lock()
+        #: The lines of a state image being received, header first.
+        self._image: Optional[list[bytes]] = None
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -167,19 +176,12 @@ class FollowerService:
         """Recover or bootstrap, start tailing, return the read service.
 
         Blocks until the replica holds *some* applied state: recovered
-        locally, or snapshot-bootstrapped from the leader (a fresh
+        locally, or bootstrapped from the leader's state image (a fresh
         store's initial version lives only in its checkpoint, so a new
-        follower always starts from a shipped snapshot).
+        follower always starts from a shipped image).
         """
         if has_state(self.data_dir):
-            self.model = DurableModel.recover(
-                self.data_dir,
-                builtins=self._builtins,
-                options=self._options,
-                keep_versions=self._keep_versions,
-                fsync=self._fsync,
-                checkpoint_every=self._checkpoint_every,
-            )
+            self.model = DurableModel.recover(self.data_dir, **self._store)
         self._thread = threading.Thread(
             target=self._run, name="lps-follower", daemon=True
         )
@@ -431,12 +433,16 @@ class FollowerService:
     def _apply_record(
         self, kind: str, data: Any, sock: socket.socket, line: bytes
     ) -> None:
-        """One verified frame: the greeting and the bootstrap are
+        """One verified frame: the greeting and the state image are
         replication's own; every other kind is a WAL record, which the
         store judges, logs as ``line`` and applies
         (:meth:`DurableModel.apply_record`)."""
         if kind == KIND_REPL_HELLO:
-            epoch = _frame_epoch(kind, data)
+            epoch = data.get("epoch", 0) if isinstance(data, dict) else None
+            if not isinstance(epoch, int):
+                raise ReplicationError(
+                    f"{kind!r} frame carries no usable epoch"
+                )
             if self.model is not None and epoch < self.model.epoch:
                 raise FencingError(
                     f"leader announces epoch {epoch} but this follower "
@@ -444,12 +450,15 @@ class FollowerService:
                     "leader was fenced"
                 )
             self._leader_epoch = max(self._leader_epoch, epoch)
+            self._image = None             # a new stream starts afresh
             return
-        if kind == KIND_REPL_SNAPSHOT:
-            self._bootstrap(data, _frame_epoch(kind, data))
+        if kind == KIND_CKPT_HEADER or self._image is not None:
+            self._take_image_line(kind, line)
+            if self._image is not None:
+                return                     # acked once it is installed
         elif self.model is None:
             raise ReplicationError(
-                f"{kind!r} record arrived before any snapshot or local "
+                f"{kind!r} record arrived before any state image or local "
                 "state"
             )
         else:
@@ -457,53 +466,54 @@ class FollowerService:
             self._note_applied()
         self._ack(sock)
 
-    def _bootstrap(self, data: dict, epoch: int) -> None:
-        version, facts = data.get("version"), data.get("facts", [])
-        if (
-            not isinstance(version, int)
-            or version < 1
-            or not isinstance(facts, list)
-        ):
+    def _take_image_line(self, kind: str, line: bytes) -> None:
+        """Collect one line of a state image; install it after its
+        footer."""
+        image, self._image = self._image, None
+        if kind == KIND_CKPT_HEADER and image is None:
+            image = []
+        elif image is None or kind not in (KIND_CKPT_FACT, KIND_CKPT_FOOTER):
             raise ReplicationError(
-                "snapshot without a valid version and fact list"
+                f"{kind!r} record out of place in a state image"
             )
+        image.append(line)
+        if kind == KIND_CKPT_FOOTER:
+            self._bootstrap(image)
+        else:
+            self._image = image
+
+    def _bootstrap(self, lines: list[bytes]) -> None:
+        """Become the store a received state image describes: verified
+        whole first, then installed as this directory's checkpoint and
+        opened the way recovery opens one (:meth:`DurableModel.from_image`,
+        the facts decoded once)."""
+        image = parse_image(lines)
+        version, epoch = image[:2]
         if self.model is not None:
             if version <= self.model.version:
                 return                     # we already cover it
             if epoch < self.model.epoch:
                 raise FencingError(
-                    f"snapshot at epoch {epoch} after this follower "
+                    f"state image at epoch {epoch} after this follower "
                     f"durably saw epoch {self.model.epoch}; that leader "
                     "was fenced"
                 )
-        program = decode_program(data.get("program"))
-        db = Database()
-        for a in decode_atoms(facts):
-            db.add_atom(a)
-        if self.model is not None:
-            # The leader only offers a *newer* snapshot when it can no
-            # longer replay the gap from its WAL (this follower fell
-            # behind the checkpoint-truncated floor).  Local state is a
-            # strict-past prefix of the snapshot, so — now that the
-            # snapshot has decoded whole — discard it and seed afresh.
+            # The leader only sends a *newer* image when it can no longer
+            # replay the gap from its WAL (this follower fell behind the
+            # checkpoint-truncated floor).  Local state is a strict-past
+            # prefix of the image, so — now that the image has verified
+            # whole — discard it and seed afresh.
             logger.warning(
-                "behind the leader's WAL floor (local version %d, "
-                "snapshot at %d): discarding local state and re-seeding",
+                "behind the leader's WAL floor (local version %d, image "
+                "at %d): discarding local state and re-seeding",
                 self.model.version, version,
             )
             self._discard_local_state()
-        model = DurableModel(
-            program,
-            self.data_dir,
-            db,
-            builtins=self._builtins,
-            options=self._options,
-            keep_versions=self._keep_versions,
-            fsync=self._fsync,
-            checkpoint_every=self._checkpoint_every,
-            base_version=version - 1,
-            epoch=epoch,
+        write_image(
+            self.data_dir, version, lines,
+            fsync=self._store["fsync"] == FSYNC_ALWAYS,
         )
+        model = DurableModel.from_image(self.data_dir, image, **self._store)
         with self._cond:
             self.model = model
             if self.service is not None:
@@ -516,14 +526,14 @@ class FollowerService:
             # get one catch-up diff spanning the re-seed jump.
             self.service.subscriptions.retarget(model)
         logger.info(
-            "bootstrapped from leader snapshot at version %d epoch %d "
-            "(%d facts)", version, epoch, len(facts),
+            "bootstrapped from the leader's state image at version %d "
+            "epoch %d (%d facts)", version, epoch, len(lines) - 2,
         )
 
     def _discard_local_state(self) -> None:
         """Close and delete the local WAL + checkpoints (floor-lag
-        re-seed): the caller immediately rebuilds a fresh durable model
-        from the leader's snapshot in the same directory.  The stale
+        re-seed): the caller immediately installs the leader's image in
+        the same directory and opens a fresh durable model on it.  The stale
         model object stays installed (closed models still serve reads)
         until the caller swaps in the fresh one, so concurrent readers
         never observe a model-less follower."""
@@ -546,14 +556,6 @@ class FollowerService:
         with self._cond:
             self._connected = connected
             self._cond.notify_all()
-
-
-def _frame_epoch(kind: str, data: Any) -> int:
-    """The epoch a greeting or bootstrap frame announces (none is 0)."""
-    epoch = data.get("epoch", 0) if isinstance(data, dict) else None
-    if not isinstance(epoch, int):
-        raise ReplicationError(f"{kind!r} frame carries no usable epoch")
-    return epoch
 
 
 def _maybe_response(line: bytes) -> Optional[Response]:

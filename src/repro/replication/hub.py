@@ -7,10 +7,12 @@ connection then becomes a dedicated replication stream:
 * **downstream** (leader → follower): :mod:`repro.storage.codec` record
   frames, one per line.  First a ``repl-hello`` (the leader's epoch and
   latest version), then — if the leader's WAL no longer covers ``N`` —
-  one ``repl-snapshot`` carrying the full program + EDB, then the
-  committed history after ``N``, then live commits as they happen.
-  Only the first two are encoded here; history and live commits are the
-  WAL's own lines.
+  the state image, i.e. the lines of a checkpoint file of the leader's
+  program + EDB (:func:`~repro.storage.checkpoint.image_lines`), then
+  the committed history after ``N``, then live commits as they happen.
+  History and live commits are the WAL's own lines; the image is
+  encoded here, on the executor pool, from a frozen snapshot the
+  subscription pinned — off the model's write lock and the event loop.
 * **upstream** (follower → leader): ``:ack V`` lines, "version V is
   durable here".  Acks drive :meth:`ReplicationHub.wait_replicated`, the
   ``ack_replicas`` write-acknowledgement gate.
@@ -34,12 +36,8 @@ import time
 from typing import Optional
 
 from ..engine import commits
-from ..storage.codec import (
-    KIND_REPL_HELLO,
-    KIND_REPL_SNAPSHOT,
-    StorageError,
-    encode_record,
-)
+from ..storage.checkpoint import image_lines
+from ..storage.codec import KIND_REPL_HELLO, StorageError, encode_record
 from ..server.session import Response
 
 logger = logging.getLogger("repro.replication")
@@ -54,10 +52,6 @@ class ReplicationLagError(StorageError):
     """
 
     code = "replication_lag"
-
-
-def _frame(kind: str, data: dict) -> bytes:
-    return encode_record(kind, data).encode("ascii") + b"\n"
 
 
 #: Default bound on a subscriber's lag: all the commit stream retains,
@@ -181,7 +175,7 @@ class ReplicationHub:
             # rather than retain without bound.  abort() (not close())
             # tears the transport down immediately so the blocked drain()
             # raises and the stream unwinds; the follower reconnects from
-            # its applied version through the snapshot/history handoff.
+            # its applied version through the image/history handoff.
             if cursor is not None and cursor.lag > self.max_queue:
                 logger.warning(
                     "%s is more than %d commits behind (stalled "
@@ -193,7 +187,7 @@ class ReplicationHub:
 
         # Subscription takes the model write lock (it may wait behind a
         # maintenance sweep): keep it off the event loop.
-        history, snapshot, version, epoch, cursor = await loop.run_in_executor(
+        history, image, version, epoch, cursor = await loop.run_in_executor(
             self.service._pool,
             self.model.subscribe_replication, from_version,
             lambda: loop.call_soon_threadsafe(on_commit),
@@ -203,7 +197,7 @@ class ReplicationHub:
         logger.info(
             "replica %d subscribed from version %d (leader at %d, "
             "epoch %d, %s)", sub_id, from_version, version, epoch,
-            "snapshot bootstrap" if snapshot is not None
+            "image bootstrap" if image is not None
             else f"{len(history)} backlog records",
         )
         ack_task = asyncio.ensure_future(self._read_acks(reader, sub_id))
@@ -212,13 +206,14 @@ class ReplicationHub:
         for fut in ending:
             fut.add_done_callback(lambda _: wake.set())
         try:
-            writer.write(_frame(KIND_REPL_HELLO, {
+            writer.write(encode_record(KIND_REPL_HELLO, {
                 "version": version, "epoch": epoch, "from": from_version,
-            }))
-            if snapshot is not None:
-                writer.write(_frame(KIND_REPL_SNAPSHOT, snapshot))
-            for line in history:
-                writer.write(line)
+            }).encode("ascii") + b"\n")
+            if image is not None:
+                writer.writelines(await loop.run_in_executor(
+                    self.service._pool, image_lines, *image
+                ))
+            writer.writelines(history)
             while not any(fut.done() for fut in ending):
                 await writer.drain()
                 await wake.wait()

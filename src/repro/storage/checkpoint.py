@@ -1,11 +1,17 @@
-"""Checkpointed snapshots: the EDB + program at a recorded version.
+"""Checkpoints: the EDB + program at a recorded version — the one state
+image, on disk and on the replication wire.
 
 A checkpoint file ``ckpt-%016d.json`` (named by the version it captures)
 is a JSON-lines document of :mod:`repro.storage.codec` records::
 
-    checkpoint-header   {version, mode, program, facts: N}
+    checkpoint-header   {version, epoch, mode, program, facts: N}
     fact                {atom}          × N   (sorted, deterministic)
     checkpoint-footer   {facts: N}
+
+:func:`image_lines` encodes those lines and :func:`parse_image` verifies
+and decodes them; nothing else builds or reads these records.  A leader
+ships the same lines to a follower its WAL cannot catch up, and the
+follower installs them as received (:func:`write_image`).
 
 Only the *extensional* state is stored — the program source and the
 database facts.  Recovery rebuilds the derived model by evaluation, which
@@ -13,7 +19,7 @@ is exactly the engine's correctness anchor (``apply_delta ≡ recompute``):
 a checkpoint can never disagree with what from-scratch evaluation of its
 facts produces, because it stores nothing else.
 
-**Atomicity.**  :func:`write_checkpoint` writes to a ``ckpt-*.tmp`` name,
+**Atomicity.**  :func:`write_image` writes to a ``ckpt-*.tmp`` name,
 fsyncs, then atomically renames into place and fsyncs the directory — a
 crash mid-write leaves only a temp file, which recovery ignores (and
 cleans up).  The footer record doubles as a completeness marker for
@@ -76,6 +82,30 @@ def list_checkpoints(directory: Path) -> list[Path]:
     return sorted(out, key=lambda p: checkpoint_version(p))
 
 
+def image_lines(
+    version: int, epoch: int, program: Program, database: Database
+) -> list[bytes]:
+    """The lines (newline-terminated) of a checkpoint of ``(program,
+    EDB)`` at ``version``.  ``epoch`` is the replication fencing epoch the
+    store held; it survives WAL truncation through the header so a
+    recovered store cannot forget it was promoted."""
+    facts = sorted(
+        (encode_atom(a) for a in database.facts()), key=str
+    )
+    records = [encode_record(KIND_CKPT_HEADER, {
+        "version": version,
+        "epoch": epoch,
+        "mode": program.mode,
+        "program": encode_program(program),
+        "facts": len(facts),
+    })]
+    records.extend(
+        encode_record(KIND_CKPT_FACT, {"atom": f}) for f in facts
+    )
+    records.append(encode_record(KIND_CKPT_FOOTER, {"facts": len(facts)}))
+    return [r.encode("ascii") + b"\n" for r in records]
+
+
 def write_checkpoint(
     directory: Path,
     version: int,
@@ -84,32 +114,24 @@ def write_checkpoint(
     fsync: bool = True,
     epoch: int = 0,
 ) -> Path:
-    """Serialize ``(program, EDB)`` at ``version``; atomic temp+rename.
+    """Serialize ``(program, EDB)`` at ``version``; atomic temp+rename."""
+    return write_image(
+        directory, version, image_lines(version, epoch, program, database),
+        fsync=fsync,
+    )
 
-    ``epoch`` is the replication fencing epoch the store held when the
-    snapshot was taken; it survives WAL truncation through the header so
-    a recovered store cannot forget it was promoted.
-    """
+
+def write_image(
+    directory: Path, version: int, lines: list[bytes], fsync: bool = True
+) -> Path:
+    """Install image ``lines`` as the checkpoint for ``version``: written
+    to a temp name, fsynced, renamed into place, directory fsynced."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    facts = sorted(
-        (encode_atom(a) for a in database.facts()), key=str
-    )
-    lines = [encode_record(KIND_CKPT_HEADER, {
-        "version": version,
-        "epoch": epoch,
-        "mode": program.mode,
-        "program": encode_program(program),
-        "facts": len(facts),
-    })]
-    lines.extend(
-        encode_record(KIND_CKPT_FACT, {"atom": f}) for f in facts
-    )
-    lines.append(encode_record(KIND_CKPT_FOOTER, {"facts": len(facts)}))
     final = directory / checkpoint_name(version)
     tmp = directory / (checkpoint_name(version) + TMP_SUFFIX)
-    with open(tmp, "w", encoding="ascii", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    with open(tmp, "wb") as f:
+        f.writelines(lines)
         f.flush()
         if fsync:
             os.fsync(f.fileno())
@@ -117,36 +139,42 @@ def write_checkpoint(
     if fsync:
         _fsync_dir(directory)
     logger.info("checkpoint %s written (%d facts at version %d)",
-                final.name, len(facts), version)
+                final.name, len(lines) - 2, version)
     return final
 
 
 def load_checkpoint(path: Path) -> tuple[int, int, Program, Database]:
-    """Parse and verify one checkpoint; raises :class:`CodecError` when it
+    """Read, parse and verify one checkpoint file (see :func:`parse_image`);
+    its header must also agree with its file name about the version."""
+    path = Path(path)
+    image = parse_image([l for l in path.read_bytes().split(b"\n") if l])
+    named_version = checkpoint_version(path)
+    if named_version is not None and named_version != image[0]:
+        raise CodecError(
+            f"checkpoint {path.name} claims version {image[0]}; "
+            "file name disagrees"
+        )
+    return image
+
+
+def parse_image(lines: list[bytes]) -> tuple[int, int, Program, Database]:
+    """Decode and verify a state image; raises :class:`CodecError` when it
     is torn, bit-flipped, incomplete or otherwise untrustworthy.
 
-    Returns ``(version, epoch, program, database)``; checkpoints written
-    before the replication PR carry no epoch field and load as epoch 0.
+    Returns ``(version, epoch, program, database)``; a header without
+    an epoch field (written before replication existed) loads as epoch 0.
     """
-    path = Path(path)
-    named_version = checkpoint_version(path)
-    text = path.read_text(encoding="ascii", errors="surrogateescape")
-    lines = [l for l in text.split("\n") if l]
     if not lines:
-        raise CodecError(f"checkpoint {path.name} is empty")
+        raise CodecError("image is empty")
     records = []
     for i, line in enumerate(lines):
         try:
-            records.append(decode_record(line))
-        except CodecError as exc:
-            raise CodecError(
-                f"checkpoint {path.name}:{i + 1}: {exc}"
-            ) from exc
+            records.append(decode_record(line.decode("ascii")))
+        except (CodecError, UnicodeDecodeError) as exc:
+            raise CodecError(f"line {i + 1}: {exc}") from exc
     kind, header = records[0]
     if kind != KIND_CKPT_HEADER or not isinstance(header, dict):
-        raise CodecError(
-            f"checkpoint {path.name} does not start with a header record"
-        )
+        raise CodecError("image does not start with a header record")
     version = header.get("version")
     epoch = header.get("epoch", 0)
     n_facts = header.get("facts")
@@ -155,39 +183,38 @@ def load_checkpoint(path: Path) -> tuple[int, int, Program, Database]:
         not isinstance(version, int)
         or not isinstance(n_facts, int)
         or not isinstance(epoch, int)
+        or version < 1
+        or epoch < 0
     ):
-        raise CodecError(f"checkpoint {path.name} header is malformed")
-    if named_version is not None and named_version != version:
-        raise CodecError(
-            f"checkpoint {path.name} claims version {version}; "
-            "file name disagrees"
-        )
+        raise CodecError("image header is malformed")
     if mode not in (MODE_LPS, MODE_ELPS):
-        raise CodecError(f"checkpoint {path.name} has unknown mode {mode!r}")
+        raise CodecError(f"image has unknown mode {mode!r}")
     kind, footer = records[-1]
-    if kind != KIND_CKPT_FOOTER or footer.get("facts") != n_facts:
+    if (
+        kind != KIND_CKPT_FOOTER
+        or not isinstance(footer, dict)
+        or footer.get("facts") != n_facts
+    ):
         raise CodecError(
-            f"checkpoint {path.name} is incomplete (missing or "
-            "inconsistent footer)"
+            "image is incomplete (missing or inconsistent footer)"
         )
     body = records[1:-1]
     if len(body) != n_facts:
         raise CodecError(
-            f"checkpoint {path.name} holds {len(body)} fact records, "
-            f"header promises {n_facts}"
+            f"image holds {len(body)} fact records, header promises "
+            f"{n_facts}"
         )
     program = decode_program(header.get("program"))
     if program.mode != mode:
         raise CodecError(
-            f"checkpoint {path.name}: stored program mode {program.mode!r} "
-            f"disagrees with header mode {mode!r}"
+            f"stored program mode {program.mode!r} disagrees with header "
+            f"mode {mode!r}"
         )
     db = Database()
     for kind, data in body:
         if kind != KIND_CKPT_FACT or not isinstance(data, dict):
             raise CodecError(
-                f"checkpoint {path.name} has a stray {kind!r} record in "
-                "its fact section"
+                f"image has a stray {kind!r} record in its fact section"
             )
         db.add_atom(decode_atom(data.get("atom")))
     return version, epoch, program, db

@@ -46,10 +46,9 @@ KIND_CKPT_HEADER = "checkpoint-header"
 KIND_CKPT_FACT = "fact"
 KIND_CKPT_FOOTER = "checkpoint-footer"
 
-#: Record kinds used only on the replication wire (never in a WAL file):
-#: the stream greeting and a full-state bootstrap snapshot.
+#: The replication stream's greeting, the one record kind that is never
+#: in a file (a bootstrap ships the checkpoint's own records).
 KIND_REPL_HELLO = "repl-hello"
-KIND_REPL_SNAPSHOT = "repl-snapshot"
 
 
 class StorageError(LPSError):
@@ -146,6 +145,8 @@ def encode_atom(a: Atom) -> str:
 
 
 def decode_atom(text: str) -> Atom:
+    if not isinstance(text, str):
+        raise CodecError(f"atom entry {text!r} is not a string")
     try:
         a = parse_atom(text)
     except LPSError as exc:
@@ -161,12 +162,7 @@ def encode_atoms(atoms: Iterable[Atom]) -> list[str]:
 
 
 def decode_atoms(texts: Iterable[Any]) -> list[Atom]:
-    out = []
-    for t in texts:
-        if not isinstance(t, str):
-            raise CodecError(f"atom entry {t!r} is not a string")
-        out.append(decode_atom(t))
-    return out
+    return [decode_atom(t) for t in texts]
 
 
 def encode_program(p: Program) -> str:

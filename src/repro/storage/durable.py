@@ -61,7 +61,6 @@ from .codec import (
     StorageError,
     decode_atoms,
     decode_program,
-    encode_atom,
     encode_program,
 )
 from .checkpoint import (
@@ -208,18 +207,13 @@ class DurableModel(VersionedModel):
         return cls(program, data_dir, **kwargs)
 
     @classmethod
-    def recover(
-        cls,
-        data_dir: Path | str,
-        builtins: Mapping[str, Builtin] = DEFAULT_BUILTINS,
-        options: Optional[EvalOptions] = None,
-        keep_versions: int = 8,
-        fsync: str = FSYNC_ALWAYS,
-        checkpoint_every: Optional[int] = 512,
-        keep_checkpoints: int = 2,
-        segment_max_bytes: int = 1 << 20,
-    ) -> "DurableModel":
-        """Reconstruct the model at the last acknowledged version."""
+    def recover(cls, data_dir: Path | str, **options: Any) -> "DurableModel":
+        """Reconstruct the model at the last acknowledged version.
+
+        ``options`` are the constructor's store options (``builtins``,
+        ``fsync``, ``keep_checkpoints``, ...); the program, EDB, version
+        and epoch come from the directory.
+        """
         d = Path(data_dir)
         if not has_state(d):
             raise RecoveryError(f"no durable state at {d}")
@@ -241,29 +235,31 @@ class DurableModel(VersionedModel):
             raise RecoveryError(
                 f"{d} holds no loadable checkpoint; cannot recover"
             )
-        version, epoch, program, db = base
-        model = cls(
-            program,
-            d,
-            db,
-            builtins=builtins,
-            options=options,
-            keep_versions=keep_versions,
-            fsync=fsync,
-            checkpoint_every=checkpoint_every,
-            keep_checkpoints=keep_checkpoints,
-            segment_max_bytes=segment_max_bytes,
-            base_version=version - 1,
-            epoch=epoch,
-            _recovering=True,
-        )
-        records = model._wal.recover_records()
-        model._replay(records)
+        model = cls.from_image(d, base, **options)
         logger.info(
             "recovered %s at version %d epoch %d (checkpoint %d + %d "
-            "replayed records)", d, model.version, model.epoch, version,
+            "replayed records)", d, model.version, model.epoch, base[0],
             model._records_since_checkpoint,
         )
+        return model
+
+    @classmethod
+    def from_image(
+        cls,
+        data_dir: Path | str,
+        image: tuple[int, int, Program, Database],
+        **options: Any,
+    ) -> "DurableModel":
+        """The store in ``data_dir`` whose newest checkpoint holds the
+        decoded ``image`` (:func:`~repro.storage.checkpoint.parse_image`),
+        rolled forward through the WAL after it: what :meth:`recover`
+        loaded, or what a follower just installed."""
+        version, epoch, program, db = image
+        model = cls(
+            program, data_dir, db, base_version=version - 1, epoch=epoch,
+            _recovering=True, **options,
+        )
+        model._replay(model._wal.recover_records())
         return model
 
     def close(self) -> None:
@@ -363,7 +359,11 @@ class DurableModel(VersionedModel):
                         "refusing a fenced lineage"
                     )
                 if epoch > self.epoch:
-                    self._adopt_epoch(epoch, self._relog(self._version, line))
+                    # Named as a segment by the next version it can
+                    # publish, as the leader's append_epoch names it.
+                    self._adopt_epoch(
+                        epoch, self._relog(self._version + 1, line)
+                    )
                 return
             if version <= self._version:
                 return
@@ -430,48 +430,38 @@ class DurableModel(VersionedModel):
 
     def subscribe_replication(
         self, from_version: int = 0, wake: Optional[Callable[[], None]] = None
-    ) -> tuple[list, Optional[dict], int, int, Cursor]:
+    ) -> tuple[list, Optional[tuple], int, int, Cursor]:
         """Gap-free subscription handoff for WAL shipping.
 
         Atomically — under the write lock, so no commit can slip between
-        the history read and the cursor — read the committed WAL tail
+        the history read and the cursor — read the committed WAL lines
         after ``from_version`` and open a cursor on the commit stream for
-        every subsequent commit.  Returns ``(history, snapshot, version,
-        epoch, cursor)``; ``snapshot`` is a bootstrap payload (and
-        ``history`` restarts after it) when the WAL no longer covers
-        ``from_version`` — which is always the case for a brand-new
-        follower, because a fresh store's initial version lives only in
-        its base checkpoint.
+        every subsequent commit.  Returns ``(history, image, version,
+        epoch, cursor)``.  When the WAL no longer covers ``from_version``
+        — always the case for a brand-new follower, because a fresh
+        store's initial version lives only in its base checkpoint —
+        ``history`` is empty and ``image`` pins the state instead: the
+        arguments of :func:`~repro.storage.checkpoint.image_lines`, with
+        the frozen database of the current snapshot, for the caller to
+        encode once the lock is released.
         """
         with self._lock:
             history = self._wal.records_from(from_version)
-            snapshot = None
+            image = None
             if from_version < self._version:
                 published = [
                     d["version"] for k, d, _ in history
                     if k in (KIND_DELTA, KIND_PROGRAM)
                 ]
                 if not published or published[0] != from_version + 1:
-                    snapshot = self.replication_snapshot()
+                    image = (
+                        self._version, self.epoch, self.program,
+                        self.current.database,
+                    )
                     history = []
             cursor = self.commits.open("replica", wake)
             lines = [line for _, _, line in history]
-            return lines, snapshot, self._version, self.epoch, cursor
-
-    def replication_snapshot(self) -> dict:
-        """Bootstrap payload for a follower behind the WAL floor: the
-        current program + EDB inline — exactly a checkpoint's content,
-        shipped as one wire record.  Caller holds the write lock."""
-        mm = self._materialized
-        return {
-            "version": self._version,
-            "epoch": self.epoch,
-            "mode": mm.program.mode,
-            "program": encode_program(mm.program),
-            "facts": sorted(
-                (encode_atom(a) for a in mm.database.facts()), key=str
-            ),
-        }
+            return lines, image, self._version, self.epoch, cursor
 
     def checkpoint(self) -> Path:
         """Snapshot the current state, prune old checkpoints, truncate WAL.

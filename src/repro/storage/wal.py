@@ -1,7 +1,8 @@
 """Append-only write-ahead log of committed delta batches.
 
 Layout: a data directory holds numbered **segments** ``wal-%016d.log``,
-named by the version of their first record.  Records are the JSON-lines
+named by the first version they can publish: their first record's, one
+past it when that is an ``epoch`` record.  Records are the JSON-lines
 frames of :mod:`repro.storage.codec`, one per line, with strictly
 increasing ``version`` fields across the whole log.  Three kinds ride in
 the WAL:
@@ -144,8 +145,14 @@ class WriteAheadLog:
         return self._append(KIND_ABORT, version, {"version": version})
 
     def append_epoch(self, version: int, epoch: int) -> bytes:
-        """Log a fencing bump to ``epoch`` at the store's ``version``."""
-        return self._append(KIND_EPOCH, version, {
+        """Log a fencing bump to ``epoch`` at the store's ``version``.
+
+        A segment this record opens is named ``version + 1``, the first
+        version it can publish: record ``version`` itself sits in the
+        previous segment, which :meth:`truncate_through` must keep while
+        a checkpoint below ``version`` is retained.
+        """
+        return self._append(KIND_EPOCH, version + 1, {
             "version": version, "epoch": epoch,
         })
 
@@ -157,7 +164,8 @@ class WriteAheadLog:
     def append_line(self, version: int, line: bytes) -> bytes:
         """Write one encoded record (newline included) durably; returns
         it.  A follower logs the leader's line through here as it came, and
-        every reader downstream (recovery, shipping) gets these bytes."""
+        every reader downstream (recovery, shipping) gets these bytes.
+        ``version`` names the segment if the line opens one."""
         f = self._handle(version, len(line))
         f.write(line)
         f.flush()
@@ -192,23 +200,6 @@ class WriteAheadLog:
             self._file = None
 
     # -- reading / recovery ------------------------------------------------------
-
-    def first_version(self) -> Optional[int]:
-        """The version of the oldest record still on disk (``None`` when
-        the log is empty).  After checkpoint truncation this is the floor
-        of what :meth:`records_from` can serve — a follower further behind
-        needs a snapshot bootstrap instead."""
-        for seg in self.segments():
-            for line in self._lines(seg):
-                try:
-                    _, data = decode_record(line)
-                except CodecError:
-                    return None        # torn/corrupt head: no safe floor
-                if isinstance(data, dict) and isinstance(
-                    data.get("version"), int
-                ):
-                    return data["version"]
-        return None
 
     def records_from(self, version: int) -> list[tuple[str, Any, bytes]]:
         """Committed records with ``version > version`` — the tail a
@@ -364,6 +355,16 @@ def committed_records(records: list[tuple], from_version: int = 0) -> list:
             and nxt[1].get("version") == version
         ):
             continue
+        if kind == KIND_EPOCH and version == from_version:
+            # Bumps recorded at the reader's own version: it may hold any
+            # of them already (a checkpoint taken after them, a redelivery)
+            # and only the last says what holds from here on — an earlier
+            # one would read as a regression.
+            out = [
+                r for r in out
+                if r[0] != KIND_EPOCH or not isinstance(r[1], dict)
+                or r[1].get("version") != from_version
+            ]
         # Epoch bumps publish no version of their own (they are recorded
         # *at* the store's current version), so a follower sitting exactly
         # on the bump version still needs them; application is idempotent.

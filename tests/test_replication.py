@@ -215,7 +215,7 @@ class TestShipping:
             for i in range(4):                  # leader moves on ...
                 svc.apply_delta(adds=[("e", f"u{i}", f"v{i}")])
             model.checkpoint()                  # ... and truncates its WAL
-            floor = WriteAheadLog(tmp_path / "leader").first_version()
+            floor = WriteAheadLog(tmp_path / "leader").records()[0][1]["version"]
             assert floor is not None and floor > behind + 1
             f2 = FollowerService(h.addr, tmp_path / "f", **FAST)
             f2.start()

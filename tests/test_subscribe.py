@@ -399,13 +399,14 @@ class TestSync:
 
     def test_parked_syncs_do_not_starve_queries(self):
         """Pool-size concurrent ``:sync`` waits must leave the query pool
-        fully available (the PR's starvation regression)."""
+        fully available (the PR's starvation regression).  The waits are
+        released by the commit they wait for, not by their timeout."""
         svc = QueryService(TC, max_workers=2)
         try:
             sessions = [svc.open_session() for _ in range(3)]
-            target = svc.model.version + 100
+            target = svc.model.version + 1
             waits = [
-                svc.submit(sessions[i], f":sync {target} 5")
+                svc.submit(sessions[i], f":sync {target} 30")
                 for i in range(2)
             ]
             start = time.monotonic()
@@ -415,8 +416,10 @@ class TestSync:
             elapsed = time.monotonic() - start
             assert answer.ok
             assert elapsed < 2.0
+            assert not any(f.done() for f in waits)
+            svc.apply_delta(adds=[("e", "a", "b")])    # commits ``target``
             for f in waits:
                 response = f.result(timeout=10.0)
-                assert not response.ok and response.code == E_NOT_YET
+                assert response.ok
         finally:
             svc.shutdown()
