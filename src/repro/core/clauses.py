@@ -66,7 +66,7 @@ class LPSClause:
                 f"{self.head.pred!r}; Definition 5 forbids redefining "
                 "equality or membership"
             )
-        head_vars = self.head.free_vars()
+        head_vars = self.head.free_vars() if self.quantifiers else ()
         for bound, source in self.quantifiers:
             if bound.sort == SORT_S:
                 raise ClauseError(

@@ -192,6 +192,8 @@ class Program:
         if self.mode == MODE_ELPS:
             return
         for t in self.all_terms():
+            if t.__class__ is Const:
+                continue            # depth 0, no variables, no elements
             if nesting_depth(t) > 1:
                 raise SortError(
                     f"term {t} has nesting depth {nesting_depth(t)} > 1; "

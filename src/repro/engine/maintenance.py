@@ -52,6 +52,7 @@ The maintained model is therefore *always* identical to a from-scratch
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass, field, replace
 from typing import (
     Any,
@@ -1118,6 +1119,38 @@ class ModelSnapshot:
         return len(self.interpretation)
 
 
+class _WriteLock:
+    """A reentrant lock that lets a waiting thread in.
+
+    ``threading.RLock`` is not fair and a commit never blocks, so a thread
+    committing in a loop takes the lock back before a thread waiting on it
+    (``pin``, a cursor handoff) is scheduled, and as commits grow slower it
+    never is.  Releasing the lock outright while another thread waits
+    gives up the GIL once, which lets the waiter take it.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.RLock()
+        self._count = threading.Lock()      # guards ``_waiting``
+        self._waiting = 0
+
+    def __enter__(self) -> bool:
+        if self._lock.acquire(blocking=False):
+            return True
+        with self._count:
+            self._waiting += 1
+        try:
+            return self._lock.acquire()
+        finally:
+            with self._count:
+                self._waiting -= 1
+
+    def __exit__(self, *exc) -> None:
+        self._lock.release()
+        if self._waiting and not self._lock._is_owned():
+            time.sleep(0)
+
+
 class VersionedModel:
     """A :class:`MaterializedModel` behind a single-writer / multi-reader
     snapshot discipline.
@@ -1149,7 +1182,7 @@ class VersionedModel:
             raise ValueError("keep_versions must be >= 1")
         if base_version < 0:
             raise ValueError("base_version must be >= 0")
-        self._lock = threading.RLock()
+        self._lock = _WriteLock()
         self._keep = keep_versions
         self._materialized = MaterializedModel(
             program, database, builtins=builtins, options=options
@@ -1174,7 +1207,7 @@ class VersionedModel:
         return self.current.version
 
     @property
-    def lock(self) -> threading.RLock:
+    def lock(self) -> "_WriteLock":
         """The write lock (reentrant; for multi-step writer transactions)."""
         return self._lock
 

@@ -16,14 +16,26 @@ Identifiers starting with an upper-case letter are variables (their sort is
 inferred — see :mod:`repro.lang.sortinfer`); lower-case identifiers are
 constants or predicate/function symbols; ``{...}`` builds set terms;
 ``%`` starts a line comment; ``#elps`` selects ELPS mode.
+
+A program is mostly ground facts, so at a statement start (the input start,
+after ``.``, after a directive) the lexer first tries :data:`_FACT`: a flat
+ground fact ``pred(arg, ...).`` or ``pred.`` on one line, each argument a
+lower-case ASCII identifier, an ASCII integer, a quoted string or a
+``{...}`` of those.  A match is one ``FACT`` token whose ``text`` is the
+built :class:`~repro.core.atoms.Atom` — the atom recursive descent would
+build from the same characters — followed by the fact's ``.`` token.
+Anything else falls through to the ordinary tokens at the same offset, so
+errors keep their text and position.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+import re
+from typing import NamedTuple, Optional
 
+from ..core.atoms import Atom
 from ..core.errors import ParseError
+from ..core.terms import Const, SetValue
 
 KEYWORDS = {"forall", "exists", "in", "not", "or", "and", "true"}
 
@@ -35,16 +47,13 @@ STRING = "STRING"
 PUNCT = "PUNCT"
 KEYWORD = "KEYWORD"
 DIRECTIVE = "DIRECTIVE"  # '#name'
+FACT = "FACT"            # a flat ground fact, up to its '.'; see below
 EOF = "EOF"
 
-_PUNCT_2 = (":-", "!=", "<=", ">=")
-_PUNCT_1 = "(){},.=<>+-*;"
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
-    text: str
+    text: str           # for FACT, the built Atom
     line: int
     column: int
 
@@ -52,96 +61,124 @@ class Token:
         return f"{self.kind}({self.text!r})@{self.line}:{self.column}"
 
 
+#: One token of the general path; group names are token kinds.  ``\w`` is
+#: exactly ``str.isalnum()`` or ``_``, and a WORD must also *start* with a
+#: letter or ``_`` (checked in :func:`tokenize`).  Quoted constants double
+#: an embedded quote (SQL style, as the pretty-printer writes it) and may
+#: span lines.  A closing quote is never followed by another one, so an
+#: unclosed quote is reported at its opening, never split into a string
+#: and a new quote.
+_TOKEN = re.compile(r"""
+    (?P<SPACE>[ \t\r]+|%[^\n]*)
+  | (?P<NEWLINE>\n)
+  | (?P<PUNCT>:-|!=|<=|>=|[(){},.=<>+\-*;])
+  | \#(?P<DIRECTIVE>\w*)
+  | '(?P<STRING>(?:[^']|'')*)'(?!')
+  | (?P<INT>[0-9]+)
+  | (?P<WORD>\w+)
+""", re.VERBOSE)
+
+#: A lower-case identifier of the fact lexeme.  Every match that is not a
+#: keyword also lexes as one ``IDENT`` on the general path, so the
+#: pretty-printer writes a string constant bare exactly when it matches.
+_IDENT = r"[a-z][A-Za-z0-9_]*"
+IDENT_PATTERN = re.compile(_IDENT)
+
+_INT = r"-?[0-9]+"
+_PAYLOAD = r"(?:[^'\n]|'')*"           # a one-line quoted constant's text
+_CONST = rf"(?:{_IDENT}|{_INT}|'{_PAYLOAD}'(?!'))"
+_ARG = rf"(?:{_CONST}|\{{[ \t]*(?:{_CONST}(?:[ \t]*,[ \t]*{_CONST})*[ \t]*)?\}})"
+_ATOM_SRC = rf"({_IDENT})(?:[ \t]*\([ \t]*({_ARG}(?:[ \t]*,[ \t]*{_ARG})*)[ \t]*\))?"
+#: A flat ground fact, ``.`` included; spaces and tabs only, so it never
+#: moves the line count.
+_FACT = re.compile(_ATOM_SRC + r"[ \t]*\.")
+_ATOM = re.compile(_ATOM_SRC)
+#: The pieces of a matched argument list (commas and blanks fall between).
+_PIECE = re.compile(rf"({_INT})|'({_PAYLOAD})'(?!')|({_IDENT})|(\{{)|\}}")
+
+
+def _build_atom(pred: str, args_text: Optional[str]) -> Optional[Atom]:
+    """The atom of a fact-pattern match; ``None`` when a keyword makes it
+    something recursive descent must judge."""
+    if pred in KEYWORDS:
+        return None
+    if args_text is None:
+        return Atom(pred, ())
+    args: list = []
+    out = args
+    for m in _PIECE.finditer(args_text):
+        i = m.lastindex
+        if i == 1:
+            out.append(Const(int(m.group(1))))
+        elif i == 2:
+            out.append(Const(m.group(2).replace("''", "'")))
+        elif i == 3:
+            word = m.group(3)
+            if word in KEYWORDS:
+                return None
+            out.append(Const(word))
+        elif i == 4:
+            out = []
+        else:
+            args.append(SetValue(frozenset(out)))
+            out = args
+    return Atom(pred, tuple(args))
+
+
+def flat_atom(source: str) -> Optional[Atom]:
+    """The atom if all of ``source`` is a flat ground atom (no ``.``)."""
+    m = _ATOM.fullmatch(source)
+    return None if m is None else _build_atom(m.group(1), m.group(2))
+
+
 def tokenize(source: str) -> list[Token]:
     """Tokenize a program text; raises :class:`ParseError` on bad input."""
     tokens: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(source)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if ch == "%":
-            while i < n and source[i] != "\n":
-                advance(1)
-            continue
-        start_line, start_col = line, col
-        two = source[i:i + 2]
-        if two in _PUNCT_2:
-            tokens.append(Token(PUNCT, two, start_line, start_col))
-            advance(2)
-            continue
-        if ch == "#":
-            j = i + 1
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            name = source[i + 1:j]
-            if not name:
-                raise ParseError("empty directive after '#'", line, col)
-            tokens.append(Token(DIRECTIVE, name, start_line, start_col))
-            advance(j - i)
-            continue
-        if ch in _PUNCT_1:
-            tokens.append(Token(PUNCT, ch, start_line, start_col))
-            advance(1)
-            continue
-        if ch == "'":
-            # A doubled quote inside a quoted constant is an escaped quote
-            # (SQL style), so every string payload round-trips through the
-            # pretty-printer: pretty writes '' for ' and we fold it back.
-            j = i + 1
-            buf = []
-            closed = False
-            while j < n:
-                if source[j] == "'":
-                    if j + 1 < n and source[j + 1] == "'":
-                        buf.append("'")
-                        j += 2
-                        continue
-                    closed = True
-                    break
-                buf.append(source[j])
-                j += 1
-            if not closed:
+    append = tokens.append
+    line, line_start = 1, 0
+    pos, n = 0, len(source)
+    at_start = True
+    while pos < n:
+        col = pos - line_start + 1
+        if at_start:
+            m = _FACT.match(source, pos)
+            atom = None if m is None else _build_atom(m.group(1), m.group(2))
+            if atom is not None:
+                pos = m.end()
+                append(Token(FACT, atom, line, col))
+                append(Token(PUNCT, ".", line, pos - line_start))
+                continue
+        m = _TOKEN.match(source, pos)
+        if m is None:
+            if source[pos] == "'":
                 raise ParseError("unterminated quoted constant", line, col)
-            tokens.append(Token(STRING, "".join(buf), start_line, start_col))
-            advance(j - i + 1)
+            raise ParseError(f"unexpected character {source[pos]!r}", line, col)
+        kind, text, pos = m.lastgroup, m.group(m.lastgroup), m.end()
+        if kind == "SPACE":
             continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(Token(INT, source[i:j], start_line, start_col))
-            advance(j - i)
+        if kind == "NEWLINE":
+            line, line_start = line + 1, pos
             continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            if word in KEYWORDS:
+        if kind == "WORD":
+            first = text[0]
+            if not (first.isalpha() or first == "_"):
+                raise ParseError(f"unexpected character {first!r}", line, col)
+            if text in KEYWORDS:
                 kind = KEYWORD
-            elif word[0].isupper() or word[0] == "_":
+            elif first.isupper() or first == "_":
                 kind = VARIABLE
             else:
                 kind = IDENT
-            tokens.append(Token(kind, word, start_line, start_col))
-            advance(j - i)
+        elif kind == STRING:
+            append(Token(STRING, text.replace("''", "'"), line, col))
+            at_start = False
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = source.rindex("\n", 0, pos) + 1
             continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token(EOF, "", line, col))
+        elif kind == DIRECTIVE and not text:
+            raise ParseError("empty directive after '#'", line, col)
+        append(Token(kind, text, line, col))
+        at_start = kind == DIRECTIVE or (kind == PUNCT and text == ".")
+    append(Token(EOF, "", line, pos - line_start + 1))
     return tokens

@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 
 from ..core.atoms import Atom, Literal, neg, pos
 from ..core.clauses import GroupingClause, LPSClause, Rule
-from ..core.errors import ParseError
+from ..core.errors import ParseError, SortError
 from ..core.formulas import (
     AndF,
     AtomF,
@@ -48,15 +48,18 @@ from ..core.formulas import (
     NotF,
     OrF,
     TRUE,
+    TrueF,
     conj,
     disj,
 )
 from ..core.program import MODE_ELPS, MODE_LPS, Program
 from ..core.sorts import EQUALS, MEMBER, SORT_U
-from ..core.terms import App, Const, SetExpr, Term, Var
+from ..core.terms import App, Const, SetExpr, Term, Var, canonicalize
+from ..transform.positive import compile_program
 from .lexer import (
     DIRECTIVE,
     EOF,
+    FACT,
     IDENT,
     INT,
     KEYWORD,
@@ -64,8 +67,10 @@ from .lexer import (
     STRING,
     Token,
     VARIABLE,
+    flat_atom,
     tokenize,
 )
+from .sortinfer import infer_sorts
 
 _COMPARISONS = {
     "<": "lt",
@@ -160,14 +165,19 @@ class Parser:
 
     def parse_statements(self) -> list:
         out: list = []
-        while self._peek().kind != EOF:
-            if self._peek().kind == DIRECTIVE:
+        while True:
+            t = self._peek()
+            if t.kind == FACT:
+                self._pos += 2                  # the fact and its '.'
+                out.append(ParsedRule(t.text, TRUE))
+            elif t.kind == DIRECTIVE:
                 self.directives.append(self._next().text)
                 if self._at_punct("."):
                     self._next()
-                continue
-            out.append(self._parse_clause())
-        return out
+            elif t.kind == EOF:
+                return out
+            else:
+                out.append(self._parse_clause())
 
     def _parse_clause(self):
         head_tok = self._peek()
@@ -179,7 +189,7 @@ class Parser:
         self._expect(PUNCT, ".")
         if group is not None:
             group_pos, group_var = group
-            if isinstance(body, type(TRUE)):
+            if isinstance(body, TrueF):
                 raise ParseError(
                     "grouping clause requires a body", head_tok.line, head_tok.column
                 )
@@ -372,6 +382,14 @@ class Parser:
         if t.kind == STRING:
             self._next()
             return Const(t.text), []
+        if t.kind == FACT:
+            # Input that starts ``atom.`` (parse_term / parse_atom): the
+            # term the atom's characters spell; the '.' is left trailing.
+            self._next()
+            a = t.text
+            if not a.args:
+                return Const(a.pred), []
+            return _Apply(a.pred, a.args, t.line, t.column), []
         if t.kind == IDENT:
             self._next()
             if self._at_punct("("):
@@ -408,8 +426,6 @@ class Parser:
                         continue
                     break
             self._expect(PUNCT, "}")
-            from ..core.terms import canonicalize
-
             return canonicalize(SetExpr(tuple(elems))), aux
         raise ParseError(
             f"expected a term, found {t.text or t.kind!r}", t.line, t.column
@@ -418,8 +434,6 @@ class Parser:
     def _resolve(self, node) -> Term:
         """Convert a transient _Apply into a real App term (term position)."""
         if isinstance(node, _Apply):
-            from ..core.errors import SortError
-
             try:
                 return App(node.name, tuple(self._resolve(a) for a in node.args))
             except SortError as exc:
@@ -469,18 +483,16 @@ def parse_program(
         else:
             mode = MODE_LPS
     if mode == MODE_LPS:
-        from .sortinfer import infer_sorts
-
         statements = infer_sorts(statements, signatures)
     return _assemble(statements, mode, faithful)
 
 
 def _assemble(statements: Sequence, mode: str, faithful: bool) -> Program:
-    from ..transform.positive import compile_program
-
     items: list = []
     for s in statements:
-        if isinstance(s, ParsedGrouping):
+        if s.__class__ is ParsedRule and s.body is TRUE:
+            items.append(LPSClause(s.head))
+        elif isinstance(s, ParsedGrouping):
             items.append(_to_grouping(s))
         else:
             clause = _try_prefix_clause(s)
@@ -508,7 +520,7 @@ def _try_prefix_clause(s: ParsedRule) -> Optional[LPSClause]:
             literals.append(pos(p.atom))
         elif isinstance(p, NotF) and isinstance(p.sub, AtomF):
             literals.append(neg(p.sub.atom))
-        elif isinstance(p, type(TRUE)):
+        elif isinstance(p, TrueF):
             continue
         else:
             return None
@@ -542,7 +554,7 @@ def _to_grouping(s: ParsedGrouping) -> GroupingClause:
 def parse_term(source: str) -> Term:
     """Parse a single term (variables come out untyped)."""
     parser = Parser(source)
-    raw, aux = parser.parse_expr_term_public()
+    raw, aux = parser._parse_expr_term()
     if aux:
         raise ParseError("arithmetic is not allowed in standalone terms")
     if parser._peek().kind != EOF:
@@ -551,7 +563,14 @@ def parse_term(source: str) -> Term:
 
 
 def parse_atom(source: str) -> Atom:
-    """Parse a single atom (e.g. for queries); variables come out untyped."""
+    """Parse a single atom (e.g. for queries); variables come out untyped.
+
+    A flat ground atom (the fact lexeme without its ``.``) is built
+    directly; anything else takes recursive descent.
+    """
+    a = flat_atom(source)
+    if a is not None:
+        return a
     parser = Parser(source)
     f = parser._parse_primary()
     if parser._peek().kind != EOF:
@@ -560,9 +579,3 @@ def parse_atom(source: str) -> Atom:
         return f.atom
     raise ParseError(f"{source!r} is not a single atom")
 
-
-def _expr_term_public(self: Parser):
-    return self._parse_expr_term()
-
-
-Parser.parse_expr_term_public = _expr_term_public

@@ -21,7 +21,7 @@ from ..core.formulas import (
 from ..core.program import Program
 from ..core.sorts import EQUALS, MEMBER
 from ..core.terms import App, Const, SetExpr, SetValue, Term, Var
-from .lexer import KEYWORDS
+from .lexer import IDENT_PATTERN, KEYWORDS
 
 _COMPARISON_NAMES = {"lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 
@@ -39,12 +39,7 @@ def pretty_term(t: Term) -> str:
             return str(t.value)
         # Bare only when it re-lexes as a plain IDENT: keywords would come
         # back as KEYWORD tokens and fail to parse in term position.
-        if (
-            t.value
-            and t.value[0].islower()
-            and t.value.isidentifier()
-            and t.value not in KEYWORDS
-        ):
+        if IDENT_PATTERN.fullmatch(t.value) and t.value not in KEYWORDS:
             return t.value
         return _quote(t.value)
     if isinstance(t, App):

@@ -35,10 +35,12 @@ from ..core.formulas import (
     Formula,
     NotF,
     OrF,
+    TRUE,
     TrueF,
+    walk,
 )
 from ..core.sorts import EQUALS, MEMBER, SORT_A, SORT_S, SORT_U
-from ..core.terms import App, Const, SetExpr, SetValue, Term, Var, setvalue
+from ..core.terms import App, Const, SetExpr, SetValue, Term, Var, free_vars, setvalue
 
 #: Fixed signatures of the engine builtins (``None`` = unconstrained).
 BUILTIN_SORTS: dict[str, tuple[Optional[str], ...]] = {
@@ -268,10 +270,14 @@ def _sort_hint(t: Term) -> Optional[str]:
     return None
 
 
-def _collect_var_names(f: Formula, out: set[str]) -> None:
-    from ..core.formulas import walk
-    from ..core.terms import free_vars
+def _fact_shape(head: Atom) -> Optional[tuple]:
+    """``(pred, argument classes)`` of a head whose arguments are all
+    constants or set values, else ``None``."""
+    classes = tuple(map(type, head.args))
+    return (head.pred, classes) if {Const, SetValue}.issuperset(classes) else None
 
+
+def _collect_var_names(f: Formula, out: set[str]) -> None:
     for sub in walk(f):
         if isinstance(sub, AtomF):
             for t in sub.atom.args:
@@ -328,7 +334,17 @@ def infer_sorts(
     from .parser import ParsedGrouping, ParsedRule
 
     inf = SortInference()
+    # A ground fact of constants and set values has no variables to type:
+    # it only pins its predicate's positions, and a second fact with the
+    # same predicate and argument sorts pins nothing new.
+    pinned: set = set()
     for ci, s in enumerate(statements):
+        if s.body is TRUE:
+            shape = _fact_shape(s.head)
+            if shape is not None:
+                if shape in pinned:
+                    continue
+                pinned.add(shape)
         context = f"clause {ci + 1}"
         if isinstance(s, ParsedRule):
             inf.constrain_atom(s.head, ci, context)
@@ -350,10 +366,11 @@ def infer_sorts(
     out: list = []
     for ci, s in enumerate(statements):
         if isinstance(s, ParsedRule):
+            if s.body is TRUE and s.head.is_ground():
+                out.append(s)       # nothing to retype
+                continue
             names: set[str] = set()
             for t in s.head.args:
-                from ..core.terms import free_vars
-
                 names |= {v.name for v in free_vars(t)}
             _collect_var_names(s.body, names)
             sorts = {n: inf.var_sort(ci, n) for n in names}
@@ -366,8 +383,6 @@ def infer_sorts(
         else:
             names = {s.group_var.name}
             for t in s.head_args:
-                from ..core.terms import free_vars
-
                 names |= {v.name for v in free_vars(t)}
             _collect_var_names(s.body, names)
             sorts = {n: inf.var_sort(ci, n) for n in names}

@@ -479,7 +479,7 @@ class Session:
     # -- writes ------------------------------------------------------------------
 
     def _parse_fact(self, text: str) -> Atom:
-        a = parse_atom(text.strip().rstrip("."))
+        a = parse_atom(text.strip().removesuffix("."))
         if not a.is_ground():
             raise EvaluationError(f"fact {a} is not ground")
         return a

@@ -51,6 +51,7 @@ from ..core.formulas import (
     NotF,
     OrF,
     TrueF,
+    atoms_of,
 )
 from ..core.program import AnyClause, Program
 from ..core.substitution import Subst
@@ -70,7 +71,7 @@ def compile_program(
     ``GroupingClause`` items pass through unchanged.
     """
     items = list(rules)
-    if fresh is None:
+    if fresh is None and any(isinstance(r, Rule) for r in items):
         base = Program(
             tuple(c for c in items if isinstance(c, (LPSClause, GroupingClause))),
             mode=mode,
@@ -79,8 +80,6 @@ def compile_program(
         for r in items:
             if isinstance(r, Rule):
                 fresh.reserve(r.head.pred)
-                from ..core.formulas import atoms_of
-
                 for a in atoms_of(r.body):
                     fresh.reserve(a.pred)
     out: list[AnyClause] = []

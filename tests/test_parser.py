@@ -212,3 +212,227 @@ class TestSortInference:
         (big,) = [c for c in p.lps_clauses() if c.head.pred == "big"]
         (bom_lit,) = [l for l in big.body if l.atom.pred == "bom"]
         assert bom_lit.atom.args[1].sort == SORT_S
+
+
+# -- the fact lexeme ------------------------------------------------------------
+#
+# At a statement start the lexer reads a flat ground fact as one FACT token
+# that carries its built atom; everything else takes recursive descent.
+# ``p(..) :- true.`` is never a fact lexeme, so writing each fact that way
+# compares the two paths with no switch between them.
+
+from collections import Counter  # noqa: E402
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from repro.core import LPSError  # noqa: E402
+from repro.lang.parser import Parser  # noqa: E402
+from repro.lang.sortinfer import SortInference  # noqa: E402
+from repro.transform.fresh import FreshNames  # noqa: E402
+from repro.workloads import random_graph  # noqa: E402
+
+#: Names the lexeme takes (weighted 4:1) and names it must leave to
+#: recursive descent: keywords, variables, non-ASCII identifiers and digits.
+_NAMES = st.sampled_from(4 * ["a", "b_1", "zZ9", "item"] + [
+    "in", "not", "true", "Var", "_x", "é", "ab\u0301", "a²", "x١", "中", "²",
+])
+_TEXT = st.text(alphabet="az AZ09'%{},.:-_é\u0301²١中\t\n", max_size=6)
+_SCALARS = st.one_of(
+    _NAMES,
+    st.integers(-120, 120).map(str),
+    _TEXT.map(lambda s: "'" + s.replace("'", "''") + "'"),
+)
+_SEP = st.sampled_from([", ", ",", " , ", ",\t"])
+
+
+@st.composite
+def _set_texts(draw, elems):
+    items = draw(st.lists(elems, max_size=3))
+    return "{" + draw(_SEP).join(items) + "}"
+
+
+_FLAT = _set_texts(_SCALARS)
+_ARGS = st.one_of(_SCALARS, _FLAT, _set_texts(st.one_of(_SCALARS, _FLAT)))
+#: Predicates with fixed arities (so most draws are valid programs), and
+#: less often a keyword, a variable or a non-ASCII name as the predicate.
+_ARITY = {"p": 1, "q2": 2, "e_x": 2, "zero": 0, "s": 1,
+          "true": 1, "Up": 1, "_u": 1, "né": 1}
+_PREDS = st.sampled_from(
+    4 * ["p", "q2", "e_x", "zero", "s"] + ["true", "Up", "_u", "né"]
+)
+
+
+@st.composite
+def _fact_texts(draw):
+    pred = draw(_PREDS)
+    arity = _ARITY[pred]
+    if not arity:
+        return pred
+    args = [draw(_ARGS) for _ in range(arity)]
+    return f"{pred}({draw(_SEP).join(args)})"
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except LPSError as exc:
+        return type(exc), str(exc)
+
+
+class TestFactLexeme:
+    @settings(max_examples=300, deadline=None)
+    @given(facts=st.lists(_fact_texts(), min_size=1, max_size=5))
+    def test_facts_parse_as_general_rules(self, facts):
+        lexeme = "\n".join(f"{f}." for f in facts)
+        general = "\n".join(f"{f} :- true." for f in facts)
+        assert _outcome(parse_program, lexeme) == _outcome(
+            parse_program, general
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_fact_texts())
+    def test_atoms_parse_as_parenthesised(self, text):
+        direct = _outcome(parse_atom, text)
+        wrapped = _outcome(parse_atom, "(" + text + ")")
+        if isinstance(direct, tuple):       # the column differs by the '('
+            assert isinstance(wrapped, tuple) and wrapped[0] is direct[0]
+        else:
+            assert direct == wrapped
+
+    def test_set_facts_canonicalise(self):
+        (c,) = parse_program("s({b, a, b}).").clauses
+        assert c.head.args == (parse_term("{a, b}"),)
+        assert parse_atom("s({ }, -7, 'it''s')").args == (
+            EMPTY_SET, Const(-7), Const("it's"),
+        )
+
+    def test_keyword_tokens_unchanged(self):
+        toks = tokenize("p(a).\nq :- p(a).")
+        assert [t.kind for t in toks] == [
+            "FACT", "PUNCT", "IDENT", "PUNCT", "IDENT", "PUNCT", "IDENT",
+            "PUNCT", "PUNCT", "EOF",
+        ]
+        assert (toks[1].line, toks[1].column) == (1, 5)
+
+    def test_multiline_quote_advances_line(self):
+        with pytest.raises(ParseError) as info:
+            parse_program("p('two\nlines').\nq(b).\nr(@).")
+        assert (info.value.line, info.value.column) == (4, 3)
+
+    @pytest.mark.parametrize("text, column", [
+        ("p(²)", 3), ("p(١)", 3), ("p(1٣)", 4), ("p(½)", 3),
+    ])
+    def test_integers_are_ascii(self, text, column):
+        with pytest.raises(ParseError) as info:
+            parse_atom(text)
+        assert (info.value.line, info.value.column) == (1, column)
+        assert "unexpected character" in str(info.value)
+        with pytest.raises(ParseError):
+            parse_program(text + ".")
+
+
+#: Malformed inputs with the error text, line and column recorded from the
+#: recursive-descent front end before the fact lexeme existed.
+MALFORMED_PROGRAMS = [
+    ('p(a', "1:4: expected ')', found 'EOF'", 1, 4),
+    ('p(a).\nq(b', "2:4: expected ')', found 'EOF'", 2, 4),
+    ('p(a, ).', "1:6: expected a term, found ')'", 1, 6),
+    ('p().', "1:3: expected a term, found ')'", 1, 3),
+    ('p(a) q(b).', "1:6: expected '.', found 'q'", 1, 6),
+    ('p(a)..', "1:6: expected 'IDENT', found '.'", 1, 6),
+    ('p(a).\n.', "2:1: expected 'IDENT', found '.'", 2, 1),
+    ('p(true).', "1:3: expected a term, found 'true'", 1, 3),
+    ('true.', "1:1: expected 'IDENT', found 'true'", 1, 1),
+    ('in(a).', "1:1: expected 'IDENT', found 'in'", 1, 1),
+    ("p(a, 'oops).", '1:6: unterminated quoted constant', 1, 6),
+    ("p('a''b').\nq('x).", '2:3: unterminated quoted constant', 2, 3),
+    ("p('line\none').\nq(@).", "3:3: unexpected character '@'", 3, 3),
+    ('p(a) :- q(b).\n  r(c) @', "2:8: unexpected character '@'", 2, 8),
+    ('p(12ab).', "1:5: expected ')', found 'ab'", 1, 5),
+    ('p(1 2).', "1:5: expected ')', found '2'", 1, 5),
+    ('p({a, {b}, ).', "1:12: expected a term, found ')'", 1, 12),
+    ('p({a b}).', "1:6: expected '}', found 'b'", 1, 6),
+    ('p(a),\nq(b).', "1:5: expected '.', found ','", 1, 5),
+    ('p(- a).', "1:3: expected a term, found '-'", 1, 3),
+    ('p(a) :- .', "1:9: expected a term, found '.'", 1, 9),
+    ('#', "1:1: empty directive after '#'", 1, 1),
+    ('# elps\np(a).', "1:1: empty directive after '#'", 1, 1),
+    ('p(a).\n:- q(b).', "2:1: expected 'IDENT', found ':-'", 2, 1),
+    ('P(a).', "1:1: expected 'IDENT', found 'P'", 1, 1),
+    ('_p(a).', "1:1: expected 'IDENT', found '_p'", 1, 1),
+    ('p(a).%c\nq(b) r.', "2:6: expected '.', found 'r'", 2, 6),
+    ('p(\ta,\t).', "1:7: expected a term, found ')'", 1, 7),
+    ('p(a)\n.\nq(', "3:3: expected a term, found 'EOF'", 3, 3),
+    ('p(<X>).', '1:1: grouping clause requires a body', 1, 1),
+    ('p(X, <Y>).', '1:1: grouping clause requires a body', 1, 1),
+    ('p(1 + 2).', "1:5: expected ')', found '+'", 1, 5),
+    ('p(f({a})).', "1:3: function 'f' applied to a set-sorted argument {a}; "
+     "function symbols take sort-'a' arguments only", 1, 3),
+    ('p(a)\r\n.q(b', "2:5: expected ')', found 'EOF'", 2, 5),
+]
+
+MALFORMED_ATOMS = [
+    ('p(a', "1:4: expected ')', found 'EOF'", 1, 4),
+    ('p(a).', '1:5: trailing input after atom', 1, 5),
+    ('p(a) q', '1:6: trailing input after atom', 1, 6),
+    ('p(true)', "1:3: expected a term, found 'true'", 1, 3),
+    ('true', "'true' is not a single atom", 0, 0),
+    ('p(a, )', "1:6: expected a term, found ')'", 1, 6),
+    ('p({a)', "1:5: expected '}', found ')'", 1, 5),
+    ('X', '1:2: X is not an atom', 1, 2),
+    ('', "1:1: expected a term, found 'EOF'", 1, 1),
+    ('p(1.5)', "1:4: expected ')', found '.'", 1, 4),
+]
+
+
+@pytest.mark.parametrize(
+    "parse, text, message, line, column",
+    [(parse_program, *row) for row in MALFORMED_PROGRAMS]
+    + [(parse_atom, *row) for row in MALFORMED_ATOMS],
+)
+def test_malformed_input_errors_unchanged(parse, text, message, line, column):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert (str(info.value), info.value.line, info.value.column) == (
+        message, line, column,
+    )
+
+
+TC_RULES = """\
+t(X, Y) :- e(X, Y).
+t(X, Z) :- e(X, Y), t(Y, Z).
+"""
+
+
+def test_facts_skip_descent_sorting_and_fresh_names(monkeypatch):
+    """Counts, not clocks: a fact costs no recursive descent, no Theorem 6
+    bookkeeping, and one sort constraint per predicate and sort pattern."""
+    calls = Counter()
+
+    def count(cls, name):
+        original = getattr(cls, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    for cls, name in [(Parser, "_parse_head"), (Parser, "_parse_expr_term"),
+                      (FreshNames, "__init__"),
+                      (SortInference, "constrain_atom")]:
+        count(cls, name)
+    parse_program(TC_RULES)
+    rules_only = Counter(calls)
+    calls.clear()
+    facts = "".join(f"e({u}, {v}).\n" for u, v in random_graph(160, 800))
+    shapes = "s({a, b}).\ns({c}).\nw(a, {b}).\nw(c, {}).\nv(d, 4).\n"
+    p = parse_program(TC_RULES + facts + shapes)
+    assert len(p.clauses) == 2 + 800 + 5
+    assert calls["_parse_head"] == rules_only["_parse_head"] == 2
+    assert calls["_parse_expr_term"] == rules_only["_parse_expr_term"]
+    assert calls["__init__"] == rules_only["__init__"] == 0
+    # e(a, a), s(s), w(a, s), v(a, a): four shapes, each pinned once.
+    assert calls["constrain_atom"] == rules_only["constrain_atom"] + 4
+    with pytest.raises(SortError, match="clause 808"):
+        parse_program(TC_RULES + facts + shapes + "e(a, {b}).\n")

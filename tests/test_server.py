@@ -335,6 +335,50 @@ class TestErrorPaths:
         assert svc.model.version == 2
         svc.shutdown()
 
+    @pytest.mark.parametrize("line, column", [
+        ("?- p(²).", 14), ("+p(١).", 3), ("+e(a, 1٣).", 7),
+    ])
+    def test_non_ascii_digit_is_a_parse_error(self, line, column, caplog):
+        """Integers are ASCII digits: ``²`` used to reach ``int()`` and
+        fail as an evaluation error, ``١`` used to be stored as ``1``."""
+        svc = service()
+        s = svc.open_session()
+        with caplog.at_level("ERROR", logger="repro.server"):
+            r = s.execute(line)
+        assert not r.ok and r.code == E_PARSE
+        assert r.error.startswith(f"1:{column}: unexpected character")
+        assert "unexpected error" not in caplog.text
+        assert svc.model.version == 1
+        svc.shutdown()
+
+    def test_fact_takes_at_most_one_terminator(self):
+        svc = service()
+        s = svc.open_session()
+        for bad in ("+e(a, b)..", "+e(a, b)...", "+e(a, b). ."):
+            r = s.execute(bad)
+            assert not r.ok and r.code == E_PARSE, bad
+        assert svc.model.version == 1
+        assert s.execute("+e(a, b).").ok
+        assert s.execute("+e(b, c)").ok
+        assert s.execute("-e(b, c) .").ok
+        assert svc.model.version == 4
+        svc.shutdown()
+
+    def test_non_ascii_constant_is_durable(self, tmp_path):
+        """A quoted constant whose text ends in a combining mark is
+        written quoted, so the durable store's verify parse accepts it."""
+        svc = service(data_dir=str(tmp_path), fsync="never")
+        s = svc.open_session()
+        for text in ("+e('á', 'ß').", "+e('中', 'éx')."):
+            assert s.execute(text).ok, text
+        rows = s.execute("?- e(X, Y).").data["rows"]
+        assert len(rows) == 2
+        svc.shutdown()
+        again = QueryService(data_dir=str(tmp_path), fsync="never")
+        r = again.open_session().execute("?- e('á', 'ß').")
+        assert r.data["truth"]
+        again.shutdown()
+
     def test_non_ground_fact_is_structured(self):
         svc = service()
         s = svc.open_session()
