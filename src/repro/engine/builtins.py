@@ -39,7 +39,17 @@ def _int_of(t: Term) -> Optional[int]:
 
 
 class Builtin:
-    """An evaluable predicate."""
+    """An evaluable predicate.
+
+    **Contract: ``solve`` is a function of its arguments.**  Its answers
+    (and whether ``ready`` holds) depend on the resolved argument terms
+    alone — no state, no clock, nothing read from the interpretation —
+    and come in the same order on every call.  The fixpoint semantics
+    ``T_P`` needs this (a builtin atom has one fixed interpretation), and
+    the plan executor relies on it: within one stratum fixpoint it solves
+    each distinct builtin input once and reuses the answer
+    (:meth:`repro.engine.executor.Executor._compute`).
+    """
 
     name: str
     arity: int

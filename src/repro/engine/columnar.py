@@ -864,8 +864,8 @@ _COL_DISPATCH = {
 
 
 def make_executor(
-    interp: Interpretation, builtins, delta=None, stats=None
+    interp: Interpretation, builtins, delta=None, stats=None, memo=None
 ) -> Executor:
     """The columnar executor, or the row executor when numpy is absent."""
     cls = ColumnarExecutor if _np is not None else Executor
-    return cls(interp, builtins, delta=delta, stats=stats)
+    return cls(interp, builtins, delta=delta, stats=stats, memo=memo)

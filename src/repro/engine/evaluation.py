@@ -429,6 +429,15 @@ class Solver:
     def _match_facts(self, a: Atom, env: Subst) -> Iterator[Subst]:
         pattern = a.substitute(env)
         stats = self.stats
+        if pattern.is_ground() and not any(
+            t.__class__ is SetExpr for t in pattern.args
+        ):
+            # A ground check: on ground arguments matching is equality
+            # (``match_atom_fast``), so one membership probe decides it.
+            stats.matches += 1
+            if self.interp.holds(pattern):
+                yield env
+            return
         arity = pattern.arity
         # Candidates come from the interpretation's incremental argument
         # indexes (shared between rounds, rules and solver instances); with
@@ -620,7 +629,8 @@ class _Engines:
     over.  Provenance needs the solver's per-derivation environments, so
     under ``track_provenance`` there is no executor.  Without a ``domain``
     (queries against a finished model) nothing may be enumerated from the
-    active domain, whatever the options say.
+    active domain, whatever the options say.  ``memo`` is the stratum
+    fixpoint's builtin cache (:class:`~repro.engine.executor.Executor`).
     """
 
     __slots__ = ("solver", "executor", "delta")
@@ -634,6 +644,7 @@ class _Engines:
         delta: Optional[Mapping[str, Iterable[Atom]]] = None,
         domain: Optional[ActiveDomain] = None,
         options: Optional[EvalOptions] = None,
+        memo: Optional[dict] = None,
     ) -> None:
         options = options or _DEFAULT_OPTIONS
         self.delta = delta
@@ -646,7 +657,7 @@ class _Engines:
             stats=stats,
         )
         self.executor = None if options.track_provenance else make_executor(
-            interp, builtins, delta=delta, stats=exec_stats
+            interp, builtins, delta=delta, stats=exec_stats, memo=memo
         )
 
 
@@ -970,6 +981,9 @@ class Evaluator:
                 return added
         round_no = 0
         prev_version = -1
+        #: Builtin answers by input, shared by every round's executor and
+        #: dropped on return (``Builtin.solve`` is a function of its args).
+        memo: dict = {}
 
         while True:
             round_no += 1
@@ -987,6 +1001,7 @@ class Evaluator:
             engines = _Engines(
                 interp, self.builtins, report.stats, report.exec,
                 delta=deltas, domain=domain, options=self.options,
+                memo=memo,
             )
             for rule in compiled:
                 if not rule.affected(changed_preds, domain_grew):

@@ -65,6 +65,11 @@ class Executor:
     only :class:`~repro.engine.ir.Scan` nodes flagged ``delta`` read it —
     other occurrences of the same predicate see the full interpretation,
     exactly like the tuple path's pinned differentiation.
+
+    ``memo`` caches the extension rows of each builtin ``Compute`` input
+    (see :meth:`_compute`).  A stratum fixpoint hands every round's
+    executor the same dict and drops it on return; without one an input
+    is solved once per batch.
     """
 
     def __init__(
@@ -73,11 +78,13 @@ class Executor:
         builtins: Mapping[str, Builtin] = DEFAULT_BUILTINS,
         delta: Optional[Mapping[str, Iterable[Atom]]] = None,
         stats: Optional[ExecStats] = None,
+        memo: Optional[dict] = None,
     ) -> None:
         self.interp = interp
         self.builtins = builtins
         self.delta = delta
         self.stats = stats if stats is not None else ExecStats()
+        self.memo = memo
 
     # -- entry points ------------------------------------------------------------
 
@@ -359,14 +366,27 @@ class Executor:
         return out
 
     def _compute(self, node: Compute) -> list[Row]:
+        """Extend each row by the values an equality or builtin binds.
+
+        The new variables are renamed to positional slots (``§0``, ``§1``,
+        …, sorts kept), so a builtin input is keyed by its predicate and
+        resolved arguments alone and two nodes that ask the same question
+        — ``choose_min(X, Y, Z)`` and ``choose_min(P, Y, Z)`` on one ``Z``
+        — share one solve.  ``Builtin.solve`` is a function of its
+        arguments, so a cached answer is the answer."""
         rows = self.batch(node.input)
-        a = node.atom
-        res = node._meta
-        if res is None:
-            res = node._meta = tuple(
-                self._resolver(t, node.input.out_vars) for t in a.args
+        meta = node._meta
+        if meta is None:
+            slots = tuple(
+                Var(f"§{k}", v.var_sort) for k, v in enumerate(node.new_vars)
             )
-        new_vars = node.new_vars
+            renamed = node.atom.substitute(
+                Subst._make(dict(zip(node.new_vars, slots)))
+            )
+            meta = node._meta = (tuple(
+                self._resolver(t, node.input.out_vars) for t in renamed.args
+            ), slots)
+        res, slots = meta
         out: list[Row] = []
         if node.kind == "equals":
             lres, rres = res
@@ -377,17 +397,26 @@ class Executor:
                         f"equality {l} = {rt} with neither side ground"
                     )
                 for sigma in unify(l, rt, EMPTY_SUBST):
-                    out.append(r + _extension(sigma, new_vars))
+                    out.append(r + _extension(sigma, slots))
         else:  # builtin binding new variables
-            b = self.builtins[a.pred]
+            pred = node.atom.pred
+            b = self.builtins[pred]
+            memo = self.memo if self.memo is not None else {}
             for r in rows:
                 args = tuple(f(r) for f in res)
-                if not b.ready(args):
-                    raise PlanInapplicable(
-                        f"builtin {a.pred} not ready for {args}"
-                    )
-                for sigma in b.solve(args, EMPTY_SUBST):
-                    out.append(r + _extension(sigma, new_vars))
+                key = (pred, args)
+                ext = memo.get(key)
+                if ext is None:
+                    if not b.ready(args):
+                        raise PlanInapplicable(
+                            f"builtin {pred} not ready for {args}"
+                        )
+                    ext = memo[key] = [
+                        _extension(sigma, slots)
+                        for sigma in b.solve(args, EMPTY_SUBST)
+                    ]
+                for e in ext:
+                    out.append(r + e)
         self.stats.note(node.op, len(rows), len(out))
         return out
 

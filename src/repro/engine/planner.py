@@ -33,10 +33,21 @@ the evaluator then uses the backtracking solver exactly as before.
 **Semi-naive delta variants.**  ``compile_rule(..., delta_index=i)``
 compiles the same body with the *i*-th relational occurrence pinned: that
 one Scan is flagged ``delta`` (the executor reads it from the round's
-delta relation) and is forced to the front of the join order, mirroring
-the differentiation ``Δ(B1 ⋈ … ⋈ Bn) = Σ_i Bs ⋈ ΔB_i``.  The fixpoint
-loop and the incremental-maintenance subsystem share these variants, so
-join order is derived once per rule rather than once per batch.
+delta relation), mirroring the differentiation
+``Δ(B1 ⋈ … ⋈ Bn) = Σ_i Bs ⋈ ΔB_i``, and goes to the front of the join
+order.  The fixpoint loop and the incremental-maintenance subsystem share
+these variants, so join order is derived once per rule rather than once
+per batch.
+
+**No avoidable cross product.**  When the greedy order (pinned scan
+first, then readiness tiers and :func:`_scan_order_key`) contains a cross
+join, :func:`compile_body` tries every relational conjunct as the first
+scan and keeps the order with the fewest cross joins; ties keep the
+greedy order, then the candidates in ``_scan_order_key`` order.  In such
+an order the pinned scan joins where it is first connected (the earliest
+among equally connected scans), still flagged ``delta`` —
+differentiation does not depend on its position.  Bodies whose greedy
+order has no cross join are scheduled once, as before.
 """
 
 from __future__ import annotations
@@ -121,13 +132,16 @@ def _dummy_args(a: Atom, bound: set[Var]) -> tuple[Term, ...]:
 class _Conjunct:
     """One body literal with its scheduling classification."""
 
-    __slots__ = ("lit", "kind", "rel_index", "src")
+    __slots__ = ("lit", "kind", "rel_index", "src", "ready_for")
 
     def __init__(self, lit: Literal, kind: str, rel_index: int, src: int):
         self.lit = lit
         self.kind = kind          # "rel" | "eq" | "member" | "builtin" | "neg"
         self.rel_index = rel_index  # index among positive relational atoms
         self.src = src            # source position in the body
+        #: Builtin readiness by the set of its variables bound, shared by
+        #: every schedule ``compile_body`` tries.
+        self.ready_for: dict[frozenset, bool] = {}
 
 
 def _classify(
@@ -170,17 +184,24 @@ def _ready(c: _Conjunct, bound: set[Var], builtins: Mapping[str, Builtin]):
         b = builtins[a.pred]
         if len(a.args) != b.arity:
             return None  # arity error: let the tuple path raise it
-        return 2 if b.ready(_dummy_args(a, bound)) else None
+        key = a.free_vars() & bound
+        ready = c.ready_for.get(key)
+        if ready is None:
+            ready = c.ready_for[key] = b.ready(_dummy_args(a, bound))
+        return 2 if ready else None
     if c.kind == "member":
         return 3 if free_vars(a.args[1]) <= bound else None
     return 4  # relational atoms are always scannable
 
 
-def _scan_order_key(c: _Conjunct, bound: set[Var], pin: Optional[int]):
+def _scan_order_key(
+    c: _Conjunct, bound: set[Var], pin: Optional[int], pin_first: bool = True
+):
     """Static join-order preference among schedulable relational atoms.
 
-    The pinned delta occurrence always goes first (semi-naive
-    differentiation).  The planner then prefers scans connected to
+    The pinned delta occurrence goes first (semi-naive differentiation)
+    unless ``pin_first`` is off, when it only wins ties among equally
+    connected scans.  The planner then prefers scans connected to
     already-bound variables (avoids cross products) with the most
     constrained argument positions — the static residue of the tuple
     path's index-cardinality estimates, whose dynamic half lives in the
@@ -191,6 +212,11 @@ def _scan_order_key(c: _Conjunct, bound: set[Var], pin: Optional[int]):
     connected = 0
     constrained = 0
     for t in a.args:
+        if t.__class__ is Var:
+            if t in bound:
+                constrained += 1
+                connected = 1
+            continue
         fv = free_vars(t)
         if not fv:
             constrained += 1
@@ -199,7 +225,9 @@ def _scan_order_key(c: _Conjunct, bound: set[Var], pin: Optional[int]):
             connected = 1
         elif fv & bound:
             connected = 1
-    return (pinned, -connected, -constrained, c.src)
+    if pin_first:
+        return (pinned, -connected, -constrained, c.src)
+    return (-connected, pinned, -constrained, c.src)
 
 
 def compile_body(
@@ -211,13 +239,53 @@ def compile_body(
 
     Returns ``(root, bound_vars, reason)``; ``reason`` is non-``None`` iff
     the body is not fully schedulable (the caller then uses tuple mode).
+
+    The greedy schedule is kept unless it contains a cross join; then
+    each other relational conjunct is tried as the first scan (the pinned
+    one is the greedy order's own), and an order with fewer cross joins
+    replaces it (ties keep the earlier candidate: the greedy order, then
+    the others by :func:`_scan_order_key`).
     """
-    pending = _classify(body, builtins)
+    conjuncts = _classify(body, builtins)
     if delta_index is not None:
-        if not any(c.rel_index == delta_index for c in pending):
+        if not any(c.rel_index == delta_index for c in conjuncts):
             return None, set(), f"no relational occurrence {delta_index}"
+    order, reason, crosses = _order(conjuncts, builtins, delta_index, None)
+    if crosses:
+        rels = sorted(
+            (c for c in conjuncts
+             if c.kind == "rel" and c.rel_index != delta_index),
+            key=lambda c: _scan_order_key(c, set(), delta_index),
+        )
+        for first in rels:
+            alt = _order(conjuncts, builtins, delta_index, first)
+            if alt[1] is None and alt[2] < crosses:
+                order, reason, crosses = alt
+                if not crosses:
+                    break
     node: Optional[PlanNode] = None
     bound: set[Var] = set()
+    for c in order:
+        node = _attach(node, c, bound, builtins, delta_index)
+        bound |= c.lit.atom.free_vars()
+    return (None if reason else node), bound, reason
+
+
+def _order(
+    conjuncts: Sequence[_Conjunct],
+    builtins: Mapping[str, Builtin],
+    delta_index: Optional[int],
+    first: Optional[_Conjunct],
+) -> tuple[list[_Conjunct], Optional[str], int]:
+    """One greedy order of the conjuncts, the reason it stops short (if
+    it does) and its number of cross joins — scans that share no variable
+    with what precedes them.  With ``first`` that relational conjunct is
+    the first scan and the pinned one loses its claim to the front."""
+    pending = list(conjuncts)
+    order: list[_Conjunct] = []
+    bound: set[Var] = set()
+    crosses = 0
+    scanned = False
     while pending:
         ready = [
             (tier, c) for c in pending
@@ -225,19 +293,26 @@ def compile_body(
         ]
         if not ready:
             blocked = ", ".join(str(c.lit) for c in pending)
-            return None, bound, f"unschedulable conjuncts: {blocked}"
+            return order, f"unschedulable conjuncts: {blocked}", crosses
         tier = min(t for t, _ in ready)
         tied = [c for t, c in ready if t == tier]
         if tier == 4:
-            chosen = min(
-                tied, key=lambda c: _scan_order_key(c, bound, delta_index)
-            )
+            if first is not None and not scanned:
+                chosen = first
+            else:
+                chosen = min(tied, key=lambda c: _scan_order_key(
+                    c, bound, delta_index, first is None
+                ))
+            scanned = True
         else:
             chosen = min(tied, key=lambda c: c.src)
+        fv = chosen.lit.atom.free_vars()
+        if tier == 4 and order and not fv & bound:
+            crosses += 1
         pending.remove(chosen)
-        node = _attach(node, chosen, bound, builtins, delta_index)
-        bound |= chosen.lit.atom.free_vars()
-    return node, bound, None
+        order.append(chosen)
+        bound |= fv
+    return order, None, crosses
 
 
 def _attach(
