@@ -208,10 +208,28 @@ def _sort_mask(sort: str):
     return arr
 
 
-def _pack(cols: list):
-    """Collapse parallel key columns into one int64 code column preserving
-    row equality (successive factorization keeps codes far below 2**63)."""
+def _radix(k: int) -> int:
+    """The base that packs ``k`` ID columns into one int64 by mixed radix,
+    or 0 when ``k`` columns are too wide for it.
+
+    Every ID a column holds was assigned before the caller read the base,
+    so every ID is below it and ``(c0 * base + c1) * base + …`` is a
+    code whose order is the rows' lexicographic ID order."""
+    base = len(_TERMS)
+    return base if base ** k < 2 ** 63 else 0
+
+
+def _pack(cols: list, base: int):
+    """Collapse parallel ID columns into one non-negative int64 code
+    column, equal codes for equal rows, ordered as the rows are
+    lexicographically: mixed radix in ``base`` (see :func:`_radix`), or —
+    base 0, keys too wide for it — successive factorization, which keeps
+    codes far below 2**63."""
     codes = cols[0]
+    if base:
+        for c in cols[1:]:
+            codes = codes * base + c
+        return codes
     for c in cols[1:]:
         _, inv1 = _np.unique(codes, return_inverse=True)
         u2, inv2 = _np.unique(c, return_inverse=True)
@@ -219,17 +237,38 @@ def _pack(cols: list):
     return codes
 
 
-def _key_col(cols: list, key_idx: tuple, n: int):
-    if len(key_idx) == 1:
-        return cols[key_idx[0]]
-    return _pack([cols[i] for i in key_idx])
+def _key_col(cols: list, key_idx: tuple):
+    key = [cols[i] for i in key_idx]
+    return _pack(key, _radix(len(key)))
+
+
+def _key_pair(lkeys: list, rkeys: list) -> tuple:
+    """Two sides' key columns packed into comparable code columns: under
+    radix each side on its own (the code space is shared by construction),
+    wide keys through one factorization of both."""
+    base = _radix(len(lkeys))
+    if base:
+        return _pack(lkeys, base), _pack(rkeys, base)
+    n = lkeys[0].size
+    packed = _pack([_np.concatenate(p) for p in zip(lkeys, rkeys)], 0)
+    return packed[:n], packed[n:]
+
+
+def _stable_order(key):
+    """``argsort(key, kind="stable")`` of a non-negative key column: one
+    plain sort of ``key * n + row``, which breaks ties by row, whenever
+    that fits int64."""
+    n = key.size
+    if n and int(key.max()) * n + n < 2 ** 63:
+        return _np.sort(key * n + _np.arange(n)) % n
+    return _np.argsort(key, kind="stable")
 
 
 def _equi_join_idx(lk, rk):
     """Matching (left, right) row-index vectors of an equi-join on packed
     int64 key columns: sort the right side once, then binary-search every
     left key and expand the hit ranges — no per-row Python at all."""
-    order = _np.argsort(rk, kind="stable")
+    order = _stable_order(rk)
     rs = rk[order]
     lo = _np.searchsorted(rs, lk, "left")
     hi = _np.searchsorted(rs, lk, "right")
@@ -246,14 +285,39 @@ def _take(cols: list, idx) -> list:
     return [c[idx] for c in cols]
 
 
+def _run_starts(sorted_key):
+    """Where each run of equal entries of a sorted column starts, as a
+    mask."""
+    first = _np.empty(sorted_key.size, dtype=bool)
+    first[:1] = True
+    _np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
+    return first
+
+
 def _distinct_cols_of(n: int, cols: list) -> tuple:
-    """Deduplicate ID rows, returning ``(n, cols)`` of the distinct rows."""
+    """Deduplicate ID rows, returning ``(n, cols)`` of the distinct rows
+    in ascending lexicographic ID order: sort the packed key, keep the
+    entries that differ from their predecessor and ``divmod`` them back
+    into columns — or, for keys too wide to pack by radix, take the first
+    row of each run of a stable order."""
     if not cols:
         return (1 if n else 0), []
     if n == 0:
         return 0, cols
-    key = _key_col(cols, tuple(range(len(cols))), n)
-    _, first = _np.unique(key, return_index=True)
+    base = _radix(len(cols))
+    if base:
+        key = _np.sort(_pack(cols, base))
+        key = key[_run_starts(key)]
+        out = []
+        for _ in cols[1:]:
+            key, low = _np.divmod(key, base)
+            out.append(low)
+        out.append(key)
+        out.reverse()
+        return int(key.size), out
+    key = _pack(cols, 0)
+    order = _stable_order(key)
+    first = order[_run_starts(key[order])]
     return int(first.size), _take(cols, first)
 
 
@@ -270,7 +334,7 @@ def _empty_cols(n: int) -> list:
 
 
 #: Size gate: vectorizing pays a fixed per-node cost (ndarray setup,
-#: ``np.unique`` calls), while the row executor starts from its smallest
+#: sorts), while the row executor starts from its smallest
 #: input and probes indexes — so a plan fed by a tiny scan leaf (a
 #: single-fact maintenance delta, a near-empty relation) is cheaper
 #: row-at-a-time no matter how large the other leaves are.  Chosen at
@@ -568,16 +632,9 @@ class ColumnarExecutor(Executor):
             lidx = _np.repeat(_np.arange(ln), rn)
             ridx = _np.tile(_np.arange(rn), ln)
         else:
-            if len(lkey) == 1:
-                lk = lcols[lkey[0]]
-                rk = rcols[rkey[0]]
-            else:
-                # Pack left and right keys through one shared code space.
-                packed = _pack([
-                    _np.concatenate([lcols[i], rcols[j]])
-                    for i, j in zip(lkey, rkey)
-                ])
-                lk, rk = packed[:ln], packed[ln:]
+            lk, rk = _key_pair(
+                [lcols[i] for i in lkey], [rcols[j] for j in rkey]
+            )
             lidx, ridx = _equi_join_idx(lk, rk)
         out = _take(lcols, lidx) + _take([rcols[i] for i in rtake], ridx)
         n_out = int(lidx.size)
@@ -605,7 +662,7 @@ class ColumnarExecutor(Executor):
         # Gate on the C-side distinct-key count before paying the Python
         # tolist/dict materialization it would take to actually probe
         # (sort+diff: cheaper than np.unique's hash table on int64).
-        sk = _np.sort(_key_col(lcols, lkey, ln))
+        sk = _np.sort(_key_col(lcols, lkey))
         nkeys = 1 + int((sk[1:] != sk[:-1]).sum())
         if nkeys * _PROBE_RATIO >= len(facts):
             return None
@@ -772,13 +829,7 @@ class ColumnarExecutor(Executor):
             rkeys = [c[rmask] for c in rkeys]
         if not rkeys[0].size:
             return None
-        if len(rkeys) == 1:
-            lk, rk = cols[next(iter(first))], rkeys[0]
-        else:
-            packed = _pack([
-                _np.concatenate([cols[i], r]) for i, r in zip(first, rkeys)
-            ])
-            lk, rk = packed[:n], packed[n:]
+        lk, rk = _key_pair([cols[i] for i in first], rkeys)
         # Sort the relation's keys once and binary-search every row's.
         rs = _np.sort(rk)
         at = _np.searchsorted(rs, lk)
@@ -799,17 +850,7 @@ class ColumnarExecutor(Executor):
 
     def _distinct_cols(self, node: Distinct) -> tuple:
         n, cols = self.cols(node.input)
-        if not cols:
-            n_out = 1 if n else 0
-            self.stats.note(node.op, n, n_out)
-            return n_out, []
-        if n == 0:
-            self.stats.note(node.op, 0, 0)
-            return 0, cols
-        key = _key_col(cols, tuple(range(len(cols))), n)
-        _, first = _np.unique(key, return_index=True)
-        out = _take(cols, first)
-        n_out = int(first.size)
+        n_out, out = _distinct_cols_of(n, cols)
         self.stats.note(node.op, n, n_out)
         return n_out, out
 
@@ -832,15 +873,11 @@ class ColumnarExecutor(Executor):
             gid = id_of(setvalue(map(term, members)))
             self.stats.note(node.op, n, 1)
             return 1, [_np.asarray([gid], dtype=_np.int64)]
-        key = _key_col(cols, key_idx, n)
-        order = _np.argsort(key, kind="stable")
-        gs = cols[group_idx][order]
-        ks = key[order]
-        bounds = _np.nonzero(_np.diff(ks))[0] + 1
-        groups = _np.split(gs, bounds)
-        reps = order[
-            _np.concatenate([_np.asarray([0], dtype=bounds.dtype), bounds])
-        ]
+        key = _key_col(cols, key_idx)
+        order = _stable_order(key)
+        starts = _np.flatnonzero(_run_starts(key[order]))
+        groups = _np.split(cols[group_idx][order], starts[1:])
+        reps = order[starts]
         out = _take([cols[i] for i in key_idx], reps)
         out.append(_np.fromiter(
             (id_of(setvalue(map(term, set(g.tolist())))) for g in groups),

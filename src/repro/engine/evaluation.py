@@ -922,8 +922,11 @@ class Evaluator:
         provenance=None,
         seed_deltas: Optional[Mapping[str, frozenset[Atom]]] = None,
         shard=None,
-    ) -> dict[str, set[Atom]]:
-        """Run one stratum to fixpoint; returns the atoms added, per predicate.
+    ) -> dict[str, list[Atom]]:
+        """Run one stratum to fixpoint; returns the atoms added, per
+        predicate, as one list each — every atom once, in insertion order
+        (the lists ``Interpretation.update``/``extend`` returned, so the
+        gains are never hashed again here).
 
         With ``seed_deltas`` the loop starts **semi-naive from the given
         deltas** instead of with a naive first round: only rules depending
@@ -943,7 +946,7 @@ class Evaluator:
         rule read a partitioned predicate, queued for shipment to their
         owner shard.
         """
-        added: dict[str, set[Atom]] = {}
+        added: dict[str, list[Atom]] = {}
         # Non-ground unit clauses (e.g. the ∅ base cases produced by the
         # Theorem 10 translation) are rules over the active domain, not
         # facts.
@@ -958,7 +961,7 @@ class Evaluator:
         domain.note_rows([h.args for h in given])
         report.derived += len(given)
         for h in given:
-            added.setdefault(h.pred, set()).add(h)
+            added.setdefault(h.pred, []).append(h)
         if provenance is not None:
             for h in facts:
                 provenance.note_given(h)
@@ -1054,7 +1057,7 @@ class Evaluator:
                 else:
                     domain.note_rows(new)
                 report.derived += len(gained)
-                added.setdefault(pred, set()).update(gained)
+                added.setdefault(pred, []).extend(gained)
             changed_preds = set(deltas)
         return added
 

@@ -56,6 +56,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import (
     Any,
+    Collection,
     Iterable,
     Iterator,
     Mapping,
@@ -880,7 +881,7 @@ class MaterializedModel:
         seed: Mapping[str, set[Atom]],
         stats: SolverStats,
         group: Optional[StratumRules] = None,
-    ) -> dict[str, set[Atom]]:
+    ) -> Mapping[str, Collection[Atom]]:
         """Close a stratum from the given deltas; returns the atoms added.
 
         With ``group`` and a sharding evaluator (``EvalOptions.shards``),

@@ -161,7 +161,11 @@ def encode_atoms(atoms: Iterable[Atom]) -> list[str]:
     return [encode_atom(a) for a in sorted(atoms, key=atom_order_key)]
 
 
-def decode_atoms(texts: Iterable[Any]) -> list[Atom]:
+def decode_atoms(texts: Any) -> list[Atom]:
+    """A list of encoded atoms, decoded; anything but a list — a string
+    or a dict would iterate as characters or keys — is refused."""
+    if not isinstance(texts, list):
+        raise CodecError(f"atom list is a {type(texts).__name__}, not a list")
     return [decode_atom(t) for t in texts]
 
 

@@ -390,8 +390,8 @@ class DurableModel(VersionedModel):
                 if kind == KIND_DELTA:
                     apply = partial(
                         super().apply_delta,
-                        [check(a) for a in decode_atoms(data.get("adds", ()))],
-                        [check(a) for a in decode_atoms(data.get("dels", ()))],
+                        [check(a) for a in decode_atoms(data.get("adds", []))],
+                        [check(a) for a in decode_atoms(data.get("dels", []))],
                     )
                 elif kind == KIND_PROGRAM:
                     apply = partial(
@@ -400,7 +400,7 @@ class DurableModel(VersionedModel):
                     )
                 else:
                     raise RecoveryError(f"unknown WAL record kind {kind!r}")
-            except (CodecError, EvaluationError, TypeError) as exc:
+            except (CodecError, EvaluationError) as exc:
                 raise RecoveryError(
                     f"record for version {version} is undecodable: {exc}"
                 ) from exc

@@ -28,6 +28,7 @@ from repro.core import atom, const
 from repro.core.terms import term_id
 from repro.engine import Database, Evaluator, MaterializedModel
 from repro.engine.columnar import HAS_NUMPY, make_executor
+from repro.engine.ir import ExecStats
 from repro.engine.planner import compile_rule, head_plan
 from repro.engine.setops import with_set_builtins
 from repro.semantics.interpretation import Interpretation
@@ -109,6 +110,76 @@ def test_tc_rounds_decode_only_new_rows(monkeypatch):
     # derived is encoded again.
     assert report.exec.rows_encoded <= len(edges)
     assert probes == []
+
+
+class CountingNumpy:
+    """Stands in for ``columnar._np``: forwards everything, notes the
+    ``unique`` and ``argsort`` calls the radix kernels must not make."""
+
+    def __init__(self, np):
+        self.np = np
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(self.np, name)
+
+    def unique(self, *args, **kwargs):
+        self.calls.append("unique")
+        return self.np.unique(*args, **kwargs)
+
+    def argsort(self, *args, **kwargs):
+        self.calls.append(f"argsort(kind={kwargs.get('kind')})")
+        return self.np.argsort(*args, **kwargs)
+
+
+#: ``report.exec`` of the closure below, recorded before the kernels
+#: keyed on radix-packed int64 codes: the same plans, the same rows.
+TC_EXEC = ExecStats(
+    batches=51, rows_in=455968, rows_out=380644, col_nodes=41,
+    row_nodes=10, rows_encoded=0, rows_decoded=26400,
+    per_op={
+        "Scan": [16, 32000, 32000], "Project": [9, 128800, 128800],
+        "Distinct": [9, 128800, 66244], "AntiJoin": [9, 135096, 25600],
+        "Join": [8, 31272, 128000],
+    },
+)
+
+
+@needs_numpy
+def test_tc_kernels_sort_once_and_gains_hash_once(monkeypatch):
+    """Keys are radix-packed and sorted plainly — no ``np.unique`` hash
+    table, no stable argsort — and ``_fixpoint`` hands its gains back as
+    the lists the bulk inserts built, so each derived atom is hashed once
+    (by the bucket it is inserted into) and never by ``_fixpoint``."""
+    import numpy
+
+    from repro.core.atoms import Atom
+    from repro.engine import columnar
+
+    counting = CountingNumpy(numpy)
+    monkeypatch.setattr(columnar, "_np", counting)
+    hashed = []                 # (atom, caller); holding the atom pins its id
+    atom_hash = Atom.__hash__
+
+    def counted(self):
+        hashed.append((self, sys._getframe(1).f_code.co_name))
+        return atom_hash(self)
+
+    monkeypatch.setattr(Atom, "__hash__", counted)
+    model = Evaluator(
+        TC, database(edge_facts(random_graph(160, 800, seed=1)))
+    ).run()
+    monkeypatch.undo()
+    assert counting.calls == []
+    report = model.report
+    assert report.exec == TC_EXEC
+    derived = list(model.interpretation.facts_of("t"))
+    assert report.derived == len(derived) == 25600
+    times = {}
+    for a, _caller in hashed:
+        times[id(a)] = times.get(id(a), 0) + 1
+    assert all(times.get(id(a)) == 1 for a in derived)
+    assert [c for _a, c in hashed if c == "_fixpoint"] == []
 
 
 @needs_numpy

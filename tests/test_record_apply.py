@@ -107,6 +107,12 @@ RECORDS = {
     "non-int epoch": (*delta(3, epoch="1"), "refused"),
     "adds not a list": ("delta", {"version": 3, "epoch": 1, "adds": 5},
                         "refused"),
+    "adds a string": ("delta", {"version": 3, "epoch": 1, "adds": "ab",
+                                "dels": []}, "refused"),
+    "dels a string": ("delta", {"version": 3, "epoch": 1, "adds": [],
+                                "dels": "ab"}, "refused"),
+    "adds a dict": ("delta", {"version": 3, "epoch": 1,
+                              "adds": {"e(x, y)": 1}, "dels": []}, "refused"),
     "non-ground atom": (*delta(3, adds=("e(X, c)",)), "refused"),
     "special atom": (*delta(3, adds=("a in {a}",)), "refused"),
     "unparseable program": (
