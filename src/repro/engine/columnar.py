@@ -390,7 +390,7 @@ class ColumnarExecutor(Executor):
     Same constructor and public surface as :class:`Executor` —
     ``batch()`` still returns term-tuple rows aligned with ``out_vars``
     and ``heads()`` still materializes head atoms — so every consumer
-    (fixpoint, maintenance, server queries, recovery replay) swaps it in
+    (fixpoint, maintenance, server queries, recovery) swaps it in
     without change.  Raises :class:`PlanInapplicable` under exactly the
     same dynamic conditions as the row executor.
     """

@@ -132,6 +132,21 @@ def _one_fact(spec: tuple) -> Any:
 Events = tuple[dict[str, set[Atom]], dict[str, set[Atom]]]
 
 
+def check_fact(spec: Any, builtins: Mapping[str, Builtin]) -> Atom:
+    """``spec`` as an EDB fact a model over ``builtins`` may hold: ground,
+    not special, not a builtin predicate."""
+    a = as_fact(spec)
+    if a.is_special():
+        raise EvaluationError(
+            f"special atom {a} cannot be asserted or retracted"
+        )
+    if a.pred in builtins:
+        raise EvaluationError(
+            f"database fact uses builtin predicate {a.pred!r}"
+        )
+    return a
+
+
 def _merge_net_changes(
     gained: dict[str, set[Atom]],
     lost: dict[str, set[Atom]],
@@ -379,8 +394,8 @@ class MaterializedModel:
         incrementally where the per-stratum plans apply and recomputed
         from scratch when the soundness gate trips (see module docstring).
         """
-        add_atoms = [self._check_fact(s) for s in adds]
-        del_atoms = [self._check_fact(s) for s in dels]
+        add_atoms = [check_fact(s, self.builtins) for s in adds]
+        del_atoms = [check_fact(s, self.builtins) for s in dels]
         if (add_atoms or del_atoms) and self._incremental_ok \
                 and self._counts is None:
             # First delta: build the counting supports now, while both the
@@ -422,18 +437,6 @@ class MaterializedModel:
         return report
 
     # -- construction / recompute ------------------------------------------------
-
-    def _check_fact(self, spec: Any) -> Atom:
-        a = as_fact(spec)
-        if a.is_special():
-            raise EvaluationError(
-                f"special atom {a} cannot be asserted or retracted"
-            )
-        if a.pred in self.builtins:
-            raise EvaluationError(
-                f"database fact uses builtin predicate {a.pred!r}"
-            )
-        return a
 
     def _rebuild(self) -> None:
         """(Re)compute the model from scratch and reset all bookkeeping."""

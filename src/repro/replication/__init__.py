@@ -4,9 +4,9 @@ The design (DESIGN.md, "Replication & failover") in one paragraph: the
 leader's :class:`~repro.storage.durable.DurableModel` already produces a
 totally ordered, checksummed, crash-recoverable log of every acknowledged
 commit — replication *ships that log*.  A follower tails the stream over
-the ``:repl from N`` protocol extension, replays each record through the
-same ``MaterializedModel.apply_delta`` engine that recovery uses, logs it
-into its **own** durable directory (so a follower is independently
+the ``:repl from N`` protocol extension, applies each record — judged by
+the rule recovery folds by — through the ``MaterializedModel.apply_delta``
+engine, logs it into its **own** durable directory (so a follower is independently
 crash-recoverable), and serves read-only sessions at its applied version.
 Failover bumps a fencing **epoch** stamped into every record: a promoted
 follower's lineage rejects any append still carrying the deposed leader's

@@ -50,7 +50,7 @@ computed by delta-plan evaluation, never by re-running the query:
   behind ``keep_versions`` (the stream carries versions, not snapshots)
   catches up with one evaluate-and-diff spanning what it skipped.
 
-Followers run the same manager: replayed records publish versions through
+Followers run the same manager: applied records publish versions through
 the same `VersionedModel` machinery, so subscriptions served from a
 follower push diffs at the follower's applied version.  When a lagging
 follower re-seeds from a shipped snapshot (a new model object), the

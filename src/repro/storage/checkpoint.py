@@ -217,6 +217,12 @@ def parse_image(lines: list[bytes]) -> tuple[int, int, Program, Database]:
                 f"image has a stray {kind!r} record in its fact section"
             )
         db.add_atom(decode_atom(data.get("atom")))
+    if len(db) != n_facts:
+        # image_lines writes each fact once: a repeated line is a copy.
+        raise CodecError(
+            f"image holds {len(db)} distinct facts, header promises "
+            f"{n_facts}"
+        )
     return version, epoch, program, db
 
 

@@ -68,9 +68,10 @@ class RecoveryError(StorageError):
     """Durable state on disk is unusable (see :mod:`repro.storage.durable`).
 
     Raised when recovery cannot reconstruct a trustworthy model: corruption
-    in the middle of the WAL, no loadable checkpoint, or a replay that
-    diverges from the logged version numbers.  Never raised for a torn
-    *final* WAL record — that is the expected crash signature and is
+    in the middle of the WAL, no loadable checkpoint, or a record that
+    does not follow from the state before it (a version gap, an
+    unannounced epoch, a delta that changes nothing).  Never raised for a
+    torn *final* WAL record — that is the expected crash signature and is
     quarantined instead.
     """
 

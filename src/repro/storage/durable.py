@@ -11,12 +11,15 @@ The durability discipline is **log-before-publish**:
 3. only then is the delta applied through the maintenance engine and the
    next version published.
 
-So *acknowledged ⇒ logged*, and recovery replays the log through the same
-``MaterializedModel.apply_delta`` engine that produced the live state —
-durability reuses the maintenance discipline (``apply_delta ≡ recompute``)
-instead of introducing a second evaluation path.  A logged record is
-applied in one place, :meth:`DurableModel.apply_record`, by recovery and
-by a follower tailing a leader alike.
+So *acknowledged ⇒ logged*.  What a logged record may do to a store is
+decided in one place, :func:`judge_record`, whoever brings the record;
+what it then does has two forms.  A follower tailing a leader applies
+each record through the same ``MaterializedModel.apply_delta`` engine
+that produced the live state (:meth:`DurableModel.apply_record`), because
+every version it publishes is read.  Recovery reads no version but the
+last, so it folds the log into the checkpoint's EDB and evaluates once:
+in LPS a program has exactly one minimal model, so ``(program, EDB)`` at
+a version *is* the state (``apply_delta ≡ recompute``).
 
 :meth:`recover` reconstructs a model from a data directory:
 
@@ -24,9 +27,9 @@ by a follower tailing a leader alike.
   ``*.corrupt`` and skipped — with ``keep_checkpoints >= 2`` a torn latest
   checkpoint falls back to its predecessor, whose WAL suffix is retained
   exactly for this);
-* replay the WAL records *after* the checkpoint's version, in order,
-  without the abort tombstones and what they cancel — a gap, or any
-  divergence between log and replayed state, is a
+* fold the WAL records *after* the checkpoint's version into it, in
+  order, without the abort tombstones and what they cancel — a gap, or
+  any record the judge refuses, is a
   :class:`~repro.storage.codec.RecoveryError`, never a silently wrong
   model;
 * a torn final record (the crash signature) is quarantined and ignored:
@@ -51,7 +54,7 @@ from ..engine.builtins import DEFAULT_BUILTINS, Builtin
 from ..engine.commits import Commit, Cursor
 from ..engine.database import Database
 from ..engine.evaluation import EvalOptions
-from ..engine.maintenance import ModelSnapshot, VersionedModel
+from ..engine.maintenance import ModelSnapshot, VersionedModel, check_fact
 from .codec import (
     KIND_DELTA,
     KIND_EPOCH,
@@ -117,6 +120,103 @@ def save_snapshot(data_dir: Path | str, model: VersionedModel) -> Path:
         )
 
 
+def changes_edb(db: Database, adds: list, dels: list) -> bool:
+    """Whether ``(db − dels) ∪ adds`` differs from ``db``: the net effect
+    predicted with the set algebra ``Database.apply_delta`` uses,
+    deletions first, then additions."""
+    removed = {a for a in dels if a in db}
+    added = {a for a in adds if a not in db or a in removed}
+    return added != removed
+
+
+def judge_record(
+    kind: str,
+    data: Any,
+    version: int,
+    epoch: int,
+    db: Database,
+    builtins: Mapping[str, Builtin],
+) -> Any:
+    """What one logged ``delta`` / ``program`` / ``epoch`` record may do
+    to a store at ``version`` and ``epoch`` whose EDB is ``db``.
+
+    The one rule, for recovery and for a follower alike.  Returns
+    ``None`` for a record to skip: one at or below ``version``
+    (redelivery after a reconnect, history a checkpoint covers), or an
+    epoch already adopted.  Otherwise the record's decoded payload: the
+    epoch a bump adopts, a delta's ``(adds, dels)`` atoms, a program
+    record's :class:`Program` — a delta or program record publishes
+    ``version + 1``.  Refused, before anything is touched: a lower epoch
+    than the store has seen (:class:`FencingError` — a fenced leader's
+    write), and with :class:`RecoveryError` a malformed record, a version
+    gap, an epoch that was never announced, an unknown kind, an
+    undecodable or ill-formed payload, and a delta that would not change
+    ``db`` (its version would publish nothing).
+    """
+    if not isinstance(data, dict) or not isinstance(
+        data.get("version"), int
+    ):
+        raise RecoveryError(f"{kind!r} record carries no version number")
+    target = data["version"]
+    # Records from before replication carry no epoch: read as 0.
+    announced = data.get("epoch", None if kind == KIND_EPOCH else 0)
+    if not isinstance(announced, int):
+        raise RecoveryError(
+            f"{kind!r} record at version {target} carries no epoch number"
+        )
+    if kind == KIND_EPOCH:
+        # Fencing bumps are recorded *at* a version, publishing nothing;
+        # a regression in the stream is an old leader's lineage spliced
+        # after a promotion.
+        if announced < epoch:
+            raise FencingError(
+                f"epoch regression: record announces epoch {announced} "
+                f"after {epoch} was already established; refusing a "
+                "fenced lineage"
+            )
+        return announced if announced > epoch else None
+    if target <= version:
+        return None
+    if target != version + 1:
+        raise RecoveryError(
+            f"WAL gap: expected version {version + 1}, found {target}; "
+            "refusing to apply past a missing record"
+        )
+    if announced < epoch:
+        raise FencingError(
+            f"stale-epoch append: record for version {target} carries "
+            f"epoch {announced} but the store has seen epoch {epoch}; "
+            "rejecting a fenced leader's write"
+        )
+    if announced > epoch:
+        raise RecoveryError(
+            f"record for version {target} claims epoch {announced} which "
+            f"no epoch record announced (current {epoch}); the log is "
+            "corrupt"
+        )
+    try:
+        if kind == KIND_DELTA:
+            adds = [check_fact(a, builtins)
+                    for a in decode_atoms(data.get("adds", []))]
+            dels = [check_fact(a, builtins)
+                    for a in decode_atoms(data.get("dels", []))]
+        elif kind == KIND_PROGRAM:
+            return decode_program(data.get("source"))
+        else:
+            raise RecoveryError(f"unknown WAL record kind {kind!r}")
+    except (CodecError, EvaluationError) as exc:
+        raise RecoveryError(
+            f"record for version {target} is undecodable: {exc}"
+        ) from exc
+    if not changes_edb(db, adds, dels):
+        raise RecoveryError(
+            f"applying the record for version {target} published "
+            f"{version}; refusing to continue with a log that diverges "
+            "from the state"
+        )
+    return adds, dels
+
+
 class DurableModel(VersionedModel):
     """A :class:`VersionedModel` with a write-ahead log and checkpoints.
 
@@ -169,8 +269,8 @@ class DurableModel(VersionedModel):
         self._keep_checkpoints = keep_checkpoints
         self._records_since_checkpoint = 0
         #: The WAL line of a logged operation, from its log write until
-        #: :meth:`_notify_commit` puts it on the commit stream (or
-        #: :meth:`_abort_logged` drops it); the operation's own
+        #: :meth:`_notify_commit` puts it on the commit stream (or a
+        #: failed apply tombstones it); the operation's own
         #: publication stays off the stream meanwhile.
         self._logged: Optional[bytes] = None
         self._closed = False
@@ -187,7 +287,7 @@ class DurableModel(VersionedModel):
         )
         if not _recovering:
             # A fresh store always has a base checkpoint, so recovery never
-            # depends on replaying from an empty implicit state.
+            # depends on rolling forward from an empty implicit state.
             self.checkpoint()
 
     # -- lifecycle ---------------------------------------------------------------
@@ -253,13 +353,36 @@ class DurableModel(VersionedModel):
         """The store in ``data_dir`` whose newest checkpoint holds the
         decoded ``image`` (:func:`~repro.storage.checkpoint.parse_image`),
         rolled forward through the WAL after it: what :meth:`recover`
-        loaded, or what a follower just installed."""
-        version, epoch, program, db = image
+        loaded, or what a follower just installed.
+
+        Each committed record is judged (:func:`judge_record`) and folded
+        into the image — a delta into its EDB, a program or epoch record
+        replacing its own — and the model is evaluated once, at the last
+        version.  No earlier version is published: a restart retires
+        every pre-crash version, so a session that pinned one gets
+        ``retired_version``.
+        """
+        start, epoch, program, db = image
+        builtins = options.get("builtins", DEFAULT_BUILTINS)
+        version = start
+        records = WriteAheadLog(data_dir).recover_records()
+        for kind, data in committed_records(records, start):
+            payload = judge_record(kind, data, version, epoch, db, builtins)
+            if payload is None:
+                continue
+            if kind == KIND_EPOCH:
+                epoch = payload
+                continue
+            version += 1
+            if kind == KIND_DELTA:
+                db.apply_delta(*payload)
+            else:
+                program = payload
         model = cls(
             program, data_dir, db, base_version=version - 1, epoch=epoch,
             _recovering=True, **options,
         )
-        model._replay(model._wal.recover_records())
+        model._records_since_checkpoint = version - start
         return model
 
     def close(self) -> None:
@@ -284,15 +407,10 @@ class DurableModel(VersionedModel):
         with self._lock:
             self._check_writable()
             mm = self._materialized
-            add_atoms = [mm._check_fact(s) for s in adds]
-            del_atoms = [mm._check_fact(s) for s in dels]
+            add_atoms = [check_fact(s, mm.builtins) for s in adds]
+            del_atoms = [check_fact(s, mm.builtins) for s in dels]
             apply = partial(super().apply_delta, add_atoms, del_atoms)
-            # Predict the net effect with the same set algebra
-            # Database.apply_delta uses: deletions first, then additions.
-            db = mm.database
-            removed = {a for a in del_atoms if a in db}
-            added = {a for a in add_atoms if a not in db or a in removed}
-            if not (added - removed) and not (removed - added):
+            if not changes_edb(mm.database, add_atoms, del_atoms):
                 # True no-op: publishes nothing, so nothing to log.
                 return apply()
             target = self._version + 1
@@ -312,100 +430,39 @@ class DurableModel(VersionedModel):
                 partial(super().replace_program, program),
             )
 
-    def apply_record(
-        self, kind: str, data: Any, line: Optional[bytes] = None
-    ) -> None:
-        """Apply one logged ``delta`` / ``program`` / ``epoch`` record.
+    def apply_record(self, kind: str, data: Any, line: bytes) -> None:
+        """Apply one ``delta`` / ``program`` / ``epoch`` record of a
+        leader's stream, which arrived as ``line``.
 
-        The one rule for what a record may do to a store, whoever brings
-        it.  Recovery replays the local WAL through here with no ``line``:
-        the record is on disk already, so nothing is logged.  A follower
-        hands over each frame of the leader's stream with the ``line`` it
-        arrived as: those bytes are appended to the local WAL before the
-        record is applied, and go on the commit stream after.
-
-        A record at or below the applied version is skipped (redelivery
-        after a reconnect, history a checkpoint covers), as is an epoch
-        already adopted.  Refused, with model and WAL untouched: a lower
-        epoch than the store has seen (:class:`FencingError` — a fenced
-        leader's write), and with :class:`RecoveryError` a malformed
-        record, a version gap, an epoch that was never announced, an
-        unknown kind, an undecodable or ill-formed payload.
+        The record is judged first (:func:`judge_record`, the rule
+        recovery folds by); a refusal leaves model and WAL untouched.  An
+        accepted record's ``line`` is appended to the local WAL before the
+        record is applied through the maintenance engine, and goes on the
+        commit stream after: every version a follower publishes is read.
         """
         with self._lock:
             self._check_writable()
-            if not isinstance(data, dict) or not isinstance(
-                data.get("version"), int
-            ):
-                raise RecoveryError(
-                    f"{kind!r} record carries no version number"
-                )
-            version = data["version"]
-            # Records from before replication carry no epoch: read as 0.
-            epoch = data.get("epoch", None if kind == KIND_EPOCH else 0)
-            if not isinstance(epoch, int):
-                raise RecoveryError(
-                    f"{kind!r} record at version {version} carries no "
-                    "epoch number"
-                )
+            payload = judge_record(
+                kind, data, self._version, self.epoch,
+                self._materialized.database, self.builtins,
+            )
+            if payload is None:
+                return
             if kind == KIND_EPOCH:
-                # Fencing bumps are recorded *at* a version, publishing
-                # nothing; a regression in the stream is an old leader's
-                # lineage spliced after a promotion.
-                if epoch < self.epoch:
-                    raise FencingError(
-                        f"epoch regression: record announces epoch {epoch} "
-                        f"after {self.epoch} was already established; "
-                        "refusing a fenced lineage"
-                    )
-                if epoch > self.epoch:
-                    # Named as a segment by the next version it can
-                    # publish, as the leader's append_epoch names it.
-                    self._adopt_epoch(
-                        epoch, self._relog(self._version + 1, line)
-                    )
+                # Named as a segment by the next version it can publish,
+                # as the leader's append_epoch names it.
+                self._adopt_epoch(
+                    payload, self._wal.append_line(self._version + 1, line)
+                )
                 return
-            if version <= self._version:
-                return
-            if version != self._version + 1:
-                raise RecoveryError(
-                    f"WAL gap: expected version {self._version + 1}, "
-                    f"found {version}; refusing to apply past a missing "
-                    "record"
-                )
-            if epoch < self.epoch:
-                raise FencingError(
-                    f"stale-epoch append: record for version {version} "
-                    f"carries epoch {epoch} but the store has seen epoch "
-                    f"{self.epoch}; rejecting a fenced leader's write"
-                )
-            if epoch > self.epoch:
-                raise RecoveryError(
-                    f"record for version {version} claims epoch {epoch} "
-                    f"which no epoch record announced (current "
-                    f"{self.epoch}); the log is corrupt"
-                )
-            check = self._materialized._check_fact
-            try:
-                if kind == KIND_DELTA:
-                    apply = partial(
-                        super().apply_delta,
-                        [check(a) for a in decode_atoms(data.get("adds", []))],
-                        [check(a) for a in decode_atoms(data.get("dels", []))],
-                    )
-                elif kind == KIND_PROGRAM:
-                    apply = partial(
-                        super().replace_program,
-                        decode_program(data.get("source")),
-                    )
-                else:
-                    raise RecoveryError(f"unknown WAL record kind {kind!r}")
-            except (CodecError, EvaluationError) as exc:
-                raise RecoveryError(
-                    f"record for version {version} is undecodable: {exc}"
-                ) from exc
+            version = self._version + 1
+            apply = (
+                partial(super().apply_delta, *payload)
+                if kind == KIND_DELTA
+                else partial(super().replace_program, payload)
+            )
             self._publish_logged(
-                kind, version, self._relog(version, line), apply
+                kind, version, self._wal.append_line(version, line), apply
             )
 
     def bump_epoch(self, epoch: int) -> None:
@@ -511,55 +568,36 @@ class DurableModel(VersionedModel):
         self,
         kind: str,
         version: int,
-        logged: Optional[bytes],
+        logged: bytes,
         apply: Callable[[], ModelSnapshot],
     ) -> ModelSnapshot:
         """The second half of log-before-publish, for every writer: run
-        ``apply`` for the record ``logged`` holds (``None`` when replay
-        reads it back from the WAL), insist that it published exactly
-        ``version``, and only then let the line onto the commit stream."""
+        ``apply`` for the record ``logged`` holds, publishing ``version``,
+        and only then let the line onto the commit stream."""
         self._logged = logged
         try:
             snap = apply()
         except Exception:
             # Applied nothing (resource limit mid-recompute): tombstone
-            # the logged record so replay skips it, then surface the
+            # the logged record so recovery skips it, then surface the
             # error exactly like the in-memory model would.
-            self._abort_logged(version)
+            self._logged = None
+            try:
+                self._wal.append_abort(version)
+            except Exception:  # pragma: no cover - disk gone mid-failure
+                logger.exception(
+                    "could not tombstone WAL version %d after a failed "
+                    "apply", version,
+                )
             raise
-        if snap.version != version:
-            self._abort_logged(version)
-            raise RecoveryError(
-                f"applying the record for version {version} published "
-                f"{snap.version}; refusing to continue with a log that "
-                "diverges from the state"
-            )
-        if logged is not None:
-            self._notify_commit(kind, logged)
-            self._note_record()
+        self._notify_commit(kind, logged)
+        self._note_record()
         return snap
 
-    def _relog(self, version: int, line: Optional[bytes]) -> Optional[bytes]:
-        """Log a record as the line it arrived as; replay brings none."""
-        return None if line is None else self._wal.append_line(version, line)
-
-    def _adopt_epoch(self, epoch: int, logged: Optional[bytes]) -> None:
+    def _adopt_epoch(self, epoch: int, logged: bytes) -> None:
         self.epoch = epoch
-        if logged is not None:
-            self._notify_commit(KIND_EPOCH, logged)
-            self._note_record()
-
-    def _abort_logged(self, version: int) -> None:
-        if self._logged is None:
-            return
-        self._logged = None
-        try:
-            self._wal.append_abort(version)
-        except Exception:  # pragma: no cover - disk gone mid-failure
-            logger.exception(
-                "could not tombstone WAL version %d after a failed apply",
-                version,
-            )
+        self._notify_commit(KIND_EPOCH, logged)
+        self._note_record()
 
     def _note_record(self) -> None:
         self._records_since_checkpoint += 1
@@ -568,22 +606,3 @@ class DurableModel(VersionedModel):
             and self._records_since_checkpoint >= self._checkpoint_every
         ):
             self.checkpoint()
-
-    def _replay(self, records: list[tuple[str, Any]]) -> None:
-        """Apply the WAL suffix after the recovered checkpoint, strictly.
-
-        Intermediate replayed versions are not retained in the snapshot
-        registry (``keep`` is pinned to 1 for the duration): a restart
-        deterministically retires every pre-crash version, so a session
-        that pinned one gets ``retired_version`` rather than a registry
-        whose contents depend on how much WAL happened to be replayed.
-        """
-        keep, self._keep = self._keep, 1
-        start = self._version
-        try:
-            for kind, data in committed_records(records, start):
-                self.apply_record(kind, data)
-        finally:
-            self._keep = keep
-        # Each applied record published exactly the next version.
-        self._records_since_checkpoint = self._version - start

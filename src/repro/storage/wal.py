@@ -11,12 +11,13 @@ the WAL:
   with atoms in concrete syntax (sorted, so records are deterministic);
 * ``program``  — a program replacement: ``{version, epoch, source}``;
 * ``abort``    — a tombstone: the *previous* record with the same version
-  was logged but its application failed before publication; replay skips
-  the pair (see :meth:`repro.storage.durable.DurableModel.apply_delta`);
+  was logged but its application failed before publication; recovery
+  skips the pair (see
+  :meth:`repro.storage.durable.DurableModel.apply_delta`);
 * ``epoch``    — a fencing bump: ``{version, epoch}`` recorded at
   promotion time.  ``version`` is the version the store held when the
   bump happened (epoch records publish nothing); every later delta and
-  program record carries the new epoch, and replay rejects any record
+  program record carries the new epoch, and the judge rejects any record
   whose epoch is *lower* than one already seen — a fenced old leader's
   appends can never sneak into a promoted lineage (see
   DESIGN.md, "Replication & failover").
@@ -337,7 +338,7 @@ def committed_records(records: list[tuple], from_version: int = 0) -> list:
     they cancel removed.  Records pass through whole and unjudged — one
     without a version number included, for the applier to refuse.
 
-    This is the shared filter between recovery replay and WAL shipping: a
+    This is the shared filter between recovery and WAL shipping: a
     ``(record, abort)`` pair for the same version documents a logged batch
     that was never applied or acknowledged, so neither a recovering store
     nor a follower must ever see it.

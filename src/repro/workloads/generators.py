@@ -358,7 +358,8 @@ def mixed_traffic(
 #: set-membership rule, a stratified-negation rule and a grouping rule —
 #: a recursive stratum (DRed) under a nonrecursive one with negation and
 #: grouping (rederive; recompute for batches over the size gate), so
-#: recovery replay exercises all of them.
+#: the recorded run maintains through all of them and recovery must land
+#: on what they maintained.
 CRASH_RECOVERY_PROGRAM = """\
 t(X, Y) :- e(X, Y).
 t(X, Z) :- e(X, Y), t(Y, Z).

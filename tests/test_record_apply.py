@@ -114,6 +114,7 @@ RECORDS = {
     "adds a dict": ("delta", {"version": 3, "epoch": 1,
                               "adds": {"e(x, y)": 1}, "dels": []}, "refused"),
     "non-ground atom": (*delta(3, adds=("e(X, c)",)), "refused"),
+    "delta that changes nothing": (*delta(3, adds=("e(a, b)",)), "refused"),
     "special atom": (*delta(3, adds=("a in {a}",)), "refused"),
     "unparseable program": (
         "program", {"version": 3, "epoch": 1, "source": "t(X :-"}, "refused",
@@ -233,6 +234,9 @@ BAD_FRAMES = {
     "delta mid-image": (*image()[:-1], frame(*delta(3))),
     "image fact that is no string": (
         image()[0], frame("fact", {"atom": 3}), image()[-1],
+    ),
+    "image with a duplicated fact line": image(
+        facts=("e(a, b)", "e(b, c)", "e(a, b)")
     ),
 }
 

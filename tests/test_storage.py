@@ -474,6 +474,17 @@ class TestCheckpoint:
         with pytest.raises(CodecError, match="unknown mode"):
             load_checkpoint(path)
 
+    def test_duplicated_fact_line_is_rejected(self, tmp_path):
+        """Each line keeps a valid CRC and the line count still matches
+        the header, but the image holds one fact fewer than promised."""
+        path = write_checkpoint(tmp_path, 3, PROGRAM, _db(), fsync=False)
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 5                   # header, 3 facts, footer
+        path.write_bytes(b"".join([lines[0], lines[1], lines[2], lines[1],
+                                   lines[4]]))
+        with pytest.raises(CodecError, match="2 distinct facts"):
+            load_checkpoint(path)
+
     def test_missing_footer_rejected(self, tmp_path):
         path = write_checkpoint(tmp_path, 2, PROGRAM, _db(), fsync=False)
         lines = path.read_text().splitlines()
