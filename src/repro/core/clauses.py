@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .atoms import Atom, Literal, pos
 from .errors import ClauseError, SortError
@@ -149,13 +149,13 @@ class LPSClause:
             body=tuple(lit.substitute(outer) for lit in self.body),
         )
 
-    def ground_instances(self, theta: Subst) -> Optional["HornGround"]:
+    def ground_instances(self, theta: Subst) -> "HornGround":
         """Lemma 4: the ground Horn clause equivalent to this instance.
 
         ``theta`` must ground every free variable of the clause.  Each
         quantifier range becomes a :class:`SetValue`; the matrix is expanded
-        over the product of the ranges.  Returns ``None`` is never produced —
-        a non-ground instantiation raises :class:`ClauseError` instead.
+        over the product of the ranges.  A non-ground instantiation raises
+        :class:`ClauseError`.
         """
         inst = self.substitute(theta)
         if inst.head.free_vars() - inst.quantified_vars():

@@ -596,8 +596,6 @@ class EvalOptions:
     ``fallback_limit``  — abort if fallback enumerations exceed this many
                           candidate bindings (per run).
     ``max_rounds``      — abort runaway fixpoints.
-    ``track_provenance``— record one derivation per atom for
-                          ``Model.explain`` (runs every rule on the solver).
     ``shards``          — evaluate recursive conjunctive strata across this
                           many worker processes (see DESIGN.md, "Sharded
                           parallel evaluation"); ``<= 1`` or any stratum
@@ -609,7 +607,6 @@ class EvalOptions:
     allow_fallback: bool = True
     fallback_limit: Optional[int] = DEFAULT_FALLBACK_LIMIT
     max_rounds: int = DEFAULT_MAX_ROUNDS
-    track_provenance: bool = False
     shards: int = 1
 
 
@@ -626,11 +623,10 @@ class _Engines:
     fall back to (:meth:`_CompiledRule.heads` / ``bindings``).
 
     ``delta`` maps predicate names to the facts a pinned occurrence ranges
-    over.  Provenance needs the solver's per-derivation environments, so
-    under ``track_provenance`` there is no executor.  Without a ``domain``
-    (queries against a finished model) nothing may be enumerated from the
-    active domain, whatever the options say.  ``memo`` is the stratum
-    fixpoint's builtin cache (:class:`~repro.engine.executor.Executor`).
+    over.  Without a ``domain`` (queries against a finished model) nothing
+    may be enumerated from the active domain, whatever the options say.
+    ``memo`` is the stratum fixpoint's builtin cache
+    (:class:`~repro.engine.executor.Executor`).
     """
 
     __slots__ = ("solver", "executor", "delta")
@@ -656,7 +652,7 @@ class _Engines:
             fallback_limit=options.fallback_limit,
             stats=stats,
         )
-        self.executor = None if options.track_provenance else make_executor(
+        self.executor = make_executor(
             interp, builtins, delta=delta, stats=exec_stats, memo=memo
         )
 
@@ -675,29 +671,29 @@ class EvalReport:
 
 
 class Model:
-    """The computed (perfect) model plus query helpers."""
+    """The computed (perfect) model plus query helpers, and what it is the
+    model of (not the shard-owning :class:`Evaluator`) for :meth:`explain`."""
 
     def __init__(
         self,
         interp: Interpretation,
         report: EvalReport,
-        provenance=None,
+        program: Program,
+        database: Optional[Database] = None,
+        builtins: Mapping[str, Builtin] = DEFAULT_BUILTINS,
+        options: EvalOptions = _DEFAULT_OPTIONS,
     ) -> None:
         self._interp = interp
         self.report = report
-        self._provenance = provenance
+        self.program, self.database = program, database
+        self.builtins, self.options = builtins, options
 
     def explain(self, a: Atom, max_depth: int = 50):
-        """Derivation tree for a ground atom (requires
-        ``EvalOptions(track_provenance=True)``)."""
-        if self._provenance is None:
-            raise EvaluationError(
-                "provenance was not tracked; evaluate with "
-                "EvalOptions(track_provenance=True)"
-            )
-        if not self.holds(a):
-            raise EvaluationError(f"{a} is not in the model")
-        return self._provenance.explain(a, max_depth=max_depth)
+        """Derivation tree for a ground atom of the model
+        (:func:`repro.engine.provenance.explain`)."""
+        from .provenance import explain
+
+        return explain(self, a, max_depth)
 
     def explain_str(self, text: str, max_depth: int = 50) -> str:
         """Parse a ground atom and render its derivation tree."""
@@ -811,7 +807,7 @@ class Evaluator:
                 return None
             return self._coordinator
         o = self.options
-        if o.shards <= 1 or o.track_provenance:
+        if o.shards <= 1:
             self._sharding_unavailable = True
             return None
         from ..parallel import ShardCoordinator, builtin_profile
@@ -880,22 +876,14 @@ class Evaluator:
                 )
             version_before = domain.version
             interp = Interpretation()
-            provenance = None
-            if self.options.track_provenance:
-                from .provenance import ProvenanceStore
-
-                provenance = ProvenanceStore()
             interp.update(edb)
-            if provenance is not None:
-                for a in edb:
-                    provenance.note_given(a)
             groups = self.stratification.rule_groups()
             for gi, stratum in enumerate(self.stratification.strata):
                 grouping = [c for c in stratum if isinstance(c, GroupingClause)]
                 normal = [c for c in stratum if isinstance(c, LPSClause)]
                 for g in grouping:
-                    self._apply_grouping(g, interp, domain, report, provenance)
-                if normal and provenance is None:
+                    self._apply_grouping(g, interp, domain, report)
+                if normal:
                     coord = self._shard_coordinator()
                     if coord is not None:
                         from ..parallel import shardable_group
@@ -906,10 +894,13 @@ class Evaluator:
                             )
                             if result is not None:
                                 continue
-                self._fixpoint(normal, interp, domain, report, provenance)
+                self._fixpoint(normal, interp, domain, report)
             if domain.version == version_before:
                 report.passes = passes
-                return Model(interp, report, provenance)
+                return Model(
+                    interp, report, self.program, self.database, self.builtins,
+                    self.options,
+                )
 
     # -- stratum fixpoint -----------------------------------------------------------
 
@@ -919,7 +910,6 @@ class Evaluator:
         interp: Interpretation,
         domain: ActiveDomain,
         report: EvalReport,
-        provenance=None,
         seed_deltas: Optional[Mapping[str, frozenset[Atom]]] = None,
         shard=None,
     ) -> dict[str, list[Atom]]:
@@ -962,9 +952,6 @@ class Evaluator:
         report.derived += len(given)
         for h in given:
             added.setdefault(h.pred, []).append(h)
-        if provenance is not None:
-            for h in facts:
-                provenance.note_given(h)
 
         if not proper:
             return added
@@ -1011,19 +998,6 @@ class Evaluator:
                     continue
                 report.rule_applications += 1
                 pred = rule.head.pred
-                if provenance is not None:
-                    rows: dict[Row, None] = {}
-                    for env in rule.bindings(engines):
-                        head = rule.head.substitute(env)
-                        if head not in interp:
-                            rows[head.args] = None
-                        provenance.note_derived(
-                            head, rule.clause, env,
-                            rule.ground_premises(env, self.builtins),
-                        )
-                    if rows:
-                        fresh.setdefault(pred, []).append((list(rows), None))
-                    continue
                 exportable = shard is not None and shard.exportable(rule.deps)
                 # After the first round a delta-capable rule fires once per
                 # body occurrence that has a delta, that occurrence pinned.
@@ -1069,7 +1043,6 @@ class Evaluator:
         interp: Interpretation,
         domain: ActiveDomain,
         report: EvalReport,
-        provenance=None,
     ) -> set[Atom]:
         """Evaluate one LDL grouping clause (Definition 14).
 
@@ -1078,7 +1051,6 @@ class Evaluator:
         Stratification guarantees the body's predicates are fully computed.
         Returns the head atoms actually added (consumed by maintenance).
         """
-        premises: dict[tuple[Term, ...], list[Atom]] = {}
         engines = _Engines(
             interp, self.builtins, report.stats, report.exec,
             domain=domain, options=self.options,
@@ -1098,35 +1070,21 @@ class Evaluator:
                         f"grouping variable {g.group_var} not bound by body of {g}"
                     )
                 groups.setdefault(key, set()).add(gval)
-                if provenance is not None:
-                    premises.setdefault(key, []).extend(
-                        l.atom.substitute(env)
-                        for l in g.body
-                        if l.positive and not l.atom.is_special()
-                        and l.atom.pred not in self.builtins
-                    )
-        heads: list[Atom] = []
-        for key, values in groups.items():
-            args = list(key)
-            args.insert(g.group_pos, setvalue(values))
-            head = Atom(g.pred, tuple(args))
-            heads.append(head)
-            if provenance is not None:
-                provenance.note_grouped(
-                    head, g, tuple(dict.fromkeys(premises.get(key, ())))
-                )
+        at = g.group_pos
+        heads = [
+            Atom(g.pred, key[:at] + (setvalue(values),) + key[at:])
+            for key, values in groups.items()
+        ]
         added = interp.update(heads)
         domain.note_rows([h.args for h in added])
         report.derived += len(added)
         return set(added)
 
     def _plan_grouping(
-        self, g: GroupingClause, executor: Optional[Executor]
+        self, g: GroupingClause, executor: Executor
     ) -> Optional[dict[tuple[Term, ...], set[Term]]]:
         """Set-at-a-time grouping: execute the compiled body plan and
         collect the groups; ``None`` falls back to the tuple path."""
-        if executor is None:
-            return None
         cp = self._grouping_plans.get(g)
         if cp is None:
             cp = self._grouping_plans[g] = compile_grouping(g, self.builtins)
@@ -1167,8 +1125,8 @@ class _CompiledRule:
         self.body = clause.body_formula()
         self._delta_rest_cache: dict[int, tuple[Formula, frozenset]] = {}
         # Plan IR compilation, keyed by pinned occurrence (``None`` = the
-        # base plan); compiled lazily — rules that never reach a plan
-        # consumer (e.g. under provenance tracking) pay nothing.
+        # base plan); compiled lazily — rules only ever probed
+        # (:meth:`solutions`) pay nothing.
         self._plan_cache: dict[Optional[int], CompiledPlan] = {}
         self._head_plan_cache: dict[tuple[Optional[int], bool], tuple] = {}
         self.deps = {
@@ -1256,9 +1214,9 @@ class _CompiledRule:
         With ``pin`` the ``pin``-th relational occurrence ranges over
         ``engines.delta`` only (semi-naive differentiation, maintenance
         and subscription deltas); every other occurrence reads the full
-        interpretation.  The compiled plan runs when the body has one;
-        a tuple-mode body, no executor, or a static prediction failing on
-        real values (:class:`PlanInapplicable`) runs the solver instead.
+        interpretation.  The compiled plan runs when the body has one; a
+        tuple-mode body or a static prediction failing on real values
+        (:class:`PlanInapplicable`) runs the solver instead.
         """
         return self._apply(engines, pin, False)[0]
 
@@ -1284,10 +1242,7 @@ class _CompiledRule:
         self, engines: _Engines, pin: Optional[int], fresh: bool
     ) -> tuple[Sequence[Row], Optional[list]]:
         executor = engines.executor
-        node, shape = (
-            self._head_plan(pin, fresh) if executor is not None
-            else (None, None)
-        )
+        node, shape = self._head_plan(pin, fresh)
         stats = engines.solver.stats
         head = self.head
         heads: Optional[Iterable[Atom]] = None
@@ -1336,12 +1291,11 @@ class _CompiledRule:
         """The distinct derivations of one application, as substitutions
         binding exactly the clause's free variables (``pin`` and engine
         choice as in :meth:`heads`)."""
-        executor = engines.executor
         stats = engines.solver.stats
-        cp = self.plan(pin) if executor is not None else None
-        if cp is not None and cp.is_set:
+        cp = self.plan(pin)
+        if cp.is_set:
             try:
-                rows = executor.distinct_batch(cp.root)
+                rows = engines.executor.distinct_batch(cp.root)
             except PlanInapplicable:
                 pass
             else:
@@ -1361,18 +1315,16 @@ class _CompiledRule:
                 stats.derivations += 1
                 yield key
 
-    def solutions(self, engines: _Engines, h: Atom) -> Iterator[Subst]:
-        """The body solutions over the engines' interpretation whose head
+    def solutions(self, solver: Solver, h: Atom) -> Iterator[Subst]:
+        """The body solutions over the solver's interpretation whose head
         instance is the ground atom ``h`` (a point probe: the head match
         binds the body, so this is solver work)."""
         for env0 in match_atom(self.head, h):
-            yield from engines.solver.solve(self.body, env0)
+            yield from solver.solve(self.body, env0)
 
     def derives(self, engines: _Engines, h: Atom) -> bool:
         """Whether one application of this rule yields ``h``."""
-        for _env in self.solutions(engines, h):
-            return True
-        return False
+        return next(self.solutions(engines.solver, h), None) is not None
 
     def _solve(self, engines: _Engines, pin: Optional[int]) -> Iterator[Subst]:
         """The tuple path: solver environments with every body and head
@@ -1420,20 +1372,15 @@ class _CompiledRule:
             self._delta_rest_cache[i] = cached
         return cached
 
-    def ground_premises(
-        self, env: Subst, builtins: Mapping[str, Builtin]
-    ) -> tuple[Atom, ...]:
+    def ground_premises(self, env: Subst) -> tuple[Atom, ...]:
         """The ground positive IDB/EDB body atoms of this application —
         quantifiers unfolded per Lemma 4 (empty ranges give no premises)."""
-        try:
-            ground = self.clause.ground_instances(env.restrict(self.all_vars))
-        except Exception:
-            return ()
+        ground = self.clause.ground_instances(env.restrict(self.all_vars))
         return tuple(dict.fromkeys(
             l.atom
             for l in ground.body
             if l.positive and not l.atom.is_special()
-            and l.atom.pred not in builtins
+            and l.atom.pred not in self.builtins
         ))
 
 

@@ -255,7 +255,7 @@ class _Rederivable:
         """The grouped values under one key (grouping clauses only)."""
         group_var = self.grouping.group_var
         values: set[Term] = set()
-        for env in self.probe.solutions(engines, key):
+        for env in self.probe.solutions(engines.solver, key):
             value = env.apply(group_var)
             if not value.is_ground():
                 raise SafetyError(
@@ -415,8 +415,7 @@ class MaterializedModel:
             return report
         if not self._incremental_ok:
             self._full_recompute(report, "program is not incrementally "
-                                 "maintainable (domain-dependent rules or "
-                                 "provenance tracking)")
+                                 "maintainable (domain-dependent rules)")
             return report
         try:
             self._maintain(added, removed, report)
@@ -450,10 +449,7 @@ class MaterializedModel:
             self._domain.note_atom(a)
         for a in self._interp:
             self._domain.note_atom(a)
-        self._incremental_ok = (
-            not self.options.track_provenance
-            and self._model.report.stats.fallbacks == 0
-        )
+        self._incremental_ok = self._model.report.stats.fallbacks == 0
         # Counting supports are built lazily on the first delta: rebuilding
         # them here would re-solve every counting-stratum join the run()
         # above just solved, even if no delta ever arrives.

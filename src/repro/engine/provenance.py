@@ -1,51 +1,38 @@
-"""Why-provenance: derivation trees for atoms in the computed model.
+"""Why-provenance: derivation trees for atoms of a finished model.
 
-With ``EvalOptions(track_provenance=True)`` the evaluator records, for every
-derived atom, the clause and ground substitution that first produced it.
-:func:`explain` then reconstructs a derivation tree: the atom, the clause
-instance (with Lemma-4 quantifier unfolding), and recursively the proofs of
-the ground body atoms.  Built-in and special atoms are leaves ("holds
-structurally"); EDB facts are leaves ("given").
+Every atom of the least model has a finite derivation whose steps are
+clause instances holding in the model, so :func:`explain` searches for one
+over the model alone; evaluation records nothing.  This is classical
+why-provenance for Datalog, extended to LPS's quantified clauses (Lemma 4
+unfolds them: an empty range gives a step with zero premises) and LDL
+grouping.
 
-This is classical why-provenance for Datalog, extended to LPS's quantified
-clauses: a quantified rule's children are the instances over the elements
-of the (ground) range sets, so an application with an empty range shows up
-— honestly — as a derivation step with zero premises.
-
-:class:`SupportCounts` is the quantitative sibling of the store: instead of
-remembering *which* derivation produced an atom first, it remembers *how
-many* derivations (plus base supports — database facts and ground fact
-clauses) currently justify it.  Counts are exactly the support relation the
-incremental maintenance subsystem needs: counting maintenance decrements
-per lost derivation and an atom dies when its count reaches zero, and the
-same structure doubles as DRed's "has the atom any surviving support"
-oracle (``repro.engine.maintenance``).
+:class:`SupportCounts` is the quantitative sibling of the search: instead
+of one derivation per atom, it remembers *how many* derivations (plus base
+supports — database facts and ground fact clauses) currently justify it.
+Counts are exactly the support relation the incremental maintenance
+subsystem needs: counting maintenance decrements per lost derivation and
+an atom dies when its count reaches zero, and the same structure doubles
+as DRed's "has the atom any surviving support" oracle
+(``repro.engine.maintenance``).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Iterator, Optional
 
 from ..core.atoms import Atom
-from ..core.clauses import GroupingClause, LPSClause
-from ..core.substitution import Subst
+from ..core.clauses import LPSClause
+from ..core.errors import EvaluationError
+from .evaluation import ActiveDomain, Model, Solver, _CompiledRule
 
 #: How an atom entered the model.
 GIVEN = "given"          # EDB fact or ground fact clause
 DERIVED = "derived"      # via an LPS clause
 GROUPED = "grouped"      # via an LDL grouping clause
 STRUCTURAL = "structural"  # special/builtin atom, true by Definition 3
-
-
-@dataclass(frozen=True)
-class ProvenanceEntry:
-    """How one atom was first derived."""
-
-    kind: str
-    clause: Optional[object] = None      # LPSClause | GroupingClause
-    theta: Optional[Subst] = None        # grounding substitution
-    premises: tuple[Atom, ...] = ()      # ground positive body atoms
 
 
 @dataclass
@@ -65,11 +52,7 @@ class DerivationNode:
             GROUPED: "(grouping)",
             DERIVED: "",
         }[self.kind]
-        rule = ""
-        if self.kind == DERIVED and self.clause is not None:
-            rule = f"   [{self.clause}]"
-        elif self.kind == GROUPED and self.clause is not None:
-            rule = f"   [{self.clause}]"
+        rule = f"   [{self.clause}]" if self.clause is not None else ""
         lines = [f"{pad}{self.atom} {label}{rule}".rstrip()]
         for child in self.children:
             lines.append(child.pretty(indent + 1))
@@ -134,63 +117,108 @@ class SupportCounts:
         return tuple(self._counts)
 
 
-class ProvenanceStore:
-    """First-derivation records, keyed by atom."""
+def explain(model: Model, atom: Atom, max_depth: int = 50) -> DerivationNode:
+    """A derivation tree for ``atom``, searched backwards over ``model``.
 
-    def __init__(self) -> None:
-        self._entries: dict[Atom, ProvenanceEntry] = {}
-
-    def note_given(self, atom: Atom) -> None:
-        self._entries.setdefault(atom, ProvenanceEntry(GIVEN))
-
-    def note_derived(
-        self,
-        atom: Atom,
-        clause: LPSClause,
-        theta: Subst,
-        premises: tuple[Atom, ...],
-    ) -> None:
-        self._entries.setdefault(
-            atom, ProvenanceEntry(DERIVED, clause, theta, premises)
+    Each body solution of a clause with the head bound
+    (:meth:`_CompiledRule.solutions`, DRed's point probe) is a step whose
+    premises are its ``ground_premises``; a grouping clause is solved with
+    its key bound and must reproduce the atom's set.  An atom gets a step
+    once all premises of one have theirs (a Horn-SAT count), so trees are
+    finite, and no atom or step is searched twice.  Built-in and special
+    atoms are leaves ("structural"), as are EDB facts and ground fact
+    clauses ("given"); nodes below ``max_depth`` keep their clause and
+    lose their children.  Raises ``EvaluationError`` for an atom not in
+    the model."""
+    program, builtins, interp = model.program, model.builtins, model.interpretation
+    given = {f for f in program.facts() if f.is_ground()}
+    given.update(model.database.facts() if model.database is not None else ())
+    clauses: dict[str, list[tuple[object, _CompiledRule]]] = {}
+    for c in program.clauses:
+        # A grouping clause's key rule: its solutions under a key are the group.
+        rule = c if isinstance(c, LPSClause) else LPSClause(
+            Atom(f"{c.pred}<key>", c.head_args), body=c.body
         )
-
-    def note_grouped(
-        self, atom: Atom, clause: GroupingClause, premises: tuple[Atom, ...]
-    ) -> None:
-        self._entries.setdefault(
-            atom, ProvenanceEntry(GROUPED, clause, None, premises)
+        clauses.setdefault(program.head_pred(c), []).append(
+            (c, _CompiledRule(rule, builtins))
         )
+    # The model's active domain, as ``MaterializedModel._rebuild`` builds
+    # it: per call, since a maintained model changes under it.
+    domain = ActiveDomain()
+    domain.note_terms(program.all_terms())
+    domain.note_rows([a.args for a in interp])
+    solver = Solver(interp, domain, builtins, model.options.allow_fallback,
+                    model.options.fallback_limit)
+    #: atom -> its (kind, clause, premises) step; an atom's premises are
+    #: all recorded before it, so the records are acyclic.
+    steps: dict[Atom, tuple[str, object, tuple[Atom, ...]]] = {}
 
-    def entry(self, atom: Atom) -> Optional[ProvenanceEntry]:
-        return self._entries.get(atom)
+    def known(a: Atom) -> bool:
+        return a.is_special() or a in given or a in steps
 
-    def __len__(self) -> int:
-        return len(self._entries)
+    def alternatives(a: Atom) -> Iterator[tuple]:
+        """The steps that conclude ``a`` in the model."""
+        for c, rule in clauses.get(a.pred, ()):
+            if isinstance(c, LPSClause):
+                for env in rule.solutions(solver, a):
+                    yield DERIVED, c, rule.ground_premises(env)
+                continue
+            at = c.group_pos
+            key = Atom(rule.head.pred, a.args[:at] + a.args[at + 1:])
+            envs = list(rule.solutions(solver, key))
+            if envs and {e.apply(c.group_var) for e in envs} == a.args[at].elems:
+                yield GROUPED, c, tuple(dict.fromkeys(
+                    p for e in envs for p in rule.ground_premises(e)
+                ))
 
-    def explain(self, atom: Atom, max_depth: int = 50) -> DerivationNode:
-        """Build the derivation tree for a ground atom.
+    def tree(a: Atom, fuel: int) -> DerivationNode:
+        if a.is_special():
+            return DerivationNode(a, STRUCTURAL)
+        if a in given:
+            return DerivationNode(a, GIVEN)
+        kind, c, premises = steps[a]
+        below = [tree(p, fuel - 1) for p in premises] if fuel > 0 else []
+        return DerivationNode(a, kind, c, below)
 
-        Special and builtin atoms explain themselves structurally; atoms
-        without a record raise ``KeyError`` (they are not in the model)."""
-        return self._explain(atom, max_depth, frozenset())
+    #: premise -> the ``[head, step, unproved premises]`` waiting on it
+    waiting: dict[Atom, list[list]] = {}
+    # Depth-first, on a stack (derivations can be deeper than the recursion
+    # limit) of ``[atom, alternatives, premises to search]`` frames; a step
+    # that meets an atom searched and unproved waits for it.
+    stack, seen = deque([[atom, None, []]]), set()
+    while stack and not known(atom):
+        frame = stack[-1]
+        a, rest, todo = frame
+        if a in steps or (rest is None and a in seen):
+            stack.pop()
+        elif rest is None:
+            seen.add(a)
+            frame[1] = alternatives(a)
+        elif todo:
+            p = todo[-1]
+            if known(p):
+                todo.pop()
+            elif p not in seen:
+                stack.append([p, None, []])
+            else:  # set aside: what else it needs is searched last
+                stack.extendleft([q, None, []] for q in todo)
+                frame[2] = []
+        elif (step := next(rest, None)) is None:
+            stack.pop()
+        else:
+            pending = [p for p in step[2] if not known(p)]
+            ready = [[a, step, len(pending)]]
+            for p in pending:
+                waiting.setdefault(p, []).append(ready[0])
+            while ready:
+                head, proved, n = ready.pop()
+                if n == 0 and head not in steps:
+                    steps[head] = proved
+                    for entry in waiting.pop(head, ()):
+                        entry[2] -= 1
+                        ready.append(entry)
+            frame[2] = pending[::-1]
 
-    def _explain(
-        self, atom: Atom, fuel: int, on_path: frozenset[Atom]
-    ) -> DerivationNode:
-        if atom.is_special():
-            return DerivationNode(atom, STRUCTURAL)
-        entry = self._entries.get(atom)
-        if entry is None:
-            return DerivationNode(atom, STRUCTURAL)
-        if entry.kind == GIVEN:
-            return DerivationNode(atom, GIVEN)
-        node_kind = entry.kind
-        node = DerivationNode(atom, node_kind, clause=entry.clause)
-        if fuel <= 0 or atom in on_path:
-            return node  # truncate (cycle-safe: first-derivations are acyclic,
-            # but grouping premises can be large)
-        for premise in entry.premises:
-            node.children.append(
-                self._explain(premise, fuel - 1, on_path | {atom})
-            )
-        return node
+    if not (model.holds(atom) and known(atom)):
+        raise EvaluationError(f"{atom} is not in the model")
+    return tree(atom, max_depth)

@@ -66,10 +66,9 @@ class ShardCoordinator:
             raise ValueError("n_shards must be >= 2")
         # Workers re-parse the program and re-intern every shipped term
         # in their own process; their options must not recurse into
-        # sharding or provenance.
+        # sharding.
         opts = dataclasses.asdict(options)
         opts["shards"] = 1
-        opts["track_provenance"] = False
         text = pretty_program(program)
         # Prefer fork where available (Linux): workers inherit warm
         # imports.  worker_main is spawn-safe for the other platforms.

@@ -9,12 +9,9 @@ shipped model (and, where ``T_P`` applies, the brute-force oracle's):
   ``_MIN_VECTOR_ROWS`` rows, row kernels below (most test inputs);
 * ``vector``     — the size gate at 0: numpy kernels on every capable node;
 * ``no-numpy``   — numpy masked: the row ``Executor`` everywhere;
-* ``provenance`` — every rule on the tuple ``Solver``; a maintained model
-  recomputes instead of maintaining;
 * ``solver``     — the planner answers tuple-mode for every body, so
-  ``_CompiledRule`` falls back to the solver everywhere, including the
-  pinned delta variants of maintenance and subscriptions (which
-  ``provenance`` cannot reach: it turns incremental maintenance off).
+  ``_CompiledRule`` falls back to the tuple ``Solver`` everywhere,
+  including the pinned delta variants of maintenance and subscriptions.
 
 One more arm exists for the maintenance benchmark's baseline only:
 ``recompute`` drops the rederive size gate to zero, so every stratum with
@@ -32,10 +29,9 @@ from repro.engine.evaluation import EvalOptions
 from repro.engine.planner import _tuple_plan
 from repro.semantics import Universe, least_fixpoint
 
-#: Arms for from-scratch evaluation.
-EVAL_PATHS = ("default", "vector", "no-numpy", "provenance")
-#: Arms for maintained models and the services on top of them.
-MODEL_PATHS = ("default", "vector", "no-numpy", "solver")
+#: The arms every equivalence test runs, from-scratch evaluation and
+#: maintained models alike.
+PATHS = ("default", "vector", "no-numpy", "solver")
 
 
 def _tuple_mode(clause, builtins, pin=None):
@@ -45,7 +41,6 @@ def _tuple_mode(clause, builtins, pin=None):
 #: Arm -> ``(owner, attribute, value)`` patches that force it.
 _PATCHES = {
     "default": (),
-    "provenance": (),
     "vector": ((columnar.ColumnarExecutor, "min_vector_rows", 0),),
     "no-numpy": ((columnar, "_np", None),),
     "solver": ((evaluation, "compile_rule", _tuple_mode),
@@ -63,13 +58,13 @@ def forced(path, **options):
     try:
         for owner, name, value in _PATCHES[path]:
             setattr(owner, name, value)
-        yield EvalOptions(track_provenance=path == "provenance", **options)
+        yield EvalOptions(**options)
     finally:
         for owner, name, value in saved:
             setattr(owner, name, value)
 
 
-def same_on_every_path(run, paths=EVAL_PATHS):
+def same_on_every_path(run, paths=PATHS):
     """``run(options)`` under each arm, asserted all equal; returns the
     first arm's (``default``) result."""
     results = []

@@ -27,7 +27,7 @@ from repro.engine import Database
 from repro.engine.columnar import HAS_NUMPY
 from repro.server import LineClient, QueryService, Response, run_in_thread
 
-from paths import MODEL_PATHS, forced
+from paths import PATHS, forced
 
 #: Gives ``p3`` its signature ``(a, a, s)``; never derives anything the
 #: goals below read.
@@ -138,7 +138,7 @@ def goals_over(triples):
     return out
 
 
-@pytest.mark.parametrize("path", MODEL_PATHS)
+@pytest.mark.parametrize("path", PATHS)
 @settings(max_examples=40)
 @given(triples=models)
 def test_response_lines_are_the_plain_encoding(path, triples):
@@ -168,7 +168,7 @@ def test_response_lines_are_the_plain_encoding(path, triples):
             svc.shutdown()
 
 
-@pytest.mark.parametrize("path", MODEL_PATHS)
+@pytest.mark.parametrize("path", PATHS)
 def test_a_large_answer_takes_the_same_bytes(path):
     """Past the vector gate on the default arm: 400 rows, two columns,
     ints beside strings beside applications, every row distinct."""
@@ -205,7 +205,7 @@ def _expected(terms):
     return [(str(t),) for t in sorted(terms, key=order_key)]
 
 
-@pytest.mark.parametrize("path", MODEL_PATHS)
+@pytest.mark.parametrize("path", PATHS)
 def test_order_ignores_ids_and_when_keys_were_cached(path):
     """Every query ranks what it sees and caches the keys; the next commit
     interns terms that sort *before* and *between* the ranked ones, under
@@ -234,7 +234,7 @@ def test_order_ignores_ids_and_when_keys_were_cached(path):
 
             # Terms no earlier arm has interned, so the later ones below
             # do get the higher IDs.
-            k = MODEL_PATHS.index(path)
+            k = PATHS.index(path)
             names = [f"m{k}x{i:03d}" for i in range(200)]
             # Strings first — enough of them to cross the vector gate.
             commit(names[0::2],

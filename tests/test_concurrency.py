@@ -27,7 +27,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paths import MODEL_PATHS, forced
+from paths import PATHS, forced
 from repro import parse_program
 from repro.engine import Database, Evaluator
 from repro.engine.setops import with_set_builtins
@@ -148,7 +148,7 @@ def test_snapshot_consistency_property(
          .replace("v2", "c").replace("v3", "d")
         for q in query_stream(6, n_nodes=4, pred="t", seed=mode_seed)
     )
-    for path in MODEL_PATHS:
+    for path in PATHS:
         with forced(path) as options:
             svc = QueryService(
                 TC_SOURCE, options=options, max_workers=n_readers

@@ -9,9 +9,18 @@ import itertools
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from paths import same_on_every_path, tp_model
+import test_paper_examples as paper
+from paths import PATHS, forced, same_on_every_path, tp_model
+from test_set_models import programs as rule_programs
+from repro import parse_program
 from repro.core import (
+    App,
     Atom,
+    Const,
+    GroupingClause,
+    LPSClause,
+    SetValue,
+    Subst,
     Program,
     atom,
     clause,
@@ -24,8 +33,12 @@ from repro.core import (
     var_a,
     var_s,
 )
-from repro.engine import Evaluator, TopDownProver
-from repro.engine.evaluation import EvalOptions
+from repro.core.formulas import evaluate_ground_atom
+from repro.core.terms import subterms
+from repro.core.unify import match_atom
+from repro.engine import DEFAULT_BUILTINS, Evaluator, TopDownProver
+from repro.engine.provenance import DERIVED, GIVEN, GROUPED, STRUCTURAL
+from repro.engine.setops import with_set_builtins
 
 x, y, z = var_a("x"), var_a("y"), var_a("z")
 X = var_s("X")
@@ -121,20 +134,164 @@ def test_set_program_agreement(program):
         )
 
 
+# ---------------------------------------------------------------------------
+# Derivation trees, checked against the model without the search
+# ---------------------------------------------------------------------------
+
+#: Negated and grouping rules over the relations ``test_set_models``
+#: programs hold (a group is taken whole, like theirs).
+NEGATION_AND_GROUPING = (
+    "lone(X) :- n(X), not w(X, 1).",
+    "fresh(K) :- n(K), not sm(K).",
+    "byc(C, <P>) :- w(P, C).",
+    "elems(<X>) :- s(Z), X in Z, not n(X).",
+    "nonempty(Z) :- s(Z), X in Z.\n"
+    "ids(<X>) :- n(X), not lone(X), s(Z), nonempty(Z).",
+    # two groups under one key: each atom has exactly one clause
+    "two(<P>) :- w(P, C).\n"
+    "two(<X>) :- n(X).",
+)
+
+
+@st.composite
+def mixed_programs(draw):
+    """``test_set_models`` programs (set builtins, arithmetic, demand
+    recursion) with negation and grouping on top."""
+    extra = draw(st.lists(st.sampled_from(NEGATION_AND_GROUPING),
+                          min_size=1, max_size=3, unique=True))
+    return parse_program("\n".join(extra) + "\n" + draw(rule_programs()))
+
+
+def check_explanations(model, program, builtins=DEFAULT_BUILTINS):
+    """Explain every atom of ``model`` and check each tree against the
+    model alone: the search is not consulted."""
+    interp = model.interpretation
+    given = {c.head for c in program.lps_clauses()
+             if c.is_fact and c.head.is_ground()}
+    terms = {t for c in program.all_terms() for t in subterms(c)}
+    terms |= {t for a in interp for arg in a.args for t in subterms(arg)}
+    carriers = {
+        "a": [t for t in terms
+              if isinstance(t, (Const, App)) and t.is_ground()],
+        "s": [t for t in terms if isinstance(t, SetValue)] + [setvalue([])],
+    }
+    carriers["u"] = carriers["a"] + carriers["s"]
+
+    def relational(a):
+        return not a.is_special() and a.pred not in builtins
+
+    def holds(a):
+        if a.pred in builtins:
+            return next(iter(builtins[a.pred].solve(a.args, Subst())),
+                        None) is not None
+        return evaluate_ground_atom(a, interp.holds)
+
+    def solutions(free, head, target, literals, facts):
+        """Ground substitutions of ``free`` that map ``head`` to
+        ``target``: ``literals`` are matched against ``facts(pred)``,
+        whatever else is free ranges over the domain."""
+        def join(todo, theta):
+            if not todo:
+                yield theta
+                return
+            for f in facts(todo[0].pred):
+                for t in match_atom(todo[0], f, theta):
+                    yield from join(todo[1:], t)
+        for theta in match_atom(head, target):
+            for theta in join(literals, theta):
+                rest = sorted((v for v in free if v not in theta), key=str)
+                for combo in itertools.product(
+                    *(carriers[v.sort] for v in rest)
+                ):
+                    yield theta.extend(dict(zip(rest, combo)))
+
+    def check_derived(node, kids):
+        c = node.clause
+        assert isinstance(c, LPSClause) and c in program.clauses
+        bound = c.quantified_vars()
+        literals = [l.atom for l in c.body if l.positive
+                    and relational(l.atom) and not l.atom.free_vars() & bound]
+        for theta in solutions(
+            c.free_vars(), c.head, node.atom, literals,
+            lambda pred: [k for k in kids if k.pred == pred],
+        ):
+            g = c.ground_instances(theta)
+            if g.head == node.atom \
+                    and all(holds(l.atom) == l.positive for l in g.body) \
+                    and {l.atom for l in g.body
+                         if l.positive and relational(l.atom)} == kids:
+                return
+        raise AssertionError(f"no instance of {c} derives {node.atom} "
+                             f"from {sorted(map(str, kids))}")
+
+    def check_grouped(node, kids):
+        g = node.clause
+        assert isinstance(g, GroupingClause) and g in program.clauses
+        at = g.group_pos
+        key = Atom("key", node.atom.args[:at] + node.atom.args[at + 1:])
+        values, premises = set(), set()
+        for theta in solutions(
+            g.free_vars(), Atom("key", g.head_args), key,
+            [l.atom for l in g.body if l.positive and relational(l.atom)],
+            interp.facts_of,
+        ):
+            body = [l.atom.substitute(theta) for l in g.body]
+            if all(holds(a) == l.positive for a, l in zip(body, g.body)):
+                values.add(theta.apply(g.group_var))
+                premises |= {a for a, l in zip(body, g.body)
+                             if l.positive and relational(a)}
+        assert values == node.atom.args[at].elems, node.atom
+        assert premises == kids, node.atom
+
+    for ground in interp:
+        # A path repeats no atom, so no tree is deeper than the model.
+        stack = [(model.explain(ground, max_depth=len(interp)), frozenset())]
+        while stack:
+            node, above = stack.pop()
+            assert node.atom not in above, f"{node.atom} is its own premise"
+            assert holds(node.atom)
+            kids = {k.atom for k in node.children}
+            assert len(kids) == len(node.children), node.atom
+            if node.kind == STRUCTURAL:
+                assert node.atom.is_special() and not kids
+            elif node.kind == GIVEN:
+                assert node.atom in given and not kids, node.atom
+            elif node.kind == DERIVED:
+                check_derived(node, kids)
+            else:
+                assert node.kind == GROUPED
+                check_grouped(node, kids)
+            stack.extend((k, above | {node.atom}) for k in node.children)
+
+
+def explained_on_every_path(program, builtins=DEFAULT_BUILTINS):
+    for path in PATHS:
+        with forced(path) as options:
+            ev = Evaluator(program, builtins=builtins, options=options)
+            try:
+                check_explanations(ev.run(), program, builtins)
+            finally:
+                ev.close()
+
+
 @settings(max_examples=25, deadline=None)
 @given(program=horn_programs())
 def test_provenance_covers_whole_model(program):
-    """With tracking on, every model atom has a derivation record and its
-    tree's leaves are given facts or structural truths."""
-    m = Evaluator(
-        program, options=EvalOptions(track_provenance=True)
-    ).run()
-    for ground in m.interpretation:
-        tree = m.explain(ground)
-        stack = [tree]
-        while stack:
-            node = stack.pop()
-            if not node.children:
-                assert node.kind in ("given", "structural", "derived",
-                                     "grouped")
-            stack.extend(node.children)
+    """Every model atom has a derivation tree, and every step of it is a
+    clause instance that holds in the model."""
+    explained_on_every_path(program)
+
+
+@settings(max_examples=30, deadline=None)
+@given(program=mixed_programs())
+def test_provenance_covers_set_negation_and_grouping(program):
+    explained_on_every_path(program, with_set_builtins())
+
+
+@pytest.mark.parametrize("example", [
+    paper.TestExample1Disj, paper.TestExample2Subset,
+    paper.TestExample3Union, paper.TestExample6PartsExplosion,
+], ids=["example1", "example2", "example3", "example6"])
+def test_provenance_covers_paper_examples(example):
+    explained_on_every_path(parse_program(example.SOURCE),
+                            with_set_builtins())

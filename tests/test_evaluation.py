@@ -3,7 +3,7 @@ vacuous branch), negation, grouping, semi-naive rounds vs ``T_P``, safety."""
 
 import pytest
 
-from paths import forced
+from paths import PATHS, forced
 from repro.core import (
     Atom,
     GroupingClause,
@@ -263,16 +263,12 @@ class TestSemiNaive:
     def test_derivations_are_counted_on_every_path(self):
         """On a chain every ``t`` fact has exactly one derivation, so the
         counter reads the size of the closure on the plan executor and on
-        the solver alike.  The provenance loop re-fires whole rules every
-        round to record each derivation, and counts every one it records."""
+        the solver alike."""
         p = self.chain(12)
-        for path in ("default", "solver"):
+        for path in PATHS:
             with forced(path) as options:
                 m = Evaluator(p, options=options).run()
             assert m.report.stats.derivations == len(m.relation("t")), path
-        with forced("provenance") as options:
-            m = Evaluator(p, options=options).run()
-        assert m.report.stats.derivations >= len(m.relation("t"))
 
 
 class TestSafetyControls:

@@ -22,7 +22,7 @@ from array import array
 
 import pytest
 
-from paths import MODEL_PATHS, forced, same_on_every_path, tp_model
+from paths import PATHS, forced, same_on_every_path, tp_model
 from repro import parse_program
 from repro.core import atom, const
 from repro.core.terms import term_id
@@ -68,7 +68,7 @@ def closure(edges):
         reach |= more
 
 
-def model_on_every_path(program, facts, paths=None):
+def model_on_every_path(program, facts, paths=PATHS):
     """The model's sorted atoms, asserted equal on every arm."""
     def run(options):
         ev = Evaluator(program, database(facts),
@@ -77,8 +77,6 @@ def model_on_every_path(program, facts, paths=None):
             return ev.run().interpretation.sorted_atoms()
         finally:
             ev.close()
-    if paths is None:
-        return same_on_every_path(run)
     return same_on_every_path(run, paths)
 
 
@@ -268,11 +266,7 @@ def test_merged_batches_in_a_deep_recursion():
     t(X, Z) :- f(X, Y), t(Y, Z).
     """)
     facts = [("ef"[i % 2], u, v) for i, (u, v) in enumerate(chain_graph(200))]
-    # The plan arms; provenance (solver only) takes a minute here and
-    # never sees a slice.
-    got = model_on_every_path(
-        program, facts, ("default", "vector", "no-numpy")
-    )
+    got = model_on_every_path(program, facts)
     t = {(a.args[0].value, a.args[1].value) for a in got if a.pred == "t"}
     assert t == {(f"v{i}", f"v{j}")
                  for i in range(201) for j in range(i + 1, 201)}
@@ -328,7 +322,7 @@ def maintained_on_every_path(program, facts, batches):
                     == scratch.interpretation.sorted_atoms())
             models.append(m.interpretation.sorted_atoms())
         return models
-    return same_on_every_path(run, MODEL_PATHS)
+    return same_on_every_path(run)
 
 
 def test_seeds_from_a_lower_stratum_then_row_ranges():
@@ -374,7 +368,7 @@ def test_mixed_arity_head_relation():
 def test_sharded_rounds():
     edges = random_graph(30, 80, seed=4)
     single = model_on_every_path(TC, edge_facts(edges), paths=("default",))
-    for path in MODEL_PATHS:
+    for path in PATHS:
         with forced(path, shards=2) as options:
             ev = Evaluator(TC, database(edge_facts(edges)), options=options)
             try:

@@ -157,7 +157,6 @@ class TestInventoryRollup:
         program, _ = add_demand(base, "sum_costs", 0, seeds=["part_sets"])
         m = Evaluator(
             program, self.database(), builtins=with_set_builtins(),
-            options=EvalOptions(track_provenance=True),
         ).run()
         tree = m.explain(parse_atom("obj_cost(bike, 185)"))
         rendered = tree.pretty()

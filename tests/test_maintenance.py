@@ -31,7 +31,7 @@ from hypothesis import given, settings, strategies as st
 import repro.engine.evaluation as evaluation
 import repro.engine.maintenance as maintenance
 import repro.semantics.interpretation as interpretation
-from paths import MODEL_PATHS, forced, same_on_every_path
+from paths import PATHS, forced, same_on_every_path
 from repro import parse_program
 from repro.core import Program, atom, const, fact, var_a
 from repro.core.atoms import pos
@@ -127,7 +127,7 @@ def test_apply_delta_equals_recompute(rule_idx, initial, batches):
         expected.append(
             fresh_eval(program, sorted(facts)).interpretation.sorted_atoms()
         )
-    for path in MODEL_PATHS:
+    for path in PATHS:
         with forced(path) as options:
             m = materialize(program, sorted(initial), options)
             for (adds, dels), want in zip(stream, expected):
@@ -362,7 +362,7 @@ def maintained_on_every_path(program, facts, batches, plan="rederive"):
             )
             models.append([str(a) for a in m.interpretation.sorted_atoms()])
         return models
-    return same_on_every_path(run, MODEL_PATHS)
+    return same_on_every_path(run)
 
 
 DEAD = parse_program("""
@@ -551,7 +551,7 @@ def test_rederive_strata_equal_recompute_under_mixed_batches(
         expected.append(
             fresh_eval(program, sorted(facts)).interpretation.sorted_atoms()
         )
-    for path in MODEL_PATHS:
+    for path in PATHS:
         with forced(path) as options:
             m = materialize(program, sorted(initial), options)
             for (adds, dels), want in zip(stream, expected):
@@ -735,13 +735,22 @@ def test_abandoned_sweep_reports_changes_against_the_pre_batch_model():
     assert {str(a) for a in report.changes.adds["flag"]} == {"flag(on)"}
 
 
-def test_provenance_tracking_recomputes_and_stays_explainable():
-    m = materialize(TC, [("e", "a", "b")],
-                    EvalOptions(track_provenance=True))
+def test_maintained_model_explains_at_its_current_version():
+    """Explaining is a query on the maintained model, so it follows an
+    incremental add and a delete, and maintenance stays incremental."""
+    from repro.core.errors import EvaluationError
+
+    m = materialize(TC, [("e", "a", "b")])
     report = m.apply_delta(adds=[("e", "b", "c")])
-    assert report.strategy == "recompute"
-    tree = m.model.explain_str("t(a, c)")
-    assert "e(b, c)" in tree
+    assert report.strategy == "incremental"
+    assert "e(b, c) (given)" in m.model.explain_str("t(a, c)")
+    report = m.apply_delta(adds=[("e", "a", "c")], dels=[("e", "a", "b")])
+    assert report.strategy == "incremental"
+    assert m.model.explain_str("t(a, c)") == (
+        "t(a, c)    [t(X, Y) :- e(X, Y).]\n  e(a, c) (given)"
+    )
+    with pytest.raises(EvaluationError):
+        m.model.explain_str("t(a, b)")
 
 
 def test_builtin_and_special_facts_are_rejected():

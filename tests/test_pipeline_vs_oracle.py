@@ -16,7 +16,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paths import EVAL_PATHS, forced, same_on_every_path, tp_model
+from paths import PATHS, forced, same_on_every_path, tp_model
 from repro import parse_program
 from repro.core import atom, const, setvalue, fact, Program
 from repro.engine import Database, Evaluator
@@ -80,7 +80,7 @@ def closure_oracle(graph):
     return tp_atoms(TC, graph_db(GRAPHS[graph]))
 
 
-@pytest.mark.parametrize("path", EVAL_PATHS)
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("graph", GRAPHS)
 def test_transitive_closure_workloads(graph, path):
     db = graph_db(GRAPHS[graph])
@@ -91,7 +91,7 @@ def test_every_arm_forces_its_path():
     """The arms of ``tests/paths.py`` reach the paths they name."""
     db = graph_db(chain_graph(6))
     reports = {}
-    for path in EVAL_PATHS + ("solver",):
+    for path in PATHS:
         with forced(path) as options:
             reports[path] = Evaluator(TC, db, options=options).run().report
     if HAS_NUMPY:
@@ -103,9 +103,8 @@ def test_every_arm_forces_its_path():
     assert reports["no-numpy"].exec.batches > 0
     assert reports["no-numpy"].exec.col_nodes == 0
     assert reports["no-numpy"].exec.row_nodes == 0
-    for path in ("provenance", "solver"):
-        assert reports[path].exec.batches == 0
-        assert reports[path].stats.matches > 0
+    assert reports["solver"].exec.batches == 0
+    assert reports["solver"].stats.matches > 0
     assert reports["default"].stats.matches == 0
 
 
@@ -134,7 +133,7 @@ def check_set_predicates(facts: Program, path=None):
     }
 
 
-@pytest.mark.parametrize("path", EVAL_PATHS)
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_set_predicate_workloads(seed, path):
     db = set_database("s", 10, universe=12, max_size=4, seed=seed)
@@ -153,7 +152,7 @@ obj_cost(P, C) :- parts(P, S), sum_costs(S, C).
 """)
 
 
-@pytest.mark.parametrize("path", EVAL_PATHS)
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("depth,fanout", [(2, 2), (3, 2)])
 def test_parts_workload(depth, fanout, path):
     world = parts_world(depth=depth, fanout=fanout, seed=5)

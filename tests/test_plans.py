@@ -20,7 +20,7 @@ Covers the planner/executor split of DESIGN.md "Plan IR and executor":
 
 import pytest
 
-from paths import EVAL_PATHS, forced
+from paths import PATHS, forced
 from repro import parse_program
 from repro.core import (
     Program,
@@ -52,9 +52,9 @@ from repro.semantics.interpretation import Interpretation
 
 def models_agree(program, db=None):
     """The shipped model, asserted equal on every forced path (the
-    ``provenance`` arm runs every rule on the tuple solver)."""
+    ``solver`` arm runs every rule on the tuple solver)."""
     models = {}
-    for path in EVAL_PATHS:
+    for path in PATHS:
         with forced(path) as options:
             models[path] = Evaluator(
                 program, db, builtins=with_set_builtins(), options=options

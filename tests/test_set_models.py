@@ -5,21 +5,17 @@ model on every forced path of ``tests/paths.py``.
 These are the bodies the planner may now reorder (a cross product it can
 avoid by scanning another relation first), whose builtin answers a
 stratum fixpoint caches, and whose ground conjuncts the tuple solver
-answers with one probe.  The ``solver`` and ``provenance`` arms run every
-rule on the tuple solver, so they are the reference the plan arms are
-held to.
+answers with one probe.  The ``solver`` arm runs every rule on the tuple
+solver, so it is the reference the plan arms are held to.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paths import EVAL_PATHS, same_on_every_path
+from paths import same_on_every_path
 from repro import parse_program
 from repro.engine import Evaluator
 from repro.engine.setops import with_set_builtins
-
-#: Every forced path a from-scratch evaluation can take.
-ALL_PATHS = (*EVAL_PATHS, "solver")
 
 #: Rule groups a program draws from (a group is taken whole).
 RULES = (
@@ -73,4 +69,4 @@ def test_every_path_computes_the_same_model(text):
         finally:
             ev.close()
 
-    same_on_every_path(run, ALL_PATHS)
+    same_on_every_path(run)

@@ -16,7 +16,7 @@ so they run the same path) like ``test_maintenance.py`` does.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paths import MODEL_PATHS, forced
+from paths import PATHS, forced
 from repro import parse_program
 from repro.engine import Database, Evaluator, MaterializedModel
 from repro.engine.builtins import DEFAULT_BUILTINS
@@ -81,7 +81,7 @@ def _run(program, facts, shards=1, path="default"):
         st.integers(0, len(RULE_POOL) - 1), min_size=1, max_size=5
     ),
     facts=st.sets(st.sampled_from(FACT_SPACE), max_size=10),
-    path=st.sampled_from(MODEL_PATHS),
+    path=st.sampled_from(PATHS),
 )
 def test_evaluation_is_shard_count_invariant(rule_idx, facts, path):
     program = parse_program(
@@ -105,7 +105,7 @@ def test_evaluation_is_shard_count_invariant(rule_idx, facts, path):
         ),
         min_size=1, max_size=3,
     ),
-    path=st.sampled_from(MODEL_PATHS),
+    path=st.sampled_from(PATHS),
 )
 def test_apply_delta_is_shard_count_invariant(rule_idx, initial, batches,
                                               path):
@@ -275,16 +275,23 @@ class TestLifecycle:
         assert ev._coordinator is None
         assert ev._sharding_unavailable
 
-    def test_provenance_disables_sharding(self):
+    def test_a_sharded_model_explains(self):
         program = parse_program("""
         t(X, Y) :- e(X, Y).
         t(X, Z) :- e(X, Y), t(Y, Z).
         """)
         ev = Evaluator(
             program, _database([("e", "a", "b"), ("e", "b", "c")]),
-            options=EvalOptions(shards=4, track_provenance=True),
+            options=EvalOptions(shards=2),
         )
         model = ev.run()
-        assert ev._coordinator is None
-        # Provenance still works end to end.
-        model.explain_str("t(a, c)")
+        coord = ev._coordinator
+        assert coord is not None and not coord.broken
+        # The model searches itself; it needs no evaluator, live or closed.
+        ev.close()
+        assert model.explain_str("t(a, c)") == (
+            "t(a, c)    [t(X, Z) :- e(X, Y), t(Y, Z).]\n"
+            "  e(a, b) (given)\n"
+            "  t(b, c)    [t(X, Y) :- e(X, Y).]\n"
+            "    e(b, c) (given)"
+        )

@@ -25,7 +25,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paths import MODEL_PATHS, forced
+from paths import PATHS, forced
 from repro.engine import Database
 from repro.server import E_NOT_YET, LineClient, QueryService, run_in_thread
 from repro.server.subscriptions import FRAME_DIFF, FRAME_DROPPED, REASON_SLOW
@@ -107,7 +107,7 @@ def register(session, subs, goal):
 
 
 class TestDiffEquivalence:
-    @pytest.mark.parametrize("path", MODEL_PATHS)
+    @pytest.mark.parametrize("path", PATHS)
     @settings(max_examples=8, deadline=None)
     @given(data=st.data())
     def test_initial_rows_plus_diffs_replay_scratch_evaluation(
