@@ -16,8 +16,8 @@
   operators run over dense interned-term-ID columns (``array('q')``),
   decoding to term objects only at plan boundaries;
 * :mod:`repro.engine.maintenance` — incremental model maintenance
-  (counting + DRed + per-stratum recompute) for batched insert/delete
-  fact streams;
+  (DRed + candidate re-derivation + per-stratum recompute) for batched
+  insert/delete fact streams;
 * :mod:`repro.engine.topdown` — the depth-bounded SLD prover with set
   unification (Section 3.2's procedural semantics).
 """

@@ -1290,7 +1290,9 @@ class _CompiledRule:
     ) -> Iterator[Subst]:
         """The distinct derivations of one application, as substitutions
         binding exactly the clause's free variables (``pin`` and engine
-        choice as in :meth:`heads`)."""
+        choice as in :meth:`heads`).  DRed's overdeletion is the one
+        caller: it checks each derivation's other conjuncts against the
+        batch's gains."""
         stats = engines.solver.stats
         cp = self.plan(pin)
         if cp.is_set:

@@ -2,32 +2,24 @@
 
 The paper's examples assume a static EDB; this module makes the computed
 model survive a *stream* of fact changes without recomputing from scratch.
-A :class:`MaterializedModel` owns a solved model plus per-stratum support
-bookkeeping and exposes :meth:`MaterializedModel.apply_delta`, which
-implements the classical maintenance discipline:
+A :class:`MaterializedModel` owns a solved model and exposes
+:meth:`MaterializedModel.apply_delta`, which implements the classical
+maintenance discipline:
 
-* **Counting maintenance** for nonrecursive conjunctive strata: every
-  derivation is a (rule, grounding) pair consuming exactly one fact per
-  relational conjunct, so a batch of insertions/deletions translates into
-  per-derivation count increments/decrements (the position-pinned delta
-  rule ``Δ(B1 ⋈ … ⋈ Bn) = Σ_i new^{<i} · ΔB_i · old^{>i}`` counts each
-  changed derivation exactly once).  An atom leaves the model when its
-  count — derivations plus base supports (EDB facts, ground fact clauses)
-  — reaches zero.
 * **DRed (delete–rederive)** for recursive strata: overdelete everything
   transitively derivable from the deleted facts, then re-derive atoms with
   surviving alternative derivations by seeding the existing semi-naive
   machinery (``Evaluator._fixpoint(seed_deltas=…)``) from the rescued
   atoms; insertions are a plain delta-seeded semi-naive closure.
-* **Candidate re-derivation** (``rederive``) for nonrecursive strata with
-  negation and/or grouping, whose derivations are not fact-linear but
-  whose body predicates are all maintained below: every head (for a
-  grouping clause, every group key) the input delta can move is found
-  by pinning each changed body occurrence — a negated one through a
-  *flipped* variant that joins the delta instead of anti-joining the
+* **Candidate re-derivation** (``rederive``) for every nonrecursive
+  stratum, whose body predicates are all maintained below: every head
+  (for a grouping clause, every group key) the input delta can move is
+  found by pinning each changed body occurrence — a negated one through
+  a *flipped* variant that joins the delta instead of anti-joining the
   relation — and each candidate is then decided in the new state by a
-  point probe.  Deletions below can *grow* such a stratum; a probe
-  decides that exactly where a count could not.
+  point probe.  Nothing is counted: a head that loses one derivation
+  stays while its probe finds another, and deletions below a negation
+  can *grow* the stratum, which a probe decides exactly.
 * **Per-stratum recomputation** for what is left — restricted
   quantifiers, negation or grouping inside a recursive stratum, and
   rederive strata whose input delta is not small against their input
@@ -53,7 +45,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import (
     Any,
     Collection,
@@ -86,9 +78,7 @@ from .evaluation import (
     _Engines,
 )
 from .ir import ExecStats
-from .provenance import SupportCounts
 from .stratify import (
-    PLAN_COUNTING,
     PLAN_DRED,
     PLAN_RECOMPUTE,
     PLAN_REDERIVE,
@@ -324,10 +314,10 @@ class MaterializedModel:
             c.head for c in program.lps_clauses()
             if c.is_fact and c.head.is_ground()
         )
-        #: Compiled proper rules per stratum (counting + DRed strata) and,
-        #: per rederive stratum, its clauses by head predicate.  All share
-        #: the evaluator's rule cache, so a plan is compiled once however
-        #: many commits, seeded fixpoints and recomputations use it.
+        #: Compiled proper rules per DRed stratum and, per rederive
+        #: stratum, its clauses by head predicate.  All share the
+        #: evaluator's rule cache, so a plan is compiled once however many
+        #: commits, seeded fixpoints and recomputations use it.
         self._compiled: dict[int, list[_CompiledRule]] = {}
         self._rederive: dict[int, dict[str, list[_Rederivable]]] = {}
         compiled = self._evaluator.compiled_rule
@@ -337,7 +327,7 @@ class MaterializedModel:
                 if not (isinstance(c, LPSClause)
                         and c.is_fact and c.head.is_ground())
             ]
-            if g.plan in (PLAN_COUNTING, PLAN_DRED):
+            if g.plan == PLAN_DRED:
                 self._compiled[g.index] = [compiled(c) for c in proper]
             elif g.plan == PLAN_REDERIVE:
                 by_pred = self._rederive[g.index] = {}
@@ -396,15 +386,6 @@ class MaterializedModel:
         """
         add_atoms = [check_fact(s, self.builtins) for s in adds]
         del_atoms = [check_fact(s, self.builtins) for s in dels]
-        if (add_atoms or del_atoms) and self._incremental_ok \
-                and self._counts is None:
-            # First delta: build the counting supports now, while both the
-            # interpretation and the database still hold the pre-batch
-            # state (base supports come from the database's EDB facts).
-            try:
-                self._init_counts()
-            except SafetyError:
-                self._incremental_ok = False
         added, removed = self.database.apply_delta(add_atoms, del_atoms)
         report = MaintenanceReport(
             net_added=len(added), net_removed=len(removed)
@@ -450,10 +431,6 @@ class MaterializedModel:
         for a in self._interp:
             self._domain.note_atom(a)
         self._incremental_ok = self._model.report.stats.fallbacks == 0
-        # Counting supports are built lazily on the first delta: rebuilding
-        # them here would re-solve every counting-stratum join the run()
-        # above just solved, even if no delta ever arrives.
-        self._counts: Optional[dict[int, SupportCounts]] = None
 
     def _full_recompute(
         self,
@@ -494,28 +471,6 @@ class MaterializedModel:
             dels=_group_by_pred(before - after),
         )
         self.last_report = report
-
-    def _init_counts(self) -> None:
-        """Derivation + base-support counts for every counting stratum.
-
-        Must run against the pre-batch interpretation *and* database.
-        """
-        engines = self._engines(SolverStats())
-        self._counts = {}
-        for g in self._groups:
-            if g.plan != PLAN_COUNTING:
-                continue
-            counts = SupportCounts()
-            for rule in self._compiled[g.index]:
-                for env in rule.bindings(engines):
-                    counts.add(rule.head.substitute(env))
-            for p in g.head_preds:
-                for a in self.database.facts_of(p):
-                    counts.add(a)
-            for h in self._program_facts:
-                if h.pred in g.head_preds:
-                    counts.add(h)
-            self._counts[g.index] = counts
 
     def _engines(
         self,
@@ -590,11 +545,7 @@ class MaterializedModel:
                 if n_delta >= gate:
                     plan = PLAN_RECOMPUTE
                     reason = f"delta {n_delta} ≥ gate {gate}"
-            if plan == PLAN_COUNTING:
-                events = self._maintain_counting(
-                    group, gained, lost, plus, minus, stats
-                )
-            elif plan == PLAN_DRED:
+            if plan == PLAN_DRED:
                 events = self._maintain_dred(
                     group, gained, lost, plus, minus, stats
                 )
@@ -618,135 +569,6 @@ class MaterializedModel:
             adds={p: frozenset(s) for p, s in gained.items() if s},
             dels={p: frozenset(s) for p, s in lost.items() if s},
         )
-
-    # -- counting strata ---------------------------------------------------------
-
-    def _maintain_counting(
-        self,
-        group: StratumRules,
-        gained: Mapping[str, set[Atom]],
-        lost: Mapping[str, set[Atom]],
-        edb_plus: set[Atom],
-        edb_minus: set[Atom],
-        stats: SolverStats,
-    ) -> Events:
-        counts = self._counts[group.index]
-        dep_gained = {
-            p: gained[p] for p in group.body_preds if gained.get(p)
-        }
-        dep_lost = {
-            p: lost[p] for p in group.body_preds if lost.get(p)
-        }
-        rules = self._compiled[group.index]
-
-        lost_derivs: list[Atom] = []
-        gained_derivs: list[Atom] = []
-
-        # Deletion half-step over the old state: re-add the deleted input
-        # facts so joins can see them, and filter gained facts out.
-        if dep_lost:
-            readded = [
-                a for s in dep_lost.values() for a in s
-                if self._interp.add(a)
-            ]
-            engines = self._engines(stats, dep_lost)
-            try:
-                for rule in rules:
-                    lost_derivs.extend(self._rule_delta(
-                        rule, engines, dep_gained, dep_lost, deleting=True
-                    ))
-            finally:
-                for a in readded:
-                    self._interp.remove(a)
-        # Insertion half-step over the new state (gained inputs are present).
-        if dep_gained:
-            engines = self._engines(stats, dep_gained)
-            for rule in rules:
-                gained_derivs.extend(self._rule_delta(
-                    rule, engines, dep_gained, dep_lost, deleting=False
-                ))
-
-        lost_derivs.extend(edb_minus)       # base supports: −1 each
-        gained_derivs.extend(edb_plus)      # base supports: +1 each
-
-        add_events: dict[str, set[Atom]] = {}
-        rem_events: dict[str, set[Atom]] = {}
-        try:
-            for h in lost_derivs:
-                counts.discharge(h)
-        except ValueError as exc:
-            raise _AbortIncremental(str(exc)) from exc
-        for h in gained_derivs:
-            counts.add(h)
-        for h in lost_derivs:
-            if counts.count(h) == 0 and self._interp.remove(h):
-                rem_events.setdefault(h.pred, set()).add(h)
-        for h in gained_derivs:
-            if counts.count(h) > 0 and self._interp.add(h):
-                self._domain.note_atom(h)
-                add_events.setdefault(h.pred, set()).add(h)
-        return add_events, rem_events
-
-    def _rule_delta(
-        self,
-        rule: _CompiledRule,
-        engines: _Engines,
-        dep_gained: Mapping[str, set[Atom]],
-        dep_lost: Mapping[str, set[Atom]],
-        deleting: bool,
-    ) -> list[Atom]:
-        """Changed derivations of one rule, one head atom per derivation.
-
-        Implements the position-pinned delta rule: the pinned conjunct
-        ranges over the delta (``engines.delta``), earlier conjuncts over
-        the updated state, later conjuncts over the pre-batch state, so
-        each changed derivation is enumerated exactly once.  Membership in
-        the two states is decided per ground body instance against the
-        delta sets (the join runs over the superset of both states).
-        """
-        rel = rule.relational
-        seen: set[Subst] = set()
-        out: list[Atom] = []
-        for i in rule.pins(engines.delta):
-            for env in rule.bindings(engines, i):
-                if env in seen or not self._delta_positions_ok(
-                    rel, i, env, dep_gained, dep_lost, deleting
-                ):
-                    continue
-                seen.add(env)
-                out.append(rule.head.substitute(env))
-        return out
-
-    @staticmethod
-    def _delta_positions_ok(
-        rel,
-        pin: int,
-        env: Subst,
-        dep_gained: Mapping[str, set[Atom]],
-        dep_lost: Mapping[str, set[Atom]],
-        deleting: bool,
-    ) -> bool:
-        for j, a in enumerate(rel):
-            if j == pin:
-                continue
-            in_gained = dep_gained.get(a.pred)
-            in_lost = dep_lost.get(a.pred) if deleting else None
-            if not in_gained and not in_lost:
-                continue
-            g = a.substitute(env)
-            if deleting:
-                # Old state everywhere (no gained facts); positions before
-                # the pin additionally use the post-deletion state.
-                if in_gained and g in in_gained:
-                    return False
-                if j < pin and in_lost and g in in_lost:
-                    return False
-            else:
-                # New state before the pin, pre-insertion (mid) state after
-                # it — deleted facts are already absent from the join state.
-                if j > pin and in_gained and g in in_gained:
-                    return False
-        return True
 
     # -- DRed strata -------------------------------------------------------------
 
@@ -949,7 +771,7 @@ class MaterializedModel:
         of the two states and uses a changed fact: positively (a fact of
         Δ⁺ or Δ⁻) or under negation (an atom of Δ⁻ or Δ⁺).  So the pinned
         variants run over Δ⁺ ∪ Δ⁻ against old ∪ new state — the deleted
-        inputs are re-added for the join, as in the counting plan — and
+        inputs are re-added for the join — and
         whatever they reach is decided against the new state alone.  The
         stratum reads nothing it writes, so decisions are independent.
         """
@@ -975,8 +797,13 @@ class MaterializedModel:
                     self._interp.remove(a)
 
         engines = self._engines(stats)
-        # Insertion-ordered, so the interpretation's fact order does not
-        # depend on the process hash seed.
+        # The candidates come from pinned scans over the delta sets, so
+        # their order, and the order facts enter the interpretation in,
+        # follows index bucket order, hence the process hash seed.  Every
+        # output (models, answers, diffs) sorts through
+        # ``cached_order_key``; ``explain`` may return another tree, and
+        # ``test_cross_strategies`` checks every tree.  A sort here would
+        # cost every commit.
         todo: dict[Atom, None] = dict.fromkeys(edb_minus)
         todo.update(dict.fromkeys(edb_plus))
         decided: dict[Atom, bool] = {}

@@ -353,7 +353,7 @@ def compile_rule(
     """Compile one LPS clause body to a plan producing full-width rows.
 
     The plan's output schema covers every body variable, so consumers that
-    need whole derivations (counting maintenance, delta filtering) can use
+    need whole derivations (DRed overdeletion, delta filtering) can use
     it directly; the evaluator wraps it with ``Project``/``Distinct`` via
     :func:`head_plan` for plain head derivation.
     """

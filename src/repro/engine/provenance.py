@@ -6,15 +6,6 @@ over the model alone; evaluation records nothing.  This is classical
 why-provenance for Datalog, extended to LPS's quantified clauses (Lemma 4
 unfolds them: an empty range gives a step with zero premises) and LDL
 grouping.
-
-:class:`SupportCounts` is the quantitative sibling of the search: instead
-of one derivation per atom, it remembers *how many* derivations (plus base
-supports — database facts and ground fact clauses) currently justify it.
-Counts are exactly the support relation the incremental maintenance
-subsystem needs: counting maintenance decrements per lost derivation and
-an atom dies when its count reaches zero, and the same structure doubles
-as DRed's "has the atom any surviving support" oracle
-(``repro.engine.maintenance``).
 """
 
 from __future__ import annotations
@@ -65,65 +56,13 @@ class DerivationNode:
         return 1 + max((c.depth() for c in self.children), default=0)
 
 
-class SupportCounts:
-    """Derivation counts per atom (counting maintenance / DRed support).
-
-    The count of an atom is the number of distinct justifications it has:
-    one per (rule, grounding) derivation, plus one per base support (an EDB
-    fact or a ground fact clause).  The maintenance subsystem keeps the
-    invariant ``count(a) > 0  ⟺  a is in the materialized stratum``.
-    """
-
-    __slots__ = ("_counts",)
-
-    def __init__(self) -> None:
-        self._counts: dict[Atom, int] = {}
-
-    def add(self, atom: Atom, n: int = 1) -> int:
-        """Add ``n`` supports; returns the new count."""
-        new = self._counts.get(atom, 0) + n
-        self._counts[atom] = new
-        return new
-
-    def discharge(self, atom: Atom, n: int = 1) -> int:
-        """Remove ``n`` supports; returns the new count (0 = unsupported).
-
-        Discharging below zero signals that the maintainer's delta
-        enumeration diverged from the counts and raises ``ValueError`` —
-        callers treat that as "abandon incremental, recompute".
-        """
-        new = self._counts.get(atom, 0) - n
-        if new < 0:
-            raise ValueError(
-                f"support count of {atom} went negative ({new}); "
-                "derivation bookkeeping is inconsistent"
-            )
-        if new == 0:
-            self._counts.pop(atom, None)
-        else:
-            self._counts[atom] = new
-        return new
-
-    def count(self, atom: Atom) -> int:
-        return self._counts.get(atom, 0)
-
-    def __contains__(self, atom: Atom) -> bool:
-        return atom in self._counts
-
-    def __len__(self) -> int:
-        return len(self._counts)
-
-    def atoms(self) -> tuple[Atom, ...]:
-        return tuple(self._counts)
-
-
 def explain(model: Model, atom: Atom, max_depth: int = 50) -> DerivationNode:
     """A derivation tree for ``atom``, searched backwards over ``model``.
 
     Each body solution of a clause with the head bound
-    (:meth:`_CompiledRule.solutions`, DRed's point probe) is a step whose
-    premises are its ``ground_premises``; a grouping clause is solved with
-    its key bound and must reproduce the atom's set.  An atom gets a step
+    (:meth:`_CompiledRule.solutions`, maintenance's point probe) is a step
+    whose premises are its ``ground_premises``; a grouping clause is solved
+    with its key bound and must reproduce the atom's set.  An atom gets a step
     once all premises of one have theirs (a Horn-SAT count), so trees are
     finite, and no atom or step is searched twice.  Built-in and special
     atoms are leaves ("structural"), as are EDB facts and ground fact

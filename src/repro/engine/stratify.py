@@ -29,12 +29,10 @@ from ..core.program import AnyClause, Program
 
 
 #: Maintenance strategies a stratum can be planned for (see
-#: ``repro.engine.maintenance``): counting maintenance for nonrecursive
-#: conjunctive strata, delete–rederive for recursive ones, candidate
-#: re-derivation for nonrecursive strata with negation or grouping, and
-#: full per-stratum recomputation for what is left (restricted
-#: quantifiers, negation or grouping inside a recursive stratum).
-PLAN_COUNTING = "counting"
+#: ``repro.engine.maintenance``): delete–rederive for recursive strata,
+#: candidate re-derivation for every nonrecursive one, and full
+#: per-stratum recomputation for what is left (restricted quantifiers,
+#: negation or grouping inside a recursive stratum).
 PLAN_DRED = "dred"
 PLAN_REDERIVE = "rederive"
 PLAN_RECOMPUTE = "recompute"
@@ -60,22 +58,19 @@ class StratumRules:
     def plan(self) -> str:
         """Which maintenance strategy is sound and cheapest for this group.
 
-        Counting needs every derivation to consume exactly one fact per
-        body conjunct (plain positive conjunctive rules) and no recursion;
-        DRed additionally tolerates recursion.  Negation and grouping are
-        not fact-linear, but when every body predicate is maintained
-        *below* the stratum (no recursion) the heads a delta can move are
-        enumerable from the delta and each is decidable by a point probe:
-        ``rederive``.  Anything else is re-evaluated wholesale from the
-        maintained lower strata, and :attr:`recompute_reason` says why.
+        A stratum that reads its own heads is closed by DRed.  Any other
+        stratum reads only predicates maintained *below* it, so the heads
+        a delta can move are enumerable from the delta and each is
+        decidable by a point probe, whatever negation or grouping its
+        rules use: ``rederive``.  Anything else is re-evaluated wholesale
+        from the maintained lower strata, and :attr:`recompute_reason`
+        says why.
         """
         if self.recompute_reason is not None:
             return PLAN_RECOMPUTE
-        if self.has_negation or self.has_grouping:
-            return PLAN_REDERIVE
         if self.recursive:
             return PLAN_DRED
-        return PLAN_COUNTING
+        return PLAN_REDERIVE
 
     @property
     def recompute_reason(self) -> Optional[str]:

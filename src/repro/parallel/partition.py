@@ -128,10 +128,10 @@ def shardable_group(group: StratumRules, builtins) -> bool:
 
     The fallback matrix (strata failing any row run on the coordinator):
 
-    * negation / grouping / quantifier strata (``PLAN_REDERIVE``,
-      ``PLAN_RECOMPUTE``) — a worker cannot see the complete extension
-      its strictness needs;
-    * nonrecursive strata (``PLAN_COUNTING``) — every body relation is
+    * negation / grouping / quantifier strata (``PLAN_RECOMPUTE``, or
+      ``PLAN_REDERIVE`` when nonrecursive) — a worker cannot see the
+      complete extension its strictness needs;
+    * nonrecursive strata (``PLAN_REDERIVE``) — every body relation is
       replicated, so sharding would only duplicate the work N times;
     * domain-sensitive rules — active domains diverge per worker;
     * rules with >1 body occurrence of a stratum predicate (nonlinear

@@ -18,7 +18,7 @@ computed by delta-plan evaluation, never by re-running the query:
   dispatcher substitutes those sets into the goal's delta-variant plans —
   occurrence ``i`` pinned to the delta, the rest of the body joined
   against a full snapshot (`_CompiledRule.heads` with a ``pin``, the
-  same machinery semi-naive evaluation and counting maintenance use,
+  same machinery semi-naive evaluation and rederive maintenance use,
   columnar where the executor applies):
 
   - **candidate additions** pin each occurrence to the commit's *adds*

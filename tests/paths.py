@@ -14,9 +14,9 @@ shipped model (and, where ``T_P`` applies, the brute-force oracle's):
   including the pinned delta variants of maintenance and subscriptions.
 
 One more arm exists for the maintenance benchmark's baseline only:
-``recompute`` drops the rederive size gate to zero, so every stratum with
-negation or grouping is cleared and re-evaluated per batch, as before
-the rederive plan existed.
+``recompute`` drops the rederive size gate to zero, so every nonrecursive
+stratum is cleared and re-evaluated per batch, as before the rederive
+plan existed.
 """
 
 from contextlib import contextmanager

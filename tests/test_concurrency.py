@@ -11,9 +11,9 @@ forced path of the execution pipeline (``tests/paths.py``) and for 1–8
 reader threads.
 
 The stress test replays the PR-2 maintenance traps (DRed recursion,
-counting with alternative derivations, stratified negation, grouping-like
-set construction) while readers hammer the model mid-sweep: a reader that
-ever saw a half-applied DRed overdeletion or a torn counting batch would
+alternative derivations, stratified negation, grouping-like set
+construction) while readers hammer the model mid-sweep: a reader that
+ever saw a half-applied DRed overdeletion or a torn rederive batch would
 disagree with the from-scratch oracle at its version.
 
 The stats test pins the satellite fix: counters are collected per session
@@ -40,9 +40,9 @@ t(X, Y) :- e(X, Y).
 t(X, Z) :- e(X, Y), t(Y, Z).
 """
 
-#: Recursion (DRed), a nonrecursive join stratum (counting), and
-#: stratified negation over the recursion (per-stratum recompute) — the
-#: three maintenance plans, all live at once.
+#: Recursion with a join beside it (one DRed stratum: ``pair`` shares
+#: stratum 0 with ``t``) and stratified negation over the recursion
+#: (rederive, or recompute over the size gate), all live at once.
 TRAP_SOURCE = TC_SOURCE + """
 n(v0). n(v1). n(v2). n(v3).
 pair(X, Y) :- e(X, Y), n(X), n(Y).
@@ -182,8 +182,9 @@ def test_snapshot_consistency_property(
 
 @pytest.mark.parametrize("n_readers", [2, 8])
 def test_dred_counting_stress_under_threads(n_readers):
-    """Readers during DRed/counting/negation maintenance never observe
-    over-deleted (or under-derived) facts — the PR-2 traps, under threads."""
+    """Readers during DRed and rederive maintenance never observe
+    over-deleted (or under-derived) facts — the PR-2 traps (alternative
+    derivations among them), under threads."""
     program = parse_program(TRAP_SOURCE)
     edges = [(f"v{i}", f"v{i+1}") for i in range(6)] + [("v6", "v0")]
     svc = QueryService(TRAP_SOURCE, max_workers=n_readers)

@@ -309,8 +309,9 @@ class TestCorruptionNeverLies:
 # Hypothesis: the crash property over random Kuper87 programs
 # ---------------------------------------------------------------------------
 
-#: Stratified for any subset; covers DRed (recursion), counting
-#: (nonrecursive conjunctive), recompute (negation/grouping/sets).
+#: Stratified for any subset; covers DRed (strata that read their own
+#: heads) and rederive (every other stratum: negation, grouping, sets,
+#: and plain joins such as ``mem`` or ``t``'s base rule alone).
 RULE_POOL = [
     "t(X, Y) :- e(X, Y).",
     "t(X, Z) :- e(X, Y), t(Y, Z).",

@@ -4,14 +4,15 @@ The contract under test: after any stream of insert/delete batches,
 ``MaterializedModel.apply_delta`` leaves the interpretation **identical**
 to a from-scratch ``Evaluator.run()`` over the final database — for every
 program the engine accepts, and on every forced path of the execution
-pipeline (``tests/paths.py``).  Incrementality (counting / DRed /
-rederive / per-stratum recompute) is a pure optimisation; these tests are
-the oracle for that claim.
+pipeline (``tests/paths.py``).  Incrementality (DRed / rederive /
+per-stratum recompute) is a pure optimisation; these tests are the oracle
+for that claim.
 
 The regression classes target the classic maintenance traps:
 
 * counting: an atom with a surviving alternative derivation must not die
-  when one of its derivations does;
+  when one of its derivations does (a nonrecursive stratum's probe must
+  find the survivor);
 * DRed: transitive closure must re-derive overdeleted atoms reachable
   through surviving paths;
 * stratified negation and set construction (grouping, ``union``, the
@@ -216,7 +217,7 @@ def test_counting_keeps_alternative_derivations():
     m = materialize(program, facts)
     report = m.apply_delta(dels=[("e", "c", "d")])
     assert report.strategy == "incremental"
-    assert max(report.stratum_plans).plan == "counting"   # highest stratum
+    assert max(report.stratum_plans).plan == "rederive"   # highest stratum
     assert m.model.holds_str("out(c)")      # survives via e(c, e)
     report = m.apply_delta(dels=[("e", "b", "d")])
     assert not m.model.holds_str("out(b)")  # last derivation gone
@@ -628,6 +629,43 @@ def test_one_edge_commit_costs_its_delta_not_the_model():
             assert probes <= 3 * changed + 8, (n_nodes, changed, probes)
 
 
+#: A conjunctive-only stratum: nothing in it negates or groups.
+CONJ = parse_program("r(X) :- n(X), e(X, Y).")
+
+
+def first_commit_costs(n_nodes, n_edges, write):
+    """The first one-fact commit on a conjunctive stratum: (atoms
+    changed, ``bindings`` calls, point probes, stratum plans)."""
+    db = Database()
+    edges = random_graph(n_nodes, n_edges, seed=3)
+    for u, v in edges:
+        db.add("e", u, v)
+    for i in range(0, n_nodes, 2):
+        db.add("n", f"v{i}")
+    m = MaterializedModel(CONJ, db, builtins=with_set_builtins())
+    u, v = next((u, v) for u, v in edges if int(u[1:]) % 2 == 0)
+    with counted(evaluation._CompiledRule, "bindings") as bindings, \
+            counted(evaluation._CompiledRule, "solutions") as probes:
+        report = (m.add("e", u, "fresh") if write == "add"
+                  else m.retract("e", u, v))
+    return (report.atoms_added + report.atoms_removed,
+            bindings.call_count, probes.call_count, report.stratum_plans)
+
+
+def test_first_commit_on_a_conjunctive_stratum_costs_its_delta():
+    """No clocks: the first commit after a load runs no whole-stratum
+    pass (no ``bindings`` call) and probes a small multiple of the atoms
+    it changed, at either EDB size."""
+    for n_nodes, n_edges in [(500, 300), (2000, 1200)]:
+        for write in ("add", "retract"):
+            changed, bindings, probes, plans = first_commit_costs(
+                n_nodes, n_edges, write
+            )
+            assert bindings == 0, (n_nodes, write)
+            assert probes <= 3 * changed + 8, (n_nodes, write, probes)
+            assert plans == ((0, "rederive", None),)
+
+
 def test_size_gate_picks_recompute_above_and_rederive_below():
     vm = serving_model(200, 120)
     m = vm._materialized
@@ -654,6 +692,30 @@ def test_size_gate_picks_recompute_above_and_rederive_below():
     ).run()
     assert (m.interpretation.sorted_atoms()
             == fresh.interpretation.sorted_atoms())
+
+    # A conjunctive-only stratum crosses the same gate, on every arm.
+    facts = [("e", f"v{i}", f"v{(i * 7 + 1) % 200}") for i in range(200)]
+    facts += [("n", f"v{i}") for i in range(0, 200, 3)]
+    markers = [("n", f"v{i}") for i in range(1, 200, 3)]
+
+    def run(options):
+        m = materialize(CONJ, facts, options)
+        gate = max(maintenance.REDERIVE_MIN_GATE,
+                   len(facts) // maintenance.REDERIVE_INPUT_RATIO)
+        big = markers[:2 * gate]
+        report = m.apply_delta(adds=big)
+        # The gate reads the inputs after the batch's markers went in.
+        after = (len(facts) + len(big)) // maintenance.REDERIVE_INPUT_RATIO
+        assert report.stratum_plans == (
+            (0, "recompute", f"delta {len(big)} ≥ gate {after}"),
+        )
+        assert_matches_scratch(m, CONJ, facts + big)
+        report = m.apply_delta(dels=big[:3])
+        assert report.stratum_plans == ((0, "rederive", None),)
+        assert_matches_scratch(m, CONJ, facts + big[3:])
+        return [str(a) for a in m.interpretation.sorted_atoms()]
+
+    same_on_every_path(run)
 
 
 def test_recompute_reasons_are_reported():
