@@ -38,11 +38,10 @@ N_EDGES = 60
 QUERIES_PER_READER = 30
 
 
-def _service(max_workers=8):
+def _service():
     svc = QueryService(
         "t(X, Y) :- e(X, Y).\n"
         "t(X, Z) :- e(X, Y), t(Y, Z).\n",
-        max_workers=max_workers,
     )
     svc.apply_delta(adds=[
         ("e", u, v) for u, v in random_graph(N_NODES, N_EDGES, seed=7)
@@ -53,7 +52,7 @@ def _service(max_workers=8):
 def _run_traffic(svc, n_readers, with_writer=True, seed=1):
     """Drive N reader sessions + the churn writer; returns (wall, queries).
 
-    Readers run on their own threads (as the TCP server's pool would),
+    Readers run on their own threads (as the TCP server's connections do),
     each with its own session, pausing ``THINK_S`` between requests.  The
     writer churns edges for the whole read phase, so every number this
     benchmark reports is measured **under write pressure**.
@@ -123,7 +122,7 @@ def test_reader_throughput_under_churn(benchmark, n_readers):
     ``(n_readers × QUERIES_PER_READER) / time`` — compare the 1- and
     8-reader rows to read off the scaling factor.
     """
-    svc = _service(max_workers=n_readers)
+    svc = _service()
     try:
         wall, n_q = benchmark(_run_traffic, svc, n_readers)
         assert n_q == n_readers * QUERIES_PER_READER
@@ -142,7 +141,7 @@ def test_reader_scaling_floor():
     def best_of(n_readers, k=3):
         best = float("inf")
         for _ in range(k):
-            svc = _service(max_workers=n_readers)
+            svc = _service()
             try:
                 wall, n_q = _run_traffic(svc, n_readers)
             finally:

@@ -81,7 +81,7 @@ class CommitStream:
             try:
                 wake()
             except Exception:
-                # A consumer's event loop is gone; never the writer's problem.
+                # A consumer's connection is gone; never the writer's problem.
                 logger.exception("commit stream wake callback failed")
 
     def wait(self, version: int, timeout: Optional[float] = None) -> int:

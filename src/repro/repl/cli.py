@@ -322,9 +322,7 @@ def cmd_serve(
     required — a follower is independently crash-recoverable), serving
     reads at its applied version until promoted with ``lps ctl promote``.
     """
-    import asyncio
-
-    from ..server.protocol import serve
+    from ..server.protocol import Server
 
     follower = None
     if follow:
@@ -356,15 +354,13 @@ def cmd_serve(
                   f"epoch {getattr(service.model, 'epoch', 0)}; "
                   "replication enabled)")
 
-    async def main() -> None:
-        server = await serve(service, host, port)
-        addr = server.sockets[0].getsockname()
-        print(f"lps server listening on {addr[0]}:{addr[1]}")
-        async with server:
-            await server.serve_forever()
-
     try:
-        asyncio.run(main())
+        server = Server(service, host, port)
+        print(f"lps server listening on {server.host}:{server.port}")
+        try:
+            server.serve_forever()
+        finally:
+            server.stop()
     except KeyboardInterrupt:
         pass
     finally:

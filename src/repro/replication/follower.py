@@ -77,7 +77,7 @@ def _parse_addr(addr: Union[str, tuple]) -> tuple[str, int]:
     if isinstance(addr, tuple):
         return addr[0], int(addr[1])
     host, _, port = addr.rpartition(":")
-    if not host or not port.isdigit():
+    if not host or not (port.isascii() and port.isdigit()):
         raise ValueError(f"expected HOST:PORT, got {addr!r}")
     return host, int(port)
 
@@ -132,7 +132,6 @@ class FollowerService:
         keep_versions: int = 8,
         fsync: str = FSYNC_ALWAYS,
         checkpoint_every: Optional[int] = 512,
-        max_workers: int = 8,
         max_batch: int = 10_000,
         connect_timeout: float = 5.0,
         read_timeout: float = 5.0,
@@ -150,7 +149,6 @@ class FollowerService:
             fsync=fsync,
             checkpoint_every=checkpoint_every,
         )
-        self._max_workers = max_workers
         self._max_batch = max_batch
         self.connect_timeout = connect_timeout
         self.read_timeout = read_timeout
@@ -206,7 +204,6 @@ class FollowerService:
             )
         service = QueryService(
             model=self.model,
-            max_workers=self._max_workers,
             max_batch=self._max_batch,
         )
         service.follower = self

@@ -11,8 +11,8 @@ connection then becomes a dedicated replication stream:
   program + EDB (:func:`~repro.storage.checkpoint.image_lines`), then
   the committed history after ``N``, then live commits as they happen.
   History and live commits are the WAL's own lines; the image is
-  encoded here, on the executor pool, from a frozen snapshot the
-  subscription pinned — off the model's write lock and the event loop.
+  encoded here, on the connection's thread, from a frozen snapshot the
+  subscription pinned — off the model's write lock.
 * **upstream** (follower → leader): ``:ack V`` lines, "version V is
   durable here".  Acks drive :meth:`ReplicationHub.wait_replicated`, the
   ``ack_replicas`` write-acknowledgement gate.
@@ -22,14 +22,14 @@ WAL tail and opens a cursor on the model's commit stream
 (:mod:`repro.engine.commits`) under the write lock, so no commit falls
 between "what the file held" and "what the cursor reads".  A follower
 that stops reading never blocks the leader's writers: once its cursor's
-lag passes ``max_queue`` the transport is aborted, and it reconnects
-from its applied version through the same handoff (DESIGN.md, "Commit
+lag passes ``max_queue`` its socket is shut down under the connection's
+thread, whose parked ``sendall`` then raises, and it reconnects from
+its applied version through the same handoff (DESIGN.md, "Commit
 stream").
 """
 
 from __future__ import annotations
 
-import asyncio
 import logging
 import threading
 import time
@@ -38,6 +38,7 @@ from typing import Optional
 from ..engine import commits
 from ..storage.checkpoint import image_lines
 from ..storage.codec import KIND_REPL_HELLO, StorageError, encode_record
+from ..server.protocol import MAX_LINE_BYTES, Connection
 from ..server.session import Response
 
 logger = logging.getLogger("repro.replication")
@@ -144,54 +145,37 @@ class ReplicationHub:
                     )
                 self._cond.wait(remaining)
 
-    # -- the streaming connection (server event loop) ----------------------------
+    # -- the streaming connection (its own thread) ------------------------------
 
-    async def serve_subscriber(
-        self,
-        line: str,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        shutdown: Optional[asyncio.Future] = None,
-    ) -> None:
+    def serve_subscriber(self, line: str, conn: Connection) -> None:
         """Run one ``:repl from N`` connection until it drops."""
         from_version = _parse_repl_request(line)
         if from_version is None:
-            writer.write(
-                Response.failure(
-                    "repl_protocol",
-                    f"usage: :repl from VERSION (got {line!r})",
-                ).to_json().encode() + b"\n"
-            )
-            await writer.drain()
+            conn.send(Response.failure(
+                "repl_protocol", f"usage: :repl from VERSION (got {line!r})"
+            ))
             return
-        loop = asyncio.get_running_loop()
-        wake = asyncio.Event()
         cursor = None
 
         def on_commit() -> None:
-            # Event loop thread, once per commit.  A lag past the bound
-            # means the serve loop below has been parked in drain() on a
-            # stalled socket for max_queue commits: cut the subscriber off
-            # rather than retain without bound.  abort() (not close())
-            # tears the transport down immediately so the blocked drain()
-            # raises and the stream unwinds; the follower reconnects from
-            # its applied version through the image/history handoff.
+            # The writer's thread, under the write lock, once per commit.
+            # A lag past the bound means the loop below has been parked in
+            # sendall() on a stalled socket for max_queue commits: cut the
+            # subscriber off rather than retain without bound.  The cut
+            # makes the parked sendall() raise, so the stream unwinds; the
+            # follower reconnects from its applied version through the
+            # image/history handoff.
             if cursor is not None and cursor.lag > self.max_queue:
                 logger.warning(
                     "%s is more than %d commits behind (stalled "
                     "consumer); dropping the stream",
                     cursor.consumer, self.max_queue,
                 )
-                writer.transport.abort()
-            wake.set()
+                conn.cut()
+            conn.poke()
 
-        # Subscription takes the model write lock (it may wait behind a
-        # maintenance sweep): keep it off the event loop.
-        history, image, version, epoch, cursor = await loop.run_in_executor(
-            self.service._pool,
-            self.model.subscribe_replication, from_version,
-            lambda: loop.call_soon_threadsafe(on_commit),
-        )
+        history, image, version, epoch, cursor = \
+            self.model.subscribe_replication(from_version, on_commit)
         sub_id = self._register(from_version)
         cursor.consumer = f"replica {sub_id}"
         logger.info(
@@ -200,59 +184,47 @@ class ReplicationHub:
             "image bootstrap" if image is not None
             else f"{len(history)} backlog records",
         )
-        ack_task = asyncio.ensure_future(self._read_acks(reader, sub_id))
-        # The follower dying and shutdown end the stream: both wake it too.
-        ending = [ack_task] if shutdown is None else [ack_task, shutdown]
-        for fut in ending:
-            fut.add_done_callback(lambda _: wake.set())
+        sock = conn.sock
         try:
-            writer.write(encode_record(KIND_REPL_HELLO, {
+            out = [encode_record(KIND_REPL_HELLO, {
                 "version": version, "epoch": epoch, "from": from_version,
-            }).encode("ascii") + b"\n")
+            }).encode("ascii") + b"\n"]
             if image is not None:
-                writer.writelines(await loop.run_in_executor(
-                    self.service._pool, image_lines, *image
-                ))
-            writer.writelines(history)
-            while not any(fut.done() for fut in ending):
-                await writer.drain()
-                await wake.wait()
-                wake.clear()
-                for commit in cursor.read():
-                    writer.write(commit.line)
+                out += image_lines(*image)
+            sock.sendall(b"".join(out + history))
+            # The follower hanging up and shutdown end the stream.
+            while not conn.closing:
+                if conn.wait() and not self._read_acks(conn, sub_id):
+                    break
+                batch = cursor.read()
+                if batch:
+                    sock.sendall(b"".join(c.line for c in batch))
         except (ConnectionError, OSError):
             pass
         except commits.FellBehind as exc:
             logger.warning("%s; dropping the stream", exc)
         finally:
             cursor.close()
-            ack_task.cancel()
-            try:
-                await ack_task
-            except (asyncio.CancelledError, Exception):
-                pass
             self._unregister(sub_id)
             logger.info("replica %d unsubscribed", sub_id)
 
-    async def _read_acks(
-        self, reader: asyncio.StreamReader, sub_id: int
-    ) -> None:
-        """Drain ``:ack N`` lines; returns (ending the stream) on EOF."""
-        while True:
-            raw = await reader.readline()
-            if not raw:
-                return
-            text = raw.decode("ascii", errors="replace").strip()
-            if not text.startswith(":ack"):
-                continue
-            parts = text.split()
-            if len(parts) == 2 and parts[1].isdigit():
+    def _read_acks(self, conn: Connection, sub_id: int) -> bool:
+        """Take the ``:ack N`` lines received; ``False`` once the follower
+        hung up or sent a line past ``MAX_LINE_BYTES``."""
+        alive = conn.recv()
+        *lines, rest = conn.buf.split(b"\n")
+        conn.buf[:] = rest
+        for raw in lines:
+            parts = raw.decode("ascii", errors="replace").split()
+            if len(parts) == 2 and parts[0] == ":ack" \
+                    and parts[1].isascii() and parts[1].isdigit():
                 self.note_ack(sub_id, int(parts[1]))
+        return alive and len(rest) <= MAX_LINE_BYTES
 
 
 def _parse_repl_request(line: str) -> Optional[int]:
     parts = line.split()
     if len(parts) == 3 and parts[0] == ":repl" and parts[1] == "from" \
-            and parts[2].isdigit():
+            and parts[2].isascii() and parts[2].isdigit():
         return int(parts[2])
     return None

@@ -8,10 +8,10 @@ layer").  The package splits into:
 * :mod:`repro.server.session` — per-client :class:`Session` (the REPL
   grammar: queries, fact churn, batches, time-travel reads) and the
   structured :class:`Response` envelope,
-* :mod:`repro.server.service` — :class:`QueryService`, the thread-pool
-  front end owning the :class:`~repro.engine.maintenance.VersionedModel`,
-* :mod:`repro.server.protocol` — a line-oriented TCP server (asyncio)
-  plus a minimal blocking :class:`LineClient`.
+* :mod:`repro.server.service` — :class:`QueryService`, the front end
+  owning the :class:`~repro.engine.maintenance.VersionedModel`,
+* :mod:`repro.server.protocol` — a line-oriented TCP server with one
+  thread per connection, plus a minimal blocking :class:`LineClient`.
 """
 
 from .session import (
@@ -33,7 +33,7 @@ from .session import (
     SessionStats,
 )
 from .service import QueryService
-from .protocol import Backoff, LineClient, ServerHandle, run_in_thread, serve
+from .protocol import Backoff, LineClient, Server, ServerHandle, run_in_thread
 
 __all__ = [
     "Backoff",
@@ -53,9 +53,9 @@ __all__ = [
     "QueryResult",
     "QueryService",
     "Response",
+    "Server",
     "ServerHandle",
     "Session",
     "SessionStats",
     "run_in_thread",
-    "serve",
 ]

@@ -1,4 +1,4 @@
-"""Line-oriented TCP protocol: the REPL grammar over asyncio streams.
+"""Line-oriented TCP protocol: the REPL grammar, one thread per connection.
 
 Wire format — deliberately minimal so any language can speak it:
 
@@ -20,30 +20,38 @@ Wire format — deliberately minimal so any language can speak it:
   stashing) any push-kind frames that arrive first; :class:`LineClient`
   does exactly that.
 
-Each connection owns one :class:`~repro.server.session.Session`; request
-handling is pushed onto the service's thread pool so a long query never
-stalls the event loop, while the session itself guarantees snapshot
-isolation.  A dropped connection closes the session — pending batches are
-discarded, pinned versions released, and the shared model is untouched.
+**One thread per connection.**  :class:`Server` accepts on one thread
+and gives each connection a :class:`~repro.server.session.Session` and a
+thread of its own, which reads a request line, executes it and sends
+the reply.  Between requests it waits in ``poll`` on its
+socket and a wake pipe that a subscription push, a commit on a
+replication stream and shutdown write to.  A long query or a parked
+``:sync`` holds only its own connection; the session guarantees snapshot
+isolation.  A dropped connection closes the session — pending batches
+are discarded, pinned versions released, and the shared model is
+untouched.
 
-**Graceful shutdown.**  :meth:`ServerHandle.stop` stops accepting, lets
-every in-flight request finish and deliver its response, then sends each
+**Graceful shutdown.**  :meth:`Server.stop` stops accepting, lets every
+in-flight request finish and deliver its response, then sends each
 surviving connection one structured ``server_closing`` response before
 closing it — a client mid-request never sees its acknowledged work
 vanish into a reset socket.
 
-:func:`run_in_thread` hosts the asyncio server on a daemon thread and
-returns the bound address — how the tests, the benchmark and the demo
-drive a real socket server in-process.  :class:`LineClient` is a minimal
-blocking client for those callers; with ``max_attempts > 1`` it
-reconnects on connection failure with exponential backoff plus jitter.
+:func:`run_in_thread` hosts a server on a daemon thread and returns the
+bound address — how the tests, the benchmark and the demo drive a real
+socket server in-process; ``lps serve`` runs one on its main thread.
+:class:`LineClient` is a minimal blocking client for those callers; with
+``max_attempts > 1`` it reconnects on connection failure with
+exponential backoff plus jitter.
 """
 
 from __future__ import annotations
 
-import asyncio
+import logging
+import os
 import random
 import select
+import signal
 import socket
 import threading
 import time
@@ -52,6 +60,8 @@ from typing import Optional
 from .service import QueryService
 from .session import E_CLOSING, Response
 from .subscriptions import FRAME_DIFF, FRAME_DROPPED
+
+logger = logging.getLogger("repro.server")
 
 #: Requests longer than this are refused (also bounds the reader buffer).
 MAX_LINE_BYTES = 1 << 20
@@ -90,229 +100,219 @@ class Backoff:
         return delay * (0.5 + 0.5 * random.random())
 
 
-class _ServerState:
-    """Live-connection registry backing the graceful drain shutdown."""
+class Connection:
+    """One socket, its read buffer and the wake pipe its thread waits on.
 
-    def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
-        self.loop = loop
+    :meth:`poke` and :meth:`cut` may be called from any thread and never
+    block: a subscription push (``session.on_push``), a replication
+    stream's commit callback, which runs under the leader's write lock,
+    and shutdown all use them.
+    """
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        #: Bytes received past the last line taken.
+        self.buf = bytearray()
+        #: Set by :meth:`Server.stop`: finish the request in hand, then go.
         self.closing = False
-        self._waiters: set[asyncio.Future] = set()
-        self._active = 0
-        #: Set (from the loop thread) once closing is underway and every
-        #: connection handler has exited — the drain barrier stop() waits
-        #: on from the caller's thread.
-        self.drained = threading.Event()
-        #: Loop-side twin of ``drained``: ``Server.close()`` cancels
-        #: ``serve_forever`` immediately, so the runner must park on
-        #: this future to keep the loop alive while handlers deliver
-        #: their ``server_closing`` responses — otherwise teardown
-        #: cancels them mid-send and idle clients read EOF.
-        self._drained_fut = loop.create_future()
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_w, False)
+        self._poll = select.poll()
+        self._poll.register(sock, select.POLLIN)
+        self._poll.register(self._wake_r, select.POLLIN)
+        #: Keeps a late poke or cut off descriptors close() has released.
+        self._lock = threading.Lock()
+        self._closed = False
 
-    def register(self) -> asyncio.Future:
-        waiter = self.loop.create_future()
-        self._waiters.add(waiter)
-        self._active += 1
-        return waiter
-
-    def unregister(self, waiter: asyncio.Future) -> None:
-        self._waiters.discard(waiter)
-        self._active -= 1
-        if self.closing and self._active <= 0:
-            self._mark_drained()
-
-    def begin_close(self) -> None:
-        """Loop thread only: flag shutdown and wake idle readers."""
-        self.closing = True
-        for waiter in list(self._waiters):
-            if not waiter.done():
-                waiter.set_result(None)
-        if self._active <= 0:
-            self._mark_drained()
-
-    def _mark_drained(self) -> None:
-        self.drained.set()
-        if not self._drained_fut.done():
-            self._drained_fut.set_result(None)
-
-    async def wait_drained(self) -> None:
-        await self._drained_fut
-
-
-async def _send_closing(writer: asyncio.StreamWriter) -> None:
-    payload = Response.failure(
-        E_CLOSING, "server is shutting down"
-    )
-    try:
-        writer.write(payload.to_json().encode() + b"\n")
-        await writer.drain()
-    except (ConnectionError, OSError):
-        pass
-
-
-def _reply_bytes(session, line: str) -> bytes:
-    """One request served down to its wire bytes (pool thread)."""
-    return session.execute(line).to_json().encode() + b"\n"
-
-
-def _push_payload(frame: dict) -> Response:
-    return Response(
-        ok=True,
-        kind=frame.get("kind", FRAME_DIFF),
-        data=frame,
-        version=frame.get("version"),
-    )
-
-
-async def _flush_pushes(
-    session, writer: asyncio.StreamWriter, push_event: asyncio.Event
-) -> None:
-    """Write every queued subscription frame (connection-idle only)."""
-    push_event.clear()
-    frames = session.take_push_frames()
-    if not frames:
-        return
-    for frame in frames:
-        writer.write(_push_payload(frame).to_json().encode() + b"\n")
-    await writer.drain()
-
-
-async def handle_connection(
-    service: QueryService,
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    state: Optional[_ServerState] = None,
-) -> None:
-    """Serve one client connection: a session for the connection's life."""
-    session = service.open_session()
-    loop = asyncio.get_running_loop()
-    waiter = state.register() if state is not None else None
-    # Subscription frames land in the session's bounded queue from the
-    # dispatcher thread; the event hops them onto this loop so the idle
-    # connection wakes and flushes without polling.
-    push_event = asyncio.Event()
-    session.on_push = lambda: loop.call_soon_threadsafe(push_event.set)
-    #: The in-flight readline, persistent across loop iterations: a push
-    #: wake-up must not cancel (and thereby lose) a partial request.
-    read_task: Optional[asyncio.Future] = None
-    try:
-        while True:
-            if state is not None and state.closing:
-                await _send_closing(writer)
-                break
-            # Deliver queued push frames while the line is idle — frames
-            # only ever appear between a response and the next request,
-            # so replies stay unambiguous for naive clients.
-            await _flush_pushes(session, writer, push_event)
-            if read_task is None:
-                read_task = asyncio.ensure_future(reader.readline())
-            push_wait = asyncio.ensure_future(push_event.wait())
-            waits = {read_task, push_wait}
-            if waiter is not None:
-                waits.add(waiter)
-            try:
-                await asyncio.wait(
-                    waits, return_when=asyncio.FIRST_COMPLETED
-                )
-            finally:
-                if not push_wait.done():
-                    push_wait.cancel()
-                    try:
-                        await push_wait
-                    except asyncio.CancelledError:
-                        pass
-            if waiter is not None and waiter.done() \
-                    and not read_task.done():
-                # Shutdown arrived while this connection was idle.
-                read_task.cancel()
+    def poke(self) -> None:
+        """Wake the connection's thread out of :meth:`wait`."""
+        with self._lock:
+            if not self._closed:
                 try:
-                    await read_task
-                except (asyncio.CancelledError, Exception):
+                    os.write(self._wake_w, b"!")
+                except BlockingIOError:
+                    pass                   # a full pipe already wakes it
+
+    def cut(self) -> None:
+        """Shut the socket down under its thread, so a ``sendall`` parked
+        on a full socket raises and the thread unwinds."""
+        with self._lock:
+            if not self._closed:
+                try:
+                    self.sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
                     pass
-                read_task = None
-                await _send_closing(writer)
-                break
-            if not read_task.done():
-                continue                   # woken by a push; flush above
-            try:
-                raw = read_task.result()
-            except (asyncio.LimitOverrunError, ValueError):
-                payload = Response.failure(
-                    "line_too_long",
-                    f"request exceeds {MAX_LINE_BYTES} bytes",
-                )
-                writer.write(payload.to_json().encode() + b"\n")
-                await writer.drain()
-                break
-            finally:
-                read_task = None
-            if not raw:
-                break                      # EOF: client went away
-            line = raw.decode("utf-8", errors="replace").strip()
-            if line in (":quit", ":q"):
-                writer.write(
-                    Response(ok=True, kind="bye").to_json().encode() + b"\n"
-                )
-                await writer.drain()
-                break
-            if line == ":repl" or line.startswith(":repl "):
-                hub = getattr(service, "hub", None)
-                if hub is None:
-                    payload = Response.failure(
-                        "repl_unavailable",
-                        "replication is not enabled on this server",
-                    )
-                    writer.write(payload.to_json().encode() + b"\n")
-                    await writer.drain()
-                    continue
-                # The connection is dedicated to WAL shipping from here.
-                await hub.serve_subscriber(
-                    line, reader, writer, shutdown=waiter
-                )
-                break
-            # Session work runs on the service pool: parsing and query
-            # evaluation are CPU-bound and must not block the event loop.
-            # Blocking waits (:sync) go to the dedicated waiter pool so
-            # parked clients never pin query workers.
-            # The reply is serialized there too: the loop only writes bytes,
-            # so a large answer never stalls the other connections.
-            writer.write(await loop.run_in_executor(
-                service.executor_for(line), _reply_bytes, session, line
+
+    def wait(self) -> bool:
+        """Block until the socket is readable or a poke arrives; returns
+        whether the socket is readable."""
+        readable = False
+        for fd, _ in self._poll.poll():
+            if fd == self._wake_r:
+                os.read(self._wake_r, 4096)
+            else:
+                readable = True
+        return readable
+
+    def recv(self) -> bool:
+        """Append what the socket holds to :attr:`buf`; ``False`` at EOF."""
+        chunk = self.sock.recv(65536)
+        self.buf += chunk
+        return bool(chunk)
+
+    def send(self, response: Response) -> None:
+        self.sock.sendall(response.to_json().encode() + b"\n")
+
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+            os.close(self._wake_r)
+            os.close(self._wake_w)
+            self.sock.close()
+
+
+def _converse(service: QueryService, conn: Connection, session) -> None:
+    """Serve requests until the client leaves or the server closes."""
+    buf = conn.buf
+    while True:
+        # Queued push frames go out while the line is idle, between a
+        # reply and the next request, so replies stay unambiguous.
+        frames = session.take_push_frames()
+        if frames:
+            conn.sock.sendall(b"".join(
+                Response(
+                    ok=True, kind=f.get("kind", FRAME_DIFF), data=f,
+                    version=f.get("version"),
+                ).to_json().encode() + b"\n"
+                for f in frames
             ))
-            await writer.drain()
-    except ConnectionError:
-        pass                               # mid-session disconnect
-    finally:
-        session.on_push = None
-        if read_task is not None and not read_task.done():
-            read_task.cancel()
-            try:
-                await read_task
-            except (asyncio.CancelledError, Exception):
-                pass
-        if state is not None:
-            state.unregister(waiter)
-        session.close()                    # discards pending, releases pins
+        if conn.closing:
+            conn.send(Response.failure(E_CLOSING, "server is shutting down"))
+            return
+        end = buf.find(b"\n")
+        if end < 0 and len(buf) <= MAX_LINE_BYTES:
+            if conn.wait() and not conn.recv():
+                if not buf:
+                    return                 # EOF: client went away
+                buf += b"\n"               # a last line without its newline
+            continue
+        if end < 0 or end > MAX_LINE_BYTES:
+            conn.send(Response.failure(
+                "line_too_long", f"request exceeds {MAX_LINE_BYTES} bytes"
+            ))
+            return
+        line = buf[:end].decode("utf-8", errors="replace").strip()
+        del buf[:end + 1]
+        if line in (":quit", ":q"):
+            conn.send(Response(ok=True, kind="bye"))
+            return
+        if line == ":repl" or line.startswith(":repl "):
+            if service.hub is None:
+                conn.send(Response.failure(
+                    "repl_unavailable",
+                    "replication is not enabled on this server",
+                ))
+                continue
+            # The connection is dedicated to WAL shipping from here.
+            service.hub.serve_subscriber(line, conn)
+            return
+        conn.sock.sendall(session.execute(line).to_json().encode() + b"\n")
+
+
+class Server:
+    """A listening socket and one thread per accepted connection.
+
+    :meth:`serve_forever` accepts on the calling thread; :meth:`stop`
+    drains from any other.
+    """
+
+    def __init__(
+        self, service: QueryService, host: str = "127.0.0.1", port: int = 0
+    ) -> None:
+        self.service = service
+        listener = socket.create_server((host, port))
+        # Non-blocking, so an accept() whose peer gave up after poll()
+        # cannot park the acceptor where stop() does not reach it.
+        listener.setblocking(False)
+        self._listening = Connection(listener)
+        self.host, self.port = listener.getsockname()[:2]
+        self._lock = threading.Lock()
+        self._conns: dict[Connection, threading.Thread] = {}
+        self._stopping = threading.Event()
+
+    def serve_forever(self) -> None:
+        """Accept until :meth:`stop`; closes the listening socket.
+
+        On the main thread a signal wakes the accept loop too, so its
+        handler (Ctrl-C's ``KeyboardInterrupt``) runs whichever thread
+        the signal was delivered to.
+        """
+        on_main = threading.current_thread() is threading.main_thread()
+        if on_main:
+            old_wakeup = signal.set_wakeup_fd(self._listening._wake_w)
         try:
-            writer.close()
-            await writer.wait_closed()
-        except (ConnectionError, asyncio.CancelledError):
-            pass                           # forced teardown mid-close
+            while not self._stopping.is_set():
+                if self._listening.wait():
+                    self._accept()
+        finally:
+            if on_main:
+                signal.set_wakeup_fd(old_wakeup)
+            self._listening.close()
 
+    def _accept(self) -> None:
+        try:
+            sock, _ = self._listening.sock.accept()
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn = Connection(sock)
+        except BlockingIOError:
+            return
+        except OSError as exc:
+            # Out of descriptors, say: pause rather than spin on a
+            # listener that stays readable.
+            logger.warning("accept failed: %s", exc)
+            self._stopping.wait(1.0)
+            return
+        thread = threading.Thread(
+            target=self._serve, args=(conn,), name="lps-connection",
+            daemon=True,
+        )
+        with self._lock:
+            conn.closing = self._stopping.is_set()
+            self._conns[conn] = thread
+        thread.start()
 
-async def serve(
-    service: QueryService,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    state: Optional[_ServerState] = None,
-) -> asyncio.base_events.Server:
-    """Start the asyncio server; ``port=0`` binds an ephemeral port."""
-    return await asyncio.start_server(
-        lambda r, w: handle_connection(service, r, w, state),
-        host,
-        port,
-        limit=MAX_LINE_BYTES,
-    )
+    def _serve(self, conn: Connection) -> None:
+        """One connection's thread: a session for the connection's life."""
+        session = None
+        try:
+            session = self.service.open_session()
+            session.on_push = conn.poke
+            _converse(self.service, conn, session)
+        except (ConnectionError, OSError):
+            pass                           # mid-session disconnect
+        finally:
+            if session is not None:
+                session.close()            # discards pending, releases pins
+            conn.close()
+            with self._lock:
+                del self._conns[conn]
+
+    def stop(self, timeout: float = 10.0) -> None:
+        """Drain: stop accepting, let each request in hand deliver its
+        reply, send every connection one ``server_closing``; past
+        ``timeout`` cut the sockets of those still busy."""
+        deadline = time.monotonic() + timeout
+        with self._lock:
+            self._stopping.set()
+            busy = dict(self._conns)
+        self._listening.poke()
+        for conn in busy:
+            conn.closing = True
+            conn.poke()
+        for conn, thread in busy.items():
+            thread.join(max(0.0, deadline - time.monotonic()))
+            if thread.is_alive():
+                conn.cut()
 
 
 class ServerHandle:
@@ -344,91 +344,23 @@ def run_in_thread(
     start_timeout: float = 10.0,
     stop_timeout: float = 10.0,
 ) -> ServerHandle:
-    """Host the protocol server on a daemon thread; returns its address.
+    """Serve on a daemon thread; returns the bound address.
 
-    ``stop()`` drains gracefully: accepting stops immediately, in-flight
-    requests run to completion (bounded by ``stop_timeout``) and every
-    idle connection receives a ``server_closing`` response before the
-    loop is torn down.
+    The socket is bound on the calling thread, so a bind error raises
+    here and ``start_timeout`` is never reached.  ``stop()`` drains as
+    :meth:`Server.stop` does, bounded by ``stop_timeout``.
     """
-    started = threading.Event()
-    box: dict = {}
-
-    def runner() -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-
-        async def main() -> None:
-            state = _ServerState(asyncio.get_running_loop())
-            server = await serve(service, host, port, state=state)
-            box["addr"] = server.sockets[0].getsockname()[:2]
-            box["loop"] = loop
-            box["server"] = server
-            box["state"] = state
-            started.set()
-            try:
-                async with server:
-                    await server.serve_forever()
-            except asyncio.CancelledError:
-                pass
-            # stop()'s server.close() cancels serve_forever at once;
-            # hold the loop open until every connection handler has
-            # unregistered (closing responses sent), else the teardown
-            # below cancels them mid-send.  A stuck handler is bounded
-            # by stop()'s _finish, which cancels this wait too.
-            await state.wait_drained()
-
-        try:
-            loop.run_until_complete(main())
-        except asyncio.CancelledError:
-            pass
-        finally:
-            # Let cancelled handlers run their cleanup before the loop
-            # goes away — otherwise teardown leaks "task was destroyed
-            # but it is pending" noise on busy shutdowns.
-            pending = [t for t in asyncio.all_tasks(loop) if not t.done()]
-            for task in pending:
-                task.cancel()
-            if pending:
-                loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True)
-                )
-            loop.close()
-
+    server = Server(service, host, port)
     thread = threading.Thread(
-        target=runner, name="lps-server", daemon=True
+        target=server.serve_forever, name="lps-server", daemon=True
     )
     thread.start()
-    if not started.wait(timeout=start_timeout):
-        raise RuntimeError(
-            f"server failed to start within {start_timeout:g}s"
-        )
-    bound_host, bound_port = box["addr"]
-    loop: asyncio.AbstractEventLoop = box["loop"]
-    state: _ServerState = box["state"]
-    stopped = threading.Event()
 
     def stop() -> None:
-        if stopped.is_set():
-            return
-        stopped.set()
+        server.stop(stop_timeout)
+        thread.join(stop_timeout)
 
-        def _begin() -> None:
-            box["server"].close()
-            state.begin_close()
-
-        def _finish() -> None:
-            for task in asyncio.all_tasks(loop):
-                task.cancel()
-
-        if loop.is_running():
-            loop.call_soon_threadsafe(_begin)
-            state.drained.wait(timeout=stop_timeout)
-            if loop.is_running():
-                loop.call_soon_threadsafe(_finish)
-        thread.join(timeout=stop_timeout)
-
-    return ServerHandle(bound_host, bound_port, stop)
+    return ServerHandle(server.host, server.port, stop)
 
 
 class LineClient:

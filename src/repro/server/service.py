@@ -6,9 +6,8 @@ the REPL both sit on:
 * it owns the :class:`~repro.engine.maintenance.VersionedModel` (and with
   it the single write lock and the snapshot registry),
 * it hands out :class:`~repro.server.session.Session` objects — one per
-  client — and runs their requests on a bounded thread pool
-  (:meth:`submit`), or synchronously on the caller's thread
-  (:meth:`execute`),
+  client, whose requests run on the caller's thread (the TCP server
+  gives each connection a thread of its own),
 * it owns the shared *program source*: ``extend_program`` re-parses the
   accumulated source (exactly the REPL's validation discipline), rebuilds
   the model under the write lock, and publishes the next version,
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Iterable, Mapping, Optional, Union
 
 from ..core.program import Program
@@ -35,7 +33,7 @@ from ..engine.evaluation import EvalOptions
 from ..engine.maintenance import ModelSnapshot, VersionedModel
 from ..engine.setops import with_set_builtins
 from ..lang import parse_program, pretty_clause
-from .session import Response, Session, SessionStats
+from .session import Session, SessionStats
 from .subscriptions import SubscriptionManager
 
 
@@ -60,7 +58,6 @@ class QueryService:
         database: Optional[Database] = None,
         builtins: Optional[Mapping[str, Builtin]] = None,
         options: Optional[EvalOptions] = None,
-        max_workers: int = 8,
         keep_versions: int = 8,
         max_batch: int = 10_000,
         data_dir: Optional[Union[str, os.PathLike]] = None,
@@ -81,7 +78,7 @@ class QueryService:
             self._source_lines = [
                 pretty_clause(c) for c in model.program.clauses
             ]
-            self._init_runtime(max_workers, ack_replicas, ack_timeout)
+            self._init_runtime(ack_replicas, ack_timeout)
             return
         if isinstance(program, Program):
             # pretty_clause, not str(): only the pretty-printer's output is
@@ -122,14 +119,9 @@ class QueryService:
                 options=options,
                 keep_versions=keep_versions,
             )
-        self._init_runtime(max_workers, ack_replicas, ack_timeout)
+        self._init_runtime(ack_replicas, ack_timeout)
 
-    def _init_runtime(
-        self, max_workers: int, ack_replicas: int, ack_timeout: float
-    ) -> None:
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="lps-query"
-        )
+    def _init_runtime(self, ack_replicas: int, ack_timeout: float) -> None:
         self._sessions: dict[int, Session] = {}
         self._sessions_lock = threading.Lock()
         #: Stats of already-closed sessions (so totals never regress).
@@ -143,11 +135,6 @@ class QueryService:
         self.ack_timeout = ack_timeout
         #: Standing-query registry + diff dispatcher (:subscribe).
         self.subscriptions = SubscriptionManager(self)
-        #: Lazily created pool for blocking waits (``:sync``): parked
-        #: clients must never pin ``lps-query`` workers, or pool-size
-        #: concurrent syncs would starve every query until a timeout.
-        self._waiter_pool: Optional[ThreadPoolExecutor] = None
-        self._waiter_lock = threading.Lock()
 
     # -- sessions ----------------------------------------------------------------
 
@@ -173,34 +160,6 @@ class QueryService:
     def session_count(self) -> int:
         with self._sessions_lock:
             return len(self._sessions)
-
-    # -- request execution -------------------------------------------------------
-
-    def execute(self, session: Session, line: str) -> Response:
-        """Run one request synchronously on the calling thread."""
-        return session.execute(line)
-
-    def submit(self, session: Session, line: str) -> "Future[Response]":
-        """Run one request on the service thread pool (blocking waits go
-        to the dedicated waiter pool, see :meth:`executor_for`)."""
-        return self.executor_for(line).submit(session.execute, line)
-
-    def executor_for(self, line: str) -> ThreadPoolExecutor:
-        """The pool a request line should run on.
-
-        ``:sync`` parks on the model's commit stream for up to its
-        timeout; routing it to a separate waiter pool keeps the query
-        pool's workers available no matter how many clients are waiting
-        (regression-tested in ``tests/test_subscribe.py``).
-        """
-        if line.lstrip().startswith(":sync"):
-            with self._waiter_lock:
-                if self._waiter_pool is None:
-                    self._waiter_pool = ThreadPoolExecutor(
-                        max_workers=64, thread_name_prefix="lps-sync"
-                    )
-                return self._waiter_pool
-        return self._pool
 
     # -- writes / program --------------------------------------------------------
 
@@ -298,13 +257,6 @@ class QueryService:
         for session in live:
             session.close()
         self.subscriptions.stop()
-        self._pool.shutdown(wait=True)
-        with self._waiter_lock:
-            waiters, self._waiter_pool = self._waiter_pool, None
-        if waiters is not None:
-            # Parked ``:sync`` waits run out their own (client-chosen)
-            # timeouts; don't hold shutdown hostage to them.
-            waiters.shutdown(wait=False, cancel_futures=True)
         close = getattr(self.model, "close", None)
         if close is not None:
             close()

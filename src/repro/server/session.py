@@ -24,7 +24,7 @@ sessions are writing:
   :class:`SolverStats`/:class:`ExecStats` merged into the session's
   totals under the session lock; the service merges sessions on read.
   Nothing shared is mutated on the read path, so totals stay exact under
-  a thread pool (see ``tests/test_concurrency.py``).
+  concurrent threads (see ``tests/test_concurrency.py``).
 
 Every error — parse failure, retired version, oversized batch, closed
 session — returns a structured :class:`Response` with a stable ``code``

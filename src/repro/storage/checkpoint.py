@@ -70,7 +70,7 @@ def checkpoint_version(path: Path) -> Optional[int]:
     ):
         return None
     digits = name[len(CHECKPOINT_PREFIX):-len(CHECKPOINT_SUFFIX)]
-    return int(digits) if digits.isdigit() else None
+    return int(digits) if digits.isascii() and digits.isdigit() else None
 
 
 def list_checkpoints(directory: Path) -> list[Path]:

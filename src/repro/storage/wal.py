@@ -82,7 +82,7 @@ def _segment_version(path: Path) -> Optional[int]:
     if not (name.startswith(SEGMENT_PREFIX) and name.endswith(SEGMENT_SUFFIX)):
         return None
     digits = name[len(SEGMENT_PREFIX):-len(SEGMENT_SUFFIX)]
-    return int(digits) if digits.isdigit() else None
+    return int(digits) if digits.isascii() and digits.isdigit() else None
 
 
 class WriteAheadLog:

@@ -312,3 +312,65 @@ class TestReplDurability:
         captured = capsys.readouterr()
         assert "already holds durable state" in captured.err
         assert "true" in captured.out
+
+
+def test_cli_import_leaves_asyncio_out():
+    """``lps`` starts without asyncio: the server is plain threads, and
+    the import would cost every ``lps serve``, ``lps run`` and cold
+    start tens of milliseconds."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, repro.repl.cli; print('asyncio' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True,
+        text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"
+
+
+def test_serve_stops_gracefully_on_ctrl_c(tmp_path):
+    """SIGINT stops ``lps serve`` like ``Server.stop``: an idle client
+    gets one ``server_closing`` and the process exits 0, whichever of
+    the server's threads the signal was delivered to."""
+    import os
+    import signal
+    import socket
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+    from repro.server import E_CLOSING, Response
+
+    prog = tmp_path / "prog.lps"
+    prog.write_text("e(a, b).\n")
+    src = str(Path(repro.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-W", "ignore", "-m", "repro.repl.cli",
+         "serve", str(prog), "--host", "127.0.0.1", "--port", "0"],
+        stdout=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    try:
+        line = proc.stdout.readline()
+        assert "listening on" in line
+        port = int(line.rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=10) \
+                as sock, sock.makefile("rb") as stream:
+            sock.sendall(b"?- e(a, X).\n")
+            assert Response.from_json(stream.readline().decode()).ok
+            proc.send_signal(signal.SIGINT)
+            closing = Response.from_json(stream.readline().decode())
+            assert closing.code == E_CLOSING
+        assert proc.wait(timeout=10) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()

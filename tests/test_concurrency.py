@@ -150,9 +150,7 @@ def test_snapshot_consistency_property(
     )
     for path in PATHS:
         with forced(path) as options:
-            svc = QueryService(
-                TC_SOURCE, options=options, max_workers=n_readers
-            )
+            svc = QueryService(TC_SOURCE, options=options)
             for spec in sorted(initial):
                 svc.apply_delta(adds=[spec])
             base_version = svc.model.version
@@ -187,7 +185,7 @@ def test_dred_counting_stress_under_threads(n_readers):
     derivations among them), under threads."""
     program = parse_program(TRAP_SOURCE)
     edges = [(f"v{i}", f"v{i+1}") for i in range(6)] + [("v6", "v0")]
-    svc = QueryService(TRAP_SOURCE, max_workers=n_readers)
+    svc = QueryService(TRAP_SOURCE)
     for u, v in edges:
         svc.apply_delta(adds=[("e", u, v)])
     base_version = svc.model.version
@@ -271,7 +269,7 @@ def test_stats_totals_exact_under_parallel_queries():
     """``:stats`` totals are exact under the thread pool: per-session
     collection + merge-on-read, no shared mutable counter on reads."""
     n_threads, per_thread = 6, 25
-    svc = QueryService(TC_SOURCE, max_workers=n_threads)
+    svc = QueryService(TC_SOURCE)
     for i in range(10):
         svc.apply_delta(adds=[("e", f"v{i}", f"v{i+1}")])
 
@@ -313,7 +311,7 @@ def test_stats_totals_match_observed_under_churn():
     """With a writer racing the readers, totals still equal exactly what
     the readers observed (no lost or double-counted increments)."""
     n_threads, per_thread = 4, 20
-    svc = QueryService(TC_SOURCE, max_workers=n_threads)
+    svc = QueryService(TC_SOURCE)
     plan = mixed_traffic(
         [(f"v{i}", f"v{i+1}") for i in range(8)],
         n_readers=n_threads, queries_per_reader=per_thread,

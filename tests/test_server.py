@@ -485,14 +485,6 @@ class TestErrorPaths:
 
 
 class TestServiceFrontEnd:
-    def test_submit_runs_on_pool(self):
-        svc = service()
-        s = svc.open_session()
-        s.execute("+e(a, b).")
-        future = svc.submit(s, "?- e(a, b).")
-        assert future.result(timeout=10).data["truth"]
-        svc.shutdown()
-
     def test_session_accounting(self):
         svc = service()
         s1, s2 = svc.open_session(), svc.open_session()

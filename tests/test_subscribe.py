@@ -12,13 +12,15 @@ goals the delta path cannot serve (negation), through unsubscribes
 mid-churn, batched writes, session teardown, and on followers applying a
 replicated stream.
 
-This module also pins the PR's two concurrency bugfixes: ``:sync`` parks
-on the model's version condition (no polling) and runs on a dedicated
-waiter pool so waiting clients cannot starve queries, and a subscriber
-that never drains its diffs is dropped instead of buffering without
-bound.
+This module also pins two concurrency fixes: ``:sync`` parks on the
+model's version condition (no polling) and blocks only its own
+connection's thread, so waiting clients cannot starve queries, and a
+subscriber that never drains its diffs is dropped instead of buffering
+without bound.
 """
 
+import select
+import socket
 import threading
 import time
 
@@ -27,7 +29,9 @@ from hypothesis import given, settings, strategies as st
 
 from paths import PATHS, forced
 from repro.engine import Database
-from repro.server import E_NOT_YET, LineClient, QueryService, run_in_thread
+from repro.server import (
+    E_NOT_YET, LineClient, QueryService, Response, run_in_thread,
+)
 from repro.server.subscriptions import FRAME_DIFF, FRAME_DROPPED, REASON_SLOW
 from repro.workloads import subscriber_plan
 
@@ -398,28 +402,36 @@ class TestSync:
             svc.shutdown()
 
     def test_parked_syncs_do_not_starve_queries(self):
-        """Pool-size concurrent ``:sync`` waits must leave the query pool
-        fully available (the PR's starvation regression).  The waits are
-        released by the commit they wait for, not by their timeout."""
-        svc = QueryService(TC, max_workers=2)
+        """Concurrent ``:sync`` waits over TCP must leave queries on other
+        connections answerable: each parked wait blocks only its own
+        connection's thread.  The waits are released by the commit they
+        wait for, not by their timeout."""
+        svc = QueryService(TC)
         try:
-            sessions = [svc.open_session() for _ in range(3)]
-            target = svc.model.version + 1
-            waits = [
-                svc.submit(sessions[i], f":sync {target} 30")
-                for i in range(2)
-            ]
-            start = time.monotonic()
-            answer = svc.submit(sessions[2], "?- t(X, Y).").result(
-                timeout=2.0
-            )
-            elapsed = time.monotonic() - start
-            assert answer.ok
-            assert elapsed < 2.0
-            assert not any(f.done() for f in waits)
-            svc.apply_delta(adds=[("e", "a", "b")])    # commits ``target``
-            for f in waits:
-                response = f.result(timeout=10.0)
-                assert response.ok
+            with run_in_thread(svc) as handle:
+                target = svc.model.version + 1
+                waiters = [
+                    socket.create_connection(
+                        (handle.host, handle.port), timeout=10.0
+                    )
+                    for _ in range(2)
+                ]
+                try:
+                    for sock in waiters:
+                        sock.sendall(f":sync {target} 30\n".encode())
+                    with LineClient(handle.host, handle.port) as client:
+                        start = time.monotonic()
+                        answer = client.query("t(X, Y)")
+                        elapsed = time.monotonic() - start
+                    assert answer.ok
+                    assert elapsed < 2.0
+                    assert not select.select(waiters, [], [], 0)[0]
+                    svc.apply_delta(adds=[("e", "a", "b")])  # commits target
+                    for sock in waiters:
+                        line = sock.makefile("rb").readline()
+                        assert Response.from_json(line.decode()).ok
+                finally:
+                    for sock in waiters:
+                        sock.close()
         finally:
             svc.shutdown()
