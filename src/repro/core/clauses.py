@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .atoms import Atom, Literal, pos
 from .errors import ClauseError, SortError
 from .sorts import SORT_A, SORT_S, SORT_U
 from .substitution import Subst
-from .terms import SetValue, Term, Var, free_vars as term_free_vars
+from .terms import SetValue, Term, Var, bind_args, free_vars as term_free_vars
 from .formulas import (
     AndF,
     AtomF,
@@ -132,6 +132,15 @@ class LPSClause:
         for bound, source in reversed(self.quantifiers):
             matrix = ForallIn(bound, source, matrix)
         return matrix
+
+    def bind(self, params: Sequence[Term]) -> "LPSClause":
+        """The clause with each body :class:`~repro.core.terms.Param`
+        bound to its constant (a goal shape's template, instantiated)."""
+        return LPSClause(self.head, self.quantifiers, tuple(
+            Literal(Atom(l.atom.pred, bind_args(l.atom.args, params)),
+                    l.positive)
+            for l in self.body
+        ))
 
     def substitute(self, theta: Subst) -> "LPSClause":
         """Apply a substitution, avoiding capture of the quantified variables."""

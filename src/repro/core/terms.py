@@ -211,6 +211,48 @@ class Const(Term):
         return str(self.value)
 
 
+class Param(Const):
+    """Constant slot ``index`` of a goal shape.
+
+    A served goal is compiled once per shape (``repro.server.session``):
+    its plan holds ``Param(k)`` where each goal text has its own ``k``-th
+    constant, and the executors bind it per execution (:func:`bind_args`).
+    Ground and of sort ``a`` like the constant it stands for, so the
+    planner schedules it as one.  It is never a value: it has no dense ID
+    and is never stored or matched against a fact.
+    """
+
+    __slots__ = ("index",)
+
+    _interned: dict[int, "Param"] = {}
+
+    def __new__(cls, index: int) -> "Param":
+        self = cls._interned.get(index)
+        if self is None:
+            self = object.__new__(cls)
+            self.value = f"§{index}"
+            self.index = index
+            self._hash = hash((Param, index))
+            # No ``_tid``: asking TERM_DICT for a Param's ID fails loudly.
+            self = cls._interned.setdefault(index, self)
+        return self
+
+    def __reduce__(self):
+        return (Param, (self.index,))
+
+    def __repr__(self) -> str:
+        return f"Param({self.index})"
+
+
+def bind_args(
+    args: tuple[Term, ...], params: Sequence[Term]
+) -> tuple[Term, ...]:
+    """``args`` with each :class:`Param` replaced by its constant."""
+    return tuple([
+        params[t.index] if t.__class__ is Param else t for t in args
+    ])
+
+
 class App(Term):
     """Application ``f(t1, ..., tn)`` of an uninterpreted function symbol.
 

@@ -57,7 +57,15 @@ except ImportError:  # pragma: no cover - image always has numpy
     _np = None
 
 from ..core.atoms import Atom
-from ..core.terms import TERM_DICT, SetValue, Term, Var, canonicalize, setvalue
+from ..core.terms import (
+    TERM_DICT,
+    SetValue,
+    Term,
+    Var,
+    bind_args,
+    canonicalize,
+    setvalue,
+)
 from ..core.sorts import sorts_compatible
 from ..semantics.interpretation import (
     INDEX_MIN_FACTS,
@@ -65,7 +73,14 @@ from ..semantics.interpretation import (
     Interpretation,
 )
 from .builtins import Builtin
-from .executor import _GENERIC, Executor, PlanInapplicable, _DISPATCH, _scan_shape
+from .executor import (
+    _DISPATCH,
+    _GENERIC,
+    Executor,
+    PlanInapplicable,
+    _scan_shape,
+    bind_pairs,
+)
 from .ir import (
     AntiJoin,
     Distinct,
@@ -464,17 +479,26 @@ class ColumnarExecutor(Executor):
             if n.__class__ is not Scan:
                 stack.extend(n.children())
             elif not n.delta:
-                full.append(n.atom)
+                full.append(n)
             elif len(delta.get(n.atom.pred, ()) if delta else ()) < floor:
                 worth = False
                 break
         if worth:
             # For constant-bound scans the row executor reads an index
             # bucket, so that bucket — not the relation — is the input
-            # to beat (same policy + estimate the join planner uses).
+            # to beat (same policy + estimate the join planner uses).  A
+            # leaf's answer is its own entry: every node above it that
+            # is asked reuses it.
             estimate = self.interp.estimate_for_pattern
-            for a in full:
-                if estimate(a.pred, a.args) < floor:
+            params = self.params
+            for scan in full:
+                leaf = cache.get(scan)
+                if leaf is None:
+                    a = scan.atom
+                    args = a.args if params is None \
+                        else bind_args(a.args, params)
+                    leaf = cache[scan] = estimate(a.pred, args) >= floor
+                if not leaf:
                     worth = False
                     break
         cache[node] = worth
@@ -522,6 +546,9 @@ class ColumnarExecutor(Executor):
     def _scan_cols(self, node: Scan) -> tuple:
         a = node.atom
         var_pos, const_checks, dup_checks, var_sorts = node._shape
+        params = self.params
+        if params is not None:
+            const_checks = bind_pairs(const_checks, params)
         # Where the rows' IDs come from, as (arity, rows, column bytes,
         # first row): the relation's cached columns for a full scan; for
         # a delta that is the row range a bulk insert appended
@@ -572,7 +599,9 @@ class ColumnarExecutor(Executor):
             self.stats.note(node.op, n, n_out)
             return n_out, out
         if facts is None:
-            facts = self.interp.candidates_for_pattern(a.pred, a.args)
+            facts = self.interp.candidates_for_pattern(
+                a.pred, a.args if params is None else bind_args(a.args, params)
+            )
         # Delta scans and uncacheable relations: encode while matching.
         arity = a.arity
         matched: list = []
@@ -666,6 +695,8 @@ class ColumnarExecutor(Executor):
         nkeys = 1 + int((sk[1:] != sk[:-1]).sum())
         if nkeys * _PROBE_RATIO >= len(facts):
             return None
+        if self.params is not None:
+            template = bind_pairs(template, self.params)
         lkeys = list(zip(*[lcols[i].tolist() for i in lkey]))
         by_key: dict = {}
         for i, k in enumerate(lkeys):
@@ -681,7 +712,7 @@ class ColumnarExecutor(Executor):
         n_in = ln
         for key_ids, bucket in by_key.items():
             probe_key = tuple(
-                t if k is None else _TERMS[key_ids[k]] for t, k in template
+                t if k is None else _TERMS[key_ids[k]] for k, t in template
             )
             for f in candidates(pred, positions, probe_key):
                 n_in += 1
@@ -718,6 +749,8 @@ class ColumnarExecutor(Executor):
     def _select_cols(self, node: Select) -> tuple:
         n, cols = self.cols(node.input)
         metas = node._cmeta  # set by columnar_capable before dispatch
+        if self.params is not None:
+            metas = bind_pairs(metas, self.params)
         if node.kind == "equals":
             (lk, lv), (rk, rv) = metas
             if lk == "col" and rk == "col":
@@ -765,6 +798,8 @@ class ColumnarExecutor(Executor):
     def _anti_join_cols(self, node: AntiJoin) -> tuple:
         n, cols = self.cols(node.input)
         metas = node._cmeta
+        if self.params is not None:
+            metas = bind_pairs(metas, self.params)
         pred = node.atom.pred
         facts = self.interp.facts_of(pred)
         keep = None                         # ``None`` keeps every row

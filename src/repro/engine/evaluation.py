@@ -1239,9 +1239,18 @@ class _CompiledRule:
         return self._apply(engines, None, False)
 
     def _apply(
-        self, engines: _Engines, pin: Optional[int], fresh: bool
+        self,
+        engines: _Engines,
+        pin: Optional[int],
+        fresh: bool,
+        bound: Optional["BoundRule"] = None,
     ) -> tuple[Sequence[Row], Optional[list]]:
+        """One application; with ``bound`` the plans' Params take its
+        constants and the tuple path runs its :attr:`BoundRule.concrete`
+        rule.  (Params occur in bodies only, so the head is shared.)"""
         executor = engines.executor
+        if bound is not None and bound.params is not None:
+            executor = executor.bound(bound.params)
         node, shape = self._head_plan(pin, fresh)
         stats = engines.solver.stats
         head = self.head
@@ -1269,7 +1278,10 @@ class _CompiledRule:
             except PlanInapplicable:
                 heads = None
         if heads is None:
-            heads = (head.substitute(env) for env in self._solve(engines, pin))
+            solving = self if bound is None else bound.concrete
+            heads = (
+                head.substitute(env) for env in solving._solve(engines, pin)
+            )
         # Distinct bindings can substitute to one head (set arguments).
         heads = dict.fromkeys(heads)
         if fresh:
@@ -1384,6 +1396,80 @@ class _CompiledRule:
             if l.positive and not l.atom.is_special()
             and l.atom.pred not in self.builtins
         ))
+
+
+class BoundRule:
+    """One goal text, compiled: its shape's rule, whose
+    :class:`~repro.core.terms.Param` slots take the text's constants
+    (``params``; ``None`` for a rule without slots), and the names of its
+    answer columns (``vars``, in the head's order).
+
+    The plans are the shared rule's, bound per execution
+    (:meth:`Executor.bound`).  The tuple path — a body the planner left
+    to the solver, a plan that proved inapplicable, the exactness probes
+    of :meth:`derives` — runs :attr:`concrete`, the rule of the text's
+    own clause, built when first needed.
+    """
+
+    __slots__ = ("rule", "params", "vars", "_concrete")
+
+    def __init__(
+        self,
+        rule: _CompiledRule,
+        params: Optional[Sequence[Term]],
+        vars: tuple[str, ...],
+    ) -> None:
+        self.rule = rule
+        self.params = params
+        self.vars = vars
+        self._concrete = rule if params is None else None
+
+    @property
+    def concrete(self) -> _CompiledRule:
+        c = self._concrete
+        if c is None:
+            rule = self.rule
+            c = self._concrete = _CompiledRule(
+                rule.clause.bind(self.params), rule.builtins
+            )
+        return c
+
+    @property
+    def deps(self) -> set[str]:
+        return self.rule.deps
+
+    @property
+    def delta_capable(self) -> bool:
+        return self.rule.delta_capable
+
+    @property
+    def relational(self) -> list[Atom]:
+        return self.rule.relational
+
+    def pins(self, delta: Mapping[str, Iterable[Atom]]) -> list[int]:
+        return self.rule.pins(delta)
+
+    def plan(self, pin: Optional[int] = None) -> CompiledPlan:
+        """The plan with this text's constants (for display: execution
+        runs the shared rule's)."""
+        return self.concrete.plan(pin)
+
+    def rows(self, engines: _Engines, pin: Optional[int] = None) -> list[Row]:
+        return self.rule._apply(engines, pin, False, self)[0]
+
+    def id_rows(
+        self, engines: _Engines
+    ) -> tuple[Sequence[Row], Optional[list]]:
+        return self.rule._apply(engines, None, False, self)
+
+    def heads(
+        self, engines: _Engines, pin: Optional[int] = None
+    ) -> list[Atom]:
+        pred = self.rule.head.pred
+        return [Atom(pred, r) for r in self.rows(engines, pin)]
+
+    def derives(self, engines: _Engines, h: Atom) -> bool:
+        return self.concrete.derives(engines, h)
 
 
 def solve(

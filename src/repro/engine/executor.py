@@ -29,7 +29,16 @@ from ..core.atoms import Atom
 from ..core.formulas import evaluate_ground_atom
 from ..core.sorts import sorts_compatible
 from ..core.substitution import EMPTY_SUBST, Subst
-from ..core.terms import SetExpr, SetValue, Term, Var, free_vars, setvalue
+from ..core.terms import (
+    Param,
+    SetExpr,
+    SetValue,
+    Term,
+    Var,
+    bind_args,
+    free_vars,
+    setvalue,
+)
 from ..core.unify import match_atom, unify
 from ..semantics.interpretation import INDEX_MIN_FACTS, Interpretation
 from .builtins import DEFAULT_BUILTINS, Builtin
@@ -70,7 +79,15 @@ class Executor:
     (see :meth:`_compute`).  A stratum fixpoint hands every round's
     executor the same dict and drops it on return; without one an input
     is solved once per batch.
+
+    ``params`` are the constants a served goal text binds to its shape's
+    :class:`~repro.core.terms.Param` slots (:meth:`bound`).  Plan nodes
+    and their memos hold the slots, never a text's constants: every read
+    of a node's constant goes through ``params``, so one plan serves
+    every text of its shape, on any thread.
     """
+
+    params: Optional[Sequence[Term]] = None
 
     def __init__(
         self,
@@ -85,6 +102,15 @@ class Executor:
         self.delta = delta
         self.stats = stats if stats is not None else ExecStats()
         self.memo = memo
+
+    def bound(self, params: Sequence[Term]) -> "Executor":
+        """This executor for a plan whose Params take ``params``: same
+        interpretation, delta, stats and memo, no per-plan estimates."""
+        other = object.__new__(type(self))
+        other.__dict__.update(self.__dict__)
+        other.__dict__.pop("_worth", None)
+        other.params = params
+        return other
 
     # -- entry points ------------------------------------------------------------
 
@@ -145,6 +171,9 @@ class Executor:
 
     def _scan(self, node: Scan) -> list[Row]:
         a = node.atom
+        params = self.params
+        if params is not None:
+            a = Atom(a.pred, bind_args(a.args, params))
         if node.delta:
             facts: Iterable[Atom] = (
                 self.delta.get(a.pred, ()) if self.delta is not None else ()
@@ -153,7 +182,7 @@ class Executor:
             facts = self.interp.candidates_for_pattern(a.pred, a.args)
         shape = node._shape
         if shape is None:
-            shape = node._shape = _scan_shape(a, node.out_vars)
+            shape = node._shape = _scan_shape(node.atom, node.out_vars)
         rows: list[Row] = []
         n_in = 0
         arity = a.arity
@@ -165,6 +194,8 @@ class Executor:
                     rows.append(tuple(sigma._map[v] for v in out_vars))
         else:
             var_pos, const_checks, dup_checks, var_sorts = shape
+            if params is not None:
+                const_checks = bind_pairs(const_checks, params)
             for f in facts:
                 n_in += 1
                 args = f.args
@@ -224,7 +255,7 @@ class Executor:
                     a.pred,
                     a.arity,
                     tuple(p for p, _, _ in sig),          # index positions
-                    tuple((t, k) for _, t, k in sig),     # key template
+                    tuple((k, t) for _, t, k in sig),     # key template
                     tuple(var_pos[out_index[v]]
                           for v in node.out_vars[len(lv):]),
                     dup_checks,
@@ -270,6 +301,8 @@ class Executor:
         facts = self.interp.facts_of(pred)
         if len(facts) < INDEX_MIN_FACTS:
             return None
+        if self.params is not None:
+            template = bind_pairs(template, self.params)
         by_key: dict[tuple, list[Row]] = {}
         for l in lrows:
             by_key.setdefault(tuple(l[i] for i in lkey), []).append(l)
@@ -280,7 +313,7 @@ class Executor:
         candidates = self.interp.candidates
         for lkey_vals, bucket_rows in by_key.items():
             probe_key = tuple(
-                t if k is None else lkey_vals[k] for t, k in template
+                t if k is None else lkey_vals[k] for k, t in template
             )
             for f in candidates(pred, positions, probe_key):
                 n_in += 1
@@ -309,7 +342,10 @@ class Executor:
     def _resolver(
         self, term: Term, vars_: Sequence[Var]
     ) -> Callable[[Row], Term]:
-        """A per-row evaluator of one argument term under the schema."""
+        """A per-row evaluator of one argument term under the schema; a
+        Param stands for itself until :meth:`_bind` replaces it."""
+        if term.__class__ is Param:
+            return term
         pos = {v: i for i, v in enumerate(vars_)}
         if term.__class__ is Var:
             i = pos.get(term)
@@ -328,6 +364,16 @@ class Executor:
 
         return resolve
 
+    def _bind(self, res: tuple) -> tuple:
+        """Memoized resolvers with each Param resolving to its constant."""
+        params = self.params
+        if params is None:
+            return res
+        return tuple(
+            (lambda row, v=params[f.index]: v) if f.__class__ is Param else f
+            for f in res
+        )
+
     def _select(self, node: Select) -> list[Row]:
         rows = self.batch(node.input)
         a = node.literal.atom
@@ -336,6 +382,7 @@ class Executor:
             res = node._meta = tuple(
                 self._resolver(t, node.input.out_vars) for t in a.args
             )
+        res = self._bind(res)
         out: list[Row]
         if node.kind == "equals":
             lres, rres = res
@@ -387,6 +434,7 @@ class Executor:
                 self._resolver(t, node.input.out_vars) for t in renamed.args
             ), slots)
         res, slots = meta
+        res = self._bind(res)
         out: list[Row] = []
         if node.kind == "equals":
             lres, rres = res
@@ -429,7 +477,7 @@ class Executor:
                 self._resolver(node.elem, vars_),
                 self._resolver(node.source, vars_),
             )
-        eres, sres = res
+        eres, sres = self._bind(res)
         out: list[Row] = []
         if node.mode == "expand":
             sort = node.elem.var_sort
@@ -465,6 +513,7 @@ class Executor:
             res = node._meta = tuple(
                 self._resolver(t, node.input.out_vars) for t in a.args
             )
+        res = self._bind(res)
         pred = a.pred
         if a.is_special() or pred in self.builtins:
             def holds(ground: Atom) -> bool:
@@ -530,6 +579,15 @@ def _extension(sigma: Subst, new_vars: tuple[Var, ...]) -> Row:
             raise PlanInapplicable(f"{v} not grounded by {sigma}")
         cells.append(t)
     return tuple(cells)
+
+
+def bind_pairs(pairs: tuple, params: Sequence[Term]) -> tuple:
+    """``(key, term)`` pairs — scan constant checks, index-probe key
+    templates, columnar access plans — with each Param term bound."""
+    return tuple([
+        (k, params[t.index]) if t.__class__ is Param else (k, t)
+        for k, t in pairs
+    ])
 
 
 #: Sentinel: the pattern needs the generic matcher (structured non-ground

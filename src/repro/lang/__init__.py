@@ -1,6 +1,6 @@
 """Concrete syntax: lexer, parser, sort inference, pretty-printer."""
 
-from .lexer import Token, tokenize
+from .lexer import ANONYMOUS, Token, goal_shape, tokenize
 from .parser import Parser, parse_atom, parse_program, parse_term
 from .pretty import (
     pretty_atom,
@@ -19,6 +19,8 @@ from .sortinfer import (
 __all__ = [
     "tokenize",
     "Token",
+    "ANONYMOUS",
+    "goal_shape",
     "Parser",
     "parse_program",
     "parse_atom",

@@ -131,6 +131,140 @@ def flat_atom(source: str) -> Optional[Atom]:
     return None if m is None else _build_atom(m.group(1), m.group(2))
 
 
+#: Name prefix of the variable each ``_`` in term position stands for: a
+#: name the lexer cannot produce (``§`` is not a word character), so it
+#: never meets a user's ``_1``; the pretty-printer writes it back as ``_``.
+ANONYMOUS = "_§"
+
+#: A goal's tokens, spaces dropped, for :func:`goal_shape`: the lexemes of
+#: :data:`_TOKEN` without their kinds, and any other character alone.
+_GOAL_TOKEN = re.compile(
+    r"[0-9]+|\w+|'(?:[^']|'')*'(?!')|:-|!=|<=|>=|%[^\n]*|\#\w*|[^ \t\r\n]"
+)
+_PUNCT = frozenset(("(", ")", "{", "}", ",", ".", "=", "<", ">", "+", "-",
+                    "*", ";", ":-", "!=", "<=", ">="))
+_DIGITS = frozenset("0123456789")
+
+#: Tokens around which a constant is an operand, not a 0-ary atom.
+_OPERANDS = frozenset(("=", "!=", "<", "<=", ">", ">=", "+", "-", "*", "in"))
+
+#: What ends a term (a ``-`` after one is binary).
+_TERM_END = frozenset((VARIABLE, IDENT, INT, STRING, ")", "}"))
+
+
+def goal_shape(goal: str) -> Optional[tuple[tuple, tuple, list[str]]]:
+    """The shape of a goal text — what its plan depends on — in one pass:
+    ``(key, constants, names)``, or ``None`` when the text does not lex.
+
+    ``key`` is the token sequence with each variable renamed by first
+    occurrence, each ``_`` kept as itself, each constant that is an
+    argument replaced by a typed slot (``§n0``, ``§i1``: name or integer,
+    numbered by first occurrence of its value, so ``t(v1, v1)`` and
+    ``t(v1, v2)`` differ), and last the order of the variables' names.
+    ``constants`` holds each slot's constant; ``names`` each variable's
+    name, first occurrence first (an ``_`` gets its :data:`ANONYMOUS`
+    name).  A goal with a set literal, a function term or a signed
+    number gets no slots: its constants stay in the key and
+    ``constants`` is empty.
+    """
+    toks = _GOAL_TOKEN.findall(goal)
+    if "%" in goal:
+        toks = [t for t in toks if t[0] != "%"]
+    toks.append("")
+    punct, operands, term_end = _PUNCT, _OPERANDS, _TERM_END
+    key: list = []
+    names: list[str] = []
+    var_of: dict[str, int] = {}
+    consts: list = []             # (key index, Const)
+    calls: list[bool] = []        # open parentheses: an argument list?
+    in_args = False               # inside an atom's or function's arguments
+    slotted = True
+    anonymous = 0
+    # The previous token: its text if punctuation or a keyword, else its
+    # kind ("name": a predicate or function name).
+    prev = None
+    for i in range(len(toks) - 1):
+        text = toks[i]
+        if text in punct:
+            if text == "(":
+                in_args = prev == "name"
+                calls.append(in_args)
+            elif text == ")":
+                if calls:
+                    calls.pop()
+                in_args = bool(calls) and calls[-1]
+            elif text == "{" or text == "}":
+                slotted = False
+            elif text == "-" and prev not in term_end \
+                    and toks[i + 1][:1] in _DIGITS:
+                slotted = False   # a signed number
+            key.append(text)
+            prev = text
+            continue
+        c = text[0]
+        if c.isalpha() or c == "_":
+            if text in KEYWORDS:
+                key.append(text)
+                prev = text
+                continue
+            if c.isupper() or c == "_":
+                if text == "_":
+                    anonymous += 1
+                    key.append("_")
+                    names.append(f"{ANONYMOUS}{anonymous}")
+                else:
+                    j = var_of.get(text)
+                    if j is None:
+                        j = var_of[text] = len(names)
+                        names.append(text)
+                    key.append(j)
+                prev = VARIABLE
+                continue
+            nxt = toks[i + 1]
+            operand = in_args or prev in operands
+            if nxt == "(":
+                if operand:
+                    slotted = False   # a function term
+                key.append(text)
+                prev = "name"
+                continue
+            if not operand and nxt not in operands:
+                key.append(text)      # a 0-ary atom
+                prev = IDENT
+                continue
+            value = Const(text)
+            prev = IDENT
+        elif c in _DIGITS:
+            value = Const(int(text))
+            prev = INT
+        elif c == "'" and len(text) > 1:
+            value = Const(text[1:-1].replace("''", "'"))
+            prev = STRING
+        elif c == "#" and len(text) > 1:
+            key.append(text)
+            prev = DIRECTIVE
+            continue
+        else:
+            return None
+        consts.append((len(key), value))
+        key.append(None)
+    if not slotted:
+        for at, value in consts:
+            key[at] = value
+        consts = []
+    elif consts:
+        slot_of: dict = {}
+        for at, value in consts:
+            k = slot_of.get(value)
+            if k is None:
+                k = slot_of[value] = len(slot_of)
+            key[at] = f"§i{k}" if value.value.__class__ is int else f"§n{k}"
+        consts = list(slot_of)
+    if len(names) > 1:
+        key.append(tuple(sorted(range(len(names)), key=names.__getitem__)))
+    return tuple(key), tuple(consts), names
+
+
 def tokenize(source: str) -> list[Token]:
     """Tokenize a program text; raises :class:`ParseError` on bad input."""
     tokens: list[Token] = []

@@ -57,6 +57,7 @@ from ..core.sorts import EQUALS, MEMBER, SORT_U
 from ..core.terms import App, Const, SetExpr, Term, Var, canonicalize
 from ..transform.positive import compile_program
 from .lexer import (
+    ANONYMOUS,
     DIRECTIVE,
     EOF,
     FACT,
@@ -128,6 +129,7 @@ class Parser:
         self._tokens = tokenize(source)
         self._pos = 0
         self._tmp = itertools.count(1)
+        self._anonymous = itertools.count(1)
         self.directives: list[str] = []
 
     # -- token plumbing ------------------------------------------------------
@@ -180,6 +182,9 @@ class Parser:
                 out.append(self._parse_clause())
 
     def _parse_clause(self):
+        # Numbered per clause, so a clause reparsed alone or in its
+        # program (``encode_program``'s round trip) names them alike.
+        self._anonymous = itertools.count(1)
         head_tok = self._peek()
         pred, args, group = self._parse_head()
         body: Formula = TRUE
@@ -365,6 +370,9 @@ class Parser:
         t = self._peek()
         if t.kind == VARIABLE:
             self._next()
+            if t.text == "_":
+                # Each ``_`` is a variable of its own.
+                return Var(f"{ANONYMOUS}{next(self._anonymous)}", SORT_U), []
             return Var(t.text, SORT_U), []
         if t.kind == INT:
             self._next()

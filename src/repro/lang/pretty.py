@@ -21,7 +21,7 @@ from ..core.formulas import (
 from ..core.program import Program
 from ..core.sorts import EQUALS, MEMBER
 from ..core.terms import App, Const, SetExpr, SetValue, Term, Var
-from .lexer import IDENT_PATTERN, KEYWORDS
+from .lexer import ANONYMOUS, IDENT_PATTERN, KEYWORDS
 
 _COMPARISON_NAMES = {"lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 
@@ -33,7 +33,7 @@ def _quote(value: str) -> str:
 
 def pretty_term(t: Term) -> str:
     if isinstance(t, Var):
-        return t.name
+        return "_" if t.name.startswith(ANONYMOUS) else t.name
     if isinstance(t, Const):
         if isinstance(t.value, int):
             return str(t.value)

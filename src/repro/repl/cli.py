@@ -297,7 +297,7 @@ def cmd_repl(path: Optional[str], data_dir: Optional[str] = None) -> int:
             elif line.startswith("-"):
                 _print_response(session.command(line), "removed.")
             elif line.startswith("?-"):
-                session.print_answers(line[2:].strip().rstrip("."))
+                session.print_answers(line[2:].strip().removesuffix("."))
             else:
                 session.add_clause(line)
             for frame in session.take_diffs():

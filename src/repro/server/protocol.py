@@ -279,7 +279,9 @@ class Server:
         with self._lock:
             conn.closing = self._stopping.is_set()
             self._conns[conn] = thread
-        thread.start()
+            # Started under the lock: ``stop`` joins every thread it
+            # finds registered, and joining one not yet started raises.
+            thread.start()
 
     def _serve(self, conn: Connection) -> None:
         """One connection's thread: a session for the connection's life."""

@@ -42,13 +42,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Iterable, Optional
 
-from ..core.atoms import Atom
+from ..core.atoms import Atom, Literal
 from ..core.clauses import GroupingClause, LPSClause
 from ..core.errors import EvaluationError, LPSError, SafetyError
-from ..core.substitution import Subst
-from ..core.terms import Term, Var
+from ..core.terms import Const, Param, Term, subterms
 from ..engine.answers import Answers
-from ..engine.evaluation import SolverStats, _CompiledRule, _Engines
+from ..engine.evaluation import BoundRule, SolverStats, _CompiledRule, _Engines
 from ..engine.columnar import annotated_pretty
 from ..engine.ir import ExecStats
 from ..engine.maintenance import (
@@ -58,11 +57,18 @@ from ..engine.maintenance import (
     VersionedModel,
 )
 from ..engine.planner import compile_grouping, compile_rule
-from ..lang import parse_atom, parse_program, predicate_sorts
+from ..lang import (
+    ANONYMOUS,
+    goal_shape,
+    parse_atom,
+    parse_program,
+    predicate_sorts,
+)
 
 logger = logging.getLogger("repro.server")
 
-#: Compiled queries each session keeps (least recently asked evicted).
+#: Goal shapes a session keeps compiled, and goal texts it keeps mapped to
+#: them (the least recently asked of each evicted first).
 QUERY_CACHE_SIZE = 512
 
 #: Structured error codes (stable protocol surface; tests key on these).
@@ -256,6 +262,51 @@ class Response:
         )
 
 
+def _template(parsed: LPSClause, consts: tuple) -> Optional[LPSClause]:
+    """The goal clause with slot ``k``'s constant a ``Param(k)`` wherever
+    it is an argument of a body atom, or ``None`` unless that is all it
+    is: every slot must be such an argument, no slot's constant may stay
+    behind (in a quantifier range, say, or as a predicate name), and
+    binding the template to the text's own constants must rebuild the
+    clause the parser built."""
+    slot = {c: Param(k) for k, c in enumerate(consts)}
+    body = tuple(
+        Literal(Atom(l.atom.pred, tuple(
+            slot.get(t, t) if t.__class__ is Const else t
+            for t in l.atom.args
+        )), l.positive)
+        for l in parsed.body
+    )
+    template = LPSClause(parsed.head, parsed.quantifiers, body)
+    used = {t for l in body for t in l.atom.args if t.__class__ is Param}
+    rest = [src for _, src in parsed.quantifiers]
+    rest += [t for l in body for t in l.atom.args if t.__class__ is not Param]
+    names = {c.value for c in consts}
+    if (
+        len(used) != len(consts)
+        or any(l.atom.pred in names for l in body)
+        or any(s.__class__ is Const and s in slot
+               for t in rest for s in subterms(t))
+        or template.bind(consts) != parsed
+    ):
+        return None
+    return template
+
+
+def _lru_get(cache: dict, key: Any) -> Any:
+    """``cache[key]`` made the most recent entry, or ``None``."""
+    hit = cache.pop(key, None)
+    if hit is not None:
+        cache[key] = hit
+    return hit
+
+
+def _lru_put(cache: dict, key: Any, value: Any) -> None:
+    cache[key] = value
+    if len(cache) > QUERY_CACHE_SIZE:
+        del cache[next(iter(cache))]
+
+
 class QueryResult:
     """Query answers at one version: a variable schema over rows held in
     ID space, in print order; ``rows`` are the term tuples, built when
@@ -328,9 +379,13 @@ class Session:
         self._read_version: Optional[int] = None
         self._pinned: list[int] = []
         self.stats = SessionStats()
-        #: Query text -> compiled rule, least recently asked first; holds
-        #: at most :data:`QUERY_CACHE_SIZE` entries.
-        self._query_cache: dict[str, _CompiledRule] = {}
+        #: Goal shape key (``lang.goal_shape``) -> ``(rule, out_index)``:
+        #: the compiled rule and, per answer column, the index of its
+        #: variable among a text's names.  Goal text -> ``(rule,
+        #: constants, answer names)``.  Least recently asked first; each
+        #: holds at most :data:`QUERY_CACHE_SIZE` entries.
+        self._shapes: dict[Any, Any] = {}
+        self._texts: dict[str, tuple] = {}
         #: The served program goals are sort-inferred against, with its
         #: predicate sorts (see :meth:`_compiled_query`).
         self._typed_against: tuple[Any, dict] = (None, {})
@@ -394,27 +449,62 @@ class Session:
 
     # -- queries -----------------------------------------------------------------
 
-    def _compiled_query(self, text: str) -> _CompiledRule:
-        """Parse a (possibly conjunctive) query into a compiled rule.
+    def _compiled_query(self, text: str) -> BoundRule:
+        """Compile a (possibly conjunctive) query text.
 
         The text is wrapped as the body of a ``__query__`` clause; the
         answer head collects the body's free variables in a deterministic
-        order, so answers are full bindings exactly like rule derivation.
-        The goal is sort-inferred against the served program's predicate
-        sorts: ``succ(a, S)`` alone does not say that ``S`` is a set, the
-        program's ``succ(X, <Y>) :- …`` does.
+        order (``_`` excepted), so answers are full bindings exactly like
+        rule derivation.  The goal is sort-inferred against the served
+        program's predicate sorts: ``succ(a, S)`` alone does not say that
+        ``S`` is a set, the program's ``succ(X, <Y>) :- …`` does.
+
+        A plan depends on which arguments are constants, never on their
+        values, so it is compiled once per goal *shape*
+        (:func:`~repro.lang.goal_shape`): a new text of a known shape
+        costs one lexing pass, and its constants are bound at execution.
+        A text asked before costs one dict hit.
         """
         served = self._model.program
         with self._lock:
             if self._typed_against[0] is not served:
                 # A program change retypes every goal.
                 self._typed_against = (served, predicate_sorts(served))
-                self._query_cache.clear()
-            signatures = self._typed_against[1]
-            cached = self._query_cache.pop(text, None)
-            if cached is not None:
-                self._query_cache[text] = cached    # now most recent
-                return cached
+                self._texts.clear()
+                self._shapes.clear()
+            typed = self._typed_against
+            hit = _lru_get(self._texts, text)
+        if hit is not None:
+            return BoundRule(*hit)
+        lexed = goal_shape(text)
+        if lexed is None:
+            return self._own_goal(text)     # parsing says why it fails
+        key, consts, names = lexed
+        with self._lock:
+            shape = _lru_get(self._shapes, key)
+        new = shape is None
+        if new:
+            # A goal that fails to parse or type raises here, so its
+            # shape is never cached.
+            parsed = self._parse_goal(text, typed[1])
+            template = _template(parsed, consts) if consts else parsed
+            if template is None:
+                # Not every constant is a slot: compiled for this text.
+                key, consts, template = None, (), parsed
+            rule = self._query_rule(template)
+            shape = (rule, tuple(names.index(v.name) for v in rule.head.args))
+        rule, out_index = shape
+        entry = (rule, consts or None, tuple(names[i] for i in out_index))
+        with self._lock:
+            if self._typed_against is typed:
+                if new and key is not None:
+                    _lru_put(self._shapes, key, shape)
+                _lru_put(self._texts, text, entry)
+        return BoundRule(*entry)
+
+    def _parse_goal(self, text: str, signatures: dict) -> LPSClause:
+        """The goal as the body of a ``__query__`` clause, sort-inferred
+        against ``signatures``."""
         program = parse_program(
             f"{QUERY_PRED} :- {text}.", signatures=signatures
         )
@@ -425,11 +515,16 @@ class Session:
             raise EvaluationError(
                 "a query must be a single (conjunctive) goal"
             )
-        parsed = clauses[0]
+        return clauses[0]
+
+    def _query_rule(self, parsed: LPSClause) -> _CompiledRule:
+        """The goal's rule: its head holds the named free variables."""
         out_vars = tuple(sorted(
-            parsed.free_vars(), key=lambda v: (v.var_sort, v.name)
+            (v for v in parsed.free_vars()
+             if not v.name.startswith(ANONYMOUS)),
+            key=lambda v: (v.var_sort, v.name),
         ))
-        rule = _CompiledRule(
+        return _CompiledRule(
             LPSClause(
                 head=Atom(QUERY_PRED, out_vars),
                 quantifiers=parsed.quantifiers,
@@ -437,11 +532,15 @@ class Session:
             ),
             self._model.builtins,
         )
-        with self._lock:
-            self._query_cache[text] = rule
-            if len(self._query_cache) > QUERY_CACHE_SIZE:
-                del self._query_cache[next(iter(self._query_cache))]
-        return rule
+
+    def _own_goal(self, text: str) -> BoundRule:
+        """The text compiled on its own and not cached: how an error
+        names the text's own variables and constants, not those of the
+        text that compiled its shape."""
+        rule = self._query_rule(
+            self._parse_goal(text, self._typed_against[1])
+        )
+        return BoundRule(rule, None, tuple(v.name for v in rule.head.args))
 
     def query(self, text: str) -> QueryResult:
         """Answer a query against this session's pinned snapshot.
@@ -452,16 +551,21 @@ class Session:
         self._check_open()
         if self._read_version is None:
             self.flush()
-        rule = self._compiled_query(text)
+        goal = self._compiled_query(text)
         snap = self.snapshot()
+        try:
+            answers = self._answers(goal, snap)
+        except LPSError:
+            # A shared plan's error names the variables and constants of
+            # the text that compiled it: this text raises its own.
+            goal = self._own_goal(text)
+            answers = self._answers(goal, snap)
         return QueryResult(
-            vars=tuple(v.name for v in rule.head.args),
-            answers=self._answers(rule, snap),
-            version=snap.version,
+            vars=goal.vars, answers=answers, version=snap.version
         )
 
-    def _answers(self, rule: _CompiledRule, snap: ModelSnapshot) -> Answers:
-        """The rule's answers over a snapshot, counted as one query.  The
+    def _answers(self, goal: BoundRule, snap: ModelSnapshot) -> Answers:
+        """The goal's answers over a snapshot, counted as one query.  The
         engines get no active domain: a query must be range-restricted,
         it may not enumerate the domain."""
         stats = SessionStats()
@@ -469,7 +573,7 @@ class Session:
             snap.interpretation, self._model.builtins,
             stats.solver, stats.execs,
         )
-        answers = Answers(*rule.id_rows(engines))
+        answers = Answers(*goal.id_rows(engines))
         stats.queries += 1
         stats.answers += answers.n
         with self._lock:
@@ -626,20 +730,23 @@ class Session:
                 E_COMMAND,
                 "subscriptions require an owning query service",
             )
-        rule = self._compiled_query(text.strip().rstrip("."))
-        sub_id, snap = manager.subscribe(self, rule)
+        text = text.strip().removesuffix(".")
+        goal = self._compiled_query(text)
+        sub_id, snap = manager.subscribe(self, goal)
         try:
-            answers = self._answers(rule, snap)
-        except Exception:
+            answers = self._answers(goal, snap)
+        except Exception as exc:
             # Never leave a half-registered standing query behind a
             # failed initial evaluation (e.g. an unsafe goal).
             manager.unsubscribe(self, sub_id)
+            if isinstance(exc, LPSError):
+                self._answers(self._own_goal(text), snap)   # its own error
             raise
         return Response.with_rows(
             "subscribed",
             {
                 "sub": sub_id,
-                "vars": [v.name for v in rule.head.args],
+                "vars": list(goal.vars),
                 "truth": bool(answers.n),
             },
             snap.version, answers,
@@ -749,7 +856,7 @@ class Session:
         if self._closed:
             return Response.failure(E_CLOSED, "session is closed")
         if line.startswith("?-"):
-            result = self.query(line[2:].strip().rstrip("."))
+            result = self.query(line[2:].strip().removesuffix("."))
             return Response.with_rows(
                 "answers",
                 {"vars": list(result.vars), "truth": result.truth},

@@ -17,7 +17,7 @@ computed by delta-plan evaluation, never by re-running the query:
   delta-capable goal (a plain conjunction of positive literals) the
   dispatcher substitutes those sets into the goal's delta-variant plans —
   occurrence ``i`` pinned to the delta, the rest of the body joined
-  against a full snapshot (`_CompiledRule.heads` with a ``pin``, the
+  against a full snapshot (``BoundRule.heads`` with a ``pin``, the
   same machinery semi-naive evaluation and rederive maintenance use,
   columnar where the executor applies):
 
@@ -70,7 +70,7 @@ from ..core.atoms import Atom
 from ..core.terms import Term
 from ..engine.answers import Answers
 from ..engine.commits import Cursor, FellBehind
-from ..engine.evaluation import SolverStats, _CompiledRule, _Engines
+from ..engine.evaluation import BoundRule, SolverStats, _Engines
 from ..engine.ir import ExecStats
 from ..engine.maintenance import (
     ModelChanges,
@@ -118,13 +118,13 @@ class StandingQuery:
         self,
         sub_id: int,
         session: "Session",
-        rule: _CompiledRule,
+        rule: BoundRule,
         start_version: int,
     ) -> None:
         self.sub_id = sub_id
         self.session = session
         self.rule = rule
-        self.var_names = tuple(v.name for v in rule.head.args)
+        self.var_names = rule.vars
         self.preds = frozenset(rule.deps)
         self.start_version = start_version
         self.rows: Optional[set[tuple[Term, ...]]] = None
@@ -159,7 +159,7 @@ class SubscriptionManager:
     # -- registration ------------------------------------------------------------
 
     def subscribe(
-        self, session: "Session", rule: _CompiledRule
+        self, session: "Session", rule: BoundRule
     ) -> tuple[int, ModelSnapshot]:
         """Register a standing query; returns its id and the baseline
         snapshot (the caller evaluates the initial answer set there).
@@ -435,7 +435,7 @@ class SubscriptionManager:
         return adds, dels
 
     def _eval_rows(
-        self, rule: _CompiledRule, snap: ModelSnapshot
+        self, rule: BoundRule, snap: ModelSnapshot
     ) -> set[tuple[Term, ...]]:
         return set(rule.rows(self._engines(snap)))
 

@@ -144,10 +144,14 @@ class TestSetValuedGoals:
 
 class TestQueryCache:
     def test_plan_cache_is_a_bounded_lru(self, monkeypatch):
-        """``QUERY_CACHE_SIZE`` + 1 distinct texts leave the cache at its
-        cap, and a text re-asked in between stays a hit (is not compiled
-        a second time) while the least recently asked one is evicted."""
+        """``QUERY_CACHE_SIZE`` + 1 distinct goal shapes leave the shape
+        cache at its cap, and a shape re-asked in between stays a hit (is
+        not compiled a second time) while the least recently asked one is
+        evicted.  (A text asked before is a hit in the text map and
+        leaves the shape map as it is.)  ``cap`` texts of one shape
+        compile once, and the text map is bounded by the same cap."""
         import repro.server.session as session_mod
+        from repro.lang import goal_shape
 
         compiled = []
         real = session_mod._CompiledRule
@@ -162,19 +166,32 @@ class TestQueryCache:
         svc = service()
         s = svc.open_session()
         s.assert_fact("e(a, b)")
-        texts = [f"t(a, X{i})" for i in range(cap + 1)]
+        # One shape per predicate name; ``t0`` is the served ``t``.
+        texts = ["t(a, X)"] + [f"t{i}(a, X)" for i in range(1, cap + 1)]
+        shape = {text: goal_shape(text)[0] for text in texts}
         for text in texts[:cap]:
             s.query(text)
-        assert len(s._query_cache) == cap and len(compiled) == cap
-        assert s.query(texts[0]).rows     # re-asked: now the most recent
+        assert len(s._shapes) == cap and len(compiled) == cap
+        # A new text of a cached shape: now the most recent shape.
+        assert s.query("t(a, Y)").rows
         assert len(compiled) == cap
         s.query(texts[cap])               # one over: evicts texts[1]
-        assert len(s._query_cache) == cap
-        assert texts[0] in s._query_cache and texts[1] not in s._query_cache
+        assert len(s._shapes) == cap
+        assert shape[texts[0]] in s._shapes
+        assert shape[texts[1]] not in s._shapes
         s.query(texts[0])
         assert len(compiled) == cap + 1
         s.query(texts[1])
         assert len(compiled) == cap + 2
+
+        s = svc.open_session()
+        compiled.clear()
+        texts = [f"t(v{i}, X{i})" for i in range(cap + 1)]
+        for i, text in enumerate(texts):
+            assert s.query(text).vars == (f"X{i}",)
+        assert len(compiled) == 1
+        assert len(s._shapes) == 1 and len(s._texts) == cap
+        assert texts[0] not in s._texts and texts[cap] in s._texts
         svc.shutdown()
 
 
