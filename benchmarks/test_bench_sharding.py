@@ -7,17 +7,16 @@ recursive occurrence's variable there, so every derivation lands on the
 deriving shard) and the coordinator's serial work is only the initial
 replica ship and the final gather.
 
-Workloads:
+Workload:
 
 * ``fixpoint`` — a two-hop recursive reachability program
   (``t(X,Z) :- e(X,Y), f(Y,W), t(W,Z)``) over random relations, sized so
   per-delta join expansion (which partitions) dwarfs the per-round
   per-worker fixed costs (which do not).  ``test_sharded_speedup_floor``
   enforces the ≥2× acceptance floor at 4 shards on ≥4-core machines.
-* ``maintenance`` — the same program under insert/delete churn through
-  ``MaterializedModel.apply_delta``, recording the per-batch cost of the
-  coordinator re-shipping state each seeded closure (the known overhead
-  of stateless workers; correctness is shard-count invariant either way).
+
+Maintained models never shard (``MaterializedModel`` takes no options),
+so there is no maintenance workload.
 
 Record results under the ``sharding`` label::
 
@@ -31,19 +30,13 @@ import time
 import pytest
 
 from repro import parse_program
-from repro.engine import Database, Evaluator, MaterializedModel
+from repro.engine import Database, Evaluator
 from repro.engine.evaluation import EvalOptions
 from repro.engine.setops import with_set_builtins
-from repro.workloads import edge_churn, random_graph
 
 TWO_HOP = parse_program("""
 t(X, Z) :- b(X, Z).
 t(X, Z) :- e(X, Y), f(Y, W), t(W, Z).
-""")
-
-TC = parse_program("""
-t(X, Y) :- e(X, Y).
-t(X, Z) :- e(X, Y), t(Y, Z).
 """)
 
 SHARD_COUNTS = [1, 4]
@@ -77,33 +70,6 @@ def test_fixpoint_two_hop(benchmark, shards):
         assert len(result.interpretation.by_pred("t")) == 20000
     finally:
         ev.close()
-
-
-@pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_maintenance_churn(benchmark, shards):
-    """Insert/delete churn pairs on TC, maintained at each shard count.
-
-    Every round applies one batch and its exact inverse, so the model
-    returns to the base state and rounds stay comparable; one reported
-    round therefore times **two** maintenance calls.
-    """
-    edges = random_graph(48, 140, seed=3)
-    db = Database()
-    for u, v in edges:
-        db.add("e", u, v)
-    m = MaterializedModel(TC, db, builtins=with_set_builtins(),
-                          options=EvalOptions(shards=shards))
-    batch = edge_churn(edges, n_batches=1, batch_size=2,
-                       n_nodes=48, seed=11)[0]
-    try:
-        def churn():
-            m.apply_delta(adds=batch.adds, dels=batch.dels)
-            m.apply_delta(adds=batch.dels, dels=batch.adds)
-
-        benchmark(churn)
-        assert m.relation("t")
-    finally:
-        m._evaluator.close()
 
 
 @pytest.mark.skipif(

@@ -602,6 +602,10 @@ class EvalOptions:
                           the partitioner cannot prove safe falls back to
                           the single-process fixpoint, so the model is
                           bit-identical at every shard count.
+
+    The options apply to batch :class:`Evaluator` runs only: maintained
+    and served models (``MaterializedModel`` and everything built on it)
+    take none and evaluate with the defaults, single-process.
     """
 
     allow_fallback: bool = True

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (
     Any,
     Collection,
@@ -69,7 +69,6 @@ from .commits import Commit, CommitStream
 from .database import Database, as_fact
 from .evaluation import (
     ActiveDomain,
-    EvalOptions,
     EvalReport,
     Evaluator,
     Model,
@@ -285,7 +284,9 @@ class MaterializedModel:
     The model owns its :class:`~repro.engine.database.Database`: mutate the
     EDB only through :meth:`apply_delta` (or :meth:`add`/:meth:`retract`),
     never behind the model's back.  After every call the interpretation is
-    identical to a from-scratch evaluation of the updated database.
+    identical to a from-scratch evaluation of the updated database.  It
+    evaluates with the default :class:`~repro.engine.evaluation.EvalOptions`
+    and never shards: options are a batch :class:`Evaluator` setting.
     """
 
     def __init__(
@@ -293,15 +294,11 @@ class MaterializedModel:
         program: Program,
         database: Optional[Database] = None,
         builtins: Mapping[str, Builtin] = DEFAULT_BUILTINS,
-        options: Optional[EvalOptions] = None,
     ) -> None:
         self.program = program
         self.database = database if database is not None else Database()
         self.builtins = builtins
-        self.options = options or EvalOptions()
-        self._evaluator = Evaluator(
-            program, self.database, builtins, self.options
-        )
+        self._evaluator = Evaluator(program, self.database, builtins)
         self._groups: tuple[StratumRules, ...] = (
             self._evaluator.stratification.rule_groups()
         )
@@ -457,8 +454,7 @@ class MaterializedModel:
             for a in removed:
                 old.add_atom(a)
             before = set(Evaluator(
-                self.program, old, self.builtins,
-                replace(self.options, shards=1),
+                self.program, old, self.builtins
             ).run().interpretation.atoms())
         self._rebuild()
         after = set(self._interp.atoms())
@@ -639,7 +635,7 @@ class MaterializedModel:
                     add_events.setdefault(h.pred, set()).add(h)
             if rederived:
                 closure = self._seeded_fixpoint(
-                    lps_clauses, rederived, stats, group=group
+                    lps_clauses, rederived, stats
                 )
                 for p, s in closure.items():
                     add_events.setdefault(p, set()).update(s)
@@ -654,9 +650,7 @@ class MaterializedModel:
         for p, s in dep_gained.items():
             seed.setdefault(p, set()).update(s)
         if seed:
-            closure = self._seeded_fixpoint(
-                lps_clauses, seed, stats, group=group
-            )
+            closure = self._seeded_fixpoint(lps_clauses, seed, stats)
             for p, s in closure.items():
                 add_events.setdefault(p, set()).update(s)
         return add_events, rem_events
@@ -701,35 +695,13 @@ class MaterializedModel:
         clauses: list[LPSClause],
         seed: Mapping[str, set[Atom]],
         stats: SolverStats,
-        group: Optional[StratumRules] = None,
     ) -> Mapping[str, Collection[Atom]]:
-        """Close a stratum from the given deltas; returns the atoms added.
-
-        With ``group`` and a sharding evaluator (``EvalOptions.shards``),
-        shardable strata close across the worker pool: the seed atoms are
-        already in the interpretation, so the coordinator ships them as
-        delta pins (owner-routed for this stratum's predicates, broadcast
-        for lower-stratum dependencies) and gathers the closure back.  Any
-        failure falls through to the single-process path below.
-        """
-        report = EvalReport(stats=stats, exec=self.exec_stats)
-        if group is not None:
-            coord = self._evaluator._shard_coordinator()
-            if coord is not None:
-                from ..parallel import shardable_group
-
-                if shardable_group(group, self._evaluator.builtins):
-                    result = coord.eval_stratum(
-                        group, self._interp, self._domain, report,
-                        seeds=seed,
-                    )
-                    if result is not None:
-                        return result
+        """Close a stratum from the given deltas; returns the atoms added."""
         return self._evaluator._fixpoint(
             clauses,
             self._interp,
             self._domain,
-            report,
+            EvalReport(stats=stats, exec=self.exec_stats),
             seed_deltas={p: frozenset(s) for p, s in seed.items()},
         )
 
@@ -1001,7 +973,6 @@ class VersionedModel:
         program: Program,
         database: Optional[Database] = None,
         builtins: Mapping[str, Builtin] = DEFAULT_BUILTINS,
-        options: Optional[EvalOptions] = None,
         keep_versions: int = 8,
         base_version: int = 0,
     ) -> None:
@@ -1012,7 +983,7 @@ class VersionedModel:
         self._lock = _WriteLock()
         self._keep = keep_versions
         self._materialized = MaterializedModel(
-            program, database, builtins=builtins, options=options
+            program, database, builtins=builtins
         )
         self._pins: dict[int, int] = {}
         self._snapshots: dict[int, ModelSnapshot] = {}
@@ -1041,10 +1012,6 @@ class VersionedModel:
     @property
     def program(self) -> Program:
         return self._materialized.program
-
-    @property
-    def options(self) -> EvalOptions:
-        return self._materialized.options
 
     @property
     def builtins(self) -> Mapping[str, Builtin]:
@@ -1127,10 +1094,7 @@ class VersionedModel:
         with self._lock:
             db = self._materialized.database
             self._materialized = MaterializedModel(
-                program,
-                db,
-                builtins=self._materialized.builtins,
-                options=self._materialized.options,
+                program, db, builtins=self._materialized.builtins
             )
             return self._publish(self._materialized.last_report)
 

@@ -22,7 +22,7 @@ import dataclasses
 import logging
 import multiprocessing
 import pickle
-from typing import Mapping, Optional
+from typing import Optional
 
 from ..core.atoms import Atom
 from ..engine.builtins import DEFAULT_BUILTINS
@@ -134,7 +134,6 @@ class ShardCoordinator:
         interp,
         domain,
         report,
-        seeds: Optional[Mapping[str, set[Atom]]] = None,
     ) -> Optional[dict[str, set[Atom]]]:
         """Evaluate one shardable stratum across the workers.
 
@@ -146,7 +145,7 @@ class ShardCoordinator:
         if self.broken:
             return None
         try:
-            return self._eval_stratum(group, interp, domain, report, seeds)
+            return self._eval_stratum(group, interp, domain, report)
         except ShardEvalError as exc:
             logger.warning(
                 "sharded evaluation of stratum %d failed (%s); "
@@ -177,7 +176,7 @@ class ShardCoordinator:
             raise ShardEvalError("worker reply timed out")
         return conn.recv()
 
-    def _eval_stratum(self, group, interp, domain, report, seeds):
+    def _eval_stratum(self, group, interp, domain, report):
         n = self.n_shards
         spec = choose_partition(
             interp, group.head_preds,
@@ -199,27 +198,6 @@ class ShardCoordinator:
         for p in heads:
             for a in interp.facts_of(p):
                 owned[shard_of(a, spec, n)].append(a)
-        seed_texts: Optional[list[dict[str, list[str]]]] = None
-        if seeds is not None:
-            from ..storage.codec import encode_atoms
-
-            seed_texts = [{} for _ in range(n)]
-            for p, atoms in seeds.items():
-                if not atoms:
-                    continue
-                if p in group.head_preds:
-                    # Stratum facts pin only at their owner.
-                    per: list[list[Atom]] = [[] for _ in range(n)]
-                    for a in atoms:
-                        per[shard_of(a, spec, n)].append(a)
-                    for i in range(n):
-                        if per[i]:
-                            seed_texts[i][p] = encode_atoms(per[i])
-                else:
-                    # Lower-stratum deltas join everywhere: broadcast.
-                    texts = encode_atoms(atoms)
-                    for i in range(n):
-                        seed_texts[i][p] = texts
         for i, conn in enumerate(self._conns):
             conn.send({
                 "cmd": "eval",
@@ -227,7 +205,6 @@ class ShardCoordinator:
                 "partition": spec,
                 "replicated_blob": replicated_blob,
                 "owned": owned[i],
-                "seeds": seed_texts[i] if seed_texts is not None else None,
             })
         replies = {i: self._check(self._recv(c))
                    for i, c in enumerate(self._conns)}

@@ -115,19 +115,9 @@ class _StratumRun:
         self.report = EvalReport(stats=SolverStats())
         #: Owned atoms added by this worker's fixpoints (the gather set).
         self.added: dict[str, set[Atom]] = {}
-        self._seed_texts = msg.get("seeds")
 
     def start(self) -> dict:
-        seed_deltas = None
-        if self._seed_texts is not None:
-            # Maintenance seeding: the atoms are already part of the
-            # shipped state (exactly as the coordinator's interpretation
-            # already contains them); they only pin the delta.
-            seed_deltas = {
-                p: frozenset(decode_atoms(texts))
-                for p, texts in self._seed_texts.items()
-            }
-        return self._run(seed_deltas)
+        return self._run(None)
 
     def resume(self, inbox: list) -> dict:
         seeds: dict[str, set[Atom]] = {}

@@ -312,7 +312,6 @@ def cmd_serve(
     follow: Optional[str] = None,
     ack_replicas: int = 0,
     fsync: str = "always",
-    shards: int = 1,
 ) -> int:
     """Serve the line protocol over TCP until interrupted.
 
@@ -324,6 +323,13 @@ def cmd_serve(
     """
     from ..server.protocol import Server
 
+    if ack_replicas < 0:
+        print("error: --ack-replicas must be >= 0", file=sys.stderr)
+        return 2
+    if ack_replicas and (follow or not data_dir):
+        print("error: --ack-replicas needs a replicating leader "
+              "(--data-dir, without --follow)", file=sys.stderr)
+        return 2
     follower = None
     if follow:
         if not data_dir:
@@ -343,7 +349,6 @@ def cmd_serve(
         service = QueryService(
             source if source.strip() else None, data_dir=data_dir,
             fsync=fsync, ack_replicas=ack_replicas,
-            options=EvalOptions(shards=shards) if shards > 1 else None,
         )
         if data_dir:
             from ..replication import ReplicationHub
@@ -442,14 +447,12 @@ def main(argv: Optional[list[str]] = None) -> int:
                          help="run as a read-only follower replicating "
                               "from this leader (requires --data-dir)")
     p_serve.add_argument("--ack-replicas", type=int, default=0,
-                         help="leader only: acknowledge a write after "
-                              "this many followers confirmed it durable")
+                         help="leader only (requires --data-dir): "
+                              "acknowledge a write after this many "
+                              "followers confirmed it durable")
     p_serve.add_argument("--fsync", choices=["always", "never"],
                          default="always",
                          help="WAL fsync policy (default: always)")
-    p_serve.add_argument("--shards", type=int, default=1,
-                         help="evaluate recursive strata across this many "
-                              "worker processes (default: 1)")
     p_ctl = sub.add_parser(
         "ctl", help="operate a running deployment (status / promote)"
     )
@@ -465,7 +468,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             return cmd_serve(
                 args.path, args.host, args.port, args.data_dir,
                 follow=args.follow, ack_replicas=args.ack_replicas,
-                fsync=args.fsync, shards=args.shards,
+                fsync=args.fsync,
             )
         if args.command == "ctl":
             return cmd_ctl(args.action, args.addrs)

@@ -46,7 +46,6 @@ import time
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from ..engine.evaluation import EvalOptions
 from ..engine.setops import with_set_builtins
 from ..server.protocol import Backoff
 from ..server.service import QueryService
@@ -121,14 +120,14 @@ class FollowerSession(Session):
 
 
 class FollowerService:
-    """Maintain a read-only replica of a leader over the line protocol."""
+    """Maintain a read-only replica of a leader over the line protocol
+    (a :class:`DurableModel`, evaluated with the default options)."""
 
     def __init__(
         self,
         leader: Union[str, tuple],
         data_dir: Union[str, Path],
         builtins=None,
-        options: Optional[EvalOptions] = None,
         keep_versions: int = 8,
         fsync: str = FSYNC_ALWAYS,
         checkpoint_every: Optional[int] = 512,
@@ -144,7 +143,6 @@ class FollowerService:
         #: bootstrap alike (both end in :meth:`DurableModel.from_image`).
         self._store = dict(
             builtins=builtins if builtins is not None else with_set_builtins(),
-            options=options,
             keep_versions=keep_versions,
             fsync=fsync,
             checkpoint_every=checkpoint_every,

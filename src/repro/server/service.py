@@ -29,7 +29,6 @@ from typing import Any, Iterable, Mapping, Optional, Union
 from ..core.program import Program
 from ..engine.builtins import Builtin
 from ..engine.database import Database
-from ..engine.evaluation import EvalOptions
 from ..engine.maintenance import ModelSnapshot, VersionedModel
 from ..engine.setops import with_set_builtins
 from ..lang import parse_program, pretty_clause
@@ -45,7 +44,8 @@ class QueryService:
     batch is WAL-logged *before* the write (or ``:commit``) is
     acknowledged, and constructing the service over a directory that
     already holds state recovers it — the stored program wins over the
-    ``program`` argument, which only seeds brand-new directories.
+    ``program`` argument, which only seeds brand-new directories.  Either
+    way the model evaluates with the default options and never shards.
     """
 
     #: Session type handed out by :meth:`open_session`; a follower
@@ -57,7 +57,6 @@ class QueryService:
         program: Union[Program, str, None] = None,
         database: Optional[Database] = None,
         builtins: Optional[Mapping[str, Builtin]] = None,
-        options: Optional[EvalOptions] = None,
         keep_versions: int = 8,
         max_batch: int = 10_000,
         data_dir: Optional[Union[str, os.PathLike]] = None,
@@ -101,7 +100,6 @@ class QueryService:
                 data_dir,
                 database=database,
                 builtins=builtins,
-                options=options,
                 keep_versions=keep_versions,
                 fsync=fsync,
                 checkpoint_every=checkpoint_every,
@@ -116,7 +114,6 @@ class QueryService:
                 parsed,
                 database,
                 builtins=builtins,
-                options=options,
                 keep_versions=keep_versions,
             )
         self._init_runtime(ack_replicas, ack_timeout)

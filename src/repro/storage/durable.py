@@ -53,7 +53,6 @@ from ..core.program import Program
 from ..engine.builtins import DEFAULT_BUILTINS, Builtin
 from ..engine.commits import Commit, Cursor
 from ..engine.database import Database
-from ..engine.evaluation import EvalOptions
 from ..engine.maintenance import ModelSnapshot, VersionedModel, check_fact
 from .codec import (
     KIND_DELTA,
@@ -223,7 +222,7 @@ class DurableModel(VersionedModel):
     Same read/write surface as its base (sessions and the query service
     use it unchanged); every committed batch is durable before it is
     acknowledged, and :meth:`checkpoint` bounds recovery time by snapshots
-    plus WAL truncation.
+    plus WAL truncation.  Like its base it takes no evaluation options.
     """
 
     def __init__(
@@ -232,7 +231,6 @@ class DurableModel(VersionedModel):
         data_dir: Path | str,
         database: Optional[Database] = None,
         builtins: Mapping[str, Builtin] = DEFAULT_BUILTINS,
-        options: Optional[EvalOptions] = None,
         keep_versions: int = 8,
         fsync: str = FSYNC_ALWAYS,
         checkpoint_every: Optional[int] = 512,
@@ -281,7 +279,6 @@ class DurableModel(VersionedModel):
             program,
             database,
             builtins=builtins,
-            options=options,
             keep_versions=keep_versions,
             base_version=base_version,
         )
@@ -307,10 +304,10 @@ class DurableModel(VersionedModel):
         return cls(program, data_dir, **kwargs)
 
     @classmethod
-    def recover(cls, data_dir: Path | str, **options: Any) -> "DurableModel":
+    def recover(cls, data_dir: Path | str, **kwargs: Any) -> "DurableModel":
         """Reconstruct the model at the last acknowledged version.
 
-        ``options`` are the constructor's store options (``builtins``,
+        ``kwargs`` are the constructor's store options (``builtins``,
         ``fsync``, ``keep_checkpoints``, ...); the program, EDB, version
         and epoch come from the directory.
         """
@@ -335,7 +332,7 @@ class DurableModel(VersionedModel):
             raise RecoveryError(
                 f"{d} holds no loadable checkpoint; cannot recover"
             )
-        model = cls.from_image(d, base, **options)
+        model = cls.from_image(d, base, **kwargs)
         logger.info(
             "recovered %s at version %d epoch %d (checkpoint %d + %d "
             "replayed records)", d, model.version, model.epoch, base[0],
@@ -348,7 +345,7 @@ class DurableModel(VersionedModel):
         cls,
         data_dir: Path | str,
         image: tuple[int, int, Program, Database],
-        **options: Any,
+        **kwargs: Any,
     ) -> "DurableModel":
         """The store in ``data_dir`` whose newest checkpoint holds the
         decoded ``image`` (:func:`~repro.storage.checkpoint.parse_image`),
@@ -363,7 +360,7 @@ class DurableModel(VersionedModel):
         ``retired_version``.
         """
         start, epoch, program, db = image
-        builtins = options.get("builtins", DEFAULT_BUILTINS)
+        builtins = kwargs.get("builtins", DEFAULT_BUILTINS)
         version = start
         records = WriteAheadLog(data_dir).recover_records()
         for kind, data in committed_records(records, start):
@@ -380,7 +377,7 @@ class DurableModel(VersionedModel):
                 program = payload
         model = cls(
             program, data_dir, db, base_version=version - 1, epoch=epoch,
-            _recovering=True, **options,
+            _recovering=True, **kwargs,
         )
         model._records_since_checkpoint = version - start
         return model

@@ -29,6 +29,40 @@ class TestRun:
         assert main(["run", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_run_shards_prints_the_same_model(self, tmp_path, capsys,
+                                              monkeypatch):
+        """``run --shards 2`` shards the recursive conjunctive stratum,
+        falls back on the negation stratum, and prints byte-identical
+        output.  (A file's facts share stratum 0 with ``s``, so each
+        recursive rule may read ``s`` once and no fact predicate.)"""
+        from repro.parallel import ShardCoordinator
+
+        prog = tmp_path / "mixed.lps"
+        prog.write_text(
+            "e(a, b). e(b, c). e(c, d). n(a). n(b). n(e).\n"
+            "s(X, Y) :- e(X, Y).\n"
+            "s(Y, X) :- s(X, Y).\n"
+            "s(X, X) :- s(X, Y).\n"
+            "lone(X) :- n(X), not s(X, X).\n"
+        )
+        assert main(["run", str(prog)]) == 0
+        single = capsys.readouterr().out
+        sharded_strata = []
+        eval_stratum = ShardCoordinator.eval_stratum
+
+        def spy(self, group, *args):
+            added = eval_stratum(self, group, *args)
+            if added is not None:
+                sharded_strata.append(group.index)
+            return added
+
+        monkeypatch.setattr(ShardCoordinator, "eval_stratum", spy)
+        assert main(["run", str(prog), "--shards", "2"]) == 0
+        assert capsys.readouterr().out == single
+        assert sharded_strata == [0]
+        assert "s(d, c)." in single
+        assert "lone(e)." in single and "lone(a)." not in single
+
 
 class TestQuery:
     def test_query_bindings(self, program_file, capsys):
@@ -333,6 +367,40 @@ def test_cli_import_leaves_asyncio_out():
         text=True, check=True,
     ).stdout
     assert out.strip() == "False"
+
+
+class TestServeArguments:
+    """Flags ``lps serve`` refuses before it binds a socket."""
+
+    @pytest.fixture(autouse=True)
+    def no_server(self, monkeypatch):
+        import repro.server.protocol as protocol
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("lps serve bound a socket")
+
+        monkeypatch.setattr(protocol, "Server", refuse)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--ack-replicas", "2"], "--data-dir"),
+        (["--ack-replicas", "1", "--follow", "127.0.0.1:1",
+          "--data-dir", "{tmp}"], "--follow"),
+        (["--ack-replicas", "-1"], ">= 0"),
+        (["--ack-replicas", "-1", "--data-dir", "{tmp}"], ">= 0"),
+    ])
+    def test_ack_replicas_needs_a_replicating_leader(
+        self, tmp_path, capsys, argv, message
+    ):
+        argv = [a.format(tmp=tmp_path / "d") for a in argv]
+        assert main(["serve", "--port", "0", *argv]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_shards_is_not_a_serve_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--port", "0", "--shards", "2"])
+        assert exc.value.code == 2
+        assert "--shards" in capsys.readouterr().err
 
 
 def test_serve_stops_gracefully_on_ctrl_c(tmp_path):

@@ -149,8 +149,8 @@ def test_snapshot_consistency_property(
         for q in query_stream(6, n_nodes=4, pred="t", seed=mode_seed)
     )
     for path in PATHS:
-        with forced(path) as options:
-            svc = QueryService(TC_SOURCE, options=options)
+        with forced(path):
+            svc = QueryService(TC_SOURCE)
             for spec in sorted(initial):
                 svc.apply_delta(adds=[spec])
             base_version = svc.model.version

@@ -22,7 +22,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro import parse_program
 from repro.engine import Database, Evaluator
-from repro.engine.evaluation import EvalOptions
 from repro.engine.setops import with_set_builtins
 from repro.server import QueryService
 from repro.storage import (
@@ -111,7 +110,7 @@ def assert_recovers_exactly(work_dir, expected_version, reference,
         if scratch_eval:
             fresh = Evaluator(
                 m.program, m._materialized.database,
-                builtins=with_set_builtins(), options=EvalOptions(),
+                builtins=with_set_builtins(),
             ).run()
             assert m.current.interpretation == fresh.interpretation
     finally:

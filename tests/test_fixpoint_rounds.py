@@ -308,9 +308,9 @@ dead(X) :- n(X), not t(X, X).
 def maintained_on_every_path(program, facts, batches):
     """``batches`` of ``(adds, dels)`` through a maintained model on every
     arm; after each the model must equal from-scratch evaluation."""
-    def run(options):
+    def run(_options):
         m = MaterializedModel(program, database(facts),
-                              builtins=with_set_builtins(), options=options)
+                              builtins=with_set_builtins())
         live, models = set(facts), []
         for adds, dels in batches:
             m.apply_delta(adds=adds, dels=dels)

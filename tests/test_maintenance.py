@@ -65,12 +65,11 @@ def assert_matches_scratch(materialized, program, facts):
             == fresh.interpretation.sorted_atoms())
 
 
-def materialize(program, facts=(), options=None):
+def materialize(program, facts=()):
     db = Database()
     for spec in facts:
         db.add(spec[0], *spec[1:])
-    return MaterializedModel(program, db, builtins=with_set_builtins(),
-                             options=options)
+    return MaterializedModel(program, db, builtins=with_set_builtins())
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +128,8 @@ def test_apply_delta_equals_recompute(rule_idx, initial, batches):
             fresh_eval(program, sorted(facts)).interpretation.sorted_atoms()
         )
     for path in PATHS:
-        with forced(path) as options:
-            m = materialize(program, sorted(initial), options)
+        with forced(path):
+            m = materialize(program, sorted(initial))
             for (adds, dels), want in zip(stream, expected):
                 m.apply_delta(adds=adds, dels=dels)
                 assert m.interpretation.sorted_atoms() == want, path
@@ -348,8 +347,8 @@ def maintained_on_every_path(program, facts, batches, plan="rederive"):
     every arm.  After each batch the model must equal from-scratch
     evaluation, the reported changes must equal the snapshot diff, and a
     stratum must have taken ``plan``; returns the models, batch by batch."""
-    def run(options):
-        m = materialize(program, facts, options)
+    def run(_options):
+        m = materialize(program, facts)
         live, models = set(facts), []
         for adds, dels in batches:
             before = set(m.interpretation.atoms())
@@ -553,8 +552,8 @@ def test_rederive_strata_equal_recompute_under_mixed_batches(
             fresh_eval(program, sorted(facts)).interpretation.sorted_atoms()
         )
     for path in PATHS:
-        with forced(path) as options:
-            m = materialize(program, sorted(initial), options)
+        with forced(path):
+            m = materialize(program, sorted(initial))
             for (adds, dels), want in zip(stream, expected):
                 before = set(m.interpretation.atoms())
                 report = m.apply_delta(adds=adds, dels=dels)
@@ -698,8 +697,8 @@ def test_size_gate_picks_recompute_above_and_rederive_below():
     facts += [("n", f"v{i}") for i in range(0, 200, 3)]
     markers = [("n", f"v{i}") for i in range(1, 200, 3)]
 
-    def run(options):
-        m = materialize(CONJ, facts, options)
+    def run(_options):
+        m = materialize(CONJ, facts)
         gate = max(maintenance.REDERIVE_MIN_GATE,
                    len(facts) // maintenance.REDERIVE_INPUT_RATIO)
         big = markers[:2 * gate]

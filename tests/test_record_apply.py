@@ -31,7 +31,6 @@ import pytest
 
 from repro import parse_program
 from repro.engine import Database, Evaluator
-from repro.engine.evaluation import EvalOptions
 from repro.engine.setops import with_set_builtins
 from repro.replication import FollowerService, ReplicationHub, hub
 from repro.server import QueryService, run_in_thread
@@ -423,7 +422,7 @@ def test_follower_wal_equals_leader_wal_byte_for_byte(tmp_path):
             assert state(m) == expected
             fresh = Evaluator(
                 m.program, m.current.database,
-                builtins=with_set_builtins(), options=EvalOptions(),
+                builtins=with_set_builtins(),
             ).run()
             assert m.current.interpretation == fresh.interpretation
         finally:

@@ -23,7 +23,6 @@ import pytest
 
 from repro import parse_program
 from repro.engine import Database, Evaluator
-from repro.engine.evaluation import EvalOptions
 from repro.engine.setops import with_set_builtins
 from repro.replication import (
     FollowerService,
@@ -119,7 +118,7 @@ class TestShipping:
                 # from-scratch evaluation of its own EDB agrees.
                 fresh = Evaluator(
                     f.model.program, f.model.current.database,
-                    builtins=with_set_builtins(), options=EvalOptions(),
+                    builtins=with_set_builtins(),
                 ).run()
                 assert f.model.current.interpretation == \
                     fresh.interpretation
@@ -487,7 +486,7 @@ class TestFailoverHarness:
             fresh = Evaluator(
                 promoted.model.program,
                 promoted.model.current.database,
-                builtins=with_set_builtins(), options=EvalOptions(),
+                builtins=with_set_builtins(),
             ).run()
             assert promoted.model.current.interpretation == \
                 fresh.interpretation

@@ -1,11 +1,12 @@
 """Sharded parallel evaluation (`repro.parallel`).
 
 The contract under test: ``EvalOptions(shards=N)`` changes *nothing* but
-wall-clock — for every program the engine accepts, evaluation and
-incremental maintenance produce an interpretation **bit-identical** to
-the single-process path at every shard count, whether a stratum actually
-runs sharded (linear recursion) or falls back to the coordinator
-(negation, grouping, nonlinear recursion, domain-sensitive rules).
+wall-clock — for every program the engine accepts, batch evaluation
+produces an interpretation **bit-identical** to the single-process path
+at every shard count, whether a stratum actually runs sharded (linear
+recursion) or falls back to the coordinator (negation, grouping,
+nonlinear recursion, domain-sensitive rules).  Maintained and served
+models take no options and never shard.
 
 The rule pool deliberately mixes both kinds so random programs exercise
 the fallback matrix, and the path axis forces each path of the execution
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from paths import PATHS, forced
 from repro import parse_program
-from repro.engine import Database, Evaluator, MaterializedModel
+from repro.engine import Database, Evaluator
 from repro.engine.builtins import DEFAULT_BUILTINS
 from repro.engine.evaluation import EvalOptions
 from repro.engine.setops import with_set_builtins
@@ -29,7 +30,6 @@ from repro.parallel import (
     shardable_group,
 )
 from repro.parallel.partition import stable_hash
-from repro.workloads import edge_churn, random_graph
 
 #: Shardable linear recursion, unshardable nonlinear recursion, negation
 #: strata, and builtins — any subset stratifies over ``e/2`` and ``n/1``.
@@ -72,7 +72,7 @@ def _run(program, facts, shards=1, path="default"):
 
 
 # ---------------------------------------------------------------------------
-# The property: shards=N ≡ single-process, for evaluation and maintenance
+# The property: shards=N ≡ single-process
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=8, deadline=None)
@@ -90,72 +90,6 @@ def test_evaluation_is_shard_count_invariant(rule_idx, facts, path):
     baseline = _run(program, sorted(facts), shards=1)
     for n in (2, 4):
         assert _run(program, sorted(facts), shards=n, path=path) == baseline
-
-
-@settings(max_examples=6, deadline=None)
-@given(
-    rule_idx=st.sets(
-        st.integers(0, len(RULE_POOL) - 1), min_size=1, max_size=4
-    ),
-    initial=st.sets(st.sampled_from(FACT_SPACE), max_size=8),
-    batches=st.lists(
-        st.lists(
-            st.tuples(st.booleans(), st.sampled_from(FACT_SPACE)),
-            min_size=1, max_size=4,
-        ),
-        min_size=1, max_size=3,
-    ),
-    path=st.sampled_from(PATHS),
-)
-def test_apply_delta_is_shard_count_invariant(rule_idx, initial, batches,
-                                              path):
-    program = parse_program(
-        "\n".join(RULE_POOL[i] for i in sorted(rule_idx))
-    )
-    with forced(path):
-        models = {
-            n: MaterializedModel(
-                program, _database(sorted(initial)),
-                builtins=with_set_builtins(),
-                options=EvalOptions(shards=n),
-            )
-            for n in (1, 2, 4)
-        }
-        try:
-            for batch in batches:
-                adds = [spec for is_add, spec in batch if is_add]
-                dels = [spec for is_add, spec in batch if not is_add]
-                for m in models.values():
-                    m.apply_delta(adds=adds, dels=dels)
-                baseline = models[1].interpretation.sorted_atoms()
-                for n in (2, 4):
-                    assert models[n].interpretation.sorted_atoms() == baseline
-        finally:
-            for m in models.values():
-                m._evaluator.close()
-
-
-def test_churn_stream_is_shard_count_invariant():
-    """A sustained random churn stream (the benchmark's shape)."""
-    program = parse_program("""
-    t(X, Y) :- e(X, Y).
-    t(X, Z) :- e(X, Y), t(Y, Z).
-    """)
-    edges = random_graph(24, 60, seed=3)
-    facts = [("e", u, v) for u, v in edges]
-    batches = edge_churn(edges, n_batches=8, batch_size=2, n_nodes=24,
-                         seed=4)
-    m1 = MaterializedModel(program, _database(facts))
-    m4 = MaterializedModel(program, _database(facts),
-                           options=EvalOptions(shards=4))
-    try:
-        for batch in batches:
-            m1.apply_delta(adds=batch.adds, dels=batch.dels)
-            m4.apply_delta(adds=batch.adds, dels=batch.dels)
-            assert (m4.interpretation.sorted_atoms()
-                    == m1.interpretation.sorted_atoms())
-    finally:
-        m4._evaluator.close()
 
 
 # ---------------------------------------------------------------------------

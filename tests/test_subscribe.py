@@ -126,8 +126,8 @@ class TestDiffEquivalence:
             st.sampled_from(range(len(FACTS))), min_size=1, max_size=8,
         ))
         replayed = []   # (goal, facts, replayed answer set) per version
-        with forced(path) as options:
-            svc = QueryService(PROGRAM, options=options)
+        with forced(path):
+            svc = QueryService(PROGRAM)
             try:
                 session = svc.open_session()
                 subs: dict[int, dict] = {}
