@@ -113,25 +113,25 @@ class Program:
         return out
 
     def idb_predicates(self) -> set[str]:
-        """Predicates defined by at least one non-fact clause head."""
-        out: set[str] = set()
-        for c in self.clauses:
-            if isinstance(c, GroupingClause) or not c.is_fact:
-                out.add(self.head_pred(c))
-        return out
+        """Predicates defined by at least one rule."""
+        return self.rules().head_predicates()
 
     def head_predicates(self) -> set[str]:
         return {self.head_pred(c) for c in self.clauses}
 
     def facts(self) -> Iterator[Atom]:
-        for c in self.lps_clauses():
-            if c.is_fact:
+        """The heads of the ground fact clauses: data, which every load
+        boundary moves into the EDB."""
+        for c in self.clauses:
+            if _is_data(c):
                 yield c.head
 
-    def rules(self) -> Iterator[AnyClause]:
-        for c in self.clauses:
-            if isinstance(c, GroupingClause) or not c.is_fact:
-                yield c
+    def rules(self) -> "Program":
+        """The program without its ground facts.  Non-ground unit clauses
+        (Theorem 10's ∅ base cases) are rules over the active domain."""
+        return Program(
+            tuple(c for c in self.clauses if not _is_data(c)), mode=self.mode
+        )
 
     def constants(self) -> set[Term]:
         """All ground sort-a terms (constants, ground function terms) occurring
@@ -247,6 +247,11 @@ class Program:
 
     def __str__(self) -> str:
         return self.pretty()
+
+
+def _is_data(c: AnyClause) -> bool:
+    """Whether a clause is a ground fact (what a database fact means)."""
+    return isinstance(c, LPSClause) and c.is_fact and c.head.is_ground()
 
 
 def rename_predicates(program: Program, mapping: Mapping[str, str]) -> Program:

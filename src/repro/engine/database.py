@@ -70,6 +70,10 @@ class Database:
     per-predicate fact sets; the writable original copies a predicate's
     set on its next mutation (copy-on-write), mirroring
     :meth:`repro.semantics.interpretation.Interpretation.snapshot`.
+
+    :attr:`signatures` maps ``(pred, position)`` to the sort there of a
+    predicate's first fact: what text parsed against the EDB is typed
+    by.  It is replaced, never mutated, and snapshots share it.
     """
 
     def __init__(self) -> None:
@@ -77,6 +81,7 @@ class Database:
         self._frozen = False
         #: Predicates whose fact set is shared with a snapshot.
         self._shared: set[str] = set()
+        self.signatures: dict[tuple[str, int], str] = {}
 
     # -- snapshots / copy-on-write ------------------------------------------------
 
@@ -91,6 +96,7 @@ class Database:
         snap._facts = dict(self._facts)
         snap._frozen = True
         snap._shared = set()
+        snap.signatures = self.signatures
         if not self._frozen:
             self._shared = set(self._facts)
         return snap
@@ -124,6 +130,9 @@ class Database:
         bucket = self._mutable_bucket(a.pred)
         if bucket is None:
             bucket = self._facts[a.pred] = set()
+            sorts = {(a.pred, i): t.sort for i, t in enumerate(a.args)}
+            if not sorts.items() <= self.signatures.items():
+                self.signatures = {**self.signatures, **sorts}
         bucket.add(a)
 
     def retract(self, pred: str, *args: Any) -> bool:

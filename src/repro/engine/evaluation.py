@@ -769,8 +769,9 @@ class Evaluator:
         self.options = options or EvalOptions()
         program.validate()
         self._check_builtin_heads()
+        # The program's facts are EDB (``run``); its rules are stratified.
         self.stratification: Stratification = stratify(
-            program, ignore=set(builtins)
+            program.rules(), ignore=set(builtins)
         )
         #: grouping clause -> compiled body plan.
         self._grouping_plans: dict[GroupingClause, CompiledPlan] = {}
@@ -858,16 +859,15 @@ class Evaluator:
         report = EvalReport(stats=SolverStats())
         for t in self.program.all_terms():
             domain.note_term(t)
-        edb: list[Atom] = []
+        edb: list[Atom] = list(self.program.facts())
         if self.database is not None:
-            edb = list(self.database.facts())
-            builtin = {a.pred for a in edb} & self.builtins.keys()
-            if builtin:
-                raise EvaluationError(
-                    "database fact uses builtin predicate "
-                    f"{min(builtin)!r}"
-                )
-            domain.note_rows([a.args for a in edb])
+            edb += self.database.facts()
+        builtin = {a.pred for a in edb} & self.builtins.keys()
+        if builtin:
+            raise EvaluationError(
+                f"database fact uses builtin predicate {min(builtin)!r}"
+            )
+        domain.note_rows([a.args for a in edb])
 
         report.strata = self.stratification.depth
         passes = 0
@@ -917,10 +917,11 @@ class Evaluator:
         seed_deltas: Optional[Mapping[str, frozenset[Atom]]] = None,
         shard=None,
     ) -> dict[str, list[Atom]]:
-        """Run one stratum to fixpoint; returns the atoms added, per
-        predicate, as one list each — every atom once, in insertion order
-        (the lists ``Interpretation.update``/``extend`` returned, so the
-        gains are never hashed again here).
+        """Run one stratum's rules to fixpoint; returns the atoms added,
+        per predicate, as one list each — every atom once, in insertion
+        order (the lists ``Interpretation.update``/``extend`` returned, so
+        the gains are never hashed again here).  ``rules`` hold no ground
+        fact: a program's facts are EDB, in ``interp`` before any stratum.
 
         With ``seed_deltas`` the loop starts **semi-naive from the given
         deltas** instead of with a naive first round: only rules depending
@@ -941,26 +942,10 @@ class Evaluator:
         owner shard.
         """
         added: dict[str, list[Atom]] = {}
-        # Non-ground unit clauses (e.g. the ∅ base cases produced by the
-        # Theorem 10 translation) are rules over the active domain, not
-        # facts.
-        facts = [c.head for c in rules if c.is_fact and c.head.is_ground()]
-        proper = [c for c in rules if not (c.is_fact and c.head.is_ground())]
-        if shard is not None:
-            # Under sharding every worker sees the full program; a ground
-            # fact clause belongs only to its owner (nothing is shipped —
-            # the owner derives its own copy from the same clause).
-            facts = [h for h in facts if shard.admit(h, False)]
-        given = interp.update(facts)
-        domain.note_rows([h.args for h in given])
-        report.derived += len(given)
-        for h in given:
-            added.setdefault(h.pred, []).append(h)
-
-        if not proper:
+        if not rules:
             return added
 
-        compiled = [self.compiled_rule(c) for c in proper]
+        compiled = [self.compiled_rule(c) for c in rules]
         changed_preds: Optional[set[str]] = None  # None = first round
         #: What each predicate gained last round.  From the second round
         #: on these are the row ranges the round's bulk insert appended

@@ -283,8 +283,9 @@ class MaterializedModel:
 
     The model owns its :class:`~repro.engine.database.Database`: mutate the
     EDB only through :meth:`apply_delta` (or :meth:`add`/:meth:`retract`),
-    never behind the model's back.  After every call the interpretation is
-    identical to a from-scratch evaluation of the updated database.  It
+    never behind the model's back; the program's facts join it at
+    construction, and :attr:`program` keeps the rules.  After every call
+    the model is a from-scratch evaluation of the updated database.  It
     evaluates with the default :class:`~repro.engine.evaluation.EvalOptions`
     and never shards: options are a batch :class:`Evaluator` setting.
     """
@@ -295,10 +296,12 @@ class MaterializedModel:
         database: Optional[Database] = None,
         builtins: Mapping[str, Builtin] = DEFAULT_BUILTINS,
     ) -> None:
-        self.program = program
+        program.validate()
+        facts = [check_fact(f, builtins) for f in program.facts()]
+        self.program = program.rules()
         self.database = database if database is not None else Database()
         self.builtins = builtins
-        self._evaluator = Evaluator(program, self.database, builtins)
+        self._evaluator = Evaluator(self.program, self.database, builtins)
         self._groups: tuple[StratumRules, ...] = (
             self._evaluator.stratification.rule_groups()
         )
@@ -306,29 +309,19 @@ class MaterializedModel:
         self._producer: dict[str, int] = {
             p: g.index for g in self._groups for p in g.head_preds
         }
-        #: Ground fact-clause heads: permanent base support, never deleted.
-        self._program_facts: frozenset[Atom] = frozenset(
-            c.head for c in program.lps_clauses()
-            if c.is_fact and c.head.is_ground()
-        )
-        #: Compiled proper rules per DRed stratum and, per rederive
-        #: stratum, its clauses by head predicate.  All share the
+        #: Compiled rules per DRed stratum and, per rederive stratum,
+        #: its clauses by head predicate.  All share the
         #: evaluator's rule cache, so a plan is compiled once however many
         #: commits, seeded fixpoints and recomputations use it.
         self._compiled: dict[int, list[_CompiledRule]] = {}
         self._rederive: dict[int, dict[str, list[_Rederivable]]] = {}
         compiled = self._evaluator.compiled_rule
         for g in self._groups:
-            proper = [
-                c for c in g.clauses
-                if not (isinstance(c, LPSClause)
-                        and c.is_fact and c.head.is_ground())
-            ]
             if g.plan == PLAN_DRED:
-                self._compiled[g.index] = [compiled(c) for c in proper]
+                self._compiled[g.index] = [compiled(c) for c in g.clauses]
             elif g.plan == PLAN_REDERIVE:
                 by_pred = self._rederive[g.index] = {}
-                for c in proper:
+                for c in g.clauses:
                     by_pred.setdefault(program.head_pred(c), []).append(
                         self._rederivable(c)
                     )
@@ -337,7 +330,13 @@ class MaterializedModel:
         #: evaluation, every rebuild and every maintenance sweep (the REPL's
         #: ``:stats`` reads this).
         self.exec_stats = ExecStats()
-        self._rebuild()
+        added, _ = self.database.apply_delta(adds=facts)
+        try:
+            self._rebuild()
+        except BaseException:
+            # The caller's database may back a model still in use.
+            self.database.apply_delta(dels=added)
+            raise
 
     # -- read API ---------------------------------------------------------------
 
@@ -423,9 +422,7 @@ class MaterializedModel:
         self._domain = ActiveDomain()
         for t in self.program.all_terms():
             self._domain.note_term(t)
-        for a in self.database.facts():
-            self._domain.note_atom(a)
-        for a in self._interp:
+        for a in self._interp:      # the EDB's facts among them
             self._domain.note_atom(a)
         self._incremental_ok = self._model.report.stats.fallbacks == 0
 
@@ -687,8 +684,8 @@ class MaterializedModel:
                 next_frontier.setdefault(h.pred, set()).add(h)
 
     def _protected(self, a: Atom) -> bool:
-        """Base-supported atoms survive overdeletion unconditionally."""
-        return a in self.database or a in self._program_facts
+        """EDB facts survive overdeletion unconditionally."""
+        return a in self.database
 
     def _seeded_fixpoint(
         self,
@@ -1090,7 +1087,8 @@ class VersionedModel:
         return self.apply_delta(dels=[_one_fact(spec)])
 
     def replace_program(self, program: Program) -> ModelSnapshot:
-        """Swap the rule program (same database), rebuild, publish."""
+        """Swap the rule program (same database), rebuild, publish.
+        Facts ``program`` carries join the database, as at construction."""
         with self._lock:
             db = self._materialized.database
             self._materialized = MaterializedModel(

@@ -70,10 +70,10 @@ def explain(model: Model, atom: Atom, max_depth: int = 50) -> DerivationNode:
     lose their children.  Raises ``EvaluationError`` for an atom not in
     the model."""
     program, builtins, interp = model.program, model.builtins, model.interpretation
-    given = {f for f in program.facts() if f.is_ground()}
+    given = set(program.facts())
     given.update(model.database.facts() if model.database is not None else ())
     clauses: dict[str, list[tuple[object, _CompiledRule]]] = {}
-    for c in program.clauses:
+    for c in program.rules():
         # A grouping clause's key rule: its solutions under a key are the group.
         rule = c if isinstance(c, LPSClause) else LPSClause(
             Atom(f"{c.pred}<key>", c.head_args), body=c.body

@@ -67,7 +67,7 @@ def preserved_positions(group: StratumRules, builtins) -> dict[str, set[int]]:
     heads = group.head_preds
     out: dict[str, Optional[set[int]]] = {}
     for c in group.clauses:
-        if not isinstance(c, LPSClause) or (c.is_fact and c.head.is_ground()):
+        if not isinstance(c, LPSClause):
             continue
         rule = _CompiledRule(c, builtins)
         occs = [a for a in rule.relational if a.pred in heads]
@@ -145,8 +145,6 @@ def shardable_group(group: StratumRules, builtins) -> bool:
     for c in group.clauses:
         if not isinstance(c, LPSClause):
             return False
-        if c.is_fact and c.head.is_ground():
-            continue
         rule = _CompiledRule(c, builtins)
         if not rule.delta_capable or rule.domain_sensitive:
             return False

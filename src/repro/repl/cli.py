@@ -18,8 +18,8 @@ The REPL is a **thin client of the query-service session API**
 multiplexes across many concurrent clients — so interactive behaviour and
 served behaviour cannot drift apart.
 
-* clauses terminated by ``.`` extend the program (the model is rebuilt
-  over the surviving fact store),
+* clauses terminated by ``.`` extend the program: a ground fact is
+  committed like ``+fact.``, a rule rebuilds the model over the facts,
 * ``+fact.`` asserts and ``-fact.`` retracts a ground fact — the model is
   *maintained*, not recomputed, so churning facts against a large program
   stays cheap,

@@ -8,9 +8,9 @@ the REPL both sit on:
 * it hands out :class:`~repro.server.session.Session` objects — one per
   client, whose requests run on the caller's thread (the TCP server
   gives each connection a thread of its own),
-* it owns the shared *program source*: ``extend_program`` re-parses the
-  accumulated source (exactly the REPL's validation discipline), rebuilds
-  the model under the write lock, and publishes the next version,
+* it owns program changes: ``extend_program`` parses the new text with
+  the served rules (the REPL's validation discipline), commits its facts
+  as one delta and rebuilds under the write lock only for new rules,
 * it merges per-session statistics on read (``:stats``), so counters are
   exact under parallel queries without any shared mutable counter on the
   read path.
@@ -29,9 +29,10 @@ from typing import Any, Iterable, Mapping, Optional, Union
 from ..core.program import Program
 from ..engine.builtins import Builtin
 from ..engine.database import Database
+from ..engine.evaluation import Evaluator
 from ..engine.maintenance import ModelSnapshot, VersionedModel
 from ..engine.setops import with_set_builtins
-from ..lang import parse_program, pretty_clause
+from ..lang import parse_program, predicate_sorts, pretty_program
 from .session import Session, SessionStats
 from .subscriptions import SubscriptionManager
 
@@ -74,29 +75,17 @@ class QueryService:
             # writes into, and the service serves reads over it).
             self.max_batch = max_batch
             self.model = model
-            self._source_lines = [
-                pretty_clause(c) for c in model.program.clauses
-            ]
             self._init_runtime(ack_replicas, ack_timeout)
             return
-        if isinstance(program, Program):
-            # pretty_clause, not str(): only the pretty-printer's output is
-            # round-trip verified (quoted/keyword constants, negative ints),
-            # and extend_program re-parses these lines on every extension.
-            self._source_lines: list[str] = [
-                pretty_clause(c) for c in program.clauses
-            ]
-            parsed = program
-        else:
-            self._source_lines = [program] if program else []
-            parsed = parse_program("\n".join(self._source_lines))
+        if not isinstance(program, Program):
+            program = parse_program(program or "")
         self.max_batch = max_batch
         builtins = builtins if builtins is not None else with_set_builtins()
         if data_dir is not None:
             from ..storage.durable import DurableModel
 
             self.model: VersionedModel = DurableModel.open(
-                parsed,
+                program,
                 data_dir,
                 database=database,
                 builtins=builtins,
@@ -104,14 +93,9 @@ class QueryService:
                 fsync=fsync,
                 checkpoint_every=checkpoint_every,
             )
-            # After recovery the durable program is authoritative: rebuild
-            # the source lines extend_program revalidates against.
-            self._source_lines = [
-                pretty_clause(c) for c in self.model.program.clauses
-            ]
         else:
             self.model = VersionedModel(
-                parsed,
+                program,
                 database,
                 builtins=builtins,
                 keep_versions=keep_versions,
@@ -169,17 +153,26 @@ class QueryService:
         return snap
 
     def extend_program(self, text: str) -> ModelSnapshot:
-        """Append clause source, revalidate the whole program, rebuild.
-
-        Parsing the joined source *before* touching the model means a bad
-        clause is rejected with a parse error and nothing changes.
+        """Add clause source: parse it after the served rules (typed by
+        their own sorts, then the EDB's), validate and stratify the whole,
+        commit its facts as one delta, then swap in the rules if they
+        changed.  A bad clause changes nothing; after the delta only a
+        resource limit can fail the rebuild, and a retry is idempotent.
+        A retracted fact is not in the served rules: it stays retracted.
         """
         with self.model.lock:
+            rules = self.model.program
             program = parse_program(
-                "\n".join([*self._source_lines, text])
+                f"{pretty_program(rules)}\n{text}",
+                signatures={
+                    **self.model.current.database.signatures,
+                    **predicate_sorts(rules),
+                },
             )
-            self._source_lines.append(text)
-            snap = self.model.replace_program(program)
+            Evaluator(program, builtins=self.model.builtins)
+            snap = self.model.apply_delta(adds=program.facts())
+            if program.rules() != rules:
+                snap = self.model.replace_program(program.rules())
         self.wait_replicated(snap.version)
         return snap
 

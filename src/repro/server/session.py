@@ -386,9 +386,9 @@ class Session:
         #: holds at most :data:`QUERY_CACHE_SIZE` entries.
         self._shapes: dict[Any, Any] = {}
         self._texts: dict[str, tuple] = {}
-        #: The served program goals are sort-inferred against, with its
-        #: predicate sorts (see :meth:`_compiled_query`).
-        self._typed_against: tuple[Any, dict] = (None, {})
+        #: The served program and EDB signatures goals are typed against,
+        #: and the predicate sorts they give (see :meth:`_compiled_query`).
+        self._typed_against: tuple[Any, Any, dict] = (None, None, {})
         #: Queued subscription push frames (drained by ``:diffs`` or the
         #: protocol's async push path); bounded — an undrained session's
         #: subscriptions are dropped rather than growing the server.
@@ -457,7 +457,8 @@ class Session:
         order (``_`` excepted), so answers are full bindings exactly like
         rule derivation.  The goal is sort-inferred against the served
         program's predicate sorts: ``succ(a, S)`` alone does not say that
-        ``S`` is a set, the program's ``succ(X, <Y>) :- …`` does.
+        ``S`` is a set, the program's ``succ(X, <Y>) :- …`` does — and,
+        for a predicate no rule fixes, the EDB's ``sf({a, b})`` does.
 
         A plan depends on which arguments are constants, never on their
         values, so it is compiled once per goal *shape*
@@ -466,13 +467,16 @@ class Session:
         A text asked before costs one dict hit.
         """
         served = self._model.program
+        edb = self._model.current.database.signatures
         with self._lock:
-            if self._typed_against[0] is not served:
-                # A program change retypes every goal.
-                self._typed_against = (served, predicate_sorts(served))
+            typed = self._typed_against
+            if typed[0] is not served or typed[1] is not edb:
+                # New rules or a new EDB predicate retype every goal.
+                self._typed_against = typed = (
+                    served, edb, {**edb, **predicate_sorts(served)}
+                )
                 self._texts.clear()
                 self._shapes.clear()
-            typed = self._typed_against
             hit = _lru_get(self._texts, text)
         if hit is not None:
             return BoundRule(*hit)
@@ -486,7 +490,7 @@ class Session:
         if new:
             # A goal that fails to parse or type raises here, so its
             # shape is never cached.
-            parsed = self._parse_goal(text, typed[1])
+            parsed = self._parse_goal(text, typed[2])
             template = _template(parsed, consts) if consts else parsed
             if template is None:
                 # Not every constant is a slot: compiled for this text.
@@ -538,7 +542,7 @@ class Session:
         names the text's own variables and constants, not those of the
         text that compiled its shape."""
         rule = self._query_rule(
-            self._parse_goal(text, self._typed_against[1])
+            self._parse_goal(text, self._typed_against[2])
         )
         return BoundRule(rule, None, tuple(v.name for v in rule.head.args))
 
@@ -1005,7 +1009,7 @@ class Session:
     # -- program management ------------------------------------------------------
 
     def add_clause(self, text: str) -> ModelSnapshot:
-        """Extend the shared program (rebuilds and publishes a version)."""
+        """Extend the shared program (``QueryService.extend_program``)."""
         self._check_open()
         if self._service is None:
             raise EvaluationError(

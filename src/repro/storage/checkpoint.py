@@ -13,8 +13,9 @@ and decodes them; nothing else builds or reads these records.  A leader
 ships the same lines to a follower its WAL cannot catch up, and the
 follower installs them as received (:func:`write_image`).
 
-Only the *extensional* state is stored — the program source and the
-database facts.  Recovery rebuilds the derived model by evaluation, which
+Only the *extensional* state is stored — the program's rules and the
+database facts (an older image's program text may still hold facts).
+Recovery rebuilds the derived model by evaluation, which
 is exactly the engine's correctness anchor (``apply_delta ≡ recompute``):
 a checkpoint can never disagree with what from-scratch evaluation of its
 facts produces, because it stores nothing else.

@@ -27,12 +27,14 @@ from __future__ import annotations
 
 import json
 import zlib
-from typing import Any, Iterable
+from typing import Any, Iterable, Optional
 
 from ..core.atoms import Atom, atom_order_key
 from ..core.errors import LPSError
 from ..core.program import Program
-from ..lang import parse_atom, parse_program, pretty_atom, pretty_program
+from ..lang import (
+    parse_atom, parse_program, predicate_sorts, pretty_atom, pretty_program,
+)
 
 #: Bump when the record layout changes; decoders reject other versions.
 FORMAT_VERSION = 1
@@ -171,10 +173,19 @@ def decode_atoms(texts: Any) -> list[Atom]:
 
 
 def encode_program(p: Program) -> str:
-    """A program as verified concrete syntax (multi-line text)."""
+    """A program as verified concrete syntax (multi-line text).
+
+    Rules whose sorts only facts fixed (``q(X) :- sf(X).`` parsed beside
+    ``sf({a, b}).``, which is EDB data) would re-parse with other sorts:
+    their text starts with a ``% sorts`` line that pins the rules' own
+    :func:`~repro.lang.sortinfer.predicate_sorts`, never the EDB's.
+    """
     text = pretty_program(p)
     try:
-        back = parse_program(text)
+        if parse_program(text) != p:
+            pins = sorted([*k, v] for k, v in predicate_sorts(p).items())
+            text = f"{_SORTS}{json.dumps(pins)}\n{text}"
+        back = parse_program(text, signatures=_pins(text))
     except LPSError as exc:
         raise CodecError(
             f"program does not round-trip through its pretty form: {exc}"
@@ -191,6 +202,22 @@ def decode_program(text: str) -> Program:
     if not isinstance(text, str):
         raise CodecError(f"program payload {text!r} is not a string")
     try:
-        return parse_program(text)
+        return parse_program(text, signatures=_pins(text))
     except LPSError as exc:
         raise CodecError(f"bad stored program: {exc}") from exc
+
+
+#: Opens a stored program's first line when its rules alone do not fix
+#: their sorts: a comment to the parser, the pins to :func:`_pins`.
+_SORTS = "% sorts "
+
+
+def _pins(text: str) -> Optional[dict]:
+    """The predicate sorts a stored program's ``% sorts`` line pins."""
+    if not text.startswith(_SORTS):
+        return None
+    line = text.partition("\n")[0][len(_SORTS):]
+    try:
+        return {(pred, i): sort for pred, i, sort in json.loads(line)}
+    except (ValueError, TypeError) as exc:
+        raise CodecError(f"bad stored sorts line: {exc}") from exc

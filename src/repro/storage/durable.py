@@ -46,8 +46,9 @@ from __future__ import annotations
 import logging
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Optional
+from typing import AbstractSet, Any, Callable, Iterable, Mapping, Optional
 
+from ..core.atoms import Atom
 from ..core.errors import EvaluationError
 from ..core.program import Program
 from ..engine.builtins import DEFAULT_BUILTINS, Builtin
@@ -128,6 +129,12 @@ def changes_edb(db: Database, adds: list, dels: list) -> bool:
     return added != removed
 
 
+def _text_facts(program: Program, db: Database) -> set[Atom]:
+    """The facts a stored program text carries that ``db`` lacks: an
+    image or record written before file facts were data holds some."""
+    return {f for f in program.facts() if f not in db}
+
+
 def judge_record(
     kind: str,
     data: Any,
@@ -135,9 +142,13 @@ def judge_record(
     epoch: int,
     db: Database,
     builtins: Mapping[str, Builtin],
+    unlogged: AbstractSet[Atom] = frozenset(),
 ) -> Any:
     """What one logged ``delta`` / ``program`` / ``epoch`` record may do
     to a store at ``version`` and ``epoch`` whose EDB is ``db``.
+    ``unlogged`` are facts ``db`` holds only because an older program
+    text carried them: a leader's delta asserting one still changed the
+    leader's EDB.
 
     The one rule, for recovery and for a follower alike.  Returns
     ``None`` for a record to skip: one at or below ``version``
@@ -207,7 +218,7 @@ def judge_record(
         raise RecoveryError(
             f"record for version {target} is undecodable: {exc}"
         ) from exc
-    if not changes_edb(db, adds, dels):
+    if not changes_edb(db, adds, dels) and unlogged.isdisjoint(adds):
         raise RecoveryError(
             f"applying the record for version {target} published "
             f"{version}; refusing to continue with a log that diverges "
@@ -271,6 +282,10 @@ class DurableModel(VersionedModel):
         #: failed apply tombstones it); the operation's own
         #: publication stays off the stream meanwhile.
         self._logged: Optional[bytes] = None
+        #: Facts the EDB holds only because an older image or program
+        #: record carried them in its program text (see
+        #: :meth:`apply_record`), until a delta names them.
+        self._unlogged: set[Atom] = set()
         self._closed = False
         self._wal = WriteAheadLog(
             self.data_dir, fsync=fsync, segment_max_bytes=segment_max_bytes
@@ -355,16 +370,23 @@ class DurableModel(VersionedModel):
         Each committed record is judged (:func:`judge_record`) and folded
         into the image — a delta into its EDB, a program or epoch record
         replacing its own — and the model is evaluated once, at the last
-        version.  No earlier version is published: a restart retires
+        version.  Facts an older image or record carries in its program
+        text join the EDB as the fold meets them, as :meth:`apply_record`
+        takes them, so a log that later asserts one still folds.  No
+        earlier version is published: a restart retires
         every pre-crash version, so a session that pinned one gets
         ``retired_version``.
         """
         start, epoch, program, db = image
         builtins = kwargs.get("builtins", DEFAULT_BUILTINS)
         version = start
+        unlogged = _text_facts(program, db)
+        db.apply_delta(adds=unlogged)
         records = WriteAheadLog(data_dir).recover_records()
         for kind, data in committed_records(records, start):
-            payload = judge_record(kind, data, version, epoch, db, builtins)
+            payload = judge_record(
+                kind, data, version, epoch, db, builtins, unlogged
+            )
             if payload is None:
                 continue
             if kind == KIND_EPOCH:
@@ -373,13 +395,18 @@ class DurableModel(VersionedModel):
             version += 1
             if kind == KIND_DELTA:
                 db.apply_delta(*payload)
+                unlogged.difference_update((*payload[0], *payload[1]))
             else:
                 program = payload
+                new = _text_facts(program, db)
+                db.apply_delta(adds=new)
+                unlogged |= new
         model = cls(
-            program, data_dir, db, base_version=version - 1, epoch=epoch,
-            _recovering=True, **kwargs,
+            program.rules(), data_dir, db, base_version=version - 1,
+            epoch=epoch, _recovering=True, **kwargs,
         )
         model._records_since_checkpoint = version - start
+        model._unlogged = unlogged
         return model
 
     def close(self) -> None:
@@ -436,12 +463,18 @@ class DurableModel(VersionedModel):
         accepted record's ``line`` is appended to the local WAL before the
         record is applied through the maintenance engine, and goes on the
         commit stream after: every version a follower publishes is read.
+
+        A ``program`` record of a leader running an older version carries
+        its facts in the text: they join the EDB here, as the recovery
+        fold takes them, and that leader's later ``+f`` of one (its own
+        EDB lacked ``f``) publishes a version that changes nothing.
         """
         with self._lock:
             self._check_writable()
+            db = self._materialized.database
             payload = judge_record(
-                kind, data, self._version, self.epoch,
-                self._materialized.database, self.builtins,
+                kind, data, self._version, self.epoch, db, self.builtins,
+                self._unlogged,
             )
             if payload is None:
                 return
@@ -453,14 +486,22 @@ class DurableModel(VersionedModel):
                 )
                 return
             version = self._version + 1
-            apply = (
-                partial(super().apply_delta, *payload)
-                if kind == KIND_DELTA
-                else partial(super().replace_program, payload)
-            )
+            if kind == KIND_DELTA:
+                apply = partial(self._apply_leader_delta, *payload)
+            else:
+                self._unlogged |= _text_facts(payload, db)
+                apply = partial(super().replace_program, payload)
             self._publish_logged(
                 kind, version, self._wal.append_line(version, line), apply
             )
+
+    def _apply_leader_delta(self, adds: list, dels: list) -> ModelSnapshot:
+        version = self._version
+        snap = super().apply_delta(adds, dels)
+        self._unlogged.difference_update((*adds, *dels))
+        if self._version == version:    # asserted what ``_unlogged`` held
+            snap = self._publish(self._materialized.last_report)
+        return snap
 
     def bump_epoch(self, epoch: int) -> None:
         """Raise the fencing epoch (promotion): durable before effective.

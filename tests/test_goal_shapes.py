@@ -219,6 +219,14 @@ class TestOncePerShape:
             assert s.execute("?- p(v1, S), M in S.").data["rows"] \
                 == [{"M": "v2", "S": "{v2}"}]
 
+    def test_an_asserted_set_fact_no_rule_reads_is_typed_by_the_edb(self):
+        with QueryService("q(X) :- r(X).") as svc:
+            s = svc.open_session()
+            assert s.execute("+sf({a, b}).").data == {"applied": 1}
+            r = s.execute("?- sf(S).")
+            assert r.data["truth"] and r.data["rows"] == [{"S": "{a, b}"}]
+            assert len(s.execute("?- sf(S), X in S.").data["rows"]) == 2
+
 
 class TestSubscriptions:
     def test_one_shape_two_constants_two_diff_streams(self):

@@ -236,16 +236,17 @@ def test_edb_fact_with_idb_derivation_survives_retraction():
     assert_matches_scratch(m, program, facts[:2])
 
 
-def test_program_fact_clauses_are_never_deleted():
+def test_program_fact_clauses_are_retracted_like_edb_facts():
     program = parse_program("""
     e(a, b).
     t(X, Y) :- e(X, Y).
     """)
     m = materialize(program, [("e", "b", "c")])
-    m.apply_delta(dels=[("e", "a", "b")])   # only the (absent) EDB copy
-    assert m.model.holds_str("e(a, b)")
-    assert m.model.holds_str("t(a, b)")
-    assert_matches_scratch(m, program, [("e", "b", "c")])
+    report = m.apply_delta(dels=[("e", "a", "b")])   # a file fact is data
+    assert report.net_removed == 1
+    assert not m.model.holds_str("e(a, b)")
+    assert not m.model.holds_str("t(a, b)")
+    assert_matches_scratch(m, program.rules(), [("e", "b", "c")])
 
 
 # ---------------------------------------------------------------------------
