@@ -12,21 +12,22 @@ sets are identical.
 
 Encode/decode boundaries (see DESIGN.md, "Columnar execution"):
 
-* **encode** — ``Scan`` nodes read the interpretation's cached relation
-  columns
-  (:meth:`~repro.semantics.interpretation.Interpretation.id_columns`,
-  built incrementally like its argument indexes) and filter them with
-  vector masks; a delta that is the row range a bulk insert appended
+* **encode** — none for stored relations: the interpretation *is* ID
+  columns, and ``Scan`` nodes read them
+  (:meth:`~repro.semantics.interpretation.Interpretation.id_columns`)
+  and filter them with vector masks; a delta that is the row range a
+  bulk insert appended
   (:class:`~repro.semantics.interpretation.FactSlice`) is read from the
   ID columns the slice was stored with.  Deltas given as atom sets
   (seeds, maintenance and subscription deltas) and results of
   row-fallback operators are encoded on (re-)entry to a columnar parent.
 * **decode** — ``batch()`` (the executor's public entry point) decodes the
-  final columns back to term rows for head materialization —
-  ``shaped_batch()`` returns the columns beside the rows, so storing them
-  needs no encode, and decodes the rows only when they are read, so a
-  query answer that keeps the columns (``engine.answers``) builds none —
-  and any operator that must see real values
+  final columns back to term rows; ``shaped_batch()`` returns them as a
+  :class:`~repro.engine.executor.RowBatch` of ID columns that decodes
+  only when its rows are read, so a head stored with
+  ``Interpretation.extend`` or a query answer kept in ID space
+  (``engine.answers``) decodes none — and any operator that must see
+  real values
   (``Compute``, ``Unnest``, builtin ``Select`` — plus generic-shape scans)
   runs the inherited row kernel over its decoded input.  The per-node
   fallback keeps the plan running columnar around type-sensitive islands.
@@ -49,14 +50,13 @@ from __future__ import annotations
 
 from itertools import repeat
 from collections.abc import Sequence
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 try:  # gate, don't require: the row executor is the degraded mode
     import numpy as _np
 except ImportError:  # pragma: no cover - image always has numpy
     _np = None
 
-from ..core.atoms import Atom
 from ..core.terms import (
     TERM_DICT,
     SetValue,
@@ -71,6 +71,7 @@ from ..semantics.interpretation import (
     INDEX_MIN_FACTS,
     FactSlice,
     Interpretation,
+    row_key,
 )
 from .builtins import Builtin
 from .executor import (
@@ -78,8 +79,11 @@ from .executor import (
     _GENERIC,
     Executor,
     PlanInapplicable,
+    RowBatch,
     _scan_shape,
     bind_pairs,
+    fact_rows,
+    shaped_rows,
 )
 from .ir import (
     AntiJoin,
@@ -92,6 +96,7 @@ from .ir import (
     Scan,
     Select,
     Unit,
+    distinct_rows,
 )
 
 _ID_OF = TERM_DICT.id_of
@@ -336,14 +341,6 @@ def _distinct_cols_of(n: int, cols: list) -> tuple:
     return int(first.size), _take(cols, first)
 
 
-def distinct_terms(id_cols: Sequence) -> Iterable[Term]:
-    """Every term a batch of ID columns mentions, once each — told apart
-    as integers, no ``Term.__hash__`` per cell."""
-    return map(
-        _TERMS.__getitem__, set().union(*(c.tolist() for c in id_cols))
-    )
-
-
 def _empty_cols(n: int) -> list:
     return [_np.empty(0, dtype=_np.int64) for _ in range(n)]
 
@@ -367,36 +364,26 @@ _MIN_VECTOR_ROWS = 64
 _PROBE_RATIO = 16
 
 
-class _Undecoded(Sequence):
-    """The term rows of ``n`` ID rows, decoded (and counted) when first
-    read: a consumer that keeps the ID columns — a query answer on its
-    way to the wire — never pays for them."""
-
-    __slots__ = ("_executor", "_n", "_cols", "_rows")
-
-    def __init__(self, executor: "ColumnarExecutor", n: int, cols: list) -> None:
-        self._executor = executor
-        self._n = n
-        self._cols = cols
-        self._rows: Optional[list[Row]] = None
-
-    def _decoded(self) -> list[Row]:
-        rows = self._rows
-        if rows is None:
-            rows = self._rows = self._executor._decode(self._n, self._cols)
-        return rows
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, i):
-        return self._decoded()[i]
-
-    def __iter__(self):
-        return iter(self._decoded())
-
-    def __eq__(self, other: object) -> bool:
-        return self._decoded() == other
+def _route(node: PlanNode, builtins: Mapping[str, Builtin]) -> tuple:
+    """``(builtins, capable, delta predicates, full-relation scans)``:
+    what the size gate reads of a node — whether it is
+    :func:`columnar_capable` and the scan leaves under it — static per
+    plan and registry, so kept on the node."""
+    route = getattr(node, "_route", None)
+    if route is None or route[0] is not builtins:
+        if node.__class__ is Scan:
+            preds, full = ((node.atom.pred,), ()) if node.delta \
+                else ((), (node,))
+        else:
+            preds, full = (), ()
+            for child in node.children():
+                _, _, p, f = _route(child, builtins)
+                preds += p
+                full += f
+        route = node._route = (
+            builtins, columnar_capable(node, builtins), preds, full
+        )
+    return route
 
 
 class ColumnarExecutor(Executor):
@@ -416,11 +403,68 @@ class ColumnarExecutor(Executor):
     #: drop it to 0 to force the vector kernels on tiny relations.
     min_vector_rows = _MIN_VECTOR_ROWS
 
+    def _vector(self, node: PlanNode) -> bool:
+        """Whether ``node`` runs on the vector kernels here: capable and
+        worthwhile (the row kernels ask again for every child they run)."""
+        route = _route(node, self.builtins)
+        return route[1] and self._vector_worthwhile(node, route)
+
+    def _vector_worthwhile(
+        self, node: PlanNode, route: Optional[tuple] = None
+    ) -> bool:
+        """Whether every scan leaf feeds at least ``min_vector_rows``
+        rows (see :data:`_MIN_VECTOR_ROWS`).
+
+        The gate is a pure performance heuristic — both paths compute
+        identical rows — so a leaf's answer staying cached while the
+        interpretation grows costs at most a missed vectorization, never
+        correctness."""
+        floor = self.min_vector_rows
+        if not floor:
+            return True
+        _, _, delta_preds, full = route or _route(node, self.builtins)
+        # The delta scans this plan contains decide first — their sizes
+        # are dict lookups, and semi-naive/maintenance deltas are usually
+        # tiny; another predicate's delta says nothing about this plan —
+        # then the other leaves, whose estimate may touch an index.
+        if delta_preds:
+            delta = self.delta
+            if not delta:
+                return False
+            for pred in delta_preds:
+                if len(delta.get(pred, ())) < floor:
+                    return False
+        if not full:
+            return True
+        # For constant-bound scans the row executor reads an index
+        # bucket, so that bucket — not the relation — is the input to
+        # beat (same policy + estimate the join planner uses).  Each
+        # leaf is estimated once per executor and delta.
+        try:
+            cache = self._worth
+        except AttributeError:
+            cache = self._worth = {}
+        estimate = self.interp.estimate_for_pattern
+        params = self.params
+        for scan in full:
+            leaf = cache.get(scan)
+            if leaf is None:
+                a = scan.atom
+                args = a.args if params is None \
+                    else bind_args(a.args, params)
+                leaf = cache[scan] = estimate(a.pred, args) >= floor
+            if not leaf:
+                return False
+        return True
+
     def batch(self, node: PlanNode) -> list[Row]:
-        if columnar_capable(node, self.builtins) \
-                and self._vector_worthwhile(node):
+        if self._vector(node):
             n, cols = self.cols(node)
             return self._decode(n, cols)
+        return self._row(node)
+
+    def _row(self, node: PlanNode) -> list[Row]:
+        """One node on its row kernel (its children are routed anew)."""
         method = _DISPATCH.get(node.__class__)
         if method is None:  # pragma: no cover - defensive
             raise PlanInapplicable(
@@ -430,79 +474,20 @@ class ColumnarExecutor(Executor):
         return method(self, node)
 
     def distinct_batch(self, node: PlanNode) -> list[Row]:
-        if not columnar_capable(node, self.builtins) \
-                or not self._vector_worthwhile(node):
-            return super().distinct_batch(node)
+        if not self._vector(node):
+            return distinct_rows(self._row(node))
         n, cols = self.cols(node)
         n, cols = _distinct_cols_of(n, cols)
         return self._decode(n, cols)
 
     def shaped_batch(
         self, node: PlanNode, take: tuple[int, ...]
-    ) -> tuple[list[Row], Optional[list]]:
-        if not columnar_capable(node, self.builtins) \
-                or not self._vector_worthwhile(node):
-            return super().shaped_batch(node, take)
+    ) -> RowBatch:
+        if not self._vector(node):
+            return shaped_rows(self._row(node), take)
         n, cols = self.cols(node)
         n, cols = _distinct_cols_of(n, [cols[i] for i in take])
-        return _Undecoded(self, n, cols), cols
-
-    def _vector_worthwhile(self, node: PlanNode) -> bool:
-        """Whether every scan leaf feeds at least ``min_vector_rows``
-        rows (see :data:`_MIN_VECTOR_ROWS`).
-
-        Memoized per executor (row kernels recurse through ``batch``, so
-        the same subtrees are asked repeatedly).  The gate is a pure
-        performance heuristic — both paths compute identical rows — so a
-        decision staying cached while the interpretation grows costs at
-        most a missed vectorization, never correctness."""
-        floor = self.min_vector_rows
-        if not floor:
-            return True
-        try:
-            cache = self._worth
-        except AttributeError:
-            cache = self._worth = {}
-        hit = cache.get(node)
-        if hit is not None:
-            return hit
-        # The delta scans this plan contains decide first — their sizes
-        # are dict lookups, and semi-naive/maintenance deltas are usually
-        # tiny; another predicate's delta says nothing about this plan —
-        # then the other leaves, whose estimate may touch an index.
-        delta = self.delta
-        worth = True
-        full: list = []
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            if n.__class__ is not Scan:
-                stack.extend(n.children())
-            elif not n.delta:
-                full.append(n)
-            elif len(delta.get(n.atom.pred, ()) if delta else ()) < floor:
-                worth = False
-                break
-        if worth:
-            # For constant-bound scans the row executor reads an index
-            # bucket, so that bucket — not the relation — is the input
-            # to beat (same policy + estimate the join planner uses).  A
-            # leaf's answer is its own entry: every node above it that
-            # is asked reuses it.
-            estimate = self.interp.estimate_for_pattern
-            params = self.params
-            for scan in full:
-                leaf = cache.get(scan)
-                if leaf is None:
-                    a = scan.atom
-                    args = a.args if params is None \
-                        else bind_args(a.args, params)
-                    leaf = cache[scan] = estimate(a.pred, args) >= floor
-                if not leaf:
-                    worth = False
-                    break
-        cache[node] = worth
-        return worth
+        return RowBatch(n, cols=cols, stats=self.stats)
 
     def cols(self, node: PlanNode) -> tuple:
         """Execute a plan as ID columns aligned with ``node.out_vars``."""
@@ -549,36 +534,23 @@ class ColumnarExecutor(Executor):
         params = self.params
         if params is not None:
             const_checks = bind_pairs(const_checks, params)
-        # Where the rows' IDs come from, as (arity, rows, column bytes,
-        # first row): the relation's cached columns for a full scan; for
-        # a delta that is the row range a bulk insert appended
-        # (``FactSlice``) the slice's own columns, or — when it was
-        # stored without them — that range of the relation's, unless the
-        # relation so outgrew the slice that bringing its cache up to
-        # date would cost more than encoding the slice (``_PROBE_RATIO``).
+        # Where the rows' IDs come from, as (arity, rows, columns): the
+        # relation's for a full scan; for a delta that is the row range a
+        # bulk insert appended (``FactSlice``), the slice's own.
         facts = source = None
         if not node.delta:
-            entry = self.interp.id_columns(a.pred)
-            if entry is not None:
-                source = (*entry, 0)
+            source = self.interp.id_columns(a.pred)
         else:
             facts = self.delta.get(a.pred, ()) if self.delta is not None else ()
             if isinstance(facts, FactSlice):
-                n = len(facts)
-                if facts.id_cols is not None:
-                    source = (len(facts.id_cols), n, facts.id_cols, 0)
-                elif n * _PROBE_RATIO >= len(self.interp.facts_of(a.pred)):
-                    entry = self.interp.id_columns(a.pred)
-                    if entry is not None:
-                        source = (entry[0], n, entry[2], facts.start)
+                source = (len(facts.id_cols), len(facts), facts.id_cols)
         if source is not None:
-            arity, n, bufs, lo = source
+            arity, n, bufs = source
             if arity != a.arity:
                 self.stats.note(node.op, n, 0)
                 return 0, _empty_cols(len(var_pos))
             cols = [
-                _np.frombuffer(b, dtype=_np.int64, count=n, offset=8 * lo)
-                for b in bufs
+                _np.frombuffer(b, dtype=_np.int64, count=n) for b in bufs
             ]
             mask = None
             for i, t in const_checks:
@@ -599,17 +571,18 @@ class ColumnarExecutor(Executor):
             self.stats.note(node.op, n, n_out)
             return n_out, out
         if facts is None:
-            facts = self.interp.candidates_for_pattern(
+            rows = self.interp.rows_for_pattern(
                 a.pred, a.args if params is None else bind_args(a.args, params)
             )
-        # Delta scans and uncacheable relations: encode while matching.
+        else:
+            rows = fact_rows(facts)
+        # Atom-set deltas and mixed-arity relations: encode while matching.
         arity = a.arity
         matched: list = []
         append = matched.append
         n_in = 0
-        for f in facts:
+        for args in rows:
             n_in += 1
-            args = f.args
             if len(args) != arity:
                 continue
             ok = True
@@ -673,10 +646,11 @@ class ColumnarExecutor(Executor):
     def _probe_join_cols(
         self, node: Join, ln: int, lcols: list, lkey: tuple, probe
     ) -> Optional[tuple]:
-        """Index nested-loop on ID columns: per distinct left key, decode
-        the key terms once, read the relation's argument-index bucket and
-        encode only the joining facts — the columnar mirror of
-        :meth:`Executor._probe_join`, same row set when it applies.
+        """Index nested-loop on ID columns: per distinct left key, read
+        the slots of the relation's argument-index bucket — or, when the
+        key binds every position, its one key-map probe — and take the
+        joining rows' IDs straight from its columns — the columnar mirror
+        of :meth:`Executor._probe_join`, same row set when it applies.
 
         The applicability gate is stricter than the row executor's:
         probing runs a Python loop per candidate fact, while the
@@ -686,7 +660,7 @@ class ColumnarExecutor(Executor):
         small-delta rounds it exists for)."""
         pred, arity, positions, template, rtake, dup_checks, var_sorts = probe
         facts = self.interp.facts_of(pred)
-        if len(facts) < INDEX_MIN_FACTS:
+        if len(facts) < INDEX_MIN_FACTS or facts.odd or facts.arity != arity:
             return None
         # Gate on the C-side distinct-key count before paying the Python
         # tolist/dict materialization it would take to actually probe
@@ -705,32 +679,31 @@ class ColumnarExecutor(Executor):
                 by_key[k] = [i]
             else:
                 b.append(i)
-        id_of = _ID_OF
-        candidates = self.interp.candidates
+        template = tuple(
+            (k, None if k is not None else _ID_OF(t)) for k, t in template
+        )
+        lookup = self.interp.lookup
+        rcols = facts.cols
+        tail_cols = [rcols[p] for p in rtake]
         lidx: list = []
         tails: list = []
         n_in = ln
         for key_ids, bucket in by_key.items():
-            probe_key = tuple(
-                t if k is None else _TERMS[key_ids[k]] for k, t in template
-            )
-            for f in candidates(pred, positions, probe_key):
+            key = row_key([i if k is None else key_ids[k] for k, i in template])
+            for slot in lookup(pred, positions, key)[1]:
                 n_in += 1
-                args = f.args
-                if len(args) != arity:
-                    continue
                 ok = True
                 for i, j in dup_checks:
-                    if args[i] is not args[j] and args[i] != args[j]:
+                    if rcols[i][slot] != rcols[j][slot]:
                         ok = False
                         break
                 if ok:
                     for p, s in var_sorts:
-                        if not sorts_compatible(s, args[p].sort):
+                        if not sorts_compatible(s, _TERMS[rcols[p][slot]].sort):
                             ok = False
                             break
                 if ok:
-                    tail = tuple(id_of(args[p]) for p in rtake)
+                    tail = tuple([c[slot] for c in tail_cols])
                     for i in bucket:
                         lidx.append(i)
                         tails.append(tail)
@@ -807,7 +780,7 @@ class ColumnarExecutor(Executor):
         if not n or not facts:
             pass
         elif not metas:                     # zero-arity atom: one probe
-            if Atom(pred, ()) in facts:
+            if facts.has_row(()):
                 keep = _np.zeros(n, dtype=bool)
         elif n * _PROBE_RATIO >= len(facts) and (
             entry := self.interp.id_columns(pred)
@@ -817,17 +790,27 @@ class ColumnarExecutor(Executor):
         else:
             # Few rows against a large relation (sorting it would cost
             # more than the rows — see ``_PROBE_RATIO``), or a mixed-arity
-            # relation without a column cache: decide each row on real
-            # values, like the row kernel.
-            term = _TERMS.__getitem__
-            seqs = [
-                map(term, cols[v].tolist()) if k == "col" else repeat(v, n)
-                for k, v in metas
-            ]
-            keep = _np.fromiter(
-                (Atom(pred, args) not in facts for args in zip(*seqs)),
-                bool, count=n,
-            )
+            # relation: probe the key map once per row.
+            if len(metas) == facts.arity and not facts.odd:
+                seqs = [
+                    cols[v].tolist() if k == "col" else repeat(_ID_OF(v), n)
+                    for k, v in metas
+                ]
+                held = facts.keys
+                keep = _np.fromiter(
+                    (row_key(ids) not in held for ids in zip(*seqs)),
+                    bool, count=n,
+                )
+            else:
+                term = _TERMS.__getitem__
+                seqs = [
+                    map(term, cols[v].tolist()) if k == "col" else repeat(v, n)
+                    for k, v in metas
+                ]
+                keep = _np.fromiter(
+                    (not facts.has_row(args) for args in zip(*seqs)),
+                    bool, count=n,
+                )
         if keep is None:
             self.stats.note(node.op, n_in, n)
             return n, cols

@@ -36,6 +36,7 @@ Design highlights (see DESIGN.md):
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass, field
 from typing import (
     Any, Collection, Iterable, Iterator, Mapping, Optional, Sequence,
@@ -58,7 +59,7 @@ from ..core.formulas import (
 )
 from ..core.program import Program
 from ..core.sorts import EQUALS, MEMBER, SORT_A, SORT_S, SORT_U, sorts_compatible
-from ..core.substitution import Subst
+from ..core.substitution import EMPTY_SUBST, Subst
 from ..core.terms import (
     App,
     Const,
@@ -78,11 +79,11 @@ from ..core.unify import (
     match_atom_fast,
     unify,
 )
-from ..semantics.interpretation import Interpretation
+from ..semantics.interpretation import FactSlice, Interpretation
 from .builtins import DEFAULT_BUILTINS, Builtin
 from .database import Database, from_term
-from .columnar import distinct_terms, make_executor
-from .executor import Executor, PlanInapplicable
+from .columnar import make_executor
+from .executor import Executor, PlanInapplicable, RowBatch
 from .ir import ExecStats, GroupBy, PlanNode, Row
 from .planner import CompiledPlan, compile_grouping, compile_rule, head_plan
 from .stratify import Stratification, stratify
@@ -246,7 +247,13 @@ class Solver:
         if fv is None:
             fv = f.free_vars()
         for out in self._solve(f, env):
-            yield from self._complete_fv(f, fv, out)
+            emap = out._map
+            for v in fv:
+                if v not in emap:
+                    yield from self._complete_fv(f, fv, out)
+                    break
+            else:
+                yield out
 
     # -- helpers ----------------------------------------------------------------
 
@@ -310,7 +317,11 @@ class Solver:
         """
         if fv is None:
             fv = f.free_vars()
-        unbound = sum(1 for v in fv if v not in env)
+        emap = env._map
+        unbound = 0
+        for v in fv:
+            if v not in emap:
+                unbound += 1
         if isinstance(f, TrueF):
             return (0, 0)
         if unbound == 0:
@@ -338,16 +349,17 @@ class Solver:
                     return (3, unbound)
                 return None
             # Relational atom: join-plan by estimated selectivity.
-            args = [env.apply(t) for t in a.args]
-            bound_pos = tuple(
-                i for i, t in enumerate(args)
-                if not isinstance(t, SetExpr) and t.is_ground()
-            )
-            if bound_pos:
+            apply = env.apply
+            args = [apply(t) for t in a.args]
+            nbound = 0
+            for t in args:
+                if t.__class__ is not SetExpr and t.is_ground():
+                    nbound += 1
+            if nbound:
                 est = self.interp.estimate_for_pattern(a.pred, args)
             else:
                 est = len(self.interp.facts_of(a.pred))
-            return (4, est, -len(bound_pos), unbound)
+            return (4, est, -nbound, unbound)
         if isinstance(f, ExistsIn):
             if isinstance(env.apply(f.source), SetValue):
                 return (5, unbound)
@@ -360,25 +372,32 @@ class Solver:
             return None
         return None
 
+    def _relational(self, pred: str) -> bool:
+        """Whether ``pred`` names a stored relation (not ``=``, ``in``
+        or a builtin)."""
+        return pred != EQUALS and pred != MEMBER and pred not in self.builtins
+
     # -- dispatch ---------------------------------------------------------------
 
     def _solve(self, f: Formula, env: Subst) -> Iterator[Subst]:
+        # Returns the part's own generator (no wrapping frame per step).
+        if isinstance(f, AtomF):
+            return self._solve_atom(f.atom, env)
+        if isinstance(f, AndF):
+            return self._solve_and(list(f.parts), env)
         if isinstance(f, TrueF):
-            yield env
-        elif isinstance(f, AtomF):
-            yield from self._solve_atom(f.atom, env)
-        elif isinstance(f, NotF):
-            yield from self._solve_not(f, env)
-        elif isinstance(f, AndF):
-            yield from self._solve_and(list(f.parts), env)
-        elif isinstance(f, OrF):
-            yield from self._solve_or(f, env)
-        elif isinstance(f, ExistsIn):
-            yield from self._solve_exists(f, env)
-        elif isinstance(f, ForallIn):
-            yield from self._solve_forall(f, env)
-        else:  # pragma: no cover - defensive
-            raise EvaluationError(f"cannot solve formula {f!r}")
+            return iter((env,))
+        if isinstance(f, NotF):
+            return self._solve_not(f, env)
+        if isinstance(f, OrF):
+            return self._solve_or(f, env)
+        if isinstance(f, ExistsIn):
+            return self._solve_exists(f, env)
+        if isinstance(f, ForallIn):
+            return self._solve_forall(f, env)
+        raise EvaluationError(  # pragma: no cover - defensive
+            f"cannot solve formula {f!r}"
+        )
 
     # -- atoms ------------------------------------------------------------------
 
@@ -490,9 +509,7 @@ class Solver:
     def _solve_and(self, parts: list[Formula], env: Subst) -> Iterator[Subst]:
         # Free variables per conjunct are computed once for the whole
         # conjunction chain; only env membership changes while joining.
-        yield from self._solve_and_fv(
-            [(p, p.free_vars()) for p in parts], env
-        )
+        return self._solve_and_fv([(p, p.free_vars()) for p in parts], env)
 
     def _solve_and_fv(
         self, parts: list[tuple[Formula, Iterable[Var]]], env: Subst
@@ -500,11 +517,23 @@ class Solver:
         if not parts:
             yield env
             return
+        if len(parts) == 1:
+            a = parts[0][0]
+            if a.__class__ is AtomF and self._relational(a.atom.pred):
+                # A stored relation is always ready: nothing to rank.
+                yield from self._match_facts(a.atom, env)
+                return
         best_i: Optional[int] = None
         best_p: Optional[tuple] = None
         for i, (p, fv) in enumerate(parts):
             pr = self._priority(p, env, fv)
-            if pr is not None and (best_p is None or pr < best_p):
+            if pr is None:
+                continue
+            if pr[0] == 4 and not pr[1]:
+                # A relational conjunct whose index bucket is empty: no
+                # fact matches it, so the conjunction has no solution.
+                return
+            if best_p is None or pr < best_p:
                 best_i, best_p = i, pr
         if best_i is None:
             # Nothing ready: bind one variable from the domain and retry.
@@ -659,6 +688,11 @@ class _Engines:
         self.executor = make_executor(
             interp, builtins, delta=delta, stats=exec_stats, memo=memo
         )
+
+    def rebind(self, delta: Mapping[str, Iterable[Atom]]) -> None:
+        """Point both engines at a new round's deltas."""
+        self.delta = delta
+        self.executor.rebind(delta)
 
 
 @dataclass
@@ -916,12 +950,12 @@ class Evaluator:
         report: EvalReport,
         seed_deltas: Optional[Mapping[str, frozenset[Atom]]] = None,
         shard=None,
-    ) -> dict[str, list[Atom]]:
+    ) -> dict[str, list[FactSlice]]:
         """Run one stratum's rules to fixpoint; returns the atoms added,
-        per predicate, as one list each — every atom once, in insertion
-        order (the lists ``Interpretation.update``/``extend`` returned, so
-        the gains are never hashed again here).  ``rules`` hold no ground
-        fact: a program's facts are EDB, in ``interp`` before any stratum.
+        per predicate, as the row ranges ``Interpretation.extend``
+        returned — every atom once, none built unless the caller iterates
+        them.  ``rules`` hold no ground fact: a program's facts are EDB,
+        in ``interp`` before any stratum.
 
         With ``seed_deltas`` the loop starts **semi-naive from the given
         deltas** instead of with a naive first round: only rules depending
@@ -941,7 +975,7 @@ class Evaluator:
         rule read a partitioned predicate, queued for shipment to their
         owner shard.
         """
-        added: dict[str, list[Atom]] = {}
+        added: dict[str, list[FactSlice]] = {}
         if not rules:
             return added
 
@@ -963,6 +997,8 @@ class Evaluator:
         #: Builtin answers by input, shared by every round's executor and
         #: dropped on return (``Builtin.solve`` is a function of its args).
         memo: dict = {}
+        #: One solver and executor for every round, rebound to its deltas.
+        engines: Optional[_Engines] = None
 
         while True:
             round_no += 1
@@ -974,14 +1010,16 @@ class Evaluator:
             domain_grew = domain.version != prev_version
             prev_version = domain.version
             #: head predicate -> the batches of new head rows this round's
-            #: rule applications derived (each batch distinct, none held),
-            #: each with its ID columns or ``None``.
-            fresh: dict[str, list[tuple[list[Row], Optional[list]]]] = {}
-            engines = _Engines(
-                interp, self.builtins, report.stats, report.exec,
-                delta=deltas, domain=domain, options=self.options,
-                memo=memo,
-            )
+            #: rule applications derived (each batch distinct, none held).
+            fresh: dict[str, list[RowBatch]] = {}
+            if engines is None:
+                engines = _Engines(
+                    interp, self.builtins, report.stats, report.exec,
+                    delta=deltas, domain=domain, options=self.options,
+                    memo=memo,
+                )
+            else:
+                engines.rebind(deltas)
             for rule in compiled:
                 if not rule.affected(changed_preds, domain_grew):
                     continue
@@ -994,33 +1032,45 @@ class Evaluator:
                 if changed_preds is not None and rule.delta_capable:
                     pins = rule.pins(deltas)
                 for pin in pins:
-                    batch, id_cols = rule.fresh_rows(engines, pin)
+                    batch = rule.fresh_rows(engines, pin)
                     if shard is not None:
-                        batch, id_cols = [
+                        batch = RowBatch.of_rows([
                             r for r in batch
                             if shard.admit(Atom(pred, r), exportable)
-                        ], None
+                        ])
                     if batch:
-                        fresh.setdefault(pred, []).append((batch, id_cols))
+                        fresh.setdefault(pred, []).append(batch)
             if not fresh:
                 break
             deltas = {}
             for pred, batches in fresh.items():
+                if len(batches) == 1:
+                    b = batches[0]
+                    gained = interp.extend(
+                        pred, b.n, rows=b.rows, atoms=b.atoms
+                    ) if b.made_as_rows else interp.extend(pred, b.n, b.cols)
                 # Two applications may reach the same new head; one batch
-                # is distinct as it stands (and keeps its ID columns).
-                new, id_cols = batches[0] if len(batches) == 1 else (
-                    list(dict.fromkeys(itertools.chain.from_iterable(
-                        rows for rows, _ in batches
-                    ))),
-                    None,
-                )
-                gained = deltas[pred] = interp.extend(pred, new, id_cols)
-                if id_cols is not None:
-                    domain.note_terms(distinct_terms(id_cols))
+                # is distinct as it stands.
+                elif all(b.made_as_rows for b in batches):
+                    rows = list(itertools.chain.from_iterable(
+                        b.rows for b in batches
+                    ))
+                    gained = interp.extend(
+                        pred, len(rows), rows=rows, repeats=True
+                    )
                 else:
-                    domain.note_rows(new)
+                    gained = interp.extend(
+                        pred, sum(b.n for b in batches), [
+                            array("q", itertools.chain.from_iterable(
+                                c.tolist() for c in col
+                            )) for col in zip(*(b.cols for b in batches))
+                        ], repeats=True,
+                    )
+                for b in batches:
+                    domain.note_terms(b.terms())
+                deltas[pred] = gained
                 report.derived += len(gained)
-                added.setdefault(pred, []).extend(gained)
+                added.setdefault(pred, []).append(gained)
             changed_preds = set(deltas)
         return added
 
@@ -1196,7 +1246,7 @@ class _CompiledRule:
             i for i, a in enumerate(self.relational) if delta.get(a.pred)
         ]
 
-    def rows(self, engines: _Engines, pin: Optional[int] = None) -> list[Row]:
+    def rows(self, engines: _Engines, pin: Optional[int] = None) -> RowBatch:
         """The distinct head atoms one application of this rule derives,
         as their argument rows.
 
@@ -1207,24 +1257,20 @@ class _CompiledRule:
         tuple-mode body or a static prediction failing on real values
         (:class:`PlanInapplicable`) runs the solver instead.
         """
-        return self._apply(engines, pin, False)[0]
+        return self._apply(engines, pin, False)
 
     def fresh_rows(
         self, engines: _Engines, pin: Optional[int] = None
-    ) -> tuple[Sequence[Row], Optional[list]]:
+    ) -> RowBatch:
         """:meth:`rows` less the atoms the engines' interpretation holds
-        — what one application adds — and the ID columns those rows
-        decode from when the columnar path produced them (else ``None``),
-        for :meth:`Interpretation.extend` to store as they are."""
+        — what one application adds — as the columnar path's ID columns
+        or the tuple solver's atoms, for :meth:`Interpretation.extend`
+        to store as they are."""
         return self._apply(engines, pin, True)
 
-    def id_rows(
-        self, engines: _Engines
-    ) -> tuple[Sequence[Row], Optional[list]]:
-        """:meth:`rows` with their ID columns, as :meth:`fresh_rows` has
-        them.  Rows that come with columns are decoded only if read, so
-        an answer that stays in ID space (``engine.answers``) builds no
-        term row."""
+    def id_rows(self, engines: _Engines) -> RowBatch:
+        """:meth:`rows` as their producer made them: an answer that stays
+        in ID space (``engine.answers``) decodes no term row."""
         return self._apply(engines, None, False)
 
     def _apply(
@@ -1233,7 +1279,7 @@ class _CompiledRule:
         pin: Optional[int],
         fresh: bool,
         bound: Optional["BoundRule"] = None,
-    ) -> tuple[Sequence[Row], Optional[list]]:
+    ) -> RowBatch:
         """One application; with ``bound`` the plans' Params take its
         constants and the tuple path runs its :attr:`BoundRule.concrete`
         rule.  (Params occur in bodies only, so the head is shared.)"""
@@ -1250,9 +1296,9 @@ class _CompiledRule:
                     # Rows off the head columns are the head's arguments:
                     # no atom is built, and a ``fresh`` plan has already
                     # subtracted the head relation.
-                    out, id_cols = executor.shaped_batch(node, shape)
+                    out = executor.shaped_batch(node, shape)
                     stats.derivations += len(out)
-                    return out, id_cols
+                    return out
                 # Duplicate rows only cost decode and substitution time,
                 # so let the executor collapse them.
                 batch = executor.distinct_batch(node)
@@ -1275,16 +1321,19 @@ class _CompiledRule:
         heads = dict.fromkeys(heads)
         if fresh:
             held = engines.solver.interp.facts_of(head.pred)
-            out = [h.args for h in heads if h not in held]
+            out = [h for h in heads if h not in held]
         else:
-            out = [h.args for h in heads]
+            out = list(heads)
         stats.derivations += len(out)
-        return out, None
+        return RowBatch.of_atoms(out)
 
     def heads(self, engines: _Engines, pin: Optional[int] = None) -> list[Atom]:
         """:meth:`rows` as atoms."""
+        batch = self.rows(engines, pin)
+        if batch.atoms is not None:
+            return batch.atoms
         pred = self.head.pred
-        return [Atom(pred, r) for r in self.rows(engines, pin)]
+        return [Atom(pred, r) for r in batch]
 
     def bindings(
         self, engines: _Engines, pin: Optional[int] = None
@@ -1327,7 +1376,18 @@ class _CompiledRule:
 
     def derives(self, engines: _Engines, h: Atom) -> bool:
         """Whether one application of this rule yields ``h``."""
-        return next(self.solutions(engines.solver, h), None) is not None
+        head = self.head
+        if h.pred != head.pred or len(h.args) != len(head.args):
+            return False
+        # The head match is deterministic unless a head argument is
+        # structured (:func:`match_atom_fast`); DRed asks this of every
+        # overdeleted atom, so skip the generic enumerator's generator.
+        env0 = match_atom_fast(head, h, EMPTY_SUBST)
+        if env0 is MATCH_FAILED:
+            return False
+        if env0 is MATCH_REFUSED:
+            return next(self.solutions(engines.solver, h), None) is not None
+        return next(engines.solver.solve(self.body, env0), None) is not None
 
     def _solve(self, engines: _Engines, pin: Optional[int]) -> Iterator[Subst]:
         """The tuple path: solver environments with every body and head
@@ -1443,12 +1503,10 @@ class BoundRule:
         runs the shared rule's)."""
         return self.concrete.plan(pin)
 
-    def rows(self, engines: _Engines, pin: Optional[int] = None) -> list[Row]:
-        return self.rule._apply(engines, pin, False, self)[0]
+    def rows(self, engines: _Engines, pin: Optional[int] = None) -> RowBatch:
+        return self.rule._apply(engines, pin, False, self)
 
-    def id_rows(
-        self, engines: _Engines
-    ) -> tuple[Sequence[Row], Optional[list]]:
+    def id_rows(self, engines: _Engines) -> RowBatch:
         return self.rule._apply(engines, None, False, self)
 
     def heads(

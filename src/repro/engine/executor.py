@@ -23,6 +23,9 @@ invariant ``tests/test_pipeline_vs_oracle.py`` checks against ``T_P``.
 
 from __future__ import annotations
 
+from array import array
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from ..core.atoms import Atom
@@ -30,6 +33,7 @@ from ..core.formulas import evaluate_ground_atom
 from ..core.sorts import sorts_compatible
 from ..core.substitution import EMPTY_SUBST, Subst
 from ..core.terms import (
+    TERM_DICT,
     Param,
     SetExpr,
     SetValue,
@@ -40,7 +44,11 @@ from ..core.terms import (
     setvalue,
 )
 from ..core.unify import match_atom, unify
-from ..semantics.interpretation import INDEX_MIN_FACTS, Interpretation
+from ..semantics.interpretation import (
+    INDEX_MIN_FACTS,
+    FactSlice,
+    Interpretation,
+)
 from .builtins import DEFAULT_BUILTINS, Builtin
 from .ir import (
     AntiJoin,
@@ -65,6 +73,94 @@ from .ir import (
 class PlanInapplicable(Exception):
     """A static scheduling prediction failed on real values; the caller
     must re-run this rule application through the tuple-at-a-time solver."""
+
+
+class RowBatch:
+    """``n`` distinct ground rows, held in the form their producer made
+    them — term rows, ID columns (one int64 vector per position), or the
+    atoms whose arguments they are — and turned into another form only
+    when that one is first read.
+
+    A rule application hands one to whoever consumes it: the fixpoint
+    stores :attr:`cols` (and :attr:`atoms`, when there are some) with
+    :meth:`Interpretation.extend`, a query answer keeps :attr:`cols` to
+    the wire, maintenance iterates the rows.  Decoding is counted in
+    ``stats.rows_decoded`` when ``stats`` is given.
+    """
+
+    __slots__ = ("n", "_rows", "_cols", "atoms", "_stats")
+
+    def __init__(
+        self, n: int, rows: Optional[list[Row]] = None,
+        cols: Optional[list] = None, atoms: Optional[list[Atom]] = None,
+        stats: Optional[ExecStats] = None,
+    ) -> None:
+        self.n = n
+        self._rows = rows
+        self._cols = cols
+        self.atoms = atoms
+        self._stats = stats
+
+    @classmethod
+    def of_rows(cls, rows: list[Row]) -> "RowBatch":
+        return cls(len(rows), rows=rows)
+
+    @classmethod
+    def of_atoms(cls, atoms: list[Atom]) -> "RowBatch":
+        return cls(len(atoms), atoms=atoms)
+
+    @property
+    def rows(self) -> list[Row]:
+        rows = self._rows
+        if rows is None:
+            if self.atoms is not None:
+                rows = [a.args for a in self.atoms]
+            elif not self._cols:
+                rows = [()] * self.n
+            else:
+                term = TERM_DICT.terms.__getitem__
+                rows = list(zip(*[map(term, c.tolist()) for c in self._cols]))
+            if self._stats is not None and self.atoms is None:
+                self._stats.rows_decoded += self.n
+            self._rows = rows
+        return rows
+
+    @property
+    def made_as_rows(self) -> bool:
+        """Whether the producer made term rows (or atoms), not columns."""
+        return self._rows is not None or self.atoms is not None
+
+    @property
+    def cols(self) -> list:
+        cols = self._cols
+        if cols is None:
+            id_of = TERM_DICT.id_of
+            cols = self._cols = [
+                array("q", map(id_of, col)) for col in zip(*self.rows)
+            ]
+        return cols
+
+    def terms(self) -> Iterable[Term]:
+        """Every term the rows mention, once each (told apart as IDs
+        when the batch is columns)."""
+        if self._rows is None and self.atoms is None and self._cols:
+            return map(
+                TERM_DICT.terms.__getitem__,
+                set().union(*(c.tolist() for c in self._cols)),
+            )
+        return set(chain.from_iterable(self.rows))
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i):
+        return self.rows[i]
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __eq__(self, other: object) -> bool:
+        return self.rows == other
 
 
 class Executor:
@@ -112,6 +208,12 @@ class Executor:
         other.params = params
         return other
 
+    def rebind(self, delta: Optional[Mapping[str, Iterable[Atom]]]) -> None:
+        """Read ``delta`` from now on, with no per-plan estimate or
+        size-gate decision kept from the old one."""
+        self.delta = delta
+        self.__dict__.pop("_worth", None)
+
     # -- entry points ------------------------------------------------------------
 
     def batch(self, node: PlanNode) -> list[Row]:
@@ -135,22 +237,18 @@ class Executor:
 
     def shaped_batch(
         self, node: PlanNode, take: tuple[int, ...]
-    ) -> tuple[list[Row], Optional[list]]:
-        """Distinct rows projected to the ``take`` column indices, and
-        their ID columns — ``None`` here; in the columnar subclass one
-        int64 vector per row position, the rows decoded from them when
-        first read.
+    ) -> RowBatch:
+        """Distinct rows projected to the ``take`` column indices — term
+        rows here, ID columns in the columnar subclass.
 
         The head-materialization fast path for Datalog-shaped heads: the
-        caller builds one atom per returned row, so projecting and
-        deduplicating first — on ID columns in the columnar subclass —
-        skips decoding and substituting rows that only differ in
-        projected-away columns, and whoever stores the rows back
-        (``Interpretation.extend``) takes the IDs instead of encoding
-        each cell again.
+        rows are the head's arguments, so projecting and deduplicating
+        first — on ID columns in the columnar subclass — skips decoding
+        and substituting rows that only differ in projected-away columns,
+        and whoever stores the rows (``Interpretation.extend``) takes the
+        IDs as they are: no cell is decoded, no atom built.
         """
-        rows = self.batch(node)
-        return distinct_rows([tuple(r[i] for i in take) for r in rows]), None
+        return shaped_rows(self.batch(node), take)
 
     def heads(self, node: PlanNode, head: Atom) -> list[Atom]:
         """Execute a (projected, distinct) plan and substitute the head."""
@@ -174,19 +272,19 @@ class Executor:
         params = self.params
         if params is not None:
             a = Atom(a.pred, bind_args(a.args, params))
-        if node.delta:
-            facts: Iterable[Atom] = (
-                self.delta.get(a.pred, ()) if self.delta is not None else ()
-            )
-        else:
-            facts = self.interp.candidates_for_pattern(a.pred, a.args)
         shape = node._shape
         if shape is None:
             shape = node._shape = _scan_shape(node.atom, node.out_vars)
+        delta = None
+        if node.delta:
+            delta = self.delta.get(a.pred, ()) if self.delta is not None \
+                else ()
         rows: list[Row] = []
         n_in = 0
         arity = a.arity
         if shape is _GENERIC:
+            facts: Iterable[Atom] = delta if delta is not None \
+                else self.interp.candidates_for_pattern(a.pred, a.args)
             out_vars = node.out_vars
             for f in facts:
                 n_in += 1
@@ -196,9 +294,12 @@ class Executor:
             var_pos, const_checks, dup_checks, var_sorts = shape
             if params is not None:
                 const_checks = bind_pairs(const_checks, params)
-            for f in facts:
+            if delta is None:
+                cands = self.interp.rows_for_pattern(a.pred, a.args)
+            else:
+                cands = fact_rows(delta)
+            for args in cands:
                 n_in += 1
-                args = f.args
                 if len(args) != arity:
                     continue
                 ok = True
@@ -293,31 +394,32 @@ class Executor:
         index bucket per key touches exactly the joining facts instead of
         hash-building over a full scan — the batch-level descendant of the
         tuple path's index probes, and what keeps single-delta semi-naive
-        rounds O(output).  Returns ``None`` when inapplicable (small
-        relations, too many keys) and the caller hash joins instead; both
-        strategies compute the same row set.
+        rounds O(output).  A key that binds every argument position is
+        one probe of the relation's key map, never a composite index
+        (:meth:`Interpretation.lookup`).  Returns ``None`` when
+        inapplicable (small relations, too many keys) and the caller hash
+        joins instead; both strategies compute the same row set.
         """
         pred, arity, positions, template, rtake, dup_checks, var_sorts = probe
-        facts = self.interp.facts_of(pred)
-        if len(facts) < INDEX_MIN_FACTS:
+        nfacts = len(self.interp.facts_of(pred))
+        if nfacts < INDEX_MIN_FACTS:
             return None
         if self.params is not None:
             template = bind_pairs(template, self.params)
         by_key: dict[tuple, list[Row]] = {}
         for l in lrows:
             by_key.setdefault(tuple(l[i] for i in lkey), []).append(l)
-        if len(by_key) >= len(facts):
+        if len(by_key) >= nfacts:
             return None
         out: list[Row] = []
         n_in = len(lrows)
-        candidates = self.interp.candidates
+        candidates = self.interp.candidate_rows
         for lkey_vals, bucket_rows in by_key.items():
             probe_key = tuple(
                 t if k is None else lkey_vals[k] for k, t in template
             )
-            for f in candidates(pred, positions, probe_key):
+            for args in candidates(pred, positions, probe_key):
                 n_in += 1
-                args = f.args
                 if len(args) != arity:
                     continue
                 ok = True
@@ -508,23 +610,35 @@ class Executor:
     def _anti_join(self, node: AntiJoin) -> list[Row]:
         rows = self.batch(node.input)
         a = node.atom
-        res = node._meta
-        if res is None:
-            res = node._meta = tuple(
-                self._resolver(t, node.input.out_vars) for t in a.args
+        meta = node._meta
+        if meta is None:
+            vars_ = node.input.out_vars
+            pos = {v: i for i, v in enumerate(vars_)}
+            take = [pos.get(t) if t.__class__ is Var else None
+                    for t in a.args]
+            # Arguments that are all input columns are picked, not
+            # resolved (the head subtraction of every Datalog rule).
+            pick = itemgetter(*take) \
+                if len(take) > 1 and None not in take else None
+            meta = node._meta = (
+                tuple(self._resolver(t, vars_) for t in a.args), pick
             )
-        res = self._bind(res)
+        res, pick = meta
         pred = a.pred
         if a.is_special() or pred in self.builtins:
-            def holds(ground: Atom) -> bool:
-                return evaluate_ground_atom(ground, self._oracle)
+            res = self._bind(res)
+
+            def holds(args: tuple) -> bool:
+                return evaluate_ground_atom(Atom(pred, args), self._oracle)
         else:
-            # A stored relation: cells are ground, membership decides.
-            holds = self.interp.facts_of(pred).__contains__
-        out = [
-            r for r in rows
-            if not holds(Atom(pred, tuple(f(r) for f in res)))
-        ]
+            # A stored relation: cells are ground, one key probe decides.
+            holds = self.interp.facts_of(pred).has_row
+            if pick is not None:
+                out = [r for r in rows if not holds(pick(r))]
+                self.stats.note(node.op, len(rows), len(out))
+                return out
+            res = self._bind(res)
+        out = [r for r in rows if not holds(tuple(f(r) for f in res))]
         self.stats.note(node.op, len(rows), len(out))
         return out
 
@@ -545,13 +659,16 @@ class Executor:
         if take is None:
             pos = {v: i for i, v in enumerate(node.input.out_vars)}
             take = node._meta = tuple(pos[v] for v in node.vars)
-        out = [tuple(r[i] for i in take) for r in rows]
+        if len(take) > 1:
+            out = list(map(itemgetter(*take), rows))
+        else:
+            out = [tuple(r[i] for i in take) for r in rows]
         self.stats.note(node.op, len(rows), len(out))
         return out
 
     def _distinct(self, node: Distinct) -> list[Row]:
         rows = self.batch(node.input)
-        out = distinct_rows(rows)
+        out = list(dict.fromkeys(rows))     # kernel rows are tuples
         self.stats.note(node.op, len(rows), len(out))
         return out
 
@@ -568,6 +685,26 @@ class Executor:
         out = [key + (setvalue(values),) for key, values in groups.items()]
         self.stats.note(node.op, len(rows), len(out))
         return out
+
+
+def shaped_rows(rows: list[Row], take: tuple[int, ...]) -> RowBatch:
+    """The distinct ``take`` projections of ``rows``
+    (:meth:`Executor.shaped_batch` on the row kernels)."""
+    if not take:
+        return RowBatch.of_rows([()] if rows else [])
+    if len(take) == 1:
+        i = take[0]
+        return RowBatch.of_rows(list(dict.fromkeys([(r[i],) for r in rows])))
+    return RowBatch.of_rows(list(dict.fromkeys(map(itemgetter(*take), rows))))
+
+
+def fact_rows(facts: Iterable[Atom]) -> Sequence[Row]:
+    """The argument rows of a delta: a bulk insert's
+    :class:`~repro.semantics.interpretation.FactSlice` gives them without
+    building atoms, an atom set from its atoms."""
+    if facts.__class__ is FactSlice:
+        return facts.rows()
+    return [f.args for f in facts]
 
 
 def _extension(sigma: Subst, new_vars: tuple[Var, ...]) -> Row:

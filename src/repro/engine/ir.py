@@ -137,12 +137,14 @@ class PlanNode:
     aligned with it.
     """
 
-    __slots__ = ("out_vars", "_cmeta")
+    __slots__ = ("out_vars", "_cmeta", "_route")
 
     out_vars: tuple[Var, ...]
 
-    #: Columnar-executor metadata (``repro.engine.columnar``), memoized on
-    #: first visit like ``_shape``/``_meta``; unset until then.
+    #: Columnar-executor metadata (``repro.engine.columnar``) — the
+    #: argument shapes (``_cmeta``) and the size gate's view of the node
+    #: (``_route``) — memoized on first visit like ``_shape``/``_meta``;
+    #: unset until then.
 
     #: Name used in pretty-printing and executor stats.
     op: str = "node"

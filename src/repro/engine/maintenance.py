@@ -43,6 +43,7 @@ The maintained model is therefore *always* identical to a from-scratch
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from dataclasses import dataclass
@@ -58,12 +59,14 @@ from typing import (
 
 from ..core.atoms import Atom, pos
 from ..core.clauses import GroupingClause, LPSClause
-from ..core.errors import EvaluationError, SafetyError
+from ..core.errors import EvaluationError, SafetyError, SortError
 from ..core.program import AnyClause, Program
+from ..core.sorts import sorts_compatible
 from ..core.substitution import Subst
 from ..core.terms import SetValue, Term, setvalue
 from ..core.unify import match_atom
-from ..semantics.interpretation import Interpretation
+from ..semantics.interpretation import FactSlice, Interpretation
+from ..lang.sortinfer import predicate_sorts
 from .builtins import DEFAULT_BUILTINS, Builtin
 from .commits import Commit, CommitStream
 from .database import Database, as_fact
@@ -121,9 +124,23 @@ def _one_fact(spec: tuple) -> Any:
 Events = tuple[dict[str, set[Atom]], dict[str, set[Atom]]]
 
 
-def check_fact(spec: Any, builtins: Mapping[str, Builtin]) -> Atom:
+class FactSortError(SortError):
+    """A written fact whose argument sort conflicts with the sort the
+    program's rules give that position."""
+
+    code = "sort_conflict"
+
+
+def check_fact(
+    spec: Any,
+    builtins: Mapping[str, Builtin],
+    sorts: Optional[Mapping[tuple[str, int], str]] = None,
+) -> Atom:
     """``spec`` as an EDB fact a model over ``builtins`` may hold: ground,
-    not special, not a builtin predicate."""
+    not special, not a builtin predicate — and, given the rules' ``sorts``
+    (:func:`~repro.lang.sortinfer.predicate_sorts`), of the sort the rules
+    read at each position: a set where they read an individual (or the
+    other way round) would be held and never answered."""
     a = as_fact(spec)
     if a.is_special():
         raise EvaluationError(
@@ -133,6 +150,14 @@ def check_fact(spec: Any, builtins: Mapping[str, Builtin]) -> Atom:
         raise EvaluationError(
             f"database fact uses builtin predicate {a.pred!r}"
         )
+    if sorts:
+        for i, t in enumerate(a.args):
+            want = sorts.get((a.pred, i))
+            if want is not None and not sorts_compatible(want, t.sort):
+                raise FactSortError(
+                    f"fact {a}: argument {i + 1} of {a.pred!r} is of sort "
+                    f"{want!r} in the program's rules, not {t.sort!r}"
+                )
     return a
 
 
@@ -299,6 +324,9 @@ class MaterializedModel:
         program.validate()
         facts = [check_fact(f, builtins) for f in program.facts()]
         self.program = program.rules()
+        #: ``(pred, position) -> sort`` as the rules read them: what a
+        #: written fact is checked against (:func:`check_fact`).
+        self.sorts = predicate_sorts(self.program)
         self.database = database if database is not None else Database()
         self.builtins = builtins
         self._evaluator = Evaluator(self.program, self.database, builtins)
@@ -371,7 +399,8 @@ class MaterializedModel:
         return self.apply_delta(dels=[_one_fact(spec)])
 
     def apply_delta(
-        self, adds: Iterable[Any] = (), dels: Iterable[Any] = ()
+        self, adds: Iterable[Any] = (), dels: Iterable[Any] = (),
+        *, check_sorts: bool = True,
     ) -> MaintenanceReport:
         """Apply a batch of insertions and deletions; maintain the model.
 
@@ -379,8 +408,15 @@ class MaterializedModel:
         database becomes ``(db − dels) ∪ adds``; the model is maintained
         incrementally where the per-stratum plans apply and recomputed
         from scratch when the soundness gate trips (see module docstring).
+
+        An added fact whose sort conflicts with the rules' is refused
+        (:class:`FactSortError`) unless ``check_sorts`` is off: a follower
+        replays what its leader logged, and a leader that wrote such a
+        fact before the check existed must still be read — as recovery
+        reads it (``storage.durable.judge_record``).
         """
-        add_atoms = [check_fact(s, self.builtins) for s in adds]
+        sorts = self.sorts if check_sorts else None
+        add_atoms = [check_fact(s, self.builtins, sorts) for s in adds]
         del_atoms = [check_fact(s, self.builtins) for s in dels]
         added, removed = self.database.apply_delta(add_atoms, del_atoms)
         report = MaintenanceReport(
@@ -600,9 +636,10 @@ class MaterializedModel:
                 if self._interp.add(a)
             ]
             try:
+                engines = self._engines(stats, frontier)
                 while frontier:
                     next_frontier: dict[str, set[Atom]] = {}
-                    engines = self._engines(stats, frontier)
+                    engines.rebind(frontier)
                     for rule in rules:
                         self._overdelete_rule(
                             rule, engines, next_frontier, overdeleted,
@@ -634,8 +671,10 @@ class MaterializedModel:
                 closure = self._seeded_fixpoint(
                     lps_clauses, rederived, stats
                 )
-                for p, s in closure.items():
-                    add_events.setdefault(p, set()).update(s)
+                for p, slices in closure.items():
+                    add_events.setdefault(p, set()).update(
+                        itertools.chain.from_iterable(slices)
+                    )
 
         # --- phase 3: close the insertions semi-naively from the deltas ---
         seed: dict[str, set[Atom]] = {}
@@ -648,8 +687,10 @@ class MaterializedModel:
             seed.setdefault(p, set()).update(s)
         if seed:
             closure = self._seeded_fixpoint(lps_clauses, seed, stats)
-            for p, s in closure.items():
-                add_events.setdefault(p, set()).update(s)
+            for p, slices in closure.items():
+                add_events.setdefault(p, set()).update(
+                    itertools.chain.from_iterable(slices)
+                )
         return add_events, rem_events
 
     def _overdelete_rule(
@@ -667,7 +708,7 @@ class MaterializedModel:
             for env in rule.bindings(engines, i):
                 # Overdeletion runs over the pre-batch state: facts
                 # gained below this stratum are not part of it.
-                if any(
+                if dep_gained and any(
                     dep_gained.get(a.pred)
                     and a.substitute(env) in dep_gained[a.pred]
                     for j, a in enumerate(rel) if j != i
@@ -692,7 +733,7 @@ class MaterializedModel:
         clauses: list[LPSClause],
         seed: Mapping[str, set[Atom]],
         stats: SolverStats,
-    ) -> Mapping[str, Collection[Atom]]:
+    ) -> Mapping[str, list[FactSlice]]:
         """Close a stratum from the given deltas; returns the atoms added."""
         return self._evaluator._fixpoint(
             clauses,
@@ -851,8 +892,10 @@ class MaterializedModel:
         closure = self._evaluator._fixpoint(
             normal, self._interp, self._domain, ereport
         )
-        for p, s in closure.items():
-            add_events.setdefault(p, set()).update(s)
+        for p, slices in closure.items():
+            add_events.setdefault(p, set()).update(
+                itertools.chain.from_iterable(slices)
+            )
         return add_events, rem_events
 
 
@@ -1065,17 +1108,22 @@ class VersionedModel:
     # -- write side --------------------------------------------------------------
 
     def apply_delta(
-        self, adds: Iterable[Any] = (), dels: Iterable[Any] = ()
+        self, adds: Iterable[Any] = (), dels: Iterable[Any] = (),
+        *, check_sorts: bool = True,
     ) -> ModelSnapshot:
         """Serialize one maintenance batch and publish the next version.
 
         Returns the snapshot that includes the batch.  A failed batch
-        (bad fact spec, resource limit) publishes nothing: the previous
-        snapshot stays current and the maintained state is unchanged or
-        fully recomputed by :class:`MaterializedModel`'s own guards.
+        (bad fact spec, sort conflict, resource limit) publishes nothing:
+        the previous snapshot stays current and the maintained state is
+        unchanged or fully recomputed by :class:`MaterializedModel`'s own
+        guards.  ``check_sorts`` as in
+        :meth:`MaterializedModel.apply_delta`.
         """
         with self._lock:
-            report = self._materialized.apply_delta(adds=adds, dels=dels)
+            report = self._materialized.apply_delta(
+                adds=adds, dels=dels, check_sorts=check_sorts
+            )
             if report.strategy == STRATEGY_NOOP:
                 return self.current
             return self._publish(report)

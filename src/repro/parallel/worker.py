@@ -18,6 +18,7 @@ attempt can always fall back to the single-process path unchanged.
 
 from __future__ import annotations
 
+import itertools
 import pickle
 from typing import Mapping, Optional
 
@@ -141,8 +142,10 @@ class _StratumRun:
             # means the active domain was consulted, and worker domains
             # are not the coordinator's.
             raise RuntimeError("active-domain fallback inside shard worker")
-        for p, s in added.items():
-            self.added.setdefault(p, set()).update(s)
+        for p, slices in added.items():
+            self.added.setdefault(p, set()).update(
+                itertools.chain.from_iterable(slices)
+            )
         return {
             "ok": True,
             "exports": {

@@ -5,8 +5,8 @@ predicates ``=`` and ``in`` have their interpretations fixed structurally
 (identity and set membership), which is exactly what Definition 3 requires
 of an LPS model and what makes Lemma 1 automatic here.
 
-:class:`Interpretation` stores the atoms with a per-predicate index and
-implements
+:class:`Interpretation` stores the atoms as per-predicate tables of term IDs
+(:class:`FactTable`) with argument indexes, and implements
 
 * :meth:`Interpretation.holds` — the atom oracle used by formula evaluation,
 * :meth:`Interpretation.satisfies_clause` — ``M ⊨ C`` by enumerating ground
@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from itertools import repeat
+from operator import attrgetter
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ..core.atoms import Atom, atom_order_key
 from ..core.clauses import GroupingClause, LPSClause
@@ -31,155 +33,429 @@ from ..core.errors import EvaluationError
 from ..core.formulas import evaluate
 from ..core.program import Program
 from ..core.substitution import Subst
-from ..core.terms import SetExpr, SetValue, Term, Var, setvalue
+from ..core.terms import TERM_DICT, SetExpr, SetValue, Term, Var, setvalue
 from .herbrand import Universe
 
 
 #: Relations smaller than this are scanned rather than indexed.
 INDEX_MIN_FACTS = 8
 
-_EMPTY_FACTS: dict = {}
-
-#: Sentinel distinguishing "no cache entry yet" from the ``None`` marker
-#: that pins a mixed-arity predicate as uncacheable (see ``id_columns``).
-_NO_COLUMNS = object()
+_TERMS = TERM_DICT.terms
+_IDS = TERM_DICT.ids
+_ID_OF = TERM_DICT.id_of
 
 
-def _index_insert(
-    index: dict, positions: tuple[int, ...], a: Atom,
-    base: Optional[dict] = None,
-) -> None:
-    """Insert one fact into a positions-index (shared by lazy build and
-    incremental maintenance — the two must never diverge).
+# ---------------------------------------------------------------------------
+# Row keys: a row's term IDs packed into one int
+# ---------------------------------------------------------------------------
+#
+# A row's key is its IDs in radix 2**32, first column most significant:
+# ``(id0 << 32 | id1) << 32 | id2 …``.  The base is fixed, so a key stays
+# valid however far the term dictionary grows, and Python ints never
+# overflow, so any arity packs without a wide-key branch.  Argument
+# indexes key their buckets the same way on the IDs at their positions.
 
-    Buckets are insertion-ordered dicts (value always ``None``), like the
-    per-predicate fact sets: deterministic enumeration order plus O(1)
-    removal (bulk retraction would be quadratic on list buckets).
+def row_key(ids: Iterable[int]) -> int:
+    """The key of one row (or index entry) given as its term IDs."""
+    key = 0
+    for i in ids:
+        key = key << 32 | i
+    return key
+
+
+def _key_of(terms: Iterable[Term]) -> Optional[int]:
+    """The key of a row of terms, or ``None`` when a term has no ID yet
+    (no stored row can hold it)."""
+    key = 0
+    for t in terms:
+        i = t._tid
+        if i < 0:
+            i = _IDS.get(t)
+            if i is None:
+                return None
+        key = key << 32 | i
+    return key
+
+
+def _shift_in(key: int, i: int) -> int:
+    return key << 32 | i
+
+
+def _keys_of(cols: Sequence, n: int) -> list[int]:
+    """The key of each of ``n`` rows given as ID columns (``array('q')``
+    or int64 ndarrays)."""
+    if not cols:
+        return [0] * n
+    if len(cols) == 2 and hasattr(cols[0], "dtype") and len(_TERMS) <= 1 << 31:
+        return ((cols[0] << 32) | cols[1]).tolist()
+    keys = cols[0].tolist()
+    for c in cols[1:]:
+        keys = list(map(_shift_in, keys, c.tolist()))
+    return keys
+
+
+def _id_column(col) -> object:
+    """``col`` as a flat int64 buffer: itself when it is one, else a copy
+    into an ``array('q')``."""
+    if col.__class__ is array and col.typecode == "q":
+        return col
+    try:
+        with memoryview(col) as m:
+            if m.ndim == 1 and m.itemsize == 8 and m.format in ("q", "l") \
+                    and m.c_contiguous:
+                return col
+    except TypeError:
+        pass
+    return array("q", col)
+
+
+def _index_add(index: dict, key: int, slot: int, base: Optional[dict]) -> None:
+    """Put a slot in an argument index's bucket (shared by the index
+    build's result and incremental maintenance — the two never diverge).
 
     ``base`` is the snapshot-side index this one was shallow-copied from
-    (see :meth:`Interpretation._mutable_bucket`): a bucket that is still
-    the very object ``base`` holds is shared with frozen snapshots and is
-    copied before its first mutation.
-    """
-    args = a.args
-    if positions and positions[-1] >= len(args):
-        return  # arity mismatch: can never match such patterns
-    key = tuple(args[i] for i in positions)
+    (see :meth:`Interpretation._mutable`): a bucket that is still the very
+    object ``base`` holds is shared with frozen snapshots and is copied
+    before its first mutation."""
     bucket = index.get(key)
     if bucket is None:
-        index[key] = {a: None}
+        index[key] = {slot: None}
         return
     if base is not None and base.get(key) is bucket:
         bucket = index[key] = dict(bucket)
-    bucket[a] = None
+    bucket[slot] = None
 
 
-def _index_remove(
-    index: dict, positions: tuple[int, ...], a: Atom,
-    base: Optional[dict] = None,
-) -> None:
-    """Remove one fact from a positions-index (inverse of `_index_insert`,
-    with the same copy-before-first-mutation rule for shared buckets)."""
-    args = a.args
-    if positions and positions[-1] >= len(args):
-        return  # arity mismatch: was never inserted
-    key = tuple(args[i] for i in positions)
+def _index_drop(index: dict, key: int, slot: int, base: Optional[dict]) -> None:
+    """Take a slot out of its bucket (inverse of :func:`_index_add`)."""
     bucket = index.get(key)
-    if bucket is None or a not in bucket:
+    if bucket is None or slot not in bucket:
         return
     if len(bucket) == 1:
         del index[key]      # the writer's map only; the bucket is untouched
         return
     if base is not None and base.get(key) is bucket:
         bucket = index[key] = dict(bucket)
-    del bucket[a]
+    del bucket[slot]
 
 
-class FactSlice(list):
-    """The atoms one bulk insert appended to a predicate, in bucket order.
+class FactTable:
+    """One predicate's facts, stored as term IDs.
 
-    ``start`` is the bucket offset of the first, so the atoms are rows
-    ``[start, start + len)`` of the relation — and of its
-    :meth:`Interpretation.id_columns` — until something is removed from
-    the predicate.  ``id_cols`` holds the slice's own ID columns (native
-    int64 bytes per argument position, the ``id_columns`` format) when the
-    insert was given them, else ``None``.  The semi-naive loop hands these
-    to the next round as its deltas: consumers that want atoms iterate the
-    list, the columnar delta scan reads the IDs.
-    """
+    Row ``s`` (a *slot*) is ``cols[j][s]`` for each argument position
+    ``j``: one growable ``array('q')`` of dense term-dictionary IDs per
+    position.  ``keys`` maps each row's key (:func:`row_key`) to its slot,
+    so every membership test is one dict probe.  Slots are dense: a
+    removal moves the last row into the hole.
 
-    __slots__ = ("start", "id_cols")
+    ``atoms[s]`` is the row's :class:`Atom` once something asked for it
+    (iteration, :meth:`atom`), else ``None``; an atom is built at most
+    once per table and kept.  Rows of another arity than the table's
+    (a predicate used with two arities) live apart, as atoms, in ``odd``.
 
-
-#: A bulk insert extends a relation's cached ID columns in place of the
-#: next ``id_columns`` call only when it adds at least this fraction⁻¹ of
-#: the relation: the cache is immutable bytes, so extending it copies the
-#: relation, and a deep recursion (hundreds of rounds, each adding a few
-#: hundred rows to a relation that keeps growing) must not copy it every
-#: round.  Above the ratio the copies sum to a constant times the rows
-#: inserted; below it the cache falls behind and catches up when asked.
-COLUMN_EXTEND_RATIO = 16
-
-
-class Interpretation:
-    """A mutable set of ground non-special atoms with a predicate index.
-
-    Beyond the per-predicate fact sets, the interpretation maintains
-    **incremental argument indexes**: per predicate and per combination of
-    bound argument positions, a hash map from the value tuple at those
-    positions to the matching facts.  An index is built lazily the first
-    time a caller asks for candidates with that position signature and is
-    kept up to date by :meth:`add` from then on, so both the bottom-up
-    solver's join steps and the top-down prover's fact lookups stay
-    O(candidates) instead of O(relation) as the relation grows (see
-    DESIGN.md, "Performance architecture").
-
-    **Snapshots.**  :meth:`snapshot` returns an immutable view sharing the
-    per-predicate fact dicts and their indexes with this interpretation —
-    O(#predicates), not O(#facts).  The writable original switches to
-    copy-on-write: the first mutation of a predicate after a snapshot
-    copies that predicate's fact dict and takes a *shallow* copy of each
-    of its built indexes — the key → bucket maps are the writer's own, the
-    buckets stay shared with the snapshot and are copied one by one, each
-    before its first mutation — so every published snapshot stays
-    bit-identical to the model at its version forever while the writer
-    keeps its indexes across publications.  Frozen snapshots refuse all
-    mutation; their lazy index builds are pure caches over immutable
-    buckets and are safe to race between CPython reader threads (see
-    DESIGN.md, "Service layer").
+    A table is the live read view :meth:`Interpretation.facts_of` hands
+    out: ``len``, ``in`` (an atom) and iteration (atoms) like the set of
+    facts it stores, plus row-level reads that build no atom
+    (:meth:`has_row`, :meth:`rows`).  Callers never mutate it.
     """
 
     __slots__ = (
-        "_by_pred", "_indexes", "_bases", "_size", "_frozen", "_shared",
-        "_columns",
+        "pred", "arity", "cols", "keys", "atoms", "missing", "odd",
+        "moves", "_bytes",
+    )
+
+    def __init__(self, pred: str, arity: int) -> None:
+        self.pred = pred
+        self.arity = arity
+        self.cols: list[array] = [array("q") for _ in range(arity)]
+        self.keys: dict[int, int] = {}
+        self.atoms: list[Optional[Atom]] = []
+        #: An upper bound on the slots whose atom is not built yet: kept
+        #: by the writer's inserts, removals and slice reads, zeroed by a
+        #: full build; a reader that fills a slot leaves it high.
+        self.missing = 0
+        self.odd: dict[Atom, None] = {}
+        #: Removals so far: a :class:`FactSlice` of this table reads its
+        #: slots only while this is what it was when the slice was taken.
+        self.moves = 0
+        #: The :meth:`id_columns` entry, dropped by every write.
+        self._bytes: Optional[tuple] = None
+
+    def copy(self) -> "FactTable":
+        t = FactTable.__new__(FactTable)
+        t.pred, t.arity = self.pred, self.arity
+        t.cols = [c[:] for c in self.cols]
+        t.keys = self.keys.copy()
+        # ``missing`` is read before ``atoms``: a reader thread building
+        # a shared table's atoms (``_built``) publishes the full list
+        # before it zeroes ``missing``, so the count read first is an
+        # upper bound for whichever list is read after it.
+        missing = self.missing
+        t.atoms = self.atoms[:]
+        t.missing = missing
+        t.odd = dict(self.odd)
+        t.moves = self.moves
+        t._bytes = self._bytes
+        return t
+
+    # -- reads ------------------------------------------------------------------
+
+    def __len__(self) -> int:
+        return len(self.atoms) + len(self.odd)
+
+    def __contains__(self, a: Atom) -> bool:
+        if len(a.args) != self.arity:
+            return a in self.odd
+        return self.has_row(a.args)
+
+    def has_row(self, args: Sequence[Term]) -> bool:
+        """Whether the fact ``pred(*args)`` is held (no atom is built)."""
+        if len(args) != self.arity:
+            return bool(self.odd) and Atom(self.pred, tuple(args)) in self.odd
+        return _key_of(args) in self.keys
+
+    def atom(self, slot: int) -> Atom:
+        """The atom of one slot, built on first request and kept."""
+        a = self.atoms[slot]
+        if a is None:
+            a = self.atoms[slot] = Atom(
+                self.pred, tuple([_TERMS[c[slot]] for c in self.cols])
+            )
+        return a
+
+    def row(self, slot: int) -> tuple:
+        """The argument terms of one slot."""
+        a = self.atoms[slot]
+        if a is not None:
+            return a.args
+        return tuple([_TERMS[c[slot]] for c in self.cols])
+
+    def _decoded(self) -> Iterable[tuple]:
+        if not self.arity:
+            return repeat((), len(self.atoms))
+        term = _TERMS.__getitem__
+        return zip(*[map(term, c) for c in self.cols])
+
+    def _built(self) -> list[Atom]:
+        """Every slot's atom, the missing ones built now (the full list
+        is published before ``missing`` is zeroed: see :meth:`copy`)."""
+        atoms = self.atoms
+        if self.missing:
+            pred = self.pred
+            atoms = self.atoms = [
+                Atom(pred, r) if a is None else a
+                for a, r in zip(atoms, self._decoded())
+            ]
+            self.missing = 0
+        return atoms
+
+    def __iter__(self) -> Iterator[Atom]:
+        yield from self._built()
+        if self.odd:
+            yield from self.odd
+
+    def rows(self) -> list[tuple]:
+        """Every fact's argument terms, in slot order (no atom is built)."""
+        if not self.missing:
+            out = [a.args for a in self.atoms]
+        else:
+            out = list(self._decoded())
+        if self.odd:
+            out += [a.args for a in self.odd]
+        return out
+
+    def id_columns(self) -> Optional[tuple[int, int, tuple[bytes, ...]]]:
+        if self.odd or not self.atoms:
+            return None
+        entry = self._bytes
+        if entry is None:
+            entry = self._bytes = (
+                self.arity, len(self.atoms),
+                tuple(c.tobytes() for c in self.cols),
+            )
+        return entry
+
+
+#: The facts of a predicate nothing was stored for.
+_NO_FACTS = FactTable("", 0)
+
+#: The ``_bases`` entry of a predicate whose indexes share no bucket.
+_NO_BASES: dict = {}
+
+_ARGS = attrgetter("args")
+
+
+def _built_index(table: Optional[FactTable], positions: tuple[int, ...]) -> dict:
+    """A fresh argument index of a table: the key of each row's IDs at
+    ``positions`` -> the slots holding it."""
+    index: dict = {}
+    if table is None or not table.atoms or (
+        positions and positions[-1] >= table.arity
+    ):
+        return index
+    keys = _keys_of([table.cols[p] for p in positions], len(table.atoms))
+    for slot, key in enumerate(keys):
+        bucket = index.get(key)
+        if bucket is None:
+            index[key] = {slot: None}
+        else:
+            bucket[slot] = None
+    return index
+
+
+def _odd_matching(
+    table: FactTable, positions: tuple[int, ...], key: Sequence[Term]
+) -> list[Atom]:
+    """The table's other-arity facts whose arguments at ``positions`` are
+    ``key`` (indexes cover slots only; these are few)."""
+    reach = positions[-1] if positions else -1
+    return [
+        a for a in table.odd
+        if len(a.args) > reach
+        and all(a.args[p] == t for p, t in zip(positions, key))
+    ]
+
+
+class FactSlice:
+    """The rows one bulk insert added to a predicate.
+
+    :attr:`id_cols` are their ID columns (one int64 vector per argument
+    position), which the next round's columnar delta scan reads: as the
+    insert was given them, or — for rows given as terms — taken from the
+    table's slots ``[start, start + n)`` when first asked for.  Consumers
+    that want atoms iterate the slice: the atoms come from those slots —
+    built there once, on first request — or, once a removal has moved the
+    table's rows, are decoded.
+    """
+
+    __slots__ = ("table", "start", "n", "moves", "_cols", "_atoms", "_rows")
+
+    def __init__(
+        self, table: FactTable, start: int, n: int, id_cols: Optional[list],
+        atoms: Optional[list[Atom]] = None,
+        rows: Optional[Sequence[tuple]] = None,
+    ) -> None:
+        self.table = table
+        self.start = start
+        self.n = n
+        self.moves = table.moves
+        self._cols = id_cols
+        self._atoms = atoms
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i):
+        return self._built()[i]
+
+    def __iter__(self) -> Iterator[Atom]:
+        return iter(self._built())
+
+    @property
+    def id_cols(self) -> list:
+        cols = self._cols
+        if cols is None:
+            t, lo = self.table, self.start
+            if t.moves == self.moves:
+                cols = [c[lo:lo + self.n] for c in t.cols]
+            else:
+                cols = [array("q", map(_ID_OF, col))
+                        for col in zip(*self.rows())]
+            self._cols = cols
+        return cols
+
+    def _built(self) -> list[Atom]:
+        atoms = self._atoms
+        if atoms is None:
+            t, lo, hi = self.table, self.start, self.start + self.n
+            if t.moves != self.moves:
+                atoms = [Atom(t.pred, r) for r in self.rows()]
+            elif self._rows is not None and t.atoms[lo:hi].count(None) \
+                    == self.n:
+                # Rows given as terms: build their atoms in one pass and
+                # keep them in the slots.
+                atoms = t.atoms[lo:hi] = list(
+                    map(Atom, repeat(t.pred), self._rows)
+                )
+                t.missing -= self.n
+            else:
+                atoms = list(map(t.atom, range(lo, hi)))
+            self._atoms = atoms
+        return atoms
+
+    def rows(self) -> Sequence[tuple]:
+        """The rows' argument terms (no atom is built)."""
+        if self._rows is not None:
+            return self._rows
+        if self._atoms is not None:
+            return [a.args for a in self._atoms]
+        if not self._cols:
+            return [()] * self.n
+        term = _TERMS.__getitem__
+        return list(zip(*[map(term, c.tolist()) for c in self._cols]))
+
+
+class Interpretation:
+    """A mutable set of ground non-special atoms, stored as term IDs.
+
+    Each predicate's facts are one :class:`FactTable`: an ``array('q')``
+    of term IDs per argument position plus a map from each row's packed
+    key to its slot.  That is the canonical store.  An :class:`Atom` is
+    built only when a caller reads one (the tuple solver, the top-down
+    prover, provenance, printing, :meth:`candidates`), and is then kept
+    in its slot; the executors read rows and IDs and build none.
+
+    **Incremental argument indexes**: per predicate and per combination
+    of bound argument positions, a hash map from the key of the IDs at
+    those positions to the slots holding them.  An index is built the
+    first time a caller asks for candidates with that position signature
+    and is kept up to date by every write from then on, so the solver's
+    join steps and the top-down prover's fact lookups stay
+    O(candidates).  A signature that covers every argument position needs
+    no index: it is one probe of the key map.
+
+    **Snapshots.**  :meth:`snapshot` returns an immutable view sharing
+    the tables and their indexes with this interpretation —
+    O(#predicates), not O(#facts).  The writable original switches to
+    copy-on-write: the first write to a predicate after a snapshot copies
+    its table (columns, key map and atom slots) and takes a *shallow*
+    copy of each of its built indexes — the key → bucket maps are the
+    writer's own, the buckets stay shared and are copied one by one, each
+    before its first mutation.  Frozen snapshots refuse all mutation;
+    their lazy index builds and atom slots are pure caches over immutable
+    rows, safe to race between reader threads.  A signature a snapshot
+    builds is recorded in a set it shares with its writer, which builds
+    that index itself at its next :meth:`snapshot`, so the snapshots
+    after it share the writer's maintained index instead of each
+    building its own (see DESIGN.md, "Service layer").
+    """
+
+    __slots__ = (
+        "_tables", "_indexes", "_bases", "_size", "_frozen", "_shared",
+        "_wanted",
     )
 
     def __init__(self, atoms: Iterable[Atom] = ()) -> None:
-        # Per-predicate facts as insertion-ordered dicts (value always None):
-        # enumeration order is then the order facts were added, independent
-        # of the process hash seed — the top-down prover relies on this for
-        # deterministic answer order.  There is deliberately no global atom
-        # set: per-predicate dicts are the single source of truth, which is
-        # what makes per-predicate copy-on-write snapshots sound.
-        self._by_pred: dict[str, dict[Atom, None]] = {}
-        # pred -> positions -> key tuple -> facts
+        self._tables: dict[str, FactTable] = {}
+        # pred -> positions -> key -> slots
         self._indexes: dict[
-            str, dict[tuple[int, ...], dict[tuple, dict[Atom, None]]]
+            str, dict[tuple[int, ...], dict[int, dict[int, None]]]
         ] = {}
         #: pred -> positions -> the snapshot-side index the writer's was
         #: shallow-copied from; tells shared buckets from the writer's own.
         self._bases: dict[str, dict[tuple[int, ...], dict]] = {}
         self._size = 0
         self._frozen = False
-        #: Predicates whose bucket/indexes are shared with a snapshot.
+        #: Predicates whose table and indexes are shared with a snapshot.
         self._shared: set[str] = set()
-        #: pred -> (arity, nfacts, per-position ID column bytes) — the
-        #: columnar executor's encoded relations (see :meth:`id_columns`).
-        #: ``None`` marks a predicate as uncacheable (mixed arities).
-        self._columns: dict[
-            str, Optional[tuple[int, int, tuple[bytes, ...]]]
-        ] = {}
+        #: ``(pred, positions)`` signatures snapshots built (shared).
+        self._wanted: set[tuple[str, tuple[int, ...]]] = set()
         self.update(atoms)
+
+    def __reduce__(self):
+        # Term IDs are process-local: a pickle carries the atoms.
+        return (Interpretation, (list(self),))
 
     # -- snapshots / copy-on-write ------------------------------------------------
 
@@ -191,12 +467,18 @@ class Interpretation:
     def snapshot(self) -> "Interpretation":
         """An immutable O(#predicates) snapshot of the current facts.
 
-        The snapshot shares fact dicts and index structures with this
+        The snapshot shares tables and index structures with this
         interpretation; subsequent mutations here copy-on-write, so the
-        snapshot never changes.  See the class docstring.
+        snapshot never changes.  The indexes earlier snapshots built are
+        built here first, so this one shares them.  See the class
+        docstring.
         """
+        if not self._frozen:
+            wanted = self._wanted
+            while wanted:
+                self._index_for(*wanted.pop())
         snap = Interpretation.__new__(Interpretation)
-        snap._by_pred = dict(self._by_pred)
+        snap._tables = dict(self._tables)
         # Per-predicate signature maps are copied (either side may lazily
         # add new signatures); the index dicts themselves are shared.
         snap._indexes = {p: dict(per) for p, per in self._indexes.items()}
@@ -204,40 +486,46 @@ class Interpretation:
         snap._size = self._size
         snap._frozen = True
         snap._shared = set()
-        # Column-cache entries are immutable tuples over immutable bytes
-        # and only ever *replaced* (never extended in place), so sharing
-        # them is safe: the writable side swaps in new tuples, the
-        # snapshot keeps the prefix it captured.
-        snap._columns = dict(self._columns)
+        snap._wanted = self._wanted
         if not self._frozen:
             # Every index — buckets the writer un-shared since the last
             # snapshot included — now belongs to this snapshot too.
-            self._shared = set(self._by_pred)
+            self._shared = set(self._tables)
             self._bases.clear()
         return snap
 
-    def _mutable_bucket(self, pred: str) -> Optional[dict[Atom, None]]:
-        """The predicate's fact dict, un-shared and safe to mutate."""
+    def _mutable(self, pred: str) -> Optional[FactTable]:
+        """The predicate's table, un-shared and safe to write."""
         if self._frozen:
             raise EvaluationError(
                 "interpretation is a frozen snapshot and cannot be mutated"
             )
+        table = self._tables.get(pred)
         shared = self._shared
         if shared and pred in shared:
             shared.discard(pred)
-            bucket = self._by_pred.get(pred)
-            if bucket is not None:
-                bucket = self._by_pred[pred] = dict(bucket)
+            if table is not None:
+                table = self._tables[pred] = table.copy()
             per = self._indexes.get(pred)
             if per:
                 # The index maps the snapshot holds stay as they are; the
                 # writer continues on shallow copies whose buckets are
-                # un-shared only when touched (``_index_insert``).
+                # un-shared only when touched (``_index_add``).
                 self._bases[pred] = dict(per)
                 for positions, index in per.items():
                     per[positions] = dict(index)
-            return bucket
-        return self._by_pred.get(pred)
+        return table
+
+    def _table_for(self, pred: str, arity: int) -> FactTable:
+        """The predicate's writable table, made (or re-shaped, while it
+        has no row) for rows of ``arity``."""
+        table = self._mutable(pred)
+        if table is None:
+            table = self._tables[pred] = FactTable(pred, arity)
+        elif table.arity != arity and not table.atoms and not table.odd:
+            table.arity = arity
+            table.cols = [array("q") for _ in range(arity)]
+        return table
 
     # -- mutation ----------------------------------------------------------------
 
@@ -254,20 +542,55 @@ class Interpretation:
     def add(self, a: Atom) -> bool:
         """Insert a ground atom; returns ``True`` if it was new."""
         self._check_assertable(a)
-        bucket = self._by_pred.get(a.pred)
-        if bucket is not None and a in bucket:
-            return False
-        bucket = self._mutable_bucket(a.pred)
-        if bucket is None:
-            bucket = self._by_pred[a.pred] = {}
-        bucket[a] = None
+        pred, args = a.pred, a.args
+        table = self._tables.get(pred)
+        if table is None or len(args) != table.arity:
+            if table is not None and a in table:
+                return False
+            table = self._table_for(pred, len(args))
+            if len(args) != table.arity:
+                table.odd[a] = None
+                table._bytes = None
+                self._size += 1
+                return True
+        return self._put(pred, table, [_ID_OF(t) for t in args], a) \
+            is not None
+
+    def _put(
+        self, pred: str, table: FactTable, ids: list[int], a: Optional[Atom]
+    ) -> Optional[tuple[FactTable, int]]:
+        """Insert one row of ``table``'s arity, given as its IDs (and its
+        atom, when built): ``(table, slot)`` — the table copied if a
+        snapshot shared it — or ``None`` when the row is held."""
+        key = row_key(ids)
+        if key in table.keys:
+            return None
+        table = self._mutable(pred)
+        slot = len(table.atoms)
+        table.keys[key] = slot
+        for c, i in zip(table.cols, ids):
+            c.append(i)
+        table.atoms.append(a)
+        if a is None:
+            table.missing += 1
+        table._bytes = None
         self._size += 1
-        per = self._indexes.get(a.pred)
+        per = self._indexes.get(pred)
         if per:
-            bases = self._bases.get(a.pred, _EMPTY_FACTS)
+            bases = self._bases.get(pred, _NO_BASES)
             for positions, index in per.items():
-                _index_insert(index, positions, a, bases.get(positions))
-        return True
+                if len(positions) == 1:
+                    if positions[0] < len(ids):
+                        _index_add(
+                            index, ids[positions[0]], slot,
+                            bases.get(positions),
+                        )
+                elif not positions or positions[-1] < len(ids):
+                    _index_add(
+                        index, row_key([ids[p] for p in positions]), slot,
+                        bases.get(positions),
+                    )
+        return table, slot
 
     def update(self, atoms: Iterable[Atom]) -> list[Atom]:
         """Insert many atoms; returns the ones actually added, in order.
@@ -277,109 +600,151 @@ class Interpretation:
         fresh: dict[str, dict[Atom, None]] = {}
         for a in atoms:
             self._check_assertable(a)
-            held = self._by_pred.get(a.pred)
-            if held is None or a not in held:
-                fresh.setdefault(a.pred, {})[a] = None
+            fresh.setdefault(a.pred, {})[a] = None
         added: list[Atom] = []
         for pred, new in fresh.items():
-            added += self._append(pred, FactSlice(new))
+            held = self._tables.get(pred)
+            if held is not None:
+                new = [a for a in new if a not in held]
+            by_arity: dict[int, list[Atom]] = {}
+            for a in new:
+                by_arity.setdefault(len(a.args), []).append(a)
+            for group in by_arity.values():
+                added += self._append_terms(
+                    pred, [a.args for a in group], group
+                )
         return added
 
     def extend(
-        self, pred: str, rows: Sequence[tuple],
-        id_cols: Optional[Sequence] = None,
+        self, pred: str, n: int, id_cols: Optional[Sequence] = None,
+        atoms: Optional[list[Atom]] = None,
+        rows: Optional[Sequence[tuple]] = None, repeats: bool = False,
     ) -> FactSlice:
-        """Bulk-insert the atoms ``pred(*row)``; returns them as the
-        relation's new row range.
+        """Bulk-insert ``n`` rows; returns them as the relation's new row
+        range.  The rows come as ID columns (one int64 vector per argument
+        position — ``array('q')``, int64 ndarrays or int lists), stored as
+        they are: nothing is decoded and no atom is built.  A row kernel or
+        the tuple solver gives ``rows`` of terms instead (encoded once,
+        cell by cell, into the columns), or ``atoms`` (which then also
+        fill the new rows' slots).
 
         The caller guarantees what a head plan that ends in an anti-join
-        against this relation yields: ground canonical cells, rows pairwise
-        distinct, none held yet, ``pred`` not special (repeated or held
-        rows raise and leave the interpretation as it was).  ``id_cols``
-        are the rows' term-dictionary IDs — one int64 vector per argument
-        position, aligned with ``rows`` — when the caller decoded the rows
-        from them: the returned slice keeps them for the next round's
-        delta scan, and a column cache that covers the whole relation is
-        extended with them as they are — its prefix stays valid and no
-        cell is re-encoded."""
-        return self._append(
-            pred, FactSlice(map(Atom, itertools.repeat(pred), rows)), id_cols
-        )
+        against this relation yields: rows none of which is held yet,
+        pairwise distinct unless ``repeats`` (then repeats are dropped,
+        the first kept), ``pred`` not special.  Rows that break it raise
+        and leave the interpretation as it was."""
+        if id_cols is None:
+            if rows is None:
+                rows = [a.args for a in atoms]
+            if repeats:
+                rows = list(dict.fromkeys(rows))
+                atoms = None
+            return self._append_terms(pred, rows, atoms)
+        cols = [_id_column(c) for c in id_cols]
+        if repeats and n > 1:
+            keys = _keys_of(cols, n)
+            # Later duplicates are assigned first, so each key keeps its
+            # first row.
+            first = dict(zip(reversed(keys), range(n - 1, -1, -1)))
+            if len(first) < n:
+                keep = sorted(first.values())
+                cols = [array("q", map(c.tolist().__getitem__, keep))
+                        for c in cols]
+                if atoms is not None:
+                    atoms = [atoms[i] for i in keep]
+                n = len(keep)
+        return self._append(pred, n, cols, atoms)
+
+    def _append_terms(
+        self, pred: str, rows: Sequence[tuple], atoms: Optional[list[Atom]]
+    ) -> FactSlice:
+        """:meth:`_append` for rows of terms, all of one arity, encoded to
+        ID columns; the slice keeps the rows for its readers.  A single
+        row takes :meth:`add`'s path instead: building column arrays for
+        it would cost a 1-row round — each step of a deep recursion's
+        semi-naive or DRed closure — about a tenth of its time (chain-128
+        one-fact maintenance)."""
+        if len(rows) == 1:
+            (row,) = rows
+            table = self._tables.get(pred)
+            if table is not None and table.arity == len(row):
+                a = atoms[0] if atoms else None
+                put = self._put(pred, table, [_ID_OF(t) for t in row], a)
+                if put is None:
+                    raise EvaluationError(
+                        f"bulk insert into {pred!r}: rows repeated or "
+                        "already held"
+                    )
+                table, slot = put
+                return FactSlice(table, slot, 1, None, atoms, rows)
+        arity = len(rows[0]) if rows else 0
+        cols = [array("q", map(_ID_OF, col)) for col in zip(*rows)] \
+            if rows else [array("q") for _ in range(arity)]
+        return self._append(pred, len(rows), cols, atoms, rows)
 
     def _append(
-        self, pred: str, new: FactSlice, id_cols: Optional[Sequence] = None
+        self, pred: str, n: int, cols: list, atoms: Optional[list[Atom]],
+        rows: Optional[Sequence[tuple]] = None,
     ) -> FactSlice:
-        """The one bulk insertion path: the bucket, every built argument
-        index and the column cache grow by ``new`` in one pass."""
-        new.start = n_old = len(self._by_pred.get(pred, _EMPTY_FACTS))
-        new.id_cols = None
-        if not new:
-            return new
-        if id_cols is not None:
-            new.id_cols = self._checked_id_bytes(pred, new, id_cols)
-        bucket = self._mutable_bucket(pred)
-        if bucket is None:
-            bucket = self._by_pred[pred] = {}
-        bucket.update(dict.fromkeys(new))
-        if len(bucket) != n_old + len(new):
-            # Held atoms kept their place, so what the update appended is
-            # everything past the old end: take it out again.
-            for a in list(itertools.islice(bucket, n_old, None)):
-                del bucket[a]
+        """The one bulk insertion path: the table, every built argument
+        index and the size grow by ``n`` rows in one pass.  ``rows`` are
+        the same rows as terms, when the caller has them."""
+        arity = len(cols)
+        table = self._table_for(pred, arity)
+        start = len(table.atoms)
+        if not n:
+            return FactSlice(table, start, 0, cols, [])
+        if arity != table.arity:
+            if atoms is None:
+                atoms = [Atom(pred, r) for r in rows or FactSlice(
+                    table, start, n, cols, None
+                ).rows()]
+            if any(a in table.odd for a in atoms) \
+                    or len(set(atoms)) != n:
+                raise EvaluationError(
+                    f"bulk insert into {pred!r}: rows repeated or already held"
+                )
+            table.odd.update(dict.fromkeys(atoms))
+            table._bytes = None
+            self._size += n
+            return FactSlice(table, start, n, cols, atoms)
+        keys = _keys_of(cols, n)
+        held = table.keys
+        held.update(zip(keys, range(start, start + n)))
+        if len(held) != start + n:
+            # A held key now names a new slot: rebuild the map of the rows
+            # that were there before.
+            table.keys = dict(zip(
+                _keys_of(table.cols, start) if start else (), range(start)
+            ))
             raise EvaluationError(
-                f"bulk insert into {pred!r}: atoms repeated or already held"
+                f"bulk insert into {pred!r}: rows repeated or already held"
             )
-        self._size += len(new)
+        for tc, c in zip(table.cols, cols):
+            if c.__class__ is array:
+                tc.extend(c)
+            else:
+                with memoryview(c) as m:
+                    tc.frombytes(m.cast("B"))
+        if atoms is None:
+            table.atoms.extend(repeat(None, n))
+            table.missing += n
+        else:
+            table.atoms.extend(atoms)
+        table._bytes = None
+        self._size += n
         per = self._indexes.get(pred)
         if per:
-            bases = self._bases.get(pred, _EMPTY_FACTS)
+            bases = self._bases.get(pred, _NO_BASES)
             for positions, index in per.items():
+                if positions and positions[-1] >= arity:
+                    continue
+                ikeys = cols[positions[0]].tolist() if len(positions) == 1 \
+                    else _keys_of([cols[p] for p in positions], n)
                 base = bases.get(positions)
-                for a in new:
-                    _index_insert(index, positions, a, base)
-        ids = new.id_cols
-        if ids is not None and len(new) * COLUMN_EXTEND_RATIO >= n_old:
-            # A missing, stale, uncacheable or other-arity entry is left
-            # for the next ``id_columns`` call to (re)build from the bucket.
-            entry = (
-                self._columns.get(pred) if n_old
-                else (len(ids), 0, (b"",) * len(ids))
-            )
-            if entry and entry[0] == len(ids) and entry[1] == n_old:
-                self._columns[pred] = (
-                    entry[0],
-                    n_old + len(new),
-                    tuple(o + c for o, c in zip(entry[2], ids)),
-                )
-        return new
-
-    @staticmethod
-    def _checked_id_bytes(
-        pred: str, new: FactSlice, id_cols: Sequence
-    ) -> tuple[bytes, ...]:
-        """``id_cols`` as column bytes, after checking that they can be
-        the IDs of ``new``: one int64 vector per argument position, as
-        long as the batch, naming the first and the last atom's terms (a
-        batch that was sorted, filtered or sliced after its columns were
-        taken fails here instead of poisoning every later columnar scan)."""
-        from ..core.terms import TERM_DICT
-
-        n = len(new)
-        ends = (new[0].args, new[-1].args)
-        views = [memoryview(c) for c in id_cols]
-        id_of = TERM_DICT.id_of
-        if not all(
-            len(args) == len(views) for args in ends
-        ) or not all(
-            v.ndim == 1 and v.itemsize == 8 and v.format in ("q", "l")
-            and v.shape[0] == n
-            and v[0] == id_of(ends[0][j]) and v[-1] == id_of(ends[1][j])
-            for j, v in enumerate(views)
-        ):
-            raise EvaluationError(
-                f"bulk insert into {pred!r}: ID columns do not match the rows"
-            )
-        return tuple(v.tobytes() for v in views)
+                for slot, key in enumerate(ikeys, start):
+                    _index_add(index, key, slot, base)
+        return FactSlice(table, start, n, cols, atoms, rows)
 
     def remove(self, a: Atom) -> bool:
         """Retract a ground atom; returns ``True`` if it was present.
@@ -387,23 +752,65 @@ class Interpretation:
         Keeps every already-built argument index consistent, so interleaved
         :meth:`add`/:meth:`remove` sequences leave :meth:`candidates` and
         :meth:`candidate_count` agreeing with a fresh linear scan (the
-        incremental-maintenance subsystem depends on this invariant).
+        incremental-maintenance subsystem depends on this invariant).  The
+        table's last row moves into the hole; nothing is re-encoded.
         """
-        bucket = self._by_pred.get(a.pred)
-        if bucket is None or a not in bucket:
+        pred, args = a.pred, a.args
+        table = self._tables.get(pred)
+        if table is None:
             return False
-        bucket = self._mutable_bucket(a.pred)
-        bucket.pop(a, None)
+        if len(args) != table.arity:
+            if a not in table.odd:
+                return False
+            table = self._mutable(pred)
+            del table.odd[a]
+            table._bytes = None
+            self._size -= 1
+            return True
+        key = _key_of(args)
+        if key is None or key not in table.keys:
+            return False
+        table = self._mutable(pred)
+        table._bytes = None
         self._size -= 1
-        # Removal breaks the append-only prefix the column cache relies
-        # on; drop it and let the next columnar scan rebuild (like the
-        # lazily rebuilt indexes after copy-on-write).
-        self._columns.pop(a.pred, None)
-        per = self._indexes.get(a.pred)
+        table.moves += 1
+        cols, atoms, keys = table.cols, table.atoms, table.keys
+        slot = keys.pop(key)
+        last = len(atoms) - 1
+        if atoms[slot] is None:
+            table.missing -= 1
+        if slot == last:
+            gone = [c.pop() for c in cols]
+            atoms.pop()
+            moved = None
+        else:
+            gone = [c[slot] for c in cols]
+            moved = [c.pop() for c in cols]
+            for c, i in zip(cols, moved):
+                c[slot] = i
+            atoms[slot] = atoms.pop()
+            keys[row_key(moved)] = slot
+        per = self._indexes.get(pred)
         if per:
-            bases = self._bases.get(a.pred, _EMPTY_FACTS)
+            bases = self._bases.get(pred, _NO_BASES)
             for positions, index in per.items():
-                _index_remove(index, positions, a, bases.get(positions))
+                if positions and positions[-1] >= table.arity:
+                    continue
+                base = bases.get(positions)
+                if len(positions) == 1:
+                    _index_drop(index, gone[positions[0]], slot, base)
+                    if moved is not None:
+                        ikey = moved[positions[0]]
+                        _index_drop(index, ikey, last, base)
+                        _index_add(index, ikey, slot, base)
+                    continue
+                _index_drop(
+                    index, row_key([gone[p] for p in positions]), slot, base
+                )
+                if moved is not None:
+                    ikey = row_key([moved[p] for p in positions])
+                    _index_drop(index, ikey, last, base)
+                    _index_add(index, ikey, slot, base)
         return True
 
     def discard(self, atoms: Iterable[Atom]) -> int:
@@ -412,7 +819,7 @@ class Interpretation:
 
     def copy(self) -> "Interpretation":
         out = Interpretation()
-        out._by_pred = {p: dict(s) for p, s in self._by_pred.items()}
+        out._tables = {p: t.copy() for p, t in self._tables.items()}
         out._size = self._size
         # Indexes are rebuilt lazily on the copy.
         return out
@@ -421,156 +828,189 @@ class Interpretation:
 
     def holds(self, a: Atom) -> bool:
         """Whether a ground non-special atom is true in this interpretation."""
-        return a in self._by_pred.get(a.pred, _EMPTY_FACTS)
+        table = self._tables.get(a.pred)
+        return table is not None and a in table
+
+    __contains__ = holds
 
     def by_pred(self, pred: str) -> frozenset[Atom]:
-        return frozenset(self._by_pred.get(pred, ()))
+        return frozenset(self._tables.get(pred, ()))
 
-    def facts_of(self, pred: str) -> Mapping[Atom, None]:
-        """The live, insertion-ordered facts of a predicate.
+    def facts_of(self, pred: str) -> FactTable:
+        """The live facts of a predicate (see :class:`FactTable`).
 
-        Callers must not mutate it; iterate it like a set of atoms.
-        """
-        return self._by_pred.get(pred, _EMPTY_FACTS)
+        Callers must not mutate it; iterate it like a set of atoms, or
+        read its rows."""
+        return self._tables.get(pred, _NO_FACTS)
 
     def id_columns(
         self, pred: str
     ) -> Optional[tuple[int, int, tuple[bytes, ...]]]:
         """``(arity, nfacts, per-position ID column bytes)`` for a relation.
 
-        The columnar executor's counterpart of the argument indexes: each
-        argument position of the relation encoded as a contiguous vector
-        of dense term-dictionary IDs (native int64 bytes, insertion
-        order).  Built lazily and extended incrementally — :meth:`add`
-        appends facts at the end of the bucket, so a cached encoding stays
-        a valid prefix and only new facts pay the per-cell encode;
-        :meth:`remove` drops the entry for a full lazy rebuild.  Entries
-        are immutable and only ever replaced, which makes sharing them
-        with snapshots safe.
+        The columnar executor's read of the store: each argument
+        position's term IDs as native int64 bytes, in slot order — a copy
+        of the table's columns, taken once per state of the table and
+        kept until its next write.  Nothing is encoded.
 
         Returns ``None`` for empty relations and for relations with mixed
         arities (callers fall back to per-scan encoding).
         """
-        bucket = self._by_pred.get(pred)
-        n = 0 if bucket is None else len(bucket)
-        if n == 0:
-            return None
-        entry = self._columns.get(pred, _NO_COLUMNS)
-        if entry is None:  # known mixed-arity relation
-            return None
-        if entry is _NO_COLUMNS:
-            facts: Iterable[Atom] = bucket
-            arity = len(next(iter(bucket)).args)
-            n_old, old = 0, (b"",) * arity
-        else:
-            arity, n_old, old = entry
-            if n_old == n:
-                return entry
-            facts = itertools.islice(bucket, n_old, None)
-        from ..core.terms import TERM_DICT
-
-        id_of = TERM_DICT.id_of
-        rows = []
-        append = rows.append
-        for f in facts:
-            args = f.args
-            if len(args) != arity:
-                self._columns[pred] = None
-                return None
-            append(args)
-        # Transpose then encode column-wise: zip/map/array run the per-cell
-        # work in C, leaving only the id_of calls at Python speed.
-        new = zip(*rows) if rows else ((),) * arity
-        entry = (
-            arity,
-            n,
-            tuple(
-                o + array("q", map(id_of, col)).tobytes()
-                for o, col in zip(old, new)
-            ),
-        )
-        self._columns[pred] = entry
-        return entry
+        table = self._tables.get(pred)
+        return None if table is None else table.id_columns()
 
     def _index_for(
         self, pred: str, positions: tuple[int, ...]
-    ) -> dict[tuple, dict[Atom, None]]:
+    ) -> dict[int, dict[int, None]]:
         per = self._indexes.get(pred)
         if per is None:
             per = self._indexes[pred] = {}
         index = per.get(positions)
         if index is None:
-            index = {}
-            for f in self._by_pred.get(pred, ()):
-                _index_insert(index, positions, f)
-            per[positions] = index
+            index = per[positions] = _built_index(
+                self._tables.get(pred), positions
+            )
+            if self._frozen:
+                self._wanted.add((pred, positions))
         return index
+
+    def lookup(
+        self, pred: str, positions: tuple[int, ...], key: Optional[int]
+    ) -> tuple[Optional[FactTable], Iterable[int]]:
+        """``(table, slots)``: the predicate's table and the slots of the
+        rows whose IDs at ``positions`` (ascending) pack to ``key``
+        (:func:`row_key`; ``None`` matches nothing).  A signature that
+        covers every position is one probe of the key map; any other
+        reads (and on first use builds) its argument index."""
+        table = self._tables.get(pred)
+        if table is None or key is None or (
+            positions and positions[-1] >= table.arity
+        ):
+            return table, ()
+        if len(positions) == table.arity:
+            slot = table.keys.get(key)
+            return table, (() if slot is None else (slot,))
+        per = self._indexes.get(pred)
+        index = per.get(positions) if per else None
+        if index is None:
+            index = self._index_for(pred, positions)
+        return table, index.get(key, ())
+
+    def _slots(
+        self, pred: str, positions: tuple[int, ...], key: Sequence[Term]
+    ) -> tuple[Optional[FactTable], Iterable[int]]:
+        """:meth:`lookup` for a key given as terms."""
+        return self.lookup(pred, positions, _key_of(key))
+
+    def _atoms_at(self, table: FactTable, slots: Iterable[int]) -> list[Atom]:
+        if not table.missing:
+            return list(map(table.atoms.__getitem__, slots))
+        atoms, atom = table.atoms, table.atom
+        return [atoms[s] or atom(s) for s in slots]
+
+    @staticmethod
+    def _rows_at(table: FactTable, slots: Iterable[int]) -> list[tuple]:
+        if not table.missing:
+            return list(map(_ARGS, map(table.atoms.__getitem__, slots)))
+        return list(map(table.row, slots))
 
     def candidates(
         self, pred: str, positions: tuple[int, ...], key: tuple
-    ) -> Iterable[Atom]:
+    ) -> list[Atom]:
         """Facts of ``pred`` whose arguments at ``positions`` equal ``key``.
 
         Uses (and incrementally maintains) the hash index for that position
-        signature; an exact superset-free answer, not a heuristic.  The
-        result is a read-only iterable of atoms in insertion order.
+        signature; an exact superset-free answer, not a heuristic.
         """
-        return self._index_for(pred, positions).get(key, ())
+        table, slots = self._slots(pred, positions, key)
+        if table is None:
+            return []
+        out = self._atoms_at(table, slots)
+        if table.odd:
+            out += _odd_matching(table, positions, key)
+        return out
+
+    def candidate_rows(
+        self, pred: str, positions: tuple[int, ...], key: tuple
+    ) -> list[tuple]:
+        """:meth:`candidates` as argument rows (no atom is built)."""
+        table, slots = self._slots(pred, positions, key)
+        if table is None:
+            return []
+        out = self._rows_at(table, slots)
+        if table.odd:
+            out += [a.args for a in _odd_matching(table, positions, key)]
+        return out
 
     def candidate_count(
         self, pred: str, positions: tuple[int, ...], key: tuple
     ) -> int:
         """``len(candidates(...))`` without materialising anything new."""
-        bucket = self._index_for(pred, positions).get(key)
-        return 0 if bucket is None else len(bucket)
+        table, slots = self._slots(pred, positions, key)
+        if table is None:
+            return 0
+        n = len(slots)
+        if table.odd:
+            n += len(_odd_matching(table, positions, key))
+        return n
 
     def has_index(self, pred: str, positions: tuple[int, ...]) -> bool:
         """Whether an index for this position signature is already built."""
         per = self._indexes.get(pred)
         return per is not None and positions in per
 
-    def _bound_positions(
-        self, args: Sequence[Term]
-    ) -> list[tuple[int, Term]]:
-        return [
-            (i, t) for i, t in enumerate(args)
-            if not isinstance(t, SetExpr) and t.is_ground()
-        ]
-
     def _bucket_for_pattern(
         self, pred: str, args: Sequence[Term]
-    ) -> Optional[tuple[tuple[int, ...], tuple]]:
-        """The (positions, key) bucket a pattern's scan should read.
+    ) -> tuple[Optional[FactTable], Optional[tuple[int, ...]], Iterable[int]]:
+        """``(table, positions, slots)``: the bucket a pattern's scan
+        should read — the slots of the rows whose IDs at ``positions``
+        are the pattern's there — or ``positions`` ``None`` to scan the
+        whole table.
 
-        The single shared selection policy behind both
-        :meth:`candidates_for_pattern` and :meth:`estimate_for_pattern`:
-        ``None`` means scan the whole relation (relation below
-        ``INDEX_MIN_FACTS``, or no bound position); a single bound
-        position uses its (incrementally maintained) index; with several
-        bound positions an already-built composite index is used exactly,
-        and otherwise the **most selective single bound position** is
-        chosen by comparing bucket sizes — single-position indexes are
-        shared across every pattern shape of the predicate, where
-        per-signature composite indexes would each pay an O(relation)
-        build.
+        The single shared selection policy behind
+        :meth:`candidates_for_pattern`, :meth:`rows_for_pattern` and
+        :meth:`estimate_for_pattern`: scan the whole relation when it
+        has fewer than ``INDEX_MIN_FACTS`` facts or no bound position; a
+        single bound position uses its (incrementally maintained)
+        index; every position bound is one probe of the key map; with
+        several bound positions an already-built composite index is used
+        exactly, and otherwise the **most selective single bound
+        position** is chosen by comparing bucket sizes — single-position
+        indexes are shared across every pattern shape of the predicate,
+        where per-signature composite indexes would each pay an
+        O(relation) build.
         """
-        if len(self._by_pred.get(pred, _EMPTY_FACTS)) < INDEX_MIN_FACTS:
-            return None
-        bound = self._bound_positions(args)
+        table = self._tables.get(pred)
+        if table is None:
+            return None, None, ()
+        if len(table.atoms) + len(table.odd) < INDEX_MIN_FACTS:
+            return table, None, ()
+        bound = [
+            i for i, t in enumerate(args)
+            if t.__class__ is not SetExpr and t.is_ground()
+        ]
         if not bound:
-            return None
+            return table, None, ()
         if len(bound) == 1:
-            i, t = bound[0]
-            return (i,), (t,)
-        positions = tuple(i for i, _ in bound)
-        if self.has_index(pred, positions):
-            return positions, tuple(t for _, t in bound)
-        best_i, best_t, best_n = bound[0][0], bound[0][1], None
-        for i, t in bound:
-            n = self.candidate_count(pred, (i,), (t,))
-            if best_n is None or n < best_n:
-                best_i, best_t, best_n = i, t, n
-        return (best_i,), (best_t,)
+            i = bound[0]
+            return table, (i,), self.lookup(pred, (i,), _key_of((args[i],)))[1]
+        if not (
+            len(bound) == table.arity == len(args)
+            or self.has_index(pred, tuple(bound))
+        ):
+            best = None
+            for i in bound:
+                slots = self._slots(pred, (i,), (args[i],))[1]
+                n = len(slots)
+                if table.odd:
+                    n += len(_odd_matching(table, (i,), (args[i],)))
+                if best is None or n < best[0]:
+                    best = (n, (i,), slots)
+            return table, best[1], best[2]
+        positions = tuple(bound)
+        return table, positions, self._slots(
+            pred, positions, [args[i] for i in bound]
+        )[1]
 
     def candidates_for_pattern(
         self, pred: str, args: Sequence[Term]
@@ -582,10 +1022,30 @@ class Interpretation:
         be a superset of the matching facts (callers re-match
         candidates), but is never larger than the chosen bucket.
         """
-        bucket = self._bucket_for_pattern(pred, args)
-        if bucket is None:
-            return self._by_pred.get(pred, _EMPTY_FACTS)
-        return self.candidates(pred, *bucket)
+        table, positions, slots = self._bucket_for_pattern(pred, args)
+        if positions is None:
+            return _NO_FACTS if table is None else table
+        out = self._atoms_at(table, slots)
+        if table.odd:
+            out += _odd_matching(
+                table, positions, [args[i] for i in positions]
+            )
+        return out
+
+    def rows_for_pattern(
+        self, pred: str, args: Sequence[Term]
+    ) -> list[tuple]:
+        """:meth:`candidates_for_pattern` as argument rows (no atom is
+        built)."""
+        table, positions, slots = self._bucket_for_pattern(pred, args)
+        if positions is None:
+            return [] if table is None else table.rows()
+        out = self._rows_at(table, slots)
+        if table.odd:
+            out += [a.args for a in _odd_matching(
+                table, positions, [args[i] for i in positions]
+            )]
+        return out
 
     def estimate_for_pattern(
         self, pred: str, args: Sequence[Term]
@@ -594,20 +1054,22 @@ class Interpretation:
         exactly — both consult :meth:`_bucket_for_pattern`, so the join
         planner's cost estimate is the size of the very bucket the scan
         would read (an upper bound on the true join fan-out)."""
-        bucket = self._bucket_for_pattern(pred, args)
-        if bucket is None:
-            return len(self._by_pred.get(pred, _EMPTY_FACTS))
-        return self.candidate_count(pred, *bucket)
+        table, positions, slots = self._bucket_for_pattern(pred, args)
+        if positions is None:
+            return 0 if table is None else len(table)
+        n = len(slots)
+        if table.odd:
+            n += len(_odd_matching(
+                table, positions, [args[i] for i in positions]
+            ))
+        return n
 
     def predicates(self) -> set[str]:
-        return {p for p, s in self._by_pred.items() if s}
-
-    def __contains__(self, a: Atom) -> bool:
-        return a in self._by_pred.get(a.pred, _EMPTY_FACTS)
+        return {p for p, t in self._tables.items() if len(t)}
 
     def __iter__(self) -> Iterator[Atom]:
-        for bucket in self._by_pred.values():
-            yield from bucket
+        for table in self._tables.values():
+            yield from table
 
     def __len__(self) -> int:
         return self._size

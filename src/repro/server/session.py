@@ -577,7 +577,10 @@ class Session:
             snap.interpretation, self._model.builtins,
             stats.solver, stats.execs,
         )
-        answers = Answers(*goal.id_rows(engines))
+        batch = goal.id_rows(engines)
+        answers = Answers(
+            batch, None if batch.made_as_rows else batch.cols
+        )
         stats.queries += 1
         stats.answers += answers.n
         with self._lock:

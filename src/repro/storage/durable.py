@@ -431,7 +431,7 @@ class DurableModel(VersionedModel):
         with self._lock:
             self._check_writable()
             mm = self._materialized
-            add_atoms = [check_fact(s, mm.builtins) for s in adds]
+            add_atoms = [check_fact(s, mm.builtins, mm.sorts) for s in adds]
             del_atoms = [check_fact(s, mm.builtins) for s in dels]
             apply = partial(super().apply_delta, add_atoms, del_atoms)
             if not changes_edb(mm.database, add_atoms, del_atoms):
@@ -497,7 +497,9 @@ class DurableModel(VersionedModel):
 
     def _apply_leader_delta(self, adds: list, dels: list) -> ModelSnapshot:
         version = self._version
-        snap = super().apply_delta(adds, dels)
+        # What the leader logged is applied as recovery folds it: a fact
+        # an older leader took against the rules' sorts is not refused.
+        snap = super().apply_delta(adds, dels, check_sorts=False)
         self._unlogged.difference_update((*adds, *dels))
         if self._version == version:    # asserted what ``_unlogged`` held
             snap = self._publish(self._materialized.last_report)

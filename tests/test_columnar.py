@@ -4,9 +4,10 @@ Covers the pieces DESIGN.md "Columnar execution" names:
 
 * **term dictionary** — dense, stable, structural IDs (equal terms share
   one ID; assigned IDs never move);
-* **relation column cache** — ``Interpretation.id_columns`` built
-  lazily, extended by append-only prefix, dropped on remove, ``None``
-  for mixed arities, and safely shared with frozen snapshots;
+* **relation columns** — ``Interpretation.id_columns`` reads the ID
+  store: appends grow the columns, a removal moves the last row into the
+  hole, neither encodes a cell; ``None`` for mixed arities; safely
+  shared with frozen snapshots;
 * **kernel equivalence** — ``ColumnarExecutor`` computes exactly the
   row executor's batches, distinct batches and shaped batches, for full
   and delta-substituted scans (a hypothesis sweep randomizes both the
@@ -37,6 +38,7 @@ from repro.engine.executor import Executor
 from repro.engine.ir import ExecStats
 from repro.engine.planner import compile_rule, head_plan
 from repro.engine.setops import with_set_builtins
+from repro.semantics import interpretation
 from repro.semantics.interpretation import Interpretation
 
 TC = parse_program("""
@@ -73,8 +75,12 @@ class TestTermDict:
 
 
 # ---------------------------------------------------------------------------
-# Relation column cache
+# Relation columns
 # ---------------------------------------------------------------------------
+
+
+def _no_encode(term):
+    raise AssertionError(f"{term} encoded")
 
 
 def _ids(entry, pos):
@@ -98,32 +104,37 @@ class TestIdColumns:
         assert _ids(entry, 0) == [term_id(f.args[0]) for f in facts]
         assert _ids(entry, 1) == [term_id(f.args[1]) for f in facts]
 
-    def test_append_extends_the_cached_prefix(self):
+    def test_appends_grow_the_columns_in_place(self, monkeypatch):
         interp = Interpretation()
         for f in self.facts(3):
             interp.add(f)
         first = interp.id_columns("e")
         for f in self.facts(6)[3:]:
             interp.add(f)
+        # Reading the columns encodes nothing: the store is IDs.
+        monkeypatch.setattr(interpretation, "_ID_OF", _no_encode)
         second = interp.id_columns("e")
         assert second[1] == 6
-        # The old encoding is a byte-prefix of the new one (only the new
-        # facts were encoded).
+        # The old columns are a byte-prefix of the new ones.
         assert all(b2.startswith(b1)
                    for b1, b2 in zip(first[2], second[2]))
+        assert interp.id_columns("e") is second   # kept until a write
 
-    def test_remove_drops_the_entry_for_rebuild(self):
+    def test_remove_moves_the_last_row_into_the_hole(self, monkeypatch):
         interp = Interpretation()
         facts = self.facts(4)
         for f in facts:
             interp.add(f)
         assert interp.id_columns("e")[1] == 4
+        monkeypatch.setattr(interpretation, "_ID_OF", _no_encode)
         interp.remove(facts[1])
         entry = interp.id_columns("e")
         assert entry[1] == 3
-        assert _ids(entry, 0) == [
-            term_id(f.args[0]) for f in facts if f != facts[1]
-        ]
+        order = [facts[0], facts[3], facts[2]]
+        assert _ids(entry, 0) == [term_id(f.args[0]) for f in order]
+        assert _ids(entry, 1) == [term_id(f.args[1]) for f in order]
+        assert list(interp.facts_of("e")) == order
+        assert facts[1] not in interp and facts[3] in interp
 
     def test_empty_and_unknown_relations_have_no_columns(self):
         interp = Interpretation()
@@ -134,7 +145,7 @@ class TestIdColumns:
         interp.add(atom("p", const("a")))
         interp.add(atom("p", const("a"), const("b")))
         assert interp.id_columns("p") is None
-        assert interp.id_columns("p") is None  # memoized, not re-scanned
+        assert interp.facts_of("p").has_row((const("a"), const("b")))
 
     def test_snapshot_shares_columns_safely(self):
         interp = Interpretation()
@@ -183,14 +194,17 @@ def _assert_same_rows(interp, delta=None, delta_index=None):
     assert (sorted(map(_row_key, col_exec.distinct_batch(node)))
             == sorted(map(_row_key, row_exec.distinct_batch(node))))
     shape = tuple(range(len(node.out_vars)))[:1]
-    col_rows, col_ids = col_exec.shaped_batch(node, shape)
-    row_rows, row_ids = row_exec.shaped_batch(node, shape)
-    assert (sorted(map(_row_key, col_rows))
-            == sorted(map(_row_key, row_rows)))
-    # The columnar rows come with the ID columns they were decoded from.
-    assert row_ids is None
+    col_batch = col_exec.shaped_batch(node, shape)
+    row_batch = row_exec.shaped_batch(node, shape)
+    assert (sorted(map(_row_key, col_batch))
+            == sorted(map(_row_key, row_batch)))
+    # Both batches give the same ID columns: the columnar one as it made
+    # them, the row one encoded when asked.
     assert [tuple(TERM_DICT.terms[i] for i in ids)
-            for ids in zip(*(c.tolist() for c in col_ids))] == col_rows
+            for ids in zip(*(c.tolist() for c in col_batch.cols))] \
+        == col_batch.rows
+    assert (sorted(zip(*(c.tolist() for c in col_batch.cols)))
+            == sorted(zip(*(c.tolist() for c in row_batch.cols))))
     # The fixpoint's plan: the same rows minus the head relation.
     fresh = head_plan(cp, subtract_head=True)
     assert (sorted(map(_row_key, col_exec.batch(fresh)))

@@ -27,7 +27,7 @@ import pytest
 
 from repro import parse_program
 from repro.core.atoms import Atom
-from repro.core.terms import Const
+from repro.core.terms import Const, setvalue
 from repro.engine import Database, Evaluator
 from repro.engine.maintenance import MaterializedModel
 from repro.engine.setops import with_set_builtins
@@ -249,6 +249,32 @@ class TestRecords:
         finally:
             replica.close()
 
+    def test_a_follower_takes_a_set_an_older_leader_asserted(self, tmp_path):
+        """A leader that predates the write-time sort check logged
+        ``+sf({a, b})`` against ``q(X) :- sf(X)``; the follower applies
+        that record as recovery folds it — once, and recovers to the
+        same model — instead of refusing it at every retry."""
+        rules = "q(X) :- sf(X).\n"
+        replica = DurableModel(parse_program(rules), tmp_path / "r", **OPTS)
+        v = replica.version
+        fact = Atom("sf", (setvalue([Const("a"), Const("b")]),))
+        old = WriteAheadLog(tmp_path / "old", fsync="never")
+        line = old.append_delta(v + 1, [fact], [])
+        old.close()
+        try:
+            replica.apply_record(
+                *decode_record(line.decode("ascii")), line=line
+            )
+            assert replica.version == v + 1
+            want = model_of(replica)
+            assert "sf({a, b})" in want
+            replica.close()
+            back = DurableModel.recover(tmp_path / "r", **OPTS)
+            assert back.version == v + 1 and model_of(back) == want
+            back.close()
+        finally:
+            replica.close()
+
     def test_a_failed_rebuild_leaves_the_callers_database(
         self, monkeypatch
     ):
@@ -316,16 +342,21 @@ class TestTyping:
     def test_a_set_asserted_against_a_rule_leaves_the_store_writable(
         self, tmp_path, rules
     ):
-        """The assert is taken (goals then type ``sf`` by the rule); the
-        store still checkpoints, extends and recovers."""
+        """The assert is refused (the rule reads an individual there, so
+        the set would be held and never answered); the store still takes
+        a fact of the rule's sort, checkpoints, extends and recovers."""
         with QueryService(rules, data_dir=tmp_path, **OPTS) as svc:
             s = svc.open_session()
-            assert s.execute("+sf({a, b}).").data == {"applied": 1}
+            version = svc.model.version
+            refused = s.execute("+sf({a, b}).")
+            assert refused.code == "sort_conflict"
+            assert svc.model.version == version
+            assert s.execute("+sf(a).").data == {"applied": 1}
             svc.checkpoint()
             s.add_clause("r(X) :- sf(X).")
             svc.checkpoint()
             program, want = svc.model.program, model_of(svc.model)
-            assert "sf({a, b})" in want
+            assert "sf(a)" in want and "sf({a, b})" not in want
         with QueryService(data_dir=tmp_path, **OPTS) as back:
             assert back.model.program == program
             assert model_of(back.model) == want

@@ -31,7 +31,7 @@ from repro.engine.columnar import HAS_NUMPY, make_executor
 from repro.engine.ir import ExecStats
 from repro.engine.planner import compile_rule, head_plan
 from repro.engine.setops import with_set_builtins
-from repro.semantics.interpretation import Interpretation
+from repro.semantics.interpretation import Interpretation, row_key
 from repro.workloads import chain_graph, random_graph
 
 needs_numpy = pytest.mark.skipif(
@@ -100,10 +100,11 @@ def test_tc_rounds_decode_only_new_rows(monkeypatch):
     model = Evaluator(TC, database(edge_facts(edges))).run()
     report = model.report
     assert report.derived == len(model.relation("t"))
-    # Every head row that is decoded is a new atom.  The one other decode
-    # is the first, naive round's scan of ``e`` for the recursive rule,
-    # whose join then meets a still-empty ``t`` on the row path.
-    assert report.exec.rows_decoded == report.derived + len(edges)
+    # No head row is decoded: each round's head columns are stored in
+    # ``t``'s table as they are.  The one decode is the first, naive
+    # round's scan of ``e`` for the recursive rule, whose join then meets
+    # a still-empty ``t`` on the row path.
+    assert report.exec.rows_decoded == len(edges)
     # Deltas are row ranges of ``t``'s own ID columns: nothing a round
     # derived is encoded again.
     assert report.exec.rows_encoded <= len(edges)
@@ -131,10 +132,12 @@ class CountingNumpy:
 
 
 #: ``report.exec`` of the closure below, recorded before the kernels
-#: keyed on radix-packed int64 codes: the same plans, the same rows.
+#: keyed on radix-packed int64 codes: the same plans, the same rows.  Only
+#: ``rows_decoded`` has moved since: head rows go into the ID store as
+#: columns, so of the 26 400 decoded then, the naive round's 800 are left.
 TC_EXEC = ExecStats(
     batches=51, rows_in=455968, rows_out=380644, col_nodes=41,
-    row_nodes=10, rows_encoded=0, rows_decoded=26400,
+    row_nodes=10, rows_encoded=0, rows_decoded=800,
     per_op={
         "Scan": [16, 32000, 32000], "Project": [9, 128800, 128800],
         "Distinct": [9, 128800, 66244], "AntiJoin": [9, 135096, 25600],
@@ -146,9 +149,11 @@ TC_EXEC = ExecStats(
 @needs_numpy
 def test_tc_kernels_sort_once_and_gains_hash_once(monkeypatch):
     """Keys are radix-packed and sorted plainly — no ``np.unique`` hash
-    table, no stable argsort — and ``_fixpoint`` hands its gains back as
-    the lists the bulk inserts built, so each derived atom is hashed once
-    (by the bucket it is inserted into) and never by ``_fixpoint``."""
+    table, no stable argsort — and a derived row never becomes an atom
+    during the run: the bulk inserts store ID columns, and ``_fixpoint``
+    hands its gains back as the row ranges they returned.  So no derived
+    atom is hashed while the model is computed; reading the model builds
+    each one once, in its slot."""
     import numpy
 
     from repro.core.atoms import Atom
@@ -173,11 +178,9 @@ def test_tc_kernels_sort_once_and_gains_hash_once(monkeypatch):
     assert report.exec == TC_EXEC
     derived = list(model.interpretation.facts_of("t"))
     assert report.derived == len(derived) == 25600
-    times = {}
-    for a, _caller in hashed:
-        times[id(a)] = times.get(id(a), 0) + 1
-    assert all(times.get(id(a)) == 1 for a in derived)
-    assert [c for _a, c in hashed if c == "_fixpoint"] == []
+    assert [a for a, _ in hashed if a.pred == "t" and a.is_ground()] == []
+    assert all(a is b for a, b in
+               zip(derived, model.interpretation.facts_of("t")))
 
 
 @needs_numpy
@@ -216,15 +219,13 @@ def test_size_gate_reads_the_plans_own_delta():
     }
     node = head_plan(compile_rule(TC.clauses[1], {}, 1))
     ex = make_executor(interp, {}, delta=delta)
-    rows, _ids = ex.shaped_batch(node, (0, 1))
+    rows = ex.shaped_batch(node, (0, 1))
     assert len(rows) == 100
     assert ex.stats.col_nodes > 0
     # ... and the plan that reads the small delta stays on the row path.
     reader = parse_program("r(X, Y) :- small(X), e(X, Y).").clauses[0]
     ex = make_executor(interp, {}, delta=delta)
-    rows, _ids = ex.shaped_batch(
-        head_plan(compile_rule(reader, {}, 0)), (0, 1)
-    )
+    rows = ex.shaped_batch(head_plan(compile_rule(reader, {}, 0)), (0, 1))
     assert len(rows) == 1
     assert ex.stats.col_nodes == 0
 
@@ -256,9 +257,9 @@ def test_two_rules_reach_the_same_new_head_in_one_round():
 
 def test_merged_batches_in_a_deep_recursion():
     """Two linear rules feed ``t`` every round of a 201-round closure, so
-    every delta is a slice stored without IDs; once ``t`` has outgrown a
-    slice 16-fold the delta scan encodes the slice instead of bringing
-    the whole relation's column cache up to date."""
+    every round merges two batches into one bulk insert.  The merge is
+    made on ID columns, so every delta is a slice with its own IDs and
+    no delta scan encodes a row, however far ``t`` outgrows the slice."""
     program = parse_program("""
     t(X, Y) :- e(X, Y).
     t(X, Y) :- f(X, Y).
@@ -273,7 +274,7 @@ def test_merged_batches_in_a_deep_recursion():
     if HAS_NUMPY:
         report = Evaluator(program, database(facts)).run().report
         assert report.rounds == 201
-        assert 0 < report.exec.rows_encoded <= 2 * report.derived
+        assert report.exec.rows_encoded == 0
         assert report.exec.per_op["AntiJoin"][1] <= 3 * report.derived
 
 
@@ -338,8 +339,9 @@ def test_seeds_from_a_lower_stratum_then_row_ranges():
 
 
 def test_reclosure_after_a_removal_dropped_the_column_cache():
-    """DRed removes over-deleted ``t`` atoms (the column cache goes with
-    them) and re-closes from the rescued ones in the same batch."""
+    """DRed removes over-deleted ``t`` atoms (each removal moves ``t``'s
+    last row into the hole) and re-closes from the rescued ones in the
+    same batch."""
     edges = edge_facts(DENSE)
     maintained_on_every_path(
         DEAD, edges + [("n", "v3"), ("n", "v20")],
@@ -348,9 +350,9 @@ def test_reclosure_after_a_removal_dropped_the_column_cache():
 
 
 def test_mixed_arity_head_relation():
-    """``p`` holds EDB facts of another arity, so it has no column cache:
-    the head anti-join decides row by row and the bulk insert leaves the
-    cache alone."""
+    """``p`` holds EDB facts of another arity, so ``id_columns`` has no
+    columns for it: the head anti-join decides row by row, and rows of
+    the table's arity and the other one are both found."""
     program = parse_program("""
     p(X, Y) :- e(X, Y).
     p(X, Z) :- p(X, Y), e(Y, Z).
@@ -388,6 +390,22 @@ def test_bulk_insert_equals_a_loop_of_add():
         return [atom("e", const(f"v{i % 7}"), const(f"v{i}"))
                 for i in range(lo, hi)]
 
+    def ids_of(facts):
+        return [array("q", map(term_id, col))
+                for col in zip(*(a.args for a in facts))]
+
+    def exact(interp):
+        """Every built index holds exactly the slots a scan finds."""
+        table = interp.facts_of("e")
+        for positions, index in interp._indexes["e"].items():
+            want = {}
+            for slot in range(len(table)):
+                key = row_key(table.cols[p][slot] for p in positions)
+                want.setdefault(key, set()).add(slot)
+            assert {k: set(b) for k, b in index.items()} == want
+        return {a: table.keys[row_key(map(term_id, a.args))]
+                for a in table}
+
     looped, bulk = Interpretation(), Interpretation()
     for interp in (looped, bulk):
         interp.update(atoms(0, 20))
@@ -397,7 +415,7 @@ def test_bulk_insert_equals_a_loop_of_add():
         interp.id_columns("e")
     for a in atoms(20, 60):
         assert looped.add(a)
-    gained = bulk.extend("e", [a.args for a in atoms(20, 60)])
+    gained = bulk.extend("e", 40, ids_of(atoms(20, 60)))
     assert list(gained) == atoms(20, 60) and gained.start == 20
     # ``update`` skips what is held or repeated and reports the rest.
     again = atoms(50, 70)
@@ -406,46 +424,28 @@ def test_bulk_insert_equals_a_loop_of_add():
         looped.add(a)
     assert bulk == looped and len(bulk) == len(looped) == 70
     assert list(bulk.facts_of("e")) == list(looped.facts_of("e"))
-    assert set(bulk._indexes["e"]) == {(0,), (1,), (0, 1)}
-    for positions, index in looped._indexes["e"].items():
-        assert {k: list(b) for k, b in index.items()} == {
-            k: list(b) for k, b in bulk._indexes["e"][positions].items()
-        }
+    # The key signature covering every position is the key map itself.
+    assert set(bulk._indexes["e"]) == {(0,), (1,)}
+    assert exact(bulk) == exact(looped)
     assert bulk.id_columns("e") == looped.id_columns("e")
     # A rejected batch leaves everything as it was: rows already held or
-    # repeated, ID columns that are not the rows' (shifted, short, floats).
+    # repeated.
     before = (list(bulk.facts_of("e")), len(bulk), bulk.id_columns("e"))
-    fresh = [a.args for a in atoms(70, 74)]
-    ids = [array("q", map(term_id, col)) for col in zip(*fresh)]
-    for rows, id_cols, message in [
-        ([atoms(0, 1)[0].args], None, "repeated or already held"),
-        (fresh + [atoms(5, 6)[0].args], None, "repeated or already held"),
-        (fresh + fresh[:1], None, "repeated or already held"),
-        (fresh[::-1], ids, "ID columns do not match"),
-        (fresh, [c[:3] for c in ids], "ID columns do not match"),
-        (fresh, ids[:1], "ID columns do not match"),
-        (fresh, [array("d", c) for c in ids], "ID columns do not match"),
-    ]:
-        with pytest.raises(Exception, match=message):
-            bulk.extend("e", rows, id_cols)
+    fresh = atoms(70, 74)
+    for rows in ([atoms(0, 1)[0]], fresh + atoms(5, 6), fresh + fresh[:1]):
+        with pytest.raises(Exception, match="repeated or already held"):
+            bulk.extend("e", len(rows), ids_of(rows))
         assert (list(bulk.facts_of("e")), len(bulk),
                 bulk.id_columns("e")) == before
-        for positions, index in looped._indexes["e"].items():
-            assert {k: list(b) for k, b in index.items()} == {
-                k: list(b)
-                for k, b in bulk._indexes["e"][positions].items()
-            }
-    # A batch that is small beside the relation keeps its own IDs but
-    # does not copy the relation's column cache to extend it: the cache
-    # falls behind and catches up, exactly, when it is asked for.
-    gained = bulk.extend("e", fresh, ids)
-    assert gained.start == 70
-    assert gained.id_cols == tuple(c.tobytes() for c in ids)
-    assert bulk._columns["e"][1] == 70
-    for a in atoms(70, 74):
+        assert exact(bulk) == exact(looped)
+    # ... unless the caller says repeats may come: the first of each is
+    # kept.
+    gained = bulk.extend("e", 5, ids_of(fresh + fresh[:1]), repeats=True)
+    assert gained.start == 70 and list(gained) == fresh
+    for a in fresh:
         looped.add(a)
     assert bulk.id_columns("e") == looped.id_columns("e")
-    assert bulk._columns["e"][1] == 74
+    assert exact(bulk) == exact(looped)
     for bad in (atom("=", const("a"), const("a")),
                 parse_program("p(X) :- q(X).").clauses[0].head):
         with pytest.raises(Exception) as one:

@@ -591,7 +591,8 @@ def counted(owner, name):
 
 
 def one_edge_commit_costs(n_nodes, n_edges):
-    """Per commit: (atoms changed, index insertions, point probes)."""
+    """Per commit: (atoms changed, index insertions, point probes); no
+    commit builds an index."""
     vm = serving_model(n_nodes, n_edges)
     edges = [(f"v{i}", f"v{(i * 7 + 1) % n_nodes}") for i in range(12)]
     # The first insertion and the first deletion build, once, the index
@@ -601,9 +602,11 @@ def one_edge_commit_costs(n_nodes, n_edges):
     costs = []
     for k, (u, v) in enumerate(edges * 2):
         write = vm.add if k < len(edges) else vm.retract
-        with counted(interpretation, "_index_insert") as inserts, \
+        with counted(interpretation, "_index_add") as inserts, \
+                counted(interpretation, "_built_index") as builds, \
                 counted(evaluation._CompiledRule, "solutions") as probes:
             snap = write("e", u, v)
+        assert builds.call_count == 0
         report = snap.report
         if report is None or snap is not vm.current:
             continue        # the edge was already there: a no-op commit
@@ -620,12 +623,14 @@ def test_one_edge_commit_costs_its_delta_not_the_model():
     """No clocks: index insertions and point probes per one-edge commit
     are bounded by a small multiple of the atoms the commit changed, at
     either graph size — the copy-on-write hand-over keeps the writer's
-    indexes, and rederive probes candidates only."""
+    indexes, and rederive probes candidates only.  A removal moves its
+    table's last row into the hole, which files that row under its new
+    slot in each built index: insertions count those too."""
     for n_nodes, n_edges in [(500, 300), (2000, 1200)]:
         for changed, inserts, probes in one_edge_commit_costs(
             n_nodes, n_edges
         ):
-            assert inserts <= 3 * changed + 8, (n_nodes, changed, inserts)
+            assert inserts <= 6 * changed + 8, (n_nodes, changed, inserts)
             assert probes <= 3 * changed + 8, (n_nodes, changed, probes)
 
 

@@ -24,7 +24,7 @@ from repro.engine.maintenance import (
     RetiredVersionError,
     VersionedModel,
 )
-from repro.semantics.interpretation import Interpretation
+from repro.semantics.interpretation import Interpretation, row_key
 
 
 def a(pred, *names):
@@ -74,31 +74,41 @@ class TestInterpretationSnapshot:
         """COW conformance for the bucket-level index hand-over: across a
         chain of snapshots and mutations, every built signature — on
         every snapshot and on the writer — answers exactly what a fresh
-        linear scan of that side's facts answers, and the writer never
-        rebuilds a signature it had (``_index_insert`` is the single
-        insertion path, so counting it counts rebuilds)."""
+        linear scan of that side's facts answers, the side's ID columns
+        and key map hold exactly its facts, and no side ever builds a
+        signature again (``_built_index`` is the one build path)."""
         import repro.semantics.interpretation as module
 
         def scan(interp, positions):
             index = {}
             for f in interp.facts_of("e"):
                 key = tuple(f.args[i] for i in positions)
-                index.setdefault(key, []).append(f)
+                index.setdefault(key, set()).add(f)
             return index
 
         def assert_exact(interp):
+            table = interp.facts_of("e")
             built = interp._indexes.get("e", {})
             assert set(built) >= {(0,), (1,)}
             for positions, index in built.items():
                 want = scan(interp, positions)
-                assert {k: list(b) for k, b in index.items()} == want
+                assert {
+                    k: {table.atom(s) for s in b} for k, b in index.items()
+                } == {row_key(map(term_id, k)): v for k, v in want.items()}
                 for key, facts in want.items():
-                    assert list(interp.candidates("e", positions, key)) \
+                    assert set(interp.candidates("e", positions, key)) \
                         == facts
-            # ... and the ID columns are the side's facts, in order.
-            assert interp.id_columns("e") == Interpretation(
-                interp.facts_of("e")
-            ).id_columns("e")
+            # ... and the ID columns and the key map are the side's facts.
+            arity, n, bufs = interp.id_columns("e")
+            cols = []
+            for b in bufs:
+                cols.append(array("q"))
+                cols[-1].frombytes(b)
+            rows = list(zip(*cols))
+            assert n == len(table) and set(rows) == {
+                tuple(map(term_id, f.args)) for f in table
+            }
+            assert table.keys == {row_key(r): s for s, r in enumerate(rows)}
 
         interp = Interpretation(
             [a("e", f"v{i % 5}", f"v{i}") for i in range(40)]
@@ -107,9 +117,9 @@ class TestInterpretationSnapshot:
         interp.candidates("e", (1,), (const("v7"),))
         frozen = []
         with mock.patch.object(
-            module, "_index_insert", autospec=True,
-            side_effect=module._index_insert,
-        ) as inserts:
+            module, "_built_index", autospec=True,
+            side_effect=module._built_index,
+        ) as builds:
             for round_no in range(4):
                 frozen.append((interp.snapshot(), interp.sorted_atoms()))
                 interp.remove(a("e", f"v{round_no}", f"v{round_no}"))
@@ -119,8 +129,7 @@ class TestInterpretationSnapshot:
                 interp.remove(a("e", "fresh", f"v{round_no}"))
                 interp.add(a("e", "fresh", f"v{round_no}"))
                 # The bulk paths hand over like ``add``: one held atom is
-                # skipped, four rows arrive with their ID columns (enough
-                # of them for the column cache to be extended in place).
+                # skipped, four rows arrive as ID columns.
                 assert interp.update(
                     [a("e", "v4", "v4"), a("e", "bulk", f"u{round_no}")]
                 ) == [a("e", "bulk", f"u{round_no}")]
@@ -130,16 +139,15 @@ class TestInterpretationSnapshot:
                     for i in range(1, 5)
                 ]
                 ids = [array("q", map(term_id, col)) for col in zip(*rows)]
-                gained = interp.extend("e", rows, ids)
+                gained = interp.extend("e", 4, ids)
                 assert gained.start == 42 + 6 * round_no
-                assert gained.id_cols == tuple(c.tobytes() for c in ids)
-                assert interp._columns["e"][1] == 46 + 6 * round_no
+                assert gained.id_cols == ids
+                assert [f.args for f in gained] == rows
                 assert_exact(interp)
                 for snap, atoms in frozen:
                     assert snap.sorted_atoms() == atoms
                     assert_exact(snap)
-        # 8 insertions x 2 signatures per round, and not one rebuild.
-        assert inserts.call_count == 4 * 8 * 2
+        assert builds.call_count == 0
 
     def test_lazy_index_on_snapshot_matches_scan(self):
         interp = Interpretation(
