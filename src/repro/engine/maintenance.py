@@ -1057,6 +1057,11 @@ class VersionedModel:
     def builtins(self) -> Mapping[str, Builtin]:
         return self._materialized.builtins
 
+    @property
+    def sorts(self) -> Mapping[tuple[str, int], str]:
+        """The sorts the program's rules read (see :func:`check_fact`)."""
+        return self._materialized.sorts
+
     def at(self, version: int) -> ModelSnapshot:
         """The snapshot published as ``version``.
 

@@ -8,8 +8,9 @@ the routing policy a replicated deployment needs:
   leader is actually a follower; the refusal carries the real leader's
   address and the write is redirected there once.
 * **reads → followers.**  Round-robin over the follower list, falling
-  back to the leader when no follower answers — read capacity scales
-  with followers (see ``benchmarks/test_bench_replication.py``).
+  back to the leader when no follower answers — each follower is a
+  process of its own, so read capacity can grow with followers where
+  there are cores to run them (DESIGN.md, "Replication & failover").
 * **read-your-writes.**  Every acknowledged write's version becomes the
   client's *version token*; a follower read is preceded by
   ``:sync <token>``, so the session never observes a state older than

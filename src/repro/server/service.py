@@ -26,13 +26,14 @@ import os
 import threading
 from typing import Any, Iterable, Mapping, Optional, Union
 
+from ..core.errors import SortError
 from ..core.program import Program
 from ..engine.builtins import Builtin
 from ..engine.database import Database
 from ..engine.evaluation import Evaluator
-from ..engine.maintenance import ModelSnapshot, VersionedModel
+from ..engine.maintenance import ModelSnapshot, VersionedModel, check_fact
 from ..engine.setops import with_set_builtins
-from ..lang import parse_program, predicate_sorts, pretty_program
+from ..lang import parse_program, pretty_program
 from .session import Session, SessionStats
 from .subscriptions import SubscriptionManager
 
@@ -162,13 +163,20 @@ class QueryService:
         """
         with self.model.lock:
             rules = self.model.program
-            program = parse_program(
-                f"{pretty_program(rules)}\n{text}",
-                signatures={
-                    **self.model.current.database.signatures,
-                    **predicate_sorts(rules),
-                },
-            )
+            try:
+                program = parse_program(
+                    f"{pretty_program(rules)}\n{text}",
+                    signatures={
+                        **self.model.current.database.signatures,
+                        **self.model.sorts,
+                    },
+                )
+            except SortError:
+                # A fact the rules read at another sort is refused as a
+                # written one is: FactSortError, naming the fact.
+                for f in parse_program(text).facts():
+                    check_fact(f, self.model.builtins, self.model.sorts)
+                raise
             Evaluator(program, builtins=self.model.builtins)
             snap = self.model.apply_delta(adds=program.facts())
             if program.rules() != rules:

@@ -55,6 +55,7 @@ from ..engine.maintenance import (
     ModelSnapshot,
     RetiredVersionError,
     VersionedModel,
+    check_fact,
 )
 from ..engine.planner import compile_grouping, compile_rule
 from ..lang import (
@@ -616,6 +617,10 @@ class Session:
                         f"pending batch exceeds max_batch={self._max_batch};"
                         " :commit or :abort it",
                     )
+                # Refused now, not at :commit, where it would fail the
+                # whole batch and every read that flushes it.
+                check_fact(a, self._model.builtins,
+                           self._model.sorts if is_add else None)
                 pending.append((is_add, a))
                 return Response(
                     ok=True, kind="write",

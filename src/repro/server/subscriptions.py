@@ -45,8 +45,9 @@ computed by delta-plan evaluation, never by re-running the query:
   :meth:`Cursor.read <repro.engine.commits.Cursor.read>`; per commit it
   builds two sets of delta engines (adds over the new snapshot, dels over
   the old) shared by *all* standing queries, which is what makes
-  thousands of subscriptions cheap (see
-  ``benchmarks/test_bench_subscribe.py``).  A dispatcher that falls
+  thousands of subscriptions cheap: a commit's dispatch reads rows in
+  proportion to its delta, not to the answer sets
+  (``tests/test_layer_costs.py``).  A dispatcher that falls
   behind ``keep_versions`` (the stream carries versions, not snapshots)
   catches up with one evaluate-and-diff spanning what it skipped.
 

@@ -6,8 +6,9 @@ combinatorially on adversarial random programs (the paper itself flags the
 procedure as impractical in general — Section 3.2).  With free-running
 randomness, the property tests occasionally draw such a program and a
 20-second suite turns into a multi-minute one.  Derandomized draws give the
-same coverage on every run, keep tier-1 wall-clock stable, and make
-benchmark numbers comparable across PRs.
+same coverage on every run and keep tier-1 wall-clock stable.  No test
+here asserts a duration: the cost claims are counts
+(``tests/test_layer_costs.py``), and ``bench/run.py`` gives the numbers.
 
 A test that hangs (a deadlock, a lost wake-up) would otherwise stop the
 whole run with no word of where.  On POSIX every test call runs under a
@@ -33,7 +34,7 @@ settings.register_profile(
 settings.load_profile("repro-deterministic")
 
 #: Seconds one test call may take before it is failed (the slowest test
-#: takes about 11 s).
+#: takes about 9 s).
 TEST_TIMEOUT_S = 300
 
 

@@ -12,18 +12,12 @@ shipped model (and, where ``T_P`` applies, the brute-force oracle's):
 * ``solver``     — the planner answers tuple-mode for every body, so
   ``_CompiledRule`` falls back to the tuple ``Solver`` everywhere,
   including the pinned delta variants of maintenance and subscriptions.
-
-One more arm exists for the maintenance benchmark's baseline only:
-``recompute`` drops the rederive size gate to zero, so every nonrecursive
-stratum is cleared and re-evaluated per batch, as before the rederive
-plan existed.
 """
 
 from contextlib import contextmanager
 
 import repro.engine.columnar as columnar
 import repro.engine.evaluation as evaluation
-import repro.engine.maintenance as maintenance
 from repro.core import fact
 from repro.engine.evaluation import EvalOptions
 from repro.engine.planner import _tuple_plan
@@ -45,8 +39,6 @@ _PATCHES = {
     "no-numpy": ((columnar, "_np", None),),
     "solver": ((evaluation, "compile_rule", _tuple_mode),
                (evaluation, "compile_grouping", _tuple_mode)),
-    "recompute": ((maintenance, "REDERIVE_MIN_GATE", 0),
-                  (maintenance, "REDERIVE_INPUT_RATIO", 1 << 62)),
 }
 
 

@@ -591,8 +591,8 @@ def counted(owner, name):
 
 
 def one_edge_commit_costs(n_nodes, n_edges):
-    """Per commit: (atoms changed, index insertions, point probes); no
-    commit builds an index."""
+    """Per commit: (atoms changed, index insertions, point probes,
+    executor rows read); no commit builds an index."""
     vm = serving_model(n_nodes, n_edges)
     edges = [(f"v{i}", f"v{(i * 7 + 1) % n_nodes}") for i in range(12)]
     # The first insertion and the first deletion build, once, the index
@@ -602,6 +602,7 @@ def one_edge_commit_costs(n_nodes, n_edges):
     costs = []
     for k, (u, v) in enumerate(edges * 2):
         write = vm.add if k < len(edges) else vm.retract
+        read = vm.exec_stats.rows_in
         with counted(interpretation, "_index_add") as inserts, \
                 counted(interpretation, "_built_index") as builds, \
                 counted(evaluation._CompiledRule, "solutions") as probes:
@@ -614,7 +615,8 @@ def one_edge_commit_costs(n_nodes, n_edges):
         assert [sp.plan for sp in report.stratum_plans] == \
             ["dred", "rederive"]
         costs.append((report.atoms_added + report.atoms_removed,
-                      inserts.call_count, probes.call_count))
+                      inserts.call_count, probes.call_count,
+                      vm.exec_stats.rows_in - read))
     assert len(costs) >= 12
     return costs
 
@@ -627,11 +629,26 @@ def test_one_edge_commit_costs_its_delta_not_the_model():
     table's last row into the hole, which files that row under its new
     slot in each built index: insertions count those too."""
     for n_nodes, n_edges in [(500, 300), (2000, 1200)]:
-        for changed, inserts, probes in one_edge_commit_costs(
+        for changed, inserts, probes, _ in one_edge_commit_costs(
             n_nodes, n_edges
         ):
             assert inserts <= 6 * changed + 8, (n_nodes, changed, inserts)
             assert probes <= 3 * changed + 8, (n_nodes, changed, probes)
+
+
+def test_serving_program_commit_rows_do_not_grow_with_the_graph():
+    """Executor rows read per one-edge commit are a small multiple of the
+    atoms it changed, and per changed atom the same within a constant
+    on a graph four times larger.  Recomputing the negation and grouping
+    strata per commit reads thousands of rows here, more on the larger
+    graph."""
+    per_atom = []
+    for n_nodes, n_edges in [(500, 300), (2000, 1200)]:
+        costs = one_edge_commit_costs(n_nodes, n_edges)
+        for changed, _, _, rows in costs:
+            assert rows <= 8 * changed + 16, (n_nodes, changed, rows)
+        per_atom.append(sum(c[3] for c in costs) / sum(c[0] for c in costs))
+    assert per_atom[1] <= per_atom[0] + 2, per_atom
 
 
 #: A conjunctive-only stratum: nothing in it negates or groups.

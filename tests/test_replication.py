@@ -126,6 +126,33 @@ class TestShipping:
                 f.stop()
         svc.shutdown()
 
+    def test_an_idle_stream_heartbeats(self, tmp_path, monkeypatch):
+        acks = []
+        ack = FollowerService._ack
+        monkeypatch.setattr(FollowerService, "_ack",
+                            lambda self, sock: acks.append(1) or ack(self, sock))
+        svc = leader_service(tmp_path / "leader")
+        with run_in_thread(svc) as h:
+            f = FollowerService(h.addr, tmp_path / "f",
+                                **dict(FAST, read_timeout=0.02))
+            f.start()
+            acks.clear()
+            try:
+                assert wait_until(lambda: len(acks) >= 2)   # no records
+                assert svc.hub.replica_info()["acked"] == [svc.model.version]
+            finally:
+                f.stop()
+        svc.shutdown()
+
+    def test_a_leader_without_replication_refuses_a_follower(self, tmp_path):
+        svc = QueryService(TC)
+        with run_in_thread(svc) as h:
+            f = FollowerService(h.addr, tmp_path / "f", **FAST)
+            with pytest.raises(ReplicationError,
+                               match="leader refused replication"):
+                f.start(timeout=1.0)
+        svc.shutdown()
+
     def test_fresh_follower_bootstraps_from_snapshot(self, tmp_path):
         """A follower that joins late starts from a shipped snapshot (a
         fresh store's initial version lives only in the leader's

@@ -12,6 +12,7 @@ Two contracts:
   the shared model fully usable.
 """
 
+import re
 import socket
 import time
 
@@ -19,6 +20,7 @@ import pytest
 
 from repro import parse_program
 from repro.core import atom, const
+from repro.core.errors import LPSError
 from repro.engine import Database, Evaluator
 from repro.engine.setops import with_set_builtins
 from repro.server import (
@@ -244,6 +246,36 @@ class TestWriteBatches:
         assert s.execute(":abort").data["dropped"] == 1
         assert not s.execute("?- e(a, b).").data["truth"]
         svc.shutdown()
+
+    def test_a_staged_fact_of_the_wrong_sort_is_refused_alone(self):
+        with service("q(X) :- sf(X).") as svc:
+            s = svc.open_session()
+            s.execute(":begin")
+            assert s.execute("+sf(a).").data == {"staged": 1}
+            refused = s.execute("+sf({a}).")
+            assert refused.code == "sort_conflict" and "sf({a})" in refused.error
+            assert s.execute("?- q(X).").data["rows"] == [{"X": "a"}]
+            # A rule that arrives after staging is checked at :commit,
+            # which fails and keeps the batch.
+            s.execute(":begin")
+            assert s.execute("+r({b}).").data == {"staged": 1}
+            svc.open_session().add_clause("p(X) :- r(X).")
+            assert s.execute(":commit").code == "sort_conflict"
+            assert s.execute(":abort").data == {"dropped": 1}
+
+    def test_a_program_fact_of_the_wrong_sort_is_refused_as_a_write(self):
+        with service("q(X) :- sf(X).") as svc:
+            s = svc.open_session()
+            written = s.execute("+sf({c}).")
+            line = s.execute("sf({c}).")
+            assert written.code == line.code == "sort_conflict"
+            assert line.error == written.error
+            assert "argument 1 of 'sf'" in written.error
+            with pytest.raises(LPSError, match=re.escape(written.error)):
+                svc.extend_program("p(b). sf({c}).")
+            # A rule whose sorts conflict is no write: a plain sort error.
+            assert s.execute("r(S) :- sf(S), a in S.").code == E_EVAL
+            assert svc.model.version == 1
 
 
 class TestTimeTravel:
