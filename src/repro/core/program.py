@@ -1,7 +1,9 @@
 """LPS programs (Definition 6) and program-level analyses.
 
 A :class:`Program` is a finite set of clauses — LPS clauses plus, in the LDL
-comparison of Section 6, grouping clauses.  The class provides:
+comparison of Section 6, grouping clauses.  Its ground facts are data, held
+as term-ID columns (:class:`FactGroup`) and built into clauses only when
+read.  The class provides:
 
 * validation of the sort discipline per language *mode* (``"lps"`` enforces
   one level of set nesting, ``"elps"`` allows arbitrary nesting — Section 5),
@@ -14,14 +16,16 @@ comparison of Section 6, grouping clauses.  The class provides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Union
+import itertools
+from array import array
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .atoms import Atom, Literal
 from .clauses import GroupingClause, LPSClause
 from .errors import ClauseError, SortError
 from .sorts import SORT_S, SORT_U, is_special_predicate
 from .terms import (
+    TERM_DICT,
     App,
     Const,
     SetExpr,
@@ -34,25 +38,124 @@ from .terms import (
 
 AnyClause = Union[LPSClause, GroupingClause]
 
+_TERMS = TERM_DICT.terms
+
 #: Language modes.
 MODE_LPS = "lps"
 MODE_ELPS = "elps"
 
 
-@dataclass(frozen=True)
+class FactGroup:
+    """The ground facts of one predicate with one argument-sort pattern,
+    as term-ID columns in source order.
+
+    ``sorts`` holds one sort (``"a"`` or ``"s"``) per argument position;
+    ``cols`` one ``array('q')`` of :data:`~repro.core.terms.TERM_DICT`
+    IDs per position, row ``i`` being ``cols[j][i]`` for each ``j``.
+    Repeated rows are kept, as the text repeats them.
+    """
+
+    __slots__ = ("pred", "sorts", "n", "cols")
+
+    def __init__(
+        self, pred: str, sorts: str, rows: Sequence[tuple[int, ...]]
+    ) -> None:
+        self.pred = pred
+        self.sorts = sorts
+        self.n = len(rows)
+        self.cols = tuple(array("q", c) for c in zip(*rows))
+
+    @property
+    def arity(self) -> int:
+        return len(self.sorts)
+
+    def ids(self, lo: int, hi: int) -> Iterable[int]:
+        """The IDs of rows ``[lo, hi)``, row by row."""
+        return itertools.chain.from_iterable(
+            zip(*[c[lo:hi] for c in self.cols])
+        )
+
+    def atoms(self, lo: int, hi: int) -> list[Atom]:
+        """The atoms of rows ``[lo, hi)``, built now."""
+        if not self.cols:
+            return [Atom(self.pred, ())] * (hi - lo)
+        term = _TERMS.__getitem__
+        rows = zip(*[map(term, c[lo:hi]) for c in self.cols])
+        return list(map(Atom, itertools.repeat(self.pred), rows))
+
+
+#: The program in source order: ``(group, count)`` runs, ``group`` an
+#: index into the fact groups or ``-1`` for the next ``count`` rules.
+Layout = tuple[tuple[int, int], ...]
+
+
 class Program:
     """A finite set of clauses with a language mode.
 
-    ``clauses`` preserves source order (useful for printing); semantics does
-    not depend on the order.
+    A program is its rules (every clause that is not a ground fact) and
+    its ground facts, held as :class:`FactGroup` ID columns, plus the
+    layout that interleaves them in source order.  :attr:`clauses`
+    (source order, useful for printing) and :meth:`facts` build the fact
+    clauses and atoms when read; the analyses read one signature per fact
+    group and each distinct fact term once.  Semantics does not depend on
+    the order.  A program built from clauses keeps them and splits off
+    its facts when something first asks for the parts.
+
+    Immutable: equal programs have equal clause sequences and modes.
     """
 
-    clauses: tuple[AnyClause, ...] = ()
-    mode: str = MODE_LPS
+    __slots__ = ("mode", "_clauses", "_parts", "_valid")
 
-    def __post_init__(self) -> None:
-        if self.mode not in (MODE_LPS, MODE_ELPS):
-            raise ClauseError(f"unknown language mode {self.mode!r}")
+    def __init__(
+        self, clauses: Iterable[AnyClause] = (), mode: str = MODE_LPS
+    ) -> None:
+        if mode not in (MODE_LPS, MODE_ELPS):
+            raise ClauseError(f"unknown language mode {mode!r}")
+        self.mode = mode
+        self._clauses: Optional[tuple[AnyClause, ...]] = tuple(clauses)
+        #: ``(rules, fact groups, layout)``, split off on first use.
+        self._parts: Optional[tuple] = None
+        self._valid = False
+
+    @staticmethod
+    def _of_parts(
+        rules: tuple[AnyClause, ...], groups: tuple[FactGroup, ...],
+        layout: Layout, mode: str,
+    ) -> "Program":
+        p = Program((), mode)
+        p._clauses = None if groups else rules
+        p._parts = (rules, groups, layout)
+        return p
+
+    def _split(self) -> tuple:
+        parts = self._parts
+        if parts is None:
+            b = ProgramBuilder()
+            for c in self._clauses:
+                b.clause(c)
+            parts = self._parts = b.parts()
+        return parts
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Program):
+            return NotImplemented
+        if self.mode != other.mode:
+            return False
+        (r1, g1, l1), (r2, g2, l2) = self._split(), other._split()
+        return r1 == r2 and l1 == l2 and [
+            (g.pred, g.sorts, g.cols) for g in g1
+        ] == [(g.pred, g.sorts, g.cols) for g in g2]
+
+    def __hash__(self) -> int:
+        rules, _, layout = self._split()
+        return hash((self.mode, rules, layout))
+
+    def __reduce__(self):
+        # Term IDs are process-local: a pickle carries the clauses.
+        return (Program, (self.clauses, self.mode))
+
+    def __repr__(self) -> str:
+        return f"Program(clauses={self.clauses!r}, mode={self.mode!r})"
 
     # -- construction ----------------------------------------------------------
 
@@ -67,8 +170,39 @@ class Program:
     def with_clauses(self, extra: Iterable[AnyClause]) -> "Program":
         return Program(self.clauses + tuple(extra), mode=self.mode)
 
+    @property
+    def clauses(self) -> tuple[AnyClause, ...]:
+        """Every clause, in source order (fact clauses built on first
+        read, then kept)."""
+        out = self._clauses
+        if out is None:
+            built: list[AnyClause] = []
+            for group, lo, hi in self._runs():
+                if group is None:
+                    built += self._parts[0][lo:hi]
+                else:
+                    built += map(LPSClause, group.atoms(lo, hi))
+            out = self._clauses = tuple(built)
+        return out
+
+    @property
+    def fact_groups(self) -> tuple[FactGroup, ...]:
+        """The ground facts, as ID columns per predicate and sort pattern."""
+        return self._split()[1]
+
+    def _runs(self) -> Iterator[tuple[Optional[FactGroup], int, int]]:
+        """The program in source order as runs: ``(None, lo, hi)`` for
+        rules ``[lo, hi)``, ``(group, lo, hi)`` for a group's rows."""
+        _, groups, layout = self._split()
+        at = [0] * (len(groups) + 1)        # per group; at[-1]: the rules
+        for g, n in layout:
+            lo = at[g]
+            at[g] = lo + n
+            yield (None if g < 0 else groups[g]), lo, lo + n
+
     def __len__(self) -> int:
-        return len(self.clauses)
+        rules, groups, _ = self._split()
+        return len(rules) + sum(g.n for g in groups)
 
     def __iter__(self) -> Iterator[AnyClause]:
         return iter(self.clauses)
@@ -81,7 +215,7 @@ class Program:
                 yield c
 
     def grouping_clauses(self) -> Iterator[GroupingClause]:
-        for c in self.clauses:
+        for c in self._split()[0]:
             if isinstance(c, GroupingClause):
                 yield c
 
@@ -101,15 +235,20 @@ class Program:
                     f"predicate {pred!r} used with arities {prev} and {arity}"
                 )
 
-        for c in self.clauses:
-            if isinstance(c, LPSClause):
-                note(c.head.pred, c.head.arity)
-                for a in c.body_atoms():
-                    note(a.pred, a.arity)
-            else:
-                note(c.pred, len(c.head_args) + 1)
-                for lit in c.body:
-                    note(lit.atom.pred, lit.atom.arity)
+        rules = self._split()[0]
+        for group, lo, hi in self._runs():
+            if group is not None:
+                note(group.pred, group.arity)
+                continue
+            for c in rules[lo:hi]:
+                if isinstance(c, LPSClause):
+                    note(c.head.pred, c.head.arity)
+                    for a in c.body_atoms():
+                        note(a.pred, a.arity)
+                else:
+                    note(c.pred, len(c.head_args) + 1)
+                    for lit in c.body:
+                        note(lit.atom.pred, lit.atom.arity)
         return out
 
     def idb_predicates(self) -> set[str]:
@@ -117,21 +256,30 @@ class Program:
         return self.rules().head_predicates()
 
     def head_predicates(self) -> set[str]:
-        return {self.head_pred(c) for c in self.clauses}
+        rules, groups, _ = self._split()
+        return {self.head_pred(c) for c in rules} | {g.pred for g in groups}
 
     def facts(self) -> Iterator[Atom]:
-        """The heads of the ground fact clauses: data, which every load
-        boundary moves into the EDB."""
-        for c in self.clauses:
-            if _is_data(c):
-                yield c.head
+        """The heads of the ground fact clauses, in source order: data,
+        which every load boundary moves into the EDB."""
+        if self._clauses is not None:
+            for c in self._clauses:
+                if _is_data(c):
+                    yield c.head
+            return
+        for group, lo, hi in self._runs():
+            if group is not None:
+                yield from group.atoms(lo, hi)
 
     def rules(self) -> "Program":
         """The program without its ground facts.  Non-ground unit clauses
         (Theorem 10's ∅ base cases) are rules over the active domain."""
-        return Program(
-            tuple(c for c in self.clauses if not _is_data(c)), mode=self.mode
+        rules = self._split()[0]
+        p = Program._of_parts(
+            rules, (), ((-1, len(rules)),) if rules else (), self.mode
         )
+        p._valid = self._valid
+        return p
 
     def constants(self) -> set[Term]:
         """All ground sort-a terms (constants, ground function terms) occurring
@@ -166,19 +314,35 @@ class Program:
         return out
 
     def all_terms(self) -> Iterator[Term]:
-        for c in self.clauses:
-            if isinstance(c, LPSClause):
-                yield from c.head.args
-                for _, source in c.quantifiers:
-                    yield source
-                for lit in c.body:
-                    yield from lit.atom.args
-            else:
-                yield from c.head_args
-                for lit in c.body:
-                    yield from lit.atom.args
+        """The argument and range terms of every clause, in source order;
+        a fact term is yielded at its first occurrence only."""
+        rules = self._split()[0]
+        seen: set[int] = set()
+        for group, lo, hi in self._runs():
+            if group is not None:
+                fresh = [i for i in dict.fromkeys(group.ids(lo, hi))
+                         if i not in seen]
+                seen.update(fresh)
+                yield from map(_TERMS.__getitem__, fresh)
+                continue
+            for c in rules[lo:hi]:
+                if isinstance(c, LPSClause):
+                    yield from c.head.args
+                    for _, source in c.quantifiers:
+                        yield source
+                    for lit in c.body:
+                        yield from lit.atom.args
+                else:
+                    yield from c.head_args
+                    for lit in c.body:
+                        yield from lit.atom.args
 
     # -- validation ---------------------------------------------------------------
+
+    @property
+    def validated(self) -> bool:
+        """Whether :meth:`validate` has passed on this program."""
+        return self._valid
 
     def validate(self) -> None:
         """Check the sort discipline for the program's mode.
@@ -190,6 +354,7 @@ class Program:
         """
         self.predicates()  # consistent arities
         if self.mode == MODE_ELPS:
+            self._valid = True
             return
         for t in self.all_terms():
             if t.__class__ is Const:
@@ -213,14 +378,16 @@ class Program:
                                 f"set term {s} contains a set-sorted element "
                                 f"{e}; LPS sets contain atoms only"
                             )
+        self._valid = True
 
     def has_negation(self) -> bool:
         return any(
-            isinstance(c, LPSClause) and c.has_negation() for c in self.clauses
+            isinstance(c, LPSClause) and c.has_negation()
+            for c in self._split()[0]
         )
 
     def has_grouping(self) -> bool:
-        return any(isinstance(c, GroupingClause) for c in self.clauses)
+        return any(isinstance(c, GroupingClause) for c in self._split()[0])
 
     # -- dependency graph ------------------------------------------------------
 
@@ -231,7 +398,7 @@ class Program:
         extension of its body predicates, like negation — Section 6 /
         [BNR*87]).  Special predicates never appear as nodes.
         """
-        for c in self.clauses:
+        for c in self._split()[0]:
             if isinstance(c, LPSClause):
                 for lit in c.body:
                     if not lit.atom.is_special():
@@ -252,6 +419,57 @@ class Program:
 def _is_data(c: AnyClause) -> bool:
     """Whether a clause is a ground fact (what a database fact means)."""
     return isinstance(c, LPSClause) and c.is_fact and c.head.is_ground()
+
+
+class ProgramBuilder:
+    """Assembles a :class:`Program` in source order: a clause at a time,
+    or ground facts a run of ID rows at a time (the parser's ``FACT``
+    lexemes), each fact joining the group of its predicate and sorts."""
+
+    def __init__(self) -> None:
+        self._rules: list[AnyClause] = []
+        self._groups: dict[tuple[str, str], int] = {}
+        self._rows: list[list[tuple[int, ...]]] = []
+        self._layout: list[tuple[int, int]] = []
+
+    def clause(self, c: AnyClause) -> None:
+        if _is_data(c):
+            args = c.head.args
+            self.rows(
+                (c.head.pred, "".join([t.sort for t in args])),
+                [tuple(map(TERM_DICT.id_of, args))],
+            )
+        else:
+            self._rules.append(c)
+            self._run(-1, 1)
+
+    def rows(self, key: tuple[str, str], rows: list[tuple[int, ...]]) -> None:
+        """Append ground facts ``key[0](...)`` of sorts ``key[1]``, given
+        as rows of term IDs."""
+        g = self._groups.get(key)
+        if g is None:
+            g = self._groups[key] = len(self._rows)
+            self._rows.append([])
+        self._rows[g] += rows
+        self._run(g, len(rows))
+
+    def _run(self, g: int, n: int) -> None:
+        layout = self._layout
+        if layout and layout[-1][0] == g:
+            layout[-1] = (g, layout[-1][1] + n)
+        else:
+            layout.append((g, n))
+
+    def parts(self) -> tuple:
+        return (
+            tuple(self._rules),
+            tuple(FactGroup(pred, sorts, self._rows[g])
+                  for (pred, sorts), g in self._groups.items()),
+            tuple(self._layout),
+        )
+
+    def program(self, mode: str = MODE_LPS) -> Program:
+        return Program._of_parts(*self.parts(), mode)
 
 
 def rename_predicates(program: Program, mapping: Mapping[str, str]) -> Program:

@@ -28,15 +28,17 @@ Encode/decode boundaries (see DESIGN.md, "Columnar execution"):
   ``Interpretation.extend`` or a query answer kept in ID space
   (``engine.answers``) decodes none — and any operator that must see
   real values
-  (``Compute``, ``Unnest``, builtin ``Select`` — plus generic-shape scans)
-  runs the inherited row kernel over its decoded input.  The per-node
+  (builtin ``Compute``, ``Unnest``, builtin ``Select`` — plus
+  generic-shape scans) runs the inherited row kernel over its decoded
+  input.  The per-node
   fallback keeps the plan running columnar around type-sensitive islands.
 
 Capability is static per node (:func:`columnar_capable`): ``Unit``,
 ``Join``, ``Project``, ``Distinct`` and ``GroupBy`` always qualify;
 ``Scan`` needs a deterministic match shape; equality/membership
 ``Select`` and relational ``AntiJoin`` need every argument to be a schema
-variable or ground.  Everything else — and every *dynamic* type
+variable or ground; an equality ``Compute`` must bind its one new
+variable to a schema variable or a ground term (a column copy).  Everything else — and every *dynamic* type
 misprediction, exactly as in the row executor — falls back, ultimately to
 :class:`~repro.engine.executor.PlanInapplicable` and the tuple solver, so
 the computed model is the same whichever kernel ran a node
@@ -87,6 +89,7 @@ from .executor import (
 )
 from .ir import (
     AntiJoin,
+    Compute,
     Distinct,
     GroupBy,
     Join,
@@ -143,6 +146,27 @@ def _arg_meta(node: PlanNode, args, out_vars):
     return m
 
 
+def _copy_meta(node: Compute):
+    """``(access, sort)`` of an equality ``Compute`` that binds its one
+    new variable, of sort ``sort``, to a schema variable or a ground term
+    (``access`` as in :func:`_simple_args`), memoized on the node;
+    ``False`` for any other ``Compute``."""
+    m = getattr(node, "_cmeta", None)
+    if m is None:
+        m = False
+        if node.kind == "equals" and len(node.new_vars) == 1:
+            (v,) = node.new_vars
+            l, r = node.atom.args
+            other = r if l == v else l if r == v else None
+            access = None if other is None else _simple_args(
+                (other,), node.input.out_vars
+            )
+            if access is not None:
+                m = (access[0], v.sort)
+        node._cmeta = m
+    return m
+
+
 def columnar_capable(node: PlanNode, builtins: Mapping[str, Builtin]) -> bool:
     """Whether :class:`ColumnarExecutor` runs this node on ID columns.
 
@@ -169,7 +193,9 @@ def columnar_capable(node: PlanNode, builtins: Mapping[str, Builtin]) -> bool:
         if a.is_special() or a.pred in builtins:
             return False
         return _arg_meta(node, a.args, node.input.out_vars) is not False
-    return False  # Compute, Unnest: bind new values per row
+    if cls is Compute:
+        return _copy_meta(node) is not False
+    return False  # Unnest: binds new values per row
 
 
 def plan_mode_counts(
@@ -768,6 +794,31 @@ class ColumnarExecutor(Executor):
         self.stats.note(node.op, n, len(keep))
         return len(keep), out
 
+    def _compute_cols(self, node: Compute) -> tuple:
+        """``X = Z`` binding ``Z``: the source column (or the ground
+        term, repeated) becomes ``Z``'s, less the rows whose value the
+        row path's unification refuses for ``Z``'s sort."""
+        n, cols = self.cols(node.input)
+        access, sort = node._cmeta
+        if self.params is not None:
+            (access,) = bind_pairs((access,), self.params)
+        kind, v = access
+        if kind == "col":
+            col = cols[v]
+            keep = _sort_mask(sort)[col]
+            if keep.all():
+                keep = None
+        else:
+            col = _np.full(n, _ID_OF(v), dtype=_np.int64)
+            keep = None if sorts_compatible(sort, v.sort) \
+                else _np.zeros(n, dtype=bool)
+        out = [*cols, col]
+        if keep is not None:
+            out = [c[keep] for c in out]
+        n_out = len(out[-1])
+        self.stats.note(node.op, n, n_out)
+        return n_out, out
+
     def _anti_join_cols(self, node: AntiJoin) -> tuple:
         n, cols = self.cols(node.input)
         metas = node._cmeta
@@ -911,6 +962,7 @@ _COL_DISPATCH = {
     Scan: ColumnarExecutor._scan_cols,
     Join: ColumnarExecutor._join_cols,
     Select: ColumnarExecutor._select_cols,
+    Compute: ColumnarExecutor._compute_cols,
     AntiJoin: ColumnarExecutor._anti_join_cols,
     Project: ColumnarExecutor._project_cols,
     Distinct: ColumnarExecutor._distinct_cols,

@@ -116,8 +116,7 @@ class ActiveDomain:
     def note_term(self, t: Term) -> None:
         # The domain only grows, so noting a term is idempotent — and terms
         # are interned with cached hashes, so one dict probe replaces the
-        # subterm walk for every repeat (fact columns repeat constants
-        # heavily; this is the hot path of bulk fact loading).
+        # subterm walk for every repeat.
         if t in self._noted:
             return
         self._noted[t] = None
@@ -136,8 +135,11 @@ class ActiveDomain:
             self.note_term(t)
 
     def note_terms(self, terms: Iterable[Term]) -> None:
+        """Note each term not noted yet (a repeat costs one probe)."""
+        noted = self._noted
         for t in terms:
-            self.note_term(t)
+            if t not in noted:
+                self.note_term(t)
 
     def note_rows(self, rows: Iterable[Sequence[Term]]) -> None:
         """Note every cell of a batch of ground rows, each distinct term
@@ -801,7 +803,8 @@ class Evaluator:
         self.database = database
         self.builtins = builtins
         self.options = options or EvalOptions()
-        program.validate()
+        if not program.validated:
+            program.validate()
         self._check_builtin_heads()
         # The program's facts are EDB (``run``); its rules are stratified.
         self.stratification: Stratification = stratify(
@@ -818,8 +821,10 @@ class Evaluator:
         self._sharding_unavailable = False
 
     def _check_builtin_heads(self) -> None:
-        for c in self.program.clauses:
-            head_pred = c.head.pred if isinstance(c, LPSClause) else c.pred
+        if self.program.head_predicates().isdisjoint(self.builtins):
+            return
+        for c in self.program.clauses:      # the first one, in source order
+            head_pred = self.program.head_pred(c)
             if head_pred in self.builtins:
                 raise EvaluationError(
                     f"clause head uses builtin predicate {head_pred!r}"
@@ -891,9 +896,10 @@ class Evaluator:
         """
         domain = ActiveDomain()
         report = EvalReport(stats=SolverStats())
-        for t in self.program.all_terms():
-            domain.note_term(t)
-        edb: list[Atom] = list(self.program.facts())
+        # Each distinct term of the program once, its facts' included.
+        domain.note_terms(self.program.all_terms())
+        facts = self.program.fact_groups
+        edb: list[Atom] = []
         if self.database is not None:
             edb += self.database.facts()
         builtin = {a.pred for a in edb} & self.builtins.keys()
@@ -914,6 +920,8 @@ class Evaluator:
                 )
             version_before = domain.version
             interp = Interpretation()
+            for f in facts:
+                interp.extend(f.pred, f.n, f.cols, repeats=True)
             interp.update(edb)
             groups = self.stratification.rule_groups()
             for gi, stratum in enumerate(self.stratification.strata):

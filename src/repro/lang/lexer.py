@@ -22,10 +22,12 @@ after ``.``, after a directive) the lexer first tries :data:`_FACT`: a flat
 ground fact ``pred(arg, ...).`` or ``pred.`` on one line, each argument a
 lower-case ASCII identifier, an ASCII integer, a quoted string or a
 ``{...}`` of those.  A match is one ``FACT`` token whose ``text`` is the
-built :class:`~repro.core.atoms.Atom` — the atom recursive descent would
-build from the same characters — followed by the fact's ``.`` token.
-Anything else falls through to the ordinary tokens at the same offset, so
-errors keep their text and position.
+fact as a row of term IDs, ``((pred, sorts), ids)``: ``ids`` are the
+:data:`~repro.core.terms.TERM_DICT` IDs of the terms recursive descent
+would build from the same characters, ``sorts`` their sorts (``"a"`` or
+``"s"`` per argument).  No :class:`~repro.core.atoms.Atom` is built.  The
+fact's ``.`` token follows.  Anything else falls through to the ordinary
+tokens at the same offset, so errors keep their text and position.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import NamedTuple, Optional
 
 from ..core.atoms import Atom
 from ..core.errors import ParseError
-from ..core.terms import Const, SetValue
+from ..core.terms import TERM_DICT, Const, SetValue
 
 KEYWORDS = {"forall", "exists", "in", "not", "or", "and", "true"}
 
@@ -53,7 +55,7 @@ EOF = "EOF"
 
 class Token(NamedTuple):
     kind: str
-    text: str           # for FACT, the built Atom
+    text: str           # for FACT, ``((pred, sorts), ids)``
     line: int
     column: int
 
@@ -97,13 +99,9 @@ _ATOM = re.compile(_ATOM_SRC)
 _PIECE = re.compile(rf"({_INT})|'({_PAYLOAD})'(?!')|({_IDENT})|(\{{)|\}}")
 
 
-def _build_atom(pred: str, args_text: Optional[str]) -> Optional[Atom]:
-    """The atom of a fact-pattern match; ``None`` when a keyword makes it
-    something recursive descent must judge."""
-    if pred in KEYWORDS:
-        return None
-    if args_text is None:
-        return Atom(pred, ())
+def _build_args(args_text: str) -> Optional[tuple]:
+    """The argument terms of a fact-pattern match; ``None`` when a keyword
+    makes it something recursive descent must judge."""
     args: list = []
     out = args
     for m in _PIECE.finditer(args_text):
@@ -122,13 +120,59 @@ def _build_atom(pred: str, args_text: Optional[str]) -> Optional[Atom]:
         else:
             args.append(SetValue(frozenset(out)))
             out = args
-    return Atom(pred, tuple(args))
+    return tuple(args)
 
 
 def flat_atom(source: str) -> Optional[Atom]:
     """The atom if all of ``source`` is a flat ground atom (no ``.``)."""
     m = _ATOM.fullmatch(source)
-    return None if m is None else _build_atom(m.group(1), m.group(2))
+    if m is None or m.group(1) in KEYWORDS:
+        return None
+    if m.group(2) is None:
+        return Atom(m.group(1), ())
+    args = _build_args(m.group(2))
+    return None if args is None else Atom(m.group(1), args)
+
+
+def _const_id(piece: str) -> Optional[int]:
+    """The term ID of one unquoted constant argument (blanks around it
+    allowed); ``None`` for a keyword."""
+    word = piece.strip(" \t")
+    if word[0] in "-0123456789":
+        return TERM_DICT.id_of(Const(int(word)))
+    return None if word in KEYWORDS else TERM_DICT.id_of(Const(word))
+
+
+def _fact_row(
+    pred: str, args_text: Optional[str], seen: dict[str, Optional[int]]
+) -> Optional[tuple]:
+    """The ``FACT`` token text of a fact-pattern match, ``((pred, sorts),
+    ids)``; ``None`` when a keyword makes it something recursive descent
+    must judge.  ``seen`` maps an unquoted argument's text to its ID
+    (``None`` for a keyword), so a constant repeated through a program is
+    looked up once."""
+    if pred in KEYWORDS:
+        return None
+    if args_text is None:
+        return (pred, ""), ()
+    if "{" in args_text or "'" in args_text:
+        args = _build_args(args_text)
+        if args is None:
+            return None
+        return (pred, "".join([t.sort for t in args])), tuple(
+            map(TERM_DICT.id_of, args)
+        )
+    pieces = args_text.split(",")
+    try:
+        ids = tuple(map(seen.__getitem__, pieces))
+    except KeyError:
+        for piece in pieces:
+            if piece not in seen:
+                seen[piece] = _const_id(piece)
+        ids = tuple(map(seen.__getitem__, pieces))
+    if None in ids:
+        return None
+    return (pred, "a" * len(ids)), ids
 
 
 #: Name prefix of the variable each ``_`` in term position stands for: a
@@ -272,15 +316,20 @@ def tokenize(source: str) -> list[Token]:
     line, line_start = 1, 0
     pos, n = 0, len(source)
     at_start = True
+    seen: dict[str, Optional[int]] = {}
+    fact, token = _FACT.match, tuple.__new__
     while pos < n:
         col = pos - line_start + 1
         if at_start:
-            m = _FACT.match(source, pos)
-            atom = None if m is None else _build_atom(m.group(1), m.group(2))
-            if atom is not None:
+            m = fact(source, pos)
+            row = None if m is None else _fact_row(m[1], m[2], seen)
+            if row is not None:
                 pos = m.end()
-                append(Token(FACT, atom, line, col))
-                append(Token(PUNCT, ".", line, pos - line_start))
+                append(token(Token, (FACT, row, line, col)))
+                append(token(Token, (PUNCT, ".", line, pos - line_start)))
+                if pos < n and source[pos] == "\n":     # the usual line end
+                    pos += 1
+                    line, line_start = line + 1, pos
                 continue
         m = _TOKEN.match(source, pos)
         if m is None:

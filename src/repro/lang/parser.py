@@ -52,10 +52,10 @@ from ..core.formulas import (
     conj,
     disj,
 )
-from ..core.program import MODE_ELPS, MODE_LPS, Program
+from ..core.program import MODE_ELPS, MODE_LPS, Program, ProgramBuilder
 from ..core.sorts import EQUALS, MEMBER, SORT_U
-from ..core.terms import App, Const, SetExpr, Term, Var, canonicalize
-from ..transform.positive import compile_program
+from ..core.terms import TERM_DICT, App, Const, SetExpr, Term, Var, canonicalize
+from ..transform.positive import compile_rule, fresh_names
 from .lexer import (
     ANONYMOUS,
     DIRECTIVE,
@@ -119,7 +119,21 @@ class ParsedGrouping:
     body: Formula
 
 
-Statement = "ParsedRule | ParsedGrouping"
+@dataclass
+class FactRun:
+    """Consecutive ``FACT`` lexemes of one predicate and sort pattern:
+    ``key`` is ``(pred, sorts)``, ``rows`` the facts' term-ID rows."""
+
+    key: tuple[str, str]
+    rows: list[tuple[int, ...]]
+
+    def first_atom(self) -> Atom:
+        """The run's first fact, built (what sort inference reads)."""
+        return Atom(self.key[0], tuple(map(TERM_DICT.terms.__getitem__,
+                                           self.rows[0])))
+
+
+Statement = "ParsedRule | ParsedGrouping | FactRun"
 
 
 class Parser:
@@ -166,13 +180,24 @@ class Parser:
     # -- program ----------------------------------------------------------------
 
     def parse_statements(self) -> list:
+        """The statements in source order; consecutive facts of one
+        predicate and sort pattern come as one :class:`FactRun`."""
         out: list = []
+        tokens = self._tokens
+        run = None
         while True:
-            t = self._peek()
+            t = tokens[self._pos]
             if t.kind == FACT:
                 self._pos += 2                  # the fact and its '.'
-                out.append(ParsedRule(t.text, TRUE))
-            elif t.kind == DIRECTIVE:
+                key, ids = t.text
+                if run is not None and run.key == key:
+                    run.rows.append(ids)
+                else:
+                    run = FactRun(key, [ids])
+                    out.append(run)
+                continue
+            run = None
+            if t.kind == DIRECTIVE:
                 self.directives.append(self._next().text)
                 if self._at_punct("."):
                     self._next()
@@ -394,10 +419,11 @@ class Parser:
             # Input that starts ``atom.`` (parse_term / parse_atom): the
             # term the atom's characters spell; the '.' is left trailing.
             self._next()
-            a = t.text
-            if not a.args:
-                return Const(a.pred), []
-            return _Apply(a.pred, a.args, t.line, t.column), []
+            (pred, _), ids = t.text
+            if not ids:
+                return Const(pred), []
+            args = tuple(map(TERM_DICT.terms.__getitem__, ids))
+            return _Apply(pred, args, t.line, t.column), []
         if t.kind == IDENT:
             self._next()
             if self._at_punct("("):
@@ -498,14 +524,31 @@ def parse_program(
 def _assemble(statements: Sequence, mode: str, faithful: bool) -> Program:
     items: list = []
     for s in statements:
-        if s.__class__ is ParsedRule and s.body is TRUE:
+        if s.__class__ is FactRun:
+            items.append(s)
+        elif s.__class__ is ParsedRule and s.body is TRUE:
             items.append(LPSClause(s.head))
         elif isinstance(s, ParsedGrouping):
             items.append(_to_grouping(s))
         else:
             clause = _try_prefix_clause(s)
             items.append(clause if clause is not None else Rule(s.head, s.body))
-    program = compile_program(items, mode=mode, faithful=faithful)
+    fresh = None
+    if any(isinstance(it, Rule) for it in items):
+        fresh = fresh_names(
+            [it for it in items if it.__class__ is not FactRun], mode,
+            reserved={it.key[0] for it in items if it.__class__ is FactRun},
+        )
+    builder = ProgramBuilder()
+    for it in items:
+        if it.__class__ is FactRun:
+            builder.rows(it.key, it.rows)
+        elif isinstance(it, Rule):
+            for c in compile_rule(it, fresh, faithful=faithful):
+                builder.clause(c)
+        else:
+            builder.clause(it)
+    program = builder.program(mode)
     program.validate()
     return program
 

@@ -270,11 +270,14 @@ def _sort_hint(t: Term) -> Optional[str]:
     return None
 
 
-def _fact_shape(head: Atom) -> Optional[tuple]:
-    """``(pred, argument classes)`` of a head whose arguments are all
-    constants or set values, else ``None``."""
-    classes = tuple(map(type, head.args))
-    return (head.pred, classes) if {Const, SetValue}.issuperset(classes) else None
+def _fact_shape(head: Atom) -> Optional[tuple[str, str]]:
+    """``(pred, argument sorts)`` of a head whose arguments are all
+    constants or set values (a :class:`~repro.lang.parser.FactRun`'s
+    key), else ``None``."""
+    args = head.args
+    if not {Const, SetValue}.issuperset(map(type, args)):
+        return None
+    return head.pred, "".join([t.sort for t in args])
 
 
 def _collect_var_names(f: Formula, out: set[str]) -> None:
@@ -331,14 +334,25 @@ def infer_sorts(
     position the fragment itself does not constrain (``succ(a, S)``)
     still gets the sort the defining program gave it.
     """
-    from .parser import ParsedGrouping, ParsedRule
+    from .parser import FactRun, ParsedGrouping, ParsedRule
 
     inf = SortInference()
     # A ground fact of constants and set values has no variables to type:
     # it only pins its predicate's positions, and a second fact with the
     # same predicate and argument sorts pins nothing new.
     pinned: set = set()
-    for ci, s in enumerate(statements):
+    # Each statement with its clause index; a FactRun stands for its
+    # rows' clauses and takes the index of the first.
+    numbered, ci = [], 0
+    for s in statements:
+        numbered.append((ci, s))
+        ci += len(s.rows) if s.__class__ is FactRun else 1
+    for ci, s in numbered:
+        if s.__class__ is FactRun:
+            if s.key not in pinned:
+                pinned.add(s.key)
+                inf.constrain_atom(s.first_atom(), ci, f"clause {ci + 1}")
+            continue
         if s.body is TRUE:
             shape = _fact_shape(s.head)
             if shape is not None:
@@ -364,7 +378,10 @@ def infer_sorts(
             inf.uf.pin(node, sort, f"the signature of {pred!r}")
 
     out: list = []
-    for ci, s in enumerate(statements):
+    for ci, s in numbered:
+        if s.__class__ is FactRun:
+            out.append(s)           # nothing to retype
+            continue
         if isinstance(s, ParsedRule):
             if s.body is TRUE and s.head.is_ground():
                 out.append(s)       # nothing to retype

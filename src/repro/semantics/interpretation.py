@@ -77,10 +77,6 @@ def _key_of(terms: Iterable[Term]) -> Optional[int]:
     return key
 
 
-def _shift_in(key: int, i: int) -> int:
-    return key << 32 | i
-
-
 def _keys_of(cols: Sequence, n: int) -> list[int]:
     """The key of each of ``n`` rows given as ID columns (``array('q')``
     or int64 ndarrays)."""
@@ -90,7 +86,7 @@ def _keys_of(cols: Sequence, n: int) -> list[int]:
         return ((cols[0] << 32) | cols[1]).tolist()
     keys = cols[0].tolist()
     for c in cols[1:]:
-        keys = list(map(_shift_in, keys, c.tolist()))
+        keys = [k << 32 | i for k, i in zip(keys, c.tolist())]
     return keys
 
 
@@ -641,6 +637,7 @@ class Interpretation:
                 atoms = None
             return self._append_terms(pred, rows, atoms)
         cols = [_id_column(c) for c in id_cols]
+        keys = None
         if repeats and n > 1:
             keys = _keys_of(cols, n)
             # Later duplicates are assigned first, so each key keeps its
@@ -652,8 +649,9 @@ class Interpretation:
                         for c in cols]
                 if atoms is not None:
                     atoms = [atoms[i] for i in keep]
+                keys = list(map(keys.__getitem__, keep))
                 n = len(keep)
-        return self._append(pred, n, cols, atoms)
+        return self._append(pred, n, cols, atoms, keys=keys)
 
     def _append_terms(
         self, pred: str, rows: Sequence[tuple], atoms: Optional[list[Atom]]
@@ -685,10 +683,12 @@ class Interpretation:
     def _append(
         self, pred: str, n: int, cols: list, atoms: Optional[list[Atom]],
         rows: Optional[Sequence[tuple]] = None,
+        keys: Optional[list[int]] = None,
     ) -> FactSlice:
         """The one bulk insertion path: the table, every built argument
         index and the size grow by ``n`` rows in one pass.  ``rows`` are
-        the same rows as terms, when the caller has them."""
+        the same rows as terms, ``keys`` their row keys, when the caller
+        has them."""
         arity = len(cols)
         table = self._table_for(pred, arity)
         start = len(table.atoms)
@@ -708,7 +708,8 @@ class Interpretation:
             table._bytes = None
             self._size += n
             return FactSlice(table, start, n, cols, atoms)
-        keys = _keys_of(cols, n)
+        if keys is None:
+            keys = _keys_of(cols, n)
         held = table.keys
         held.update(zip(keys, range(start, start + n)))
         if len(held) != start + n:

@@ -72,16 +72,7 @@ def compile_program(
     """
     items = list(rules)
     if fresh is None and any(isinstance(r, Rule) for r in items):
-        base = Program(
-            tuple(c for c in items if isinstance(c, (LPSClause, GroupingClause))),
-            mode=mode,
-        )
-        fresh = FreshNames(base, prefix="n")
-        for r in items:
-            if isinstance(r, Rule):
-                fresh.reserve(r.head.pred)
-                for a in atoms_of(r.body):
-                    fresh.reserve(a.pred)
+        fresh = fresh_names(items, mode)
     out: list[AnyClause] = []
     for r in items:
         if isinstance(r, Rule):
@@ -89,6 +80,26 @@ def compile_program(
         else:
             out.append(r)
     return Program(tuple(out), mode=mode)
+
+
+def fresh_names(
+    items: Iterable[Rule | AnyClause], mode: str = "lps",
+    reserved: Iterable[str] = (),
+) -> FreshNames:
+    """Auxiliary names for compiling ``items``: disjoint from every name
+    the items use and from the ``reserved`` predicates."""
+    items = list(items)
+    base = Program(
+        tuple(c for c in items if isinstance(c, (LPSClause, GroupingClause))),
+        mode=mode,
+    )
+    fresh = FreshNames(base, reserved=reserved, prefix="n")
+    for r in items:
+        if isinstance(r, Rule):
+            fresh.reserve(r.head.pred)
+            for a in atoms_of(r.body):
+                fresh.reserve(a.pred)
+    return fresh
 
 
 def compile_rule(

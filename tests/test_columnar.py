@@ -24,7 +24,9 @@ from hypothesis import given, settings, strategies as st
 np = pytest.importorskip("numpy")  # the kernels under test need it
 
 from repro import parse_program
-from repro.core import atom, const
+from repro.core import Atom, LPSClause, Var, atom, const
+from repro.core.atoms import pos
+from repro.core.sorts import EQUALS, SORT_S
 from repro.core.terms import TERM_DICT, setvalue, term_id, term_of
 from repro.engine import Database, Evaluator
 from repro.engine.columnar import (
@@ -246,6 +248,44 @@ class TestKernelEquivalence:
         col_exec.min_vector_rows = 0
         got = sorted(map(_row_key, col_exec.batch(node)))
         assert got == sorted(map(_row_key, Executor(interp).batch(node)))
+        assert col_exec.stats.row_nodes == 0
+
+    @pytest.mark.parametrize("equality", [
+        "Y = Z", "Z = Y", "Z = n2", "Z = {n1, n2}",
+    ])
+    def test_equality_compute_is_a_column_copy(self, equality):
+        """``Z`` bound by an equality: the columnar kernel copies the
+        column (or repeats the term) and keeps the rows the row kernel
+        keeps, sorts checked as unification checks them."""
+        interp = _graph_interp([(0, 1), (1, 2), (2, 3), (3, 3)])
+        interp.add(atom("e", const("n4"), setvalue([const("n1")])))
+        for text in (f"u(X, Z) :- e(X, Y), {equality}.",
+                     f"#elps\nu(X, Z) :- e(X, Y), {equality}."):
+            rule = parse_program(text).clauses[0]
+            node = head_plan(compile_rule(rule, {}))
+            col_exec = ColumnarExecutor(interp)
+            col_exec.min_vector_rows = 0
+            got = sorted(map(_row_key, col_exec.batch(node)))
+            assert got == sorted(map(_row_key, Executor(interp).batch(node)))
+            assert col_exec.stats.row_nodes == 0 and got
+
+    def test_equality_compute_checks_the_bound_sort(self):
+        """A set-sorted ``Z`` takes only the set values of an untyped
+        ``Y``, on either kernel."""
+        interp = _graph_interp([(0, 1), (1, 2), (2, 3), (3, 3)])
+        interp.add(atom("e", const("n4"), setvalue([const("n1")])))
+        rule = parse_program("#elps\nu(X, Z) :- e(X, Y), Y = Z.").clauses[0]
+        z = Var("Z", SORT_S)
+        rule = LPSClause(
+            Atom("u", (rule.head.args[0], z)),
+            body=(rule.body[0], pos(Atom(EQUALS, (rule.body[1].atom.args[0], z)))),
+        )
+        node = head_plan(compile_rule(rule, {}))
+        col_exec = ColumnarExecutor(interp)
+        col_exec.min_vector_rows = 0
+        got = sorted(map(_row_key, col_exec.batch(node)))
+        assert got == sorted(map(_row_key, Executor(interp).batch(node)))
+        assert [set(r) for r in got] == [{"n4", "{n1}"}]
         assert col_exec.stats.row_nodes == 0
 
     @pytest.mark.parametrize("negated", ["t(X, Y)", "t(Y, X)", "t(X, n3)"])

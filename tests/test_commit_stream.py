@@ -94,11 +94,20 @@ class TestCursorContract:
         one signal per hole and reads on from where it was cut loose."""
         total = 40 * retain
         rng = random.Random(16)
+        behind = threading.Event()
+
+        def parked():
+            # The slowest reader stops at its first entry until the
+            # writer is more than ``retain`` versions past it, so it
+            # falls behind however fast the box is.
+            behind.wait(timeout=30.0)
+            return 0.0
+
         delays = [
             lambda: 0.0,
             lambda: 0.0,
             lambda: rng.choice((0.0, 0.0, 0.002)),
-            lambda: 0.004,
+            parked,
         ]
         cursors = [model.commits.open(f"reader {i}") for i in range(4)]
         start = model.version
@@ -119,7 +128,10 @@ class TestCursorContract:
             for i in range(total):
                 commit(model, i)
                 assert model.commits.info()["retained"] <= retain
+                if cursors[-1].lag > retain:
+                    behind.set()
         finally:
+            behind.set()
             sys.setswitchinterval(interval)
         for t in threads:
             t.join(timeout=30.0)

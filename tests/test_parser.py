@@ -226,6 +226,9 @@ from collections import Counter  # noqa: E402
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.core import LPSError  # noqa: E402
+from repro.core.atoms import atom_order_key  # noqa: E402
+from repro.engine import Evaluator  # noqa: E402
+from repro.lang import pretty_program  # noqa: E402
 from repro.lang.parser import Parser  # noqa: E402
 from repro.lang.sortinfer import SortInference  # noqa: E402
 from repro.transform.fresh import FreshNames  # noqa: E402
@@ -272,6 +275,11 @@ def _fact_texts(draw):
     return f"{pred}({draw(_SEP).join(args)})"
 
 
+def _model(program):
+    """The evaluated model as sorted atoms."""
+    return sorted(Evaluator(program).run().interpretation, key=atom_order_key)
+
+
 def _outcome(parse, text):
     try:
         return parse(text)
@@ -283,11 +291,17 @@ class TestFactLexeme:
     @settings(max_examples=300, deadline=None)
     @given(facts=st.lists(_fact_texts(), min_size=1, max_size=5))
     def test_facts_parse_as_general_rules(self, facts):
+        """Same program, same printed text and same model, whether each
+        fact is a ``FACT`` lexeme (ID rows) or a general clause."""
         lexeme = "\n".join(f"{f}." for f in facts)
         general = "\n".join(f"{f} :- true." for f in facts)
-        assert _outcome(parse_program, lexeme) == _outcome(
-            parse_program, general
-        )
+        fast = _outcome(parse_program, lexeme)
+        assert fast == _outcome(parse_program, general)
+        if isinstance(fast, tuple):
+            return
+        slow = parse_program(general)
+        assert pretty_program(fast) == pretty_program(slow)
+        assert _model(fast) == _model(slow)
 
     @settings(max_examples=300, deadline=None)
     @given(text=_fact_texts())
