@@ -17,7 +17,9 @@ exactly that unfolding and is the bridge between the declarative semantics
 (``T_P`` in ``repro.semantics.fixpoint``) and the theory tests.
 
 **Rule** is the generalized form ``A :- φ`` with ``φ`` an arbitrary body
-formula; Theorem 6's compiler turns positive-formula rules into LPS clauses.
+formula; Theorem 6's compiler turns positive-formula rules into LPS clauses,
+and a program keeps the rules whose auxiliaries would not be
+range-restricted as written, for the engine to solve.
 
 **GroupingClause** is LDL's ``A(x̄, ⟨x⟩) :- B1 ∧ … ∧ Bm`` (Definition 14):
 the grouped position collects *all* values of ``x`` satisfying the body.
@@ -41,7 +43,9 @@ from .formulas import (
     ForallIn,
     NotF,
     TRUE,
+    TrueF,
     conj,
+    walk,
 )
 
 
@@ -239,7 +243,14 @@ def clause(
 
 @dataclass(frozen=True, slots=True)
 class Rule:
-    """A generalized rule ``head :- formula`` (Theorem 6 input form)."""
+    """A generalized rule ``head :- formula`` (Theorem 6 input form).
+
+    A program keeps a rule in this form, as parsed, when the auxiliaries
+    Theorem 6 would lift out of it range over the active domain
+    (:func:`repro.lang.parser.parse_program`); the engine then solves the
+    formula over the bindings its own conjuncts give.  ``body`` is a
+    :class:`~repro.core.formulas.Formula`, never a tuple of literals.
+    """
 
     head: Atom
     body: Formula = TRUE
@@ -252,6 +263,16 @@ class Rule:
 
     def is_positive(self) -> bool:
         return self.body.is_positive()
+
+    @property
+    def is_fact(self) -> bool:
+        return isinstance(self.body, TrueF)
+
+    def has_negation(self) -> bool:
+        return any(isinstance(f, NotF) for f in walk(self.body))
+
+    def body_formula(self) -> Formula:
+        return self.body
 
     def free_vars(self) -> set[Var]:
         return self.head.free_vars() | self.body.free_vars()

@@ -364,3 +364,47 @@ def atoms_of(formula: Formula) -> Iterator[Atom]:
 def predicates_of(formula: Formula) -> set[str]:
     """Names of non-special predicates occurring in the formula."""
     return {a.pred for a in atoms_of(formula) if not a.is_special()}
+
+
+def signed_atoms(
+    formula: Formula, positive: bool = True
+) -> Iterator[tuple[Atom, bool]]:
+    """Yield ``(atom, positive)`` for every atom of the formula; an atom
+    under any ``¬`` is negative (its predicate must be complete first)."""
+    if isinstance(formula, AtomF):
+        yield formula.atom, positive
+    elif isinstance(formula, NotF):
+        yield from signed_atoms(formula.sub, False)
+    elif isinstance(formula, (AndF, OrF)):
+        for p in formula.parts:
+            yield from signed_atoms(p, positive)
+    elif isinstance(formula, (ForallIn, ExistsIn)):
+        yield from signed_atoms(formula.body, positive)
+
+
+def terms_of(formula: Formula) -> Iterator[Term]:
+    """The argument and range terms of the formula, outermost first."""
+    for f in walk(formula):
+        if isinstance(f, AtomF):
+            yield from f.atom.args
+        elif isinstance(f, (ForallIn, ExistsIn)):
+            yield f.source
+
+
+def has_quantifier(formula: Formula) -> bool:
+    return any(isinstance(f, (ForallIn, ExistsIn)) for f in walk(formula))
+
+
+def map_atoms(formula: Formula, fn: Callable[[Atom], Atom]) -> Formula:
+    """The formula with every atom replaced by ``fn(atom)``."""
+    if isinstance(formula, AtomF):
+        return AtomF(fn(formula.atom))
+    if isinstance(formula, NotF):
+        return NotF(map_atoms(formula.sub, fn))
+    if isinstance(formula, (AndF, OrF)):
+        return type(formula)(tuple(map_atoms(p, fn) for p in formula.parts))
+    if isinstance(formula, (ForallIn, ExistsIn)):
+        return type(formula)(
+            formula.var, formula.source, map_atoms(formula.body, fn)
+        )
+    return formula

@@ -1,9 +1,10 @@
 """LPS programs (Definition 6) and program-level analyses.
 
 A :class:`Program` is a finite set of clauses — LPS clauses plus, in the LDL
-comparison of Section 6, grouping clauses.  Its ground facts are data, held
-as term-ID columns (:class:`FactGroup`) and built into clauses only when
-read.  The class provides:
+comparison of Section 6, grouping clauses, and the positive-formula rules
+(:class:`~repro.core.clauses.Rule`) the parser keeps as written.  Its
+ground facts are data, held as term-ID columns (:class:`FactGroup`) and
+built into clauses only when read.  The class provides:
 
 * validation of the sort discipline per language *mode* (``"lps"`` enforces
   one level of set nesting, ``"elps"`` allows arbitrary nesting — Section 5),
@@ -21,8 +22,9 @@ from array import array
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .atoms import Atom, Literal
-from .clauses import GroupingClause, LPSClause
+from .clauses import GroupingClause, LPSClause, Rule
 from .errors import ClauseError, SortError
+from .formulas import atoms_of, map_atoms, signed_atoms, terms_of
 from .sorts import SORT_S, SORT_U, is_special_predicate
 from .terms import (
     TERM_DICT,
@@ -36,7 +38,7 @@ from .terms import (
     subterms,
 )
 
-AnyClause = Union[LPSClause, GroupingClause]
+AnyClause = Union[LPSClause, GroupingClause, Rule]
 
 _TERMS = TERM_DICT.terms
 
@@ -220,7 +222,7 @@ class Program:
                 yield c
 
     def head_pred(self, c: AnyClause) -> str:
-        return c.head.pred if isinstance(c, LPSClause) else c.pred
+        return c.pred if isinstance(c, GroupingClause) else c.head.pred
 
     def predicates(self) -> dict[str, int]:
         """All non-special predicates with their arities."""
@@ -244,6 +246,10 @@ class Program:
                 if isinstance(c, LPSClause):
                     note(c.head.pred, c.head.arity)
                     for a in c.body_atoms():
+                        note(a.pred, a.arity)
+                elif isinstance(c, Rule):
+                    note(c.head.pred, c.head.arity)
+                    for a in atoms_of(c.body):
                         note(a.pred, a.arity)
                 else:
                     note(c.pred, len(c.head_args) + 1)
@@ -332,6 +338,9 @@ class Program:
                         yield source
                     for lit in c.body:
                         yield from lit.atom.args
+                elif isinstance(c, Rule):
+                    yield from c.head.args
+                    yield from terms_of(c.body)
                 else:
                     yield from c.head_args
                     for lit in c.body:
@@ -382,7 +391,7 @@ class Program:
 
     def has_negation(self) -> bool:
         return any(
-            isinstance(c, LPSClause) and c.has_negation()
+            not isinstance(c, GroupingClause) and c.has_negation()
             for c in self._split()[0]
         )
 
@@ -396,13 +405,18 @@ class Program:
 
         Grouping clauses contribute *negative* edges (grouping needs the full
         extension of its body predicates, like negation — Section 6 /
-        [BNR*87]).  Special predicates never appear as nodes.
+        [BNR*87]), as does an atom under ``¬`` in a rule's formula.
+        Special predicates never appear as nodes.
         """
         for c in self._split()[0]:
             if isinstance(c, LPSClause):
                 for lit in c.body:
                     if not lit.atom.is_special():
                         yield (c.head.pred, lit.atom.pred, lit.positive)
+            elif isinstance(c, Rule):
+                for a, positive in signed_atoms(c.body):
+                    if not a.is_special():
+                        yield (c.head.pred, a.pred, positive)
             else:
                 for lit in c.body:
                     if not lit.atom.is_special():
@@ -489,6 +503,8 @@ def rename_predicates(program: Program, mapping: Mapping[str, str]) -> Program:
         return a
 
     def ren_clause(c: AnyClause) -> AnyClause:
+        if isinstance(c, Rule):
+            return Rule(ren_atom(c.head), map_atoms(c.body, ren_atom))
         if isinstance(c, LPSClause):
             return LPSClause(
                 head=ren_atom(c.head),

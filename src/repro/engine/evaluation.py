@@ -43,7 +43,7 @@ from typing import (
 )
 
 from ..core.atoms import Atom, Literal
-from ..core.clauses import GroupingClause, LPSClause
+from ..core.clauses import GroupingClause, LPSClause, Rule
 from ..core.errors import EvaluationError, SafetyError
 from ..core.formulas import (
     AndF,
@@ -55,6 +55,7 @@ from ..core.formulas import (
     OrF,
     TrueF,
     conj,
+    atoms_of,
     evaluate,
 )
 from ..core.program import Program
@@ -830,7 +831,7 @@ class Evaluator:
                     f"clause head uses builtin predicate {head_pred!r}"
                 )
 
-    def compiled_rule(self, clause: LPSClause) -> "_CompiledRule":
+    def compiled_rule(self, clause: LPSClause | Rule) -> "_CompiledRule":
         """The clause's :class:`_CompiledRule`, compiled once per evaluator."""
         rule = self._rules.get(clause)
         if rule is None:
@@ -926,7 +927,9 @@ class Evaluator:
             groups = self.stratification.rule_groups()
             for gi, stratum in enumerate(self.stratification.strata):
                 grouping = [c for c in stratum if isinstance(c, GroupingClause)]
-                normal = [c for c in stratum if isinstance(c, LPSClause)]
+                normal = [
+                    c for c in stratum if not isinstance(c, GroupingClause)
+                ]
                 for g in grouping:
                     self._apply_grouping(g, interp, domain, report)
                 if normal:
@@ -952,7 +955,7 @@ class Evaluator:
 
     def _fixpoint(
         self,
-        rules: Sequence[LPSClause],
+        rules: Sequence[LPSClause | Rule],
         interp: Interpretation,
         domain: ActiveDomain,
         report: EvalReport,
@@ -1161,9 +1164,15 @@ class Evaluator:
 class _CompiledRule:
     """Per-rule compilation: body formula, dependencies, delta capability,
     and the one place a rule application picks its engine
-    (:meth:`heads`, :meth:`bindings`)."""
+    (:meth:`heads`, :meth:`bindings`).
 
-    def __init__(self, clause: LPSClause, builtins: Mapping[str, Builtin]) -> None:
+    A :class:`~repro.core.clauses.Rule` keeps its positive-formula body:
+    it has no relational occurrence to pin, so it is never delta-capable,
+    and the planner leaves it to the solver."""
+
+    def __init__(
+        self, clause: LPSClause | Rule, builtins: Mapping[str, Builtin]
+    ) -> None:
         self.clause = clause
         self.builtins = builtins
         self.head = clause.head
@@ -1176,6 +1185,17 @@ class _CompiledRule:
         # (:meth:`solutions`) pay nothing.
         self._plan_cache: dict[Optional[int], CompiledPlan] = {}
         self._head_plan_cache: dict[tuple[Optional[int], bool], tuple] = {}
+        if isinstance(clause, Rule):
+            self.deps = {
+                a.pred for a in atoms_of(self.body)
+                if not a.is_special() and a.pred not in builtins
+            }
+            self.delta_capable = False
+            self.relational = []
+            # A formula may consult the domain: a vacuous quantifier, a
+            # disjunct that leaves a variable unbound, a negation.
+            self.domain_sensitive = True
+            return
         self.deps = {
             a.pred
             for l in clause.body
@@ -1443,16 +1463,45 @@ class _CompiledRule:
             self._delta_rest_cache[i] = cached
         return cached
 
-    def ground_premises(self, env: Subst) -> tuple[Atom, ...]:
+    def ground_premises(self, env: Subst, solver: Solver) -> tuple[Atom, ...]:
         """The ground positive IDB/EDB body atoms of this application —
-        quantifiers unfolded per Lemma 4 (empty ranges give no premises)."""
-        ground = self.clause.ground_instances(env.restrict(self.all_vars))
+        quantifiers unfolded per Lemma 4 (empty ranges give no premises).
+        A formula body's disjunction or ``∃`` contributes the atoms of its
+        first branch true over ``solver``'s interpretation."""
+        env = env.restrict(self.all_vars)
+        if isinstance(self.clause, Rule):
+            atoms = _premises(self.body.substitute(env), solver._oracle)
+        else:
+            ground = self.clause.ground_instances(env)
+            atoms = (l.atom for l in ground.body if l.positive)
         return tuple(dict.fromkeys(
-            l.atom
-            for l in ground.body
-            if l.positive and not l.atom.is_special()
-            and l.atom.pred not in self.builtins
+            a for a in atoms
+            if not a.is_special() and a.pred not in self.builtins
         ))
+
+
+def _premises(f: Formula, holds) -> Iterator[Atom]:
+    """The positive atoms the truth of a closed formula rests on: every
+    conjunct's and every range element's (Lemma 4), the first true
+    disjunct's or witness's, none under ``¬``."""
+    if isinstance(f, AtomF):
+        yield f.atom
+    elif isinstance(f, AndF):
+        for p in f.parts:
+            yield from _premises(p, holds)
+    elif isinstance(f, OrF):
+        for p in f.parts:
+            if evaluate(p, holds):
+                yield from _premises(p, holds)
+                return
+    elif isinstance(f, (ForallIn, ExistsIn)):
+        for e in f.source.sorted_elems():
+            inst = f.body.substitute(Subst._checked({f.var: e}))
+            if isinstance(f, ForallIn):
+                yield from _premises(inst, holds)
+            elif evaluate(inst, holds):
+                yield from _premises(inst, holds)
+                return
 
 
 class BoundRule:

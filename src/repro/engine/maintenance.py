@@ -21,7 +21,8 @@ maintenance discipline:
   stays while its probe finds another, and deletions below a negation
   can *grow* the stratum, which a probe decides exactly.
 * **Per-stratum recomputation** for what is left — restricted
-  quantifiers, negation or grouping inside a recursive stratum, and
+  quantifiers, rules kept as positive formulas, negation or grouping
+  inside a recursive stratum, and
   rederive strata whose input delta is not small against their input
   relations (bulk load): the stratum is cleared and re-evaluated
   set-at-a-time against the maintained lower strata.
@@ -881,7 +882,9 @@ class MaterializedModel:
         grouping = [
             c for c in group.clauses if isinstance(c, GroupingClause)
         ]
-        normal = [c for c in group.clauses if isinstance(c, LPSClause)]
+        normal = [
+            c for c in group.clauses if not isinstance(c, GroupingClause)
+        ]
         ereport = EvalReport(stats=stats, exec=self.exec_stats)
         for g in grouping:
             grouped = self._evaluator._apply_grouping(

@@ -24,9 +24,10 @@ modes, membership in a non-set ``u`` value) at run time and raises
 tuple path — compilation is a prediction, the tuple solver remains the
 semantic ground truth.
 
-A body that cannot be fully scheduled — restricted quantifiers, head or
-body variables no conjunct constrains (the active-domain fallback cases),
-builtin modes that never become ready — compiles to
+A body that cannot be fully scheduled — restricted quantifiers, a
+positive-formula body kept as written, head or body variables no
+conjunct constrains (the active-domain fallback cases), builtin modes
+that never become ready — compiles to
 :data:`~repro.engine.ir.MODE_TUPLE` with a human-readable ``reason``;
 the evaluator then uses the backtracking solver exactly as before.
 
@@ -56,7 +57,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from ..core.atoms import Atom, Literal
-from ..core.clauses import GroupingClause, LPSClause
+from ..core.clauses import GroupingClause, LPSClause, Rule
 from ..core.formulas import Formula
 from ..core.sorts import EQUALS, MEMBER, SORT_A, SORT_S, SORT_U
 from ..core.terms import Const, SetExpr, Term, Var, free_vars, setvalue
@@ -345,8 +346,26 @@ def _attach(
     return Compute(node, a, kind, new_vars)
 
 
+def range_restricted(
+    clause: LPSClause, builtins: Mapping[str, Builtin]
+) -> bool:
+    """Whether the clause's own literals bind every variable it has: no
+    quantifier prefix, and the greedy order schedules each literal and
+    binds the head's variables.  The readiness test of
+    :func:`compile_rule`, without building (or counting) a plan."""
+    if clause.quantifiers:
+        return False
+    order, reason, _ = _order(
+        _classify(clause.body, builtins), builtins, None, None
+    )
+    bound: set[Var] = set()
+    for c in order:
+        bound |= c.lit.atom.free_vars()
+    return reason is None and clause.head.free_vars() <= bound
+
+
 def compile_rule(
-    clause: LPSClause,
+    clause: LPSClause | Rule,
     builtins: Mapping[str, Builtin],
     delta_index: Optional[int] = None,
 ) -> CompiledPlan:
@@ -355,8 +374,11 @@ def compile_rule(
     The plan's output schema covers every body variable, so consumers that
     need whole derivations (DRed overdeletion, delta filtering) can use
     it directly; the evaluator wraps it with ``Project``/``Distinct`` via
-    :func:`head_plan` for plain head derivation.
+    :func:`head_plan` for plain head derivation.  A :class:`Rule` (a
+    positive-formula body) stays on the tuple path.
     """
+    if isinstance(clause, Rule):
+        return _tuple_plan(clause, "positive formula body")
     if clause.quantifiers:
         return _tuple_plan(clause, "restricted quantifiers")
     if not clause.body:

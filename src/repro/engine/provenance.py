@@ -4,7 +4,8 @@ Every atom of the least model has a finite derivation whose steps are
 clause instances holding in the model, so :func:`explain` searches for one
 over the model alone; evaluation records nothing.  This is classical
 why-provenance for Datalog, extended to LPS's quantified clauses (Lemma 4
-unfolds them: an empty range gives a step with zero premises) and LDL
+unfolds them: an empty range gives a step with zero premises), to rules
+kept as positive formulas (the same unfolding, under the head) and LDL
 grouping.
 """
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from ..core.atoms import Atom
-from ..core.clauses import LPSClause
+from ..core.clauses import GroupingClause, LPSClause
 from ..core.errors import EvaluationError
 from .evaluation import ActiveDomain, Model, Solver, _CompiledRule
 
@@ -75,9 +76,9 @@ def explain(model: Model, atom: Atom, max_depth: int = 50) -> DerivationNode:
     clauses: dict[str, list[tuple[object, _CompiledRule]]] = {}
     for c in program.rules():
         # A grouping clause's key rule: its solutions under a key are the group.
-        rule = c if isinstance(c, LPSClause) else LPSClause(
+        rule = LPSClause(
             Atom(f"{c.pred}<key>", c.head_args), body=c.body
-        )
+        ) if isinstance(c, GroupingClause) else c
         clauses.setdefault(program.head_pred(c), []).append(
             (c, _CompiledRule(rule, builtins))
         )
@@ -98,16 +99,16 @@ def explain(model: Model, atom: Atom, max_depth: int = 50) -> DerivationNode:
     def alternatives(a: Atom) -> Iterator[tuple]:
         """The steps that conclude ``a`` in the model."""
         for c, rule in clauses.get(a.pred, ()):
-            if isinstance(c, LPSClause):
+            if not isinstance(c, GroupingClause):
                 for env in rule.solutions(solver, a):
-                    yield DERIVED, c, rule.ground_premises(env)
+                    yield DERIVED, c, rule.ground_premises(env, solver)
                 continue
             at = c.group_pos
             key = Atom(rule.head.pred, a.args[:at] + a.args[at + 1:])
             envs = list(rule.solutions(solver, key))
             if envs and {e.apply(c.group_var) for e in envs} == a.args[at].elems:
                 yield GROUPED, c, tuple(dict.fromkeys(
-                    p for e in envs for p in rule.ground_premises(e)
+                    p for e in envs for p in rule.ground_premises(e, solver)
                 ))
 
     def tree(a: Atom, fuel: int) -> DerivationNode:

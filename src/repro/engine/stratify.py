@@ -23,8 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from ..core.clauses import GroupingClause, LPSClause
+from ..core.clauses import GroupingClause, LPSClause, Rule
 from ..core.errors import StratificationError
+from ..core.formulas import atoms_of, has_quantifier
 from ..core.program import AnyClause, Program
 
 
@@ -32,7 +33,7 @@ from ..core.program import AnyClause, Program
 #: ``repro.engine.maintenance``): delete–rederive for recursive strata,
 #: candidate re-derivation for every nonrecursive one, and full
 #: per-stratum recomputation for what is left (restricted quantifiers,
-#: negation or grouping inside a recursive stratum).
+#: formula bodies, negation or grouping inside a recursive stratum).
 PLAN_DRED = "dred"
 PLAN_REDERIVE = "rederive"
 PLAN_RECOMPUTE = "recompute"
@@ -49,6 +50,9 @@ class StratumRules:
     has_negation: bool
     has_grouping: bool
     has_quantifiers: bool
+    #: Whether a rule keeps its positive-formula body (``Rule``): no
+    #: literal list to pin a delta on or to probe.
+    has_formulas: bool = False
 
     @property
     def recursive(self) -> bool:
@@ -77,6 +81,8 @@ class StratumRules:
         """Why no delta-proportional plan applies (``None`` when one does)."""
         if self.has_quantifiers:
             return "restricted quantifier"
+        if self.has_formulas:
+            return "positive formula body"
         if self.recursive and self.has_negation:
             return "recursive negation"
         if self.recursive and self.has_grouping:
@@ -102,19 +108,27 @@ class Stratification:
             head_preds: set[str] = set()
             body_preds: set[str] = set()
             has_negation = has_grouping = has_quantifiers = False
+            has_formulas = False
             for c in clauses:
                 if isinstance(c, GroupingClause):
                     has_grouping = True
                     head_preds.add(c.pred)
                 else:
                     head_preds.add(c.head.pred)
-                    if c.quantifiers:
-                        has_quantifiers = True
                     if c.has_negation():
                         has_negation = True
-                for lit in c.body:
-                    if not lit.atom.is_special():
-                        body_preds.add(lit.atom.pred)
+                if isinstance(c, Rule):
+                    has_formulas = True
+                    if has_quantifier(c.body):
+                        has_quantifiers = True
+                    atoms = list(atoms_of(c.body))
+                else:
+                    if isinstance(c, LPSClause) and c.quantifiers:
+                        has_quantifiers = True
+                    atoms = [lit.atom for lit in c.body]
+                for a in atoms:
+                    if not a.is_special():
+                        body_preds.add(a.pred)
             out.append(StratumRules(
                 index=i,
                 clauses=clauses,
@@ -123,6 +137,7 @@ class Stratification:
                 has_negation=has_negation,
                 has_grouping=has_grouping,
                 has_quantifiers=has_quantifiers,
+                has_formulas=has_formulas,
             ))
         return tuple(out)
 
@@ -251,7 +266,7 @@ def stratify(
     depth = (max(comp_stratum) + 1) if comp_stratum else 1
     buckets: list[list[AnyClause]] = [[] for _ in range(depth)]
     for c in program.clauses:
-        pred = c.head.pred if isinstance(c, LPSClause) else c.pred
+        pred = c.pred if isinstance(c, GroupingClause) else c.head.pred
         buckets[stratum_of.get(pred, 0)].append(c)
     return Stratification(
         stratum_of=stratum_of,

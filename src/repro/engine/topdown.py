@@ -68,6 +68,11 @@ class TopDownProver:
                 raise EvaluationError(
                     "the top-down prover handles LPS clauses only"
                 )
+        # Rules kept as positive formulas resolve as their Theorem 6
+        # clauses.
+        from ..transform.positive import lps_program
+
+        program = lps_program(program)
         self.builtins = builtins
         self.max_depth = max_depth
         # Ground unit clauses are facts: they go to an indexed store (shared

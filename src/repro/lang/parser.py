@@ -27,7 +27,9 @@ and nested expressions are flattened with fresh temporaries.
 Variables are capitalised; their sort (``a`` vs ``s``) is inferred by
 :mod:`repro.lang.sortinfer` in LPS mode, or left untyped in ELPS mode.
 Rules whose bodies are not already in Definition 5's prefix form are
-compiled to pure LPS clauses via the Theorem 6 transformation.
+compiled to pure LPS clauses via the Theorem 6 transformation when every
+auxiliary it lifts out binds its own variables; any other such rule stays
+one :class:`~repro.core.clauses.Rule`, solved as written.
 """
 
 from __future__ import annotations
@@ -505,7 +507,9 @@ def parse_program(
 
     ``mode`` overrides the ``#lps`` / ``#elps`` directive (default LPS).
     Sort inference runs in LPS mode; rule bodies not already in Definition 5
-    prefix form are compiled away per Theorem 6.  ``signatures`` are the
+    prefix form are compiled away per Theorem 6 where its auxiliaries are
+    range-restricted (:func:`_lifts_bound`), and kept as written otherwise;
+    ``faithful`` compiles every one, literally.  ``signatures`` are the
     predicate sorts of a program this text is parsed against (see
     :func:`~repro.lang.sortinfer.predicate_sorts`).
     """
@@ -544,13 +548,34 @@ def _assemble(statements: Sequence, mode: str, faithful: bool) -> Program:
         if it.__class__ is FactRun:
             builder.rows(it.key, it.rows)
         elif isinstance(it, Rule):
-            for c in compile_rule(it, fresh, faithful=faithful):
-                builder.clause(c)
+            clauses = compile_rule(it, fresh, faithful=faithful)
+            if faithful or _lifts_bound(it, clauses):
+                for c in clauses:
+                    builder.clause(c)
+            else:
+                builder.clause(it)
         else:
             builder.clause(it)
     program = builder.program(mode)
     program.validate()
     return program
+
+
+def _lifts_bound(rule: Rule, clauses: Sequence[LPSClause]) -> bool:
+    """Whether each auxiliary clause Theorem 6 lifted out of ``rule``
+    binds its own variables (the planner's readiness test, under the
+    default builtins).  One that does not (a quantifier prefix, say,
+    whose range only the caller's conjuncts bind) would be enumerated
+    over the active domain and stored, so the rule stays whole
+    instead."""
+    from ..engine.builtins import DEFAULT_BUILTINS
+    from ..engine.planner import range_restricted
+
+    head = rule.head.pred
+    return all(
+        range_restricted(c, DEFAULT_BUILTINS)
+        for c in clauses if c.head.pred != head
+    )
 
 
 def _try_prefix_clause(s: ParsedRule) -> Optional[LPSClause]:

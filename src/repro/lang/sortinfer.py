@@ -298,7 +298,8 @@ def predicate_sorts(program) -> dict[tuple[str, int], str]:
     Only the two LPS sorts are reported: an ELPS program is untyped and
     constrains nothing.
     """
-    from ..core.clauses import GroupingClause
+    from ..core.clauses import GroupingClause, Rule
+    from ..core.formulas import atoms_of
 
     sorts: dict[tuple[str, int], str] = {}
 
@@ -317,9 +318,11 @@ def predicate_sorts(program) -> dict[tuple[str, int], str]:
             note(c.pred, head)
         else:
             note(c.head.pred, c.head.args)
-        for lit in c.body:
-            if not lit.atom.is_special():
-                note(lit.atom.pred, lit.atom.args)
+        body = (atoms_of(c.body) if isinstance(c, Rule)
+                else (lit.atom for lit in c.body))
+        for a in body:
+            if not a.is_special():
+                note(a.pred, a.args)
     return sorts
 
 

@@ -7,8 +7,10 @@ all ``Bi`` true in ``M``.  Theorem 5: ``M_P = lfp(T_P) = T_P ↑ ω``.
 
 This module implements ``T_P`` **exactly over a finite universe**: ground
 instances are enumerated by assigning the clause's free variables over the
-carriers, then each instance's quantifiers unfold via
-:meth:`~repro.core.clauses.LPSClause.ground_instances` — literally Lemma 4.
+carriers, then each instance's body formula is decided under Definition 3,
+its restricted quantifiers unfolding over their ground ranges — literally
+Lemma 4.  A rule the program keeps as a positive formula
+(:class:`~repro.core.clauses.Rule`) is decided the same way.
 It is deliberately brute force; its purpose is to be an obviously correct
 reference against which the optimised engine (``repro.engine``) is tested.
 Only positive programs are accepted — ``T_P`` for programs with negation is
@@ -21,9 +23,9 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from ..core.atoms import Atom
-from ..core.clauses import GroupingClause, LPSClause
+from ..core.clauses import GroupingClause
 from ..core.errors import EvaluationError
-from ..core.formulas import evaluate_ground_atom
+from ..core.formulas import evaluate
 from ..core.program import Program
 from .herbrand import Universe
 from .interpretation import Interpretation, assignments
@@ -60,23 +62,16 @@ class TpOperator:
 
     def derived(self, interp: Interpretation) -> Iterator[Atom]:
         """Atoms derivable in one step from ``interp``."""
-        for c in self.program.lps_clauses():
+        for c in self.program.clauses:
             free = sorted(c.free_vars(), key=lambda v: (v.sort, v.name))
+            body = c.body_formula()
             for theta in assignments(free, self.universe):
-                ground = c.ground_instances(theta)
-                if all(
-                    _literal_holds(lit, interp) for lit in ground.body
-                ):
-                    yield ground.head
+                if evaluate(body.substitute(theta), interp.holds):
+                    yield c.head.substitute(theta)
 
     def is_prefixpoint(self, interp: Interpretation) -> bool:
         """Whether ``T_P(interp) ⊆ interp`` (interp is a model of P's rules)."""
         return all(a in interp for a in self.derived(interp))
-
-
-def _literal_holds(lit, interp: Interpretation) -> bool:
-    value = evaluate_ground_atom(lit.atom, interp.holds)
-    return value if lit.positive else not value
 
 
 @dataclass

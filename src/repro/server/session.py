@@ -1033,15 +1033,13 @@ class Session:
             raise EvaluationError("no clause to plan")
         builtins = self._model.builtins
         chunks = []
-        # Sugar like positive-formula bodies desugars into several clauses
-        # (Theorem 6); show the plan of each one.
+        # Sugar like positive-formula bodies may desugar into several
+        # clauses (Theorem 6); show the plan of each one.
         for c in program.clauses:
             if isinstance(c, GroupingClause):
                 cp = compile_grouping(c, builtins)
-            elif isinstance(c, LPSClause):
+            else:
                 cp = compile_rule(c, builtins)
-            else:  # pragma: no cover - parser produces only the two forms
-                raise EvaluationError(f"cannot plan {c!r}")
             header = f"-- {c}"
             if not cp.is_set:
                 chunks.append(f"{header}\ntuple-mode: {cp.reason}")

@@ -35,6 +35,7 @@ from ..core.errors import ClauseError
 from ..core.program import AnyClause, Program
 from ..core.terms import Term
 from .fresh import FreshNames
+from .positive import lps_program
 
 
 def demand_predicate_name(pred: str, arg_pos: int, fresh: FreshNames) -> str:
@@ -53,8 +54,10 @@ def add_demand(
     ``seeds`` may contain ground terms (each becomes a demand fact) and/or
     names of unary predicates whose extension seeds the demand (a rule
     ``need(t) :- seed(t)`` is added per name).  Returns the rewritten
-    program and the generated demand predicate's name.
+    program and the generated demand predicate's name.  Rules kept as
+    positive formulas are compiled to LPS first (Theorem 6).
     """
+    program = lps_program(program)
     arities = program.predicates()
     if pred not in arities:
         raise ClauseError(f"predicate {pred!r} does not occur in the program")

@@ -82,6 +82,15 @@ def compile_program(
     return Program(tuple(out), mode=mode)
 
 
+def lps_program(program: Program) -> Program:
+    """The program with every rule it keeps as a positive formula
+    compiled per Theorem 6, i.e. as pure LPS (``P*``); a program without
+    one is returned as it is.  For consumers that read clause literals."""
+    if not any(isinstance(c, Rule) for c in program.rules()):
+        return program
+    return compile_program(program.clauses, program.mode)
+
+
 def fresh_names(
     items: Iterable[Rule | AnyClause], mode: str = "lps",
     reserved: Iterable[str] = (),

@@ -48,7 +48,7 @@ from ..core.program import AnyClause, MODE_ELPS, Program, rename_predicates
 from ..core.sorts import SORT_A, SORT_S
 from ..core.terms import EMPTY_SET, SetExpr, Term, Var
 from .fresh import FreshNames
-from .positive import compile_program
+from .positive import compile_program, lps_program
 
 #: The reserved names of the Definition 15 predicates.
 UNION, SCONS = "union", "scons"
@@ -101,6 +101,7 @@ def from_horn_scons(program: Program, faithful: bool = False) -> Program:
 def _from_horn(
     program: Program, special: str, axiom, faithful: bool
 ) -> Program:
+    program = lps_program(program)
     for c in program.lps_clauses():
         if c.head.pred == special:
             raise ClauseError(
@@ -129,6 +130,7 @@ def to_horn_scons(program: Program) -> Program:
 
 
 def _to_horn(program: Program, use_scons: bool) -> Program:
+    program = lps_program(program)
     fresh = FreshNames(program, reserved={UNION, SCONS}, prefix="it")
     out: list[AnyClause] = []
     for c in program.clauses:

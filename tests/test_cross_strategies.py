@@ -19,6 +19,7 @@ from repro.core import (
     Const,
     GroupingClause,
     LPSClause,
+    Rule,
     SetValue,
     Subst,
     Program,
@@ -33,7 +34,7 @@ from repro.core import (
     var_a,
     var_s,
 )
-from repro.core.formulas import evaluate_ground_atom
+from repro.core.formulas import evaluate, evaluate_ground_atom
 from repro.core.terms import subterms
 from repro.core.unify import match_atom
 from repro.engine import DEFAULT_BUILTINS, Evaluator, TopDownProver
@@ -205,8 +206,26 @@ def check_explanations(model, program, builtins=DEFAULT_BUILTINS):
                 ):
                     yield theta.extend(dict(zip(rest, combo)))
 
+    def check_formula(node, kids):
+        """A rule kept as a positive formula: some instance of it has the
+        atom as head and a body that holds in the model, and, when the
+        formula is positive, holds with its relations read off the
+        premises alone."""
+        c = node.clause
+        only_kids = (lambda a: a in kids if relational(a) else holds(a))
+        for theta in solutions(c.free_vars(), c.head, node.atom, [], None):
+            body = c.body.substitute(theta)
+            if evaluate(body, holds) and (
+                not c.is_positive() or evaluate(body, only_kids)
+            ):
+                return
+        raise AssertionError(f"no instance of {c} derives {node.atom} "
+                             f"from {sorted(map(str, kids))}")
+
     def check_derived(node, kids):
         c = node.clause
+        if isinstance(c, Rule) and c in program.clauses:
+            return check_formula(node, kids)
         assert isinstance(c, LPSClause) and c in program.clauses
         bound = c.quantified_vars()
         literals = [l.atom for l in c.body if l.positive

@@ -73,17 +73,16 @@ class TestQuantifiedRules:
     def test_forall_premises_unfold(self):
         """Lemma 4 in the provenance: one premise per range element.
 
-        The mixed body compiles through a Theorem-6 auxiliary, so the
-        quantified premises sit one level below it in the tree."""
+        The mixed body stays one rule, so the quantified premises sit
+        directly under the head, beside the caller's conjunct."""
         m = run("""
             s({1, 2}). p(1). p(2).
             allp(X) :- s(X), forall A in X (p(A)).
         """)
         tree = m.explain(parse_atom("allp({1, 2})"))
+        assert tree.kind == DERIVED
         top = {str(c.atom) for c in tree.children}
-        assert "s({1, 2})" in top
-        (aux,) = [c for c in tree.children if str(c.atom) != "s({1, 2})"]
-        assert {str(c.atom) for c in aux.children} == {"p(1)", "p(2)"}
+        assert top == {"s({1, 2})", "p(1)", "p(2)"}
 
     def test_vacuous_application_has_no_quantified_premises(self):
         m = run("""
@@ -91,10 +90,8 @@ class TestQuantifiedRules:
             allp(X) :- s(X), forall A in X (p(A)).
         """)
         tree = m.explain(parse_atom("allp({})"))
-        top = {str(c.atom) for c in tree.children}
-        assert "s({})" in top
-        (aux,) = [c for c in tree.children if str(c.atom) != "s({})"]
-        assert aux.children == []  # empty range: zero premises
+        # Empty range: zero quantified premises.
+        assert {str(c.atom) for c in tree.children} == {"s({})"}
 
 
 class TestGroupingProvenance:
