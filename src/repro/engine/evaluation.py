@@ -39,12 +39,13 @@ import itertools
 from array import array
 from dataclasses import dataclass, field
 from typing import (
-    Any, Collection, Iterable, Iterator, Mapping, Optional, Sequence,
+    Any, Callable, Collection, Iterable, Iterator, Mapping, Optional,
+    Sequence,
 )
 
 from ..core.atoms import Atom, Literal
 from ..core.clauses import GroupingClause, LPSClause, Rule
-from ..core.errors import EvaluationError, SafetyError
+from ..core.errors import EvaluationError, SafetyError, SortError
 from ..core.formulas import (
     AndF,
     AtomF,
@@ -68,6 +69,7 @@ from ..core.terms import (
     SetValue,
     Term,
     Var,
+    canonicalize,
     order_key,
     setvalue,
     subterms,
@@ -236,11 +238,16 @@ class Solver:
         self.allow_fallback = allow_fallback
         self.fallback_limit = fallback_limit
         self.stats = stats if stats is not None else SolverStats()
-        # Memoized restricted-quantifier unfoldings, keyed by (formula,
-        # ground range set): the expansion is the same for every candidate
-        # binding, so re-substituting per solver step is pure waste.
+        # Unfoldings of a restricted quantifier whose body still binds
+        # variables, keyed by (formula, ground range set); a closed one is
+        # decided instead (:meth:`_decider`).
         self._forall_cache: dict[tuple, Formula] = {}
         self._exists_cache: dict[tuple, list[Formula]] = {}
+        # Closed formulas compiled to deciders, and each conjunction's
+        # parts with their free variables and deciders: built once per
+        # formula for this solver's life (one stratum fixpoint, one query).
+        self._deciders: dict[Formula, Decider] = {}
+        self._conjuncts: dict[AndF, list[tuple]] = {}
 
     # -- public entry -----------------------------------------------------------
 
@@ -308,9 +315,12 @@ class Solver:
     # -- readiness / priority -----------------------------------------------------
 
     def _priority(
-        self, f: Formula, env: Subst, fv: Optional[Iterable[Var]] = None
+        self, f: Formula, env: Subst, unbound: int
     ) -> Optional[tuple]:
-        """Scheduling priority (lower = sooner); ``None`` = not ready.
+        """Scheduling priority (lower = sooner) of a conjunct with
+        ``unbound`` (> 0) free variables still unbound; ``None`` = not
+        ready.  A closed conjunct is decided, never ranked
+        (:meth:`_solve_and_fv`).
 
         For relational atoms the second component is an **estimated result
         cardinality** taken from the argument indexes (the exact size of the
@@ -318,22 +328,6 @@ class Solver:
         smallest-relation-first instead of most-bound-first.  This is the
         boundness-driven join planner of DESIGN.md.
         """
-        if fv is None:
-            fv = f.free_vars()
-        emap = env._map
-        unbound = 0
-        for v in fv:
-            if v not in emap:
-                unbound += 1
-        if isinstance(f, TrueF):
-            return (0, 0)
-        if unbound == 0:
-            # Pure check; NotF is only evaluable at this point.
-            if isinstance(f, NotF):
-                return (0, 0)
-            return (0, 1)
-        if isinstance(f, NotF):
-            return None
         if isinstance(f, AtomF):
             a = f.atom
             if a.pred == EQUALS:
@@ -387,7 +381,7 @@ class Solver:
         if isinstance(f, AtomF):
             return self._solve_atom(f.atom, env)
         if isinstance(f, AndF):
-            return self._solve_and(list(f.parts), env)
+            return self._solve_and_fv(self._conjuncts_of(f), env)
         if isinstance(f, TrueF):
             return iter((env,))
         if isinstance(f, NotF):
@@ -495,13 +489,8 @@ class Solver:
     def _solve_not(self, f: NotF, env: Subst) -> Iterator[Subst]:
         if self._unbound(f, env):
             yield from self._solve_by_fallback(f, env)
-            return
-        if not self._holds_closed(f.sub, env):
+        elif self._decider(f)(env._map):
             yield env
-
-    def _holds_closed(self, f: Formula, env: Subst) -> bool:
-        closed = f.substitute(env)
-        return evaluate(closed, self._oracle)
 
     def _oracle(self, a: Atom) -> bool:
         if a.pred in self.builtins:
@@ -509,13 +498,32 @@ class Solver:
             return next(iter(b.solve(a.args, Subst())), None) is not None
         return self.interp.holds(a)
 
-    def _solve_and(self, parts: list[Formula], env: Subst) -> Iterator[Subst]:
-        # Free variables per conjunct are computed once for the whole
-        # conjunction chain; only env membership changes while joining.
-        return self._solve_and_fv([(p, p.free_vars()) for p in parts], env)
+    def _decider(self, f: Formula) -> Decider:
+        """``f`` compiled to its truth value under an environment map
+        that binds its free variables (:func:`_compile_closed`)."""
+        d = self._deciders.get(f)
+        if d is None:
+            d = self._deciders[f] = _compile_closed(f, self, False)
+        return d
+
+    def _decided(self, f: Formula, env: Subst) -> Optional[bool]:
+        """``f``'s truth value if ``env`` closes it, else ``None``."""
+        emap = env._map
+        if emap.keys() >= f.free_vars():
+            return self._decider(f)(emap)
+        return None
+
+    def _conjuncts_of(self, f: AndF) -> list[tuple]:
+        """``f``'s parts as ``(part, free variables, decider)``."""
+        parts = self._conjuncts.get(f)
+        if parts is None:
+            parts = self._conjuncts[f] = [
+                (p, p.free_vars(), self._decider(p)) for p in f.parts
+            ]
+        return parts
 
     def _solve_and_fv(
-        self, parts: list[tuple[Formula, Iterable[Var]]], env: Subst
+        self, parts: list[tuple], env: Subst
     ) -> Iterator[Subst]:
         if not parts:
             yield env
@@ -526,30 +534,41 @@ class Solver:
                 # A stored relation is always ready: nothing to rank.
                 yield from self._match_facts(a.atom, env)
                 return
-        best_i: Optional[int] = None
+        emap = env._map
+        open_: list[tuple] = []
+        best_i = 0
         best_p: Optional[tuple] = None
-        for i, (p, fv) in enumerate(parts):
-            pr = self._priority(p, env, fv)
-            if pr is None:
+        for part in parts:
+            unbound = 0
+            for v in part[1]:
+                if v not in emap:
+                    unbound += 1
+            if not unbound:
+                # A closed conjunct has one truth value: decide it here,
+                # so it never takes part in ranking or recursion.
+                if not part[2](emap):
+                    return
                 continue
-            if pr[0] == 4 and not pr[1]:
-                # A relational conjunct whose index bucket is empty: no
-                # fact matches it, so the conjunction has no solution.
-                return
-            if best_p is None or pr < best_p:
-                best_i, best_p = i, pr
-        if best_i is None:
+            pr = self._priority(part[0], env, unbound)
+            if pr is not None:
+                if pr[0] == 4 and not pr[1]:
+                    # A relational conjunct whose index bucket is empty: no
+                    # fact matches it, so the conjunction has no solution.
+                    return
+                if best_p is None or pr < best_p:
+                    best_i, best_p = len(open_), pr
+            open_.append(part)
+        if not open_:
+            yield env
+            return
+        if best_p is None:
             # Nothing ready: bind one variable from the domain and retry.
             all_vars: set[Var] = set()
-            for p, fv in parts:
-                all_vars |= {v for v in fv if v not in env}
-            if not all_vars:
-                # All parts ground yet none "ready" — cannot happen, since
-                # ground formulas always have priority 0.
-                raise EvaluationError("scheduler stuck on ground conjunction")
+            for _, fv, _ in open_:
+                all_vars |= {v for v in fv if v not in emap}
             self._require_fallback(
                 sorted(all_vars, key=str)[:1],
-                AndF(tuple(p for p, _ in parts)),
+                AndF(tuple(p for p, _, _ in open_)),
             )
             v = min(
                 all_vars,
@@ -558,12 +577,11 @@ class Solver:
             carrier = self.domain.carrier(v.sort)
             self._charge_fallback(len(carrier))
             for value in carrier:
-                yield from self._solve_and_fv(parts, env.bind(v, value))
+                yield from self._solve_and_fv(open_, env.bind(v, value))
             return
-        chosen = parts[best_i][0]
-        rest = parts[:best_i] + parts[best_i + 1:]
+        chosen = open_.pop(best_i)[0]
         for env2 in self._solve(chosen, env):
-            yield from self._solve_and_fv(rest, env2)
+            yield from self._solve_and_fv(open_, env2)
 
     def _solve_or(self, f: OrF, env: Subst) -> Iterator[Subst]:
         seen: set[Subst] = set()
@@ -577,6 +595,11 @@ class Solver:
                         yield env3
 
     def _solve_exists(self, f: ExistsIn, env: Subst) -> Iterator[Subst]:
+        closed = self._decided(f, env)
+        if closed is not None:
+            if closed:
+                yield env
+            return
         source = env.apply(f.source)
         if not isinstance(source, SetValue):
             yield from self._solve_by_fallback(f, env)
@@ -599,6 +622,11 @@ class Solver:
                     yield env2
 
     def _solve_forall(self, f: ForallIn, env: Subst) -> Iterator[Subst]:
+        closed = self._decided(f, env)
+        if closed is not None:
+            if closed:
+                yield env
+            return
         source = env.apply(f.source)
         if not isinstance(source, SetValue):
             yield from self._solve_by_fallback(f, env)
@@ -612,6 +640,205 @@ class Solver:
             ))
             self._forall_cache[cache_key] = expansion
         yield from self._solve(expansion, env)
+
+
+# ---------------------------------------------------------------------------
+# Closed formulas
+# ---------------------------------------------------------------------------
+
+#: A closed formula's truth value under an environment map (a
+#: :class:`Subst`'s bindings) that binds every free variable it has.
+Decider = Callable[[dict], bool]
+
+
+def _compile_closed(f: Formula, solver: Solver, strict: bool) -> Decider:
+    """``f`` compiled to the solver's answer for it once its free variables
+    are bound — one pass over each quantifier's range, with the bound
+    variable set in a scratch map: no ranking, substitution or unfolding.
+
+    The answers, and the errors, are the unfolding search's.  Positive, a
+    membership in a non-set value is false, and so is a quantifier over
+    one.  Under ``¬`` (``strict``) the formula answers as
+    :func:`~repro.core.formulas.evaluate` does, which raises there.
+    Wherever the search substituted into a formula it raised
+    :class:`SortError` for a range element the bound variable's sort
+    refuses, or for a quantifier left ranging over a non-set: for a whole
+    range before its first copy when positive, element by element under
+    ``¬``, and for the free ranges of a negated formula first.  Parts are
+    decided in written order, and each stops at its first deciding part.
+    """
+    cls = f.__class__
+    if cls is AtomF:
+        return _compile_atom(f.atom, solver, strict)
+    if cls is AndF or cls is OrF:
+        parts = [_compile_closed(p, solver, strict) for p in f.parts]
+        if cls is AndF:
+            def every(m: dict) -> bool:
+                for d in parts:
+                    if not d(m):
+                        return False
+                return True
+            return every
+
+        def some(m: dict) -> bool:
+            for d in parts:
+                if d(m):
+                    return True
+            return False
+        return some
+    if cls is NotF:
+        sub = _compile_closed(f.sub, solver, True)
+        ranges = [] if strict else [
+            _term_reader(v) for v in _free_ranges(f.sub, set())
+        ]
+
+        def negation(m: dict) -> bool:
+            for read in ranges:
+                value = read(m)
+                if value.__class__ is not SetValue:
+                    _refuse_range(value)
+            return not sub(m)
+        return negation
+    if cls is ForallIn or cls is ExistsIn:
+        return _compile_quantifier(f, solver, strict)
+    if cls is TrueF:
+        return lambda m: True
+    raise EvaluationError(  # pragma: no cover - defensive
+        f"cannot decide formula {f!r}"
+    )
+
+
+def _term_reader(t: Term) -> Callable[[dict], Term]:
+    """``t``'s value under an environment map, as :meth:`Subst.apply`
+    gives it (ground terms canonicalised once, variable chains followed)."""
+    if t.__class__ is Var:
+        def read(m: dict) -> Term:
+            value = m.get(t)
+            cls = value.__class__
+            if cls is Const or cls is SetValue:
+                return value
+            return Subst._make(m).apply(t)
+        return read
+    if t.is_ground():
+        value = canonicalize(t)
+        return lambda m: value
+    return lambda m: Subst._make(m).apply(t)
+
+
+def _compile_atom(a: Atom, solver: Solver, strict: bool) -> Decider:
+    pred = a.pred
+    reads = [_term_reader(t) for t in a.args]
+    if pred == EQUALS:
+        left, right = reads
+        return lambda m: left(m) == right(m)
+    if pred == MEMBER:
+        elem, source = reads
+
+        def member(m: dict) -> bool:
+            s = source(m)
+            if s.__class__ is SetValue:
+                return elem(m) in s.elems
+            if strict:
+                raise SortError(f"membership in non-set value {s}")
+            return False
+        return member
+    builtin = solver.builtins.get(pred)
+    if builtin is not None:
+        def computed(m: dict) -> bool:
+            args = tuple([r(m) for r in reads])
+            if not strict:
+                if len(args) != builtin.arity:
+                    raise EvaluationError(
+                        f"builtin {pred!r} used with arity {len(args)}"
+                    )
+                if not builtin.ready(args):
+                    return False
+            return next(iter(builtin.solve(args, EMPTY_SUBST)), None) \
+                is not None
+        return computed
+    interp, stats = solver.interp, solver.stats
+
+    def stored(m: dict) -> bool:
+        if not strict:
+            stats.matches += 1
+        return interp.facts_of(pred).has_row([r(m) for r in reads])
+    return stored
+
+
+def _compile_quantifier(
+    f: ForallIn | ExistsIn, solver: Solver, strict: bool
+) -> Decider:
+    body = _compile_closed(f.body, solver, strict)
+    source, x = _term_reader(f.source), f.var
+    sort, universal = x.var_sort, f.__class__ is ForallIn
+    # Whether a quantifier in the body ranges over ``x`` itself: a
+    # non-set element then leaves it ranging over an atom.
+    sets_only = _ranges_over(f.body, x)
+    check_first = not strict and (sort != SORT_U or sets_only)
+    checked: set[SetValue] = set()      # ranges whose elements passed
+
+    def check(e: Term) -> None:
+        if not sorts_compatible(sort, e.sort):
+            Subst._checked({x: e})          # raises SortError
+        if sets_only and e.__class__ is not SetValue:
+            _refuse_range(e)
+
+    def quantifier(m: dict) -> bool:
+        s = source(m)
+        if s.__class__ is not SetValue:
+            if strict:
+                _refuse_range(s)
+            return False
+        elems = s.sorted_elems()
+        if check_first and s not in checked:
+            for e in elems:
+                check(e)
+            checked.add(s)
+        scratch = dict(m)
+        for e in elems:
+            if strict:
+                check(e)
+            scratch[x] = e
+            if body(scratch) != universal:
+                return not universal
+        return universal
+    return quantifier
+
+
+def _refuse_range(value: Term) -> None:
+    """Raise the error building a quantifier over the non-set ``value``
+    raises (:class:`~repro.core.formulas.ForallIn`)."""
+    raise SortError(
+        f"restricted quantifier ranges over {value} of sort 'a'; the "
+        "range must be a set-sorted term"
+    )
+
+
+def _ranges_over(f: Formula, x: Var) -> bool:
+    """Whether a quantifier in ``f`` ranges over ``x``, free in ``f``."""
+    cls = f.__class__
+    if cls is ForallIn or cls is ExistsIn:
+        return f.source == x or (f.var != x and _ranges_over(f.body, x))
+    if cls is AndF or cls is OrF:
+        return any(_ranges_over(p, x) for p in f.parts)
+    if cls is NotF:
+        return _ranges_over(f.sub, x)
+    return False
+
+
+def _free_ranges(f: Formula, bound: set) -> list[Var]:
+    """The variables free in ``f`` that its quantifiers range over, in
+    the order substitution meets them."""
+    cls = f.__class__
+    if cls is ForallIn or cls is ExistsIn:
+        src = f.source
+        out = [src] if src.__class__ is Var and src not in bound else []
+        return out + _free_ranges(f.body, bound | {f.var})
+    if cls is AndF or cls is OrF:
+        return [v for p in f.parts for v in _free_ranges(p, bound)]
+    if cls is NotF:
+        return _free_ranges(f.sub, bound)
+    return []
 
 
 # ---------------------------------------------------------------------------

@@ -564,16 +564,20 @@ def _assemble(statements: Sequence, mode: str, faithful: bool) -> Program:
 def _lifts_bound(rule: Rule, clauses: Sequence[LPSClause]) -> bool:
     """Whether each auxiliary clause Theorem 6 lifted out of ``rule``
     binds its own variables (the planner's readiness test, under the
-    default builtins).  One that does not (a quantifier prefix, say,
-    whose range only the caller's conjuncts bind) would be enumerated
-    over the active domain and stored, so the rule stays whole
-    instead."""
+    default builtins) and carries no ``_`` in its head.  One that does
+    not bind them (a quantifier prefix, say, whose range only the
+    caller's conjuncts bind) would be enumerated over the active domain
+    and stored; one whose head has a ``_`` puts that ``_`` in two
+    clauses, which re-parse as two variables.  Either way the rule stays
+    whole instead."""
     from ..engine.builtins import DEFAULT_BUILTINS
     from ..engine.planner import range_restricted
 
     head = rule.head.pred
     return all(
-        range_restricted(c, DEFAULT_BUILTINS)
+        range_restricted(c, DEFAULT_BUILTINS) and not any(
+            v.name.startswith(ANONYMOUS) for v in c.head.free_vars()
+        )
         for c in clauses if c.head.pred != head
     )
 

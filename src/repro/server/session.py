@@ -43,7 +43,7 @@ from functools import cached_property
 from typing import Any, Callable, Iterable, Optional
 
 from ..core.atoms import Atom, Literal
-from ..core.clauses import GroupingClause, LPSClause
+from ..core.clauses import GroupingClause, LPSClause, Rule
 from ..core.errors import EvaluationError, LPSError, SafetyError
 from ..core.terms import Const, Param, Term, subterms
 from ..engine.answers import Answers
@@ -492,9 +492,12 @@ class Session:
             # A goal that fails to parse or type raises here, so its
             # shape is never cached.
             parsed = self._parse_goal(text, typed[2])
-            template = _template(parsed, consts) if consts else parsed
-            if template is None:
-                # Not every constant is a slot: compiled for this text.
+            template = parsed
+            if consts and isinstance(parsed, LPSClause):
+                template = _template(parsed, consts)
+            if template is None or isinstance(parsed, Rule):
+                # Not every constant is a slot, or a formula goal: compiled
+                # for this text.
                 key, consts, template = None, (), parsed
             rule = self._query_rule(template)
             shape = (rule, tuple(names.index(v.name) for v in rule.head.args))
@@ -507,36 +510,38 @@ class Session:
                 _lru_put(self._texts, text, entry)
         return BoundRule(*entry)
 
-    def _parse_goal(self, text: str, signatures: dict) -> LPSClause:
+    def _parse_goal(
+        self, text: str, signatures: dict
+    ) -> LPSClause | Rule:
         """The goal as the body of a ``__query__`` clause, sort-inferred
-        against ``signatures``."""
+        against ``signatures``: an LPS clause, or a rule the program keeps
+        as its formula (a quantifier over a range the goal's own conjuncts
+        bind)."""
         program = parse_program(
             f"{QUERY_PRED} :- {text}.", signatures=signatures
         )
-        clauses = [c for c in program.clauses if isinstance(c, LPSClause)]
-        if len(clauses) != 1 or any(
-            isinstance(c, GroupingClause) for c in program.clauses
-        ):
+        clauses = program.clauses
+        if len(clauses) != 1 or isinstance(clauses[0], GroupingClause):
             raise EvaluationError(
                 "a query must be a single (conjunctive) goal"
             )
         return clauses[0]
 
-    def _query_rule(self, parsed: LPSClause) -> _CompiledRule:
+    def _query_rule(self, parsed: LPSClause | Rule) -> _CompiledRule:
         """The goal's rule: its head holds the named free variables."""
         out_vars = tuple(sorted(
             (v for v in parsed.free_vars()
              if not v.name.startswith(ANONYMOUS)),
             key=lambda v: (v.var_sort, v.name),
         ))
-        return _CompiledRule(
-            LPSClause(
-                head=Atom(QUERY_PRED, out_vars),
-                quantifiers=parsed.quantifiers,
-                body=parsed.body,
-            ),
-            self._model.builtins,
-        )
+        head = Atom(QUERY_PRED, out_vars)
+        if isinstance(parsed, Rule):
+            clause = Rule(head, parsed.body)
+        else:
+            clause = LPSClause(
+                head=head, quantifiers=parsed.quantifiers, body=parsed.body
+            )
+        return _CompiledRule(clause, self._model.builtins)
 
     def _own_goal(self, text: str) -> BoundRule:
         """The text compiled on its own and not cached: how an error

@@ -19,7 +19,9 @@ bindings its own conjuncts give.  The contracts:
   stratum recomputes over the caller's bindings, with no active-domain
   fallback) and equal a from-scratch evaluation at every version;
 * **stratification reads the formula**: an atom under ``not`` is a
-  negative edge.
+  negative edge;
+* **a goal may be a formula**: ``?-`` and ``:subscribe`` take the body
+  a rule would keep whole, and answer it as that rule would.
 """
 
 import random
@@ -35,6 +37,7 @@ from repro.engine.stratify import PLAN_RECOMPUTE, stratify
 from repro.lang.pretty import pretty_program
 from repro.repl.cli import main
 from repro.server import QueryService
+from repro.server.subscriptions import SubscriptionManager
 from repro.storage.codec import encode_program
 
 #: Examples 1-3 as the ``batch_fixpoint`` benchmark runs them.
@@ -57,6 +60,11 @@ ANONYMOUS_TEXTS = [
 
 ALLP = "s({a}). s({a, b}). s({}). p(a).\n" \
        "allp(X) :- s(X), forall A in X (p(A)).\n"
+
+#: A negated conjunction with ``_``: Theorem 6's auxiliary would bind its
+#: own variables, but its head would carry the ``_`` into two clauses.
+NEGATED_ANONYMOUS = "q(X) :- s(X), not (r(X, _), p(X)).\n"
+NEGATED_FACTS = "s(a). s(c). r(a, b). p(a). r(c, d).\n"
 
 
 def model_lines(program, db=None):
@@ -122,6 +130,30 @@ class TestTheProgramIsItsText:
             assert list(back.model.program.rules()) == list(
                 parse_program(ANONYMOUS_TEXTS[0]).rules()
             )
+            assert sorted(
+                str(a) for a in back.model.current.interpretation
+            ) == before
+        finally:
+            back.shutdown()
+
+
+    def test_a_negated_conjunction_with_anonymous_variables(self, tmp_path):
+        p = parse_program(NEGATED_ANONYMOUS + NEGATED_FACTS)
+        assert [type(c) for c in p.rules()] == [Rule]
+        assert parse_program(encode_program(p)) == p
+        # The model Theorem 6's split gave, over the user's predicates.
+        assert [line for line in model_lines(p) if line.startswith("q(")] \
+            == ["q(a)", "q(c)"]
+        opts = dict(fsync="never", checkpoint_every=None)
+        text = NEGATED_ANONYMOUS + NEGATED_FACTS
+        svc = QueryService(text, data_dir=tmp_path, **opts)
+        try:
+            before = sorted(str(a) for a in svc.model.current.interpretation)
+        finally:
+            svc.shutdown()
+        back = QueryService(text, data_dir=tmp_path, **opts)
+        try:
+            assert list(back.model.program.rules()) == list(p.rules())
             assert sorted(
                 str(a) for a in back.model.current.interpretation
             ) == before
@@ -215,3 +247,38 @@ class TestStratification:
             "bad(b)", "flag(b)", "r({a})", "r({})", "s({a, b})", "s({a})",
             "s({})",
         ])
+
+
+class TestFormulaGoals:
+    GOAL = "s(X), forall A in X (p(A))"
+
+    def test_a_formula_goal_answers_as_its_rule(self):
+        with QueryService(ALLP) as svc:
+            session = svc.open_session()
+            rule = session.execute("?- allp(X).")
+            goal = session.execute(f"?- {self.GOAL}.")
+            assert goal.ok, goal.error
+            assert goal.data["rows"] == rule.data["rows"] == [
+                {"X": "{}"}, {"X": "{a}"},
+            ]
+            assert session.execute(f"?- {self.GOAL}, X = {{a}}.").data[
+                "rows"] == [{"X": "{a}"}]
+
+    def test_a_standing_formula_goal_is_evaluated_and_diffed(
+        self, monkeypatch
+    ):
+        def no_delta_path(*args):
+            raise AssertionError("a formula goal has no delta plan")
+
+        monkeypatch.setattr(SubscriptionManager, "_delta_diff", no_delta_path)
+        with QueryService(ALLP) as svc:
+            session = svc.open_session()
+            response = session.subscribe(f"{self.GOAL}.")
+            assert response.ok, response.error
+            assert sorted(map(tuple, response.data["rows"])) == [
+                ("{a}",), ("{}",),
+            ]
+            svc.apply_delta(adds=[("p", "b")])
+            assert svc.subscriptions.wait_caught_up(svc.model.version)
+            (frame,) = session.take_push_frames()
+            assert frame["adds"] == [["{a, b}"]] and frame["dels"] == []

@@ -29,6 +29,7 @@ from repro.workloads import (
     random_graph,
     random_sets,
 )
+from test_formula_rules import QUANT_RULES
 from test_set_costs import PARTS_RULES
 
 TC_SOURCE = """
@@ -208,6 +209,47 @@ def test_vector_kernels_keep_join_rows_in_id_space(check):
     nodes columnar and cross the encode/decode boundary only where a
     node has no vector kernel."""
     check()
+
+
+# -- the tuple solver ------------------------------------------------------------
+
+
+def quant_family(seed):
+    """The family of sets ``bench/inputs.sets_program(seed)`` gives
+    Examples 1-3: three pairs of disjoint 3-sets with their unions, and
+    one set across them, over a relabelled 16-element universe."""
+    rng = random.Random(seed)
+    label = rng.sample(range(16), 16)
+    family = []
+    for k in range(3):
+        left = frozenset(label[5 * k:5 * k + 3])
+        right = frozenset(label[5 * k + 3:5 * k + 6])
+        family += [left, right, left | right]
+    return family + [frozenset(label[1::5][:3])]
+
+
+def test_closed_formulas_are_decided_not_searched(monkeypatch):
+    """Once a quantified rule's ``s`` conjuncts bind its sets, each
+    ``forall`` is closed: it is decided in one pass over its range, not
+    unfolded and searched (which ranked every conjunct of the unfolding
+    at each step: 14 541 rankings and 1 683 unfoldings per run)."""
+    calls = {"_priority": 0, "_solve_forall": 0}
+    for name in calls:
+        method = getattr(Solver, name)
+
+        def spy(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(Solver, name, spy)
+    db = Database()
+    for s in quant_family(1):
+        db.add("s", s)
+    model = Evaluator(
+        parse_program(QUANT_RULES), db, builtins=with_set_builtins()
+    ).run()
+    assert len(model.interpretation) == 104
+    assert calls["_solve_forall"] == 0
+    assert calls["_priority"] < 3000
 
 
 # -- serving -------------------------------------------------------------------
