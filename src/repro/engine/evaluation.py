@@ -828,12 +828,12 @@ def _ranges_over(f: Formula, x: Var) -> bool:
 
 def _free_ranges(f: Formula, bound: set) -> list[Var]:
     """The variables free in ``f`` that its quantifiers range over, in
-    the order substitution meets them."""
+    the order substituting into ``f`` checks them (innermost first)."""
     cls = f.__class__
     if cls is ForallIn or cls is ExistsIn:
         src = f.source
-        out = [src] if src.__class__ is Var and src not in bound else []
-        return out + _free_ranges(f.body, bound | {f.var})
+        own = [src] if src.__class__ is Var and src not in bound else []
+        return _free_ranges(f.body, bound | {f.var}) + own
     if cls is AndF or cls is OrF:
         return [v for p in f.parts for v in _free_ranges(p, bound)]
     if cls is NotF:
