@@ -123,7 +123,7 @@ def outcome(decide):
         return str(e)
 
 
-# -- drawing closed formulas -----------------------------------------------------
+# -- drawing closed formulas ---------------------------------------------------
 
 
 @st.composite
@@ -193,7 +193,7 @@ envs = st.builds(
 )
 
 
-# -- the parity property -----------------------------------------------------------
+# -- the parity property -------------------------------------------------------
 
 
 @settings(max_examples=400, deadline=None)
@@ -228,7 +228,7 @@ def test_a_refused_range_element_raises(f, env, source, quantifier):
         solver()._decider(g)(env._map)
 
 
-# -- the parity rules, by name ---------------------------------------------------
+# -- the parity rules, by name -------------------------------------------------
 
 
 def decide(f, **bindings):

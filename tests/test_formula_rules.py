@@ -136,7 +136,6 @@ class TestTheProgramIsItsText:
         finally:
             back.shutdown()
 
-
     def test_a_negated_conjunction_with_anonymous_variables(self, tmp_path):
         p = parse_program(NEGATED_ANONYMOUS + NEGATED_FACTS)
         assert [type(c) for c in p.rules()] == [Rule]

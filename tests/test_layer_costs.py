@@ -211,7 +211,7 @@ def test_vector_kernels_keep_join_rows_in_id_space(check):
     check()
 
 
-# -- the tuple solver ------------------------------------------------------------
+# -- the tuple solver ----------------------------------------------------------
 
 
 def quant_family(seed):
