@@ -14,12 +14,14 @@ Design highlights (see DESIGN.md):
 
 * **Formula solver.**  Rule bodies are solved by a generic backtracking
   solver over body *formulas* (conjunction, disjunction, restricted
-  quantifiers, negation, built-ins).  A conjunct is scheduled when it is
-  *ready* (can check or generate); when nothing is ready the solver falls
-  back to enumerating an unbound variable over the active domain — that
-  fallback is what gives non-range-restricted rules their active-domain
-  meaning, and what realises the paper's vacuous-quantifier semantics
-  (``(∀x ∈ ∅)φ`` is true even when φ's other conjuncts are false).
+  quantifiers, negation, built-ins).  A conjunct whose variables are all
+  bound is decided at once by a closure compiled for it (no search); the
+  others are scheduled when *ready* (can generate); when nothing is
+  ready the solver falls back to enumerating an unbound variable over
+  the active domain — that fallback is what gives non-range-restricted
+  rules their active-domain meaning, and what realises the paper's
+  vacuous-quantifier semantics (``(∀x ∈ ∅)φ`` is true even when φ's
+  other conjuncts are false).
 * **Stratified evaluation.**  Strata come from ``repro.engine.stratify``;
   negative literals and LDL grouping clauses only see fully computed lower
   strata, per Section 4.2 / Section 6 of the paper.
