@@ -25,6 +25,13 @@ Design highlights (see DESIGN.md):
 * **Stratified evaluation.**  Strata come from ``repro.engine.stratify``;
   negative literals and LDL grouping clauses only see fully computed lower
   strata, per Section 4.2 / Section 6 of the paper.
+* **Passes.**  Derived terms can grow the domain after a stratum that
+  consulted it closed, so whole stratified passes repeat until the domain
+  holds still — but only while they consult it.  The domain is built at
+  its first consultation (``ActiveDomain.carrier``/``carrier_size``
+  count them), and a pass that made none is the last: the next would
+  repeat its computation.  A range-restricted program takes one pass and
+  notes no term.
 * **Semi-naive rounds.**  Plain conjunctive rules are differentiated on
   their recursive body atoms; rules with quantifiers or disjunction are
   re-evaluated only when a predicate they depend on (or the active domain)
@@ -109,14 +116,33 @@ class ActiveDomain:
     empty set is always a member (Definition 4 makes ``∅`` semantically
     load-bearing).  ``version`` increments whenever the carriers grow, so
     the evaluator can detect domain growth cheaply.
+
+    ``consultations`` counts the carrier reads (:meth:`carrier`,
+    :meth:`carrier_size`).  A domain made with a ``seed`` is built on its
+    first one: ``seed(domain)`` notes what it holds at that moment.  Until
+    then it is not :attr:`built`, and its owner notes nothing into it.
     """
 
-    def __init__(self) -> None:
+    def __init__(
+        self, seed: Optional[Callable[["ActiveDomain"], None]] = None
+    ) -> None:
         self._atoms: dict[Term, None] = {}
         self._sets: dict[SetValue, None] = {setvalue(()): None}
         self.version = 0
         self._carrier_cache: dict[str, tuple[int, list[Term]]] = {}
         self._noted: dict[Term, None] = {}
+        self.consultations = 0
+        self._seed = seed
+
+    @property
+    def built(self) -> bool:
+        return self._seed is None
+
+    def _consult(self) -> None:
+        self.consultations += 1
+        if self._seed is not None:
+            seed, self._seed = self._seed, None
+            seed(self)
 
     def note_term(self, t: Term) -> None:
         # The domain only grows, so noting a term is idempotent — and terms
@@ -151,12 +177,18 @@ class ActiveDomain:
         once."""
         self.note_terms(set(itertools.chain.from_iterable(rows)))
 
+    def note_interpretation(self, interp: Interpretation) -> None:
+        """Note every term of every fact ``interp`` holds."""
+        for pred in interp.predicates():
+            self.note_rows(interp.facts_of(pred).rows())
+
     def carrier(self, sort: str) -> list[Term]:
         """The carrier list of a sort, cached per domain version.
 
         Callers must treat the returned list as read-only; fallback
         enumeration asks for carriers far more often than the domain grows.
         """
+        self._consult()
         cached = self._carrier_cache.get(sort)
         if cached is not None and cached[0] == self.version:
             return cached[1]
@@ -172,6 +204,7 @@ class ActiveDomain:
         return out
 
     def carrier_size(self, sort: str) -> int:
+        self._consult()
         if sort == SORT_A:
             return len(self._atoms)
         if sort == SORT_S:
@@ -179,14 +212,6 @@ class ActiveDomain:
         if sort == SORT_U:
             return len(self._atoms) + len(self._sets)
         raise EvaluationError(f"unknown sort {sort!r}")
-
-    @property
-    def n_atoms(self) -> int:
-        return len(self._atoms)
-
-    @property
-    def n_sets(self) -> int:
-        return len(self._sets)
 
 
 @dataclass
@@ -1123,11 +1148,15 @@ class Evaluator:
         domain.  We therefore run whole stratified passes until the domain
         stops growing, resetting the IDB between passes (negative
         conclusions drawn over the smaller domain may not survive).
+
+        Only a pass that consults the domain depends on it: one that made
+        no consultation is the last, since the next would repeat its
+        computation.  The domain is built at its first consultation, from
+        the program's terms and every term the interpretation holds by
+        then; until then nothing is noted into it.  A pass whose
+        consultations all saw the domain it ends with is the last too.
         """
-        domain = ActiveDomain()
         report = EvalReport(stats=SolverStats())
-        # Each distinct term of the program once, its facts' included.
-        domain.note_terms(self.program.all_terms())
         facts = self.program.fact_groups
         edb: list[Atom] = []
         if self.database is not None:
@@ -1137,8 +1166,15 @@ class Evaluator:
             raise EvaluationError(
                 f"database fact uses builtin predicate {min(builtin)!r}"
             )
-        domain.note_rows([a.args for a in edb])
 
+        def seed(domain: ActiveDomain) -> None:
+            nonlocal version_before
+            domain.note_terms(self.program.all_terms())
+            domain.note_interpretation(interp)      # the EDB among it
+            # Every consultation of this pass sees this domain or a larger.
+            version_before = domain.version
+
+        domain = ActiveDomain(seed)
         report.strata = self.stratification.depth
         passes = 0
         while True:
@@ -1149,6 +1185,7 @@ class Evaluator:
                     "finite perfect model over its own derivations"
                 )
             version_before = domain.version
+            consulted = domain.consultations
             interp = Interpretation()
             for f in facts:
                 interp.extend(f.pred, f.n, f.cols, repeats=True)
@@ -1173,7 +1210,9 @@ class Evaluator:
                             if result is not None:
                                 continue
                 self._fixpoint(normal, interp, domain, report)
-            if domain.version == version_before:
+            if domain.consultations == consulted or (
+                domain.version == version_before
+            ):
                 report.passes = passes
                 return Model(
                     interp, report, self.program, self.database, self.builtins,
@@ -1186,7 +1225,7 @@ class Evaluator:
         self,
         rules: Sequence[LPSClause | Rule],
         interp: Interpretation,
-        domain: ActiveDomain,
+        domain: Optional[ActiveDomain],
         report: EvalReport,
         seed_deltas: Optional[Mapping[str, frozenset[Atom]]] = None,
         shard=None,
@@ -1206,7 +1245,8 @@ class Evaluator:
         the interpretation is the already-materialized model, not the empty
         one, so a naive round would redo the entire join work.  The same
         subsystem consumes the return value as the stratum's exact gained
-        set (the evaluator's own passes ignore it).
+        set (the evaluator's own passes ignore it).  Without a ``domain``
+        (maintenance) the first consultation raises ``SafetyError``.
 
         ``shard`` (a ``repro.parallel.worker.ShardContext``) makes this
         the per-worker fixpoint of sharded evaluation: every derived head
@@ -1247,8 +1287,9 @@ class Evaluator:
                 raise EvaluationError(
                     f"stratum did not converge within {self.options.max_rounds} rounds"
                 )
-            domain_grew = domain.version != prev_version
-            prev_version = domain.version
+            domain_grew = (
+                0 if domain is None else domain.version
+            ) != prev_version
             #: head predicate -> the batches of new head rows this round's
             #: rule applications derived (each batch distinct, none held).
             fresh: dict[str, list[RowBatch]] = {}
@@ -1282,6 +1323,9 @@ class Evaluator:
                         fresh.setdefault(pred, []).append(batch)
             if not fresh:
                 break
+            # What this round's consultations saw: a domain built during
+            # the round already held everything derived before it.
+            prev_version = 0 if domain is None else domain.version
             deltas = {}
             for pred, batches in fresh.items():
                 if len(batches) == 1:
@@ -1306,8 +1350,9 @@ class Evaluator:
                             )) for col in zip(*(b.cols for b in batches))
                         ], repeats=True,
                     )
-                for b in batches:
-                    domain.note_terms(b.terms())
+                if domain is not None and domain.built:
+                    for b in batches:
+                        domain.note_terms(b.terms())
                 deltas[pred] = gained
                 report.derived += len(gained)
                 added.setdefault(pred, []).append(gained)
@@ -1320,7 +1365,7 @@ class Evaluator:
         self,
         g: GroupingClause,
         interp: Interpretation,
-        domain: ActiveDomain,
+        domain: Optional[ActiveDomain],
         report: EvalReport,
     ) -> set[Atom]:
         """Evaluate one LDL grouping clause (Definition 14).
@@ -1355,7 +1400,8 @@ class Evaluator:
             for key, values in groups.items()
         ]
         added = interp.update(heads)
-        domain.note_rows([h.args for h in added])
+        if domain is not None and domain.built:
+            domain.note_rows([h.args for h in added])
         report.derived += len(added)
         return set(added)
 

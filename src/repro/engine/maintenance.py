@@ -32,11 +32,12 @@ the domain carriers (unconstrained variables, non-ground quantifier
 ranges); such rules can change their output when the *domain* shrinks or
 grows even though no predicate they read changed.  Every carrier
 consultation goes through ``Solver._require_fallback``, so the gate is
-dynamic and exact: the initial evaluation and per-stratum recomputation
-count consultations in ``SolverStats.fallbacks``; the delta joins run on
-engines without a domain, where the first consultation raises
-``SafetyError``.  Either way the incremental result is abandoned and the
-model is recomputed from scratch.
+dynamic and exact: a program whose initial evaluation consulted the domain
+(``SolverStats.fallbacks``) is recomputed on every commit, and the model
+keeps no domain, so in a maintenance sweep — delta joins, stratum
+fixpoints, per-stratum recomputation — the first consultation raises
+``SafetyError``, the incremental result is abandoned and the model is
+recomputed from scratch.
 The maintained model is therefore *always* identical to a from-scratch
 ``Evaluator.run()`` over the updated database (see
 ``tests/test_maintenance.py``), and incrementality is a pure optimisation.
@@ -72,7 +73,6 @@ from .builtins import DEFAULT_BUILTINS, Builtin
 from .commits import Commit, CommitStream
 from .database import Database, as_fact
 from .evaluation import (
-    ActiveDomain,
     EvalReport,
     Evaluator,
     Model,
@@ -106,10 +106,6 @@ STRATEGY_RECOMPUTE = "recompute"
 #: that small either plan costs microseconds.
 REDERIVE_INPUT_RATIO = 8
 REDERIVE_MIN_GATE = 16
-
-
-class _AbortIncremental(Exception):
-    """Internal: the incremental path is unsound for this delta; recompute."""
 
 
 def _one_fact(spec: tuple) -> Any:
@@ -434,13 +430,13 @@ class MaterializedModel:
         try:
             self._maintain(added, removed, report)
         except SafetyError:
-            # A delta join consulted the active domain (see _engines).
+            # The sweep consulted the active domain (see _engines).
             self._full_recompute(
                 report, "maintenance join needs the active domain",
                 abandoned=(added, removed),
             )
-        except (_AbortIncremental, EvaluationError) as exc:
-            # Unsound or resource-limited incremental attempt: discard the
+        except EvaluationError as exc:
+            # A failed or resource-limited incremental attempt: discard the
             # partially-maintained state and recompute (a genuine error will
             # re-raise from the from-scratch evaluation).
             self._full_recompute(
@@ -456,11 +452,6 @@ class MaterializedModel:
         self._model = self._evaluator.run()
         self.exec_stats.merge(self._model.report.exec)
         self._interp = self._model.interpretation
-        self._domain = ActiveDomain()
-        for t in self.program.all_terms():
-            self._domain.note_term(t)
-        for a in self._interp:      # the EDB's facts among them
-            self._domain.note_atom(a)
         self._incremental_ok = self._model.report.stats.fallbacks == 0
 
     def _full_recompute(
@@ -510,7 +501,8 @@ class MaterializedModel:
         """Engines over the maintained state; ``delta`` holds the facts
         pinned occurrences range over.  Maintenance thereby **reuses the
         same plans as the fixpoint loop** instead of re-deriving join
-        order per batch.  They get no active domain: a join that would
+        order per batch.  They get no active domain, and nor do the
+        stratum fixpoints and recomputations of a sweep: whatever would
         consult it raises :class:`SafetyError`, which abandons the
         incremental attempt (the soundness gate of the module docstring).
         """
@@ -538,7 +530,6 @@ class MaterializedModel:
             g = self._producer.get(a.pred)
             if g is None:
                 if self._interp.add(a):
-                    self._domain.note_atom(a)
                     gained.setdefault(a.pred, set()).add(a)
             else:
                 edb_plus.setdefault(g, set()).add(a)
@@ -588,10 +579,6 @@ class MaterializedModel:
             plans.append(StratumPlan(group.index, plan, reason))
             _merge_net_changes(gained, lost, *events)
 
-        if stats.fallbacks:      # counted by _recompute_stratum only
-            raise _AbortIncremental(
-                "active-domain fallback during maintenance"
-            )
         report.stratum_plans = tuple(plans)
         report.atoms_added = sum(len(s) for s in gained.values())
         report.atoms_removed = sum(len(s) for s in lost.values())
@@ -681,7 +668,6 @@ class MaterializedModel:
         seed: dict[str, set[Atom]] = {}
         for a in edb_plus:
             if self._interp.add(a):
-                self._domain.note_atom(a)
                 seed.setdefault(a.pred, set()).add(a)
                 add_events.setdefault(a.pred, set()).add(a)
         for p, s in dep_gained.items():
@@ -739,7 +725,7 @@ class MaterializedModel:
         return self._evaluator._fixpoint(
             clauses,
             self._interp,
-            self._domain,
+            None,
             EvalReport(stats=stats, exec=self.exec_stats),
             seed_deltas={p: frozenset(s) for p, s in seed.items()},
         )
@@ -843,7 +829,6 @@ class MaterializedModel:
                 )
             if holds:
                 if self._interp.add(h):
-                    self._domain.note_atom(h)
                     add_events.setdefault(h.pred, set()).add(h)
             elif self._interp.remove(h):
                 rem_events.setdefault(h.pred, set()).add(h)
@@ -877,7 +862,6 @@ class MaterializedModel:
                 rem_events[p] = cleared
             for a in self.database.facts_of(p):
                 if self._interp.add(a):
-                    self._domain.note_atom(a)
                     add_events.setdefault(p, set()).add(a)
         grouping = [
             c for c in group.clauses if isinstance(c, GroupingClause)
@@ -888,12 +872,12 @@ class MaterializedModel:
         ereport = EvalReport(stats=stats, exec=self.exec_stats)
         for g in grouping:
             grouped = self._evaluator._apply_grouping(
-                g, self._interp, self._domain, ereport
+                g, self._interp, None, ereport
             )
             if grouped:
                 add_events.setdefault(g.pred, set()).update(grouped)
         closure = self._evaluator._fixpoint(
-            normal, self._interp, self._domain, ereport
+            normal, self._interp, None, ereport
         )
         for p, slices in closure.items():
             add_events.setdefault(p, set()).update(

@@ -82,11 +82,13 @@ def explain(model: Model, atom: Atom, max_depth: int = 50) -> DerivationNode:
         clauses.setdefault(program.head_pred(c), []).append(
             (c, _CompiledRule(rule, builtins))
         )
-    # The model's active domain, as ``MaterializedModel._rebuild`` builds
-    # it: per call, since a maintained model changes under it.
-    domain = ActiveDomain()
-    domain.note_terms(program.all_terms())
-    domain.note_rows([a.args for a in interp])
+    def seed(domain: ActiveDomain) -> None:
+        # The model's active domain, per call, since a maintained model
+        # changes under it; built only if a step consults it.
+        domain.note_terms(program.all_terms())
+        domain.note_interpretation(interp)
+
+    domain = ActiveDomain(seed)
     solver = Solver(interp, domain, builtins, model.options.allow_fallback,
                     model.options.fallback_limit)
     #: atom -> its (kind, clause, premises) step; an atom's premises are

@@ -502,6 +502,7 @@ def parse_program(
     mode: Optional[str] = None,
     faithful: bool = False,
     signatures: Optional[dict] = None,
+    split: bool = True,
 ) -> Program:
     """Parse a program text into a :class:`~repro.core.program.Program`.
 
@@ -509,9 +510,10 @@ def parse_program(
     Sort inference runs in LPS mode; rule bodies not already in Definition 5
     prefix form are compiled away per Theorem 6 where its auxiliaries are
     range-restricted (:func:`_lifts_bound`), and kept as written otherwise;
-    ``faithful`` compiles every one, literally.  ``signatures`` are the
-    predicate sorts of a program this text is parsed against (see
-    :func:`~repro.lang.sortinfer.predicate_sorts`).
+    ``faithful`` compiles every one, literally, and ``split=False`` none
+    that would need an auxiliary (a query's goal is solved as written).
+    ``signatures`` are the predicate sorts of a program this text is
+    parsed against (see :func:`~repro.lang.sortinfer.predicate_sorts`).
     """
     parser = Parser(source)
     statements = parser.parse_statements()
@@ -522,10 +524,12 @@ def parse_program(
             mode = MODE_LPS
     if mode == MODE_LPS:
         statements = infer_sorts(statements, signatures)
-    return _assemble(statements, mode, faithful)
+    return _assemble(statements, mode, faithful, split)
 
 
-def _assemble(statements: Sequence, mode: str, faithful: bool) -> Program:
+def _assemble(
+    statements: Sequence, mode: str, faithful: bool, split: bool
+) -> Program:
     items: list = []
     for s in statements:
         if s.__class__ is FactRun:
@@ -549,7 +553,9 @@ def _assemble(statements: Sequence, mode: str, faithful: bool) -> Program:
             builder.rows(it.key, it.rows)
         elif isinstance(it, Rule):
             clauses = compile_rule(it, fresh, faithful=faithful)
-            if faithful or _lifts_bound(it, clauses):
+            if faithful or len(clauses) == 1 or (
+                split and _lifts_bound(it, clauses)
+            ):
                 for c in clauses:
                     builder.clause(c)
             else:

@@ -234,7 +234,8 @@ class ShardCoordinator:
             report.rule_applications += r["rule_applications"]
             for a in r["added"]:
                 if interp.add(a):
-                    domain.note_atom(a)
+                    if domain.built:
+                        domain.note_atom(a)
                     report.derived += 1
                     added.setdefault(a.pred, set()).add(a)
         report.rounds += rounds

@@ -25,7 +25,6 @@ from typing import Mapping, Optional
 from ..core.atoms import Atom
 from ..engine.builtins import DEFAULT_BUILTINS
 from ..engine.evaluation import (
-    ActiveDomain,
     EvalOptions,
     EvalReport,
     Evaluator,
@@ -103,16 +102,9 @@ class _StratumRun:
             )
         self.ctx = ShardContext(index, n_shards, msg["partition"], head_preds)
         self.interp = Interpretation()
-        self.domain = ActiveDomain()
-        for t in evaluator.program.all_terms():
-            self.domain.note_term(t)
         for atoms in pickle.loads(msg["replicated_blob"]).values():
-            for a in atoms:
-                self.interp.add(a)
-                self.domain.note_atom(a)
-        for a in msg["owned"]:
-            self.interp.add(a)
-            self.domain.note_atom(a)
+            self.interp.update(atoms)
+        self.interp.update(msg["owned"])
         self.report = EvalReport(stats=SolverStats())
         #: Owned atoms added by this worker's fixpoints (the gather set).
         self.added: dict[str, set[Atom]] = {}
@@ -124,7 +116,6 @@ class _StratumRun:
         seeds: dict[str, set[Atom]] = {}
         for a in decode_atoms(inbox):
             if self.interp.add(a):
-                self.domain.note_atom(a)
                 self.added.setdefault(a.pred, set()).add(a)
                 seeds.setdefault(a.pred, set()).add(a)
         if not seeds:
@@ -132,16 +123,13 @@ class _StratumRun:
         return self._run({p: frozenset(s) for p, s in seeds.items()})
 
     def _run(self, seed_deltas) -> dict:
-        fallbacks_before = self.report.stats.fallbacks
+        # Same soundness gate as incremental maintenance: a worker has no
+        # active domain (the coordinator's is not its own), so a
+        # consultation raises and the stratum falls back.
         added = self.evaluator._fixpoint(
-            self.clauses, self.interp, self.domain, self.report,
+            self.clauses, self.interp, None, self.report,
             seed_deltas=seed_deltas, shard=self.ctx,
         )
-        if self.report.stats.fallbacks > fallbacks_before:
-            # Same soundness gate as incremental maintenance: a fallback
-            # means the active domain was consulted, and worker domains
-            # are not the coordinator's.
-            raise RuntimeError("active-domain fallback inside shard worker")
         for p, slices in added.items():
             self.added.setdefault(p, set()).update(
                 itertools.chain.from_iterable(slices)

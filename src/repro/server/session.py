@@ -514,11 +514,10 @@ class Session:
         self, text: str, signatures: dict
     ) -> LPSClause | Rule:
         """The goal as the body of a ``__query__`` clause, sort-inferred
-        against ``signatures``: an LPS clause, or a rule the program keeps
-        as its formula (a quantifier over a range the goal's own conjuncts
-        bind)."""
+        against ``signatures``: an LPS clause, or a rule with the goal's
+        formula kept whole (never split into Theorem 6 auxiliaries)."""
         program = parse_program(
-            f"{QUERY_PRED} :- {text}.", signatures=signatures
+            f"{QUERY_PRED} :- {text}.", signatures=signatures, split=False
         )
         clauses = program.clauses
         if len(clauses) != 1 or isinstance(clauses[0], GroupingClause):

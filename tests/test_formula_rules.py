@@ -21,7 +21,8 @@ bindings its own conjuncts give.  The contracts:
 * **stratification reads the formula**: an atom under ``not`` is a
   negative edge;
 * **a goal may be a formula**: ``?-`` and ``:subscribe`` take the body
-  a rule would keep whole, and answer it as that rule would.
+  a rule would keep whole, and answer it as that rule would; a goal is
+  never split into auxiliaries, even where its rule would be.
 """
 
 import random
@@ -281,3 +282,35 @@ class TestFormulaGoals:
             assert svc.subscriptions.wait_caught_up(svc.model.version)
             (frame,) = session.take_push_frames()
             assert frame["adds"] == [["{a, b}"]] and frame["dels"] == []
+
+
+class TestSplitGoals:
+    """A goal whose body Theorem 6 would split into auxiliaries that bind
+    their own variables is kept whole too, and answered as its rule."""
+
+    PROGRAM = "r(a). r(b). r(c). p(a). t(b).\n" \
+              "q(X) :- r(X), (p(X) or t(X)).\n"
+    GOAL = "r(X), (p(X) or t(X))"
+
+    def test_a_disjunctive_goal_answers_as_its_rule(self):
+        with QueryService(self.PROGRAM) as svc:
+            session = svc.open_session()
+            rule = session.execute("?- q(X).")
+            goal = session.execute(f"?- {self.GOAL}.")
+            assert goal.ok, goal.error
+            assert goal.data["rows"] == rule.data["rows"] == [
+                {"X": "a"}, {"X": "b"},
+            ]
+
+    def test_a_standing_disjunctive_goal_is_evaluated_and_diffed(self):
+        with QueryService(self.PROGRAM) as svc:
+            session = svc.open_session()
+            response = session.subscribe(f"{self.GOAL}.")
+            assert response.ok, response.error
+            assert sorted(map(tuple, response.data["rows"])) == [
+                ("a",), ("b",),
+            ]
+            svc.apply_delta(adds=[("t", "c")], dels=[("p", "a")])
+            assert svc.subscriptions.wait_caught_up(svc.model.version)
+            (frame,) = session.take_push_frames()
+            assert frame["adds"] == [["c"]] and frame["dels"] == [["a"]]
