@@ -133,7 +133,7 @@ def shardable_group(group: StratumRules, builtins) -> bool:
       complete extension its strictness needs;
     * nonrecursive strata (``PLAN_REDERIVE``) — every body relation is
       replicated, so sharding would only duplicate the work N times;
-    * domain-sensitive rules — active domains diverge per worker;
+    * domain-sensitive rules — a worker keeps no active domain;
     * rules with >1 body occurrence of a stratum predicate (nonlinear
       recursion) — a derivation could need facts from two shards.
     """

@@ -76,7 +76,7 @@ def run(text, db=None, options=None):
     ).run()
 
 
-# -- range-restricted programs: one pass, no domain ------------------------------
+# -- range-restricted programs: one pass, no domain ---------------------------
 
 
 def tc_case():
@@ -141,7 +141,7 @@ def test_a_program_that_consults_nothing_takes_one_pass(case, noted):
     assert noted == []
 
 
-# -- consulting programs: passes while the domain grows ----------------------------
+# -- consulting programs: passes while the domain grows -----------------------
 
 
 a, b, c = const("a"), const("b"), const("c")
@@ -215,7 +215,7 @@ def test_a_domain_built_mid_pass_holds_what_the_pass_derived(noted):
     assert len(noted) == len(set(noted))
 
 
-# -- maintenance and recovery ----------------------------------------------------
+# -- maintenance and recovery -------------------------------------------------
 
 
 def plan_facts(specs):
@@ -270,7 +270,7 @@ def test_recovery_evaluates_one_pass(tmp_path, monkeypatch):
         recovered.close()
 
 
-# -- provenance ------------------------------------------------------------------
+# -- provenance ---------------------------------------------------------------
 
 
 def test_explain_builds_no_domain_for_a_closure(noted):

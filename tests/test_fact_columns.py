@@ -114,7 +114,8 @@ def test_each_term_is_noted_into_the_domain_once(monkeypatch):
     assert len(model.relation("t")) > len(EDGES)
     assert noted == []          # no rule consults the domain
     # ``X`` is left to the domain: the first consultation builds it.
-    model = Evaluator(parse_program(TEXT + "loopless(X) :- not e(X, X).\n")).run()
+    text = TEXT + "loopless(X) :- not e(X, X).\n"
+    model = Evaluator(parse_program(text)).run()
     assert len(noted) == len(set(noted))
     nodes = {u for edge in EDGES for u in edge}
     assert nodes <= set(map(str, noted))
