@@ -7,6 +7,7 @@ used by Sections 4 and 6.
 """
 
 from .errors import (
+    ArityError,
     ClauseError,
     EvaluationError,
     LPSError,
@@ -89,7 +90,7 @@ from .unify import (
 
 __all__ = [
     # errors
-    "LPSError", "SortError", "ClauseError", "SafetyError",
+    "LPSError", "SortError", "ClauseError", "ArityError", "SafetyError",
     "StratificationError", "ParseError", "EvaluationError", "UnificationError",
     # sorts
     "SORT_A", "SORT_S", "SORT_U", "EQUALS", "MEMBER",

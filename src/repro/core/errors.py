@@ -34,6 +34,13 @@ class ClauseError(LPSError):
     """
 
 
+class ArityError(ClauseError):
+    """A predicate used at a second arity — in a program, a fact, a store
+    or a logged record: in the paper's language L it has one."""
+
+    code = "arity_conflict"
+
+
 class SafetyError(LPSError):
     """A rule cannot be evaluated finitely under the configured policy."""
 

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .atoms import Atom, Literal
 from .clauses import GroupingClause, LPSClause, Rule
-from .errors import ClauseError, SortError
+from .errors import ArityError, ClauseError, SortError
 from .formulas import atoms_of, map_atoms, signed_atoms, terms_of
 from .sorts import SORT_S, SORT_U, is_special_predicate
 from .terms import (
@@ -45,6 +45,17 @@ _TERMS = TERM_DICT.terms
 #: Language modes.
 MODE_LPS = "lps"
 MODE_ELPS = "elps"
+
+
+def check_arity(arities: dict[str, int], pred: str, arity: int) -> None:
+    """Note ``pred`` at ``arity`` in ``arities`` (predicate -> arity), or
+    refuse it (:class:`ArityError`) when they hold it at another: the one
+    arity check, made wherever a clause or a fact comes in."""
+    prev = arities.setdefault(pred, arity)
+    if prev != arity:
+        raise ArityError(
+            f"predicate {pred!r} used with arities {prev} and {arity}"
+        )
 
 
 class FactGroup:
@@ -229,13 +240,8 @@ class Program:
         out: dict[str, int] = {}
 
         def note(pred: str, arity: int) -> None:
-            if is_special_predicate(pred):
-                return
-            prev = out.setdefault(pred, arity)
-            if prev != arity:
-                raise ClauseError(
-                    f"predicate {pred!r} used with arities {prev} and {arity}"
-                )
+            if not is_special_predicate(pred):
+                check_arity(out, pred, arity)
 
         rules = self._split()[0]
         for group, lo, hi in self._runs():

@@ -596,21 +596,19 @@ class ColumnarExecutor(Executor):
                 n_out = int(mask.sum())
             self.stats.note(node.op, n, n_out)
             return n_out, out
-        if facts is None:
-            rows = self.interp.rows_for_pattern(
-                a.pred, a.args if params is None else bind_args(a.args, params)
-            )
-        else:
-            rows = fact_rows(facts)
-        # Atom-set deltas and mixed-arity relations: encode while matching.
-        arity = a.arity
+        if facts is None:                   # the relation is empty
+            self.stats.note(node.op, 0, 0)
+            return 0, _empty_cols(len(var_pos))
+        # Atom-set deltas: encode while matching.  A predicate has one
+        # arity, so the first row's is every row's.
+        rows = fact_rows(facts)
+        if rows and len(rows[0]) != a.arity:
+            rows = ()
         matched: list = []
         append = matched.append
         n_in = 0
         for args in rows:
             n_in += 1
-            if len(args) != arity:
-                continue
             ok = True
             for i, t in const_checks:
                 if args[i] is not t and args[i] != t:
@@ -686,7 +684,7 @@ class ColumnarExecutor(Executor):
         small-delta rounds it exists for)."""
         pred, arity, positions, template, rtake, dup_checks, var_sorts = probe
         facts = self.interp.facts_of(pred)
-        if len(facts) < INDEX_MIN_FACTS or facts.odd or facts.arity != arity:
+        if len(facts) < INDEX_MIN_FACTS or facts.arity != arity:
             return None
         # Gate on the C-side distinct-key count before paying the Python
         # tolist/dict materialization it would take to actually probe
@@ -828,40 +826,28 @@ class ColumnarExecutor(Executor):
         facts = self.interp.facts_of(pred)
         keep = None                         # ``None`` keeps every row
         n_in = n                            # rows the kernel reads
-        if not n or not facts:
-            pass
+        if not n or not facts or len(metas) != facts.arity:
+            pass                            # no fact is an instance
         elif not metas:                     # zero-arity atom: one probe
             if facts.has_row(()):
                 keep = _np.zeros(n, dtype=bool)
-        elif n * _PROBE_RATIO >= len(facts) and (
-            entry := self.interp.id_columns(pred)
-        ) is not None:
+        elif n * _PROBE_RATIO >= len(facts):
+            entry = self.interp.id_columns(pred)
             n_in += entry[1]
             keep = self._absent_mask(n, cols, metas, entry)
         else:
             # Few rows against a large relation (sorting it would cost
-            # more than the rows — see ``_PROBE_RATIO``), or a mixed-arity
-            # relation: probe the key map once per row.
-            if len(metas) == facts.arity and not facts.odd:
-                seqs = [
-                    cols[v].tolist() if k == "col" else repeat(_ID_OF(v), n)
-                    for k, v in metas
-                ]
-                held = facts.keys
-                keep = _np.fromiter(
-                    (row_key(ids) not in held for ids in zip(*seqs)),
-                    bool, count=n,
-                )
-            else:
-                term = _TERMS.__getitem__
-                seqs = [
-                    map(term, cols[v].tolist()) if k == "col" else repeat(v, n)
-                    for k, v in metas
-                ]
-                keep = _np.fromiter(
-                    (not facts.has_row(args) for args in zip(*seqs)),
-                    bool, count=n,
-                )
+            # more than the rows — see ``_PROBE_RATIO``): probe the key
+            # map once per row.
+            seqs = [
+                cols[v].tolist() if k == "col" else repeat(_ID_OF(v), n)
+                for k, v in metas
+            ]
+            held = facts.keys
+            keep = _np.fromiter(
+                (row_key(ids) not in held for ids in zip(*seqs)),
+                bool, count=n,
+            )
         if keep is None:
             self.stats.note(node.op, n_in, n)
             return n, cols
@@ -876,10 +862,7 @@ class ColumnarExecutor(Executor):
         the relation is cut down to the facts matching the atom's
         constants and repeated variables, then both sides meet on one
         packed key column."""
-        arity, rn, bufs = entry
-        if arity != len(metas):
-            return None
-        rcols = [_np.frombuffer(b, dtype=_np.int64) for b in bufs]
+        rcols = [_np.frombuffer(b, dtype=_np.int64) for b in entry[2]]
         rmask = None
         first: dict = {}                    # input column -> relation position
         for j, (kind, v) in enumerate(metas):

@@ -21,7 +21,7 @@ from typing import Any, Iterable, Iterator, Mapping
 from ..core.atoms import Atom, atom_order_key
 from ..core.clauses import LPSClause, fact
 from ..core.errors import EvaluationError
-from ..core.program import Program
+from ..core.program import Program, check_arity
 from ..core.terms import App, Const, SetValue, Term, setvalue
 
 
@@ -73,7 +73,9 @@ class Database:
 
     :attr:`signatures` maps ``(pred, position)`` to the sort there of a
     predicate's first fact: what text parsed against the EDB is typed
-    by.  It is replaced, never mutated, and snapshots share it.
+    by; :attr:`arities` gives each held predicate's arity, and a fact at
+    another is refused.  Both are replaced, never mutated, and snapshots
+    share them.
     """
 
     def __init__(self) -> None:
@@ -82,6 +84,7 @@ class Database:
         #: Predicates whose fact set is shared with a snapshot.
         self._shared: set[str] = set()
         self.signatures: dict[tuple[str, int], str] = {}
+        self.arities: dict[str, int] = {}
 
     # -- snapshots / copy-on-write ------------------------------------------------
 
@@ -97,6 +100,7 @@ class Database:
         snap._frozen = True
         snap._shared = set()
         snap.signatures = self.signatures
+        snap.arities = self.arities
         if not self._frozen:
             self._shared = set(self._facts)
         return snap
@@ -128,8 +132,11 @@ class Database:
         if not a.is_ground():
             raise EvaluationError(f"fact {a} is not ground")
         bucket = self._mutable_bucket(a.pred)
-        if bucket is None:
+        if bucket is not None:
+            check_arity(self.arities, a.pred, len(a.args))
+        else:
             bucket = self._facts[a.pred] = set()
+            self.arities = {**self.arities, a.pred: len(a.args)}
             sorts = {(a.pred, i): t.sort for i, t in enumerate(a.args)}
             if not sorts.items() <= self.signatures.items():
                 self.signatures = {**self.signatures, **sorts}
@@ -147,6 +154,8 @@ class Database:
         bucket.discard(a)
         if not bucket:
             del self._facts[a.pred]
+            self.arities = dict(self.arities)   # snapshots hold the old
+            del self.arities[a.pred]
         return True
 
     def apply_delta(
@@ -159,16 +168,20 @@ class Database:
         ``adds``/``dels`` accept :class:`~repro.core.atoms.Atom` objects or
         ``(pred, arg, ...)`` tuples of Python values.  Returns the **net**
         ``(added, removed)`` atom sets: a fact both deleted and re-asserted
-        in one batch appears in neither.
+        in one batch appears in neither.  A batch that adds a predicate at
+        two arities, or at another than the facts held, is refused whole.
         """
+        adds = [as_fact(spec) for spec in adds]
+        arities = dict(self.arities)
+        for a in adds:
+            check_arity(arities, a.pred, len(a.args))
         removed: set[Atom] = set()
         added: set[Atom] = set()
         for spec in dels:
             a = as_fact(spec)
             if self.retract_atom(a):
                 removed.add(a)
-        for spec in adds:
-            a = as_fact(spec)
+        for a in adds:
             if a not in self:
                 self.add_atom(a)
                 added.add(a)
@@ -178,6 +191,13 @@ class Database:
         """Bulk-load rows of Python values into one predicate."""
         for row in rows:
             self.add(pred, *row)
+
+    def check_program(self, program: Program) -> None:
+        """Refuse a program that names a predicate at another arity than
+        the facts held (:class:`~repro.core.errors.ArityError`)."""
+        arities = dict(self.arities)
+        for pred, n in program.predicates().items():
+            check_arity(arities, pred, n)
 
     def facts(self) -> Iterator[Atom]:
         for atoms in self._facts.values():

@@ -481,16 +481,14 @@ class Solver:
             if self.interp.holds(pattern):
                 yield env
             return
-        arity = pattern.arity
         # Candidates come from the interpretation's incremental argument
         # indexes (shared between rounds, rules and solver instances); with
         # several bound positions the shared policy reads the most
         # selective single-position bucket — see
-        # :meth:`Interpretation.candidates_for_pattern`.
+        # :meth:`Interpretation.candidates_for_pattern`.  None has another
+        # arity than the pattern's.
         for f in self.interp.candidates_for_pattern(pattern.pred, pattern.args):
             stats.matches += 1
-            if f.arity != arity:
-                continue
             out = match_atom_fast(pattern, f, env)
             if out is MATCH_FAILED:
                 continue
@@ -1155,11 +1153,13 @@ class Evaluator:
         the program's terms and every term the interpretation holds by
         then; until then nothing is noted into it.  A pass whose
         consultations all saw the domain it ends with is the last too.
+        A database at another arity than the program is refused.
         """
         report = EvalReport(stats=SolverStats())
         facts = self.program.fact_groups
         edb: list[Atom] = []
         if self.database is not None:
+            self.database.check_program(self.program)
             edb += self.database.facts()
         builtin = {a.pred for a in edb} & self.builtins.keys()
         if builtin:

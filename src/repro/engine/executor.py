@@ -297,11 +297,13 @@ class Executor:
             if delta is None:
                 cands = self.interp.rows_for_pattern(a.pred, a.args)
             else:
+                # A predicate has one arity, so the first row's is every
+                # row's (``rows_for_pattern`` reads none at another).
                 cands = fact_rows(delta)
+                if cands and len(cands[0]) != arity:
+                    cands = ()
             for args in cands:
                 n_in += 1
-                if len(args) != arity:
-                    continue
                 ok = True
                 for i, t in const_checks:
                     if args[i] is not t and args[i] != t:
@@ -401,8 +403,9 @@ class Executor:
         joins instead; both strategies compute the same row set.
         """
         pred, arity, positions, template, rtake, dup_checks, var_sorts = probe
-        nfacts = len(self.interp.facts_of(pred))
-        if nfacts < INDEX_MIN_FACTS:
+        facts = self.interp.facts_of(pred)
+        nfacts = len(facts)
+        if nfacts < INDEX_MIN_FACTS or facts.arity != arity:
             return None
         if self.params is not None:
             template = bind_pairs(template, self.params)
@@ -420,8 +423,6 @@ class Executor:
             )
             for args in candidates(pred, positions, probe_key):
                 n_in += 1
-                if len(args) != arity:
-                    continue
                 ok = True
                 for i, j in dup_checks:
                     if args[i] is not args[j] and args[i] != args[j]:

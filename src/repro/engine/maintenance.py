@@ -62,7 +62,7 @@ from typing import (
 from ..core.atoms import Atom, pos
 from ..core.clauses import GroupingClause, LPSClause
 from ..core.errors import EvaluationError, SafetyError, SortError
-from ..core.program import AnyClause, Program
+from ..core.program import AnyClause, Program, check_arity
 from ..core.sorts import sorts_compatible
 from ..core.substitution import Subst
 from ..core.terms import SetValue, Term, setvalue
@@ -132,12 +132,15 @@ def check_fact(
     spec: Any,
     builtins: Mapping[str, Builtin],
     sorts: Optional[Mapping[tuple[str, int], str]] = None,
+    arities: Optional[dict[str, int]] = None,
 ) -> Atom:
     """``spec`` as an EDB fact a model over ``builtins`` may hold: ground,
-    not special, not a builtin predicate — and, given the rules' ``sorts``
-    (:func:`~repro.lang.sortinfer.predicate_sorts`), of the sort the rules
-    read at each position: a set where they read an individual (or the
-    other way round) would be held and never answered."""
+    not special, not a builtin predicate, at the arity ``arities`` give
+    its predicate (:func:`~repro.core.program.check_arity`) — and, given
+    the rules' ``sorts`` (:func:`~repro.lang.sortinfer.predicate_sorts`),
+    of the sort the rules read at each position: a set where they read
+    an individual (or the other way round) would be held and never
+    answered."""
     a = as_fact(spec)
     if a.is_special():
         raise EvaluationError(
@@ -147,6 +150,8 @@ def check_fact(
         raise EvaluationError(
             f"database fact uses builtin predicate {a.pred!r}"
         )
+    if arities is not None:
+        check_arity(arities, a.pred, len(a.args))
     if sorts:
         for i, t in enumerate(a.args):
             want = sorts.get((a.pred, i))
@@ -321,9 +326,10 @@ class MaterializedModel:
         program.validate()
         facts = [check_fact(f, builtins) for f in program.facts()]
         self.program = program.rules()
-        #: ``(pred, position) -> sort`` as the rules read them: what a
-        #: written fact is checked against (:func:`check_fact`).
+        #: ``(pred, position) -> sort`` and ``pred -> arity`` as the rules
+        #: use them: what a written fact is :meth:`checked` against.
         self.sorts = predicate_sorts(self.program)
+        self.arities = self.program.predicates()
         self.database = database if database is not None else Database()
         self.builtins = builtins
         self._evaluator = Evaluator(self.program, self.database, builtins)
@@ -406,15 +412,9 @@ class MaterializedModel:
         incrementally where the per-stratum plans apply and recomputed
         from scratch when the soundness gate trips (see module docstring).
 
-        An added fact whose sort conflicts with the rules' is refused
-        (:class:`FactSortError`) unless ``check_sorts`` is off: a follower
-        replays what its leader logged, and a leader that wrote such a
-        fact before the check existed must still be read — as recovery
-        reads it (``storage.durable.judge_record``).
+        The batch is :meth:`checked` first.
         """
-        sorts = self.sorts if check_sorts else None
-        add_atoms = [check_fact(s, self.builtins, sorts) for s in adds]
-        del_atoms = [check_fact(s, self.builtins) for s in dels]
+        add_atoms, del_atoms = self.checked(adds, dels, check_sorts)
         added, removed = self.database.apply_delta(add_atoms, del_atoms)
         report = MaintenanceReport(
             net_added=len(added), net_removed=len(removed)
@@ -444,6 +444,24 @@ class MaterializedModel:
             )
         self.last_report = report
         return report
+
+    def checked(
+        self, adds: Iterable[Any] = (), dels: Iterable[Any] = (),
+        check_sorts: bool = True,
+    ) -> tuple[list[Atom], list[Atom]]:
+        """A batch's ``(adds, dels)`` as atoms (:func:`check_fact`) or
+        its refusal.  An added fact is at the arity the rules, the held
+        facts and the batch give its predicate, and of the rules' sorts
+        unless ``check_sorts`` is off: a follower replays what its leader
+        logged, and a leader that wrote such a fact before the sort check
+        existed must still be read (``storage.durable.judge_record``)."""
+        sorts = self.sorts if check_sorts else None
+        arities = {**self.database.arities, **self.arities}
+        add_atoms = [
+            check_fact(s, self.builtins, sorts, arities) for s in adds
+        ]
+        del_atoms = [check_fact(s, self.builtins) for s in dels]
+        return add_atoms, del_atoms
 
     # -- construction / recompute ------------------------------------------------
 
@@ -1048,6 +1066,13 @@ class VersionedModel:
     def sorts(self) -> Mapping[tuple[str, int], str]:
         """The sorts the program's rules read (see :func:`check_fact`)."""
         return self._materialized.sorts
+
+    def checked(
+        self, adds: Iterable[Any] = (), dels: Iterable[Any] = (),
+        check_sorts: bool = True,
+    ) -> tuple[list[Atom], list[Atom]]:
+        """See :meth:`MaterializedModel.checked`."""
+        return self._materialized.checked(adds, dels, check_sorts)
 
     def at(self, version: int) -> ModelSnapshot:
         """The snapshot published as ``version``.

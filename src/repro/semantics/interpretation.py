@@ -146,8 +146,11 @@ class FactTable:
 
     ``atoms[s]`` is the row's :class:`Atom` once something asked for it
     (iteration, :meth:`atom`), else ``None``; an atom is built at most
-    once per table and kept.  Rows of another arity than the table's
-    (a predicate used with two arities) live apart, as atoms, in ``odd``.
+    once per table and kept.  A predicate has one arity (every store
+    boundary refuses a second: :class:`~repro.core.errors.ArityError`),
+    so every row has the table's; a row of another is an engine fault
+    (:meth:`Interpretation._table_for`), and a read at another arity
+    holds nothing.
 
     A table is the live read view :meth:`Interpretation.facts_of` hands
     out: ``len``, ``in`` (an atom) and iteration (atoms) like the set of
@@ -156,8 +159,8 @@ class FactTable:
     """
 
     __slots__ = (
-        "pred", "arity", "cols", "keys", "atoms", "missing", "odd",
-        "moves", "_bytes",
+        "pred", "arity", "cols", "keys", "atoms", "missing", "moves",
+        "_bytes",
     )
 
     def __init__(self, pred: str, arity: int) -> None:
@@ -170,7 +173,6 @@ class FactTable:
         #: by the writer's inserts, removals and slice reads, zeroed by a
         #: full build; a reader that fills a slot leaves it high.
         self.missing = 0
-        self.odd: dict[Atom, None] = {}
         #: Removals so far: a :class:`FactSlice` of this table reads its
         #: slots only while this is what it was when the slice was taken.
         self.moves = 0
@@ -189,7 +191,6 @@ class FactTable:
         missing = self.missing
         t.atoms = self.atoms[:]
         t.missing = missing
-        t.odd = dict(self.odd)
         t.moves = self.moves
         t._bytes = self._bytes
         return t
@@ -197,18 +198,14 @@ class FactTable:
     # -- reads ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.atoms) + len(self.odd)
+        return len(self.atoms)
 
     def __contains__(self, a: Atom) -> bool:
-        if len(a.args) != self.arity:
-            return a in self.odd
         return self.has_row(a.args)
 
     def has_row(self, args: Sequence[Term]) -> bool:
         """Whether the fact ``pred(*args)`` is held (no atom is built)."""
-        if len(args) != self.arity:
-            return bool(self.odd) and Atom(self.pred, tuple(args)) in self.odd
-        return _key_of(args) in self.keys
+        return len(args) == self.arity and _key_of(args) in self.keys
 
     def atom(self, slot: int) -> Atom:
         """The atom of one slot, built on first request and kept."""
@@ -247,21 +244,15 @@ class FactTable:
 
     def __iter__(self) -> Iterator[Atom]:
         yield from self._built()
-        if self.odd:
-            yield from self.odd
 
     def rows(self) -> list[tuple]:
         """Every fact's argument terms, in slot order (no atom is built)."""
         if not self.missing:
-            out = [a.args for a in self.atoms]
-        else:
-            out = list(self._decoded())
-        if self.odd:
-            out += [a.args for a in self.odd]
-        return out
+            return [a.args for a in self.atoms]
+        return list(self._decoded())
 
     def id_columns(self) -> Optional[tuple[int, int, tuple[bytes, ...]]]:
-        if self.odd or not self.atoms:
+        if not self.atoms:
             return None
         entry = self._bytes
         if entry is None:
@@ -297,19 +288,6 @@ def _built_index(table: Optional[FactTable], positions: tuple[int, ...]) -> dict
         else:
             bucket[slot] = None
     return index
-
-
-def _odd_matching(
-    table: FactTable, positions: tuple[int, ...], key: Sequence[Term]
-) -> list[Atom]:
-    """The table's other-arity facts whose arguments at ``positions`` are
-    ``key`` (indexes cover slots only; these are few)."""
-    reach = positions[-1] if positions else -1
-    return [
-        a for a in table.odd
-        if len(a.args) > reach
-        and all(a.args[p] == t for p, t in zip(positions, key))
-    ]
 
 
 class FactSlice:
@@ -514,11 +492,18 @@ class Interpretation:
 
     def _table_for(self, pred: str, arity: int) -> FactTable:
         """The predicate's writable table, made (or re-shaped, while it
-        has no row) for rows of ``arity``."""
+        has no row) for rows of ``arity``.  A row of another arity than
+        the rows held is refused: the boundaries that let facts in
+        refuse it first, so reaching here is a fault."""
         table = self._mutable(pred)
         if table is None:
             table = self._tables[pred] = FactTable(pred, arity)
-        elif table.arity != arity and not table.atoms and not table.odd:
+        elif table.arity != arity:
+            if table.atoms:
+                raise EvaluationError(
+                    f"a row of arity {arity} for {pred!r}, whose rows have "
+                    f"arity {table.arity}"
+                )
             table.arity = arity
             table.cols = [array("q") for _ in range(arity)]
         return table
@@ -541,14 +526,7 @@ class Interpretation:
         pred, args = a.pred, a.args
         table = self._tables.get(pred)
         if table is None or len(args) != table.arity:
-            if table is not None and a in table:
-                return False
             table = self._table_for(pred, len(args))
-            if len(args) != table.arity:
-                table.odd[a] = None
-                table._bytes = None
-                self._size += 1
-                return True
         return self._put(pred, table, [_ID_OF(t) for t in args], a) \
             is not None
 
@@ -694,20 +672,6 @@ class Interpretation:
         start = len(table.atoms)
         if not n:
             return FactSlice(table, start, 0, cols, [])
-        if arity != table.arity:
-            if atoms is None:
-                atoms = [Atom(pred, r) for r in rows or FactSlice(
-                    table, start, n, cols, None
-                ).rows()]
-            if any(a in table.odd for a in atoms) \
-                    or len(set(atoms)) != n:
-                raise EvaluationError(
-                    f"bulk insert into {pred!r}: rows repeated or already held"
-                )
-            table.odd.update(dict.fromkeys(atoms))
-            table._bytes = None
-            self._size += n
-            return FactSlice(table, start, n, cols, atoms)
         if keys is None:
             keys = _keys_of(cols, n)
         held = table.keys
@@ -758,16 +722,8 @@ class Interpretation:
         """
         pred, args = a.pred, a.args
         table = self._tables.get(pred)
-        if table is None:
+        if table is None or len(args) != table.arity:
             return False
-        if len(args) != table.arity:
-            if a not in table.odd:
-                return False
-            table = self._mutable(pred)
-            del table.odd[a]
-            table._bytes = None
-            self._size -= 1
-            return True
         key = _key_of(args)
         if key is None or key not in table.keys:
             return False
@@ -854,8 +810,7 @@ class Interpretation:
         of the table's columns, taken once per state of the table and
         kept until its next write.  Nothing is encoded.
 
-        Returns ``None`` for empty relations and for relations with mixed
-        arities (callers fall back to per-scan encoding).
+        Returns ``None`` for an empty relation.
         """
         table = self._tables.get(pred)
         return None if table is None else table.id_columns()
@@ -926,10 +881,7 @@ class Interpretation:
         table, slots = self._slots(pred, positions, key)
         if table is None:
             return []
-        out = self._atoms_at(table, slots)
-        if table.odd:
-            out += _odd_matching(table, positions, key)
-        return out
+        return self._atoms_at(table, slots)
 
     def candidate_rows(
         self, pred: str, positions: tuple[int, ...], key: tuple
@@ -938,22 +890,13 @@ class Interpretation:
         table, slots = self._slots(pred, positions, key)
         if table is None:
             return []
-        out = self._rows_at(table, slots)
-        if table.odd:
-            out += [a.args for a in _odd_matching(table, positions, key)]
-        return out
+        return self._rows_at(table, slots)
 
     def candidate_count(
         self, pred: str, positions: tuple[int, ...], key: tuple
     ) -> int:
         """``len(candidates(...))`` without materialising anything new."""
-        table, slots = self._slots(pred, positions, key)
-        if table is None:
-            return 0
-        n = len(slots)
-        if table.odd:
-            n += len(_odd_matching(table, positions, key))
-        return n
+        return len(self._slots(pred, positions, key)[1])
 
     def has_index(self, pred: str, positions: tuple[int, ...]) -> bool:
         """Whether an index for this position signature is already built."""
@@ -966,7 +909,8 @@ class Interpretation:
         """``(table, positions, slots)``: the bucket a pattern's scan
         should read — the slots of the rows whose IDs at ``positions``
         are the pattern's there — or ``positions`` ``None`` to scan the
-        whole table.
+        whole table; ``table`` is ``None`` when no fact has the pattern's
+        predicate and arity.
 
         The single shared selection policy behind
         :meth:`candidates_for_pattern`, :meth:`rows_for_pattern` and
@@ -982,9 +926,9 @@ class Interpretation:
         O(relation) build.
         """
         table = self._tables.get(pred)
-        if table is None:
+        if table is None or len(args) != table.arity:
             return None, None, ()
-        if len(table.atoms) + len(table.odd) < INDEX_MIN_FACTS:
+        if len(table.atoms) < INDEX_MIN_FACTS:
             return table, None, ()
         bound = [
             i for i, t in enumerate(args)
@@ -996,18 +940,14 @@ class Interpretation:
             i = bound[0]
             return table, (i,), self.lookup(pred, (i,), _key_of((args[i],)))[1]
         if not (
-            len(bound) == table.arity == len(args)
-            or self.has_index(pred, tuple(bound))
+            len(bound) == table.arity or self.has_index(pred, tuple(bound))
         ):
             best = None
             for i in bound:
                 slots = self._slots(pred, (i,), (args[i],))[1]
-                n = len(slots)
-                if table.odd:
-                    n += len(_odd_matching(table, (i,), (args[i],)))
-                if best is None or n < best[0]:
-                    best = (n, (i,), slots)
-            return table, best[1], best[2]
+                if best is None or len(slots) < len(best[1]):
+                    best = ((i,), slots)
+            return table, *best
         positions = tuple(bound)
         return table, positions, self._slots(
             pred, positions, [args[i] for i in bound]
@@ -1026,12 +966,7 @@ class Interpretation:
         table, positions, slots = self._bucket_for_pattern(pred, args)
         if positions is None:
             return _NO_FACTS if table is None else table
-        out = self._atoms_at(table, slots)
-        if table.odd:
-            out += _odd_matching(
-                table, positions, [args[i] for i in positions]
-            )
-        return out
+        return self._atoms_at(table, slots)
 
     def rows_for_pattern(
         self, pred: str, args: Sequence[Term]
@@ -1041,12 +976,7 @@ class Interpretation:
         table, positions, slots = self._bucket_for_pattern(pred, args)
         if positions is None:
             return [] if table is None else table.rows()
-        out = self._rows_at(table, slots)
-        if table.odd:
-            out += [a.args for a in _odd_matching(
-                table, positions, [args[i] for i in positions]
-            )]
-        return out
+        return self._rows_at(table, slots)
 
     def estimate_for_pattern(
         self, pred: str, args: Sequence[Term]
@@ -1058,12 +988,7 @@ class Interpretation:
         table, positions, slots = self._bucket_for_pattern(pred, args)
         if positions is None:
             return 0 if table is None else len(table)
-        n = len(slots)
-        if table.odd:
-            n += len(_odd_matching(
-                table, positions, [args[i] for i in positions]
-            ))
-        return n
+        return len(slots)
 
     def predicates(self) -> set[str]:
         return {p for p, t in self._tables.items() if len(t)}

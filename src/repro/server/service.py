@@ -156,9 +156,10 @@ class QueryService:
     def extend_program(self, text: str) -> ModelSnapshot:
         """Add clause source: parse it after the served rules (typed by
         their own sorts, then the EDB's), validate and stratify the whole,
-        commit its facts as one delta, then swap in the rules if they
-        changed.  A bad clause changes nothing; after the delta only a
-        resource limit can fail the rebuild, and a retry is idempotent.
+        check it against the EDB's arities, commit its facts as one delta,
+        then swap in the rules if they changed.  A bad clause changes
+        nothing; after the delta only a resource limit can fail the
+        rebuild, and a retry is idempotent.
         A retracted fact is not in the served rules: it stays retracted.
         """
         with self.model.lock:
@@ -178,6 +179,7 @@ class QueryService:
                     check_fact(f, self.model.builtins, self.model.sorts)
                 raise
             Evaluator(program, builtins=self.model.builtins)
+            self.model.current.database.check_program(program)
             snap = self.model.apply_delta(adds=program.facts())
             if program.rules() != rules:
                 snap = self.model.replace_program(program.rules())

@@ -55,7 +55,6 @@ from ..engine.maintenance import (
     ModelSnapshot,
     RetiredVersionError,
     VersionedModel,
-    check_fact,
 )
 from ..engine.planner import compile_grouping, compile_rule
 from ..lang import (
@@ -622,9 +621,18 @@ class Session:
                         " :commit or :abort it",
                     )
                 # Refused now, not at :commit, where it would fail the
-                # whole batch and every read that flushes it.
-                check_fact(a, self._model.builtins,
-                           self._model.sorts if is_add else None)
+                # whole batch and every read that flushes it.  An added
+                # fact goes with the last staged one of its predicate,
+                # which has the batch's arity (scanned from the end: a
+                # bulk load stages a predicate's facts together).
+                if is_add:
+                    last = next((
+                        b for add, b in reversed(pending)
+                        if add and b.pred == a.pred
+                    ), None)
+                    self._model.checked([a] if last is None else [last, a])
+                else:
+                    self._model.checked((), [a])
                 pending.append((is_add, a))
                 return Response(
                     ok=True, kind="write",

@@ -37,6 +37,7 @@ import os
 from pathlib import Path
 from typing import Optional
 
+from ..core.errors import ArityError
 from ..core.program import MODE_ELPS, MODE_LPS, Program
 from ..engine.database import Database
 from .codec import (
@@ -44,6 +45,7 @@ from .codec import (
     KIND_CKPT_FOOTER,
     KIND_CKPT_HEADER,
     CodecError,
+    RecoveryError,
     decode_atom,
     decode_program,
     decode_record,
@@ -160,7 +162,9 @@ def load_checkpoint(path: Path) -> tuple[int, int, Program, Database]:
 
 def parse_image(lines: list[bytes]) -> tuple[int, int, Program, Database]:
     """Decode and verify a state image; raises :class:`CodecError` when it
-    is torn, bit-flipped, incomplete or otherwise untrustworthy.
+    is torn, bit-flipped, incomplete or otherwise untrustworthy, and
+    :class:`RecoveryError` (intact: not quarantined) when it holds a
+    predicate at two arities.
 
     Returns ``(version, epoch, program, database)``; a header without
     an epoch field (written before replication existed) loads as epoch 0.
@@ -212,12 +216,16 @@ def parse_image(lines: list[bytes]) -> tuple[int, int, Program, Database]:
             f"mode {mode!r}"
         )
     db = Database()
-    for kind, data in body:
-        if kind != KIND_CKPT_FACT or not isinstance(data, dict):
-            raise CodecError(
-                f"image has a stray {kind!r} record in its fact section"
-            )
-        db.add_atom(decode_atom(data.get("atom")))
+    try:
+        for kind, data in body:
+            if kind != KIND_CKPT_FACT or not isinstance(data, dict):
+                raise CodecError(
+                    f"image has a stray {kind!r} record in its fact section"
+                )
+            db.add_atom(decode_atom(data.get("atom")))
+        db.check_program(program)
+    except ArityError as exc:
+        raise RecoveryError(f"image at version {version}: {exc}") from exc
     if len(db) != n_facts:
         # image_lines writes each fact once: a repeated line is a copy.
         raise CodecError(

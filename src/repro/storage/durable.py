@@ -49,7 +49,7 @@ from pathlib import Path
 from typing import AbstractSet, Any, Callable, Iterable, Mapping, Optional
 
 from ..core.atoms import Atom
-from ..core.errors import EvaluationError
+from ..core.errors import ArityError, EvaluationError
 from ..core.program import Program
 from ..engine.builtins import DEFAULT_BUILTINS, Builtin
 from ..engine.commits import Commit, Cursor
@@ -142,10 +142,12 @@ def judge_record(
     epoch: int,
     db: Database,
     builtins: Mapping[str, Builtin],
+    arities: Mapping[str, int],
     unlogged: AbstractSet[Atom] = frozenset(),
 ) -> Any:
     """What one logged ``delta`` / ``program`` / ``epoch`` record may do
-    to a store at ``version`` and ``epoch`` whose EDB is ``db``.
+    to a store at ``version`` and ``epoch`` whose EDB is ``db`` and whose
+    rules use ``arities`` (predicate -> arity).
     ``unlogged`` are facts ``db`` holds only because an older program
     text carried them: a leader's delta asserting one still changed the
     leader's EDB.
@@ -160,8 +162,9 @@ def judge_record(
     than the store has seen (:class:`FencingError` — a fenced leader's
     write), and with :class:`RecoveryError` a malformed record, a version
     gap, an epoch that was never announced, an unknown kind, an
-    undecodable or ill-formed payload, and a delta that would not change
-    ``db`` (its version would publish nothing).
+    undecodable or ill-formed payload, a delta or program at another
+    arity than the rules, ``db`` or itself give a predicate, and a delta
+    that would not change ``db`` (its version would publish nothing).
     """
     if not isinstance(data, dict) or not isinstance(
         data.get("version"), int
@@ -206,18 +209,19 @@ def judge_record(
         )
     try:
         if kind == KIND_DELTA:
-            adds = [check_fact(a, builtins)
+            known = {**db.arities, **arities}
+            adds = [check_fact(a, builtins, None, known)
                     for a in decode_atoms(data.get("adds", []))]
             dels = [check_fact(a, builtins)
                     for a in decode_atoms(data.get("dels", []))]
         elif kind == KIND_PROGRAM:
-            return decode_program(data.get("source"))
+            program = decode_program(data.get("source"))
+            db.check_program(program)
+            return program
         else:
             raise RecoveryError(f"unknown WAL record kind {kind!r}")
-    except (CodecError, EvaluationError) as exc:
-        raise RecoveryError(
-            f"record for version {target} is undecodable: {exc}"
-        ) from exc
+    except (CodecError, EvaluationError, ArityError) as exc:
+        raise RecoveryError(f"record for version {target}: {exc}") from exc
     if not changes_edb(db, adds, dels) and unlogged.isdisjoint(adds):
         raise RecoveryError(
             f"applying the record for version {target} published "
@@ -382,10 +386,11 @@ class DurableModel(VersionedModel):
         version = start
         unlogged = _text_facts(program, db)
         db.apply_delta(adds=unlogged)
+        arities = program.rules().predicates()
         records = WriteAheadLog(data_dir).recover_records()
         for kind, data in committed_records(records, start):
             payload = judge_record(
-                kind, data, version, epoch, db, builtins, unlogged
+                kind, data, version, epoch, db, builtins, arities, unlogged
             )
             if payload is None:
                 continue
@@ -398,6 +403,7 @@ class DurableModel(VersionedModel):
                 unlogged.difference_update((*payload[0], *payload[1]))
             else:
                 program = payload
+                arities = program.rules().predicates()
                 new = _text_facts(program, db)
                 db.apply_delta(adds=new)
                 unlogged |= new
@@ -431,8 +437,7 @@ class DurableModel(VersionedModel):
         with self._lock:
             self._check_writable()
             mm = self._materialized
-            add_atoms = [check_fact(s, mm.builtins, mm.sorts) for s in adds]
-            del_atoms = [check_fact(s, mm.builtins) for s in dels]
+            add_atoms, del_atoms = mm.checked(adds, dels)
             apply = partial(super().apply_delta, add_atoms, del_atoms)
             if not changes_edb(mm.database, add_atoms, del_atoms):
                 # True no-op: publishes nothing, so nothing to log.
@@ -446,6 +451,7 @@ class DurableModel(VersionedModel):
     def replace_program(self, program: Program) -> ModelSnapshot:
         with self._lock:
             self._check_writable()
+            self._materialized.database.check_program(program)
             source = encode_program(program)  # verified round trip
             target = self._version + 1
             logged = self._wal.append_program(target, source, epoch=self.epoch)
@@ -474,7 +480,7 @@ class DurableModel(VersionedModel):
             db = self._materialized.database
             payload = judge_record(
                 kind, data, self._version, self.epoch, db, self.builtins,
-                self._unlogged,
+                self._materialized.arities, self._unlogged,
             )
             if payload is None:
                 return

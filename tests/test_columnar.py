@@ -6,8 +6,8 @@ Covers the pieces DESIGN.md "Columnar execution" names:
   one ID; assigned IDs never move);
 * **relation columns** — ``Interpretation.id_columns`` reads the ID
   store: appends grow the columns, a removal moves the last row into the
-  hole, neither encodes a cell; ``None`` for mixed arities; safely
-  shared with frozen snapshots;
+  hole, neither encodes a cell; a row at another arity is refused;
+  safely shared with frozen snapshots;
 * **kernel equivalence** — ``ColumnarExecutor`` computes exactly the
   row executor's batches, distinct batches and shaped batches, for full
   and delta-substituted scans (a hypothesis sweep randomizes both the
@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 np = pytest.importorskip("numpy")  # the kernels under test need it
 
 from repro import parse_program
-from repro.core import Atom, LPSClause, Var, atom, const
+from repro.core import Atom, EvaluationError, LPSClause, Var, atom, const
 from repro.core.atoms import pos
 from repro.core.sorts import EQUALS, SORT_S
 from repro.core.terms import TERM_DICT, setvalue, term_id, term_of
@@ -142,12 +142,18 @@ class TestIdColumns:
         interp = Interpretation()
         assert interp.id_columns("nope") is None
 
-    def test_mixed_arity_is_uncacheable(self):
+    def test_a_row_at_another_arity_is_refused(self):
+        """A predicate has one arity: the table refuses a row of another
+        and keeps its columns, and a read at that arity holds nothing."""
         interp = Interpretation()
         interp.add(atom("p", const("a")))
-        interp.add(atom("p", const("a"), const("b")))
-        assert interp.id_columns("p") is None
-        assert interp.facts_of("p").has_row((const("a"), const("b")))
+        entry = interp.id_columns("p")
+        for write in (interp.add, lambda a: interp.update([a])):
+            with pytest.raises(EvaluationError, match="arity 2 for 'p'"):
+                write(atom("p", const("a"), const("b")))
+        assert interp.id_columns("p") == entry and len(interp) == 1
+        assert not interp.facts_of("p").has_row((const("a"), const("b")))
+        assert interp.rows_for_pattern("p", (const("a"), Var("X"))) == []
 
     def test_snapshot_shares_columns_safely(self):
         interp = Interpretation()

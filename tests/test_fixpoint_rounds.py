@@ -12,9 +12,9 @@ test, no clocks:
 * **equivalence** on every forced path of ``tests/paths.py`` (and against
   ``T_P`` where it is defined) for the inputs whose rounds leave the
   common case: two applications reaching one new head, non-Datalog heads
-  beside Datalog-shaped ones, seeds from a lower stratum, a mixed-arity
-  head relation, re-closure after a removal dropped the column cache,
-  sharded workers.
+  beside Datalog-shaped ones, seeds from a lower stratum, re-closure
+  after a removal dropped the column cache, sharded workers; and a head
+  relation at another arity than the database's, which is refused.
 """
 
 import sys
@@ -24,7 +24,7 @@ import pytest
 
 from paths import PATHS, forced, same_on_every_path, tp_model
 from repro import parse_program
-from repro.core import atom, const
+from repro.core import ArityError, atom, const
 from repro.core.terms import term_id
 from repro.engine import Database, Evaluator, MaterializedModel
 from repro.engine.columnar import HAS_NUMPY, make_executor
@@ -349,22 +349,21 @@ def test_reclosure_after_a_removal_dropped_the_column_cache():
     )
 
 
-def test_mixed_arity_head_relation():
-    """``p`` holds EDB facts of another arity, so ``id_columns`` has no
-    columns for it: the head anti-join decides row by row, and rows of
-    the table's arity and the other one are both found."""
+def test_a_head_relation_at_another_arity_is_refused():
+    """A predicate has one arity: a database cannot hold ``p`` at two,
+    and one holding a unary ``p`` is refused by rules whose head ``p`` is
+    binary, on every arm, before any round runs."""
     program = parse_program("""
     p(X, Y) :- e(X, Y).
     p(X, Z) :- p(X, Y), e(Y, Z).
     """)
-    facts = edge_facts(DENSE) + [("p", "v0"), ("p", "v1", "v2")]
-    got = model_on_every_path(program, facts)
-    assert len(got) == len(DENSE) + len(
-        closure(DENSE + [("v1", "v2")])
-    ) + 1
-    db = database(facts)
-    interp = Evaluator(program, db).run().interpretation
-    assert interp.id_columns("p") is None
+    with pytest.raises(ArityError, match="'p' used with arities 1 and 2"):
+        database(edge_facts(DENSE) + [("p", "v0"), ("p", "v1", "v2")])
+    db = database(edge_facts(DENSE) + [("p", "v0")])
+    for path in PATHS:
+        with forced(path) as options:
+            with pytest.raises(ArityError, match="'p' used with arities 1"):
+                Evaluator(program, db, options=options).run()
 
 
 def test_sharded_rounds():

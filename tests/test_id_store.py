@@ -16,7 +16,12 @@ Counts, not clocks (in the style of ``tests/test_set_costs.py``):
   composite index;
 * a written fact whose sort conflicts with the rules is refused, on every
   write path, while the same fact in the program text is typed with the
-  rules and answered.
+  rules and answered;
+* a predicate has one arity: a fact, a staged line, a program extension
+  or a replaced program that names one at another arity than the rules,
+  the EDB or its own batch is refused with ``arity_conflict`` and changes
+  nothing, on a recovered store too; a store written with two arities is
+  refused by recovery.
 """
 
 import sys
@@ -25,12 +30,15 @@ import pytest
 
 from paths import PATHS, forced
 from repro import parse_program
-from repro.core import const
+from repro.core import ArityError, const
 from repro.core.atoms import Atom, atom_order_key
 from repro.engine import Database, Evaluator
 from repro.engine.maintenance import FactSortError, VersionedModel
 from repro.semantics import interpretation
 from repro.server import QueryService
+from repro.storage import DurableModel, WriteAheadLog
+from repro.storage.checkpoint import checkpoint_name, write_image
+from repro.storage.codec import RecoveryError, encode_record
 from repro.workloads import random_graph
 
 TC = parse_program("""
@@ -244,3 +252,131 @@ class TestSortConflicts:
             rows = s.execute("?- q(S).").data["rows"]
             assert rows == [{"S": "{a, b}"}]
             assert s.execute("+sf({c}).").data == {"applied": 1}
+
+
+# ---------------------------------------------------------------------------
+# One arity per predicate
+# ---------------------------------------------------------------------------
+
+ARITY_RULES = "t(X, Y) :- e(X, Y).\n"
+
+
+def model_text(s):
+    return s.execute(":model").data
+
+
+def wal_bytes(data_dir):
+    return b"".join(p.read_bytes() for p in WriteAheadLog(data_dir).segments())
+
+
+class TestArityConflicts:
+    def probe_writes_are_refused(self, svc):
+        """``+e(a).`` beside ``e/2`` facts and ``+t(c).`` into the binary
+        head ``t`` change neither the version nor the model."""
+        s = svc.open_session()
+        version, model = svc.model.version, model_text(s)
+        for line in ("+e(a).", "+t(c).", "+e(a, b, c)."):
+            r = s.execute(line)
+            assert not r.ok and r.code == "arity_conflict", line
+        assert svc.model.version == version
+        assert model_text(s) == model
+
+    def test_the_probe_writes(self):
+        with QueryService(ARITY_RULES) as svc:
+            assert svc.open_session().execute("+e(a, b).").ok
+            self.probe_writes_are_refused(svc)
+
+    def test_a_staged_line(self):
+        with QueryService(ARITY_RULES + "e(a, b).\n") as svc:
+            s = svc.open_session()
+            version = svc.model.version
+            assert s.execute(":begin").ok
+            assert s.execute("+e(c, d).").ok
+            assert s.execute("+e(c).").code == "arity_conflict"
+            # A predicate the store does not know yet takes the arity of
+            # its first staged fact.
+            assert s.execute("+n(c).").ok
+            assert s.execute("+n(c, d).").code == "arity_conflict"
+            assert svc.model.version == version
+            assert s.execute(":commit").data == {"applied": 2}
+            assert model_text(s) == (
+                "e(a, b).\ne(c, d).\nn(c).\nt(a, b).\nt(c, d)."
+            )
+
+    def test_the_extension_probe(self):
+        with QueryService("t(X) :- f(X).") as svc:
+            s = svc.open_session()
+            assert s.execute("+e(a, b).").ok
+            version, model = svc.model.version, model_text(s)
+            for text in ("q(X) :- e(X).", "e(c). q(X) :- f(X)."):
+                with pytest.raises(ArityError, match="'e' used with arities"):
+                    s.add_clause(text)
+            assert svc.model.version == version
+            assert model_text(s) == model
+            assert svc.model.program == parse_program("t(X) :- f(X).")
+
+    def test_a_program_replaced_under_the_edb(self):
+        vm = VersionedModel(parse_program(ARITY_RULES + "e(a, b).\n"))
+        version, rules = vm.version, vm.program
+        with pytest.raises(ArityError):
+            vm.replace_program(parse_program("t(X) :- e(X)."))
+        assert (vm.version, vm.program) == (version, rules)
+        assert vm.current.relation("t") == {("a", "b")}
+
+    def test_the_library_write_path(self):
+        vm = VersionedModel(parse_program(ARITY_RULES))
+        version = vm.version
+        for spec in (("e", "a"), ("t", "c")):
+            with pytest.raises(ArityError):
+                vm.add(*spec)
+        with pytest.raises(ArityError, match="'n' used with arities 1 and 2"):
+            vm.apply_delta(adds=[("n", "a"), ("n", "a", "b")])
+        assert vm.version == version and len(vm.current.interpretation) == 0
+
+    def test_a_batch_database(self):
+        db = Database()
+        db.add("p", "a")
+        with pytest.raises(ArityError):
+            db.add("p", "a", "b")
+        with pytest.raises(ArityError):
+            db.apply_delta(adds=[("q", "a"), ("p", "b", "c")])
+        assert set(db.facts()) == {Atom("p", (const("a"),))}
+        db.retract("p", "a")
+        db.add("p", "a", "b")       # no fact holds ``p`` at arity 1 now
+        with pytest.raises(ArityError):
+            Evaluator(parse_program("r(X) :- p(X)."), db).run()
+
+    def test_a_durable_program_replaced_under_the_edb_logs_nothing(
+        self, tmp_path
+    ):
+        with DurableModel(parse_program(ARITY_RULES + "e(a, b).\n"),
+                          tmp_path, fsync="never") as m:
+            version, log = m.version, wal_bytes(tmp_path)
+            with pytest.raises(ArityError):
+                m.replace_program(parse_program("t(X) :- e(X)."))
+            assert m.version == version and wal_bytes(tmp_path) == log
+
+    def test_after_recovery(self, tmp_path):
+        with QueryService(ARITY_RULES, data_dir=tmp_path) as svc:
+            assert svc.open_session().execute("+e(a, b).").ok
+        with QueryService(data_dir=tmp_path) as svc:
+            self.probe_writes_are_refused(svc)
+
+    def test_a_store_holding_two_arities_is_refused(self, tmp_path):
+        """An image written before the store refused a second arity."""
+        lines = [
+            encode_record(kind, data).encode("ascii") + b"\n"
+            for kind, data in (
+                ("checkpoint-header", {
+                    "version": 4, "epoch": 0, "mode": "lps",
+                    "program": ARITY_RULES, "facts": 2,
+                }),
+                ("fact", {"atom": "e(a, b)"}),
+                ("fact", {"atom": "e(c)"}),
+                ("checkpoint-footer", {"facts": 2}),
+            )
+        ]
+        write_image(tmp_path, 4, lines)
+        with pytest.raises(RecoveryError, match="version 4: predicate 'e'"):
+            DurableModel.recover(tmp_path)
+        assert (tmp_path / checkpoint_name(4)).exists()    # not quarantined

@@ -118,6 +118,15 @@ RECORDS = {
     "unparseable program": (
         "program", {"version": 3, "epoch": 1, "source": "t(X :-"}, "refused",
     ),
+    "delta at another arity": (*delta(3, adds=("e(b)",)), "refused"),
+    "delta at another arity than the rules": (
+        *delta(3, adds=("t(c)",)), "refused",
+    ),
+    "delta at two arities": (*delta(3, adds=("n(a)", "n(a, b)")), "refused"),
+    "program at another arity than the EDB": (
+        "program", {"version": 3, "epoch": 1, "source": "t(X) :- e(X)."},
+        "refused",
+    ),
 }
 
 
@@ -236,6 +245,12 @@ BAD_FRAMES = {
     ),
     "image with a duplicated fact line": image(
         facts=("e(a, b)", "e(b, c)", "e(a, b)")
+    ),
+    "image holding a predicate at two arities": image(
+        facts=("e(a, b)", "e(c)")
+    ),
+    "image whose program reads its facts at another arity": image(
+        program="t(X) :- e(X)."
     ),
 }
 
