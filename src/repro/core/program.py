@@ -227,11 +227,6 @@ class Program:
             if isinstance(c, LPSClause):
                 yield c
 
-    def grouping_clauses(self) -> Iterator[GroupingClause]:
-        for c in self._split()[0]:
-            if isinstance(c, GroupingClause):
-                yield c
-
     def head_pred(self, c: AnyClause) -> str:
         return c.pred if isinstance(c, GroupingClause) else c.head.pred
 

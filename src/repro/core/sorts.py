@@ -114,13 +114,3 @@ class FunctionSignature:
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.name}/{self.arity}"
 
-
-def equality_signature(sort: str) -> PredicateSignature:
-    """Signature of ``=a`` or ``=s`` depending on ``sort``."""
-    check_sort(sort)
-    return PredicateSignature(EQUALS, (sort, sort))
-
-
-def membership_signature() -> PredicateSignature:
-    """Signature of the built-in membership predicate ``∈ : a × s``."""
-    return PredicateSignature(MEMBER, (SORT_A, SORT_S))

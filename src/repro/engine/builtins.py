@@ -25,10 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
-from ..core.atoms import Atom
-from ..core.errors import EvaluationError
 from ..core.substitution import Subst
-from ..core.terms import Const, SetValue, Term, Var
+from ..core.terms import Const, SetValue, Term
 from ..core.unify import unify
 
 
@@ -212,10 +210,3 @@ DEFAULT_BUILTINS: Mapping[str, Builtin] = default_builtins()
 def is_builtin(pred: str, registry: Mapping[str, Builtin] = DEFAULT_BUILTINS) -> bool:
     return pred in registry
 
-
-def check_builtin_atom(a: Atom, registry: Mapping[str, Builtin] = DEFAULT_BUILTINS) -> None:
-    b = registry.get(a.pred)
-    if b is not None and a.arity != b.arity:
-        raise EvaluationError(
-            f"builtin {a.pred!r} used with arity {a.arity}, expects {b.arity}"
-        )

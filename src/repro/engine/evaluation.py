@@ -22,9 +22,10 @@ Design highlights (see DESIGN.md):
   rules their active-domain meaning, and what realises the paper's
   vacuous-quantifier semantics (``(∀x ∈ ∅)φ`` is true even when φ's
   other conjuncts are false).
-* **Stratified evaluation.**  Strata come from ``repro.engine.stratify``;
-  negative literals and LDL grouping clauses only see fully computed lower
-  strata, per Section 4.2 / Section 6 of the paper.
+* **Stratified evaluation.**  Strata come from ``repro.engine.stratify``,
+  one per dependency component, in topological order; negative literals
+  and LDL grouping clauses only see fully computed lower strata, per
+  Section 4.2 / Section 6 of the paper.
 * **Passes.**  Derived terms can grow the domain after a stratum that
   consulted it closed, so whole stratified passes repeat until the domain
   holds still — but only while they consult it.  The domain is built at
@@ -913,7 +914,7 @@ class _Engines:
     ``delta`` maps predicate names to the facts a pinned occurrence ranges
     over.  Without a ``domain`` (queries against a finished model) nothing
     may be enumerated from the active domain, whatever the options say.
-    ``memo`` is the stratum fixpoint's builtin cache
+    ``memo`` is the fixpoint's builtin cache
     (:class:`~repro.engine.executor.Executor`).
     """
 
@@ -1190,11 +1191,14 @@ class Evaluator:
             for f in facts:
                 interp.extend(f.pred, f.n, f.cols, repeats=True)
             interp.update(edb)
-            groups = self.stratification.rule_groups()
-            for gi, stratum in enumerate(self.stratification.strata):
-                grouping = [c for c in stratum if isinstance(c, GroupingClause)]
+            memo: dict = {}     # builtin answers, for the whole pass
+            for group in self.stratification.groups:
+                grouping = [
+                    c for c in group.clauses if isinstance(c, GroupingClause)
+                ]
                 normal = [
-                    c for c in stratum if not isinstance(c, GroupingClause)
+                    c for c in group.clauses
+                    if not isinstance(c, GroupingClause)
                 ]
                 for g in grouping:
                     self._apply_grouping(g, interp, domain, report)
@@ -1203,13 +1207,13 @@ class Evaluator:
                     if coord is not None:
                         from ..parallel import shardable_group
 
-                        if shardable_group(groups[gi], self.builtins):
+                        if shardable_group(group, self.builtins):
                             result = coord.eval_stratum(
-                                groups[gi], interp, domain, report
+                                group, interp, domain, report
                             )
                             if result is not None:
                                 continue
-                self._fixpoint(normal, interp, domain, report)
+                self._fixpoint(normal, interp, domain, report, memo=memo)
             if domain.consultations == consulted or (
                 domain.version == version_before
             ):
@@ -1229,6 +1233,7 @@ class Evaluator:
         report: EvalReport,
         seed_deltas: Optional[Mapping[str, frozenset[Atom]]] = None,
         shard=None,
+        memo: Optional[dict] = None,
     ) -> dict[str, list[FactSlice]]:
         """Run one stratum's rules to fixpoint; returns the atoms added,
         per predicate, as the row ranges ``Interpretation.extend``
@@ -1254,6 +1259,11 @@ class Evaluator:
         usual, foreign heads are dropped locally and, when the deriving
         rule read a partitioned predicate, queued for shipment to their
         owner shard.
+
+        ``memo`` caches builtin answers by input (``Builtin.solve`` is a
+        function of its args) for every round's executor; an evaluator
+        pass hands each group's fixpoint the same one.  Without it the
+        cache lives for this call.
         """
         added: dict[str, list[FactSlice]] = {}
         if not rules:
@@ -1274,9 +1284,8 @@ class Evaluator:
                 return added
         round_no = 0
         prev_version = -1
-        #: Builtin answers by input, shared by every round's executor and
-        #: dropped on return (``Builtin.solve`` is a function of its args).
-        memo: dict = {}
+        if memo is None:
+            memo = {}
         #: One solver and executor for every round, rebound to its deltas.
         engines: Optional[_Engines] = None
 

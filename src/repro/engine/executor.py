@@ -172,9 +172,9 @@ class Executor:
     exactly like the tuple path's pinned differentiation.
 
     ``memo`` caches the extension rows of each builtin ``Compute`` input
-    (see :meth:`_compute`).  A stratum fixpoint hands every round's
-    executor the same dict and drops it on return; without one an input
-    is solved once per batch.
+    (see :meth:`_compute`).  An evaluator pass hands every round of
+    every stratum fixpoint the same dict; without one an input is solved
+    once per batch.
 
     ``params`` are the constants a served goal text binds to its shape's
     :class:`~repro.core.terms.Param` slots (:meth:`bound`).  Plan nodes

@@ -51,7 +51,6 @@ import time
 from dataclasses import dataclass
 from typing import (
     Any,
-    Collection,
     Iterable,
     Iterator,
     Mapping,
@@ -333,13 +332,7 @@ class MaterializedModel:
         self.database = database if database is not None else Database()
         self.builtins = builtins
         self._evaluator = Evaluator(self.program, self.database, builtins)
-        self._groups: tuple[StratumRules, ...] = (
-            self._evaluator.stratification.rule_groups()
-        )
-        #: pred -> index of the stratum whose rules produce it.
-        self._producer: dict[str, int] = {
-            p: g.index for g in self._groups for p in g.head_preds
-        }
+        self._groups = self._evaluator.stratification.groups
         #: Compiled rules per DRed stratum and, per rederive stratum,
         #: its clauses by head predicate.  All share the
         #: evaluator's rule cache, so a plan is compiled once however many
@@ -544,15 +537,16 @@ class MaterializedModel:
 
         # Pure EDB predicates (no producing rules) change the model directly;
         # EDB changes to derived predicates are handled by their stratum.
+        stratum_of = self._evaluator.stratification.stratum_of
         for a in added:
-            g = self._producer.get(a.pred)
+            g = stratum_of.get(a.pred)
             if g is None:
                 if self._interp.add(a):
                     gained.setdefault(a.pred, set()).add(a)
             else:
                 edb_plus.setdefault(g, set()).add(a)
         for a in removed:
-            g = self._producer.get(a.pred)
+            g = stratum_of.get(a.pred)
             if g is None:
                 if self._interp.remove(a):
                     lost.setdefault(a.pred, set()).add(a)

@@ -13,14 +13,19 @@ every clause with head predicate ``p``:
   ``stratum(q) < stratum(p)``.
 
 A program is stratifiable iff no cycle of the dependency graph contains a
-negative edge.  We compute strongly connected components with an iterative
-Tarjan algorithm (no recursion limits), check the condition, and emit the
-components in topological order with minimal stratum numbers.
+negative edge.  The perfect model is the same for every stratification,
+so we take the finest: one rule group per strongly connected component
+that defines a predicate, in topological order (every component a group
+reads is evaluated before it).  We compute the components with an
+iterative Tarjan algorithm (no recursion limits), whose emission order is
+that order, and check the condition.  A group then reads its own heads
+exactly when its component has a cycle, which is what the maintenance
+planner keys on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from ..core.clauses import GroupingClause, LPSClause, Rule
@@ -41,7 +46,8 @@ PLAN_RECOMPUTE = "recompute"
 
 @dataclass(frozen=True)
 class StratumRules:
-    """One stratum's rule group, pre-analysed for the maintenance planner."""
+    """One dependency component's rule group, pre-analysed for the
+    maintenance planner; ``index`` is its place in evaluation order."""
 
     index: int
     clauses: tuple[AnyClause, ...]
@@ -90,56 +96,54 @@ class StratumRules:
         return None
 
 
+def _rule_group(index: int, clauses: tuple[AnyClause, ...]) -> StratumRules:
+    """One component's clauses, analysed for the maintenance planner."""
+    head_preds: set[str] = set()
+    body_preds: set[str] = set()
+    has_negation = has_grouping = has_quantifiers = has_formulas = False
+    for c in clauses:
+        if isinstance(c, GroupingClause):
+            has_grouping = True
+            head_preds.add(c.pred)
+        else:
+            head_preds.add(c.head.pred)
+            if c.has_negation():
+                has_negation = True
+        if isinstance(c, Rule):
+            has_formulas = True
+            if has_quantifier(c.body):
+                has_quantifiers = True
+            atoms = list(atoms_of(c.body))
+        else:
+            if isinstance(c, LPSClause) and c.quantifiers:
+                has_quantifiers = True
+            atoms = [lit.atom for lit in c.body]
+        for a in atoms:
+            if not a.is_special():
+                body_preds.add(a.pred)
+    return StratumRules(
+        index=index,
+        clauses=clauses,
+        head_preds=frozenset(head_preds),
+        body_preds=frozenset(body_preds),
+        has_negation=has_negation,
+        has_grouping=has_grouping,
+        has_quantifiers=has_quantifiers,
+        has_formulas=has_formulas,
+    )
+
+
 @dataclass(frozen=True)
 class Stratification:
-    """The result: stratum number per predicate, and clauses per stratum."""
+    """The rule groups in evaluation order, and each defined predicate's."""
 
+    groups: tuple[StratumRules, ...]
+    #: defined predicate -> index of its group in :attr:`groups`.
     stratum_of: Mapping[str, int]
-    strata: tuple[tuple[AnyClause, ...], ...]
 
     @property
     def depth(self) -> int:
-        return len(self.strata)
-
-    def rule_groups(self) -> tuple[StratumRules, ...]:
-        """The strata as analysed rule groups (maintenance planner input)."""
-        out = []
-        for i, clauses in enumerate(self.strata):
-            head_preds: set[str] = set()
-            body_preds: set[str] = set()
-            has_negation = has_grouping = has_quantifiers = False
-            has_formulas = False
-            for c in clauses:
-                if isinstance(c, GroupingClause):
-                    has_grouping = True
-                    head_preds.add(c.pred)
-                else:
-                    head_preds.add(c.head.pred)
-                    if c.has_negation():
-                        has_negation = True
-                if isinstance(c, Rule):
-                    has_formulas = True
-                    if has_quantifier(c.body):
-                        has_quantifiers = True
-                    atoms = list(atoms_of(c.body))
-                else:
-                    if isinstance(c, LPSClause) and c.quantifiers:
-                        has_quantifiers = True
-                    atoms = [lit.atom for lit in c.body]
-                for a in atoms:
-                    if not a.is_special():
-                        body_preds.add(a.pred)
-            out.append(StratumRules(
-                index=i,
-                clauses=clauses,
-                head_preds=frozenset(head_preds),
-                body_preds=frozenset(body_preds),
-                has_negation=has_negation,
-                has_grouping=has_grouping,
-                has_quantifiers=has_quantifiers,
-                has_formulas=has_formulas,
-            ))
-        return tuple(out)
+        return len(self.groups)
 
 
 def _tarjan_sccs(
@@ -193,84 +197,52 @@ def _tarjan_sccs(
     return sccs
 
 
-def stratify(
-    program: Program,
-    extra_negative: Iterable[tuple[str, str]] = (),
-    ignore: Iterable[str] = (),
-) -> Stratification:
-    """Compute a stratification, or raise :class:`StratificationError`.
+def stratify(program: Program, ignore: Iterable[str] = ()) -> Stratification:
+    """Compute the stratification, or raise :class:`StratificationError`.
 
-    ``extra_negative`` lets callers add negative edges (used by tests and by
-    the setof transformation to document intent); normally the edges come
-    from the program itself via
+    The edges come from the program via
     :meth:`~repro.core.program.Program.dependency_edges`.  Predicates in
     ``ignore`` (typically engine builtins like ``neq``) contribute no
     dependency edges.
     """
     ignored = set(ignore)
-    preds = set(program.predicates()) - ignored
-    succ: dict[str, set[str]] = {p: set() for p in preds}
-    negative_pairs: set[tuple[str, str]] = set(extra_negative)
+    succ: dict[str, set[str]] = {
+        p: set() for p in program.predicates() if p not in ignored
+    }
+    negative_pairs: set[tuple[str, str]] = set()
     for head, body, positive in program.dependency_edges():
         if head in ignored or body in ignored:
             continue
-        succ.setdefault(head, set()).add(body)
-        succ.setdefault(body, set())
-        preds.add(head)
-        preds.add(body)
+        succ[head].add(body)
         if not positive:
             negative_pairs.add((head, body))
-    for head, body in extra_negative:
-        succ.setdefault(head, set()).add(body)
-        succ.setdefault(body, set())
-        preds.update((head, body))
 
-    sccs = _tarjan_sccs(sorted(preds), succ)
     comp_of: dict[str, int] = {}
-    for i, comp in enumerate(sccs):
+    for i, comp in enumerate(_tarjan_sccs(sorted(succ), succ)):
         for p in comp:
             comp_of[p] = i
 
     # Negative edge inside one SCC => unstratifiable.
     for head, body in negative_pairs:
-        if comp_of.get(head) == comp_of.get(body) and head in comp_of:
+        if comp_of[head] == comp_of[body]:
             raise StratificationError(
                 f"negation/grouping cycle through {head!r} and {body!r}; "
                 "the program is not stratified ([ABW86], Section 4.2)"
             )
 
-    # Tarjan emits SCCs in reverse topological order of the condensation
-    # (every successor component is emitted before its predecessors), so a
-    # single pass assigns minimal stratum numbers.
-    stratum_of: dict[str, int] = {}
-    comp_stratum: list[int] = [0] * len(sccs)
-    for i, comp in enumerate(sccs):
-        s = 0
-        for p in comp:
-            for q in succ.get(p, ()):
-                qi = comp_of[q]
-                if qi == i:
-                    continue
-                needed = comp_stratum[qi] + (1 if (p, q) in negative_pairs else 0)
-                s = max(s, needed)
-        # All negative edges out of this component force a strictly higher
-        # stratum; positive edges only a >= constraint.
-        for p in comp:
-            for q in succ.get(p, ()):
-                if comp_of[q] != i and (p, q) in negative_pairs:
-                    s = max(s, comp_stratum[comp_of[q]] + 1)
-        comp_stratum[i] = s
-        for p in comp:
-            stratum_of[p] = s
-
-    depth = (max(comp_stratum) + 1) if comp_stratum else 1
-    buckets: list[list[AnyClause]] = [[] for _ in range(depth)]
+    # Tarjan emits every successor component before its predecessors, so
+    # component order is evaluation order; components that define no
+    # predicate form no group.
+    by_comp: dict[int, list[AnyClause]] = {}
     for c in program.clauses:
-        pred = c.pred if isinstance(c, GroupingClause) else c.head.pred
-        buckets[stratum_of.get(pred, 0)].append(c)
+        by_comp.setdefault(comp_of[program.head_pred(c)], []).append(c)
+    groups = tuple(
+        _rule_group(gi, tuple(by_comp[ci]))
+        for gi, ci in enumerate(sorted(by_comp))
+    )
     return Stratification(
-        stratum_of=stratum_of,
-        strata=tuple(tuple(b) for b in buckets),
+        groups=groups,
+        stratum_of={p: g.index for g in groups for p in g.head_preds},
     )
 
 

@@ -91,9 +91,9 @@ class _StratumRun:
                  msg: dict) -> None:
         self.evaluator = evaluator
         head_preds = frozenset(msg["head_preds"])
-        for group in evaluator.stratification.rule_groups():
+        for group in evaluator.stratification.groups:
             if group.head_preds == head_preds:
-                self.clauses = [c for c in group.clauses]
+                self.clauses = group.clauses
                 break
         else:
             raise LookupError(

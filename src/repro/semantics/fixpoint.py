@@ -86,9 +86,6 @@ class FixpointResult:
     rounds: int
     stages: list[Interpretation]
 
-    def stage(self, i: int) -> Interpretation:
-        return self.stages[min(i, len(self.stages) - 1)]
-
 
 def least_fixpoint(
     program: Program,

@@ -215,8 +215,9 @@ class TestServedExamples:
             assert report.strategy == STRATEGY_INCREMENTAL, \
                 report.fallback_reason
             assert report.fallback_reason is None
-            assert [p.plan for p in report.stratum_plans] == [PLAN_RECOMPUTE]
-            assert report.stratum_plans[0].reason == "restricted quantifier"
+            # One group per rule, each recomputed.
+            assert [(p.plan, p.reason) for p in report.stratum_plans] == \
+                [(PLAN_RECOMPUTE, "restricted quantifier")] * 3
             fresh = Database()
             for t in live:
                 fresh.add("s", t)

@@ -500,11 +500,10 @@ def test_rederive_grouping_with_negation_and_structured_keys():
     assert not any(a.startswith("far") for a in two)
 
 
-#: Rules with negation or grouping over the strata below them, which on
-#: top of the closure rules make ``rederive`` strata — and two positive
-#: readers of a grouped predicate, which stratification puts *into* that
-#: predicate's stratum (minimal numbering), so the stratum counts as
-#: recursive and must fall back to recomputation, exactly.
+#: Rules with negation or grouping over the groups below them, and two
+#: positive readers of a grouped predicate: each rule is a dependency
+#: component of its own, so on top of the closure rules every group but
+#: the closure's is a ``rederive`` group.
 REDERIVE_POOL = [
     "s(X) :- n(X), not t(X, X).",
     "u(X, Y) :- t(X, Y), not e(X, Y).",
@@ -516,7 +515,6 @@ REDERIVE_POOL = [
     "c(X) :- g(X, S), Y in S, n(Y).",
     "d(X, S) :- g(X, S), not h(X, S).",
 ]
-_READERS = {7, 8}
 _CLOSURE = "t(X, Y) :- e(X, Y).\nt(X, Z) :- e(X, Y), t(Y, Z).\n"
 
 
@@ -540,9 +538,9 @@ def test_rederive_strata_equal_recompute_under_mixed_batches(
     program = parse_program(
         _CLOSURE + "\n".join(REDERIVE_POOL[i] for i in sorted(rule_idx))
     )
-    groups = stratify(program).rule_groups()
-    if not rule_idx & _READERS and rule_idx != {6}:
-        assert any(g.plan == "rederive" for g in groups)
+    groups = stratify(program).groups
+    assert [g.plan for g in groups if g.head_preds != {"t"}] == \
+        ["rederive"] * len(rule_idx)
     stream, expected, facts = [], [], set(initial)
     for batch in batches:
         adds = [spec for is_add, spec in batch if is_add]
@@ -613,7 +611,7 @@ def one_edge_commit_costs(n_nodes, n_edges):
             continue        # the edge was already there: a no-op commit
         assert report.strategy == "incremental"
         assert [sp.plan for sp in report.stratum_plans] == \
-            ["dred", "rederive"]
+            ["dred", "rederive", "rederive"]
         costs.append((report.atoms_added + report.atoms_removed,
                       inserts.call_count, probes.call_count,
                       vm.exec_stats.rows_in - read))
@@ -649,6 +647,52 @@ def test_serving_program_commit_rows_do_not_grow_with_the_graph():
             assert rows <= 8 * changed + 16, (n_nodes, changed, rows)
         per_atom.append(sum(c[3] for c in costs) / sum(c[0] for c in costs))
     assert per_atom[1] <= per_atom[0] + 2, per_atom
+
+
+#: ``<Y>`` grouping followed by an unnest (Example 4 read backwards):
+#: two dependency components, neither recursive.
+NEST_RULES = """\
+owns(K, <V>) :- r(K, V).
+flat(K, V) :- owns(K, S), V in S.
+"""
+
+
+def nest_commit_costs(n_keys):
+    """One-fact commits on ``NEST_RULES`` over ``n_keys`` × 8 ``r``
+    facts, behind snapshots: per commit (stratum plans, atoms changed,
+    executor rows read); the model ends equal to a fresh evaluation."""
+    db = Database()
+    for i in range(n_keys):
+        for j in range(8):
+            db.add("r", f"k{i}", 1000 + (i * 7 + j * 53) % 400)
+    vm = VersionedModel(
+        parse_program(NEST_RULES), db, builtins=with_set_builtins()
+    )
+    costs = []
+    for k in range(10):
+        for write in (vm.add, vm.retract):
+            read = vm.exec_stats.rows_in
+            report = write("r", f"k{k * 17 % n_keys}", 999).report
+            costs.append((report.stratum_plans,
+                          report.atoms_added + report.atoms_removed,
+                          vm.exec_stats.rows_in - read))
+    fresh = Evaluator(
+        parse_program(NEST_RULES), vm._materialized.database,
+        builtins=with_set_builtins(),
+    ).run()
+    assert (vm._materialized.interpretation.sorted_atoms()
+            == fresh.interpretation.sorted_atoms())
+    return costs
+
+
+def test_one_fact_commit_on_nest_rederives_both_groups():
+    """The grouping and its positive reader are two groups, each
+    ``rederive``: a one-fact commit reads a small multiple of the atoms
+    it changed, at 1 600 and at 6 400 ``r`` facts."""
+    for n_keys in (200, 800):
+        for plans, changed, rows in nest_commit_costs(n_keys):
+            assert plans == ((0, "rederive", None), (1, "rederive", None))
+            assert rows <= 8 * changed + 16, (n_keys, changed, rows)
 
 
 #: A conjunctive-only stratum: nothing in it negates or groups.
@@ -691,23 +735,24 @@ def test_first_commit_on_a_conjunctive_stratum_costs_its_delta():
 def test_size_gate_picks_recompute_above_and_rederive_below():
     vm = serving_model(200, 120)
     m = vm._materialized
-    inputs = sum(
-        len(m.interpretation.facts_of(p)) for p in ("n", "t", "e")
-    )
+    dead = m._evaluator.stratification.stratum_of["dead"]
+    inputs = sum(len(m.interpretation.facts_of(p)) for p in ("n", "t"))
     gate = max(maintenance.REDERIVE_MIN_GATE,
                inputs // maintenance.REDERIVE_INPUT_RATIO)
     small = [("e", "v1", "v199")]
     report = vm.apply_delta(adds=small).report
-    assert report.stratum_plans[-1] == (1, "rederive", None)
-    # A batch of new markers alone: the delta is exactly its size (and
-    # it grows the inputs, hence the gate, by an eighth of itself).
+    assert [sp.plan for sp in report.stratum_plans] == \
+        ["dred", "rederive", "rederive"]
+    # A batch of new markers alone, which only ``dead`` reads: the delta
+    # is exactly its size (and it grows the inputs, hence the gate, by an
+    # eighth of itself).
     big = [("n", f"m{i}") for i in range(2 * gate)]
     report = vm.apply_delta(adds=big).report
-    index, plan, reason = report.stratum_plans[-1]
-    assert plan == "recompute"
+    [(index, plan, reason)] = report.stratum_plans
+    assert (index, plan) == (dead, "recompute")
     assert reason.startswith(f"delta {len(big)} ≥ gate ")
     report = vm.apply_delta(dels=big[:3]).report
-    assert report.stratum_plans[-1].plan == "rederive"
+    assert report.stratum_plans == ((dead, "rederive", None),)
     fresh = Evaluator(
         parse_program(CRASH_RECOVERY_PROGRAM), m.database,
         builtins=with_set_builtins(),
@@ -746,7 +791,18 @@ def test_recompute_reasons_are_reported():
         [("n", "a"), ("q", "a")],
     )
     report = m.apply_delta(dels=[("q", "a")])
-    assert report.stratum_plans == ((1, "recompute", "recursive negation"),)
+    assert report.stratum_plans == (
+        (0, "rederive", None), (1, "rederive", None),
+    )
+    assert m.model.holds_str("r(a)")
+    m = materialize(
+        parse_program("p(X) :- q(X).\nq(X) :- p(X), not r(X).\n"
+                      "p(X) :- n(X)."),
+        [("n", "a"), ("r", "a")],
+    )
+    report = m.apply_delta(dels=[("r", "a")])
+    assert report.stratum_plans == ((0, "recompute", "recursive negation"),)
+    assert m.model.holds_str("q(a)")
     m = materialize(
         parse_program("allok(z) :- forall A in {a, b} (ok(A))."),
         [("ok", "a")],

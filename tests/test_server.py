@@ -544,8 +544,11 @@ class TestServiceFrontEnd:
         assert svc.session_count() == 0
 
     def test_stats_name_each_stratum_plan_and_why_it_recomputed(self):
+        # Groups, one per dependency component, in evaluation order:
+        # all, t, iso, p, r.
         svc = service(
             STRAT_SOURCE + "p(X) :- n(X), not q(X).\nr(X) :- p(X).\n"
+            "all(z) :- forall A in {a, b} (n(A)).\n"
         )
         s = svc.open_session()
         s.execute("+e(a, a).")
@@ -553,9 +556,17 @@ class TestServiceFrontEnd:
         assert last["strategy"] == "incremental"
         assert last["fallback_reason"] is None
         assert last["strata"] == [
-            {"stratum": 0, "plan": "dred", "reason": None},
-            {"stratum": 1, "plan": "recompute",
-             "reason": "recursive negation"},
+            {"stratum": 1, "plan": "dred", "reason": None},
+            {"stratum": 2, "plan": "rederive", "reason": None},
+        ]
+        s.execute("+n(d).")
+        last = s.execute(":stats").data["last_delta"]
+        assert last["strata"] == [
+            {"stratum": 0, "plan": "recompute",
+             "reason": "restricted quantifier"},
+            {"stratum": 2, "plan": "rederive", "reason": None},
+            {"stratum": 3, "plan": "rederive", "reason": None},
+            {"stratum": 4, "plan": "rederive", "reason": None},
         ]
         svc.shutdown()
 

@@ -5,13 +5,15 @@ clocks, in the style of ``tests/test_fixpoint_rounds.py``:
 * **no avoidable cross product** — no compiled variant of Example 6
   joins two relations without a shared variable when some order of its
   conjuncts would not;
-* **one builtin solve per input per fixpoint** — across every round of
-  a stratum fixpoint, ``choose_min`` is solved once per distinct set,
-  however many rules, delta variants and rounds ask for it;
+* **one builtin solve per input per pass** — across every round of
+  every stratum fixpoint of an evaluator pass, ``choose_min`` is solved
+  once per distinct set, however many groups, rules, delta variants and
+  rounds ask for it;
 * **one probe per ground check** — a fully ground relational conjunct
   costs the tuple solver one ``SolverStats.matches``;
-* **the builtin memo dies with its fixpoint** — one dict per
-  ``_fixpoint`` call, shared by its rounds, held by no executor after.
+* **the builtin memo dies with its pass** — one dict per evaluator
+  pass, shared by its fixpoints and their rounds, held by no executor
+  after.
 """
 
 import gc
@@ -149,12 +151,12 @@ def test_the_pinned_scan_moves_only_to_avoid_a_cross_join():
         assert root.left.atom.pred == first and root.left.delta
 
 
-# -- one builtin solve per input per fixpoint ------------------------------------
+# -- one builtin solve per input per pass ----------------------------------------
 
 
 class Counting(Builtin):
     """Wraps a builtin; records each ``solve`` under the current fixpoint
-    and the memo dict of the executor that asked (if one did)."""
+    with the memo dict of the executor that asked (if one did)."""
 
     def __init__(self, inner, log):
         self.inner, self.name, self.arity = inner, inner.name, inner.arity
@@ -170,35 +172,42 @@ class Counting(Builtin):
                 memo = frame.f_locals["self"].memo
                 break
             frame = frame.f_back
-        self.log[-1].append((args[-1], None if memo is None else id(memo)))
+        self.log[-1][1].append((args[-1], memo))
         return self.inner.solve(args, env)
 
 
 class MarkingEvaluator(Evaluator):
-    """Starts a new log entry per stratum fixpoint."""
+    """Starts a new log entry per stratum fixpoint, holding the memo the
+    pass handed it (held, so no two passes' memos share an ``id``)."""
 
     def __init__(self, *args, log, **kwargs):
         super().__init__(*args, **kwargs)
         self._log = log
 
     def _fixpoint(self, *args, **kwargs):
-        self._log.append([])
+        self._log.append((kwargs.get("memo"), []))
         return super()._fixpoint(*args, **kwargs)
 
 
 def run_counted(text):
-    log = [[]]
+    """The model and, per stratum fixpoint, ``(its memo, its solves)``."""
+    log = [(None, [])]
     builtins = with_set_builtins()
     builtins["choose_min"] = Counting(builtins["choose_min"], log)
     ev = MarkingEvaluator(parse_program(text), builtins=builtins, log=log)
     try:
         model = ev.run()
+        groups = {
+            p: g.index for g in ev.stratification.groups for p in g.head_preds
+        }
     finally:
         ev.close()
-    return model, [calls for calls in log if calls]
+    # ``need`` and ``sum_costs`` both ask ``choose_min``, from two groups.
+    assert groups["need"] != groups["sum_costs"]
+    return model, log[1:]
 
 
-def test_choose_min_is_solved_once_per_set_per_fixpoint():
+def test_choose_min_is_solved_once_per_set_per_pass():
     text, world = parts_text()
     model, fixpoints = run_counted(text)
     assert {
@@ -207,24 +216,26 @@ def test_choose_min_is_solved_once_per_set_per_fixpoint():
     } == {p: world.expected[p] for p in world.parts}
     # Every round asks again: over 20 rounds in each pass.
     assert model.report.rounds / model.report.passes > 20
-    assert len(fixpoints) == model.report.passes
+    passes: dict[int, list] = {}
+    for memo, calls in fixpoints:
+        passes.setdefault(id(memo), []).extend(z for z, _ in calls)
+    assert len(passes) == model.report.passes
     needed = {a.args[0] for a in model.interpretation if a.pred == "need"}
-    for calls in fixpoints:
-        sets = [z for z, _ in calls]
+    for sets in passes.values():
         assert len(sets) == len(set(sets)) == len(needed)
         assert set(sets) == needed
 
 
-# -- the memo dies with its fixpoint ---------------------------------------------
+# -- the memo dies with its pass --------------------------------------------------
 
 
-def test_one_memo_per_fixpoint_and_none_after_run():
-    # That a memo does not reach the next fixpoint is the test above:
-    # each stratum fixpoint solves every set again.
+def test_one_memo_per_pass_and_none_after_run():
+    # That a memo does not reach the next pass is the test above: each
+    # pass solves every set again.
     _, fixpoints = run_counted(parts_text()[0])
-    for calls in fixpoints:
-        memos = {memo for _, memo in calls}
-        assert len(memos) == 1 and None not in memos
+    for memo, calls in fixpoints:
+        assert memo is not None
+        assert all(seen is memo for _, seen in calls)
     gc.collect()
     holders = [
         o for o in gc.get_objects()

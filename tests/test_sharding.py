@@ -136,7 +136,7 @@ class TestFallbackMatrix:
         ev = Evaluator(parse_program(text), builtins=with_set_builtins())
         return [
             (g, shardable_group(g, ev.builtins))
-            for g in ev.stratification.rule_groups()
+            for g in ev.stratification.groups
         ]
 
     def test_linear_recursion_is_shardable(self):
