@@ -1,9 +1,10 @@
 """EDB storage and Python-value conversion.
 
-A :class:`Database` is a bag of ground facts — the extensional database the
+A :class:`Database` is a set of ground facts — the extensional database the
 paper's examples assume (``R(x, Y)`` in Example 4, ``parts``/``cost`` in
-Example 6).  Facts can be loaded from plain Python values; the conversion
-rules are:
+Example 6) — stored as the model is, in an
+:class:`~repro.semantics.interpretation.Interpretation`.  Facts can be
+loaded from plain Python values; the conversion rules are:
 
 * ``str`` / ``int``       →  constant of sort ``a``
 * ``frozenset`` / ``set`` / iterables →  canonical :class:`SetValue`
@@ -19,10 +20,14 @@ from __future__ import annotations
 from typing import Any, Iterable, Iterator, Mapping
 
 from ..core.atoms import Atom, atom_order_key
-from ..core.clauses import LPSClause, fact
+from ..core.clauses import fact
 from ..core.errors import EvaluationError
+from ..core.formulas import evaluate_ground_atom
 from ..core.program import Program, check_arity
+from ..core.substitution import Subst
 from ..core.terms import App, Const, SetValue, Term, setvalue
+from ..core.unify import match_atom
+from ..semantics.interpretation import Interpretation
 
 
 def to_term(value: Any) -> Term:
@@ -63,13 +68,46 @@ def from_term(term: Term) -> Any:
     raise EvaluationError(f"cannot convert {term} to a Python value")
 
 
-class Database:
-    """A mutable collection of ground facts, keyed by predicate.
+class FactReads:
+    """The reads of a set of ground facts held in :attr:`interpretation`:
+    one implementation for :class:`Database`, the evaluator's
+    :class:`~repro.engine.evaluation.Model`, the
+    :class:`~repro.engine.maintenance.MaterializedModel` and its served
+    :class:`~repro.engine.maintenance.ModelSnapshot`."""
 
-    :meth:`snapshot` returns an immutable O(#predicates) view sharing the
-    per-predicate fact sets; the writable original copies a predicate's
-    set on its next mutation (copy-on-write), mirroring
-    :meth:`repro.semantics.interpretation.Interpretation.snapshot`.
+    interpretation: Interpretation
+
+    def holds(self, a: Atom) -> bool:
+        """Whether a ground atom holds (``=`` and ``in`` structurally)."""
+        return evaluate_ground_atom(a, self.interpretation.holds)
+
+    def query(self, pattern: Atom) -> Iterator[Subst]:
+        """All substitutions matching a pattern atom, in deterministic order."""
+        for f in sorted(
+            self.interpretation.facts_of(pattern.pred), key=atom_order_key
+        ):
+            yield from match_atom(pattern, f)
+
+    def relation(self, pred: str) -> set[tuple]:
+        """A predicate's extension as Python-value tuples."""
+        return {
+            tuple(from_term(t) for t in a.args)
+            for a in self.interpretation.facts_of(pred)
+        }
+
+    def pretty(self) -> str:
+        return self.interpretation.pretty()
+
+    def __len__(self) -> int:
+        return len(self.interpretation)
+
+
+class Database(FactReads):
+    """The extensional database: ground facts, keyed by predicate, held
+    in one :class:`~repro.semantics.interpretation.Interpretation` — the
+    store the model's facts live in.  :meth:`snapshot` is that store's
+    snapshot: immutable, O(#predicates), and a frozen database refuses
+    every write.
 
     :attr:`signatures` maps ``(pred, position)`` to the sort there of a
     predicate's first fact: what text parsed against the EDB is typed
@@ -79,46 +117,26 @@ class Database:
     """
 
     def __init__(self) -> None:
-        self._facts: dict[str, set[Atom]] = {}
-        self._frozen = False
-        #: Predicates whose fact set is shared with a snapshot.
-        self._shared: set[str] = set()
+        self._rows = Interpretation()
         self.signatures: dict[tuple[str, int], str] = {}
         self.arities: dict[str, int] = {}
 
-    # -- snapshots / copy-on-write ------------------------------------------------
+    @property
+    def interpretation(self) -> Interpretation:
+        """The fact store (read it; write through this database)."""
+        return self._rows
 
     @property
     def frozen(self) -> bool:
         """Whether this database is an immutable snapshot."""
-        return self._frozen
+        return self._rows.frozen
 
     def snapshot(self) -> "Database":
         """An immutable O(#predicates) snapshot of the current facts."""
         snap = Database.__new__(Database)
-        snap._facts = dict(self._facts)
-        snap._frozen = True
-        snap._shared = set()
-        snap.signatures = self.signatures
-        snap.arities = self.arities
-        if not self._frozen:
-            self._shared = set(self._facts)
+        snap._rows = self._rows.snapshot()
+        snap.signatures, snap.arities = self.signatures, self.arities
         return snap
-
-    def _mutable_bucket(self, pred: str):
-        """The predicate's fact set, un-shared and safe to mutate."""
-        if self._frozen:
-            raise EvaluationError(
-                "database is a frozen snapshot and cannot be mutated"
-            )
-        shared = self._shared
-        if shared and pred in shared:
-            shared.discard(pred)
-            bucket = self._facts.get(pred)
-            if bucket is not None:
-                bucket = self._facts[pred] = set(bucket)
-            return bucket
-        return self._facts.get(pred)
 
     # -- mutation ----------------------------------------------------------------
 
@@ -128,32 +146,28 @@ class Database:
         self.add_atom(a)
         return a
 
-    def add_atom(self, a: Atom) -> None:
-        if not a.is_ground():
-            raise EvaluationError(f"fact {a} is not ground")
-        bucket = self._mutable_bucket(a.pred)
-        if bucket is not None:
+    def add_atom(self, a: Atom) -> bool:
+        """Assert a ground atom; returns ``True`` if it was new."""
+        new = a.pred not in self.arities
+        if not new:
             check_arity(self.arities, a.pred, len(a.args))
-        else:
-            bucket = self._facts[a.pred] = set()
+        if not self._rows.add(a):
+            return False
+        if new:
             self.arities = {**self.arities, a.pred: len(a.args)}
             sorts = {(a.pred, i): t.sort for i, t in enumerate(a.args)}
             if not sorts.items() <= self.signatures.items():
                 self.signatures = {**self.signatures, **sorts}
-        bucket.add(a)
+        return True
 
     def retract(self, pred: str, *args: Any) -> bool:
         """Retract ``pred(args...)``; returns ``True`` if it was present."""
         return self.retract_atom(Atom(pred, tuple(to_term(v) for v in args)))
 
     def retract_atom(self, a: Atom) -> bool:
-        bucket = self._facts.get(a.pred)
-        if bucket is None or a not in bucket:
+        if not self._rows.remove(a):
             return False
-        bucket = self._mutable_bucket(a.pred)
-        bucket.discard(a)
-        if not bucket:
-            del self._facts[a.pred]
+        if not self._rows.facts_of(a.pred):
             self.arities = dict(self.arities)   # snapshots hold the old
             del self.arities[a.pred]
         return True
@@ -175,16 +189,8 @@ class Database:
         arities = dict(self.arities)
         for a in adds:
             check_arity(arities, a.pred, len(a.args))
-        removed: set[Atom] = set()
-        added: set[Atom] = set()
-        for spec in dels:
-            a = as_fact(spec)
-            if self.retract_atom(a):
-                removed.add(a)
-        for a in adds:
-            if a not in self:
-                self.add_atom(a)
-                added.add(a)
+        removed = {a for a in map(as_fact, dels) if self.retract_atom(a)}
+        added = {a for a in adds if self.add_atom(a)}
         return frozenset(added - removed), frozenset(removed - added)
 
     def extend(self, pred: str, rows: Iterable[tuple]) -> None:
@@ -200,33 +206,21 @@ class Database:
             check_arity(arities, pred, n)
 
     def facts(self) -> Iterator[Atom]:
-        for atoms in self._facts.values():
-            yield from atoms
+        return iter(self._rows)
 
     def facts_of(self, pred: str) -> frozenset[Atom]:
         """The current fact atoms of one predicate."""
-        return frozenset(self._facts.get(pred, ()))
-
-    def relation(self, pred: str) -> set[tuple]:
-        """The extension of a predicate as Python-value tuples."""
-        return {
-            tuple(from_term(t) for t in a.args)
-            for a in self._facts.get(pred, ())
-        }
+        return self._rows.by_pred(pred)
 
     def predicates(self) -> set[str]:
-        return set(self._facts)
+        return self._rows.predicates()
 
     def __contains__(self, a: Atom) -> bool:
-        return a in self._facts.get(a.pred, ())
-
-    def __len__(self) -> int:
-        return sum(len(s) for s in self._facts.values())
+        return a in self._rows
 
     def as_program(self) -> Program:
         """The database as a program of unit clauses."""
-        return Program(tuple(fact(a) for a in sorted(
-            self.facts(), key=atom_order_key)))
+        return Program(tuple(map(fact, self._rows.sorted_atoms())))
 
     @staticmethod
     def from_mapping(data: Mapping[str, Iterable[tuple]]) -> "Database":

@@ -84,7 +84,6 @@ from ..core.terms import (
     setvalue,
     subterms,
 )
-from ..core.atoms import atom_order_key
 from ..core.unify import (
     MATCH_FAILED,
     MATCH_REFUSED,
@@ -94,7 +93,7 @@ from ..core.unify import (
 )
 from ..semantics.interpretation import FactSlice, Interpretation
 from .builtins import DEFAULT_BUILTINS, Builtin
-from .database import Database, from_term
+from .database import Database, FactReads, from_term
 from .columnar import make_executor
 from .executor import Executor, PlanInapplicable, RowBatch
 from .ir import ExecStats, GroupBy, PlanNode, Row
@@ -964,7 +963,7 @@ class EvalReport:
     exec: ExecStats = field(default_factory=ExecStats)
 
 
-class Model:
+class Model(FactReads):
     """The computed (perfect) model plus query helpers, and what it is the
     model of (not the shard-owning :class:`Evaluator`) for :meth:`explain`."""
 
@@ -999,22 +998,11 @@ class Model:
     def interpretation(self) -> Interpretation:
         return self._interp
 
-    def holds(self, a: Atom) -> bool:
-        """Whether a ground atom is in the model (specials structurally)."""
-        from ..core.formulas import evaluate_ground_atom
-
-        return evaluate_ground_atom(a, self._interp.holds)
-
     def holds_str(self, text: str) -> bool:
         """Parse and test a ground atom, e.g. ``model.holds_str("p(a, {b})")``."""
         from ..lang import parse_atom
 
         return self.holds(parse_atom(text))
-
-    def query(self, pattern: Atom) -> Iterator[Subst]:
-        """All substitutions matching a pattern atom against the model."""
-        for f in sorted(self._interp.facts_of(pattern.pred), key=atom_order_key):
-            yield from match_atom(pattern, f)
 
     def query_str(self, text: str) -> list[dict[str, Any]]:
         """Parse a pattern and return bindings as Python values."""
@@ -1026,21 +1014,8 @@ class Model:
             out.append({v.name: from_term(t) for v, t in theta.items()})
         return out
 
-    def relation(self, pred: str) -> set[tuple]:
-        """A predicate's extension as Python-value tuples."""
-        return {
-            tuple(from_term(t) for t in a.args)
-            for a in self._interp.by_pred(pred)
-        }
-
-    def __len__(self) -> int:
-        return len(self._interp)
-
     def __contains__(self, a: Atom) -> bool:
         return self.holds(a)
-
-    def pretty(self) -> str:
-        return self._interp.pretty()
 
 
 class Evaluator:
@@ -1158,15 +1133,14 @@ class Evaluator:
         """
         report = EvalReport(stats=SolverStats())
         facts = self.program.fact_groups
-        edb: list[Atom] = []
-        if self.database is not None:
-            self.database.check_program(self.program)
-            edb += self.database.facts()
-        builtin = {a.pred for a in edb} & self.builtins.keys()
-        if builtin:
-            raise EvaluationError(
-                f"database fact uses builtin predicate {min(builtin)!r}"
-            )
+        db = self.database
+        if db is not None:
+            db.check_program(self.program)
+            builtin = db.predicates() & self.builtins.keys()
+            if builtin:
+                raise EvaluationError(
+                    f"database fact uses builtin predicate {min(builtin)!r}"
+                )
 
         def seed(domain: ActiveDomain) -> None:
             nonlocal version_before
@@ -1190,7 +1164,8 @@ class Evaluator:
             interp = Interpretation()
             for f in facts:
                 interp.extend(f.pred, f.n, f.cols, repeats=True)
-            interp.update(edb)
+            if db is not None:
+                interp.update(db.facts())
             memo: dict = {}     # builtin answers, for the whole pass
             for group in self.stratification.groups:
                 grouping = [

@@ -52,7 +52,6 @@ from dataclasses import dataclass
 from typing import (
     Any,
     Iterable,
-    Iterator,
     Mapping,
     NamedTuple,
     Optional,
@@ -63,14 +62,12 @@ from ..core.clauses import GroupingClause, LPSClause
 from ..core.errors import EvaluationError, SafetyError, SortError
 from ..core.program import AnyClause, Program, check_arity
 from ..core.sorts import sorts_compatible
-from ..core.substitution import Subst
 from ..core.terms import SetValue, Term, setvalue
-from ..core.unify import match_atom
 from ..semantics.interpretation import FactSlice, Interpretation
 from ..lang.sortinfer import predicate_sorts
 from .builtins import DEFAULT_BUILTINS, Builtin
 from .commits import Commit, CommitStream
-from .database import Database, as_fact
+from .database import Database, FactReads, as_fact
 from .evaluation import (
     EvalReport,
     Evaluator,
@@ -304,7 +301,7 @@ class _Rederivable:
         return self.group(engines, self.key_of(h)) == collected.elems
 
 
-class MaterializedModel:
+class MaterializedModel(FactReads):
     """A solved model that absorbs batched EDB insertions and deletions.
 
     The model owns its :class:`~repro.engine.database.Database`: mutate the
@@ -371,18 +368,6 @@ class MaterializedModel:
     @property
     def interpretation(self) -> Interpretation:
         return self._interp
-
-    def holds(self, a: Atom) -> bool:
-        return self._model.holds(a)
-
-    def query(self, pattern: Atom):
-        return self._model.query(pattern)
-
-    def relation(self, pred: str) -> set[tuple]:
-        return self._model.relation(pred)
-
-    def __len__(self) -> int:
-        return len(self._interp)
 
     # -- write API --------------------------------------------------------------
 
@@ -913,7 +898,7 @@ class RetiredVersionError(EvaluationError):
 
 
 @dataclass(frozen=True)
-class ModelSnapshot:
+class ModelSnapshot(FactReads):
     """One published version: an immutable view of the maintained model.
 
     ``interpretation`` and ``database`` are frozen copy-on-write snapshots
@@ -927,34 +912,6 @@ class ModelSnapshot:
     interpretation: Interpretation
     database: Database
     report: Optional[MaintenanceReport] = None
-
-    def holds(self, a: Atom) -> bool:
-        from ..core.formulas import evaluate_ground_atom
-
-        return evaluate_ground_atom(a, self.interpretation.holds)
-
-    def query(self, pattern: Atom) -> Iterator[Subst]:
-        """All substitutions matching a pattern atom, in deterministic order."""
-        from ..core.atoms import atom_order_key
-
-        for f in sorted(
-            self.interpretation.facts_of(pattern.pred), key=atom_order_key
-        ):
-            yield from match_atom(pattern, f)
-
-    def relation(self, pred: str) -> set[tuple]:
-        from .database import from_term
-
-        return {
-            tuple(from_term(t) for t in a.args)
-            for a in self.interpretation.facts_of(pred)
-        }
-
-    def pretty(self) -> str:
-        return self.interpretation.pretty()
-
-    def __len__(self) -> int:
-        return len(self.interpretation)
 
 
 class _WriteLock:

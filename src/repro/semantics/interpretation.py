@@ -468,12 +468,17 @@ class Interpretation:
             self._bases.clear()
         return snap
 
-    def _mutable(self, pred: str) -> Optional[FactTable]:
-        """The predicate's table, un-shared and safe to write."""
+    def _writable(self) -> None:
+        """Refuse a write to a frozen snapshot, whether or not it would
+        change a fact."""
         if self._frozen:
             raise EvaluationError(
                 "interpretation is a frozen snapshot and cannot be mutated"
             )
+
+    def _mutable(self, pred: str) -> Optional[FactTable]:
+        """The predicate's table, un-shared and safe to write."""
+        self._writable()
         table = self._tables.get(pred)
         shared = self._shared
         if shared and pred in shared:
@@ -522,6 +527,7 @@ class Interpretation:
 
     def add(self, a: Atom) -> bool:
         """Insert a ground atom; returns ``True`` if it was new."""
+        self._writable()
         self._check_assertable(a)
         pred, args = a.pred, a.args
         table = self._tables.get(pred)
@@ -571,6 +577,7 @@ class Interpretation:
 
         Validates like :meth:`add` (same errors) but in one pass before
         anything is inserted, then extends each predicate once."""
+        self._writable()
         fresh: dict[str, dict[Atom, None]] = {}
         for a in atoms:
             self._check_assertable(a)
@@ -720,6 +727,7 @@ class Interpretation:
         incremental-maintenance subsystem depends on this invariant).  The
         table's last row moves into the hole; nothing is re-encoded.
         """
+        self._writable()
         pred, args = a.pred, a.args
         table = self._tables.get(pred)
         if table is None or len(args) != table.arity:

@@ -8,11 +8,15 @@ the surviving facts.  The harness records a run (capturing the reference
 model after every acknowledged batch), then simulates the crash by
 truncating the on-disk state at every byte boundary of the WAL and of a
 checkpoint, recovering each prefix into a scratch directory, and
-comparing against the reference.  Corruption (bit flips) must either be
+comparing against the reference (by default at every record boundary and
+a fixed sample of offsets inside records; ``LPS_EXHAUSTIVE_SWEEPS=1`` cuts
+at every byte).  Corruption (bit flips) must either be
 quarantined at the torn tail or refuse recovery — never produce a model
 that matches no acknowledged state.
 """
 
+import os
+import random
 import shutil
 import tempfile
 from pathlib import Path
@@ -121,6 +125,33 @@ def assert_recovers_exactly(work_dir, expected_version, reference,
 # The headline property: crash at EVERY byte boundary of the WAL
 # ---------------------------------------------------------------------------
 
+#: Set ``LPS_EXHAUSTIVE_SWEEPS=1`` to truncate at every byte in the two
+#: sweeps below (the CI ``durability`` job does).
+EXHAUSTIVE = bool(os.environ.get("LPS_EXHAUSTIVE_SWEEPS"))
+
+#: Interior offsets a sampled sweep adds to the record boundaries.
+SAMPLED_OFFSETS = 40
+
+
+def crash_points(raw, seed, stop=None):
+    """The prefix lengths a sweep truncates ``raw`` to, all below ``stop``
+    (default ``len(raw) + 1``, the intact file included): every one under
+    :data:`EXHAUSTIVE`; otherwise 0, the intact length, both sides of
+    every record's newline, and :data:`SAMPLED_OFFSETS` interior offsets
+    drawn with ``seed``."""
+    stop = len(raw) + 1 if stop is None else stop
+    if EXHAUSTIVE:
+        return range(stop)
+    cuts = {0, len(raw)}
+    for i, byte in enumerate(raw):
+        if byte == ord("\n"):
+            cuts.update((i, i + 1))
+    cuts.update(random.Random(seed).sample(
+        range(stop), min(SAMPLED_OFFSETS, stop)
+    ))
+    return sorted(c for c in cuts if c < stop)
+
+
 class TestCrashAtEveryWalByte:
     def test_mixed_feature_program_every_byte(self, tmp_path):
         """Sets, negation and grouping under churn: for every prefix of
@@ -139,7 +170,7 @@ class TestCrashAtEveryWalByte:
         base = min(reference)
         assert len(reference) == raw.count(b"\n") + 1
         work = tmp_path / "crash"
-        for cut in range(len(raw) + 1):
+        for cut in crash_points(raw, seed=1):
             crash_copy(run_dir, work)
             (work / seg.name).write_bytes(raw[:cut])
             k = raw[:cut].count(b"\n")
@@ -171,7 +202,8 @@ class TestCrashAtEveryWalByte:
         latest = ckpts[-1]
         raw = latest.read_bytes()
         work = tmp_path / "crash"
-        for cut in range(len(raw)):   # len(raw) itself is the intact file
+        # len(raw) itself is the intact file.
+        for cut in crash_points(raw, seed=2, stop=len(raw)):
             crash_copy(run_dir, work)
             (work / latest.name).write_bytes(raw[:cut])
             assert_recovers_exactly(work, final_version, reference)

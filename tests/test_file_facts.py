@@ -362,8 +362,9 @@ class TestTyping:
             assert model_of(back.model) == want
 
 
-#: What one ``+e(new, x).`` asserts: the fact and the ``p`` it derives.
-CALLS_PER_COMMIT = 2
+#: What one ``+e(new, x).`` asserts: the fact into the EDB store and into
+#: the model, and the ``p`` it derives.
+CALLS_PER_COMMIT = 3
 
 
 @pytest.mark.parametrize("n", [1_000, 10_000])
